@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import calculus as calc
+from .calculus import INCONCLUSIVE, REFUTED, VERIFIED
 from .errors import (
     DimensionMismatchError,
     InfeasiblePointError,
@@ -33,10 +34,6 @@ from .funcspace import (
 )
 from .geometry import Polyhedron, project, tangent_cone
 from .solvers import OPTIMAL, LPProblem, lp_solve, lp_solve_with_tiebreak
-
-VERIFIED = "VERIFIED"
-REFUTED = "REFUTED"
-INCONCLUSIVE = "INCONCLUSIVE"
 
 TOL_STAT = 1e-7
 TOL_CONE = 1e-8
@@ -155,17 +152,36 @@ def primal_check(p: ConstrainedProblem, xbar, tol_stat=TOL_STAT, seed=42) -> Cer
     )
 
 
-def _resolve_kappa(p: ConstrainedProblem, xbar, kappa, seed):
+def resolve_kappa(kappa, estimate):
+    """(kappa value or None, its source, estimator report or None).
+
+    A number is taken as asserted; otherwise ``estimate()`` runs and its
+    kappa_hat is used when the report is VERIFIED."""
     if isinstance(kappa, (int, float)):
-        return float(kappa), "user-asserted", []
-    comp = calc.Composite(IndicatorFn(p.Theta), p.f, xbar)
-    rep = calc.msqc_estimate(comp, seed=seed)
-    if rep.verdict == calc.VERIFIED and rep.kappa_hat is not None:
-        k = rep.kappa_hat if rep.kappa_hat > 0 else 1.0
-        return k, "estimated (sampling-confidence)", [
-            f"msqc_estimate kappa_hat={rep.kappa_hat:.4g}"
-        ]
-    return None, "unavailable", [f"msqc_estimate verdict {rep.verdict}"]
+        return float(kappa), "user-asserted", None
+    rep = estimate()
+    if rep.verdict == VERIFIED and rep.kappa_hat is not None:
+        return (rep.kappa_hat if rep.kappa_hat > 0 else 1.0), \
+            "estimated (sampling-confidence)", rep
+    return None, "unavailable", rep
+
+
+def bound_holds(lhs, rhs, tol_bound):
+    """The multiplier bound lhs <= rhs, with a tolerance relative to rhs."""
+    return lhs <= rhs + tol_bound * (1.0 + rhs)
+
+
+def verdict(residual, lhs, rhs, tol_stat, tol_bound):
+    """(status, detail) of a dual certificate, by the ladder RESIDUAL ->
+    KAPPA_UNAVAILABLE -> BOUND_EXCEEDED -> VERIFIED shared by nlp, sip and
+    sdp.  ``rhs`` is None when no kappa is available."""
+    if residual > tol_stat:
+        return INCONCLUSIVE, "RESIDUAL"
+    if rhs is None:
+        return INCONCLUSIVE, "KAPPA_UNAVAILABLE"
+    if not bound_holds(lhs, rhs, tol_bound):
+        return REFUTED, "BOUND_EXCEEDED"
+    return VERIFIED, None
 
 
 def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42,
@@ -174,43 +190,36 @@ def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42,
     weight, and check the bounded-multiplier estimate."""
     xbar, ybar = _check_feasible(p, xbar)
     J = p.f.jacobian(xbar)
-    kappa_val, kappa_source, notes = _resolve_kappa(p, xbar, kappa, seed)
+    kappa_val, kappa_source, rep = resolve_kappa(kappa, lambda: calc.msqc_estimate(
+        calc.Composite(IndicatorFn(p.Theta), p.f, xbar), seed=seed))
+    notes = []
+    if rep is not None:
+        notes.append(f"msqc_estimate kappa_hat={rep.kappa_hat:.4g}" if kappa_val is not None
+                     else f"msqc_estimate verdict {rep.verdict}")
 
     act = p.Theta.active_rows(ybar)
     G_act = p.Theta.A_ineq[act] if act else np.zeros((0, p.m))
     E = p.Theta.A_eq
     r, l = G_act.shape[0], E.shape[0]
     grads, obj_kind = _objective_gradients(p, xbar)
+    # multiplier columns J^T a: active generators, then equality rows with both signs
+    M = np.hstack([J.T @ G_act.T, J.T @ E.T, -(J.T @ E.T)])
 
     n = p.n
     if obj_kind == "smooth":
-        g = grads[0]
-        ncols = r + 2 * l
-        if ncols == 0:
-            if float(np.linalg.norm(g)) > tol_stat:
+        grad_used = grads[0]
+        if r + 2 * l == 0:
+            if float(np.linalg.norm(grad_used)) > tol_stat:
                 raise NoMultiplierError("normal cone is {0} but the gradient is nonzero")
-            lam = np.zeros(p.m)
-            w = np.zeros(0)
-            ab = np.zeros(0)
+            x = np.zeros(0)
         else:
-            A = np.zeros((n, ncols))
-            if r:
-                A[:, :r] = J.T @ G_act.T
-            if l:
-                A[:, r:r + l] = J.T @ E.T
-                A[:, r + l:] = -(J.T @ E.T)
             sol = lp_solve_with_tiebreak(LPProblem(
-                c=np.ones(ncols), A=A, b=-g, senses=["="] * n,
-                bounds=[(0.0, None)] * ncols,
+                c=np.ones(r + 2 * l), A=M, b=-grad_used, senses=["="] * n,
+                bounds=[(0.0, None)] * (r + 2 * l),
             ))
             if sol.status != OPTIMAL:
                 raise NoMultiplierError("stationarity system infeasible: not dual-stationary")
-            w = sol.x[:r]
-            ab = sol.x[r:]
-            lam = (G_act.T @ w if r else np.zeros(p.m))
-            if l:
-                lam = lam + E.T @ (sol.x[r:r + l] - sol.x[r + l:])
-        grad_used = g
+            x = sol.x
     else:
         # -g for some g in conv{piece gradients} + N_dom: convex-combination variables
         k = len(grads)
@@ -221,14 +230,8 @@ def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42,
         kd, ld = dr.shape[0], dl.shape[0]
         ncols = r + 2 * l + k + kd + 2 * ld
         A = np.zeros((n + 1, ncols))
-        off = 0
-        if r:
-            A[:n, off:off + r] = J.T @ G_act.T
-        off += r
-        if l:
-            A[:n, off:off + l] = J.T @ E.T
-            A[:n, off + l:off + 2 * l] = -(J.T @ E.T)
-        off += 2 * l
+        A[:n, :r + 2 * l] = M
+        off = r + 2 * l
         A[:n, off:off + k] = Gm.T
         A[n, off:off + k] = 1.0  # convex combination
         off += k
@@ -248,20 +251,20 @@ def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42,
         ), cap_mask=cap)
         if sol.status != OPTIMAL:
             raise NoMultiplierError("stationarity system infeasible: not dual-stationary")
-        w = sol.x[:r]
-        ab = sol.x[r:r + 2 * l]
-        lam = (G_act.T @ w if r else np.zeros(p.m))
-        if l:
-            lam = lam + E.T @ (sol.x[r:r + l] - sol.x[r + l:r + 2 * l])
-        mu = sol.x[r + 2 * l:r + 2 * l + k]
+        x = sol.x
+        mu = x[r + 2 * l:r + 2 * l + k]
         grad_used = Gm.T @ mu
         if kd or ld:
             off = r + 2 * l + k
             if kd:
-                grad_used = grad_used + dr.T @ sol.x[off:off + kd]
+                grad_used = grad_used + dr.T @ x[off:off + kd]
             if ld:
-                grad_used = grad_used + dl.T @ (sol.x[off + kd:off + kd + ld]
-                                                - sol.x[off + kd + ld:])
+                grad_used = grad_used + dl.T @ (x[off + kd:off + kd + ld]
+                                                - x[off + kd + ld:])
+    w, ab = x[:r], x[r:r + 2 * l]
+    lam = G_act.T @ w if r else np.zeros(p.m)
+    if l:
+        lam = lam + E.T @ (ab[:l] - ab[l:])
 
     residual = float(np.linalg.norm(grad_used + J.T @ lam))
     bound_lhs = float(np.linalg.norm(lam))
@@ -272,40 +275,17 @@ def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42,
         scale = rel_lipschitz_estimate(p.objective, xbar, radius=0.5, seed=seed)
         bound_rule = "ell*kappa with sampled relative Lipschitz ell"
     bound_rhs = kappa_val * scale if kappa_val is not None else None
-
     gen_weights = np.zeros(p.Theta.A_ineq.shape[0])
-    for idx, i in enumerate(act):
-        gen_weights[i] = w[idx] if idx < len(w) else 0.0
-    mult_full = lam
-
-    tolerances = {"tol_stat": tol_stat, "tol_cone": tol_cone, "tol_bound": tol_bound}
-    if residual > tol_stat:
-        return Certificate(kind="DualKKT", status=INCONCLUSIVE, detail="RESIDUAL",
-                           point=xbar, multipliers=mult_full, generator_weights=gen_weights,
-                           eq_weights=ab if l else None,
-                           residual=residual, bound_lhs=bound_lhs, bound_rhs=bound_rhs,
-                           kappa=kappa_val, kappa_source=kappa_source, bound_rule=bound_rule,
-                           tolerances=tolerances, seed=seed, notes=notes)
-    if bound_rhs is None:
-        return Certificate(kind="DualKKT", status=INCONCLUSIVE, detail="KAPPA_UNAVAILABLE",
-                           point=xbar, multipliers=mult_full, generator_weights=gen_weights,
-                           eq_weights=ab if l else None,
-                           residual=residual, bound_lhs=bound_lhs, bound_rhs=None,
-                           kappa=None, kappa_source=kappa_source, bound_rule=bound_rule,
-                           tolerances=tolerances, seed=seed, notes=notes)
-    if bound_lhs > bound_rhs + tol_bound * (1.0 + bound_rhs):
-        return Certificate(kind="DualKKT", status=REFUTED, detail="BOUND_EXCEEDED",
-                           point=xbar, multipliers=mult_full, generator_weights=gen_weights,
-                           eq_weights=ab if l else None,
-                           residual=residual, bound_lhs=bound_lhs, bound_rhs=bound_rhs,
-                           kappa=kappa_val, kappa_source=kappa_source, bound_rule=bound_rule,
-                           tolerances=tolerances, seed=seed, notes=notes)
-    return Certificate(kind="DualKKT", status=VERIFIED, point=xbar,
-                       multipliers=mult_full, generator_weights=gen_weights,
+    gen_weights[act] = w
+    status, detail = verdict(residual, bound_lhs, bound_rhs, tol_stat, tol_bound)
+    return Certificate(kind="DualKKT", status=status, detail=detail, point=xbar,
+                       multipliers=lam, generator_weights=gen_weights,
                        eq_weights=ab if l else None,
                        residual=residual, bound_lhs=bound_lhs, bound_rhs=bound_rhs,
                        kappa=kappa_val, kappa_source=kappa_source, bound_rule=bound_rule,
-                       tolerances=tolerances, seed=seed, notes=notes)
+                       tolerances={"tol_stat": tol_stat, "tol_cone": tol_cone,
+                                   "tol_bound": tol_bound},
+                       seed=seed, notes=notes)
 
 
 def exact_penalty_check(p: ConstrainedProblem, xbar, ell=None, kappa=1.0,

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__, calculus, certify, sdp as sdp_mod, sip as sip_mod
-from . import expr as expr_mod
+from .calculus import REFUTED, VERIFIED
 from .certify import Certificate, ConstrainedProblem
 from .errors import (
     InfeasiblePointError,
@@ -255,9 +255,9 @@ def write_certificate(doc, out):
 
 
 def _status_exit(status):
-    if status == "VERIFIED":
+    if status == VERIFIED:
         return EXIT_VERIFIED
-    if status == "REFUTED":
+    if status == REFUTED:
         return EXIT_REFUTED
     return EXIT_INCONCLUSIVE
 
@@ -290,7 +290,7 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
             log("recheck failure: infeasible point")
             return EXIT_REFUTED
         witness = cert_doc.get("descent_witness")
-        if cert_doc.get("status") == "REFUTED" and witness is not None:
+        if cert_doc.get("status") == REFUTED and witness is not None:
             u = np.array(witness, dtype=float)
             if cert_doc.get("kind") == "Primal":
                 g = p.objective.gradient(x)
@@ -312,18 +312,19 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
         y = p.f.eval(x)
         if not p.Theta.contains(y):
             failures.append(f"infeasible point: residual {p.Theta.residual(y):.3e}")
-        lam = np.array(cert_doc.get("multipliers", []), dtype=float)
+        rows, l = p.Theta.A_ineq.shape[0], p.Theta.A_eq.shape[0]
+        # a NO_MULTIPLIER certificate stores no combination: read it as the empty one
+        lam = np.array(cert_doc.get("multipliers", np.zeros(p.m)), dtype=float)
         if len(lam) != p.m:
             raise CliError("multiplier length does not match the image dimension")
-        w = np.array(cert_doc.get("generator_weights", []), dtype=float)
-        if len(w) != p.Theta.A_ineq.shape[0]:
+        w = np.array(cert_doc.get("generator_weights", np.zeros(rows)), dtype=float)
+        if len(w) != rows:
             raise CliError("generator weights do not match Theta's rows")
-        ab = np.array(cert_doc.get("eq_weights", []) or [], dtype=float)
+        ab = np.array(cert_doc.get("eq_weights", np.zeros(2 * l)), dtype=float)
         if np.any(w < -tol_cone):
             failures.append("negative generator weight")
         lam_hat = p.Theta.A_ineq.T @ w if len(w) else np.zeros(p.m)
-        if p.Theta.A_eq.shape[0]:
-            l = p.Theta.A_eq.shape[0]
+        if l:
             if len(ab) != 2 * l:
                 raise CliError("equality weights malformed")
             lam_hat = lam_hat + p.Theta.A_eq.T @ (ab[:l] - ab[l:])
@@ -334,20 +335,12 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
             failures.append("complementary slackness violated")
         g = p.objective.gradient(x)
         residual = float(np.linalg.norm(g + p.f.jacobian(x).T @ lam))
-        if residual > tol_stat:
-            failures.append(f"stationarity residual {residual:.3e} > {tol_stat:.1e}")
         lhs = float(np.linalg.norm(lam))
-        rhs = bound.get("rhs")
-        if rhs is not None and lhs > rhs + tol_bound * (1.0 + rhs):
-            failures.append(f"bound violated: {lhs:.6e} > {rhs:.6e}")
     elif kind == "sip":
         p = build_sip(prob_doc)
-        grad = p.grad_objective(x)
-        resid = grad.copy()
-        total = 0.0
-        for atom in cert_doc.get("atoms", []):
-            s = np.array(atom["s"], dtype=float)
-            lam = float(atom["lambda"])
+        atoms = [(np.array(a["s"], dtype=float), float(a["lambda"]))
+                 for a in cert_doc.get("atoms", [])]
+        for s, lam in atoms:
             if lam < -1e-12:
                 failures.append("negative atom weight")
             for v, (lo, hi) in zip(s, p.S):
@@ -356,24 +349,15 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
             val = p.theta_at(x, s)
             if val < -1e-5 or val > 1e-6:
                 failures.append(f"atom not active: theta = {val:.3e}")
-            resid = resid + lam * p.grad_x_theta(x, s)
-            total += lam
-        eq_atoms = cert_doc.get("eq_atoms", [])
+        eq_atoms = [(np.array(a["t"], dtype=float), float(a["mu"]))
+                    for a in cert_doc.get("eq_atoms", [])]
         if eq_atoms and p.psi is None:
             raise CliError("certificate carries equality atoms but the problem has no psi")
-        for atom in eq_atoms:
-            t = np.array(atom["t"], dtype=float)
-            mu = float(atom["mu"])
+        for t, mu in eq_atoms:
             if abs(p.psi_at(x, t)) > 1e-6:
                 failures.append("equality atom violated at the point")
-            resid = resid + mu * p.grad_x_psi(x, t)
-            total += abs(mu)
-        residual = float(np.linalg.norm(resid))
-        if residual > tol_stat:
-            failures.append(f"stationarity residual {residual:.3e} > {tol_stat:.1e}")
-        rhs = bound.get("rhs")
-        if rhs is not None and total > rhs + tol_bound * (1.0 + rhs):
-            failures.append(f"bound violated: {total:.6e} > {rhs:.6e}")
+        residual, lhs = sip_mod.stationarity_residual(p, x, p.grad_objective(x),
+                                                      atoms, eq_atoms)
     elif kind == "sdp":
         p = build_sdp(prob_doc)
         A = p.phi_value(x)
@@ -384,41 +368,33 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
         B = p.psi_value(x)
         if B is not None and float(np.max(np.abs(B))) > 1e-7:
             failures.append("Psi(x) nonzero at the point")
-        grad = p.grad_objective(x)
-        resid = grad.copy()
-        total = 0.0
-        for atom in cert_doc.get("atoms", []):
-            s = np.array(atom["s"], dtype=float)
-            lam = float(atom["lambda"])
+        atoms = [(np.array(a["s"], dtype=float), float(a["lambda"]))
+                 for a in cert_doc.get("atoms", [])]
+        for s, lam in atoms:
             if abs(float(np.linalg.norm(s)) - 1.0) > 1e-8:
                 failures.append("atom is not a unit vector")
             if lam < -1e-12:
                 failures.append("negative atom weight")
             if abs(float(s @ A @ s)) > 10 * tol_ker:
                 failures.append("complementarity violated for an atom")
-            resid = resid + lam * sdp_mod.grad_quadform(p, x, s)
-            total += lam
-        for atom in cert_doc.get("eq_atoms", []):
-            i, j = (int(v) for v in atom["t"])
-            mu = float(atom["mu"])
-            factor = 1.0 if i == j else 2.0
-            resid = resid + factor * mu * expr_mod.grad(p.Psi[i][j], x)
-            total += factor * abs(mu)
-        residual = float(np.linalg.norm(resid))
-        if residual > tol_stat:
-            failures.append(f"stationarity residual {residual:.3e} > {tol_stat:.1e}")
-        rhs = bound.get("rhs")
-        if rhs is not None and total > rhs + tol_bound * (1.0 + rhs):
-            failures.append(f"bound violated: {total:.6e} > {rhs:.6e}")
+        psi_atoms = [(tuple(int(v) for v in a["t"]), float(a["mu"]))
+                     for a in cert_doc.get("eq_atoms", [])]
+        residual, lhs = sdp_mod.stationarity_residual(p, x, p.grad_objective(x),
+                                                      atoms, psi_atoms)
     else:
         raise CliError(f"recheck does not support problem kind {kind!r}")
+    if residual > tol_stat:
+        failures.append(f"stationarity residual {residual:.3e} > {tol_stat:.1e}")
+    rhs = bound.get("rhs")
+    if rhs is not None and not certify.bound_holds(lhs, rhs, tol_bound):
+        failures.append(f"bound violated: {lhs:.6e} > {rhs:.6e}")
 
     stored = cert_doc.get("status")
     if failures:
         for msg in failures:
             log(f"recheck failure: {msg}")
         return EXIT_REFUTED
-    if stored == "VERIFIED":
+    if stored == VERIFIED:
         log("recheck passed: certificate conditions reproduce VERIFIED")
         return EXIT_VERIFIED
     log(f"recheck: algebraic conditions hold; stored status was {stored}")
@@ -428,73 +404,59 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_kkt(args):
+def _load(args, kind, build):
+    """The problem document, the built problem and the point, for a command
+    that takes only problems of this kind."""
     doc = load_problem(args.problem)
-    if doc["kind"] != "nlp":
-        raise CliError("kkt expects an nlp problem file")
-    p = build_nlp(doc)
-    x = _resolve_point(doc, args)
-    kappa = _resolve_kappa(doc, args)
-    try:
-        cert = certify.dual_certificate(p, x, kappa=kappa, seed=args.seed)
-    except NoMultiplierError as exc:
-        cert = Certificate(kind="DualKKT", status="REFUTED", detail="NO_MULTIPLIER",
-                           point=x, seed=args.seed, notes=[str(exc)])
-    write_certificate(certificate_document(cert, "nlp"), args.out)
+    if doc["kind"] != kind:
+        raise CliError(f"{args.command} expects a problem of kind {kind}")
+    return doc, build(doc), _resolve_point(doc, args)
+
+
+def _emit(cert: Certificate, kind, args):
+    write_certificate(certificate_document(cert, kind), args.out)
     _summarize(cert)
     return _status_exit(cert.status)
+
+
+def _issue(args, kind, build, cert_kind, certify_fn):
+    """Issue the dual certificate ``certify_fn(p, x, kappa)``; a missing
+    multiplier becomes a REFUTED certificate with detail NO_MULTIPLIER."""
+    doc, p, x = _load(args, kind, build)
+    kappa = _resolve_kappa(doc, args)
+    try:
+        cert = certify_fn(p, x, kappa)
+    except NoMultiplierError as exc:
+        cert = Certificate(kind=cert_kind, status=REFUTED, detail="NO_MULTIPLIER",
+                           point=x, seed=args.seed, notes=[str(exc)])
+    return _emit(cert, kind, args)
+
+
+def _cmd_kkt(args):
+    return _issue(args, "nlp", build_nlp, "DualKKT", lambda p, x, kappa:
+                  certify.dual_certificate(p, x, kappa=kappa, seed=args.seed))
 
 
 def _cmd_primal(args):
-    doc = load_problem(args.problem)
-    if doc["kind"] != "nlp":
-        raise CliError("primal expects an nlp problem file")
-    p = build_nlp(doc)
-    x = _resolve_point(doc, args)
-    cert = certify.primal_check(p, x, seed=args.seed)
-    write_certificate(certificate_document(cert, "nlp"), args.out)
-    _summarize(cert)
-    return _status_exit(cert.status)
+    _, p, x = _load(args, "nlp", build_nlp)
+    return _emit(certify.primal_check(p, x, seed=args.seed), "nlp", args)
 
 
 def _cmd_sip(args):
-    doc = load_problem(args.problem)
-    if doc["kind"] != "sip":
-        raise CliError("sip expects a sip problem file")
-    p = build_sip(doc)
-    x = _resolve_point(doc, args)
-    kappa = _resolve_kappa(doc, args)
-    try:
-        if p.psi is not None:
-            cert = sip_mod.certify_with_equalities(p, x, kappa=kappa, seed=args.seed,
-                                                   density=args.grid)
-        else:
-            cert = sip_mod.certify(p, x, kappa=kappa, seed=args.seed, density=args.grid)
-    except NoMultiplierError as exc:
-        cert = Certificate(kind="SIP", status="REFUTED", detail="NO_MULTIPLIER",
-                           point=x, seed=args.seed, notes=[str(exc)])
-    write_certificate(certificate_document(cert, "sip"), args.out)
-    _summarize(cert)
-    return _status_exit(cert.status)
+    def certify_sip(p, x, kappa):
+        fn = sip_mod.certify if p.psi is None else sip_mod.certify_with_equalities
+        return fn(p, x, kappa=kappa, seed=args.seed, density=args.grid)
+
+    return _issue(args, "sip", build_sip, "SIP", certify_sip)
 
 
 def _cmd_sdp(args):
-    doc = load_problem(args.problem)
-    if doc["kind"] != "sdp":
-        raise CliError("sdp expects an sdp problem file")
-    p = build_sdp(doc)
-    x = _resolve_point(doc, args)
-    kappa = _resolve_kappa(doc, args)
-    if kappa == "estimate":
-        raise CliError("sdp certification needs an explicit --kappa")
-    try:
-        cert = sdp_mod.certify(p, x, kappa=kappa, seed=args.seed)
-    except NoMultiplierError as exc:
-        cert = Certificate(kind="SDP", status="REFUTED", detail="NO_MULTIPLIER",
-                           point=x, seed=args.seed, notes=[str(exc)])
-    write_certificate(certificate_document(cert, "sdp"), args.out)
-    _summarize(cert)
-    return _status_exit(cert.status)
+    def certify_sdp(p, x, kappa):
+        if kappa == "estimate":
+            raise CliError("sdp certification needs an explicit --kappa")
+        return sdp_mod.certify(p, x, kappa=kappa, seed=args.seed)
+
+    return _issue(args, "sdp", build_sdp, "SDP", certify_sdp)
 
 
 def _cmd_subderiv(args):
@@ -522,11 +484,7 @@ def _cmd_subderiv(args):
 
 
 def _cmd_cq(args):
-    doc = load_problem(args.problem)
-    if doc["kind"] != "nlp":
-        raise CliError("cq expects an nlp problem file")
-    p = build_nlp(doc)
-    x = _resolve_point(doc, args)
+    _, p, x = _load(args, "nlp", build_nlp)
     comp = calculus.Composite(IndicatorFn(p.Theta), p.f, x)
     which = args.which
     reports = {}
@@ -548,9 +506,9 @@ def _cmd_cq(args):
             "diverging": rep.diverging,
             "notes": list(rep.notes),
         }
-        if rep.verdict == "REFUTED":
+        if rep.verdict == REFUTED:
             exit_code = EXIT_REFUTED
-        elif rep.verdict != "VERIFIED" and exit_code == EXIT_VERIFIED:
+        elif rep.verdict != VERIFIED and exit_code == EXIT_VERIFIED:
             exit_code = EXIT_INCONCLUSIVE
     write_certificate(out, args.out)
     return exit_code
@@ -633,10 +591,21 @@ def build_parser():
     return ap
 
 
+def _attach_coordinates(argv):
+    """Rewrite ``--point V`` and ``--direction V`` as ``--point=V``: argparse
+    reads a separate value such as ``-1,0`` as an option, not as the value."""
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in ("--point", "--direction") else None
+        out.append(tok if value is None else f"{tok}={value}")
+    return out
+
+
 def run(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_coordinates(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as expr_mod
-from .certify import Certificate, TOL_BOUND, TOL_STAT
+from .certify import Certificate, TOL_BOUND, TOL_STAT, verdict
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -25,12 +25,8 @@ from .errors import (
     NotUnitError,
 )
 from .geometry import TOL_FEAS
-from .sip import SIProblem, caratheodory_reduce
-from .solvers import OPTIMAL, LPProblem, eigh, lp_solve
-
-REFUTED = "REFUTED"
-VERIFIED = "VERIFIED"
-INCONCLUSIVE = "INCONCLUSIVE"
+from .sip import SIProblem, stationarity_atoms
+from .solvers import eigh
 
 
 @dataclass
@@ -167,70 +163,21 @@ def certify(p: SDProblem, xbar, kappa, seed=42, tol_stat=TOL_STAT,
                 psi_cols.append(factor * g)
                 psi_costs.append(factor)
 
-    n = p.n
-    nl = len(lam_cols)
-    ne = len(psi_cols)
-    ncols = nl + 2 * ne
-    A = np.zeros((n, ncols))
-    if nl:
-        A[:, :nl] = np.array(lam_cols).T
-    if ne:
-        E = np.array(psi_cols).T
-        A[:, nl:nl + ne] = E
-        A[:, nl + ne:] = -E
-    cost = np.concatenate([np.ones(nl), np.array(psi_costs), np.array(psi_costs)]) \
-        if ne else np.ones(nl)
-    if ncols == 0:
-        if float(np.linalg.norm(g0)) > tol_stat:
-            raise NoMultiplierError("no kernel atoms and nonzero objective gradient")
-        sol_x = np.zeros(0)
-    else:
-        sol = lp_solve(LPProblem(c=cost, A=A, b=-g0, senses=["="] * n,
-                                 bounds=[(0.0, None)] * ncols))
-        if sol.status != OPTIMAL:
+    lam_atoms, mu = [], {}
+    if lam_cols or psi_cols:
+        found = stationarity_atoms(atoms, lam_cols, -g0, psi_entries, psi_cols, psi_costs)
+        if found is None:
             raise NoMultiplierError("stationarity system infeasible over kernel atoms")
-        sol_x = sol.x
-
-    # Caratheodory over the combined nonnegative columns (n equations)
-    tags = [("s", s) for s in atoms] + [("e+", e) for e in psi_entries] \
-        + [("e-", e) for e in psi_entries]
-    if ncols:
-        mult = caratheodory_reduce(tags, sol_x, A)
-    else:
-        mult = None
-    lam_atoms = []
-    mu = {}
-    if mult is not None:
-        for (tag, payload), wgt in mult.atoms:
-            if tag == "s":
-                lam_atoms.append((payload, wgt))
-            elif tag == "e+":
-                mu[payload] = mu.get(payload, 0.0) + wgt
-            else:
-                mu[payload] = mu.get(payload, 0.0) - wgt
-
+        lam_atoms, mu = found
+    elif float(np.linalg.norm(g0)) > tol_stat:
+        raise NoMultiplierError("no kernel atoms and nonzero objective gradient")
+    residual, total = stationarity_residual(p, xbar, g0, lam_atoms, mu.items())
     Abar = p.phi_value(xbar)
-    resid = g0.copy()
-    total = 0.0
-    comp_worst = 0.0
-    for s, wgt in lam_atoms:
-        resid = resid + wgt * grad_quadform(p, xbar, s)
-        total += wgt
-        comp_worst = max(comp_worst, abs(float(s @ Abar @ s)) * wgt)
-    for (i, j), mij in mu.items():
-        factor = 1.0 if i == j else 2.0
-        resid = resid + factor * mij * expr_mod.grad(p.Psi[i][j], xbar)
-        total += factor * abs(mij)
-    residual = float(np.linalg.norm(resid))
+    comp_worst = max([0.0] + [abs(float(s @ Abar @ s)) * wgt for s, wgt in lam_atoms])
     bound_rhs = 2.0 * kappa * float(np.linalg.norm(g0))
     notes = [f"kernel tolerance {tol_ker:.2e}",
              f"complementarity max lambda*<s,Phi s> = {comp_worst:.2e}"]
-    if residual > tol_stat:
-        status, detail = INCONCLUSIVE, "RESIDUAL"
-    elif total > bound_rhs + tol_bound * (1.0 + bound_rhs):
-        status, detail = REFUTED, "BOUND_EXCEEDED"
-    else:
-        status, detail = VERIFIED, None
+    status, detail = verdict(residual, total, bound_rhs, tol_stat, tol_bound)
     return Certificate(
         kind="SDP", status=status, detail=detail, point=xbar,
         atoms=[(np.asarray(s, dtype=float).tolist(), w) for s, w in lam_atoms],
@@ -240,6 +187,22 @@ def certify(p: SDProblem, xbar, kappa, seed=42, tol_stat=TOL_STAT,
         tolerances={"tol_stat": tol_stat, "tol_bound": tol_bound, "tol_ker": tol_ker},
         seed=seed, notes=notes,
     )
+
+
+def stationarity_residual(p: SDProblem, x, g0, atoms, psi_atoms):
+    """(||g0 + sum lambda grad<s,Phi s> + sum c_ij mu_ij grad Psi_ij||,
+    sum lambda + sum c_ij |mu_ij|) for atoms [(s, lambda)] and psi_atoms
+    [((i, j), mu_ij)], where c_ij is 2 off the diagonal (Psi is symmetric)."""
+    resid = g0.copy()
+    total = 0.0
+    for s, wgt in atoms:
+        resid = resid + wgt * grad_quadform(p, x, s)
+        total += wgt
+    for (i, j), mij in psi_atoms:
+        factor = 1.0 if i == j else 2.0
+        resid = resid + factor * mij * expr_mod.grad(p.Psi[i][j], x)
+        total += factor * abs(mij)
+    return float(np.linalg.norm(resid)), total
 
 
 def reduce_to_sip(p: SDProblem) -> SIProblem:

@@ -11,14 +11,14 @@ the two-inequality split with the 2*kappa bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as expr_mod
 from .calculus import CQReport, INCONCLUSIVE, REFUTED, VERIFIED, \
     ratio_stability_estimate
-from .certify import Certificate, TOL_BOUND, TOL_STAT
+from .certify import Certificate, TOL_BOUND, TOL_STAT, resolve_kappa, verdict
 from .errors import (
     DimensionMismatchError,
     InfeasiblePointError,
@@ -298,16 +298,6 @@ def emfcq_check(p: SIProblem, xbar, tol=1e-7) -> CQReport:
 @dataclass
 class AtomicMultiplier:
     atoms: list  # [(s point, weight >= 0)]
-    eq_atoms: list = field(default_factory=list)  # [(t point, signed weight)]
-
-    @property
-    def weights(self):
-        return np.array([w for _, w in self.atoms])
-
-    @property
-    def total(self):
-        return float(sum(w for _, w in self.atoms)) + float(
-            sum(abs(m) for _, m in self.eq_atoms))
 
 
 def caratheodory_reduce(atoms, weights, G) -> AtomicMultiplier:
@@ -343,20 +333,36 @@ def caratheodory_reduce(atoms, weights, G) -> AtomicMultiplier:
     return AtomicMultiplier(atoms=kept)
 
 
-def _stationarity_lp(cols, target, extra_cols=None):
-    """min sum(weights) s.t. cols @ w (+ extra signed columns) = target, w >= 0."""
+def stationarity_atoms(atoms, cols, target, lines=(), line_cols=(), line_costs=None):
+    """Least-cost multiplier sum_i w_i cols_i + sum_j mu_j line_cols_j = target
+    with w >= 0, pruned by Caratheodory; None when there is none.
+
+    An atom costs 1 per unit weight and line j costs ``line_costs[j]``
+    (default 1) per unit of |mu_j|; each line enters the LP as a +/- column
+    pair.  Returns ([(atom, w)], {tuple(line): mu})."""
     n = len(target)
     C = np.array(cols).T if cols else np.zeros((n, 0))
-    ncols = C.shape[1]
-    blocks = [C]
-    if extra_cols is not None and len(extra_cols):
-        E = np.array(extra_cols).T
-        blocks += [E, -E]
-        ncols += 2 * E.shape[1]
-    A = np.hstack(blocks) if blocks else np.zeros((n, 0))
-    sol = lp_solve(LPProblem(c=np.ones(ncols), A=A, b=np.asarray(target, dtype=float),
-                             senses=["="] * n, bounds=[(0.0, None)] * ncols))
-    return sol, A
+    blocks, costs = [C], [np.ones(C.shape[1])]
+    if len(line_cols):
+        L = np.array(line_cols).T
+        line_cost = np.ones(L.shape[1]) if line_costs is None \
+            else np.asarray(line_costs, dtype=float)
+        blocks += [L, -L]
+        costs += [line_cost, line_cost]
+    A = np.hstack(blocks)
+    cost = np.concatenate(costs)
+    sol = lp_solve(LPProblem(c=cost, A=A, b=np.asarray(target, dtype=float),
+                             senses=["="] * n, bounds=[(0.0, None)] * len(cost)))
+    if sol.status != OPTIMAL:
+        return None
+    # one Caratheodory pass over the full nonnegative column set, tagged by sign
+    tags = [(0.0, a) for a in atoms] + [(1.0, t) for t in lines] + [(-1.0, t) for t in lines]
+    mult = caratheodory_reduce(tags, sol.x, A)
+    signed = {}
+    for (sign, t), w in mult.atoms:
+        if sign:
+            signed[tuple(t)] = signed.get(tuple(t), 0.0) + sign * w
+    return [(a, w) for (sign, a), w in mult.atoms if not sign], signed
 
 
 def certify(p: SIProblem, xbar, kappa, seed=42, density=None,
@@ -364,20 +370,18 @@ def certify(p: SIProblem, xbar, kappa, seed=42, density=None,
     """Atomic-multiplier KKT certificate with the sum bound sum(lambda) <= kappa*||grad||."""
     xbar = np.asarray(xbar, dtype=float)
     g0 = p.grad_objective(xbar)
-    kappa_val, kappa_source = _resolve_sip_kappa(p, xbar, kappa, seed)
+    # SIP certificates carry no estimator notes
+    kappa_val, kappa_source, _ = resolve_kappa(
+        kappa, lambda: sip_kappa_estimate(p, xbar, seed=seed))
     density = density or default_density(p.k)
-    atoms = None
     for round_density in (density, 2 * density, 4 * density):
         act = active_indexes(p, xbar, density=round_density)
-        cols = [p.grad_x_theta(xbar, s) for s in act]
-        sol, _ = _stationarity_lp(cols, -g0)
-        if sol.status == OPTIMAL:
-            mult = caratheodory_reduce(act, sol.x[: len(cols)], np.array(cols).T
-                                       if cols else np.zeros((p.n, 0)))
-            atoms = mult.atoms
+        found = stationarity_atoms(act, [p.grad_x_theta(xbar, s) for s in act], -g0)
+        if found is not None:
             break
-    if atoms is None:
+    else:
         raise NoMultiplierError("no atomic multiplier after two grid refinements")
+    atoms, _ = found
     return _finish_sip_certificate(p, xbar, g0, atoms, [], kappa_val, kappa_source,
                                    1.0, seed, tol_stat, tol_bound)
 
@@ -389,7 +393,8 @@ def certify_with_equalities(p: SIProblem, xbar, kappa, seed=42, density=None,
     if p.psi is not None and sup_abs_equality(p, xbar) > TOL_FEAS:
         raise InfeasiblePointError("equality family violated at xbar")
     g0 = p.grad_objective(xbar)
-    kappa_val, kappa_source = _resolve_sip_kappa(p, xbar, kappa, seed)
+    kappa_val, kappa_source, _ = resolve_kappa(
+        kappa, lambda: sip_kappa_estimate(p, xbar, seed=seed))
     density = density or default_density(p.k if p.S is not None else 1)
     ineq_atoms = []
     if p.theta is not None:
@@ -400,61 +405,40 @@ def certify_with_equalities(p: SIProblem, xbar, kappa, seed=42, density=None,
         eq_points = [t for t in _dedupe(list(_box_grid(p.T, min(eq_density, 33))))]
     cols = [p.grad_x_theta(xbar, s) for s in ineq_atoms]
     eq_cols = [p.grad_x_psi(xbar, t) for t in eq_points]
-    sol, A = _stationarity_lp(cols, -g0, extra_cols=eq_cols)
-    if sol.status != OPTIMAL:
+    found = stationarity_atoms(ineq_atoms, cols, -g0, eq_points, eq_cols)
+    if found is None:
         raise NoMultiplierError("stationarity system infeasible for the split problem")
-    # one Caratheodory pass over the full nonnegative column set
-    all_atoms = [("i", s) for s in ineq_atoms] + [("e+", t) for t in eq_points] \
-        + [("e-", t) for t in eq_points]
-    mult = caratheodory_reduce(all_atoms, sol.x, A)
-    atoms = [(s, w) for (tag, s), w in mult.atoms if tag == "i"]
-    eq_atoms = {}
-    for (tag, t), w in mult.atoms:
-        if tag == "e+":
-            eq_atoms[tuple(t)] = eq_atoms.get(tuple(t), 0.0) + w
-        elif tag == "e-":
-            eq_atoms[tuple(t)] = eq_atoms.get(tuple(t), 0.0) - w
+    atoms, eq_atoms = found
     eq_list = [(np.array(t), m) for t, m in eq_atoms.items() if abs(m) > 0.0]
     return _finish_sip_certificate(p, xbar, g0, atoms, eq_list, kappa_val, kappa_source,
                                    2.0, seed, tol_stat, tol_bound)
 
 
-def _resolve_sip_kappa(p, xbar, kappa, seed):
-    if isinstance(kappa, (int, float)):
-        return float(kappa), "user-asserted"
-    rep = sip_kappa_estimate(p, xbar, seed=seed)
-    if rep.verdict == VERIFIED and rep.kappa_hat is not None:
-        return (rep.kappa_hat if rep.kappa_hat > 0 else 1.0), "estimated (sampling-confidence)"
-    return None, "unavailable"
+def stationarity_residual(p: SIProblem, x, g0, atoms, eq_atoms):
+    """(||g0 + sum lambda grad_x theta(x,s) + sum mu grad_x psi(x,t)||,
+    sum lambda + sum |mu|) for atoms [(s, lambda)] and eq_atoms [(t, mu)]."""
+    resid = g0.copy()
+    total = 0.0
+    for s, w in atoms:
+        resid = resid + w * p.grad_x_theta(x, s)
+        total += w
+    for t, m in eq_atoms:
+        resid = resid + m * p.grad_x_psi(x, t)
+        total += abs(m)
+    return float(np.linalg.norm(resid)), total
 
 
 def _finish_sip_certificate(p, xbar, g0, atoms, eq_atoms, kappa_val, kappa_source,
                             bound_factor, seed, tol_stat, tol_bound):
-    resid_vec = g0.copy()
-    total = 0.0
-    comp_worst = 0.0
-    for s, w in atoms:
-        resid_vec = resid_vec + w * p.grad_x_theta(xbar, s)
-        total += w
-        comp_worst = max(comp_worst, abs(w * p.theta_at(xbar, s)))
-    for t, m in eq_atoms:
-        resid_vec = resid_vec + m * p.grad_x_psi(xbar, t)
-        total += abs(m)
-    residual = float(np.linalg.norm(resid_vec))
+    residual, total = stationarity_residual(p, xbar, g0, atoms, eq_atoms)
+    comp_worst = max([0.0] + [abs(w * p.theta_at(xbar, s)) for s, w in atoms])
     bound_rhs = bound_factor * kappa_val * float(np.linalg.norm(g0)) \
         if kappa_val is not None else None
     tolerances = {"tol_stat": tol_stat, "tol_bound": tol_bound,
                   "tol_active": TOL_ACTIVE, "tol_feas": TOL_FEAS}
     kind = "SIP" if not eq_atoms else "SIP-EQ"
     notes = [f"complementarity max |lambda*theta| = {comp_worst:.2e}"]
-    if residual > tol_stat:
-        status, detail = INCONCLUSIVE, "RESIDUAL"
-    elif bound_rhs is None:
-        status, detail = INCONCLUSIVE, "KAPPA_UNAVAILABLE"
-    elif total > bound_rhs + tol_bound * (1.0 + bound_rhs):
-        status, detail = REFUTED, "BOUND_EXCEEDED"
-    else:
-        status, detail = VERIFIED, None
+    status, detail = verdict(residual, total, bound_rhs, tol_stat, tol_bound)
     return Certificate(kind=kind, status=status, detail=detail, point=xbar,
                        atoms=[(np.asarray(s, dtype=float).tolist() if np.ndim(s) else [float(s)], w)
                               for s, w in atoms],

@@ -66,6 +66,9 @@ def test_kkt_no_multiplier_exit_code(tmp_path):
     assert code == 1
     cert = json.loads(open(out).read())
     assert cert["detail"] == "NO_MULTIPLIER"
+    # no stored multiplier reads as the empty combination, which leaves the
+    # whole gradient as residual: recheck reproduces REFUTED
+    assert cli.run(["recheck", "-p", prob, "-c", out]) == 1
 
 
 def test_sip_end_to_end(tmp_path):
@@ -89,6 +92,21 @@ def test_sdp_end_to_end(tmp_path):
     cert = json.loads(open(out).read())
     assert cert["status"] == "VERIFIED"
     assert cli.run(["recheck", "-p", prob, "-c", out]) == 0
+
+
+def test_negative_first_coordinate_as_separate_value(tmp_path):
+    doc = orthant_doc()
+    doc["objective"] = "-x2"
+    prob = write_problem(tmp_path, doc)
+    out = str(tmp_path / "cert.json")
+    assert cli.run(["kkt", "-p", prob, "--point", "-1,0", "--kappa", "1",
+                    "--out", out]) == 0
+    assert json.loads(open(out).read())["point"] == [-1.0, 0.0]
+    sd = str(tmp_path / "sd.json")
+    assert cli.run(["subderiv", "-p", prob, "--point", "-1,0",
+                    "--direction", "-1,1", "--out", sd]) == 0
+    assert json.loads(open(sd).read())["analytic"] == pytest.approx(-1.0)
+    assert cli.run(["kkt", "-p", prob, "--kappa", "1", "--point"]) == 3
 
 
 def test_malformed_json_exit_3(tmp_path):
