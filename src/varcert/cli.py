@@ -265,6 +265,12 @@ def _status_exit(status):
 # ---------------------------------------------------------------------------
 # recheck: pure arithmetic, no LP
 
+def _refuted(failures, log):
+    for msg in failures:
+        log(f"recheck failure: {msg}")
+    return EXIT_REFUTED
+
+
 def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
     kind = prob_doc["kind"]
     if cert_doc.get("problem_kind") != kind:
@@ -377,6 +383,9 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
                 failures.append("negative atom weight")
             if abs(float(s @ A @ s)) > 10 * tol_ker:
                 failures.append("complementarity violated for an atom")
+        if "atom is not a unit vector" in failures:
+            # the residual needs unit atoms (grad_quadform); the verdict is settled
+            return _refuted(failures, log)
         psi_atoms = [(tuple(int(v) for v in a["t"]), float(a["mu"]))
                      for a in cert_doc.get("eq_atoms", [])]
         residual, lhs = sdp_mod.stationarity_residual(p, x, p.grad_objective(x),
@@ -391,9 +400,7 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
 
     stored = cert_doc.get("status")
     if failures:
-        for msg in failures:
-            log(f"recheck failure: {msg}")
-        return EXIT_REFUTED
+        return _refuted(failures, log)
     if stored == VERIFIED:
         log("recheck passed: certificate conditions reproduce VERIFIED")
         return EXIT_VERIFIED

@@ -437,17 +437,15 @@ def _codegen(e):
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-_COMPILED = {}
-
-
 def _compiled(e):
-    entry = _COMPILED.get(id(e))
-    if entry is not None and entry[0] is e:
-        return entry[1], entry[2]
-    fn = eval(compile(f"lambda v, m: {_codegen(e)}", "<expr>", "eval"), {"__builtins__": {}})
-    maxidx = _max_var_index(e)
-    _COMPILED[id(e)] = (e, fn, maxidx)
-    return fn, maxidx
+    """(closure, largest variable index) of ``e``, compiled on first use and
+    kept on the node itself, so it lives exactly as long as the expression."""
+    entry = getattr(e, "_closure", None)
+    if entry is None:
+        fn = eval(compile(f"lambda v, m: {_codegen(e)}", "<expr>", "eval"), {"__builtins__": {}})
+        entry = (fn, _max_var_index(e))
+        object.__setattr__(e, "_closure", entry)
+    return entry
 
 
 def _max_var_index(e):

@@ -10,6 +10,7 @@ the two-inequality split with the 2*kappa bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,8 +83,7 @@ class SIProblem:
         return g[: self.n]
 
     def grad_s_theta(self, x, s):
-        g = expr_mod.grad(self.theta, list(x) + list(s))
-        return g[self.n:]
+        return _index_partials(self.theta, x, s)
 
     def psi_at(self, x, t):
         return expr_mod.evaluate(self.psi, list(x) + list(t))
@@ -93,15 +93,41 @@ class SIProblem:
         return g[: self.n]
 
 
+def _index_partials(e, x, s):
+    """Partials of ``e`` in the index variables ``s`` at (x, s): one forward
+    pass per index coordinate with the unit vectors ``expr.grad`` uses, so
+    the values are those of ``expr.grad(e, x + s)[len(x):]``."""
+    z = list(x) + list(s)
+    return np.array([expr_mod.directional(e, z, [1.0 if j == i else 0.0 for j in range(len(z))])
+                     for i in range(len(x), len(z))])
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_grid(axes, density):
+    lin = [np.linspace(lo, hi, density) if hi > lo else np.array([lo]) for lo, hi, _ in axes]
+    mesh = np.meshgrid(*lin, indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=1)
+    grid.flags.writeable = False
+    return grid
+
+
 def _box_grid(box, density):
-    axes = [np.linspace(lo, hi, density) if hi > lo else np.array([lo])
-            for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    """The density**k grid over the box, built once per (box, density); each
+    caller gets its own copy.  The key carries each lower bound's type, since
+    a degenerate axis keeps it (an integer bound gives an integer axis)."""
+    return _cached_grid(tuple((lo, hi, type(lo)) for lo, hi in box), density).copy()
 
 
 def _clip_box(s, box):
     return np.array([min(max(v, lo), hi) for v, (lo, hi) in zip(s, box)])
+
+
+def _pinned(cand, s):
+    """True when the clipped trial ``cand`` is ``s`` bit for bit and ``s`` is
+    finite float64 with no -0.0 coordinate (see ``_polish_max``)."""
+    if cand.dtype != np.float64 or s.dtype != np.float64 or cand.tobytes() != s.tobytes():
+        return False
+    return bool(np.isfinite(s).all()) and not np.signbit(s[s == 0.0]).any()
 
 
 def _polish_max(value_fn, grad_fn, s0, box, steps=100):
@@ -110,6 +136,22 @@ def _polish_max(value_fn, grad_fn, s0, box, steps=100):
     Unnormalized steps let the step length shrink with the gradient near a
     smooth maximum, which is what delivers the 1e-6-level sup accuracy the
     eigenvalue cross-checks rely on.
+
+    Both line searches stop at the first trial that is ``s`` itself
+    (``_pinned``), as at a box corner the step points out of; this skips
+    only trials whose outcome is already known.  Proof: per coordinate,
+    fl(t*g_i) is monotone in t, fl(s_i + y) is monotone in y and clipping
+    is monotone, and the trials only shrink t.  So if clip(s + t*g) = s,
+    every t' < t gives s_i <= clip(s_i + t'*g_i) <= s_i for g_i >= 0 (the
+    mirror for g_i < 0): s again in value.  It is s in bits too.  A finite
+    nonzero value has one encoding.  A zero s_i is +0.0, and +0.0 plus a
+    zero of either sign is +0.0; a clip to a zero bound would have hit the
+    same bound at t, where it gave +0.0.  (-0.0 is excluded because
+    -0.0 + (+0.0) = +0.0.)  The trial stays float64, since an integer
+    array needs every coordinate strictly past an integer bound at t' and
+    so also at t.  ``value_fn`` is pure, so each later trial scores exactly
+    ``val`` and fails the strict acceptance test: the search ends
+    unaccepted, as it would have after its remaining evaluations.
     """
     s = _clip_box(np.asarray(s0, dtype=float), box)
     val = value_fn(s)
@@ -123,6 +165,8 @@ def _polish_max(value_fn, grad_fn, s0, box, steps=100):
         accepted = False
         for _ in range(40):
             cand = _clip_box(s + t * g, box)
+            if _pinned(cand, s):
+                break
             vc = value_fn(cand)
             if vc > val + 1e-18:
                 s, val = cand, vc
@@ -157,6 +201,8 @@ def _polish_max(value_fn, grad_fn, s0, box, steps=100):
         tt = 1.0
         for _ in range(20):
             cand = _clip_box(s + tt * step_vec, box)
+            if _pinned(cand, s):
+                break
             vc = value_fn(cand)
             if vc > val:
                 s, val = cand, vc
@@ -197,23 +243,24 @@ def sup_violation(p: SIProblem, x, density=None, polish_top=5, polish_steps=100)
 
 
 def sup_abs_equality(p: SIProblem, x, density=None, polish_steps=60):
-    """sup_t |psi(x,t)| over the equality index box."""
+    """(sup_t |psi(x,t)|, argmax t, sign of psi there) over the equality
+    index box; the argmax is None while the sup is 0."""
     if p.psi is None:
-        return 0.0
+        return 0.0, None, 1.0
     x = np.asarray(x, dtype=float)
     density = density or default_density(len(p.T))
     grid = _box_grid(p.T, density)
-    best = 0.0
+    best, best_t, best_sign = 0.0, None, 1.0
     for sign in (1.0, -1.0):
         vals = sign * _grid_values(p, p.psi, x, grid)
         order = np.argsort(-vals)[:3]
         for idx in order:
-            _, v = _polish_max(lambda tt: sign * p.psi_at(x, tt),
-                               lambda tt: sign * expr_mod.grad(
-                                   p.psi, list(x) + list(tt))[p.n:],
+            t, v = _polish_max(lambda tt: sign * p.psi_at(x, tt),
+                               lambda tt: sign * _index_partials(p.psi, x, tt),
                                grid[idx], p.T, steps=polish_steps)
-            best = max(best, float(v))
-    return best
+            if float(v) > best:
+                best, best_t, best_sign = float(v), t, sign
+    return best, best_t, best_sign
 
 
 def _dedupe(points, radius=DEDUP_RADIUS):
@@ -248,24 +295,37 @@ def active_indexes(p: SIProblem, xbar, tol_active=TOL_ACTIVE, density=None, max_
 def sip_kappa_estimate(p: SIProblem, xbar, radius=0.25, samples=30, seed=0) -> CQReport:
     """Ratio scheme with dist(f(x);Theta) realized as the sup violation."""
     xbar = np.asarray(xbar, dtype=float)
+    memo = {}
 
     # coarse, cheap violation oracle: the ratio test tolerates percent-level
-    # denominator noise, and the penalty descent calls this in its inner loop
+    # denominator noise, and the penalty descent calls this in its inner loop.
+    # The ratio test, the oracle's feasibility tests and grad_sq ask for the
+    # same z in turn, and the sups are pure functions of z: replay them.
+    def sups(z):
+        key = np.asarray(z, dtype=float).tobytes()
+        if key not in memo:
+            if len(memo) >= 64:
+                memo.clear()
+            memo[key] = (sup_violation(p, z, density=16, polish_top=1, polish_steps=30),
+                         sup_abs_equality(p, z, density=16, polish_steps=30))
+        return memo[key]
+
     def violation(z):
-        v, _ = sup_violation(p, z, density=16, polish_top=1, polish_steps=30)
-        if p.psi is not None:
-            v = math.hypot(v, sup_abs_equality(p, z, density=16, polish_steps=30))
-        return v
+        (v, _), (e, _, _) = sups(z)
+        return v if p.psi is None else math.hypot(v, e)
 
     def grad_sq(z):
-        # Danskin: gradient of the squared sup through the argmax index
-        v, s_star = sup_violation(p, z, density=16, polish_top=1, polish_steps=30)
+        # Danskin: gradient of v^2 + e^2 through the argmax indexes, where
+        # e = sign * psi(z, t*)
+        (v, s_star), (e, t_star, sign) = sups(z)
         g = np.zeros(p.n)
         if v > 0 and s_star is not None:
             g += 2.0 * v * p.grad_x_theta(z, s_star)
+        if e > 0 and t_star is not None:
+            g += 2.0 * e * sign * p.grad_x_psi(z, t_star)
         return g
 
-    oracle = SampledSetOracle(violation, grad_sq=grad_sq if p.psi is None else None)
+    oracle = SampledSetOracle(violation, grad_sq=grad_sq)
     return ratio_stability_estimate("SIP-MSQC", oracle.dist, violation, xbar,
                                     radius, samples, seed)
 
@@ -390,7 +450,7 @@ def certify_with_equalities(p: SIProblem, xbar, kappa, seed=42, density=None,
                             tol_stat=TOL_STAT, tol_bound=TOL_BOUND) -> Certificate:
     """Equality families via the two-inequality split; bound 2*kappa*||grad||."""
     xbar = np.asarray(xbar, dtype=float)
-    if p.psi is not None and sup_abs_equality(p, xbar) > TOL_FEAS:
+    if p.psi is not None and sup_abs_equality(p, xbar)[0] > TOL_FEAS:
         raise InfeasiblePointError("equality family violated at xbar")
     g0 = p.grad_objective(xbar)
     kappa_val, kappa_source, _ = resolve_kappa(

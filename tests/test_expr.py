@@ -211,3 +211,25 @@ def test_smoothmap_identity_and_cache():
     mc = expr.SmoothMap.from_strings(["x1*x2"], ["x1", "x2"], cache=True)
     assert mc.jacobian([2.0, 5.0]).tolist() == [[5.0, 2.0]]
     assert mc.jacobian([2.0, 5.0]).tolist() == [[5.0, 2.0]]
+
+
+def test_compiled_closures_live_on_the_expression():
+    """Evaluating many parsed expressions grows no module-level cache, and an
+    expression is freed once its caller drops it."""
+    import gc
+    import weakref
+
+    def container_sizes():
+        return {name: len(v) for name, v in vars(expr).items()
+                if isinstance(v, (dict, list, set))}
+
+    before = container_sizes()
+    for i in range(200):
+        e = expr.parse(f"x1 * {i} + x2", ["x1", "x2"])
+        assert expr.evaluate(e, [1.0, 2.0]) == i + 2.0
+        assert list(expr.grad(e, [1.0, 2.0])) == [i, 1.0]
+    assert container_sizes() == before
+    ref = weakref.ref(e)
+    del e
+    gc.collect()
+    assert ref() is None

@@ -67,6 +67,18 @@ def test_golden_certificate(case, tmp_path):
     assert recheck == case["recheck"]
 
 
+def test_recheck_refutes_sdp_atom_off_the_unit_sphere(tmp_path):
+    """Tampering the sdp_readme atom to s = [2, 0] makes recheck exit 1
+    (REFUTED), not 3: the unit check settles it before the residual."""
+    case = next(c for c in CASES if c["name"] == "sdp_readme")
+    cert = json.loads(expected_text(case))
+    cert["atoms"][0]["s"] = [2.0, 0.0]
+    prob, out = tmp_path / "problem.json", tmp_path / "cert.json"
+    prob.write_text(json.dumps(case["problem"]), encoding="utf-8")
+    out.write_text(json.dumps(cert), encoding="utf-8")
+    assert cli.run(["recheck", "-p", str(prob), "-c", str(out)]) == 1
+
+
 def regenerate():
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:

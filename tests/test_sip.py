@@ -169,3 +169,68 @@ def test_certify_interior_stationary_point():
     assert cert.status == "VERIFIED"
     assert cert.atoms == []
     assert cert.bound_lhs == 0.0
+
+
+def test_equality_only_kappa_estimate_gets_danskin_gradient(monkeypatch):
+    """psi = t1*x1^3 on T = {1}: sup|psi| = |x1|^3 admits no kappa at 0.  The
+    projection gets the exact gradient of sup|psi|^2 = x1^6, not differences."""
+    seen = []
+
+    class RecordingOracle(sip.SampledSetOracle):
+        def __init__(self, violation, grad_sq=None, **kwargs):
+            seen.append(grad_sq)
+            super().__init__(violation, grad_sq=grad_sq, **kwargs)
+
+    monkeypatch.setattr(sip, "SampledSetOracle", RecordingOracle)
+    p = SIProblem.from_strings(1, "x1^2", psi="t1*x1^3", T=[(1.0, 1.0)])
+    cert = certify_with_equalities(p, [0.0], kappa="estimate")
+    assert (cert.status, cert.detail) == ("INCONCLUSIVE", "KAPPA_UNAVAILABLE")
+    (grad_sq,) = seen
+    assert grad_sq is not None
+    for x in (0.5, -0.5):
+        assert grad_sq(np.array([x])) == pytest.approx([6.0 * x ** 5], rel=1e-12)
+    assert grad_sq(np.array([0.0])) == pytest.approx([0.0])
+
+
+def test_box_grid_hands_out_independent_copies():
+    grid = sip._box_grid([(0.0, 1.0)], 5)
+    grid[:] = 7.0
+    assert sip._box_grid([(0.0, 1.0)], 5)[:, 0].tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    # a degenerate axis keeps its bound's type, as the uncached grid did
+    assert sip._box_grid([(1, 1)], 3).dtype.kind == "i"
+    assert sip._box_grid([(1.0, 1.0)], 3).dtype.kind == "f"
+
+
+def test_polish_pinned_exit_matches_the_full_line_search(monkeypatch):
+    """Stopping a line search at a trial that is s itself gives the same
+    bits as running it out, with fewer evaluations (box corners, point
+    axes, a -0.0 bound)."""
+    rng = np.random.default_rng(11)
+    problems = []
+    for i in range(40):
+        k = 1 + i % 2
+        lo = rng.uniform(-1.0, 1.0, k)
+        width = rng.choice([0.0, 0.5, 2.0], size=k)
+        box = [(float(a), float(a + w)) for a, w in zip(lo, width)]
+        if i % 5 == 0:
+            box[0] = (-1.0, -0.0)
+        problems.append((box, rng.normal(size=k), rng.uniform(-2.0, 2.0, k),
+                         float(i % 3 == 0), rng.uniform(-1.0, 1.0, k)))
+
+    def run():
+        out, calls = [], 0
+        for box, a, c, q, s0 in problems:
+            def value(s):
+                nonlocal calls
+                calls += 1
+                return float(a @ s + q * np.sum(np.sin(3.0 * s + c)))
+            s, v = sip._polish_max(value, lambda s: a + 3.0 * q * np.cos(3.0 * s + c),
+                                   s0, box, steps=30)
+            out.append((s.dtype, s.tobytes(), np.float64(v).tobytes()))
+        return out, calls
+
+    pinned, pinned_calls = run()
+    monkeypatch.setattr(sip, "_pinned", lambda cand, s: False)
+    full, full_calls = run()
+    assert pinned == full
+    assert pinned_calls < full_calls, (pinned_calls, full_calls)
