@@ -44,7 +44,7 @@ from .geometry import (
     project,
     tangent_cone,
 )
-from .solvers import OPTIMAL, LPProblem, lp_solve, lp_solve_with_tiebreak
+from .solvers import OPTIMAL, LPProblem, conic_fit, lp_solve
 
 VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
@@ -620,28 +620,18 @@ def normal_cone_inverse_image(c: Composite, kappa):
     def bound_checker(v, tol=1e-6):
         v = np.asarray(v, dtype=float)
         r, l = gens.shape[0], lines.shape[0]
-        ncols = r + 2 * l
-        if ncols == 0:
+        if r + l == 0:
             if float(np.linalg.norm(v)) <= 1e-10:
                 return BoundCheck(np.zeros(c.m), 0.0, kappa * float(np.linalg.norm(v)), True)
             raise InfeasibleWitnessError("normal cone is {0} but v is nonzero")
-        A = np.zeros((c.n, ncols))
-        if r:
-            A[:, :r] = J.T @ gens.T
-        if l:
-            A[:, r:r + l] = J.T @ lines.T
-            A[:, r + l:] = -(J.T @ lines.T)
-        cost = np.ones(ncols)
-        sol = lp_solve_with_tiebreak(LPProblem(c=cost, A=A, b=v, senses=["="] * c.n,
-                                               bounds=[(0.0, None)] * ncols))
-        if sol.status != OPTIMAL:
+        fit = conic_fit(v, J.T @ gens.T, J.T @ lines.T, tiebreak=True)
+        if fit is None:
             raise InfeasibleWitnessError("v admits no representation over the mapped cone")
-        w = sol.x
         lam = np.zeros(c.m)
         if r:
-            lam += gens.T @ w[:r]
+            lam += gens.T @ fit.w
         if l:
-            lam += lines.T @ (w[r:r + l] - w[r + l:])
+            lam += lines.T @ fit.mu
         lam_norm = float(np.linalg.norm(lam))
         bound = kappa * float(np.linalg.norm(v))
         return BoundCheck(lam, lam_norm, bound, lam_norm <= bound + tol * (1.0 + bound))

@@ -33,7 +33,7 @@ from .funcspace import (
     rel_lipschitz_estimate,
 )
 from .geometry import Polyhedron, project, tangent_cone
-from .solvers import OPTIMAL, LPProblem, lp_solve, lp_solve_with_tiebreak
+from .solvers import OPTIMAL, LPProblem, conic_fit, lp_solve
 
 TOL_STAT = 1e-7
 TOL_CONE = 1e-8
@@ -202,69 +202,43 @@ def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42,
     E = p.Theta.A_eq
     r, l = G_act.shape[0], E.shape[0]
     grads, obj_kind = _objective_gradients(p, xbar)
-    # multiplier columns J^T a: active generators, then equality rows with both signs
-    M = np.hstack([J.T @ G_act.T, J.T @ E.T, -(J.T @ E.T)])
+    # multiplier columns J^T a: active generators (rays) and equality rows (lines)
+    JG, JE = J.T @ G_act.T, J.T @ E.T
 
-    n = p.n
     if obj_kind == "smooth":
         grad_used = grads[0]
-        if r + 2 * l == 0:
+        if r + l == 0:
             if float(np.linalg.norm(grad_used)) > tol_stat:
                 raise NoMultiplierError("normal cone is {0} but the gradient is nonzero")
-            x = np.zeros(0)
+            w = mu = ab = np.zeros(0)
         else:
-            sol = lp_solve_with_tiebreak(LPProblem(
-                c=np.ones(r + 2 * l), A=M, b=-grad_used, senses=["="] * n,
-                bounds=[(0.0, None)] * (r + 2 * l),
-            ))
-            if sol.status != OPTIMAL:
+            fit = conic_fit(-grad_used, JG, JE, tiebreak=True)
+            if fit is None:
                 raise NoMultiplierError("stationarity system infeasible: not dual-stationary")
-            x = sol.x
+            w, mu, ab = fit.w, fit.mu, fit.split
     else:
-        # -g for some g in conv{piece gradients} + N_dom: convex-combination variables
-        k = len(grads)
+        # -g for some g in conv{piece gradients} + N_dom: the N_dom rays and
+        # lines join the multiplier columns at no cost
         Gm = np.array(grads)  # (k, n)
         Ndom = fs._union_domain_normal_cone(
             [piece.omega for piece in p.objective.active_pieces(xbar)], xbar)
         dr, dl = Ndom.ensure_generators()
         kd, ld = dr.shape[0], dl.shape[0]
-        ncols = r + 2 * l + k + kd + 2 * ld
-        A = np.zeros((n + 1, ncols))
-        A[:n, :r + 2 * l] = M
-        off = r + 2 * l
-        A[:n, off:off + k] = Gm.T
-        A[n, off:off + k] = 1.0  # convex combination
-        off += k
-        if kd:
-            A[:n, off:off + kd] = dr.T
-        off += kd
-        if ld:
-            A[:n, off:off + ld] = dl.T
-            A[:n, off + ld:off + 2 * ld] = -dl.T
-        b = np.concatenate([np.zeros(n), [1.0]])
-        cost = np.zeros(ncols)
-        cost[: r + 2 * l] = 1.0
-        cap = np.zeros(ncols, dtype=bool)
-        cap[: r + 2 * l] = True
-        sol = lp_solve_with_tiebreak(LPProblem(
-            c=cost, A=A, b=b, senses=["="] * (n + 1), bounds=[(0.0, None)] * ncols,
-        ), cap_mask=cap)
-        if sol.status != OPTIMAL:
+        fit = conic_fit(np.zeros(p.n), np.hstack([JG, dr.T]), np.hstack([JE, dl.T]),
+                        convex=Gm.T, tiebreak=True,
+                        cost=np.concatenate([np.ones(r), np.zeros(kd), np.ones(l), np.zeros(ld)]))
+        if fit is None:
             raise NoMultiplierError("stationarity system infeasible: not dual-stationary")
-        x = sol.x
-        mu = x[r + 2 * l:r + 2 * l + k]
-        grad_used = Gm.T @ mu
-        if kd or ld:
-            off = r + 2 * l + k
-            if kd:
-                grad_used = grad_used + dr.T @ x[off:off + kd]
-            if ld:
-                grad_used = grad_used + dl.T @ (x[off + kd:off + kd + ld]
-                                                - x[off + kd + ld:])
-    w, ab = x[:r], x[r:r + 2 * l]
+        grad_used = Gm.T @ fit.conv
+        if kd:
+            grad_used = grad_used + dr.T @ fit.w[r:]
+        if ld:
+            grad_used = grad_used + dl.T @ fit.mu[l:]
+        w, mu = fit.w[:r], fit.mu[:l]
+        ab = np.concatenate([fit.split[:l], fit.split[l + ld:2 * l + ld]])
     lam = G_act.T @ w if r else np.zeros(p.m)
     if l:
-        lam = lam + E.T @ (ab[:l] - ab[l:])
+        lam = lam + E.T @ mu
 
     residual = float(np.linalg.norm(grad_used + J.T @ lam))
     bound_lhs = float(np.linalg.norm(lam))

@@ -293,12 +293,6 @@ def _split(a):
     return a, None
 
 
-def _join(val, dot_a, dot_b=None):
-    if dot_a is None and dot_b is None:
-        return val
-    return Dual(val, (dot_a or 0.0) + (dot_b or 0.0))
-
-
 class _Shim:
     """Math functions over floats and Duals with domain flags and kink rules."""
 

@@ -29,7 +29,7 @@ from .errors import (
 )
 from . import expr as expr_mod
 from .geometry import PolyhedralCone, Polyhedron, normal_cone, project, project_cone, tangent_cone
-from .solvers import OPTIMAL, UNBOUNDED, LPProblem, eigh, lp_solve
+from .solvers import OPTIMAL, UNBOUNDED, LPProblem, conic_fit, eigh, lp_solve
 
 INF = math.inf
 
@@ -494,58 +494,18 @@ class SubdifferentialSet:
             lam = self._preimage_multiplier(v, tol)
             return lam is not None and float(np.linalg.norm(lam)) <= self.radius + tol
         # polyhedral V-rep: L1-residual LP over a convex + conic combination
-        V, R, L = self.vertices, self.rays, self.lines
-        k, r, l = V.shape[0], R.shape[0], L.shape[0]
-        n = self.n
-        ncols = k + r + l + 2 * n
-        A = np.zeros((n + 1, ncols))
-        A[:n, :k] = V.T
-        if r:
-            A[:n, k:k + r] = R.T
-        if l:
-            A[:n, k + r:k + r + l] = L.T
-        A[:n, k + r + l:k + r + l + n] = np.eye(n)
-        A[:n, k + r + l + n:] = -np.eye(n)
-        A[n, :k] = 1.0
-        b = np.concatenate([v, [1.0]])
-        c = np.zeros(ncols)
-        c[k + r + l:] = 1.0
-        bounds = [(0.0, None)] * (k + r) + [(None, None)] * l + [(0.0, None)] * (2 * n)
-        sol = lp_solve(LPProblem(c=c, A=A, b=b, senses=["="] * (n + 1), bounds=bounds))
-        return sol.status == OPTIMAL and sol.objective <= tol * (1.0 + float(np.linalg.norm(v)))
+        fit = conic_fit(v, self.rays.T, self.lines.T, convex=self.vertices.T, cost=0.0,
+                        residual=1.0)
+        return fit is not None and fit.residual <= tol * (1.0 + float(np.linalg.norm(v)))
 
     def _preimage_multiplier(self, v, tol):
         """Minimal-1-norm lambda in the cone with JT lambda = v, or None."""
         rays, lines = self.cone.ensure_generators()
-        r, l = rays.shape[0], lines.shape[0]
-        m = self.cone.n
-        n = self.n
-        ncols = r + 2 * l + 2 * n
-        A = np.zeros((n, ncols))
-        if r:
-            A[:, :r] = self.JT @ rays.T
-        if l:
-            A[:, r:r + l] = self.JT @ lines.T
-            A[:, r + l:r + 2 * l] = -(self.JT @ lines.T)
-        A[:, r + 2 * l:r + 2 * l + n] = np.eye(n)
-        A[:, r + 2 * l + n:] = -np.eye(n)
-        c = np.zeros(ncols)
-        c[:r + 2 * l] = 1.0
-        c[r + 2 * l:] = 1e6  # residual strongly penalized
-        sol = lp_solve(LPProblem(c=c, A=A, b=np.asarray(v, dtype=float), senses=["="] * n,
-                                 bounds=[(0.0, None)] * ncols))
-        if sol.status != OPTIMAL:
+        # residual strongly penalized
+        fit = conic_fit(v, self.JT @ rays.T, self.JT @ lines.T, residual=1e6)
+        if fit is None or fit.residual > tol * (1.0 + float(np.linalg.norm(v))):
             return None
-        resid = float(np.sum(sol.x[r + 2 * l:]))
-        if resid > tol * (1.0 + float(np.linalg.norm(v))):
-            return None
-        w = sol.x
-        lam = np.zeros(m)
-        if r:
-            lam += rays.T @ w[:r]
-        if l:
-            lam += lines.T @ (w[r:r + l] - w[r + l:r + 2 * l])
-        return lam
+        return rays.T @ fit.w + lines.T @ fit.mu
 
     def sample(self, count, seed=0):
         """Random elements of the set (for membership-style property tests)."""

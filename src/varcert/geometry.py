@@ -27,7 +27,7 @@ from .errors import (
     NotMemberError,
     VarcertError,
 )
-from .solvers import INFEASIBLE, OPTIMAL, LPProblem, lp_solve
+from .solvers import INFEASIBLE, OPTIMAL, LPProblem, conic_fit, lp_solve
 
 TOL_FEAS = 1e-8
 TOL_ACTIVE = 1e-6
@@ -272,23 +272,9 @@ class PolyhedralCone:
         return self._contains_by_lp(u, tol * scale)
 
     def _contains_by_lp(self, u, tol):
-        R, L = self.rays, self.lines
-        nr, nl = R.shape[0], L.shape[0]
-        n = self.n
-        # minimize L1 residual of u = R^T w + L^T c, w >= 0
-        ncols = nr + nl + 2 * n
-        A = np.zeros((n, ncols))
-        if nr:
-            A[:, :nr] = R.T
-        if nl:
-            A[:, nr:nr + nl] = L.T
-        A[:, nr + nl:nr + nl + n] = np.eye(n)
-        A[:, nr + nl + n:] = -np.eye(n)
-        c = np.zeros(ncols)
-        c[nr + nl:] = 1.0
-        bounds = [(0.0, None)] * nr + [(None, None)] * nl + [(0.0, None)] * (2 * n)
-        sol = lp_solve(LPProblem(c=c, A=A, b=u, senses=["="] * n, bounds=bounds))
-        return sol.status == OPTIMAL and sol.objective <= tol
+        # minimize the L1 residual of u = R^T w + L^T c, w >= 0
+        fit = conic_fit(u, self.rays.T, self.lines.T, cost=0.0, residual=1.0)
+        return fit is not None and fit.residual <= tol
 
     def polar(self):
         """Standard cone duality: generators become halfspaces and vice versa."""

@@ -26,7 +26,7 @@ from .errors import (
     NoMultiplierError,
 )
 from .geometry import TOL_ACTIVE, TOL_FEAS, SampledSetOracle
-from .solvers import OPTIMAL, LPProblem, lp_solve
+from .solvers import OPTIMAL, LPProblem, conic_fit, lp_solve
 
 DEDUP_RADIUS = 1e-4
 
@@ -130,6 +130,11 @@ def _pinned(cand, s):
     return bool(np.isfinite(s).all()) and not np.signbit(s[s == 0.0]).any()
 
 
+def _point_box(widths):
+    """Every index width is 0 (a NaN width is not): no polish trial moves."""
+    return not any(widths)
+
+
 def _polish_max(value_fn, grad_fn, s0, box, steps=100):
     """Projected-gradient ascent over the box, adaptive step on the raw gradient.
 
@@ -152,10 +157,13 @@ def _polish_max(value_fn, grad_fn, s0, box, steps=100):
     so also at t.  ``value_fn`` is pure, so each later trial scores exactly
     ``val`` and fails the strict acceptance test: the search ends
     unaccepted, as it would have after its remaining evaluations.
+    A point box returns the clipped start at once (``_point_box``).
     """
     s = _clip_box(np.asarray(s0, dtype=float), box)
     val = value_fn(s)
     widths = [hi - lo for lo, hi in box]
+    if _point_box(widths):
+        return s, val
     t = max(max(widths), 1e-3) / 8.0
     for _ in range(steps):
         g = grad_fn(s)
@@ -264,9 +272,12 @@ def sup_abs_equality(p: SIProblem, x, density=None, polish_steps=60):
 
 
 def _dedupe(points, radius=DEDUP_RADIUS):
-    out = []
+    """Greedy, in order: keep a point unless it lies within ``radius`` of a
+    kept one (a NaN distance counts as far)."""
+    out, kept = [], np.empty((len(points), len(points[0]) if points else 0))
     for s in points:
-        if not any(np.linalg.norm(s - q) <= radius for q in out):
+        if not (np.linalg.norm(kept[:len(out)] - s, axis=1) <= radius).any():
+            kept[len(out)] = s
             out.append(s)
     return out
 
@@ -400,24 +411,14 @@ def stationarity_atoms(atoms, cols, target, lines=(), line_cols=(), line_costs=N
     An atom costs 1 per unit weight and line j costs ``line_costs[j]``
     (default 1) per unit of |mu_j|; each line enters the LP as a +/- column
     pair.  Returns ([(atom, w)], {tuple(line): mu})."""
-    n = len(target)
-    C = np.array(cols).T if cols else np.zeros((n, 0))
-    blocks, costs = [C], [np.ones(C.shape[1])]
-    if len(line_cols):
-        L = np.array(line_cols).T
-        line_cost = np.ones(L.shape[1]) if line_costs is None \
-            else np.asarray(line_costs, dtype=float)
-        blocks += [L, -L]
-        costs += [line_cost, line_cost]
-    A = np.hstack(blocks)
-    cost = np.concatenate(costs)
-    sol = lp_solve(LPProblem(c=cost, A=A, b=np.asarray(target, dtype=float),
-                             senses=["="] * n, bounds=[(0.0, None)] * len(cost)))
-    if sol.status != OPTIMAL:
+    cost = None if line_costs is None else np.concatenate([np.ones(len(cols)), line_costs])
+    fit = conic_fit(target, np.array(cols).T if cols else None,
+                    np.array(line_cols).T if len(line_cols) else None, cost=cost)
+    if fit is None:
         return None
     # one Caratheodory pass over the full nonnegative column set, tagged by sign
     tags = [(0.0, a) for a in atoms] + [(1.0, t) for t in lines] + [(-1.0, t) for t in lines]
-    mult = caratheodory_reduce(tags, sol.x, A)
+    mult = caratheodory_reduce(tags, fit.x, fit.A)
     signed = {}
     for (sign, t), w in mult.atoms:
         if sign:

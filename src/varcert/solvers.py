@@ -3,6 +3,13 @@
 Problem sizes here are tiny (at most a few hundred columns after
 discretization), so everything is dense and deterministic: Bland's
 anti-cycling rule fixes all pivot ties.
+
+Every multiplier and membership LP asks whether a target is a nonnegative
+combination of cone generators, plus free lines, plus an optional convex
+hull.  ``conic_fit`` builds that LP with the columns
+[rays | +lines | -lines | convex | +I | -I]: a free line is a +/- pair of
+nonnegative columns, a row sum(convex) = 1 follows the target rows, and the
+optional L1 residual slack (+I | -I) sits on the target rows only.
 """
 
 from __future__ import annotations
@@ -130,11 +137,12 @@ def _standardize(p: LPProblem):
 
 
 def _pivot(T, basis, row, col):
-    piv = T[row, col]
-    T[row] /= piv
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * T[row]
+    T[row] /= T[row, col]
+    # rank-1 update of the rows with a nonzero pivot-column entry only, so a
+    # row whose entry is +/-0.0 keeps its signed zeros
+    rows = np.flatnonzero(T[:, col])
+    rows = rows[rows != row]
+    T[rows] -= np.outer(T[rows, col], T[row])
     basis[row] = col
 
 
@@ -335,46 +343,83 @@ def largest_eigenvalue(A) -> float:
     return float(w[0])
 
 
-def lp_solve_with_tiebreak(p: LPProblem, cap_mask=None) -> LPSolution:
-    """lp_solve, then re-optimize min max(x_i) over the optimal face.
+def lp_solve_with_tiebreak(p: LPProblem) -> LPSolution:
+    """lp_solve, then re-optimize min max(x_i) over the optimal face, taken
+    over the variables with positive cost.
 
     Multiplier-recovery LPs minimize a 1-norm surrogate whose optimal face
     can be fat; the infinity-norm tie-break pulls the returned weights
     toward the Euclidean-minimal multiplier the bound theorems refer to.
-    ``cap_mask`` selects the variables entering the tie-break (default:
-    those with positive stage-1 cost).
     """
     sol = lp_solve(p)
     if sol.status != OPTIMAL:
         return sol
-    if cap_mask is None:
-        cap_mask = p.c > 0
-    cap_idx = [j for j, m in enumerate(cap_mask) if m]
-    if not cap_idx:
+    cap_idx = np.flatnonzero(p.c > 0)
+    if not len(cap_idx):
         return sol
-    K = len(p.c)
-    A2 = np.hstack([p.A, np.zeros((p.A.shape[0], 1))])
-    rows = [A2]
-    b2 = list(p.b)
-    senses2 = list(p.senses)
-    cost_row = np.concatenate([p.c, [0.0]])
-    rows.append(cost_row.reshape(1, -1))
-    b2.append(sol.objective + 1e-9 * (1.0 + abs(sol.objective)))
-    senses2.append("<=")
-    for j in cap_idx:
-        r = np.zeros(K + 1)
-        r[j] = 1.0
-        r[K] = -1.0
-        rows.append(r.reshape(1, -1))
-        b2.append(0.0)
-        senses2.append("<=")
+    # one extra variable t: the optimal-face row c.x <= objective, then x_j <= t
+    K, nc = len(p.c), len(cap_idx)
+    caps = np.zeros((nc, K + 1))
+    caps[np.arange(nc), cap_idx] = 1.0
+    caps[:, K] = -1.0
+    A2 = np.vstack([np.hstack([p.A, np.zeros((p.A.shape[0], 1))]), np.append(p.c, 0.0), caps])
+    b2 = np.concatenate([p.b, [sol.objective + 1e-9 * (1.0 + abs(sol.objective))], np.zeros(nc)])
     bounds2 = (list(p.bounds) if p.bounds is not None else [(None, None)] * K) + [(0.0, None)]
-    c2 = np.zeros(K + 1)
-    c2[K] = 1.0
-    sol2 = lp_solve(LPProblem(c=c2, A=np.vstack(rows), b=np.array(b2),
-                              senses=senses2, bounds=bounds2))
+    sol2 = lp_solve(LPProblem(c=np.append(np.zeros(K), 1.0), A=A2, b=b2,
+                              senses=list(p.senses) + ["<="] * (1 + nc), bounds=bounds2))
     if sol2.status != OPTIMAL:
         return sol
     x = sol2.x[:K]
     return LPSolution(status=OPTIMAL, x=x, y=None,
                       objective=float(p.c @ x), iterations=sol.iterations + sol2.iterations)
+
+
+@dataclass
+class ConicFit:
+    w: np.ndarray  # ray weights
+    mu: np.ndarray  # signed line coefficients a - b
+    split: np.ndarray  # line weights (a, b), as in the columns
+    conv: np.ndarray  # convex weights
+    residual: float  # L1 norm of the residual slack
+    x: np.ndarray  # the weight of every column of A
+    A: np.ndarray  # the target rows of the LP matrix
+
+
+def conic_fit(target, rays, lines=None, convex=None, cost=None, residual=None,
+              tiebreak=False):
+    """Least-cost fit  rays w + lines (a - b) [+ convex nu, sum(nu) = 1]
+    [+ r+ - r-] = target, every weight >= 0; None when there is none.
+
+    Generators are columns (None: no block).  ``cost`` prices the rays,
+    then the lines (scalar or per generator, default 1); convex columns are
+    free.  ``residual`` prices the L1 slack; ``tiebreak`` selects
+    ``lp_solve_with_tiebreak``."""
+    b = np.asarray(target, dtype=float)
+    n = len(b)
+    R, L, V = (np.zeros((n, 0)) if M is None else np.asarray(M, dtype=float).reshape(n, -1)
+               for M in (rays, lines, convex))
+    r, l, k = R.shape[1], L.shape[1], V.shape[1]
+    price = np.ones(r + l) if cost is None else np.broadcast_to(
+        np.asarray(cost, dtype=float), (r + l,))
+    blocks = [R, L, -L, V]
+    costs = [price[:r], price[r:], price[r:], np.zeros(k)]
+    if residual is not None:
+        blocks += [np.eye(n), -np.eye(n)]
+        costs.append(np.full(2 * n, float(residual)))
+    A = np.hstack(blocks)
+    c = np.concatenate(costs)
+    rows, rhs = A, b
+    if k:
+        sum_row = np.zeros(len(c))
+        sum_row[r + 2 * l:r + 2 * l + k] = 1.0
+        rows, rhs = np.vstack([A, sum_row]), np.append(b, 1.0)
+    solve = lp_solve_with_tiebreak if tiebreak else lp_solve
+    sol = solve(LPProblem(c=c, A=rows, b=rhs, senses=["="] * len(rhs),
+                          bounds=[(0.0, None)] * len(c)))
+    if sol.status != OPTIMAL:
+        return None
+    x = sol.x
+    split = x[r:r + 2 * l]
+    return ConicFit(w=x[:r], mu=split[:l] - split[l:], split=split,
+                    conv=x[r + 2 * l:r + 2 * l + k], residual=float(np.sum(x[r + 2 * l + k:])),
+                    x=x, A=A)

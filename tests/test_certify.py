@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from varcert import certify
+from varcert import certify, cli
 from varcert.certify import (
     Certificate,
     ConstrainedProblem,
@@ -11,7 +11,7 @@ from varcert.certify import (
 )
 from varcert.errors import InfeasiblePointError, NoMultiplierError
 from varcert.expr import SmoothMap
-from varcert.funcspace import SmoothFn, plq_abs
+from varcert.funcspace import PLQFunction, SmoothFn, plq_abs
 from varcert.geometry import Polyhedron
 from varcert.solvers import LPProblem, lp_solve, OPTIMAL
 
@@ -178,3 +178,72 @@ def test_dual_certificate_interior_stationary_point():
     assert cert.status == certify.VERIFIED
     assert np.allclose(cert.multipliers, 0.0)
     assert cert.bound_lhs == 0.0
+
+
+# The PLQ branch of dual_certificate with a nonzero domain normal cone
+# N_dom: its rays and lines sit beside the Theta generators and equality
+# rows in the stationarity LP, whose column order solvers.conic_fit fixes.
+# The certificate bytes were pinned before that LP moved behind conic_fit.
+_Z2 = np.zeros((2, 2))
+_BOX2 = Polyhedron.box([(-1.0, 1.0), (-1.0, 1.0)])
+PLQ_DOMAIN_CASES = {
+    # -x1 + x2 on {x1 <= 0}: the N_dom ray (1, 0) absorbs the x1 slope
+    "domain_ray": ([(Polyhedron([[1.0, 0.0]], [0.0]), _Z2, [-1.0, 1.0], 0.0)],
+                   _BOX2, [0.0, -1.0]),
+    # 3 x1 + x2 on {x1 = 0}: N_dom is the line through (1, 0)
+    "domain_line": ([(Polyhedron(None, None, [[1.0, 0.0]], [0.0], n=2), _Z2, [3.0, 1.0], 0.0)],
+                    _BOX2, [0.0, -1.0]),
+    # |x1| - x2 on {x2 <= 0}, two active pieces at the origin
+    "two_pieces": ([(Polyhedron([[-1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]), _Z2, [1.0, -1.0], 0.0),
+                    (Polyhedron([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]), _Z2, [-1.0, -1.0], 0.0)],
+                   Polyhedron.box([(-1.0, 0.0), (-1.0, 1.0)]), [0.0, 0.0]),
+    # -x1 + 2 x2 on {x1 <= 0} with Theta = {y1 <= 1, y2 = -1}: equality weights
+    "theta_equality": ([(Polyhedron([[1.0, 0.0]], [0.0]), _Z2, [-1.0, 2.0], 0.0)],
+                       Polyhedron([[1.0, 0.0]], [1.0], [[0.0, 1.0]], [-1.0]), [0.0, -1.0]),
+}
+PLQ_DOMAIN_PINS = {
+    "domain_ray": (
+        '{"kind":"DualKKT","status":"VERIFIED","detail":null,"problem_kind":"nlp","point"'
+        ':[0.000000000000e+00,-1.000000000000e+00],"multipliers":[0.000000000000e+00,-1.0'
+        '00000000000e+00],"generator_weights":[0.000000000000e+00,0.000000000000e+00,0.00'
+        '0000000000e+00,1.000000000000e+00],"residual":0.000000000000e+00,"bound":{"lhs":'
+        '1.000000000000e+00,"rhs":1.414213044778e+00,"kappa":1.000000000000e+00,"kappa_so'
+        'urce":"user-asserted","rule":"ell*kappa with sampled relative Lipschitz ell"},"t'
+        'olerances":{"tol_stat":1.000000000000e-07,"tol_cone":1.000000000000e-08,"tol_bou'
+        'nd":1.000000000000e-06},"seed":42,"notes":[],"tool_version":"0.1.0"}'),
+    "domain_line": (
+        '{"kind":"DualKKT","status":"VERIFIED","detail":null,"problem_kind":"nlp","point"'
+        ':[0.000000000000e+00,-1.000000000000e+00],"multipliers":[0.000000000000e+00,-1.0'
+        '00000000000e+00],"generator_weights":[0.000000000000e+00,0.000000000000e+00,0.00'
+        '0000000000e+00,1.000000000000e+00],"residual":0.000000000000e+00,"bound":{"lhs":'
+        '1.000000000000e+00,"rhs":1.000000000000e+00,"kappa":1.000000000000e+00,"kappa_so'
+        'urce":"user-asserted","rule":"ell*kappa with sampled relative Lipschitz ell"},"t'
+        'olerances":{"tol_stat":1.000000000000e-07,"tol_cone":1.000000000000e-08,"tol_bou'
+        'nd":1.000000000000e-06},"seed":42,"notes":[],"tool_version":"0.1.0"}'),
+    "two_pieces": (
+        '{"kind":"DualKKT","status":"VERIFIED","detail":null,"problem_kind":"nlp","point"'
+        ':[0.000000000000e+00,0.000000000000e+00],"multipliers":[0.000000000000e+00,0.000'
+        '000000000e+00],"generator_weights":[0.000000000000e+00,0.000000000000e+00,0.0000'
+        '00000000e+00,0.000000000000e+00],"residual":0.000000000000e+00,"bound":{"lhs":0.'
+        '000000000000e+00,"rhs":1.414192218934e+00,"kappa":1.000000000000e+00,"kappa_sour'
+        'ce":"user-asserted","rule":"ell*kappa with sampled relative Lipschitz ell"},"tol'
+        'erances":{"tol_stat":1.000000000000e-07,"tol_cone":1.000000000000e-08,"tol_bound'
+        '":1.000000000000e-06},"seed":42,"notes":[],"tool_version":"0.1.0"}'),
+    "theta_equality": (
+        '{"kind":"DualKKT","status":"VERIFIED","detail":null,"problem_kind":"nlp","point"'
+        ':[0.000000000000e+00,-1.000000000000e+00],"multipliers":[0.000000000000e+00,-2.0'
+        '00000000000e+00],"generator_weights":[0.000000000000e+00],"eq_weights":[0.000000'
+        '000000e+00,2.000000000000e+00],"residual":0.000000000000e+00,"bound":{"lhs":2.00'
+        '0000000000e+00,"rhs":2.236067654891e+00,"kappa":1.000000000000e+00,"kappa_source'
+        '":"user-asserted","rule":"ell*kappa with sampled relative Lipschitz ell"},"toler'
+        'ances":{"tol_stat":1.000000000000e-07,"tol_cone":1.000000000000e-08,"tol_bound":'
+        '1.000000000000e-06},"seed":42,"notes":[],"tool_version":"0.1.0"}'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLQ_DOMAIN_CASES))
+def test_dual_certificate_plq_with_domain_normal_cone(name):
+    pieces, theta, x = PLQ_DOMAIN_CASES[name]
+    p = ConstrainedProblem(PLQFunction(pieces), SmoothMap.identity(2), theta)
+    cert = dual_certificate(p, x, kappa=1.0)
+    assert cli.canonical_json(cli.certificate_document(cert, "nlp")).strip() == PLQ_DOMAIN_PINS[name]

@@ -27,7 +27,7 @@ from varcert.funcspace import (
     subdifferential,
     value,
 )
-from varcert.geometry import Polyhedron, tangent_cone
+from varcert.geometry import Polyhedron, cone_halfspaces_from_generators, tangent_cone
 
 
 def orthant_indicator(n=2):
@@ -289,3 +289,37 @@ def test_plq_boundary_subdifferential_has_domain_normal_rays():
     assert -S.support([-1.0]) == pytest.approx(2.0)
     assert S.contains([5.0]) and not S.contains([1.5])
     assert regularity_check(sq, [1.0]).passed
+
+
+def test_polyhedral_set_membership_random():
+    """V-rep membership conv{V} + cone{R} + span{L}: inside points, points
+    1e-3 outside a facet, and points within 1e-12 of a facet.  Facets come
+    from the homogenized cone over (v, 1), (r, 0), (l, 0)."""
+    rng = np.random.default_rng(11)
+    checked = {"in": 0, "out": 0, "near": 0}
+    for _ in range(20):
+        n = int(rng.integers(2, 4))
+        V = rng.normal(size=(int(rng.integers(1, 5)), n))
+        R = rng.normal(size=(int(rng.integers(0, 3)), n))
+        L = rng.normal(size=(int(rng.integers(0, n - 1)), n))
+        S = SubdifferentialSet.polytope(V, R if len(R) else None, L if len(L) else None)
+        for _ in range(3):
+            v = (V.T @ rng.dirichlet(np.ones(len(V))) + R.T @ rng.uniform(0.0, 2.0, size=len(R))
+                 + L.T @ rng.normal(size=len(L)))
+            assert S.contains(v)
+            checked["in"] += 1
+        hom = np.vstack([np.hstack([V, np.ones((len(V), 1))]), np.hstack([R, np.zeros((len(R), 1))])])
+        hom_lines = np.hstack([L, np.zeros((len(L), 1))])
+        G, _ = cone_halfspaces_from_generators(hom, hom_lines)
+        for a in G:
+            verts = [v for v in V if abs(float(a[:n] @ v + a[n])) <= 1e-9]
+            rays = [r for r in R if abs(float(a[:n] @ r)) <= 1e-9]
+            if not verts or np.linalg.norm(a[:n]) < 1e-9:
+                continue
+            p = np.mean(verts, axis=0) + np.sum(rays, axis=0) + np.sum(L, axis=0)
+            g = a[:n] / np.linalg.norm(a[:n])
+            assert not S.contains(p + 1e-3 * g)
+            assert S.contains(p + 1e-12 * g) and S.contains(p - 1e-12 * g)
+            checked["out"] += 1
+            checked["near"] += 2
+    assert min(checked.values()) >= 20

@@ -274,3 +274,43 @@ def test_validate_forms_invariant():
     bad.G = np.array([[0.0, 1.0], [1.0, 0.0]])  # would force u1 <= 0
     bad.H = np.zeros((0, 2))
     assert not bad.validate_forms()
+
+
+def _facet_probes(G, gens, lines, tol=1e-9):
+    """(point on the facet, unit outer normal) for each row of G u <= 0 that
+    some generator lies on; lines lie on every facet."""
+    out = []
+    for g in G:
+        on = [v for v in gens if abs(float(g @ v)) <= tol * (1.0 + float(np.linalg.norm(v)))]
+        if on:
+            out.append((np.sum(on, axis=0) + np.sum(lines, axis=0), g / np.linalg.norm(g)))
+    return out
+
+
+def test_generator_cone_membership_random():
+    """LP membership in cone{rays} + span{lines}: inside points, points
+    1e-3 outside a facet, and points within 1e-12 of a facet."""
+    rng = np.random.default_rng(7)
+    checked = {"in": 0, "out": 0, "near": 0}
+    for _ in range(25):
+        n = int(rng.integers(2, 5))
+        nl = int(rng.integers(0, n - 1))
+        L = rng.normal(size=(nl, n))
+        e = rng.normal(size=n)
+        if nl:
+            e -= L.T @ np.linalg.lstsq(L.T, e, rcond=None)[0]
+        e /= np.linalg.norm(e)
+        R = e + 0.6 * rng.normal(size=(int(rng.integers(1, 6)), n))
+        K = PolyhedralCone.from_generators(R, L, n=n)
+        for _ in range(3):
+            u = R.T @ rng.uniform(0.0, 2.0, size=R.shape[0]) + L.T @ rng.normal(size=nl)
+            assert K.contains(u)
+            checked["in"] += 1
+        G, _ = geo.cone_halfspaces_from_generators(R, L)
+        for p, g in _facet_probes(G, R, L):
+            assert not K.contains(p + 1e-3 * g)
+            assert K.contains(p + 1e-12 * g) and K.contains(p - 1e-12 * g)
+            checked["out"] += 1
+            checked["near"] += 2
+        assert K.G is None  # every query above took the LP path
+    assert min(checked.values()) >= 20

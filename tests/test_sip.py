@@ -234,3 +234,74 @@ def test_polish_pinned_exit_matches_the_full_line_search(monkeypatch):
     full, full_calls = run()
     assert pinned == full
     assert pinned_calls < full_calls, (pinned_calls, full_calls)
+
+
+def test_polish_point_box_exit_matches_the_full_polish(monkeypatch):
+    """On a point box the polish returns the clipped start and its value at
+    once, with the same bits as the gradient and Newton phases give (float,
+    integer and -0.0 bounds)."""
+    rng = np.random.default_rng(5)
+    problems = []
+    for i in range(30):
+        k = 1 + i % 3
+        box = [(float(a), float(a)) for a in rng.uniform(-1.0, 1.0, k)]
+        if i % 3 == 0:
+            box[0] = (1, 1)
+        if i % 3 == 1:
+            box[-1] = (-0.0, -0.0)
+        problems.append((box, rng.normal(size=k), rng.uniform(-2.0, 2.0, k),
+                         rng.uniform(-2.0, 2.0, k)))
+
+    def run():
+        out, calls = [], 0
+        for box, a, c, s0 in problems:
+            def grad(s):
+                nonlocal calls
+                calls += 1
+                return a + 3.0 * np.cos(3.0 * s + c)
+            s, v = sip._polish_max(lambda s: float(a @ s + np.sum(np.sin(3.0 * s + c))),
+                                   grad, s0, box)
+            out.append((s.dtype, s.tobytes(), np.float64(v).tobytes()))
+        return out, calls
+
+    early, early_calls = run()
+    monkeypatch.setattr(sip, "_point_box", lambda widths: False)
+    full, full_calls = run()
+    assert early == full
+    assert {dtype.kind for dtype, _, _ in early} == {"f", "i"}
+    assert early_calls == 0 < full_calls
+
+
+def test_dedupe_keeps_every_atom_of_a_flat_active_face():
+    """theta = (s1 - 0.3)*(x1 - 0.2)^3 vanishes on all of S at x = 0.2: all
+    256 grid atoms are active and pairwise far apart, so dedupe keeps them
+    in grid order (bytes pinned before dedupe became one distance test per
+    candidate)."""
+    import hashlib
+
+    p = SIProblem.from_strings(1, "-x1", theta="(s1 - 0.3)*(x1 - 0.2)^3", S=[(0.3, 1.3)])
+    act = active_indexes(p, [0.2], density=256)
+    assert len(act) == 256
+    assert hashlib.sha256(b"".join(s.tobytes() for s in act)).hexdigest() == \
+        "b32f99983fb121961e8114ca321f6c205459eebe1de20ab427bc6b51a40a9184"
+
+
+def test_dedupe_matches_the_pairwise_loop():
+    """Same kept points, in the same order, as a greedy scan with one norm
+    per pair; near-duplicates, exact repeats and NaN coordinates included."""
+    def dedupe_loop(points, radius=sip.DEDUP_RADIUS):
+        out = []
+        for s in points:
+            if not any(np.linalg.norm(s - q) <= radius for q in out):
+                out.append(s)
+        return out
+
+    rng = np.random.default_rng(9)
+    for trial in range(60):
+        k = 1 + trial % 3
+        pts = list(rng.normal(size=(int(rng.integers(0, 40)), k)) * 3e-4)
+        pts += [p + 2e-5 for p in pts[:5]] + pts[:3]
+        if trial % 4 == 0 and pts:
+            pts[int(rng.integers(len(pts)))][0] = np.nan
+        got, want = sip._dedupe(pts), dedupe_loop(pts)
+        assert [id(s) for s in got] == [id(s) for s in want]

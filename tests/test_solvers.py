@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from varcert import solvers
-from varcert.solvers import LPProblem, lp_solve, eigh
+from varcert.solvers import LPProblem, conic_fit, eigh, lp_solve
 
 
 def test_simple_lower_bound():
@@ -214,3 +214,59 @@ def test_lp_solve_mixed_senses_and_bounds_against_scipy():
             assert ours.status == solvers.OPTIMAL
             assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
             solved += 1
+
+
+def test_conic_fit_blocks_costs_and_tiebreak():
+    # conv{(0,0), (2,0)} + cone{(0,1)} + span{(1,1)}; columns are generators
+    V = np.array([[0.0, 2.0], [0.0, 0.0]])
+    ray = np.array([[0.0], [1.0]])
+    fit = conic_fit([1.0, 3.0], ray, convex=V)
+    assert np.allclose(fit.w, [3.0]) and np.allclose(fit.conv, [0.5, 0.5])
+    assert fit.residual == 0.0 and fit.A.shape == (2, 3)
+    assert np.allclose(fit.A @ fit.x, [1.0, 3.0])
+    # below the hull: no exact fit, but an L1 residual slack of 1
+    assert conic_fit([1.0, -1.0], ray, convex=V) is None
+    fit = conic_fit([1.0, -1.0], ray, convex=V, residual=10.0)
+    assert fit.residual == pytest.approx(1.0) and np.isclose(fit.conv.sum(), 1.0)
+    assert fit.A.shape == (2, 7)  # [ray | convex | +I | -I]
+    # a line enters as a +/- column pair; mu is the signed coefficient
+    fit = conic_fit([-1.0, 2.0], ray, np.array([[1.0], [1.0]]), convex=V)
+    assert fit.split.shape == (2,) and np.allclose(fit.mu, fit.split[:1] - fit.split[1:])
+    assert np.allclose(fit.A @ fit.x, [-1.0, 2.0])
+    # per-generator prices: rays first, then lines
+    fit = conic_fit([2.0], np.array([[1.0, 2.0]]), np.array([[1.0]]), cost=[1.0, 0.25, 5.0])
+    assert np.allclose(fit.w, [0.0, 1.0]) and np.allclose(fit.split, 0.0)
+    # two equal columns: the 1-norm face is w1 + w2 = 2, the tie-break takes
+    # the infinity-norm-minimal point on it
+    twins = np.array([[1.0, 1.0]])
+    assert sorted(conic_fit([2.0], twins).w.tolist()) == [0.0, 2.0]
+    assert np.allclose(conic_fit([2.0], twins, tiebreak=True).w, [1.0, 1.0])
+
+
+def _pivot_loop(T, basis, row, col):
+    """The row-by-row pivot that solvers._pivot vectorizes (reference)."""
+    T[row] /= T[row, col]
+    for i in range(T.shape[0]):
+        if i != row and T[i, col] != 0.0:
+            T[i] -= T[i, col] * T[row]
+    basis[row] = col
+
+
+def test_pivot_rank1_update_matches_the_row_loop_bit_for_bit():
+    """Zero, -0.0 and NaN pivot-column entries included: rows whose entry is
+    a zero of either sign keep their bits."""
+    rng = np.random.default_rng(3)
+    for trial in range(200):
+        m, n = int(rng.integers(2, 9)), int(rng.integers(2, 12))
+        T = rng.normal(size=(m, n))
+        T[rng.uniform(size=(m, n)) < 0.3] = 0.0
+        T[rng.uniform(size=(m, n)) < 0.1] = -0.0
+        if trial % 10 == 0:
+            T[rng.integers(m), rng.integers(n)] = np.nan
+        row, col = int(rng.integers(m)), int(rng.integers(n))
+        T[row, col] = rng.uniform(0.5, 2.0)
+        ref, fast = T.copy(), T.copy()
+        b_ref, b_fast = list(range(m)), list(range(m))
+        _pivot_loop(ref, b_ref, row, col)
+        solvers._pivot(fast, b_fast, row, col)
+        assert ref.tobytes() == fast.tobytes() and b_ref == b_fast
