@@ -238,11 +238,10 @@ def composite_fn(c: Composite, t_floor=1e-6) -> OracleFn:
 # ---------------------------------------------------------------------------
 # chain rules
 
-def chain_subderivative(c: Composite, u, route="asserted", schedule=None, seed=0) -> SubderivativeValue:
+def chain_subderivative(c: Composite, u, route="asserted", seed=0) -> SubderivativeValue:
     """d(theta o f)(xbar)(u) = d theta(ybar)(Jacobian u), under AQC+epi or MSQC."""
     J = c.f.jacobian(c.xbar)
-    inner = subderivative(c.theta, c.ybar, J @ np.asarray(u, dtype=float),
-                          schedule=schedule, seed=seed)
+    inner = subderivative(c.theta, c.ybar, J @ np.asarray(u, dtype=float), seed=seed)
     inner.flags = list(inner.flags) + [f"hypothesis:{route}"]
     return inner
 
@@ -309,7 +308,7 @@ def _diagonal_composite(phi: FnObject, psi: FnObject, x) -> Composite:
     return Composite(SeparableSumFn(phi, psi), f, x)
 
 
-def sum_subderivative(phi: FnObject, psi: FnObject, x, u, schedule=None, seed=0) -> SubderivativeValue:
+def sum_subderivative(phi: FnObject, psi: FnObject, x, u, seed=0) -> SubderivativeValue:
     """d(phi+psi)(x)(u) = d phi(x)(u) + d psi(x)(u) under a tangential or metric QC."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -320,10 +319,10 @@ def sum_subderivative(phi: FnObject, psi: FnObject, x, u, schedule=None, seed=0)
     else:
         ok = _tangential_qc_exact(dphi_p, dpsi_p, x)
         flags.append("tangential-QC:exact" if ok else "QCUnverified")
-    d1 = subderivative(phi, x, u, schedule=schedule, seed=seed)
+    d1 = subderivative(phi, x, u, seed=seed)
     if d1.value == INF:
         return SubderivativeValue(INF, d1.mode, flags=flags + d1.flags)
-    d2 = subderivative(psi, x, u, schedule=schedule, seed=seed)
+    d2 = subderivative(psi, x, u, seed=seed)
     if d2.value == INF:
         return SubderivativeValue(INF, d2.mode, flags=flags + d2.flags)
     mode = "analytic" if d1.mode == d2.mode == "analytic" else "sampled"
@@ -377,7 +376,7 @@ def sampled_tangent_directions(c: Composite, count=12, radius=1e-3, seed=0):
         w = oracle.project(z)
         d = w - c.xbar
         nd = float(np.linalg.norm(d))
-        if nd > 1e-2 * radius and oracle.violation(w) <= oracle.tol_feas * 10:
+        if nd > 1e-2 * radius and oracle.violation(w) <= geo.TOL_FEAS * 10:
             dirs.append(d / nd)
     return dirs
 
@@ -763,7 +762,7 @@ def prox_regularity_check(c: Composite, radius=0.3, samples=40, seed=0, kappa=No
     for _ in range(samples):
         z = c.xbar + radius * rng.standard_normal(c.n)
         w = oracle.project(z)
-        if oracle.violation(w) <= oracle.tol_feas * 10:
+        if oracle.violation(w) <= geo.TOL_FEAS * 10:
             pts.append(_refine_onto_facets(c, Theta, w))
     ratios = []
     for x in pts:

@@ -113,7 +113,7 @@ def _objective_gradients(p: ConstrainedProblem, x):
     )
 
 
-def primal_check(p: ConstrainedProblem, xbar, tol_stat=TOL_STAT, seed=42) -> Certificate:
+def primal_check(p: ConstrainedProblem, xbar, seed=42) -> Certificate:
     """No linearized feasible direction descends: min <g,u> over the
     linearized cone (boxed) is >= -tol."""
     xbar, ybar = _check_feasible(p, xbar)
@@ -142,12 +142,12 @@ def primal_check(p: ConstrainedProblem, xbar, tol_stat=TOL_STAT, seed=42) -> Cer
         if sol.objective < worst[0]:
             worst = (sol.objective, sol.x)
     opt, witness = worst
-    status = VERIFIED if opt >= -tol_stat else REFUTED
+    status = VERIFIED if opt >= -TOL_STAT else REFUTED
     return Certificate(
         kind="Primal", status=status, point=xbar,
         descent_witness=None if status == VERIFIED else witness,
         residual=max(0.0, -opt),
-        tolerances={"tol_stat": tol_stat}, seed=seed,
+        tolerances={"tol_stat": TOL_STAT}, seed=seed,
         notes=[f"descent LP optimum {opt:.3e}"],
     )
 
@@ -184,8 +184,7 @@ def verdict(residual, lhs, rhs, tol_stat, tol_bound):
     return VERIFIED, None
 
 
-def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42,
-                     tol_stat=TOL_STAT, tol_cone=TOL_CONE, tol_bound=TOL_BOUND) -> Certificate:
+def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42) -> Certificate:
     """Recover lambda in N_Theta(ybar) with J^T lambda = -g, minimal generator
     weight, and check the bounded-multiplier estimate."""
     xbar, ybar = _check_feasible(p, xbar)
@@ -208,7 +207,7 @@ def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42,
     if obj_kind == "smooth":
         grad_used = grads[0]
         if r + l == 0:
-            if float(np.linalg.norm(grad_used)) > tol_stat:
+            if float(np.linalg.norm(grad_used)) > TOL_STAT:
                 raise NoMultiplierError("normal cone is {0} but the gradient is nonzero")
             w = mu = ab = np.zeros(0)
         else:
@@ -251,14 +250,14 @@ def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42,
     bound_rhs = kappa_val * scale if kappa_val is not None else None
     gen_weights = np.zeros(p.Theta.A_ineq.shape[0])
     gen_weights[act] = w
-    status, detail = verdict(residual, bound_lhs, bound_rhs, tol_stat, tol_bound)
+    status, detail = verdict(residual, bound_lhs, bound_rhs, TOL_STAT, TOL_BOUND)
     return Certificate(kind="DualKKT", status=status, detail=detail, point=xbar,
                        multipliers=lam, generator_weights=gen_weights,
                        eq_weights=ab if l else None,
                        residual=residual, bound_lhs=bound_lhs, bound_rhs=bound_rhs,
                        kappa=kappa_val, kappa_source=kappa_source, bound_rule=bound_rule,
-                       tolerances={"tol_stat": tol_stat, "tol_cone": tol_cone,
-                                   "tol_bound": tol_bound},
+                       tolerances={"tol_stat": TOL_STAT, "tol_cone": TOL_CONE,
+                                   "tol_bound": TOL_BOUND},
                        seed=seed, notes=notes)
 
 

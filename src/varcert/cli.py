@@ -143,6 +143,16 @@ def build_nlp(doc) -> ConstrainedProblem:
     return ConstrainedProblem(obj, f, Theta)
 
 
+def _index_box(box, key):
+    """The index box as [(lo, hi)] floats, or None when absent."""
+    if not box:
+        return None
+    try:
+        return [(float(lo), float(hi)) for lo, hi in box]
+    except (TypeError, ValueError):
+        raise CliError(f"index box {key!r} must be a list of [lo, hi] number pairs")
+
+
 def build_sip(doc) -> sip_mod.SIProblem:
     cons = doc["constraints"]
     S = cons.get("S")
@@ -155,11 +165,8 @@ def build_sip(doc) -> sip_mod.SIProblem:
         raise CliError("sip constraints need 'theta' or 'psi'")
     try:
         return sip_mod.SIProblem.from_strings(
-            doc["n"], doc["objective"], theta=cons.get("theta"),
-            S=[tuple(map(float, b)) for b in S] if S else None,
-            psi=cons.get("psi"),
-            T=[tuple(map(float, b)) for b in T] if T else None,
-        )
+            doc["n"], doc["objective"], theta=cons.get("theta"), S=_index_box(S, "S"),
+            psi=cons.get("psi"), T=_index_box(T, "T"))
     except VarcertError as exc:
         raise CliError(f"sip expression error: {exc}")
 
@@ -183,7 +190,10 @@ def _resolve_point(doc, args):
         except ValueError:
             raise CliError(f"cannot parse --point {args.point!r}")
     elif doc.get("point") is not None:
-        pt = [float(v) for v in doc["point"]]
+        try:
+            pt = [float(v) for v in doc["point"]]
+        except (TypeError, ValueError):
+            raise CliError(f"cannot parse point {doc['point']!r}")
     else:
         raise CliError("no point: pass --point or put 'point' in the problem file")
     if len(pt) != doc["n"]:
@@ -450,11 +460,10 @@ def _cmd_primal(args):
 
 
 def _cmd_sip(args):
-    def certify_sip(p, x, kappa):
-        fn = sip_mod.certify if p.psi is None else sip_mod.certify_with_equalities
-        return fn(p, x, kappa=kappa, seed=args.seed, density=args.grid)
-
-    return _issue(args, "sip", build_sip, "SIP", certify_sip)
+    if args.grid is not None and args.grid < 1:
+        raise CliError(f"--grid must be a positive integer, got {args.grid}")
+    return _issue(args, "sip", build_sip, "SIP", lambda p, x, kappa:
+                  sip_mod.certify(p, x, kappa=kappa, seed=args.seed, density=args.grid))
 
 
 def _cmd_sdp(args):

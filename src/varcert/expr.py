@@ -510,18 +510,16 @@ def grad(e: Expr, x) -> np.ndarray:
 class SmoothMap:
     """Vector-valued map built from component expressions, with exact Jacobian."""
 
-    def __init__(self, components, var_names, cache=False):
+    def __init__(self, components, var_names):
         self.components = list(components)
         self.var_names = list(var_names)
         self.n = len(self.var_names)
         self.m = len(self.components)
-        self.cache = cache
-        self._memo = None
 
     @classmethod
-    def from_strings(cls, strings, var_names, cache=False):
+    def from_strings(cls, strings, var_names):
         names = list(var_names)
-        return cls([parse(s, names) for s in strings], names, cache=cache)
+        return cls([parse(s, names) for s in strings], names)
 
     @classmethod
     def identity(cls, n):
@@ -534,39 +532,21 @@ class SmoothMap:
 
     def eval(self, x) -> np.ndarray:
         self._check(x)
-        if self.cache and self._memo is not None and np.array_equal(self._memo[0], x):
-            return self._memo[1].copy()
-        out = np.array([evaluate(c, x) for c in self.components])
-        if self.cache:
-            self._memo = (np.array(x, dtype=float), out.copy(), None)
-        return out
-
-    def jvp(self, x, u) -> np.ndarray:
-        """Jacobian-vector product in one dual pass per component set."""
-        self._check(x)
-        duals = tuple(Dual(float(xj), float(uj)) for xj, uj in zip(x, u))
-        out = np.zeros(self.m)
-        for k, c in enumerate(self.components):
-            fn, _ = _compiled(c)
-            try:
-                val = fn(duals, _SHIM)
-            except _DomainViolation:
-                raise NotInDomainError("Jacobian requested outside a component domain")
-            out[k] = val.dot if isinstance(val, Dual) else 0.0
-        return out
+        return np.array([evaluate(c, x) for c in self.components])
 
     def jacobian(self, x) -> np.ndarray:
+        """One dual pass per coordinate over every component."""
         self._check(x)
-        if self.cache and self._memo is not None and self._memo[2] is not None \
-                and np.array_equal(self._memo[0], x):
-            return self._memo[2].copy()
         J = np.zeros((self.m, self.n))
         for j in range(self.n):
-            e = [0.0] * self.n
-            e[j] = 1.0
-            J[:, j] = self.jvp(x, e)
-        if self.cache:
-            self._memo = (np.array(x, dtype=float), self.eval(x), J.copy())
+            duals = tuple(Dual(float(xi), 1.0 if i == j else 0.0) for i, xi in enumerate(x))
+            for k, c in enumerate(self.components):
+                fn, _ = _compiled(c)
+                try:
+                    val = fn(duals, _SHIM)
+                except _DomainViolation:
+                    raise NotInDomainError("Jacobian requested outside a component domain")
+                J[k, j] = val.dot if isinstance(val, Dual) else 0.0
         return J
 
 

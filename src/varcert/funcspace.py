@@ -34,20 +34,10 @@ from .solvers import OPTIMAL, UNBOUNDED, LPProblem, conic_fit, eigh, lp_solve
 INF = math.inf
 
 
-@dataclass
-class QuotientSchedule:
-    """Geometric t-grid t_j = t0 * rho**j with a spread tolerance on the tail."""
-
-    t0: float = 1e-2
-    rho: float = 0.5
-    levels: int = 20
-    tol_spread: float = 1e-4
-    perturbations: int = 8
-    radius_scale: float = 1.0  # candidate directions stay within radius_scale*sqrt(t)
-    tail: int = 5
-
-    def grid(self):
-        return [self.t0 * self.rho ** j for j in range(self.levels)]
+# the difference-quotient estimator samples t on geo.default_t_grid()
+QUOTIENT_TOL_SPREAD = 1e-4  # max - min of the tail quotients when they settle
+QUOTIENT_TAIL = 5  # grid levels in the tail
+QUOTIENT_PERTURBATIONS = 8  # random rescue directions per level
 
 
 @dataclass
@@ -645,15 +635,15 @@ def _analytic_subderivative(fn, x, u):
     return None
 
 
-def subderivative(fn: FnObject, x, u, schedule=None, seed=0) -> SubderivativeValue:
+def subderivative(fn: FnObject, x, u, seed=0) -> SubderivativeValue:
     """Directional subderivative; analytic for structured objects, else sampled."""
     val = _analytic_subderivative(fn, x, u)
     if val is not None:
         return SubderivativeValue(value=val, mode="analytic")
-    return subderivative_sampled(fn, x, u, schedule=schedule, seed=seed)
+    return subderivative_sampled(fn, x, u, seed=seed)
 
 
-def _level_quotients(fn, x, u, sch: QuotientSchedule, rng):
+def _level_quotients(fn, x, u, rng):
     """Per-level difference quotients over shrinking candidate direction sets.
 
     Candidates at level t: the nominal direction, domain reprojections of
@@ -673,12 +663,12 @@ def _level_quotients(fn, x, u, sch: QuotientSchedule, rng):
     dom = fn.dom_pieces()
     dom = [P for P in dom if not P.is_empty()] if dom is not None else None
     candidate_fn = getattr(fn, "candidate_fn", None)
-    grid = [t for t in sch.grid() if t >= fn.t_floor]
+    grid = [t for t in geo.default_t_grid() if t >= fn.t_floor]
     if not grid:
-        grid = sch.grid()[: sch.tail]
+        grid = geo.default_t_grid()[:QUOTIENT_TAIL]
     levels = []
     for t in grid:
-        radius = sch.radius_scale * math.sqrt(t)
+        radius = math.sqrt(t)
         cands = [u]
         if dom is not None:
             base = x + t * u
@@ -702,7 +692,7 @@ def _level_quotients(fn, x, u, sch: QuotientSchedule, rng):
                 if q < best:
                     best = q
         if best == INF:
-            for _ in range(sch.perturbations):
+            for _ in range(QUOTIENT_PERTURBATIONS):
                 step = rng.standard_normal(len(u))
                 nrm = float(np.linalg.norm(step))
                 if nrm == 0:
@@ -727,21 +717,19 @@ def _tail_value(levels, tail):
     return min(tail_vals), max(tail_vals) - min(tail_vals)
 
 
-def subderivative_sampled(fn: FnObject, x, u, schedule=None, seed=0,
-                          check_spread=True) -> SubderivativeValue:
+def subderivative_sampled(fn: FnObject, x, u, seed=0, check_spread=True) -> SubderivativeValue:
     """Difference-quotient estimator of the subderivative along a t-grid.
 
     This is the independent oracle used to validate analytic paths and
     chain rules; raises InconclusiveError when the quotient tail does
-    not settle within the schedule's spread tolerance.
+    not settle within QUOTIENT_TOL_SPREAD.
     """
-    sch = schedule or QuotientSchedule()
     rng = np.random.default_rng(seed)
-    levels = _level_quotients(fn, x, u, sch, rng)
-    val, spread = _tail_value(levels, sch.tail)
-    diag = {"levels": levels, "spread": spread, "t_grid": sch.grid()}
-    if check_spread and spread > sch.tol_spread:
-        raise InconclusiveError(val, spread, sch.tol_spread)
+    levels = _level_quotients(fn, x, u, rng)
+    val, spread = _tail_value(levels, QUOTIENT_TAIL)
+    diag = {"levels": levels, "spread": spread, "t_grid": geo.default_t_grid()}
+    if check_spread and spread > QUOTIENT_TOL_SPREAD:
+        raise InconclusiveError(val, spread, QUOTIENT_TOL_SPREAD)
     return SubderivativeValue(value=val, mode="sampled", diagnostics=diag)
 
 
@@ -813,14 +801,13 @@ class EpiReport:
     directions: list
 
 
-def epi_check(fn: FnObject, x, directions=None, schedule=None, seed=0) -> EpiReport:
+def epi_check(fn: FnObject, x, directions=None, seed=0) -> EpiReport:
     """Path-search check of epi-differentiability.
 
     Per direction, the best nearby feasible direction is searched at each
     t-level; VERIFIED when the achieved quotients converge (tail limsup
     and liminf agree within the spread tolerance), INCONCLUSIVE otherwise.
     """
-    sch = schedule or QuotientSchedule()
     x = np.asarray(x, dtype=float)
     n = fn.n
     if directions is None:
@@ -833,8 +820,8 @@ def epi_check(fn: FnObject, x, directions=None, schedule=None, seed=0) -> EpiRep
     overall = "VERIFIED"
     for u in directions:
         rng = np.random.default_rng(seed)
-        levels = _level_quotients(fn, x, np.asarray(u, dtype=float), sch, rng)
-        tail = levels[-sch.tail:]
+        levels = _level_quotients(fn, x, np.asarray(u, dtype=float), rng)
+        tail = levels[-QUOTIENT_TAIL:]
         finite = [q for q in tail if math.isfinite(q)]
         if not finite:
             status, lsup, linf = "VERIFIED", INF, INF  # quotients diverge to +inf
@@ -842,7 +829,7 @@ def epi_check(fn: FnObject, x, directions=None, schedule=None, seed=0) -> EpiRep
             status, lsup, linf = "INCONCLUSIVE", INF, min(finite)
         else:
             lsup, linf = max(tail), min(tail)
-            status = "VERIFIED" if lsup - linf <= sch.tol_spread else "INCONCLUSIVE"
+            status = "VERIFIED" if lsup - linf <= QUOTIENT_TOL_SPREAD else "INCONCLUSIVE"
         if status != "VERIFIED":
             overall = "INCONCLUSIVE"
         rows.append(EpiDirectionReport(np.asarray(u, dtype=float), status, levels, lsup, linf))
@@ -858,8 +845,7 @@ class RegularityReport:
     tol: float
 
 
-def regularity_check(fn: FnObject, x, directions=None, seed=0, tol_reg=1e-5,
-                     schedule=None) -> RegularityReport:
+def regularity_check(fn: FnObject, x, directions=None, seed=0, tol_reg=1e-5) -> RegularityReport:
     """Compare the support function of the subdifferential with the subderivative.
 
     Uses the exact subdifferential when available; otherwise builds the
@@ -877,7 +863,7 @@ def regularity_check(fn: FnObject, x, directions=None, seed=0, tol_reg=1e-5,
     dvals = []
     for u in directions:
         try:
-            dvals.append(subderivative(fn, x, u, schedule=schedule, seed=seed).value)
+            dvals.append(subderivative(fn, x, u, seed=seed).value)
         except InconclusiveError as exc:
             dvals.append(exc.value)
     try:

@@ -33,6 +33,8 @@ TOL_FEAS = 1e-8
 TOL_ACTIVE = 1e-6
 DYKSTRA_MAX_ITER = 10000
 DYKSTRA_MOVE_TOL = 1e-10
+PENALTY_MUS = (1e2, 1e4, 1e6)  # SampledSetOracle.project's graduated penalties
+PENALTY_STEPS = 60  # descent steps per penalty
 
 _MAX_RAY_SUBSETS = 500_000
 
@@ -411,20 +413,20 @@ def cone_halfspaces_from_generators(rays, lines):
     return polar_rays, polar_lines
 
 
-def tangent_cone(P: Polyhedron, x, tol_active=TOL_ACTIVE, tol_feas=TOL_FEAS) -> PolyhedralCone:
+def tangent_cone(P: Polyhedron, x) -> PolyhedralCone:
     """Contingent cone of a polyhedron: active rows become homogeneous halfspaces."""
-    if not P.contains(x, tol_feas):
+    if not P.contains(x):
         raise NotMemberError(f"point has residual {P.residual(x):.3e}")
-    act = P.active_rows(x, tol_active)
+    act = P.active_rows(x)
     G = P.A_ineq[act] if act else np.zeros((0, P.n))
     return PolyhedralCone.from_halfspaces(G, P.A_eq.copy(), n=P.n)
 
 
-def normal_cone(P: Polyhedron, x, tol_active=TOL_ACTIVE, tol_feas=TOL_FEAS) -> PolyhedralCone:
+def normal_cone(P: Polyhedron, x) -> PolyhedralCone:
     """Polar of the tangent cone: generated by active inequality rows + span of equality rows."""
-    if not P.contains(x, tol_feas):
+    if not P.contains(x):
         raise NotMemberError(f"point has residual {P.residual(x):.3e}")
-    act = P.active_rows(x, tol_active)
+    act = P.active_rows(x)
     rays = P.A_ineq[act] if act else np.zeros((0, P.n))
     return PolyhedralCone.from_generators(rays, P.A_eq.copy(), n=P.n)
 
@@ -432,13 +434,13 @@ def normal_cone(P: Polyhedron, x, tol_active=TOL_ACTIVE, tol_feas=TOL_FEAS) -> P
 # ---------------------------------------------------------------------------
 # projections
 
-def _dykstra(rows, z, max_iter, move_tol):
+def _dykstra(rows, z):
     """Dykstra's alternating projections onto halfspaces/hyperplanes."""
     x = np.asarray(z, dtype=float).copy()
     if not rows:
         return x, 0
     corrections = [np.zeros_like(x) for _ in rows]
-    for it in range(max_iter):
+    for it in range(DYKSTRA_MAX_ITER):
         x_prev = x.copy()
         for i, (a, b, is_eq, aa) in enumerate(rows):
             y = x + corrections[i]
@@ -448,9 +450,9 @@ def _dykstra(rows, z, max_iter, move_tol):
             else:
                 x = y
             corrections[i] = y - x
-        if float(np.max(np.abs(x - x_prev))) < move_tol:
+        if float(np.max(np.abs(x - x_prev))) < DYKSTRA_MOVE_TOL:
             return x, it + 1
-    raise NonConvergenceError(max_iter, "Dykstra projection")
+    raise NonConvergenceError(DYKSTRA_MAX_ITER, "Dykstra projection")
 
 
 def _rows_of(P: Polyhedron):
@@ -466,7 +468,7 @@ def _rows_of(P: Polyhedron):
     return rows
 
 
-def project(P: Polyhedron, z, max_iter=DYKSTRA_MAX_ITER, move_tol=DYKSTRA_MOVE_TOL):
+def project(P: Polyhedron, z):
     """Euclidean projection onto P and the distance, by Dykstra's iteration.
 
     The shortcut requires exact membership: rounding tol-level distances
@@ -477,7 +479,7 @@ def project(P: Polyhedron, z, max_iter=DYKSTRA_MAX_ITER, move_tol=DYKSTRA_MOVE_T
         return z.copy(), 0.0
     if P.is_empty():
         raise EmptySetError("cannot project onto an empty polyhedron")
-    x, _ = _dykstra(_rows_of(P), z, max_iter, move_tol)
+    x, _ = _dykstra(_rows_of(P), z)
     return x, float(np.linalg.norm(z - x))
 
 
@@ -485,7 +487,7 @@ def dist(P: Polyhedron, z) -> float:
     return project(P, z)[1]
 
 
-def project_cone(K: PolyhedralCone, z, max_iter=DYKSTRA_MAX_ITER, move_tol=DYKSTRA_MOVE_TOL):
+def project_cone(K: PolyhedralCone, z):
     """Euclidean projection onto a polyhedral cone via its halfspace form."""
     G, H = K.ensure_halfspace()
     rows = []
@@ -503,7 +505,7 @@ def project_cone(K: PolyhedralCone, z, max_iter=DYKSTRA_MAX_ITER, move_tol=DYKST
     )
     if sat:
         return z.copy(), 0.0
-    x, _ = _dykstra(rows, z, max_iter, move_tol)
+    x, _ = _dykstra(rows, z)
     return x, float(np.linalg.norm(z - x))
 
 
@@ -519,21 +521,17 @@ class SampledSetOracle:
 
     ``violation(x) >= 0`` vanishes exactly on the set (typically
     dist(f(x); Theta)).  ``grad_sq`` is the gradient of violation**2; if
-    omitted it is approximated by central differences.  ``dist_fn``
-    overrides the distance estimate when an exact formula is available.
+    omitted it is approximated by central differences.  ``project_fn``
+    replaces the penalty descent when a better projection is available.
     """
 
-    def __init__(self, violation, grad_sq=None, dist_fn=None, project_fn=None,
-                 tol_feas=TOL_FEAS, mus=(1e2, 1e4, 1e6)):
+    def __init__(self, violation, grad_sq=None, project_fn=None):
         self.violation = violation
         self.grad_sq = grad_sq
-        self.dist_fn = dist_fn
         self.project_fn = project_fn
-        self.tol_feas = tol_feas
-        self.mus = tuple(mus)
 
     def feasible(self, x):
-        return self.violation(np.asarray(x, dtype=float)) <= self.tol_feas
+        return self.violation(np.asarray(x, dtype=float)) <= TOL_FEAS
 
     def _grad_sq(self, x):
         if self.grad_sq is not None:
@@ -547,7 +545,7 @@ class SampledSetOracle:
             g[i] = (self.violation(xp) ** 2 - self.violation(xm) ** 2) / (2 * h)
         return g
 
-    def project(self, z, steps=60):
+    def project(self, z):
         """Approximate nearest feasible point by graduated penalty descent."""
         z = np.asarray(z, dtype=float)
         if self.project_fn is not None:
@@ -555,13 +553,13 @@ class SampledSetOracle:
         if self.feasible(z):
             return z.copy()
         x = z.copy()
-        for mu in self.mus:
+        for mu in PENALTY_MUS:
             def fval(p):
                 return float(np.dot(p - z, p - z)) + mu * self.violation(p) ** 2
 
             fx = fval(x)
             t = 1.0  # adaptive: grows on acceptance, halves on rejection
-            for _ in range(steps):
+            for _ in range(PENALTY_STEPS):
                 g = 2.0 * (x - z) + mu * self._grad_sq(x)
                 gn = float(np.linalg.norm(g))
                 if gn < 1e-12:
@@ -578,14 +576,12 @@ class SampledSetOracle:
                     t *= 0.5
                 if not accepted:
                     break
-            if self.violation(x) <= self.tol_feas:
+            if self.violation(x) <= TOL_FEAS:
                 break
         return x
 
     def dist(self, z):
         z = np.asarray(z, dtype=float)
-        if self.dist_fn is not None:
-            return float(self.dist_fn(z))
         if self.feasible(z):
             return 0.0
         x = self.project(z)

@@ -90,7 +90,7 @@ class FeasibilityReport:
     feasible: bool
 
 
-def feasibility(p: SDProblem, x, tol_feas=TOL_FEAS) -> FeasibilityReport:
+def feasibility(p: SDProblem, x) -> FeasibilityReport:
     """sigma^+(Phi(x)) from the eigensolver plus the max-entry norm of Psi(x)."""
     A = p.phi_value(np.asarray(x, dtype=float))
     w, _ = eigh(A)
@@ -100,7 +100,7 @@ def feasibility(p: SDProblem, x, tol_feas=TOL_FEAS) -> FeasibilityReport:
     if B is not None:
         psi_max = float(np.max(np.abs(B)))
     return FeasibilityReport(sigma_plus=sigma_plus, psi_max=psi_max,
-                             feasible=sigma_plus <= tol_feas and psi_max <= tol_feas)
+                             feasible=sigma_plus <= TOL_FEAS and psi_max <= TOL_FEAS)
 
 
 def grad_quadform(p: SDProblem, x, s) -> np.ndarray:
@@ -138,8 +138,7 @@ def _kernel_atoms(p: SDProblem, xbar, seed):
     return atoms, tol_ker
 
 
-def certify(p: SDProblem, xbar, kappa, seed=42, tol_stat=TOL_STAT,
-            tol_bound=TOL_BOUND) -> Certificate:
+def certify(p: SDProblem, xbar, kappa, seed=42) -> Certificate:
     """Eigenvector-atom multiplier certificate with the 2*kappa bound."""
     xbar = np.asarray(xbar, dtype=float)
     rep = feasibility(p, xbar)
@@ -169,7 +168,7 @@ def certify(p: SDProblem, xbar, kappa, seed=42, tol_stat=TOL_STAT,
         if found is None:
             raise NoMultiplierError("stationarity system infeasible over kernel atoms")
         lam_atoms, mu = found
-    elif float(np.linalg.norm(g0)) > tol_stat:
+    elif float(np.linalg.norm(g0)) > TOL_STAT:
         raise NoMultiplierError("no kernel atoms and nonzero objective gradient")
     residual, total = stationarity_residual(p, xbar, g0, lam_atoms, mu.items())
     Abar = p.phi_value(xbar)
@@ -177,14 +176,14 @@ def certify(p: SDProblem, xbar, kappa, seed=42, tol_stat=TOL_STAT,
     bound_rhs = 2.0 * kappa * float(np.linalg.norm(g0))
     notes = [f"kernel tolerance {tol_ker:.2e}",
              f"complementarity max lambda*<s,Phi s> = {comp_worst:.2e}"]
-    status, detail = verdict(residual, total, bound_rhs, tol_stat, tol_bound)
+    status, detail = verdict(residual, total, bound_rhs, TOL_STAT, TOL_BOUND)
     return Certificate(
         kind="SDP", status=status, detail=detail, point=xbar,
         atoms=[(np.asarray(s, dtype=float).tolist(), w) for s, w in lam_atoms],
         eq_atoms=[([int(i), int(j)], m_) for (i, j), m_ in mu.items() if m_ != 0.0],
         residual=residual, bound_lhs=total, bound_rhs=bound_rhs, kappa=kappa,
         kappa_source="user-asserted", bound_rule="2*kappa*||grad objective||",
-        tolerances={"tol_stat": tol_stat, "tol_bound": tol_bound, "tol_ker": tol_ker},
+        tolerances={"tol_stat": TOL_STAT, "tol_bound": TOL_BOUND, "tol_ker": tol_ker},
         seed=seed, notes=notes,
     )
 

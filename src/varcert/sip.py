@@ -29,6 +29,7 @@ from .geometry import TOL_ACTIVE, TOL_FEAS, SampledSetOracle
 from .solvers import OPTIMAL, LPProblem, conic_fit, lp_solve
 
 DEDUP_RADIUS = 1e-4
+MAX_ATOMS = 400  # grid cells polished by active_indexes
 
 
 def default_density(k):
@@ -222,7 +223,7 @@ def _polish_max(value_fn, grad_fn, s0, box, steps=100):
     return s, val
 
 
-def _grid_values(p: SIProblem, e, x, grid):
+def _grid_values(e, x, grid):
     """Vectorized theta/psi values over an index grid (nan -> -inf)."""
     values = [float(v) for v in x] + [grid[:, j] for j in range(grid.shape[1])]
     vals = expr_mod.evaluate_grid(e, values)
@@ -231,20 +232,31 @@ def _grid_values(p: SIProblem, e, x, grid):
     return np.where(np.isfinite(vals), vals, -np.inf)
 
 
+def _top_cells(e, x, sign, box, density, count, floor, value_fn, grad_fn, steps):
+    """Grid search plus polish: sort the cells of the density-``density`` grid
+    over ``box`` by sign * e(x, cell) and run ``_polish_max`` from each of the
+    best ``count`` cells whose value is at least ``floor``.  Returns
+    [(cell, cell value, polished index, polished value)], best cell first."""
+    grid = _box_grid(box, density)
+    vals = sign * _grid_values(e, x, grid)
+    out = []
+    for idx in np.argsort(-vals)[:count]:
+        if vals[idx] < floor:
+            break
+        out.append((grid[idx], vals[idx], *_polish_max(value_fn, grad_fn, grid[idx], box, steps)))
+    return out
+
+
 def sup_violation(p: SIProblem, x, density=None, polish_top=5, polish_steps=100):
     """(sup_s theta(x,s)^+, argmax): grid plus polish from the top cells."""
     x = np.asarray(x, dtype=float)
     if p.theta is None:
         return 0.0, None
-    density = density or default_density(p.k)
-    grid = _box_grid(p.S, density)
-    vals = _grid_values(p, p.theta, x, grid)
-    order = np.argsort(-vals)[:polish_top]
-    best_s, best_v = grid[order[0]], vals[order[0]]
-    for idx in order:
-        s, v = _polish_max(lambda ss: p.theta_at(x, ss),
-                           lambda ss: p.grad_s_theta(x, ss), grid[idx], p.S,
-                           steps=polish_steps)
+    cells = _top_cells(p.theta, x, 1.0, p.S, density or default_density(p.k), polish_top, -np.inf,
+                       lambda ss: p.theta_at(x, ss), lambda ss: p.grad_s_theta(x, ss),
+                       polish_steps)
+    best_s, best_v = cells[0][:2]
+    for _, _, s, v in cells:
         if v > best_v:
             best_s, best_v = s, v
     return max(0.0, float(best_v)), best_s
@@ -256,16 +268,12 @@ def sup_abs_equality(p: SIProblem, x, density=None, polish_steps=60):
     if p.psi is None:
         return 0.0, None, 1.0
     x = np.asarray(x, dtype=float)
-    density = density or default_density(len(p.T))
-    grid = _box_grid(p.T, density)
     best, best_t, best_sign = 0.0, None, 1.0
     for sign in (1.0, -1.0):
-        vals = sign * _grid_values(p, p.psi, x, grid)
-        order = np.argsort(-vals)[:3]
-        for idx in order:
-            t, v = _polish_max(lambda tt: sign * p.psi_at(x, tt),
-                               lambda tt: sign * _index_partials(p.psi, x, tt),
-                               grid[idx], p.T, steps=polish_steps)
+        for _, _, t, v in _top_cells(p.psi, x, sign, p.T, density or default_density(len(p.T)),
+                                     3, -np.inf, lambda tt: sign * p.psi_at(x, tt),
+                                     lambda tt: sign * _index_partials(p.psi, x, tt),
+                                     polish_steps):
             if float(v) > best:
                 best, best_t, best_sign = float(v), t, sign
     return best, best_t, best_sign
@@ -282,25 +290,17 @@ def _dedupe(points, radius=DEDUP_RADIUS):
     return out
 
 
-def active_indexes(p: SIProblem, xbar, tol_active=TOL_ACTIVE, density=None, max_atoms=400):
-    """Index points with theta(xbar, s) >= -tol_active, polished and deduplicated."""
+def active_indexes(p: SIProblem, xbar, density=None):
+    """Index points with theta(xbar, s) >= -TOL_ACTIVE, polished and
+    deduplicated, from at most MAX_ATOMS grid cells."""
     xbar = np.asarray(xbar, dtype=float)
     sup, _ = sup_violation(p, xbar, density)
     if sup > TOL_FEAS:
         raise InfeasiblePointError(f"sup violation {sup:.3e} exceeds tol_feas")
-    density = density or default_density(p.k)
-    grid = _box_grid(p.S, density)
-    vals = _grid_values(p, p.theta, xbar, grid)
-    order = np.argsort(-vals)
-    cands = []
-    for idx in order[:max_atoms]:
-        if vals[idx] < -tol_active - 1e-3:
-            break
-        s, v = _polish_max(lambda ss: p.theta_at(xbar, ss),
-                           lambda ss: p.grad_s_theta(xbar, ss), grid[idx], p.S, steps=40)
-        if v >= -tol_active:
-            cands.append(s)
-    return _dedupe(cands)
+    cells = _top_cells(p.theta, xbar, 1.0, p.S, density or default_density(p.k), MAX_ATOMS,
+                       -TOL_ACTIVE - 1e-3, lambda ss: p.theta_at(xbar, ss),
+                       lambda ss: p.grad_s_theta(xbar, ss), 40)
+    return _dedupe([s for _, _, s, v in cells if v >= -TOL_ACTIVE])
 
 
 def sip_kappa_estimate(p: SIProblem, xbar, radius=0.25, samples=30, seed=0) -> CQReport:
@@ -426,53 +426,52 @@ def stationarity_atoms(atoms, cols, target, lines=(), line_cols=(), line_costs=N
     return [(a, w) for (sign, a), w in mult.atoms if not sign], signed
 
 
-def certify(p: SIProblem, xbar, kappa, seed=42, density=None,
-            tol_stat=TOL_STAT, tol_bound=TOL_BOUND) -> Certificate:
-    """Atomic-multiplier KKT certificate with the sum bound sum(lambda) <= kappa*||grad||."""
-    xbar = np.asarray(xbar, dtype=float)
-    g0 = p.grad_objective(xbar)
-    # SIP certificates carry no estimator notes
-    kappa_val, kappa_source, _ = resolve_kappa(
-        kappa, lambda: sip_kappa_estimate(p, xbar, seed=seed))
-    density = density or default_density(p.k)
-    for round_density in (density, 2 * density, 4 * density):
-        act = active_indexes(p, xbar, density=round_density)
-        found = stationarity_atoms(act, [p.grad_x_theta(xbar, s) for s in act], -g0)
-        if found is not None:
-            break
-    else:
-        raise NoMultiplierError("no atomic multiplier after two grid refinements")
-    atoms, _ = found
-    return _finish_sip_certificate(p, xbar, g0, atoms, [], kappa_val, kappa_source,
-                                   1.0, seed, tol_stat, tol_bound)
+def certify(p: SIProblem, xbar, kappa, seed=42, density=None) -> Certificate:
+    """Atomic-multiplier KKT certificate with the bound sum(lambda) <= kappa*||grad||.
 
-
-def certify_with_equalities(p: SIProblem, xbar, kappa, seed=42, density=None,
-                            tol_stat=TOL_STAT, tol_bound=TOL_BOUND) -> Certificate:
-    """Equality families via the two-inequality split; bound 2*kappa*||grad||."""
+    An equality family psi(x,t) = 0 enters by the two-inequality split: each
+    point of the T grid (``density`` per axis, at most 33) gives a free +/-
+    column pair, and the bound becomes sum(lambda) + sum|mu| <= 2*kappa*||grad||.
+    When no multiplier exists, the theta grid is refined twice (2x, 4x)."""
     xbar = np.asarray(xbar, dtype=float)
     if p.psi is not None and sup_abs_equality(p, xbar)[0] > TOL_FEAS:
         raise InfeasiblePointError("equality family violated at xbar")
     g0 = p.grad_objective(xbar)
+    # SIP certificates carry no estimator notes
     kappa_val, kappa_source, _ = resolve_kappa(
         kappa, lambda: sip_kappa_estimate(p, xbar, seed=seed))
-    density = density or default_density(p.k if p.S is not None else 1)
-    ineq_atoms = []
-    if p.theta is not None:
-        ineq_atoms = active_indexes(p, xbar, density=density)
-    eq_points = []
-    if p.psi is not None:
-        eq_density = default_density(len(p.T)) if density is None else density
-        eq_points = [t for t in _dedupe(list(_box_grid(p.T, min(eq_density, 33))))]
-    cols = [p.grad_x_theta(xbar, s) for s in ineq_atoms]
+    eq_points = [] if p.psi is None else \
+        _dedupe(list(_box_grid(p.T, min(density or default_density(len(p.T)), 33))))
     eq_cols = [p.grad_x_psi(xbar, t) for t in eq_points]
-    found = stationarity_atoms(ineq_atoms, cols, -g0, eq_points, eq_cols)
+    density = density or default_density(p.k)
+    for round_density in (density, 2 * density, 4 * density):
+        act = [] if p.theta is None else active_indexes(p, xbar, density=round_density)
+        found = stationarity_atoms(act, [p.grad_x_theta(xbar, s) for s in act], -g0,
+                                   eq_points, eq_cols)
+        if found is not None or p.theta is None:  # only the theta grid refines
+            break
     if found is None:
-        raise NoMultiplierError("stationarity system infeasible for the split problem")
-    atoms, eq_atoms = found
-    eq_list = [(np.array(t), m) for t, m in eq_atoms.items() if abs(m) > 0.0]
-    return _finish_sip_certificate(p, xbar, g0, atoms, eq_list, kappa_val, kappa_source,
-                                   2.0, seed, tol_stat, tol_bound)
+        raise NoMultiplierError("no atomic multiplier" if p.theta is None
+                                else "no atomic multiplier after two grid refinements")
+    atoms, signed = found
+    eq_atoms = [(np.array(t), m) for t, m in signed.items() if abs(m) > 0.0]
+    bound_factor = 1.0 if p.psi is None else 2.0
+    residual, total = stationarity_residual(p, xbar, g0, atoms, eq_atoms)
+    comp_worst = max([0.0] + [abs(w * p.theta_at(xbar, s)) for s, w in atoms])
+    bound_rhs = bound_factor * kappa_val * float(np.linalg.norm(g0)) \
+        if kappa_val is not None else None
+    status, detail = verdict(residual, total, bound_rhs, TOL_STAT, TOL_BOUND)
+    return Certificate(kind="SIP-EQ" if eq_atoms else "SIP", status=status, detail=detail,
+                       point=xbar,
+                       atoms=[(np.asarray(s, dtype=float).tolist() if np.ndim(s) else [float(s)], w)
+                              for s, w in atoms],
+                       eq_atoms=[(np.asarray(t, dtype=float).tolist(), m) for t, m in eq_atoms],
+                       residual=residual, bound_lhs=total, bound_rhs=bound_rhs,
+                       kappa=kappa_val, kappa_source=kappa_source,
+                       bound_rule=f"{'2*' if p.psi is not None else ''}kappa*||grad objective||",
+                       tolerances={"tol_stat": TOL_STAT, "tol_bound": TOL_BOUND,
+                                   "tol_active": TOL_ACTIVE, "tol_feas": TOL_FEAS},
+                       seed=seed, notes=[f"complementarity max |lambda*theta| = {comp_worst:.2e}"])
 
 
 def stationarity_residual(p: SIProblem, x, g0, atoms, eq_atoms):
@@ -487,24 +486,3 @@ def stationarity_residual(p: SIProblem, x, g0, atoms, eq_atoms):
         resid = resid + m * p.grad_x_psi(x, t)
         total += abs(m)
     return float(np.linalg.norm(resid)), total
-
-
-def _finish_sip_certificate(p, xbar, g0, atoms, eq_atoms, kappa_val, kappa_source,
-                            bound_factor, seed, tol_stat, tol_bound):
-    residual, total = stationarity_residual(p, xbar, g0, atoms, eq_atoms)
-    comp_worst = max([0.0] + [abs(w * p.theta_at(xbar, s)) for s, w in atoms])
-    bound_rhs = bound_factor * kappa_val * float(np.linalg.norm(g0)) \
-        if kappa_val is not None else None
-    tolerances = {"tol_stat": tol_stat, "tol_bound": tol_bound,
-                  "tol_active": TOL_ACTIVE, "tol_feas": TOL_FEAS}
-    kind = "SIP" if not eq_atoms else "SIP-EQ"
-    notes = [f"complementarity max |lambda*theta| = {comp_worst:.2e}"]
-    status, detail = verdict(residual, total, bound_rhs, tol_stat, tol_bound)
-    return Certificate(kind=kind, status=status, detail=detail, point=xbar,
-                       atoms=[(np.asarray(s, dtype=float).tolist() if np.ndim(s) else [float(s)], w)
-                              for s, w in atoms],
-                       eq_atoms=[(np.asarray(t, dtype=float).tolist(), m) for t, m in eq_atoms],
-                       residual=residual, bound_lhs=total, bound_rhs=bound_rhs,
-                       kappa=kappa_val, kappa_source=kappa_source,
-                       bound_rule=f"{'2*' if bound_factor == 2.0 else ''}kappa*||grad objective||",
-                       tolerances=tolerances, seed=seed, notes=notes)

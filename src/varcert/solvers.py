@@ -76,32 +76,28 @@ def _standardize(p: LPProblem):
     m, n = p.A.shape
     bounds = p.bounds if p.bounds is not None else [(None, None)] * n
 
-    # variable substitution x = S z + t with z >= 0
-    cols = []  # per original var: list of (z_index, sign)
+    # variable substitution x = t + sum_k sign[k] z_k e_var[k] with z >= 0
+    var, sign = [], []
     t = np.zeros(n)
     extra_rows = []  # (z_index, ub) for boxed variables
-    nz = 0
     for j, (lo, hi) in enumerate(bounds):
         if lo is None and hi is None:
-            cols.append([(nz, 1.0), (nz + 1, -1.0)])
-            nz += 2
+            var += [j, j]
+            sign += [1.0, -1.0]
         elif lo is not None:
-            cols.append([(nz, 1.0)])
-            t[j] = lo
             if hi is not None:
-                extra_rows.append((nz, hi - lo))
-            nz += 1
+                extra_rows.append((len(var), hi - lo))
+            var.append(j)
+            sign.append(1.0)
+            t[j] = lo
         else:  # hi finite only
-            cols.append([(nz, -1.0)])
+            var.append(j)
+            sign.append(-1.0)
             t[j] = hi
-            nz += 1
+    var, sign = np.array(var, dtype=int), np.array(sign)
+    nz = len(var)
 
-    S = np.zeros((n, nz))
-    for j, parts in enumerate(cols):
-        for k, sgn in parts:
-            S[j, k] = sgn
-
-    A2 = p.A @ S
+    A2 = p.A[:, var] * sign
     b2 = p.b - p.A @ t
     senses2 = list(p.senses)
     for k, ub in extra_rows:
@@ -110,8 +106,11 @@ def _standardize(p: LPProblem):
         A2 = np.vstack([A2, row])
         b2 = np.append(b2, ub)
         senses2.append("<=")
-    c2 = S.T @ p.c
+    c2 = p.c[var] * sign
     const = float(p.c @ t)
+
+    def to_x(z):
+        return np.bincount(var, weights=sign * z[:nz], minlength=n) + t
 
     # slacks / surpluses
     n_slack = sum(1 for s in senses2 if s != "=")
@@ -133,7 +132,7 @@ def _standardize(p: LPProblem):
     r[neg] = -r[neg]
     flip[neg] = -1.0
 
-    return M, r, cost, const, S, t, flip, m
+    return M, r, cost, const, to_x, flip, m
 
 
 def _pivot(T, basis, row, col):
@@ -197,7 +196,7 @@ def lp_solve(p: LPProblem) -> LPSolution:
     """Two-phase primal simplex with Bland's anti-cycling rule."""
     if not (np.all(np.isfinite(p.A)) and np.all(np.isfinite(p.b)) and np.all(np.isfinite(p.c))):
         raise ValueError("LP data must be finite")
-    M, r, cost, const, S, t, flip, n_user_rows = _standardize(p)
+    M, r, cost, const, to_x, flip, n_user_rows = _standardize(p)
     mrows, ncols = M.shape
 
     # artificial variables, one per row, form the initial basis
@@ -264,7 +263,7 @@ def lp_solve(p: LPProblem) -> LPSolution:
     for i, bj in enumerate(basis):
         if bj < ncols:
             z[bj] = T[i, -1]
-    x = S @ z[: S.shape[1]] + t
+    x = to_x(z)
     objective = float(cost @ z) + const
 
     # duals: y = c_B B^{-1} on the standardized rows, mapped back through flips

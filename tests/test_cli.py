@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,3 +238,47 @@ def test_kkt_with_estimated_kappa(tmp_path):
     cert = json.loads(open(out).read())
     assert cert["bound"]["kappa_source"].startswith("estimated")
     assert cli.run(["recheck", "-p", prob, "-c", out]) == 0
+
+
+def equality_box_doc(T):
+    """The sip fixture with theta = x2 - s1 and psi = t1*...*tk*x1 over T."""
+    psi = "*".join(f"t{i + 1}" for i in range(len(T))) + "*x1"
+    return {"kind": "sip", "n": 2, "objective": "x1^2 - x2",
+            "constraints": {"theta": "x2 - s1", "S": [[0, 1]], "psi": psi, "T": T}}
+
+
+def test_three_dimensional_equality_box_verifies(tmp_path):
+    """A 3-D T box gets the 16-per-axis default grid (4,096 points, not
+    33^3), and no LP builds a dense variables x columns matrix."""
+    prob = write_problem(tmp_path, equality_box_doc([[0, 1], [0, 1], [0, 1]]))
+    out = str(tmp_path / "cert.json")
+    tracemalloc.start()
+    try:
+        code = cli.run(["sip", "-p", prob, "--point", "0,0", "--kappa", "1", "--out", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 100e6
+    cert = json.loads(open(out).read())
+    assert cert["status"] == "VERIFIED" and cert["bound"]["rule"] == "2*kappa*||grad objective||"
+    assert cli.run(["recheck", "-p", prob, "-c", out]) == 0
+
+
+def test_bad_sip_input_exits_3_with_an_error_line(tmp_path, capsys):
+    """--grid below 1, a malformed or non-numeric index box bound and a
+    non-numeric point in the problem file: exit 3 and an error line."""
+    cases = [(equality_box_doc([[0, 1]]), ["--grid", grid]) for grid in ("-5", "0")]
+    for key, box in (("S", [[0]]), ("S", [[0, "a"]]), ("T", [[None, 1]]), ("T", 5)):
+        doc = equality_box_doc([[0, 1]])
+        doc["constraints"][key] = box
+        cases.append((doc, []))
+    doc = equality_box_doc([[0, 1]])
+    doc["point"] = ["a", 0]
+    cases.append((doc, []))
+    for doc, args in cases:
+        prob = write_problem(tmp_path, doc)
+        point = [] if "point" in doc else ["--point", "0,0"]
+        assert cli.run(["sip", "-p", prob, "--kappa", "1", *point, *args]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err

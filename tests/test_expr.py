@@ -9,6 +9,7 @@ from varcert.errors import (
     DimensionMismatchError,
     ExprSyntaxError,
     KinkWarning,
+    NotInDomainError,
     UnknownVariableError,
 )
 
@@ -203,14 +204,15 @@ def test_smoothmap_eval_and_jacobian():
         m.eval([1.0, 2.0, 3.0])
 
 
-def test_smoothmap_identity_and_cache():
+def test_smoothmap_identity_and_jacobian():
     m = expr.SmoothMap.identity(3)
     x = np.array([1.0, 2.0, 3.0])
     assert np.allclose(m.eval(x), x)
     assert np.allclose(m.jacobian(x), np.eye(3))
-    mc = expr.SmoothMap.from_strings(["x1*x2"], ["x1", "x2"], cache=True)
-    assert mc.jacobian([2.0, 5.0]).tolist() == [[5.0, 2.0]]
-    assert mc.jacobian([2.0, 5.0]).tolist() == [[5.0, 2.0]]
+    mc = expr.SmoothMap.from_strings(["x1*x2", "3"], ["x1", "x2"])
+    assert mc.jacobian([2.0, 5.0]).tolist() == [[5.0, 2.0], [0.0, 0.0]]
+    with pytest.raises(NotInDomainError, match="outside a component domain"):
+        expr.SmoothMap.from_strings(["log(x1)"], ["x1"]).jacobian([-1.0])
 
 
 def test_compiled_closures_live_on_the_expression():

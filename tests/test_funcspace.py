@@ -11,7 +11,6 @@ from varcert.funcspace import (
     IndicatorFn,
     OracleFn,
     PLQFunction,
-    QuotientSchedule,
     ScaledFn,
     SeparableSumFn,
     SmoothFn,

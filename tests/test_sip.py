@@ -9,7 +9,6 @@ from varcert.sip import (
     active_indexes,
     caratheodory_reduce,
     certify,
-    certify_with_equalities,
     emfcq_check,
     sip_kappa_estimate,
     sup_violation,
@@ -129,7 +128,7 @@ def test_caratheodory_random_property():
 
 def test_certify_with_equalities_examples():
     p = SIProblem.from_strings(1, "-x1", psi="t1*x1", T=[(1.0, 1.0)])
-    cert = certify_with_equalities(p, [0.0], kappa=1.0)
+    cert = certify(p, [0.0], kappa=1.0)
     assert cert.status == "VERIFIED"
     assert len(cert.eq_atoms) == 1
     t, mu = cert.eq_atoms[0]
@@ -140,14 +139,55 @@ def test_certify_with_equalities_examples():
 
     bad = SIProblem.from_strings(1, "-x1", psi="t1*x1 + 1", T=[(1.0, 1.0)])
     with pytest.raises(InfeasiblePointError):
-        certify_with_equalities(bad, [0.0], kappa=1.0)
+        certify(bad, [0.0], kappa=1.0)
 
-    pure = linear_sip()
-    via_eq = certify_with_equalities(pure, [0.0], kappa=1.0)
-    direct = certify(pure, [0.0], kappa=1.0)
-    assert via_eq.status == direct.status == "VERIFIED"
-    assert via_eq.eq_atoms == []
-    assert via_eq.bound_lhs == pytest.approx(direct.bound_lhs, abs=1e-9)
+    # the bound factor follows psi: 1 without it, 2 with it
+    pure = certify(linear_sip(), [0.0], kappa=1.0)
+    assert pure.status == "VERIFIED" and pure.eq_atoms == []
+    assert pure.bound_rhs == pytest.approx(1.0, abs=1e-9)
+    assert pure.bound_rule == "kappa*||grad objective||"
+    assert cert.bound_rule == "2*kappa*||grad objective||"
+
+
+def test_equality_grid_follows_the_dimension_of_T(monkeypatch):
+    """The T grid takes --grid or the default for T's own dimension, capped
+    at 33 per axis: 33 for one or two index variables, 16 for three."""
+    asked = []
+    real = sip._box_grid
+
+    def recording(box, density):
+        if box == T:  # T differs from S
+            asked.append(density)
+            density = 1  # one point is enough to see the request
+        return real(box, density)
+
+    monkeypatch.setattr(sip, "_box_grid", recording)
+    for T, density, expected in (([(0.0, 2.0)], None, 33), ([(0.0, 2.0)] * 3, None, 16),
+                                 ([(0.0, 2.0)] * 3, 8, 8), ([(0.0, 2.0)], 100, 33)):
+        asked.clear()
+        psi = "*".join(f"t{i + 1}" for i in range(len(T))) + "*x1"
+        p = SIProblem.from_strings(2, "x1^2 - x2", theta="x2 - s1", S=[(0.0, 1.0)], psi=psi, T=T)
+        assert certify(p, [0.0, 0.0], kappa=1.0, density=density).status == "VERIFIED"
+        assert asked[-1] == expected
+
+
+def test_equality_family_gets_the_theta_grid_refinement(monkeypatch):
+    """With theta and psi, a missing multiplier retries theta at 2x and 4x
+    density; with psi alone there is no theta grid to refine."""
+    seen = []
+    real = sip.active_indexes
+    monkeypatch.setattr(sip, "active_indexes",
+                        lambda p, x, density=None: seen.append(density) or real(p, x, density))
+    p = SIProblem.from_strings(2, "x1^2 + x2", theta="s1*x2 - 0.1", S=[(0.0, 1.0)],
+                               psi="t1*t2*x1", T=[(0.0, 1.0), (0.0, 1.0)])
+    with pytest.raises(NoMultiplierError, match="^no atomic multiplier after two grid refinements$"):
+        certify(p, [0.0, 0.0], kappa=1.0)
+    assert seen == [64, 128, 256]
+    seen.clear()
+    eq_only = SIProblem.from_strings(1, "x1", psi="t1*x1^2", T=[(0.0, 1.0)])
+    with pytest.raises(NoMultiplierError, match="^no atomic multiplier$"):
+        certify(eq_only, [0.0], kappa=1.0)
+    assert seen == []
 
 
 def test_verified_certificates_have_tiny_residual():
@@ -183,7 +223,7 @@ def test_equality_only_kappa_estimate_gets_danskin_gradient(monkeypatch):
 
     monkeypatch.setattr(sip, "SampledSetOracle", RecordingOracle)
     p = SIProblem.from_strings(1, "x1^2", psi="t1*x1^3", T=[(1.0, 1.0)])
-    cert = certify_with_equalities(p, [0.0], kappa="estimate")
+    cert = certify(p, [0.0], kappa="estimate")
     assert (cert.status, cert.detail) == ("INCONCLUSIVE", "KAPPA_UNAVAILABLE")
     (grad_sq,) = seen
     assert grad_sq is not None
@@ -305,3 +345,94 @@ def test_dedupe_matches_the_pairwise_loop():
             pts[int(rng.integers(len(pts)))][0] = np.nan
         got, want = sip._dedupe(pts), dedupe_loop(pts)
         assert [id(s) for s in got] == [id(s) for s in want]
+
+
+def _sup_violation_loop(p, x, density, polish_top=5, polish_steps=100):
+    """The grid-sort-polish loop sup_violation ran before the shared search."""
+    grid = sip._box_grid(p.S, density)
+    vals = sip._grid_values(p.theta, x, grid)
+    order = np.argsort(-vals)[:polish_top]
+    best_s, best_v = grid[order[0]], vals[order[0]]
+    for idx in order:
+        s, v = sip._polish_max(lambda ss: p.theta_at(x, ss), lambda ss: p.grad_s_theta(x, ss),
+                               grid[idx], p.S, steps=polish_steps)
+        if v > best_v:
+            best_s, best_v = s, v
+    return max(0.0, float(best_v)), best_s
+
+
+def _sup_abs_equality_loop(p, x, density, polish_steps=60):
+    grid = sip._box_grid(p.T, density)
+    best, best_t, best_sign = 0.0, None, 1.0
+    for sign in (1.0, -1.0):
+        vals = sign * sip._grid_values(p.psi, x, grid)
+        for idx in np.argsort(-vals)[:3]:
+            t, v = sip._polish_max(lambda tt: sign * p.psi_at(x, tt),
+                                   lambda tt: sign * sip._index_partials(p.psi, x, tt),
+                                   grid[idx], p.T, steps=polish_steps)
+            if float(v) > best:
+                best, best_t, best_sign = float(v), t, sign
+    return best, best_t, best_sign
+
+
+def _active_indexes_loop(p, x, density):
+    grid = sip._box_grid(p.S, density)
+    vals = sip._grid_values(p.theta, x, grid)
+    cands = []
+    for idx in np.argsort(-vals)[:sip.MAX_ATOMS]:
+        if vals[idx] < -sip.TOL_ACTIVE - 1e-3:
+            break
+        s, v = sip._polish_max(lambda ss: p.theta_at(x, ss), lambda ss: p.grad_s_theta(x, ss),
+                               grid[idx], p.S, steps=40)
+        if v >= -sip.TOL_ACTIVE:
+            cands.append(s)
+    return sip._dedupe(cands)
+
+
+def test_top_cell_search_matches_the_three_loops(monkeypatch):
+    """sup_violation, sup_abs_equality and active_indexes make the same
+    _polish_max calls, in the same order, and return the same bits as the
+    loops each of them ran before sharing one search."""
+    calls = []
+    polish = sip._polish_max
+
+    def recording(value_fn, grad_fn, s0, box, steps=100):
+        calls.append((np.asarray(s0).tobytes(), steps))
+        return polish(value_fn, grad_fn, s0, box, steps)
+
+    monkeypatch.setattr(sip, "_polish_max", recording)
+
+    def bits(result):
+        return [None if r is None else np.asarray(r, dtype=float).tobytes() for r in result]
+
+    def both(fn, loop, p, x, density, *args):
+        calls.clear()
+        got = fn(p, x, density, *args)
+        got_calls = list(calls)
+        calls.clear()
+        assert bits(got) == bits(loop(p, x, density, *args)) and got_calls == calls
+
+    cubic = SIProblem.from_strings(2, "x1", theta="(s1 - 0.3)*(x1 - 0.2)^3 + x2*s2 - s2^2",
+                                   S=[(0.3, 1.3), (0.0, 1.0)],
+                                   psi="sin(3*t1 - x1)*x2 + t1*x1", T=[(0.0, 2.0)])
+    for x in ([0.2, 0.0], [0.5, -0.3], [1.0, 0.4]):
+        for density in (8, 16):
+            both(sip.sup_violation, _sup_violation_loop, cubic, np.array(x), density)
+            both(sip.sup_violation, _sup_violation_loop, cubic, np.array(x), density, 1, 30)
+            both(sip.sup_abs_equality, _sup_abs_equality_loop, cubic, np.array(x), density)
+    # a flat active face (every cell active) and a cap whose cells fall below the floor
+    flat = SIProblem.from_strings(2, "x1", theta="s1*x1 + s2*x2", S=[(0.0, 1.0), (0.0, 1.0)])
+    cap = SIProblem.from_strings(2, "x1", theta="x1 - (s1 - 0.5)^2 - 4*(s2 - 0.5)^2",
+                                 S=[(0.0, 1.0), (0.0, 1.0)])
+    for p in (flat, cap):
+        for density in (9, 17, 65):
+            calls.clear()
+            got = sip.active_indexes(p, np.zeros(2), density)
+            got_calls = calls[5:]  # after active_indexes' own sup_violation
+            calls.clear()
+            ref = _active_indexes_loop(p, np.zeros(2), density)
+            assert bits(got) == bits(ref) and got_calls == calls
+            if p is flat:  # every cell is active, up to MAX_ATOMS of them
+                assert len(got) == min(density ** 2, sip.MAX_ATOMS)
+            else:
+                assert len(got) == 1 and 0 < len(calls) < density ** 2

@@ -270,3 +270,81 @@ def test_pivot_rank1_update_matches_the_row_loop_bit_for_bit():
         _pivot_loop(ref, b_ref, row, col)
         solvers._pivot(fast, b_fast, row, col)
         assert ref.tobytes() == fast.tobytes() and b_ref == b_fast
+
+
+def _standardize_dense(p):
+    """The standard form built through a dense n x nz substitution matrix S,
+    x = S z + t: the reference for ``solvers._standardize``'s index arrays."""
+    m, n = p.A.shape
+    bounds = p.bounds if p.bounds is not None else [(None, None)] * n
+    cols, t, extra_rows, nz = [], np.zeros(n), [], 0
+    for j, (lo, hi) in enumerate(bounds):
+        if lo is None and hi is None:
+            cols.append([(nz, 1.0), (nz + 1, -1.0)])
+            nz += 2
+        elif lo is not None:
+            cols.append([(nz, 1.0)])
+            t[j] = lo
+            if hi is not None:
+                extra_rows.append((nz, hi - lo))
+            nz += 1
+        else:
+            cols.append([(nz, -1.0)])
+            t[j] = hi
+            nz += 1
+    S = np.zeros((n, nz))
+    for j, parts in enumerate(cols):
+        for k, sgn in parts:
+            S[j, k] = sgn
+    A2, b2, senses2 = p.A @ S, p.b - p.A @ t, list(p.senses)
+    for k, ub in extra_rows:
+        row = np.zeros(nz)
+        row[k] = 1.0
+        A2, b2 = np.vstack([A2, row]), np.append(b2, ub)
+        senses2.append("<=")
+    n_slack = sum(1 for s in senses2 if s != "=")
+    M = np.hstack([A2, np.zeros((A2.shape[0], n_slack))])
+    k = nz
+    for i, s in enumerate(senses2):
+        if s != "=":
+            M[i, k] = 1.0 if s == "<=" else -1.0
+            k += 1
+    r, cost = b2.copy(), np.concatenate([S.T @ p.c, np.zeros(n_slack)])
+    flip = np.ones(len(r))
+    neg = r < 0
+    M[neg] *= -1.0
+    r[neg] = -r[neg]
+    flip[neg] = -1.0
+    return M, r, cost, float(p.c @ t), lambda z: S @ z[:nz] + t, flip, m
+
+
+def test_lp_solve_matches_the_dense_substitution_bit_for_bit(monkeypatch):
+    """Mixed bounds (free, lower, boxed, upper-only, -0.0) and senses: x, the
+    objective and the pivot count keep their bits; y keeps its values."""
+    rng = np.random.default_rng(11)
+    problems = []
+    for _ in range(300):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 8))
+        A = rng.normal(size=(m, n)).round(int(rng.integers(0, 3)))
+        A[rng.uniform(size=(m, n)) < 0.2] = -0.0
+        c = rng.normal(size=n).round(1)
+        c[rng.uniform(size=n) < 0.2] = -0.0
+        bounds = []
+        for _ in range(n):
+            lo, hi = float(rng.choice([-0.0, -1.5, -0.5])), float(rng.choice([-0.0, 0.5, 2.0]))
+            bounds.append([(None, None), (lo, None), (lo, hi), (None, hi)][int(rng.integers(4))])
+        problems.append(LPProblem(c=c, A=A, b=rng.normal(size=m).round(1),
+                                  senses=list(rng.choice(["<=", "=", ">="], m)),
+                                  bounds=bounds if rng.uniform() < 0.8 else None))
+    fast = [lp_solve(p) for p in problems]
+    monkeypatch.setattr(solvers, "_standardize", _standardize_dense)
+    optimal = 0
+    for p, got in zip(problems, fast):
+        ref = lp_solve(p)
+        assert (got.status, got.iterations) == (ref.status, ref.iterations)
+        if ref.status == solvers.OPTIMAL:
+            optimal += 1
+            assert got.x.tobytes() == ref.x.tobytes()
+            assert np.float64(got.objective).tobytes() == np.float64(ref.objective).tobytes()
+            assert np.array_equal(got.y, ref.y)
+    assert optimal >= 50
