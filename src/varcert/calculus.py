@@ -50,6 +50,8 @@ VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
 INCONCLUSIVE = "INCONCLUSIVE"
 NOT_APPLICABLE = "NOT-APPLICABLE"
+# a ratio-scheme sample whose violation is at most this counts as feasible
+FEASIBLE_SAMPLE = 10 * geo.TOL_FEAS
 
 
 @dataclass
@@ -470,17 +472,18 @@ def msqc_estimate(c: Composite, radius=0.5, samples=30, seed=0) -> CQReport:
     """
     oracle = feasible_set_oracle(c)
 
-    def denom_fn(z):
-        return c.dist_dom(c.f.eval(z))
+    def ratio(z):
+        denom = c.dist_dom(c.f.eval(z))
+        return oracle.dist(z) / denom if denom > FEASIBLE_SAMPLE else None
 
-    return ratio_stability_estimate("MSQC", oracle.dist, denom_fn, c.xbar,
-                                    radius, samples, seed)
+    return ratio_stability_estimate("MSQC", ratio, c.xbar, radius, samples, seed)
 
 
-def ratio_stability_estimate(condition, dist_fn, denom_fn, xbar, radius, samples,
-                             seed) -> CQReport:
+def ratio_stability_estimate(condition, ratio_fn, xbar, radius, samples, seed) -> CQReport:
     """Shared max-ratio scheme: kappa_hat over shells [r/2, r] at three radii.
 
+    ``ratio_fn(z)`` is a sample's ratio dist(z; set) / violation(z), or None
+    when the violation is at most FEASIBLE_SAMPLE (the sample is not used).
     Shell sampling keeps the estimator's scale tied to the radius so that
     halvings reveal genuine divergence; full-ball sampling is heavy-tailed
     and can mask it.
@@ -500,11 +503,10 @@ def ratio_stability_estimate(condition, dist_fn, denom_fn, xbar, radius, samples
             if nrm == 0:
                 continue
             z = xbar + step * (r * (0.5 + 0.5 * rng.random()) / nrm)
-            denom = denom_fn(z)
-            if denom <= 10 * geo.TOL_FEAS:
+            ratio = ratio_fn(z)
+            if ratio is None:
                 continue
             used += 1
-            ratio = dist_fn(z) / denom
             if ratio > worst_ratio:
                 worst_ratio, worst_point = ratio, z.copy()
             kr = max(kr, ratio)
@@ -514,6 +516,9 @@ def ratio_stability_estimate(condition, dist_fn, denom_fn, xbar, radius, samples
     if kappa_hat == 0.0:
         return CQReport(condition, VERIFIED, kappa_hat=0.0, samples=used,
                         notes=["no infeasible samples: the feasible set is locally everything"])
+    if kappa_hat == INF:
+        return CQReport(condition, INCONCLUSIVE, witness=worst_point, kappa_hat=kappa_hat,
+                        samples=used, notes=["an infeasible sample has zero slope"])
     g1 = k2 / k1 if k1 > 0 else INF
     g2 = k3 / k2 if k2 > 0 else INF
     if g1 < 1.1 and g2 < 1.1:

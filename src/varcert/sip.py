@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as expr_mod
-from .calculus import CQReport, INCONCLUSIVE, REFUTED, VERIFIED, \
+from .calculus import FEASIBLE_SAMPLE, CQReport, INCONCLUSIVE, REFUTED, VERIFIED, \
     ratio_stability_estimate
 from .certify import Certificate, TOL_BOUND, TOL_STAT, resolve_kappa, verdict
 from .errors import (
@@ -25,11 +25,14 @@ from .errors import (
     InfeasiblePointError,
     NoMultiplierError,
 )
-from .geometry import TOL_ACTIVE, TOL_FEAS, SampledSetOracle
-from .solvers import OPTIMAL, LPProblem, conic_fit, lp_solve
+from .geometry import TOL_ACTIVE, TOL_FEAS
+from .solvers import OPTIMAL, LPProblem, conic_fit, lp_solve, min_norm_point
 
 DEDUP_RADIUS = 1e-4
 MAX_ATOMS = 400  # grid cells polished by active_indexes
+SLOPE_TAU = 0.25  # near-active radius of the slope estimate, in units of sup / ||grad||
+SLOPE_DENSITY = 16  # index grid of the slope estimate, per axis
+SLOPE_POLISH_STEPS = 30
 
 
 def default_density(k):
@@ -247,14 +250,13 @@ def _top_cells(e, x, sign, box, density, count, floor, value_fn, grad_fn, steps)
     return out
 
 
-def sup_violation(p: SIProblem, x, density=None, polish_top=5, polish_steps=100):
-    """(sup_s theta(x,s)^+, argmax): grid plus polish from the top cells."""
+def sup_violation(p: SIProblem, x, density=None):
+    """(sup_s theta(x,s)^+, argmax): grid plus polish from the top 5 cells."""
     x = np.asarray(x, dtype=float)
     if p.theta is None:
         return 0.0, None
-    cells = _top_cells(p.theta, x, 1.0, p.S, density or default_density(p.k), polish_top, -np.inf,
-                       lambda ss: p.theta_at(x, ss), lambda ss: p.grad_s_theta(x, ss),
-                       polish_steps)
+    cells = _top_cells(p.theta, x, 1.0, p.S, density or default_density(p.k), 5, -np.inf,
+                       lambda ss: p.theta_at(x, ss), lambda ss: p.grad_s_theta(x, ss), 100)
     best_s, best_v = cells[0][:2]
     for _, _, s, v in cells:
         if v > best_v:
@@ -262,7 +264,7 @@ def sup_violation(p: SIProblem, x, density=None, polish_top=5, polish_steps=100)
     return max(0.0, float(best_v)), best_s
 
 
-def sup_abs_equality(p: SIProblem, x, density=None, polish_steps=60):
+def sup_abs_equality(p: SIProblem, x, density=None):
     """(sup_t |psi(x,t)|, argmax t, sign of psi there) over the equality
     index box; the argmax is None while the sup is 0."""
     if p.psi is None:
@@ -272,8 +274,7 @@ def sup_abs_equality(p: SIProblem, x, density=None, polish_steps=60):
     for sign in (1.0, -1.0):
         for _, _, t, v in _top_cells(p.psi, x, sign, p.T, density or default_density(len(p.T)),
                                      3, -np.inf, lambda tt: sign * p.psi_at(x, tt),
-                                     lambda tt: sign * _index_partials(p.psi, x, tt),
-                                     polish_steps):
+                                     lambda tt: sign * _index_partials(p.psi, x, tt), 60):
             if float(v) > best:
                 best, best_t, best_sign = float(v), t, sign
     return best, best_t, best_sign
@@ -292,53 +293,105 @@ def _dedupe(points, radius=DEDUP_RADIUS):
 
 def active_indexes(p: SIProblem, xbar, density=None):
     """Index points with theta(xbar, s) >= -TOL_ACTIVE, polished and
-    deduplicated, from at most MAX_ATOMS grid cells."""
+    deduplicated, from at most MAX_ATOMS grid cells and the polished argmax
+    of the sup (an active peak between grid nodes has no cell near 0)."""
     xbar = np.asarray(xbar, dtype=float)
-    sup, _ = sup_violation(p, xbar, density)
+    sup, s_max = sup_violation(p, xbar, density)
     if sup > TOL_FEAS:
         raise InfeasiblePointError(f"sup violation {sup:.3e} exceeds tol_feas")
     cells = _top_cells(p.theta, xbar, 1.0, p.S, density or default_density(p.k), MAX_ATOMS,
                        -TOL_ACTIVE - 1e-3, lambda ss: p.theta_at(xbar, ss),
                        lambda ss: p.grad_s_theta(xbar, ss), 40)
-    return _dedupe([s for _, _, s, v in cells if v >= -TOL_ACTIVE])
+    active = [s for _, _, s, v in cells if v >= -TOL_ACTIVE]
+    if p.theta_at(xbar, s_max) >= -TOL_ACTIVE:
+        active.append(s_max)
+    return _dedupe(active)
+
+
+def _near_active_gradients(e, signs, z, box):
+    """The sup of sign*e(z, s) over the index box and ``signs``, and the
+    x-gradients of sign*e at the indexes near-active at z; (0.0, []) when
+    the sup is not positive.
+
+    The argmax s* comes from the best grid cell, polished.  An index s is
+    near-active when gap(s) = sup - sign*e(z, s) <= delta * ||grad_s - grad_s*||
+    with delta = SLOPE_TAU * sup / ||grad_s*||: moving z by delta can let s
+    overtake s*.  Grid cells with gap <= 2 * SLOPE_TAU * sup are screened by
+    central differences over all cells at once, and only the survivors get
+    an exact gradient."""
+    grid = _box_grid(box, SLOPE_DENSITY)
+    vals = np.stack([sign * _grid_values(e, z, grid) for sign in signs])
+    f, i = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    top_sign = signs[f]
+    s_star, top = _polish_max(lambda s: top_sign * expr_mod.evaluate(e, list(z) + list(s)),
+                              lambda s: top_sign * _index_partials(e, z, s), grid[i], box,
+                              SLOPE_POLISH_STEPS)
+    if not top > 0.0:
+        return 0.0, []
+    g_star = top_sign * _grad_x(e, z, s_star)
+    scale = float(np.linalg.norm(g_star))
+    if scale == 0.0:  # a zero gradient is in the hull already
+        return top, [g_star]
+    delta = SLOPE_TAU * top / scale
+    grads = [g_star]
+    for sign, row in zip(signs, vals):
+        pick = top - row <= 2.0 * SLOPE_TAU * top
+        cells, gap = grid[pick], top - row[pick]
+        fd = np.empty((len(cells), len(z)))
+        for j in range(len(z)):
+            h = 1e-6 * max(1.0, abs(z[j]))
+            up, down = list(z), list(z)
+            up[j] += h
+            down[j] -= h
+            fd[:, j] = sign * (_grid_values(e, up, cells) - _grid_values(e, down, cells)) / (2 * h)
+        # the slack covers the central-difference error
+        screen = gap <= delta * (np.linalg.norm(fd - g_star, axis=1) + 1e-6 * (1.0 + scale))
+        for s, gs in zip(cells[screen], gap[screen]):
+            g = sign * _grad_x(e, z, s)
+            if gs <= delta * float(np.linalg.norm(g - g_star)):
+                grads.append(g)
+    return top, grads
+
+
+def _grad_x(e, z, s):
+    return expr_mod.grad(e, list(z) + list(s))[:len(z)]
+
+
+def violation_slope(p: SIProblem, z):
+    """(g(z), |grad g|(z)) for the violation g = hypot(sup theta^+, sup |psi|).
+
+    By Danskin's theorem the strong slope is the least norm in
+    v * conv{grad_x theta(z, s)} + e * conv{sign * grad_x psi(z, t)}, over the
+    near-active s and t, divided by g (Aze & Corvellec, ESAIM: COCV 10,
+    2004).  The Minkowski sum of two hulls is the hull of the pairwise
+    sums."""
+    z = np.asarray(z, dtype=float)
+    groups = []
+    if p.theta is not None:
+        groups.append(_near_active_gradients(p.theta, (1.0,), z, p.S))
+    if p.psi is not None:
+        groups.append(_near_active_gradients(p.psi, (1.0, -1.0), z, p.T))
+    g = math.hypot(*(v for v, _ in groups))
+    if g == 0.0:
+        return 0.0, 0.0
+    cols = [np.zeros(p.n)]
+    for v, grads in groups:
+        if v > 0.0:
+            cols = [c + v * gk for c in cols for gk in grads]
+    return g, float(np.linalg.norm(min_norm_point(np.array(cols).T))) / g
 
 
 def sip_kappa_estimate(p: SIProblem, xbar, radius=0.25, samples=30, seed=0) -> CQReport:
-    """Ratio scheme with dist(f(x);Theta) realized as the sup violation."""
-    xbar = np.asarray(xbar, dtype=float)
-    memo = {}
+    """Ratio scheme with dist(z; feasible set) estimated as g(z) / |grad g|(z),
+    the violation over its strong slope: each sample's ratio is 1 / slope."""
 
-    # coarse, cheap violation oracle: the ratio test tolerates percent-level
-    # denominator noise, and the penalty descent calls this in its inner loop.
-    # The ratio test, the oracle's feasibility tests and grad_sq ask for the
-    # same z in turn, and the sups are pure functions of z: replay them.
-    def sups(z):
-        key = np.asarray(z, dtype=float).tobytes()
-        if key not in memo:
-            if len(memo) >= 64:
-                memo.clear()
-            memo[key] = (sup_violation(p, z, density=16, polish_top=1, polish_steps=30),
-                         sup_abs_equality(p, z, density=16, polish_steps=30))
-        return memo[key]
+    def ratio(z):
+        g, slope = violation_slope(p, z)
+        if g <= FEASIBLE_SAMPLE:
+            return None
+        return 1.0 / slope if slope > 0.0 else math.inf
 
-    def violation(z):
-        (v, _), (e, _, _) = sups(z)
-        return v if p.psi is None else math.hypot(v, e)
-
-    def grad_sq(z):
-        # Danskin: gradient of v^2 + e^2 through the argmax indexes, where
-        # e = sign * psi(z, t*)
-        (v, s_star), (e, t_star, sign) = sups(z)
-        g = np.zeros(p.n)
-        if v > 0 and s_star is not None:
-            g += 2.0 * v * p.grad_x_theta(z, s_star)
-        if e > 0 and t_star is not None:
-            g += 2.0 * e * sign * p.grad_x_psi(z, t_star)
-        return g
-
-    oracle = SampledSetOracle(violation, grad_sq=grad_sq)
-    return ratio_stability_estimate("SIP-MSQC", oracle.dist, violation, xbar,
-                                    radius, samples, seed)
+    return ratio_stability_estimate("SIP-MSQC", ratio, xbar, radius, samples, seed)
 
 
 def emfcq_check(p: SIProblem, xbar, tol=1e-7) -> CQReport:

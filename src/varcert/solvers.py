@@ -422,3 +422,51 @@ def conic_fit(target, rays, lines=None, convex=None, cost=None, residual=None,
     return ConicFit(w=x[:r], mu=split[:l] - split[l:], split=split,
                     conv=x[r + 2 * l:r + 2 * l + k], residual=float(np.sum(x[r + 2 * l + k:])),
                     x=x, A=A)
+
+
+def nnls(E, f):
+    """argmin ||E w - f|| over w >= 0 by the Lawson-Hanson active-set method
+    (Lawson & Hanson, *Solving Least Squares Problems*, 1974, ch. 23).
+
+    Each outer step frees the bound variable with the largest residual
+    gradient; the inner loop steps back along the segment to the
+    unconstrained passive-set solution until every passive weight is
+    positive."""
+    E = np.atleast_2d(np.asarray(E, dtype=float))
+    f = np.asarray(f, dtype=float)
+    k = E.shape[1]
+    w = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    col_sum = float(np.abs(E).sum(axis=0).max(initial=0.0))
+    tol = 10.0 * np.finfo(float).eps * max(E.shape) * max(1.0, col_sum)
+    for _ in range(3 * k):
+        grad = E.T @ (f - E @ w)
+        grad[passive] = -np.inf
+        if passive.all() or grad.max() <= tol:
+            break
+        passive[int(np.argmax(grad))] = True
+        while True:
+            trial = np.zeros(k)
+            trial[passive] = np.linalg.lstsq(E[:, passive], f, rcond=None)[0]
+            if (trial[passive] > tol).all():
+                w = trial
+                break
+            blocked = passive & (trial <= tol)
+            drop = w[blocked] - trial[blocked]  # 0 only for a weight that stays at 0
+            alpha = np.min(np.where(drop > 0.0, w[blocked] / np.where(drop > 0.0, drop, 1.0), 0.0))
+            w = w + alpha * (trial - w)
+            passive &= w > tol
+            w[~passive] = 0.0
+    return w
+
+
+def min_norm_point(P):
+    """The point of least Euclidean norm in the convex hull of the columns of P.
+
+    It is P w / sum(w) for the NNLS solution w of min ||[P; 1^T] w - [0; 1]||:
+    over the cone generated by the columns (p_i, 1) that problem is solved
+    by t (x*, 1), t = 1 / (1 + ||x*||^2), with x* the least-norm hull point."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    n = P.shape[0]
+    w = nnls(np.vstack([P, np.ones(P.shape[1])]), np.append(np.zeros(n), 1.0))
+    return P @ w / w.sum()

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -245,6 +246,40 @@ def equality_box_doc(T):
     psi = "*".join(f"t{i + 1}" for i in range(len(T))) + "*x1"
     return {"kind": "sip", "n": 2, "objective": "x1^2 - x2",
             "constraints": {"theta": "x2 - s1", "S": [[0, 1]], "psi": psi, "T": T}}
+
+
+def test_sip_theta_psi_estimated_kappa_is_exact(tmp_path):
+    """theta = x2 - s1 and psi = t1*x1: the feasible set is {x1 = 0, x2 <= 0}
+    and the violation hypot(x2^+, |x1|) is the distance to it, so kappa = 1."""
+    prob = write_problem(tmp_path, {
+        "kind": "sip", "n": 2, "objective": "x1^2 - x2",
+        "constraints": {"theta": "x2 - s1", "S": [[0, 1]], "psi": "t1*x1", "T": [[0, 1]]}})
+    out = str(tmp_path / "cert.json")
+    start = time.perf_counter()
+    code = cli.run(["sip", "-p", prob, "--point", "0,0", "--kappa", "estimate", "--out", out])
+    elapsed = time.perf_counter() - start
+    cert = json.loads(open(out).read())
+    assert (code, cert["status"]) == (0, "VERIFIED")
+    assert cert["bound"]["kappa"] == pytest.approx(1.0, abs=1e-6)
+    assert elapsed < 2.0
+    assert cli.run(["recheck", "-p", prob, "-c", out]) == 0
+
+
+def test_sip_keeps_an_active_peak_between_grid_nodes(tmp_path):
+    """The sharp peak at s = (0.5, 0.5) lies between the nodes of the
+    8-grid, where the nearest cell has theta = -0.026; the polished argmax
+    of the sup carries lambda = 1."""
+    prob = write_problem(tmp_path, {
+        "kind": "sip", "n": 1, "objective": "-x1",
+        "constraints": {"theta": "x1 - (s1 - 0.5)^2 - 4*(s2 - 0.5)^2", "S": [[0, 1], [0, 1]]}})
+    out = str(tmp_path / "cert.json")
+    code = cli.run(["sip", "-p", prob, "--point", "0", "--kappa", "1", "--grid", "8", "--out", out])
+    cert = json.loads(open(out).read())
+    assert (code, cert["status"]) == (0, "VERIFIED")
+    (atom,) = cert["atoms"]
+    assert atom["s"] == pytest.approx([0.5, 0.5], abs=1e-6)
+    assert atom["lambda"] == pytest.approx(1.0)
+    assert cli.run(["recheck", "-p", prob, "-c", out]) == 0
 
 
 def test_three_dimensional_equality_box_verifies(tmp_path):

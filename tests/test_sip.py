@@ -211,25 +211,48 @@ def test_certify_interior_stationary_point():
     assert cert.bound_lhs == 0.0
 
 
-def test_equality_only_kappa_estimate_gets_danskin_gradient(monkeypatch):
-    """psi = t1*x1^3 on T = {1}: sup|psi| = |x1|^3 admits no kappa at 0.  The
-    projection gets the exact gradient of sup|psi|^2 = x1^6, not differences."""
-    seen = []
-
-    class RecordingOracle(sip.SampledSetOracle):
-        def __init__(self, violation, grad_sq=None, **kwargs):
-            seen.append(grad_sq)
-            super().__init__(violation, grad_sq=grad_sq, **kwargs)
-
-    monkeypatch.setattr(sip, "SampledSetOracle", RecordingOracle)
+def test_equality_only_kappa_estimate_reads_the_danskin_slope():
+    """psi = t1*x1^3 on T = {1}: sup|psi| = |x1|^3 admits no kappa at 0.  A
+    sample's slope is the Danskin derivative 3*x1^2 of |x1|^3."""
     p = SIProblem.from_strings(1, "x1^2", psi="t1*x1^3", T=[(1.0, 1.0)])
     cert = certify(p, [0.0], kappa="estimate")
     assert (cert.status, cert.detail) == ("INCONCLUSIVE", "KAPPA_UNAVAILABLE")
-    (grad_sq,) = seen
-    assert grad_sq is not None
     for x in (0.5, -0.5):
-        assert grad_sq(np.array([x])) == pytest.approx([6.0 * x ** 5], rel=1e-12)
-    assert grad_sq(np.array([0.0])) == pytest.approx([0.0])
+        g, slope = sip.violation_slope(p, [x])
+        assert g == pytest.approx(abs(x) ** 3, rel=1e-12)
+        assert slope == pytest.approx(3.0 * x ** 2, rel=1e-9)
+
+
+def test_slope_estimate_takes_the_hull_of_near_active_gradients():
+    """At ties the slope is the least norm in the hull of the near-active
+    gradients, not the argmax gradient: the modulus of g = max(x)^+ on the
+    nonpositive orthant of R^k is sqrt(k), and the unit circle's is 1."""
+    orthant = SIProblem.from_strings(2, "-x1", theta="s1*x1 + (1 - s1)*x2", S=[(0.0, 1.0)])
+    rep = sip_kappa_estimate(orthant, [0.0, 0.0], seed=42)
+    assert rep.verdict == VERIFIED
+    assert 1.35 <= rep.kappa_hat <= 1.5
+    orthant3 = SIProblem.from_strings(
+        3, "-x1", theta="s1*x1 + (1 - s1)*s2*x2 + (1 - s1)*(1 - s2)*x3",
+        S=[(0.0, 1.0), (0.0, 1.0)])
+    assert sip_kappa_estimate(orthant3, [0.0, 0.0, 0.0], seed=42).kappa_hat >= 1.6
+    circle = SIProblem.from_strings(
+        2, "x1", theta="cos(6.283185307179586*s1)*x1 + sin(6.283185307179586*s1)*x2",
+        S=[(0.0, 1.0)])
+    rep = sip_kappa_estimate(circle, [0.0, 0.0], seed=42)
+    assert rep.verdict == VERIFIED
+    assert 0.95 <= rep.kappa_hat <= 1.15
+
+
+def test_zero_slope_sample_leaves_kappa_unavailable():
+    """theta = min(x1, 0.13) is flat beyond 0.13, so samples of the outer
+    shell have zero slope: the estimate is INCONCLUSIVE, not a VERIFIED
+    infinite kappa from the stable inner shells."""
+    p = SIProblem.from_strings(1, "-x1", theta="min(x1, 0.13) + 0*s1", S=[(0.0, 1.0)])
+    rep = sip_kappa_estimate(p, [0.0], seed=42)
+    assert rep.verdict == "INCONCLUSIVE"
+    assert rep.kappa_hat == np.inf and rep.witness[0] > 0.13
+    cert = certify(p, [0.0], kappa="estimate")
+    assert (cert.status, cert.detail) == ("INCONCLUSIVE", "KAPPA_UNAVAILABLE")
 
 
 def test_box_grid_hands_out_independent_copies():
@@ -418,7 +441,6 @@ def test_top_cell_search_matches_the_three_loops(monkeypatch):
     for x in ([0.2, 0.0], [0.5, -0.3], [1.0, 0.4]):
         for density in (8, 16):
             both(sip.sup_violation, _sup_violation_loop, cubic, np.array(x), density)
-            both(sip.sup_violation, _sup_violation_loop, cubic, np.array(x), density, 1, 30)
             both(sip.sup_abs_equality, _sup_abs_equality_loop, cubic, np.array(x), density)
     # a flat active face (every cell active) and a cap whose cells fall below the floor
     flat = SIProblem.from_strings(2, "x1", theta="s1*x1 + s2*x2", S=[(0.0, 1.0), (0.0, 1.0)])

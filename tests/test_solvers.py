@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -348,3 +350,32 @@ def test_lp_solve_matches_the_dense_substitution_bit_for_bit(monkeypatch):
             assert np.float64(got.objective).tobytes() == np.float64(ref.objective).tobytes()
             assert np.array_equal(got.y, ref.y)
     assert optimal >= 50
+
+
+def test_nnls_matches_the_best_nonnegative_support():
+    """Lawson-Hanson against enumeration: the NNLS optimum is the best
+    least-squares fit over the supports whose fit is nonnegative."""
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        m, k = int(rng.integers(2, 6)), int(rng.integers(1, 7))
+        E, f = rng.normal(size=(m, k)), rng.normal(size=m)
+        best = float(np.linalg.norm(f))
+        for size in range(1, k + 1):
+            for support in itertools.combinations(range(k), size):
+                w = np.linalg.lstsq(E[:, support], f, rcond=None)[0]
+                if (w >= 0).all():
+                    best = min(best, float(np.linalg.norm(E[:, support] @ w - f)))
+        w = solvers.nnls(E, f)
+        assert (w >= 0).all()
+        assert np.linalg.norm(E @ w - f) == pytest.approx(best, abs=1e-9)
+
+
+def test_min_norm_point_of_a_hull():
+    # the unit vectors of R^3: the centroid; a segment off the origin: its foot
+    assert solvers.min_norm_point(np.eye(3)) == pytest.approx(np.full(3, 1.0 / 3.0))
+    seg = np.array([[1.0, 1.0], [-1.0, 3.0]])  # columns (1, -1) and (1, 3)
+    assert solvers.min_norm_point(seg) == pytest.approx([1.0, 0.0])
+    assert solvers.min_norm_point(np.array([[2.0], [0.0]])) == pytest.approx([2.0, 0.0])
+    # the origin inside the hull
+    assert solvers.min_norm_point(np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])) == \
+        pytest.approx([0.0, 0.0], abs=1e-12)
