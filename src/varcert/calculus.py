@@ -86,6 +86,7 @@ class Composite:
         self.xbar = np.asarray(xbar, dtype=float)
         self.ybar = f.eval(self.xbar)
         self.domain_oracle = domain_oracle
+        self._last_image = (None, None)
         if domain_oracle is None:
             if not math.isfinite(theta.value(self.ybar)):
                 raise NotInDomainError("f(xbar) is outside dom(theta)")
@@ -112,15 +113,10 @@ class Composite:
         pieces = self.theta.dom_pieces()
         if pieces is None:
             return 0.0
-        best = INF
         for P in pieces:  # membership first: projections are only for outsiders
             if P.contains(y):
                 return 0.0
-        for P in pieces:
-            if P.is_empty():
-                continue
-            best = min(best, project(P, y)[1])
-        return best
+        return min((d for _, d in self._piece_projections(y, pieces)), default=INF)
 
     def project_dom(self, y):
         """Nearest point of dom theta (over its polyhedral pieces)."""
@@ -131,14 +127,16 @@ class Composite:
         for P in pieces:
             if P.residual(y) <= 0.0:
                 return y.copy(), 0.0
-        best, bw = INF, None
-        for P in pieces:
-            if P.is_empty():
-                continue
-            w, d = project(P, y)
-            if d < best:
-                best, bw = d, w
-        return bw, best
+        return min(self._piece_projections(y, pieces), key=lambda wd: wd[1], default=(None, INF))
+
+    def _piece_projections(self, y, pieces):
+        """project(P, y) for each nonempty piece P, kept for the last y: the
+        ratio estimate projects an image that the Gauss-Newton restoration
+        then projects again."""
+        y = np.asarray(y, dtype=float)
+        if self._last_image[0] != y.tobytes():
+            self._last_image = (y.tobytes(), [project(P, y) for P in pieces if not P.is_empty()])
+        return self._last_image[1]
 
     def tangent_member(self, w, tol=1e-9):
         """w in T_{dom theta}(ybar)?"""
@@ -425,7 +423,8 @@ def abadie_check(c: Composite, samples=10, tol=1e-2, seed=0, t_grid=None,
     dirs += _linearized_cone_generators(c, J)
     # sampled tangents toward nearby feasible points always linearize;
     # in oracle mode they are the only reachable source of directions
-    for d in sampled_tangent_directions(c, count=6, seed=seed + 1):
+    sampled = sampled_tangent_directions(c, count=6, seed=seed + 1)
+    for d in sampled:
         if c.tangent_member(J @ d, tol=1e-6):
             dirs.append(d)
     tries = 0
@@ -449,7 +448,7 @@ def abadie_check(c: Composite, samples=10, tol=1e-2, seed=0, t_grid=None,
         if not rep.passed:
             inconclusive = True
     # the one-sided inclusion T_Omega subset linearized cone, on sampled tangents
-    for d in sampled_tangent_directions(c, count=6, seed=seed + 1):
+    for d in sampled:
         y_dir = J @ d
         if not c.tangent_member(y_dir, tol=1e-5):
             proj_gap = c.dist_dom(c.ybar + 1e-6 * y_dir) / 1e-6
@@ -473,8 +472,10 @@ def msqc_estimate(c: Composite, radius=0.5, samples=30, seed=0) -> CQReport:
     oracle = feasible_set_oracle(c)
 
     def ratio(z):
-        denom = c.dist_dom(c.f.eval(z))
-        return oracle.dist(z) / denom if denom > FEASIBLE_SAMPLE else None
+        y = c.f.eval(z)  # not finite: z is outside dom f and has no ratio
+        denom = c.dist_dom(y) if np.all(np.isfinite(y)) else 0.0
+        # a violation above FEASIBLE_SAMPLE already makes z infeasible
+        return float(np.linalg.norm(z - oracle.project(z))) / denom if denom > FEASIBLE_SAMPLE else None
 
     return ratio_stability_estimate("MSQC", ratio, c.xbar, radius, samples, seed)
 

@@ -61,9 +61,7 @@ class InconclusiveError(VarcertError):
 
 
 class NumericalBreakdownError(VarcertError):
-    def __init__(self, pivot):
-        self.pivot = pivot
-        super().__init__(f"pivot magnitude {pivot:.3e} below breakdown threshold")
+    """A tiny pivot, or a non-finite input, leaves no meaningful result."""
 
 
 class NoMultiplierError(VarcertError):

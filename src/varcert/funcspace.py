@@ -23,7 +23,6 @@ from . import geometry as geo
 from .errors import (
     DimensionMismatchError,
     InconclusiveError,
-    NonConvergenceError,
     NonconvexUnsupportedError,
     NotInDomainError,
 )
@@ -55,8 +54,9 @@ class FnObject:
     n: int
 
     # Functions whose values carry absolute tolerances (polyhedron membership,
-    # Dykstra projections) cannot be sampled at arbitrarily small t: the
-    # tolerance divided by t swamps the quotient.  Such objects floor the grid.
+    # projections exact only to the NNLS tolerance) cannot be sampled at
+    # arbitrarily small t: the tolerance divided by t swamps the quotient.
+    # Such objects floor the grid.
     t_floor = 0.0
 
     def value(self, x) -> float:
@@ -265,11 +265,7 @@ class PLQFunction(FnObject):
             P = nonempty[rng.integers(0, len(nonempty))]
             base = centers[rng.integers(0, len(centers))] if centers else np.zeros(self.n)
             z = base + rng.normal(size=self.n)
-            try:
-                w, _ = project(P, z)
-            except NonConvergenceError:
-                continue
-            pts.append(w)
+            pts.append(project(P, z)[0])
         return pts
 
 
@@ -673,10 +669,7 @@ def _level_quotients(fn, x, u, rng):
         if dom is not None:
             base = x + t * u
             for P in dom:
-                try:
-                    w, d = project(P, base)
-                except NonConvergenceError:
-                    continue  # optional candidate; the nominal direction still governs
+                w, d = project(P, base)
                 if d > 0.0:
                     cands.append((w - x) / t)
         if candidate_fn is not None:
@@ -921,10 +914,7 @@ def rel_lipschitz_estimate(fn: FnObject, x, radius, samples=60, seed=0) -> float
                 vals.append(v)
         else:
             P = dom[rng.integers(0, len(dom))]
-            try:
-                w, _ = project(P, z)
-            except NonConvergenceError:
-                continue
+            w, _ = project(P, z)
             if float(np.linalg.norm(w - x)) <= radius + 1e-12:
                 v = fn.value(w)
                 if math.isfinite(v):

@@ -23,16 +23,14 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptySetError,
-    NonConvergenceError,
     NotMemberError,
+    NumericalBreakdownError,
     VarcertError,
 )
-from .solvers import INFEASIBLE, OPTIMAL, LPProblem, conic_fit, lp_solve
+from .solvers import INFEASIBLE, OPTIMAL, LPProblem, conic_fit, least_distance, lp_solve
 
 TOL_FEAS = 1e-8
 TOL_ACTIVE = 1e-6
-DYKSTRA_MAX_ITER = 10000
-DYKSTRA_MOVE_TOL = 1e-10
 PENALTY_MUS = (1e2, 1e4, 1e6)  # SampledSetOracle.project's graduated penalties
 PENALTY_STEPS = 60  # descent steps per penalty
 
@@ -139,7 +137,10 @@ class Polyhedron:
 
     # ---- predicates ----------------------------------------------------
     def residual(self, x):
+        """Worst constraint violation at x; inf at a non-finite x."""
         x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            return np.inf
         r = 0.0
         if self.A_ineq.shape[0]:
             r = max(r, float(np.max(self.A_ineq @ x - self.b_ineq)))
@@ -434,52 +435,39 @@ def normal_cone(P: Polyhedron, x) -> PolyhedralCone:
 # ---------------------------------------------------------------------------
 # projections
 
-def _dykstra(rows, z):
-    """Dykstra's alternating projections onto halfspaces/hyperplanes."""
-    x = np.asarray(z, dtype=float).copy()
-    if not rows:
-        return x, 0
-    corrections = [np.zeros_like(x) for _ in rows]
-    for it in range(DYKSTRA_MAX_ITER):
-        x_prev = x.copy()
-        for i, (a, b, is_eq, aa) in enumerate(rows):
-            y = x + corrections[i]
-            viol = float(a @ y - b)
-            if is_eq or viol > 0.0:
-                x = y - a * (viol / aa)
-            else:
-                x = y
-            corrections[i] = y - x
-        if float(np.max(np.abs(x - x_prev))) < DYKSTRA_MOVE_TOL:
-            return x, it + 1
-    raise NonConvergenceError(DYKSTRA_MAX_ITER, "Dykstra projection")
+def _finite_point(z):
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise NumericalBreakdownError("cannot project a point with a non-finite coordinate")
+    return z
 
 
-def _rows_of(P: Polyhedron):
-    rows = []
-    for a, b in zip(P.A_ineq, P.b_ineq):
-        aa = float(a @ a)
-        if aa > 0.0:
-            rows.append((a, float(b), False, aa))
-    for a, b in zip(P.A_eq, P.b_eq):
-        aa = float(a @ a)
-        if aa > 0.0:
-            rows.append((a, float(b), True, aa))
-    return rows
+def _nearest(A, b, C, d, z):
+    """Nearest point to z of the nonempty {y : A y <= b, C y = d}.
+
+    y0 is the nearest point of {C y = d} and N an orthonormal basis of
+    null(C); then y = y0 + N w with w the least-norm solution of
+    (A N) w <= b - A y0, a least-distance program solved exactly."""
+    if not C.shape[0]:
+        return z + least_distance(A, b - A @ z)
+    y0 = z - np.linalg.lstsq(C, C @ z - d, rcond=None)[0]
+    N = nullspace(C)
+    return y0 + N @ least_distance(A @ N, b - A @ y0)
 
 
 def project(P: Polyhedron, z):
-    """Euclidean projection onto P and the distance, by Dykstra's iteration.
+    """Euclidean projection onto P and the distance, exact by Lawson and
+    Hanson's least-distance program.
 
     The shortcut requires exact membership: rounding tol-level distances
     to zero would hide sub-tolerance infeasibility from polishing loops.
     """
-    z = np.asarray(z, dtype=float)
+    z = _finite_point(z)
     if P.residual(z) <= 0.0:
         return z.copy(), 0.0
     if P.is_empty():
         raise EmptySetError("cannot project onto an empty polyhedron")
-    x, _ = _dykstra(_rows_of(P), z)
+    x = _nearest(P.A_ineq, P.b_ineq, P.A_eq, P.b_eq, z)
     return x, float(np.linalg.norm(z - x))
 
 
@@ -490,22 +478,10 @@ def dist(P: Polyhedron, z) -> float:
 def project_cone(K: PolyhedralCone, z):
     """Euclidean projection onto a polyhedral cone via its halfspace form."""
     G, H = K.ensure_halfspace()
-    rows = []
-    for a in G:
-        aa = float(a @ a)
-        if aa > 0.0:
-            rows.append((a, 0.0, False, aa))
-    for a in H:
-        aa = float(a @ a)
-        if aa > 0.0:
-            rows.append((a, 0.0, True, aa))
-    z = np.asarray(z, dtype=float)
-    sat = all(float(a @ z) <= 1e-14 for a, _, is_eq, _ in rows if not is_eq) and all(
-        abs(float(a @ z)) <= 1e-14 for a, _, is_eq, _ in rows if is_eq
-    )
-    if sat:
+    z = _finite_point(z)
+    if np.all(G @ z <= 1e-14) and np.all(np.abs(H @ z) <= 1e-14):
         return z.copy(), 0.0
-    x, _ = _dykstra(rows, z)
+    x = _nearest(G, np.zeros(len(G)), H, np.zeros(len(H)), z)
     return x, float(np.linalg.norm(z - x))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -92,8 +93,11 @@ class FeasibilityReport:
 
 def feasibility(p: SDProblem, x) -> FeasibilityReport:
     """sigma^+(Phi(x)) from the eigensolver plus the max-entry norm of Psi(x)."""
-    A = p.phi_value(np.asarray(x, dtype=float))
-    w, _ = eigh(A)
+    return _feasibility(p, x, eigh(p.phi_value(np.asarray(x, dtype=float)))[0])
+
+
+def _feasibility(p: SDProblem, x, w):
+    """The report for the eigenvalues w of Phi(x), in descending order."""
     sigma_plus = max(0.0, float(w[0]))
     psi_max = 0.0
     B = p.psi_value(np.asarray(x, dtype=float))
@@ -103,27 +107,33 @@ def feasibility(p: SDProblem, x) -> FeasibilityReport:
                              feasible=sigma_plus <= TOL_FEAS and psi_max <= TOL_FEAS)
 
 
+def _entry_grads(M, x):
+    """(i, j) -> expr.grad of M[i][j] at x, each computed on first use."""
+    x = np.asarray(x, dtype=float)
+    return cache(lambda i, j: expr_mod.grad(M[i][j], x))
+
+
 def grad_quadform(p: SDProblem, x, s) -> np.ndarray:
     """j-th component <s, (dPhi/dx_j)(x) s>, via entrywise expression gradients."""
+    return _quadform(p, _entry_grads(p.Phi, x), s)
+
+
+def _quadform(p: SDProblem, phi_grads, s):
     s = np.asarray(s, dtype=float)
     if abs(float(np.linalg.norm(s)) - 1.0) > 1e-10:
         raise NotUnitError(f"atom has norm {np.linalg.norm(s):.12f}")
-    x = np.asarray(x, dtype=float)
-    m = p.m
     out = np.zeros(p.n)
-    for i in range(m):
-        for j in range(i, m):
+    for i in range(p.m):
+        for j in range(i, p.m):
             weight = s[i] * s[j] * (1.0 if i == j else 2.0)
             if weight != 0.0:
-                out += weight * expr_mod.grad(p.Phi[i][j], x)
+                out += weight * phi_grads(i, j)
     return out
 
 
-def _kernel_atoms(p: SDProblem, xbar, seed):
-    A = p.phi_value(xbar)
-    w, V = eigh(A)
+def _kernel_atoms(w, V, seed):
     tol_ker = 1e-7 * (1.0 + float(np.max(np.abs(w))) if len(w) else 1.0)
-    kernel = [V[:, i] for i in range(p.m) if abs(w[i]) <= tol_ker]
+    kernel = [V[:, i] for i in range(len(w)) if abs(w[i]) <= tol_ker]
     atoms = [v / np.linalg.norm(v) for v in kernel]
     kdim = len(kernel)
     if kdim >= 2:
@@ -141,13 +151,16 @@ def _kernel_atoms(p: SDProblem, xbar, seed):
 def certify(p: SDProblem, xbar, kappa, seed=42) -> Certificate:
     """Eigenvector-atom multiplier certificate with the 2*kappa bound."""
     xbar = np.asarray(xbar, dtype=float)
-    rep = feasibility(p, xbar)
+    Abar = p.phi_value(xbar)
+    w, V = eigh(Abar)
+    rep = _feasibility(p, xbar, w)
     if not rep.feasible:
         raise InfeasiblePointError(
             f"sigma+ {rep.sigma_plus:.3e}, |Psi|max {rep.psi_max:.3e}")
     g0 = p.grad_objective(xbar)
-    atoms, tol_ker = _kernel_atoms(p, xbar, seed)
-    lam_cols = [grad_quadform(p, xbar, s) for s in atoms]
+    atoms, tol_ker = _kernel_atoms(w, V, seed)
+    phi_grads, psi_grads = _entry_grads(p.Phi, xbar), _entry_grads(p.Psi, xbar)
+    lam_cols = [_quadform(p, phi_grads, s) for s in atoms]
 
     psi_entries = []
     psi_cols = []
@@ -156,7 +169,7 @@ def certify(p: SDProblem, xbar, kappa, seed=42) -> Certificate:
         mP = len(p.Psi)
         for i in range(mP):
             for j in range(i, mP):
-                g = expr_mod.grad(p.Psi[i][j], xbar)
+                g = psi_grads(i, j)
                 factor = 1.0 if i == j else 2.0
                 psi_entries.append((i, j))
                 psi_cols.append(factor * g)
@@ -170,8 +183,7 @@ def certify(p: SDProblem, xbar, kappa, seed=42) -> Certificate:
         lam_atoms, mu = found
     elif float(np.linalg.norm(g0)) > TOL_STAT:
         raise NoMultiplierError("no kernel atoms and nonzero objective gradient")
-    residual, total = stationarity_residual(p, xbar, g0, lam_atoms, mu.items())
-    Abar = p.phi_value(xbar)
+    residual, total = _residual(p, phi_grads, psi_grads, g0, lam_atoms, mu.items())
     comp_worst = max([0.0] + [abs(float(s @ Abar @ s)) * wgt for s, wgt in lam_atoms])
     bound_rhs = 2.0 * kappa * float(np.linalg.norm(g0))
     notes = [f"kernel tolerance {tol_ker:.2e}",
@@ -192,14 +204,18 @@ def stationarity_residual(p: SDProblem, x, g0, atoms, psi_atoms):
     """(||g0 + sum lambda grad<s,Phi s> + sum c_ij mu_ij grad Psi_ij||,
     sum lambda + sum c_ij |mu_ij|) for atoms [(s, lambda)] and psi_atoms
     [((i, j), mu_ij)], where c_ij is 2 off the diagonal (Psi is symmetric)."""
+    return _residual(p, _entry_grads(p.Phi, x), _entry_grads(p.Psi, x), g0, atoms, psi_atoms)
+
+
+def _residual(p: SDProblem, phi_grads, psi_grads, g0, atoms, psi_atoms):
     resid = g0.copy()
     total = 0.0
     for s, wgt in atoms:
-        resid = resid + wgt * grad_quadform(p, x, s)
+        resid = resid + wgt * _quadform(p, phi_grads, s)
         total += wgt
     for (i, j), mij in psi_atoms:
         factor = 1.0 if i == j else 2.0
-        resid = resid + factor * mij * expr_mod.grad(p.Psi[i][j], x)
+        resid = resid + factor * mij * psi_grads(i, j)
         total += factor * abs(mij)
     return float(np.linalg.norm(resid)), total
 

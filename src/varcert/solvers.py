@@ -188,7 +188,8 @@ def _simplex_loop(T, basis, allowed, obj_row, max_iter=20000, refactor=None):
             if refactor is not None:
                 refactor()
             if abs(T[row, col]) < _BREAKDOWN_TOL:
-                raise NumericalBreakdownError(abs(T[row, col]))
+                raise NumericalBreakdownError(
+                    f"pivot magnitude {abs(T[row, col]):.3e} below breakdown threshold")
         _pivot(T, basis, row, col)
 
 
@@ -458,6 +459,19 @@ def nnls(E, f):
             passive &= w > tol
             w[~passive] = 0.0
     return w
+
+
+def least_distance(G, h):
+    """The point w of least norm with G w <= h, for a nonempty system
+    (Lawson & Hanson, 1974, ch. 23): w = -r[:-1] / r[-1] for the residual
+    r = (G^T u, h^T u + 1) of the NNLS solution u of min ||[G^T; h^T] u + e_last||.
+    r[-1] = 1 / (1 + ||w||^2) cancels when w is long, so h is first scaled
+    down until no row is violated at 0 by more than distance 1."""
+    norms = np.linalg.norm(G, axis=1)
+    s = max(1.0, float(np.max(-h[norms > 0] / norms[norms > 0], initial=0.0)))
+    u = nnls(np.vstack([G.T, h / s]), np.append(np.zeros(G.shape[1]), -1.0))
+    r = G.T @ u
+    return -s * r / (h @ u / s + 1.0)
 
 
 def min_norm_point(P):

@@ -13,7 +13,6 @@ import pytest
 from varcert import calculus, certify, cli, sdp as sdp_mod, sip as sip_mod
 from varcert.calculus import Composite, abadie_check, msqc_estimate, robustness_check
 from varcert.certify import ConstrainedProblem, dual_certificate, primal_check
-from varcert.errors import NonConvergenceError
 from varcert.expr import SmoothMap
 from varcert.funcspace import (
     DistanceFn,
@@ -156,29 +155,26 @@ def test_criterion_2_distance_function_formulas():
     worst = 0.0
     while done < 30:
         n = int(rng.integers(2, 5))
-        try:
-            P, x = random_polyhedron_with_vertex(rng, n, int(rng.integers(2, 6)))
-            fn = DistanceFn(P)
-            T = tangent_cone(P, x)
-            N = normal_cone(P, x)
-            for d in range(5):
-                u = rng.standard_normal(n)
-                u /= np.linalg.norm(u)
-                analytic = dist_to_cone(T, u)
-                sampled = subderivative_sampled(fn, x, u, seed=d).value
-                err = abs(sampled - analytic)
-                worst = max(worst, err)
-                assert err <= 1e-4, f"distance subderivative mismatch {err:.2e}"
-            ball = SubdifferentialSet.cone_cap_ball(N, 1.0)
-            elements = ball.sample(10, seed=done)
-            for k in range(50):
-                u = rng.standard_normal(n)
-                u /= np.linalg.norm(u)
-                dphi = dist_to_cone(T, u)
-                for v in elements:
-                    assert float(v @ u) <= dphi + 1e-6, "subgradient inequality violated"
-        except NonConvergenceError:
-            continue  # thin random wedge: projection budget exhausted, resample
+        P, x = random_polyhedron_with_vertex(rng, n, int(rng.integers(2, 6)))
+        fn = DistanceFn(P)
+        T = tangent_cone(P, x)
+        N = normal_cone(P, x)
+        for d in range(5):
+            u = rng.standard_normal(n)
+            u /= np.linalg.norm(u)
+            analytic = dist_to_cone(T, u)
+            sampled = subderivative_sampled(fn, x, u, seed=d).value
+            err = abs(sampled - analytic)
+            worst = max(worst, err)
+            assert err <= 1e-4, f"distance subderivative mismatch {err:.2e}"
+        ball = SubdifferentialSet.cone_cap_ball(N, 1.0)
+        elements = ball.sample(10, seed=done)
+        for k in range(50):
+            u = rng.standard_normal(n)
+            u /= np.linalg.norm(u)
+            dphi = dist_to_cone(T, u)
+            for v in elements:
+                assert float(v @ u) <= dphi + 1e-6, "subgradient inequality violated"
         done += 1
     elapsed = time.monotonic() - t0
     report(2, elapsed <= 30.0,

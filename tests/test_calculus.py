@@ -164,6 +164,24 @@ def test_msqc_estimate_identity():
     assert rep.kappa_hat == pytest.approx(1.0, abs=0.1)
 
 
+def test_msqc_estimate_projects_no_image_twice_in_a_row(monkeypatch):
+    """The ratio's dist(f(z); Theta) and the first Gauss-Newton restoration
+    step from z project the same image; it is projected once."""
+    images = []
+    project = calc.project
+
+    def recording(P, y):
+        images.append(np.asarray(y, dtype=float).tobytes())
+        return project(P, y)
+
+    monkeypatch.setattr(calc, "project", recording)
+    ind = IndicatorFn(Polyhedron([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]))
+    f = SmoothMap.from_strings(["x1 + x2^2", "x2 - x1^2"], ["x1", "x2"])
+    msqc_estimate(Composite(ind, f, [0.0, 0.0]), radius=0.5, samples=10)
+    assert images
+    assert all(a != b for a, b in zip(images, images[1:]))
+
+
 def test_msqc_estimate_square_diverges():
     ind = IndicatorFn(Polyhedron.singleton([0.0]))
     f = SmoothMap.from_strings(["x1^2"], ["x1"])

@@ -241,6 +241,55 @@ def test_kkt_with_estimated_kappa(tmp_path):
     assert cli.run(["recheck", "-p", prob, "-c", out]) == 0
 
 
+def thin_wedge_doc():
+    """Theta = {y1 <= 0, -y1 + 0.01*y2 <= 0}, a wedge whose rows are nearly
+    parallel; an alternating-projection scheme stalls on it."""
+    return {
+        "kind": "nlp",
+        "n": 2,
+        "objective": "-0.01*x2",
+        "constraints": {
+            "f": ["x1", "x2"],
+            "Theta": {"A_ineq": [[1, 0], [-1, 0.01]], "b_ineq": [0, 0]},
+        },
+    }
+
+
+def test_thin_wedge_estimated_kappa_and_cq(tmp_path):
+    prob = write_problem(tmp_path, thin_wedge_doc())
+    out = str(tmp_path / "cert.json")
+    assert cli.run(["kkt", "-p", prob, "--point", "0,0", "--out", out]) == 0
+    cert = json.loads(open(out).read())
+    assert cert["status"] == "VERIFIED"
+    assert cert["bound"]["kappa_source"].startswith("estimated")
+    assert cli.run(["recheck", "-p", prob, "-c", out]) == 0
+    assert cli.run(["cq", "-p", prob, "--point", "0,0", "--which", "all"]) == 0
+
+
+def test_point_outside_a_component_domain_is_infeasible(tmp_path, capsys):
+    """f1 = log(x1) is NaN at x1 = -1; the image is not in Theta, so kkt
+    reports an infeasible point (exit 1) instead of a domain error."""
+    doc = {"kind": "nlp", "n": 2, "objective": "x1",
+           "constraints": {"f": ["log(x1)", "x2"],
+                           "Theta": {"A_ineq": [[0, 1]], "b_ineq": [0]}}}
+    prob = write_problem(tmp_path, doc)
+    assert cli.run(["kkt", "-p", prob, "--point", "-1,0", "--kappa", "1"]) == 1
+    assert capsys.readouterr().err.startswith("infeasible point")
+
+
+def test_estimated_kappa_skips_samples_outside_a_component_domain(tmp_path):
+    """f1 = log(x1) at x1 = 0.3: the radius-0.5 ratio samples reach x1 <= 0,
+    where f is undefined; they are skipped, not projected."""
+    doc = {"kind": "nlp", "n": 2, "objective": "-x2",
+           "constraints": {"f": ["log(x1)", "x2"],
+                           "Theta": {"A_ineq": [[1, 0], [0, 1]], "b_ineq": [0, 0]}}}
+    prob = write_problem(tmp_path, doc)
+    out = str(tmp_path / "cert.json")
+    assert cli.run(["kkt", "-p", prob, "--point", "0.3,0", "--out", out]) == 0
+    assert json.loads(open(out).read())["bound"]["kappa"] == pytest.approx(1.0)
+    assert cli.run(["recheck", "-p", prob, "-c", out]) == 0
+
+
 def equality_box_doc(T):
     """The sip fixture with theta = x2 - s1 and psi = t1*...*tk*x1 over T."""
     psi = "*".join(f"t{i + 1}" for i in range(len(T))) + "*x1"

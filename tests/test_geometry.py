@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from varcert import geometry as geo
-from varcert.errors import EmptySetError, NotMemberError
+from varcert.errors import EmptySetError, NotMemberError, NumericalBreakdownError
 from varcert.geometry import (
     Polyhedron,
     PolyhedralCone,
@@ -10,8 +10,10 @@ from varcert.geometry import (
     derivability_check,
     normal_cone,
     project,
+    project_cone,
     tangent_cone,
 )
+from varcert.solvers import nnls
 
 
 def wedge():
@@ -176,6 +178,52 @@ def test_project_wedge_against_grid_oracle():
     assert d == pytest.approx(best, abs=1e-3)
     assert d == pytest.approx(1.0, abs=1e-8)
     assert np.allclose(proj, [0.0, 0.0], atol=1e-8)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3])
+def test_project_onto_a_thin_wedge_is_exact(eps, scale):
+    """{y1 <= 0, -y1 + eps*y2 <= 0} nearly folds onto the ray y1 = 0, y2 <= 0;
+    the nearest point to z = scale * (0.3, 1) is the apex, at distance ||z||."""
+    P = Polyhedron([[1.0, 0.0], [-1.0, eps]], [0.0, 0.0])
+    z = scale * np.array([0.3, 1.0])
+    proj, d = project(P, z)
+    assert abs(d - np.linalg.norm(z)) <= 1e-12 * scale
+    assert P.residual(proj) <= 1e-12 * (1.0 + np.linalg.norm(z))
+
+
+def test_project_rejects_a_non_finite_point():
+    P = Polyhedron([[0.0, 1.0]], [0.0])
+    assert P.residual([np.inf, -1.0]) == np.inf
+    assert not P.contains([np.inf, -1.0])
+    with pytest.raises(NumericalBreakdownError):
+        project(P, [np.inf, 1.0])
+    with pytest.raises(NumericalBreakdownError):
+        project_cone(PolyhedralCone.whole_space(2), [np.nan, 1.0])
+
+
+def test_project_satisfies_kkt_on_nearly_parallel_rows():
+    """Feasible projection, and z - y is a nonnegative combination of the rows
+    active at y plus any combination of the equality rows."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        base = rng.standard_normal(n)
+        rows = [base + 1e-3 * rng.standard_normal(n) for _ in range(int(rng.integers(2, 5)))]
+        rows += list(rng.standard_normal((int(rng.integers(0, 3)), n)))
+        A = np.array(rows)
+        C = rng.standard_normal((int(rng.integers(0, n - 1)), n))
+        x0 = rng.standard_normal(n)
+        P = Polyhedron(A, A @ x0 + rng.uniform(0.0, 0.1, len(A)), C, C @ x0, n=n)
+        z = x0 + 3.0 * rng.standard_normal(n)
+        y, d = project(P, z)
+        scale = 1.0 + np.linalg.norm(z)
+        assert P.residual(y) <= 1e-12 * scale
+        assert d == pytest.approx(np.linalg.norm(z - y), abs=1e-15)
+        active = A[A @ y - P.b_ineq >= -1e-9 * scale]
+        E = np.vstack([active, C, -C]).T
+        w = nnls(E, z - y)
+        assert np.linalg.norm(E @ w - (z - y)) <= 1e-9 * scale
 
 
 def test_project_variational_inequality_and_lipschitz():
