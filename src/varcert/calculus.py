@@ -160,8 +160,16 @@ def feasible_set_oracle(c: Composite) -> SampledSetOracle:
     distance estimates are backed by genuinely feasible points.
     """
 
+    def image(x):
+        """f(x), or None when x is outside dom f (its image is not finite)."""
+        y = c.f.eval(x)
+        return y if np.isfinite(y).all() else None
+
     def violation(x):
-        return c.dist_dom(c.f.eval(x))
+        # the one rule for points outside dom f: there is no image to measure
+        # or project, so they are infinitely infeasible, and samplers skip them
+        y = image(x)
+        return INF if y is None else c.dist_dom(y)
 
     if c.domain_oracle is not None:
         return SampledSetOracle(violation)
@@ -176,8 +184,9 @@ def feasible_set_oracle(c: Composite) -> SampledSetOracle:
     base = SampledSetOracle(violation, grad_sq=grad_sq)
 
     def gn_restore(x, iters=60):
-        for _ in range(iters):
-            y = c.f.eval(x)
+        """Gauss-Newton steps; stops before a step whose image is not finite."""
+        y = image(x)
+        for _ in range(iters if y is not None else 0):
             w, d = c.project_dom(y)
             if d <= 1e-12:
                 break
@@ -186,7 +195,11 @@ def feasible_set_oracle(c: Composite) -> SampledSetOracle:
             nd = float(np.linalg.norm(delta))
             if nd < 1e-15 or nd > 1e3:
                 break
-            x = x + delta
+            x_next = x + delta
+            y = image(x_next)
+            if y is None:
+                break
+            x = x_next
         return x
 
     def project_fn(z):
@@ -195,9 +208,10 @@ def feasible_set_oracle(c: Composite) -> SampledSetOracle:
         # feasible point; the graduated penalty descent is the fallback when
         # it stalls (rank-deficient Jacobian and the like).  Distance
         # estimates stay upper bounds either way, which the ratio tests
-        # tolerate.
+        # tolerate.  A z outside dom f comes back as is, infinitely violating.
         x = gn_restore(z.copy())
-        if violation(x) <= geo.TOL_FEAS:
+        v = violation(x)
+        if v <= geo.TOL_FEAS or v == INF:
             return x
         x = SampledSetOracle.project(base, z)
         return gn_restore(x)
@@ -440,8 +454,10 @@ def abadie_check(c: Composite, samples=10, tol=1e-2, seed=0, t_grid=None,
         t_grid = [1e-1 * 0.5 ** j for j in range(8)]
     witness = None
     inconclusive = False
+    skipped = 0
     for u in dirs:
         rep = geo.derivability_check(oracle, c.xbar, u, t_grid=t_grid, tol_deriv=tol)
+        skipped += rep.skipped
         if rep.max_tail_ratio > 10 * tol:
             witness = np.asarray(u)
             break
@@ -454,6 +470,8 @@ def abadie_check(c: Composite, samples=10, tol=1e-2, seed=0, t_grid=None,
             proj_gap = c.dist_dom(c.ybar + 1e-6 * y_dir) / 1e-6
             if proj_gap > 1e-4:
                 notes.append(f"one-sided inclusion violated numerically by {proj_gap:.2e}")
+    if skipped:
+        notes.append(f"{skipped} derivability samples outside dom f skipped")
     if witness is not None:
         return CQReport("Abadie", REFUTED, witness=witness, samples=len(dirs),
                         confidence="exact-witness", notes=notes)
@@ -472,10 +490,12 @@ def msqc_estimate(c: Composite, radius=0.5, samples=30, seed=0) -> CQReport:
     oracle = feasible_set_oracle(c)
 
     def ratio(z):
-        y = c.f.eval(z)  # not finite: z is outside dom f and has no ratio
-        denom = c.dist_dom(y) if np.all(np.isfinite(y)) else 0.0
-        # a violation above FEASIBLE_SAMPLE already makes z infeasible
-        return float(np.linalg.norm(z - oracle.project(z))) / denom if denom > FEASIBLE_SAMPLE else None
+        # a violation above FEASIBLE_SAMPLE already makes z infeasible; an
+        # infinite one puts z outside dom f, where there is no ratio
+        denom = oracle.violation(z)
+        if not FEASIBLE_SAMPLE < denom < INF:
+            return None
+        return float(np.linalg.norm(z - oracle.project(z))) / denom
 
     return ratio_stability_estimate("MSQC", ratio, c.xbar, radius, samples, seed)
 
@@ -672,7 +692,7 @@ def robustness_check(c: Composite, kappa=None, sequences=5, levels=16, seed=0,
     gens_bar = Theta.A_ineq[Theta.active_rows(c.ybar, tol_active=1e-5)]
     lines_bar = Theta.A_eq
     max_violation = 0.0
-    done = 0
+    done = skipped = 0
     for _ in range(sequences * 3):
         if done >= sequences:
             break
@@ -688,6 +708,9 @@ def robustness_check(c: Composite, kappa=None, sequences=5, levels=16, seed=0,
         for k in range(levels):
             r = r0 * 2.0 ** (-k)
             xk = oracle.project(c.xbar + r * d)
+            if oracle.violation(xk) == INF:
+                skipped += 1
+                continue
             yk = c.f.eval(xk)
             act = Theta.active_rows(yk, tol_active=1e-6)
             lam = np.zeros(c.m)
@@ -705,10 +728,11 @@ def robustness_check(c: Composite, kappa=None, sequences=5, levels=16, seed=0,
         viol = _cone_membership_violation(vbar, Jbar, gens_bar, lines_bar)
         max_violation = max(max_violation, viol)
         done += 1
+    notes = [f"{skipped} samples outside dom f skipped"] if skipped else []
     if done == 0:
-        return RobustnessReport(NOT_APPLICABLE, notes=["no boundary sequences found"])
+        return RobustnessReport(NOT_APPLICABLE, notes=["no boundary sequences found"] + notes)
     return RobustnessReport(VERIFIED if max_violation <= 1e-5 else REFUTED,
-                            max_violation=max_violation, sequences=done)
+                            max_violation=max_violation, sequences=done, notes=notes)
 
 
 def _cone_membership_violation(v, J, gens, lines):
@@ -765,11 +789,15 @@ def prox_regularity_check(c: Composite, radius=0.3, samples=40, seed=0, kappa=No
     oracle = feasible_set_oracle(c)
     rng = np.random.default_rng(seed)
     pts = []
+    skipped = 0
     for _ in range(samples):
         z = c.xbar + radius * rng.standard_normal(c.n)
         w = oracle.project(z)
-        if oracle.violation(w) <= geo.TOL_FEAS * 10:
+        v = oracle.violation(w)
+        skipped += v == INF
+        if v <= geo.TOL_FEAS * 10:
             pts.append(_refine_onto_facets(c, Theta, w))
+    notes = [f"{skipped} samples outside dom f skipped"] if skipped else []
     ratios = []
     for x in pts:
         y = c.f.eval(x)
@@ -795,14 +823,14 @@ def prox_regularity_check(c: Composite, radius=0.3, samples=40, seed=0, kappa=No
                 if den > 1e-4:
                     ratios.append(max(0.0, float(v @ (u - x)) / den))
     if not ratios:
-        return ProxRegularityReport(NOT_APPLICABLE, notes=["no boundary normals sampled"])
+        return ProxRegularityReport(NOT_APPLICABLE, notes=["no boundary normals sampled"] + notes)
     r_half = max(ratios[: len(ratios) // 2]) if len(ratios) >= 2 else max(ratios)
     r_hat = max(ratios)
     stable = r_hat <= max(2.0 * r_half, r_half + 0.1)
     beta = _max_hessian_norm(c, fd_step)
     r_theory = kappa * beta
     return ProxRegularityReport(VERIFIED if stable else INCONCLUSIVE, r_hat=r_hat,
-                                r_hat_half=r_half, r_theory=r_theory, passed=stable)
+                                r_hat_half=r_half, r_theory=r_theory, passed=stable, notes=notes)
 
 
 def _refine_onto_facets(c: Composite, Theta: Polyhedron, x, band=1e-4):

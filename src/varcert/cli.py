@@ -14,6 +14,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -618,10 +619,16 @@ def _attach_coordinates(argv):
     return out
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use and reused: building it costs far more
+    than parsing one command line."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(_attach_coordinates(sys.argv[1:] if argv is None else argv))
+        args = _parser().parse_args(_attach_coordinates(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:

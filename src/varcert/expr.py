@@ -11,10 +11,28 @@ Functions: sin, cos, exp, log, sqrt, abs, max(.,.), min(.,.).
 
 Evaluation is IEEE-style: log/sqrt outside their domains (and division by
 zero, invalid powers) produce a +inf sentinel together with a
-domain-violation flag instead of raising.  Derivatives are propagated by
-dual numbers, one directional pass per coordinate.  At an abs/max/min kink
-a ``KinkWarning`` is emitted and the first-branch derivative is used
-(abs: the identity branch; max/min: the first argument).
+domain-violation flag instead of raising.  At an abs/max/min kink a
+``KinkWarning`` is emitted and the first-branch derivative is used (abs: the
+identity branch; max/min: the first argument).  A derivative outside the
+domain, or one that overflows or underflows to a zero divisor, raises
+``NotInDomainError``.
+
+Derivatives are exact forward mode, in two tiers that give the same bits
+(a NaN's sign aside, which CPython's float arithmetic does not keep fixed),
+errors and warnings:
+
+- Cold: ``Dual`` numbers through the compiled closure of each expression,
+  one directional pass per coordinate.
+- Hot: from the ``HOT_AFTER``-th call (8) of the same map or expression on,
+  ``SmoothMap.jacobian``, ``SmoothMap.eval`` and ``grad`` run one
+  straight-line function generated for it (``_hot_code``), which performs
+  per tangent the float operations of ``Dual`` in their order.  Generating
+  it costs about 10-20 Dual Jacobians, which is why one-shot callers (one
+  certificate, one recheck) stay cold.
+
+Two things always stay on ``Dual``: ``directional``, whose width-1 pass
+straight-line code does not speed up, and an expression whose exponent
+contains a variable, since Dual's power rule branches per tangent there.
 
 The power operator is restricted: integer exponents >= 0 work for any
 base, otherwise the base must be positive.
@@ -22,6 +40,7 @@ base, otherwise the base must be positive.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import warnings
@@ -252,6 +271,23 @@ class _DomainViolation(Exception):
     pass
 
 
+# what a value, and what a derivative, raises outside the domain or the float range
+_VALUE_ERRORS = (_DomainViolation, OverflowError, ValueError)
+_ARITH_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
+
+
+_KINK_MESSAGES = {"abs": "abs at 0: using identity-branch derivative",
+                  "max": "max tie: using first-argument derivative",
+                  "min": "min tie: using first-argument derivative"}
+
+
+def _kink(message, replay=None):
+    """Warn of a kink; both tiers warn from here, so filters see one location."""
+    warnings.warn(KinkWarning(message))
+    if replay is not None:
+        replay.append(message)
+
+
 class Dual:
     """Scalar dual number: value plus one directional derivative."""
 
@@ -372,7 +408,7 @@ class _Shim:
         if ad is None:
             return val
         if av == 0.0:
-            warnings.warn(KinkWarning("abs at 0: using identity-branch derivative"))
+            _kink(_KINK_MESSAGES["abs"])
             return Dual(0.0, ad)
         return Dual(val, ad if av > 0 else -ad)
 
@@ -383,7 +419,7 @@ class _Shim:
         if ad is None and bd is None:
             return av if av >= bv else bv
         if av == bv:
-            warnings.warn(KinkWarning("max tie: using first-argument derivative"))
+            _kink(_KINK_MESSAGES["max"])
             return Dual(av, ad or 0.0)
         if av > bv:
             return Dual(av, ad or 0.0)
@@ -396,7 +432,7 @@ class _Shim:
         if ad is None and bd is None:
             return av if av <= bv else bv
         if av == bv:
-            warnings.warn(KinkWarning("min tie: using first-argument derivative"))
+            _kink(_KINK_MESSAGES["min"])
             return Dual(av, ad or 0.0)
         if av < bv:
             return Dual(av, ad or 0.0)
@@ -408,8 +444,8 @@ _SHIM = _Shim()
 
 
 def _codegen(e):
-    if isinstance(e, Num):
-        return repr(e.value)
+    if isinstance(e, Num):  # a literal such as 1e999 parses to inf
+        return repr(e.value) if math.isfinite(e.value) else "1e999"
     if isinstance(e, Var):
         return f"v[{e.index}]"
     if isinstance(e, Neg):
@@ -442,16 +478,18 @@ def _compiled(e):
     return entry
 
 
+def _children(e):
+    if isinstance(e, Neg):
+        return (e.arg,)
+    if isinstance(e, BinOp):
+        return (e.lhs, e.rhs)
+    return e.args if isinstance(e, Call) else ()
+
+
 def _max_var_index(e):
     if isinstance(e, Var):
         return e.index
-    if isinstance(e, Neg):
-        return _max_var_index(e.arg)
-    if isinstance(e, BinOp):
-        return max(_max_var_index(e.lhs), _max_var_index(e.rhs))
-    if isinstance(e, Call):
-        return max((_max_var_index(a) for a in e.args), default=-1)
-    return -1
+    return max(map(_max_var_index, _children(e)), default=-1)
 
 
 def _check_dim(e, x):
@@ -468,9 +506,7 @@ def evaluate_flagged(e: Expr, x):
         raise DimensionMismatchError(f"expression references variable index {maxidx}, point has length {len(x)}")
     try:
         val = fn(tuple(x), _SHIM)
-    except _DomainViolation:
-        return math.inf, True
-    except (OverflowError, ValueError):
+    except _VALUE_ERRORS:
         return math.inf, True
     if isinstance(val, float) and math.isnan(val):
         return math.inf, True
@@ -481,8 +517,266 @@ def evaluate(e: Expr, x) -> float:
     return evaluate_flagged(e, x)[0]
 
 
+# ---------------------------------------------------------------------------
+# hot tier: straight-line code, generated once an object is called often
+
+# SmoothMap.eval, SmoothMap.jacobian and grad run the hot code from the
+# HOT_AFTER-th call on the same map or expression.  Generating and compiling
+# costs about as much as 10-20 Dual Jacobians, so an object used a few times
+# (one certificate, one recheck) stays on the Dual tier.
+HOT_AFTER = 8
+
+# the comparison that picks the first branch, as in _Shim
+_KINK_TESTS = {"abs": ">=", "max": ">=", "min": "<="}
+_HOT_GLOBALS = {"__builtins__": {}, "_DV": _DomainViolation, "_sin": math.sin,
+                "_cos": math.cos, "_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt,
+                "_abs": builtins_abs, "_float": float, "_inf": math.inf, "_kink": _kink,
+                "_VALUE_ERRORS": _VALUE_ERRORS}
+
+
+class _StaysCold(Exception):
+    """The expression is left to the Dual tier (see _hot_code)."""
+
+
+def _tier(owner, attr, build):
+    """The hot code kept on ``owner`` under ``attr``, or None on the Dual tier.
+
+    Counts calls until HOT_AFTER, then calls ``build`` once and keeps its
+    result (a function, or None for code that stays on Dual) for good.
+    """
+    state = getattr(owner, attr, 1)
+    if type(state) is int:
+        if state < HOT_AFTER:
+            object.__setattr__(owner, attr, state + 1)
+            return None
+        state = build()
+        object.__setattr__(owner, attr, state)
+    return state
+
+
+def _fold(e, args):
+    """Value of a node over constant children, computed as the closure does."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Neg):
+        return -args[0]
+    if isinstance(e, BinOp):
+        a, b = args
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        return _SHIM.div(a, b) if e.op == "/" else _SHIM.pw(a, b)
+    return getattr(_SHIM, e.func)(*args)
+
+
+def _intern(e, n, ids, nodes):
+    """Id of ``e`` among the unique subtrees in ``nodes`` (evaluation order).
+
+    Keys are built bottom up from the children's ids; a kink node gets a key
+    of its own, since each occurrence warns.
+    """
+    kids = tuple(_intern(k, n, ids, nodes) for k in _children(e))
+    if isinstance(e, Var) and e.index >= n:
+        raise _StaysCold
+    tag = e.value if isinstance(e, Num) else getattr(e, "op", getattr(e, "func", None))
+    key = (type(e), repr(tag), getattr(e, "index", None), kids)
+    if tag in _KINK_TESTS:
+        key += (len(nodes),)
+    if key not in ids:
+        ids[key] = len(nodes)
+        nodes.append((e, kids))
+    return ids[key]
+
+
+def _hot_code(components, n, tangents):
+    """One straight-line function of v0..v{n-1} for all ``components``, or None.
+
+    - ``tangents=False``: called with the coordinates as ``evaluate`` passes
+      them, unconverted, it returns each component's value, with +inf where
+      ``evaluate`` returns its sentinel.
+    - ``tangents=True``: called with float coordinates, it returns per
+      component the n tangents for the unit seeds, that is the Jacobian rows.
+      Per tangent it performs the float operations of ``Dual`` and ``_Shim``
+      in their order, with the same domain raises and kink branches, and it
+      emits each KinkWarning once per seed, in the order of n Dual passes.
+
+    Each value is named once, and a tangent is inlined into its parent unless
+    its node is shared or the tangent can raise.  Repeated subtrees, keyed
+    bottom up by their children's ids, are emitted once; a kink node never is,
+    since each occurrence warns.  Constant subtrees are folded.  None (stay on
+    Dual) for an exponent that contains a variable, whose Dual branch is per
+    tangent; for a constant that always raises; and for a component that is
+    not declared over exactly n variables.
+    """
+    width = n if tangents else 0
+    env = dict(_HOT_GLOBALS)
+    body = []
+    temps = itertools.count()
+    kinks = []
+
+    def emit(stmt, indent=1):
+        body.append("    " * indent + stmt)
+
+    def new(text=None):
+        name = f"t{next(temps)}"
+        if text is not None:
+            emit(f"{name} = {text}")
+        return name
+
+    def lit(v):
+        if not math.isfinite(v):
+            env[f"k{len(env)}"] = v
+            return f"k{len(env) - 1}"
+        return repr(v) if math.copysign(1.0, v) > 0 else f"({v!r})"
+
+    def or0(t):  # Dual's ``(ad or 0.0)``, with None for a constant operand
+        return "0.0" if t is None else t if t in ("0.0", "1.0") else f"({t} or 0.0)"
+
+    def emit_dag(roots):
+        """Emit the subtrees of ``roots``; returns their value and tangent texts."""
+        ids, nodes = {}, []
+        root_ids = [_intern(e, n, ids, nodes) for e in roots]
+        uses = [0] * len(nodes)
+        for i in itertools.chain(root_ids, *(kids for _, kids in nodes)):
+            uses[i] += 1
+        vals, tans, consts = [], [], []
+        for i, (e, kids) in enumerate(nodes):
+            val, tan, const = None, None, None
+            if isinstance(e, Var):
+                val, tan = f"v{e.index}", ["1.0" if j == e.index else "0.0" for j in range(width)]
+            elif all(consts[k] is not None for k in kids):
+                try:
+                    const = _fold(e, [consts[k] for k in kids])
+                except _VALUE_ERRORS:
+                    raise _StaysCold
+                val = lit(const)
+            else:
+                val, tan = emit_op(e, *[(vals[k], tans[k], consts[k]) for k in kids])
+                if uses[i] > 1:
+                    tan = [t if t.isidentifier() or t in ("0.0", "1.0") else new(t) for t in tan]
+            vals.append(val)
+            tans.append(tan)
+            consts.append(const)
+        return [(vals[i], tans[i]) for i in root_ids]
+
+    def emit_op(e, a, b=(None, None, None)):
+        (A, ta, _), (B, tb, cb) = a, b
+        if isinstance(e, Neg):
+            return new(f"-{A}"), [f"(-{x})" for x in ta]
+        f = getattr(e, "op", None) or e.func
+        if f in ("+", "-", "*"):
+            val = new(f"{A} {f} {B}")
+            if ta is not None and tb is not None:
+                if f == "*":
+                    return val, [f"({x} * {B} + {A} * {y})" for x, y in zip(ta, tb)]
+                return val, [f"({x} {f} {y})" for x, y in zip(ta, tb)]
+            if f == "*":
+                return val, [f"({x} * {B})" for x in ta] if tb is None else [f"({y} * {A})" for y in tb]
+            if ta is None:
+                return val, tb if f == "+" else [f"(-{y})" for y in tb]
+            return val, ta
+        if f == "/":
+            emit(f"if {B} == 0.0: raise _DV")
+            val = new(f"{A} / {B}")
+            if not tangents:
+                return val, []
+            q = new(f"{B} * {B}")
+            # named here, so that an underflowing q raises where Dual's does
+            return val, [new(f"({or0(x)} * {B} - {A} * {or0(y)}) / {q}")
+                         for x, y in zip(ta or [None] * width, tb or [None] * width)]
+        if f == "^":
+            if cb is None:
+                raise _StaysCold  # a variable exponent: Dual branches per tangent
+            if float(cb).is_integer() and cb >= 0:
+                k = int(cb)
+                val = new(f"{A} ** {k}")
+                if k == 0 or not tangents:
+                    return val, ["0.0"] * width
+                c = new(f"{k} * {A} ** {k - 1}")
+                return val, [f"({c} * {x})" for x in ta]
+            emit(f"if {A} <= 0.0: raise _DV")
+            val = new(f"{A} ** {B}")
+            c = new(f"0.0 * _log({A})") if tangents else None
+            return val, [f"({val} * ({c} + {B} * {or0(x)} / {A}))" for x in ta]
+        if f in _KINK_TESTS:
+            return emit_kink(f, A, ta, B, tb)
+        if f in ("log", "sqrt"):
+            # Dual also refuses sqrt at 0, where its derivative is one-sided
+            bad = "<" if f == "sqrt" and not tangents else "<="
+            emit(f"if {A} {bad} 0.0: raise _DV")
+        val = new(f"_{f}({A})")
+        if not tangents:
+            return val, []
+        if f in ("sin", "cos"):
+            c = new(f"_cos({A})" if f == "sin" else f"-_sin({A})")
+            return val, [f"({c} * {x})" for x in ta]
+        if f == "exp":
+            return val, [f"({val} * {x})" for x in ta]
+        if f == "log":
+            return val, [f"({x} / {A})" for x in ta]
+        return val, [f"(0.5 * {x} / {val})" for x in ta]
+
+    def emit_kink(f, A, ta, B, tb):
+        test = _KINK_TESTS[f]
+        if f == "abs":
+            val = new(f"_abs({A})")
+            B, then, other = "0.0", ta, [f"-{x}" for x in ta]
+        elif not tangents:
+            return new(f"{A} if {A} {test} {B} else {B}"), []
+        else:
+            val = new()
+            then, other = ([or0(t) for t in ts or [None] * width] for ts in (ta, tb))
+        if not tangents:
+            return val, []
+        kinks.append(f)
+        emit(f"if {A} == {B}: _kink({_KINK_MESSAGES[f]!r}, K)")
+        names = [new() for _ in range(width)]
+        for cond, pick, ts in ((f"if {A} {test} {B}:", A, then), ("else:", B, other)):
+            emit(cond)
+            if f != "abs":
+                emit(f"{val} = {pick}", 2)
+            for name, t in zip(names, ts):
+                emit(f"{name} = {t}", 2)
+        return val, names
+
+    try:
+        if any(getattr(c, "_nvars", None) != n for c in components):
+            raise _StaysCold
+        if tangents:
+            results = emit_dag(components)
+            if kinks:
+                body.insert(0, "    K = []")
+                emit(f"for w in K * {width - 1}:")  # the warnings of Dual passes 2..n
+                emit("_kink(w)", 2)
+            rows = ["(" + "".join(f"{t}, " for t in tan or ["0.0"] * width) + ")" for _, tan in results]
+        else:
+            rows = [f"r{k}" for k in range(len(components))]
+            for r, c in zip(rows, components):
+                emit("try:")
+                start = len(body)
+                ((val, _),) = emit_dag([c])
+                body[start:] = ["    " + line for line in body[start:]]
+                emit(f"{r} = _float({val})", 2)
+                emit("except _VALUE_ERRORS:")
+                emit(f"{r} = _inf", 2)
+                emit(f"if {r} != {r}:")
+                emit(f"{r} = _inf", 2)
+        emit("return (" + "".join(f"{r}, " for r in rows) + ")")
+        source = f"def hot({', '.join(f'v{j}' for j in range(n))}):\n" + "\n".join(body)
+        exec(compile(source, "<hot expr>", "exec"), env)
+    except (_StaysCold, SyntaxError, RecursionError):
+        return None
+    return env.pop("hot")  # popped: the function must not keep itself alive
+
+
 def directional(e: Expr, x, u) -> float:
-    """Directional derivative <grad e(x), u> in one forward pass."""
+    """Directional derivative <grad e(x), u> in one Dual pass.
+
+    It has no hot tier: straight-line code measured no faster at width 1.
+    """
     _check_dim(e, x)
     fn, maxidx = _compiled(e)
     if maxidx >= len(x):
@@ -492,19 +786,29 @@ def directional(e: Expr, x, u) -> float:
         out = fn(duals, _SHIM)
     except _DomainViolation:
         raise NotInDomainError("derivative requested outside the expression domain")
-    except (OverflowError, ValueError):
+    except _ARITH_ERRORS:
         raise NotInDomainError("derivative overflow")
     return out.dot if isinstance(out, Dual) else 0.0
 
 
 def grad(e: Expr, x) -> np.ndarray:
-    """Exact forward-mode gradient, one pass per coordinate."""
+    """Exact forward-mode gradient: one Dual pass per coordinate, or from the
+    HOT_AFTER-th call on ``e`` one call of its straight-line code."""
     _check_dim(e, x)
     n = len(x)
-    g = np.zeros(n)
-    for i in range(n):
-        g[i] = directional(e, x, [1.0 if j == i else 0.0 for j in range(n)])
-    return g
+    hot = _tier(e, "_hot_grad", lambda: _hot_code([e], n, True))
+    if hot is None:
+        g = np.zeros(n)
+        for i in range(n):
+            g[i] = directional(e, x, [1.0 if j == i else 0.0 for j in range(n)])
+        return g
+    xs = [float(xj) for xj in x]
+    try:
+        return np.array(hot(*xs)[0], dtype=float)
+    except _DomainViolation:
+        raise NotInDomainError("derivative requested outside the expression domain")
+    except _ARITH_ERRORS:
+        raise NotInDomainError("derivative overflow")
 
 
 class SmoothMap:
@@ -531,23 +835,34 @@ class SmoothMap:
             raise DimensionMismatchError(f"point has length {len(x)}, map expects {self.n}")
 
     def eval(self, x) -> np.ndarray:
+        """``evaluate`` per component; from the HOT_AFTER-th call on this map,
+        one call of straight-line code with the same values."""
         self._check(x)
-        return np.array([evaluate(c, x) for c in self.components])
+        hot = _tier(self, "_hot_eval", lambda: _hot_code(self.components, self.n, False))
+        if hot is None:
+            return np.array([evaluate(c, x) for c in self.components])
+        return np.array(hot(*x))
 
     def jacobian(self, x) -> np.ndarray:
-        """One dual pass per coordinate over every component."""
+        """One Dual pass per coordinate over every component; from the
+        HOT_AFTER-th call on this map, one call of straight-line code."""
         self._check(x)
-        J = np.zeros((self.m, self.n))
-        for j in range(self.n):
-            duals = tuple(Dual(float(xi), 1.0 if i == j else 0.0) for i, xi in enumerate(x))
-            for k, c in enumerate(self.components):
-                fn, _ = _compiled(c)
-                try:
-                    val = fn(duals, _SHIM)
-                except _DomainViolation:
-                    raise NotInDomainError("Jacobian requested outside a component domain")
-                J[k, j] = val.dot if isinstance(val, Dual) else 0.0
-        return J
+        hot = _tier(self, "_hot_jacobian", lambda: _hot_code(self.components, self.n, True))
+        xs = [float(xi) for xi in x]
+        try:
+            if hot is not None:
+                return np.array(hot(*xs), dtype=float)
+            J = np.zeros((self.m, self.n))
+            for j in range(self.n):
+                duals = tuple(Dual(xi, 1.0 if i == j else 0.0) for i, xi in enumerate(xs))
+                for k, c in enumerate(self.components):
+                    val = _compiled(c)[0](duals, _SHIM)
+                    J[k, j] = val.dot if isinstance(val, Dual) else 0.0
+            return J
+        except _DomainViolation:
+            raise NotInDomainError("Jacobian requested outside a component domain")
+        except _ARITH_ERRORS:
+            raise NotInDomainError("derivative overflow")
 
 
 class _NpShim:

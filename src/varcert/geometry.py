@@ -557,11 +557,15 @@ class SampledSetOracle:
         return x
 
     def dist(self, z):
+        """Distance to the set; inf where ``violation`` is inf, which marks a
+        point that has no estimate (a sampler skips it)."""
         z = np.asarray(z, dtype=float)
-        if self.feasible(z):
+        v = self.violation(z)
+        if v <= TOL_FEAS:
             return 0.0
-        x = self.project(z)
-        return float(np.linalg.norm(z - x))
+        if v == np.inf:
+            return np.inf
+        return float(np.linalg.norm(z - self.project(z)))
 
 
 def default_t_grid(t0=1e-2, rho=0.5, levels=20):
@@ -575,6 +579,7 @@ class DerivabilityReport:
     passed: bool
     tol: float
     t_grid: list
+    skipped: int = 0
 
 
 def derivability_check(target, x, u, t_grid=None, tol_deriv=1e-6, tail=5) -> DerivabilityReport:
@@ -598,7 +603,9 @@ def derivability_check(target, x, u, t_grid=None, tol_deriv=1e-6, tail=5) -> Der
     else:
         dist_fn = target  # plain distance callable
     ratios = [dist_fn(x + t * u) / t for t in t_grid]
-    tail_vals = ratios[-tail:]
-    max_tail = float(max(tail_vals))
+    # an infinite distance is a sample without an estimate: skip it
+    usable = [r for r in ratios if r < np.inf]
+    max_tail = float(max(usable[-tail:], default=np.nan))
     return DerivabilityReport(ratios=ratios, max_tail_ratio=max_tail,
-                              passed=max_tail <= tol_deriv, tol=tol_deriv, t_grid=list(t_grid))
+                              passed=max_tail <= tol_deriv, tol=tol_deriv, t_grid=list(t_grid),
+                              skipped=len(ratios) - len(usable))

@@ -338,3 +338,13 @@ def test_chain_subdifferential_indicator_matches_inverse_image_cone():
     for _ in range(25):
         v = rng.standard_normal(2)
         assert S.contains(v, 1e-7) == cone.contains(v, 1e-7)
+
+
+def test_samplers_skip_and_count_points_outside_dom_f():
+    """f1 = log(x1) at x1 = 0.1: samples reach x1 <= 0, where f has no
+    image; the robustness and prox-regularity samplers skip them and say so."""
+    f = SmoothMap.from_strings(["log(x1)", "x2"], ["x1", "x2"])
+    c = Composite(IndicatorFn(Polyhedron(np.eye(2), np.zeros(2))), f, [0.1, 0.0])
+    for rep in (robustness_check(c, kappa=1.0, r0=0.2), prox_regularity_check(c, kappa=1.0)):
+        assert rep.status == "VERIFIED"
+        assert any(note.endswith("samples outside dom f skipped") for note in rep.notes)

@@ -366,3 +366,43 @@ def test_bad_sip_input_exits_3_with_an_error_line(tmp_path, capsys):
         assert cli.run(["sip", "-p", prob, "--kappa", "1", *point, *args]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    prob = write_problem(tmp_path, orthant_doc())
+    commands = [["kkt", "-p", prob, "--point", "0,0", "--kappa", "1"],
+                ["cq", "-p", prob, "--point", "0,0", "--which", "all"]]
+    fresh = []
+    for argv in commands:  # a parser of its own for each command, as before
+        cli._parser.cache_clear()
+        fresh.append((cli.run(argv), capsys.readouterr()))
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    assert [(cli.run(argv), capsys.readouterr()) for argv in commands] == fresh
+    assert len(built) == 1
+
+
+def test_a_derivative_that_underflows_exits_3_with_an_error_line(tmp_path, capsys):
+    """1/x1 at x1 = 1e-170: the x1*x1 of its derivative underflows to 0, in
+    the objective gradient and in the constraint Jacobian alike."""
+    for objective, f in (("1/x1", "x1"), ("x1", "1/x1")):
+        doc = {"kind": "nlp", "n": 1, "objective": objective,
+               "constraints": {"f": [f], "Theta": {"A_ineq": [[-1]], "b_ineq": [0]}}}
+        prob = write_problem(tmp_path, doc)
+        assert cli.run(["kkt", "-p", prob, "--point", "1e-170", "--kappa", "1"]) == 3
+        assert capsys.readouterr().err == "error: derivative overflow\n"
+
+
+def test_cq_skips_samples_outside_a_component_domain(tmp_path):
+    """f1 = log(x1) at x1 = 0.1: derivability samples reach x1 <= 0, where f
+    is undefined; they are skipped and counted, not projected."""
+    doc = {"kind": "nlp", "n": 2, "objective": "x1 + x2",
+           "constraints": {"f": ["log(x1)", "x2"],
+                           "Theta": {"A_ineq": [[1, 0], [0, 1]], "b_ineq": [0, 0]}}}
+    prob = write_problem(tmp_path, doc)
+    out = str(tmp_path / "cq.json")
+    assert cli.run(["cq", "-p", prob, "--point", "0.1,0", "--which", "all", "--out", out]) == 0
+    notes = json.loads(open(out).read())["abadie"]["notes"]
+    assert any(note.endswith("samples outside dom f skipped") for note in notes)

@@ -235,3 +235,9 @@ def test_compiled_closures_live_on_the_expression():
     del e
     gc.collect()
     assert ref() is None
+
+
+def test_a_literal_past_the_float_range_is_inf():
+    e = expr.parse("1e999*x1", ["x1"])
+    assert expr.evaluate(e, [1.0]) == math.inf
+    assert list(expr.grad(e, [1.0])) == [math.inf]

@@ -1,0 +1,141 @@
+"""The hot tier (straight-line code) against the Dual tier, bit for bit.
+
+``expr.HOT_AFTER`` patched to 0 puts every call on the hot tier; patched
+high it keeps every call on Dual.  Results are compared as bytes, with one
+exception: NaN sign and payload, which CPython's own float arithmetic does
+not keep fixed (they change once its bytecode specializes).
+"""
+
+import math
+import random
+import warnings
+import weakref
+
+import numpy as np
+import pytest
+
+from varcert import expr
+from varcert.errors import KinkWarning
+
+COLD = 10**9
+CONSTANTS = ["0", "1", "2", "3", "0.5", "2.5", "1e-170", "1e-320", "1e200", "1e308", "1e999"]
+EXPONENTS = ["0", "1", "2", "3", "0.5", "1.5", "(-1)", "(-0.5)", "(2*1)", "(1-1)", "x1", "(x1+1)"]
+UNARY = ["sin", "cos", "exp", "log", "sqrt", "abs"]
+# ties, signed zeros, domain edges, values whose squares underflow or overflow
+COORDINATES = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1e-170, -1e-170, 1e-320, 1e154, 1e200, -1e200,
+               math.pi]
+
+
+def random_text(rng, n, depth):
+    """A random expression over the full grammar."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([f"x{rng.randrange(n) + 1}"] * 3 + CONSTANTS)
+    a = random_text(rng, n, depth - 1)
+    k = rng.random()
+    if k < 0.45:
+        return f"({a} {rng.choice('+-*/')} {random_text(rng, n, depth - 1)})"
+    if k < 0.55:
+        return f"({a})^{rng.choice(EXPONENTS)}"
+    if k < 0.6:
+        return f"-({a})"
+    if k < 0.85:
+        return f"{rng.choice(UNARY)}({a})"
+    return f"{rng.choice(['max', 'min'])}({a}, {random_text(rng, n, depth - 1)})"
+
+
+def random_point(rng, n):
+    x = [rng.choice(COORDINATES) if rng.random() < 0.7 else rng.gauss(0.0, 2.0) for _ in range(n)]
+    if n > 1 and rng.random() < 0.2:
+        x[1] = x[0]
+    k = rng.random()
+    if k < 0.4:
+        return np.array(x)
+    if k < 0.5:  # ints where exact: evaluate passes them through unconverted
+        return [int(v) if abs(v) < 1e6 and int(v) == v else v for v in x]
+    return x
+
+
+def outcome(fn):
+    """(result bytes or error class and message, KinkWarning messages)."""
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        try:
+            a = np.asarray(fn(), dtype=float)
+            out = ("ok", a.shape, np.where(np.isnan(a), np.nan, a).tobytes())
+        except Exception as exc:  # the error class and message are compared
+            out = ("error", type(exc).__name__, str(exc))
+    return out, [str(w.message) for w in rec if issubclass(w.category, KinkWarning)]
+
+
+def all_outcomes(texts, names, points):
+    m = expr.SmoothMap.from_strings(texts, names)
+    es = [expr.parse(t, names) for t in texts]
+    return [(outcome(lambda: m.jacobian(x)), outcome(lambda: m.eval(x)),
+             [outcome(lambda: expr.grad(e, x)) for e in es]) for x in points]
+
+
+def test_hot_tier_matches_dual_over_the_full_grammar(monkeypatch):
+    rng = random.Random(20261018)
+    kinds = set()
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        names = [f"x{i + 1}" for i in range(n)]
+        texts = [random_text(rng, n, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+        points = [random_point(rng, n) for _ in range(3)]
+        monkeypatch.setattr(expr, "HOT_AFTER", COLD)
+        cold = all_outcomes(texts, names, points)
+        monkeypatch.setattr(expr, "HOT_AFTER", 0)
+        assert all_outcomes(texts, names, points) == cold, texts
+        for (jac, _), _, _ in cold:
+            kinds.add(jac[0] if jac[0] == "ok" else jac[2])
+    # the draws reach both error messages as well as results
+    assert {"ok", "derivative overflow", "Jacobian requested outside a component domain"} <= kinds
+
+
+@pytest.mark.parametrize("texts, x", [
+    (["max(x1, x2) + max(x1, x2)", "abs(x1 - x2) * min(x2, x1)"], [1.5, 1.5]),  # repeated kinks
+    (["1/x1 + log(x2)", "x2"], [1e-170, -1.0]),  # the first failure in Dual's order wins
+    (["log(x2) + 1/x1"], [1e-170, -1.0]),
+    (["(x1^3)^0", "x1^2"], np.array([1e200, 0.0])),  # numpy ** overflows to inf, float ** raises
+    (["sqrt(x1) + x2", "-0 * x1"], [0.0, -0.0]),
+    (["x1^x2", "x2"], [2.0, 3.0]),  # a variable exponent stays on Dual
+])
+def test_hot_tier_matches_dual_at_edges(monkeypatch, texts, x):
+    names = ["x1", "x2"]
+    monkeypatch.setattr(expr, "HOT_AFTER", COLD)
+    cold = all_outcomes(texts, names, [x])
+    monkeypatch.setattr(expr, "HOT_AFTER", 0)
+    assert all_outcomes(texts, names, [x]) == cold
+
+
+def test_a_map_switches_tiers_with_the_same_bits():
+    m = expr.SmoothMap.from_strings(["x1*sin(x2) + (x1 - 0.3)^2", "exp(x2/3) - x1*x2"], ["x1", "x2"])
+    e = expr.parse("x1*sin(x2) + cos(x1)^3", ["x1", "x2"])
+    x = np.array([0.7, -1.3])
+    calls = [(m.jacobian(x).tobytes(), m.eval(x).tobytes(), expr.grad(e, x).tobytes())
+             for _ in range(expr.HOT_AFTER + 2)]
+    assert m._hot_jacobian is not None and m._hot_eval is not None and e._hot_grad is not None
+    assert len(set(calls)) == 1
+
+
+def test_a_map_called_fewer_than_k_times_compiles_no_code():
+    m = expr.SmoothMap.from_strings(["x1*x2", "sin(x1)"], ["x1", "x2"])
+    e = expr.parse("x1^2 + x2", ["x1", "x2"])
+    for _ in range(expr.HOT_AFTER - 1):
+        m.jacobian([0.5, 0.25])
+        m.eval([0.5, 0.25])
+        expr.grad(e, [0.5, 0.25])
+    assert not callable(m._hot_jacobian) and not callable(m._hot_eval)
+    assert not callable(e._hot_grad)
+
+
+def test_hot_code_is_freed_with_its_object(monkeypatch):
+    monkeypatch.setattr(expr, "HOT_AFTER", 0)
+    m = expr.SmoothMap.from_strings(["x1*x2", "cos(x2)"], ["x1", "x2"])
+    e = expr.parse("x1^2 * x2", ["x1", "x2"])
+    m.jacobian([1.0, 2.0])
+    m.eval([1.0, 2.0])
+    expr.grad(e, [1.0, 2.0])
+    refs = [weakref.ref(obj) for obj in (m, e, m._hot_jacobian, m._hot_eval, e._hot_grad)]
+    del m, e  # no gc.collect(): the hot code holds no reference cycle
+    assert all(ref() is None for ref in refs)
