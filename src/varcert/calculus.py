@@ -130,13 +130,32 @@ class Composite:
         return min(self._piece_projections(y, pieces), key=lambda wd: wd[1], default=(None, INF))
 
     def _piece_projections(self, y, pieces):
-        """project(P, y) for each nonempty piece P, kept for the last y: the
-        ratio estimate projects an image that the Gauss-Newton restoration
-        then projects again."""
+        """project(P, y) for each nonempty piece P, kept for the last y: a
+        sampler's violation projects an image that the Gauss-Newton
+        restoration then projects again."""
         y = np.asarray(y, dtype=float)
         if self._last_image[0] != y.tobytes():
             self._last_image = (y.tobytes(), [project(P, y) for P in pieces if not P.is_empty()])
         return self._last_image[1]
+
+    def dom_residual(self, y):
+        """(d, v): d = dist(y; dom theta) and v = d * grad dist(.; dom theta)(y),
+        that is y - w for the nearest point w; v is None where d is 0 or inf.
+
+        Off a convex piece P, dist(.; P) is differentiable with gradient
+        (y - w) / d; where pieces tie, the nearest piece's is taken.  A
+        DomainOracle's dist is differenced centrally, at a step small
+        against d.
+        """
+        y = np.asarray(y, dtype=float)
+        if self.domain_oracle is None:
+            w, d = self.project_dom(y)
+            return d, (y - w if 0.0 < d < INF else None)
+        d = self.dist_dom(y)
+        if not 0.0 < d < INF:
+            return d, None
+        steps = 1e-4 * d * np.eye(len(y))
+        return d, np.array([self.dist_dom(y + e) - self.dist_dom(y - e) for e in steps]) / 2e-4
 
     def tangent_member(self, w, tol=1e-9):
         """w in T_{dom theta}(ybar)?"""
@@ -160,10 +179,17 @@ def feasible_set_oracle(c: Composite) -> SampledSetOracle:
     distance estimates are backed by genuinely feasible points.
     """
 
+    last = [None, None]  # the last point's bytes and its image
+
     def image(x):
-        """f(x), or None when x is outside dom f (its image is not finite)."""
-        y = c.f.eval(x)
-        return y if np.isfinite(y).all() else None
+        """f(x), or None when x is outside dom f (its image is not finite).
+        The last point's image is kept: a projection measures the violation
+        at z, starts the restoration from z and measures its end point again."""
+        key = np.asarray(x, dtype=float).tobytes()
+        if last[0] != key:
+            y = c.f.eval(x)
+            last[:] = key, (y if np.isfinite(y).all() else None)
+        return last[1]
 
     def violation(x):
         # the one rule for points outside dom f: there is no image to measure
@@ -175,7 +201,8 @@ def feasible_set_oracle(c: Composite) -> SampledSetOracle:
         return SampledSetOracle(violation)
 
     def grad_sq(x):
-        y = c.f.eval(x)
+        # penalty descent only steps to points with a finite image
+        y = image(x)
         w, d = c.project_dom(y)
         if d == 0.0:
             return np.zeros(c.n)
@@ -481,21 +508,29 @@ def abadie_check(c: Composite, samples=10, tol=1e-2, seed=0, t_grid=None,
 
 
 def msqc_estimate(c: Composite, radius=0.5, samples=30, seed=0) -> CQReport:
-    """Estimate the metric subregularity modulus dist(x;Omega) <= kappa dist(f(x);dom).
+    """Estimate the metric subregularity modulus: dist(x; Omega) <= kappa g(x),
+    with g(x) = dist(f(x); dom theta) and Omega = f^{-1}(dom theta).
 
-    kappa_hat is the max sampled ratio; VERIFIED when the ratios are stable
-    under two radius halvings (growth < 10%), divergence-flagged REFUTED-style
-    when kappa_hat roughly doubles at each halving.
+    As for SIP, each sample's ratio is 1 / |grad g|(z), the reciprocal strong
+    slope of the violation (Aze & Corvellec, ESAIM: COCV 10, 2004).  With
+    y = f(z) and (w, d) its projection onto dom theta,
+    |grad g|(z) = ||J(z)^T (y - w)|| / d: one projection and one Jacobian per
+    sample.  dist(.; P) is differentiable off a convex piece P, so no hull of
+    gradients is needed; where pieces of a union tie, g is their min, whose
+    slope is the largest tied one, so the nearest piece's is conservative.
+    A zero slope gives kappa_hat = inf, INCONCLUSIVE.  The verdict follows
+    ``ratio_stability_estimate``.
     """
-    oracle = feasible_set_oracle(c)
 
     def ratio(z):
-        # a violation above FEASIBLE_SAMPLE already makes z infeasible; an
-        # infinite one puts z outside dom f, where there is no ratio
-        denom = oracle.violation(z)
-        if not FEASIBLE_SAMPLE < denom < INF:
+        y = c.f.eval(z)
+        if not np.isfinite(y).all():
+            return None  # z is outside dom f: there is no violation to measure
+        d, v = c.dom_residual(y)
+        if not FEASIBLE_SAMPLE < d < INF:
             return None
-        return float(np.linalg.norm(z - oracle.project(z))) / denom
+        slope = float(np.linalg.norm(c.f.jacobian(z).T @ v)) / d
+        return 1.0 / slope if slope > 0.0 else INF
 
     return ratio_stability_estimate("MSQC", ratio, c.xbar, radius, samples, seed)
 
@@ -503,11 +538,16 @@ def msqc_estimate(c: Composite, radius=0.5, samples=30, seed=0) -> CQReport:
 def ratio_stability_estimate(condition, ratio_fn, xbar, radius, samples, seed) -> CQReport:
     """Shared max-ratio scheme: kappa_hat over shells [r/2, r] at three radii.
 
-    ``ratio_fn(z)`` is a sample's ratio dist(z; set) / violation(z), or None
-    when the violation is at most FEASIBLE_SAMPLE (the sample is not used).
-    Shell sampling keeps the estimator's scale tied to the radius so that
-    halvings reveal genuine divergence; full-ball sampling is heavy-tailed
-    and can mask it.
+    ``ratio_fn(z)`` is a sample's estimate of dist(z; set) / g(z), the
+    reciprocal strong slope 1 / |grad g|(z) of the violation g for both nlp
+    and SIP (inf for a zero slope), or None when g(z) is at most
+    FEASIBLE_SAMPLE or not finite (the sample is not used).
+    kappa_hat is the largest ratio: VERIFIED when the shell maxima grow less
+    than 10% under two radius halvings, REFUTED with divergence flagged when
+    they roughly double at each halving, INCONCLUSIVE otherwise and whenever
+    a slope is zero.  Shell sampling keeps the estimator's scale tied to the
+    radius so that halvings reveal genuine divergence; full-ball sampling is
+    heavy-tailed and can mask it.
     """
     xbar = np.asarray(xbar, dtype=float)
     n = len(xbar)

@@ -517,7 +517,9 @@ def _cmd_cq(args):
     for name, rep in reports.items():
         out[name] = {
             "verdict": rep.verdict,
-            "kappa_hat": rep.kappa_hat,
+            # a zero slope leaves no finite estimate: kappa_hat = inf
+            "kappa_hat": rep.kappa_hat if rep.kappa_hat is None or math.isfinite(rep.kappa_hat)
+            else None,
             "witness": None if rep.witness is None else [float(v) for v in rep.witness],
             "confidence": rep.confidence,
             "diverging": rep.diverging,

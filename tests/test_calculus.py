@@ -122,8 +122,9 @@ def test_abadie_check_square_refuted():
     assert rep.witness is not None
 
 
-def test_abadie_check_oracle_domain_cone_fixture():
-    # product of a negative second-order cone and a halfspace, f(x) = (x, x)
+def soc_halfspace_composite():
+    """dom theta the product of a negative second-order cone and a halfspace,
+    given by a DomainOracle, and f(x) = (x, x)."""
     def soc_neg_dist(y):
         # dist to {(w, s): ||w|| <= -s} in R^3
         w, s = y[:2], y[2]
@@ -152,9 +153,47 @@ def test_abadie_check_oracle_domain_cone_fixture():
     oracle = DomainOracle(member=member, tangent_member=tangent_member, dist=dist)
     f = SmoothMap.from_strings(["x1", "x2", "x3", "x1", "x2", "x3"], ["x1", "x2", "x3"])
     theta = IndicatorFn(Polyhedron.whole_space(6))  # placeholder; oracle overrides
-    c = Composite(theta, f, [0.0, 0.0, 0.0], domain_oracle=oracle)
-    rep = abadie_check(c, samples=8, seed=3)
+    return Composite(theta, f, [0.0, 0.0, 0.0], domain_oracle=oracle)
+
+
+def test_abadie_check_oracle_domain_cone_fixture():
+    rep = abadie_check(soc_halfspace_composite(), samples=8, seed=3)
     assert rep.verdict == calc.VERIFIED
+
+
+def test_msqc_estimate_oracle_domain_cone_fixture():
+    """A DomainOracle's dist is differenced centrally: d * grad dist matches
+    y - P(y), P the projection onto the product of the cone
+    {||w|| <= -s} and the halfspace y4 <= y6, and kappa_hat is finite."""
+    c = soc_halfspace_composite()
+
+    def nearest(y):
+        w, s = y[:2], -y[2]  # the cone is -SOC: project (w, s) onto SOC
+        nw = float(np.linalg.norm(w))
+        if nw <= s:
+            cone = y[:3]
+        elif nw <= -s:
+            cone = np.zeros(3)
+        else:
+            a = (nw + s) / 2.0
+            cone = np.array([a * w[0] / nw, a * w[1] / nw, -a])
+        half = y[3:].copy()
+        gap = max(0.0, half[0] - half[2]) / 2.0
+        half[0] -= gap
+        half[2] += gap
+        return np.concatenate([cone, half])
+
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        y = rng.standard_normal(6)
+        d, v = c.dom_residual(y)
+        if d == 0.0:
+            assert v is None and np.array_equal(nearest(y), y)
+            continue
+        assert d == pytest.approx(np.linalg.norm(y - nearest(y)), rel=1e-12)
+        assert np.allclose(v, y - nearest(y), rtol=0, atol=1e-6 * d)
+    rep = msqc_estimate(c, radius=0.5, samples=30, seed=3)
+    assert math.isfinite(rep.kappa_hat) and rep.kappa_hat > 0.0
 
 
 def test_msqc_estimate_identity():
@@ -165,8 +204,8 @@ def test_msqc_estimate_identity():
 
 
 def test_msqc_estimate_projects_no_image_twice_in_a_row(monkeypatch):
-    """The ratio's dist(f(z); Theta) and the first Gauss-Newton restoration
-    step from z project the same image; it is projected once."""
+    """Each sample's image is projected once: the slope's distance and its
+    normal y - w come from one projection."""
     images = []
     project = calc.project
 
@@ -180,6 +219,89 @@ def test_msqc_estimate_projects_no_image_twice_in_a_row(monkeypatch):
     msqc_estimate(Composite(ind, f, [0.0, 0.0]), radius=0.5, samples=10)
     assert images
     assert all(a != b for a, b in zip(images, images[1:]))
+
+
+def test_feasible_set_oracle_evaluates_f_once_per_point(monkeypatch):
+    """One dist: the violation at z, the Gauss-Newton restoration from z and
+    the violation at its end point share each image."""
+    points = []
+    evaluate = SmoothMap.eval
+
+    def counting(self, x):
+        points.append(np.asarray(x, dtype=float).tobytes())
+        return evaluate(self, x)
+
+    ind = IndicatorFn(Polyhedron([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]))
+    f = SmoothMap.from_strings(["x1 + x2^2", "x2 - x1^2"], ["x1", "x2"])
+    oracle = calc.feasible_set_oracle(Composite(ind, f, [0.0, 0.0]))
+    monkeypatch.setattr(SmoothMap, "eval", counting)
+    d = oracle.dist(np.array([0.3, 0.2]))
+    assert 0.0 < d < INF
+    assert len(points) >= 3  # z and the Gauss-Newton iterates
+    assert len(points) == len(set(points))
+
+
+def affine_composite(rng, n):
+    """f = ybar + J (x - c) with a seeded invertible J and a random polyhedral
+    Theta holding ybar, some rows active; returns the composite and J."""
+    J = rng.standard_normal((n, n)) + 0.5 * np.eye(n)
+    c = rng.uniform(-1.0, 1.0, n)
+    ybar = rng.uniform(-1.0, 1.0, n)
+    f = SmoothMap.from_strings(
+        [" + ".join([repr(float(ybar[i]))]
+                    + [f"{float(J[i, j])!r}*(x{j + 1} - {float(c[j])!r})" for j in range(n)])
+         for i in range(n)], [f"x{j + 1}" for j in range(n)])
+    G = rng.standard_normal((int(rng.integers(1, n + 2)), n))
+    slack = np.where(rng.random(len(G)) < 0.5, 0.0, rng.uniform(0.0, 0.5, len(G)))
+    Theta = Polyhedron(G, G @ ybar + slack)
+    return Composite(IndicatorFn(Theta), f, c), J
+
+
+def test_msqc_slope_estimate_is_at_most_the_inverse_jacobian_norm():
+    """For affine f, |grad g| = ||J^T u|| >= sigma_min(J) with u = (y - w) / d
+    a unit vector, so every kappa_hat is at most ||J^-1||."""
+    rng = np.random.default_rng(12)
+    for trial in range(24):
+        c, J = affine_composite(rng, 2 + trial % 3)
+        assert np.array_equal(c.f.jacobian(c.xbar), J)
+        rep = msqc_estimate(c, radius=0.5, samples=20, seed=trial)
+        bound = float(np.linalg.norm(np.linalg.inv(J), 2))
+        assert rep.kappa_hat <= bound * (1 + 1e-9), (trial, rep.kappa_hat, bound)
+
+
+def test_msqc_slope_estimate_is_exact_on_a_scaled_orthant():
+    """f = (2 x1, x2) into R^2_-: a sample violating only y2 has slope 1, one
+    violating y1 has slope at least 1, so kappa_hat is 1 exactly."""
+    f = SmoothMap.from_strings(["2*x1", "x2"], ["x1", "x2"])
+    c = Composite(IndicatorFn(Polyhedron.nonpositive_orthant(2)), f, [0.0, 0.0])
+    rep = msqc_estimate(c, radius=0.5, samples=30, seed=0)
+    assert rep.verdict == calc.VERIFIED
+    assert rep.kappa_hat == 1.0
+
+
+def test_msqc_slope_estimate_does_not_over_read_a_far_restoration():
+    """A nonlinear nlp whose projection-ratio estimate read 310.8: the
+    Gauss-Newton restoration landed far from the nearest feasible point.
+    ||J(xbar)^-1|| is 1.41.  The slope estimate reads 3.43 at a sample 0.33
+    from xbar, where J is near singular (||J(z)^-1|| = 138), so the bound
+    allows 3 ||J(xbar)^-1||, not 2."""
+    u, v = "(x1 - -0.43761959575728504)", "(x2 - 0.18010175656987393)"
+    f = SmoothMap.from_strings([
+        f"0.0912627981551355 + 0.7371116235678825*{u} + 0.45175666178666657*{v}"
+        f" + 0.9043043940818283*{v}^2 + 0.9242592501060272*{v}*{u}"
+        f" + -0.45523496473612735*(sin{u} - {u}) + 0.013422214487495143*(1 - cos{v})",
+        f"-0.19225299625065762 + 0.34048889092868445*{u} + -0.6255378657063617*{v}"
+        f" + -0.6937884086460426*{v}^2 + -0.34867016055777267*{v}*{v}"
+        f" + 0.06210324294335823*(sin{v} - {v}) + 0.017656327123626636*(1 - cos{v})",
+    ], ["x1", "x2"])
+    Theta = Polyhedron(
+        [[-0.10573396214114766, 0.8744502655205248], [1.1846555238631469, -0.41215894966261224],
+         [0.9677600625194633, -0.2518738997838494], [0.981750374674053, -0.1901741355372925]],
+        [-0.1777652608635343, 0.18735377096184985, 3.041514874926113, 2.1980834058837044])
+    c = Composite(IndicatorFn(Theta), f, [-0.43761959575728504, 0.18010175656987393])
+    rep = msqc_estimate(c, radius=0.5, samples=30, seed=1898808465)
+    bound = float(np.linalg.norm(np.linalg.inv(c.f.jacobian(c.xbar)), 2))
+    assert rep.kappa_hat <= 3.0 * bound
 
 
 def test_msqc_estimate_square_diverges():

@@ -406,3 +406,22 @@ def test_cq_skips_samples_outside_a_component_domain(tmp_path):
     assert cli.run(["cq", "-p", prob, "--point", "0.1,0", "--which", "all", "--out", out]) == 0
     notes = json.loads(open(out).read())["abadie"]["notes"]
     assert any(note.endswith("samples outside dom f skipped") for note in notes)
+
+
+def test_a_zero_slope_plateau_is_inconclusive_not_refuted(tmp_path):
+    """f = min(x1, 0.13) against y <= 0 at 0: kappa = 1 holds near 0, but
+    beyond x1 = 0.13 the violation is flat.  A zero slope leaves no finite
+    kappa_hat, so the estimate is INCONCLUSIVE with kappa_hat null, and kkt
+    has no kappa to bound with."""
+    doc = {"kind": "nlp", "n": 1, "objective": "-x1",
+           "constraints": {"f": ["min(x1, 0.13)"], "Theta": {"A_ineq": [[1]], "b_ineq": [0]}}}
+    prob = write_problem(tmp_path, doc)
+    out = str(tmp_path / "cq.json")
+    assert cli.run(["cq", "-p", prob, "--point", "0", "--which", "msqc", "--out", out]) == 2
+    msqc = json.loads(open(out).read())["msqc"]
+    assert msqc["verdict"] == "INCONCLUSIVE" and not msqc["diverging"]
+    assert msqc["kappa_hat"] is None
+    assert cli.run(["kkt", "-p", prob, "--point", "0", "--kappa", "estimate", "--out", out]) == 2
+    cert = json.loads(open(out).read())
+    assert (cert["status"], cert["detail"]) == ("INCONCLUSIVE", "KAPPA_UNAVAILABLE")
+    assert cert["notes"] == ["msqc_estimate verdict INCONCLUSIVE"]
