@@ -17,9 +17,16 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
-import numpy as np
+# One BLAS thread unless the user chose otherwise, set before numpy loads:
+# the solves here are small, and competing BLAS threads make them spike
+# from a fraction of a millisecond to a hundred.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 from . import __version__, calculus, certify, sdp as sdp_mod, sip as sip_mod
 from .calculus import REFUTED, VERIFIED

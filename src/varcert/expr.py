@@ -22,7 +22,8 @@ Derivatives are exact forward mode, in two tiers that give the same bits
 errors and warnings:
 
 - Cold: ``Dual`` numbers through the compiled closure of each expression,
-  one directional pass per coordinate.
+  one directional pass per coordinate.  The parser emits the closure's
+  source as it reads the text, and the first evaluation compiles it.
 - Hot: from the ``HOT_AFTER``-th call (8) of the same map or expression on,
   ``SmoothMap.jacobian``, ``SmoothMap.eval`` and ``grad`` run one
   straight-line function generated for it (``_hot_code``), which performs
@@ -93,128 +94,137 @@ class Call(Expr):
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / parser
+# tokenizer / parser, which emits each expression's closure source as it goes
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
-)
+_TOKEN = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*/^(),]"
+_TOKEN_RE = re.compile(_TOKEN)
+_BAD_RE = re.compile(_TOKEN + r"|(\S)")  # group 1: a character that starts no token
+_OPS = frozenset("-+*/^(),")
+_END = ""  # the token after the last one
 
 
 def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ExprSyntaxError(at, f"unexpected character {stripped[0]!r}")
-        if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num")), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
+    """The token strings of ``text``, then ``_END``.
+
+    The search skips whitespace and every character that starts no token, so
+    the tokens cover the text's non-whitespace unless there is such a
+    character; then the first one is reported.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    if len("".join(tokens)) != len("".join(text.split())):
+        at = next(m.start() for m in _BAD_RE.finditer(text) if m.group(1))
+        raise ExprSyntaxError(at, f"unexpected character {text[at]!r}")
+    tokens.append(_END)
     return tokens
 
 
 class _Parser:
+    """Recursive descent that returns, per production, the node and the
+    source of its closure over a value tuple ``v`` and math shim ``m``; it
+    also keeps the largest variable index it meets."""
+
     def __init__(self, text, declared_vars):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
-        self.varmap = {name: k for k, name in enumerate(declared_vars)}
+        # only a name token can be a variable
+        self.varmap = {name: k for k, name in enumerate(declared_vars) if name.isidentifier()}
+        self.top = -1
 
-    def peek(self):
-        return self.tokens[self.i]
+    def error(self, i, message):
+        """A syntax error at token ``i``, whose position is found only now."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)] + [len(self.text)]
+        return ExprSyntaxError(starts[i], message)
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, value, pos = self.next()
-        if kind != "op" or value != op:
-            raise ExprSyntaxError(pos, f"expected {op!r}")
+    def expect(self, op):
+        i = self.i
+        if self.tokens[i] != op:
+            raise self.error(i, f"expected {op!r}")
+        self.i = i + 1
 
     def parse(self):
         e = self.expr()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(pos, f"unexpected trailing input {value!r}")
+        i = self.i
+        tok = self.tokens[i]
+        if tok != _END:
+            value = tok if tok in _OPS or tok.isidentifier() else float(tok)
+            raise self.error(i, f"unexpected trailing input {value!r}")
         return e
 
     def expr(self):
-        e = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("+", "-"):
-                self.next()
-                e = BinOp(value, e, self.term())
-            else:
-                return e
+        e, s = self.term()
+        while (op := self.tokens[self.i]) in ("+", "-"):
+            self.i += 1
+            b, t = self.term()
+            e, s = BinOp(op, e, b), f"({s}{op}{t})"
+        return e, s
 
     def term(self):
-        e = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("*", "/"):
-                self.next()
-                e = BinOp(value, e, self.factor())
-            else:
-                return e
+        e, s = self.factor()
+        while (op := self.tokens[self.i]) in ("*", "/"):
+            self.i += 1
+            b, t = self.factor()
+            e, s = BinOp(op, e, b), f"({s}*{t})" if op == "*" else f"m.div({s},{t})"
+        return e, s
 
     def factor(self):
-        e = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.next()
-            e = BinOp("^", e, self.atom())
-        return e
+        e, s = self.atom()
+        if self.tokens[self.i] == "^":
+            self.i += 1
+            b, t = self.atom()
+            return BinOp("^", e, b), f"m.pw({s},{t})"
+        return e, s
 
     def atom(self):
-        kind, value, pos = self.next()
-        if kind == "num":
-            return Num(value)
-        if kind == "op" and value == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        if kind == "op" and value == "-":
-            return Neg(self.atom())
-        if kind == "name":
-            nkind, nvalue, _ = self.peek()
-            if nkind == "op" and nvalue == "(":
-                if value not in FUNCTIONS:
-                    raise ExprSyntaxError(pos, f"unknown function {value!r}")
-                self.next()
-                args = [self.expr()]
-                akind, avalue, apos = self.peek()
-                if akind == "op" and avalue == ",":
-                    self.next()
-                    args.append(self.expr())
-                self.expect_op(")")
-                if len(args) != FUNCTIONS[value]:
-                    raise ExprSyntaxError(pos, f"{value} takes {FUNCTIONS[value]} argument(s)")
-                return Call(value, tuple(args))
-            if value not in self.varmap:
-                raise UnknownVariableError(value)
-            return Var(value, self.varmap[value])
-        raise ExprSyntaxError(pos, "expected number, variable, function, or '('")
+        tokens, i = self.tokens, self.i
+        tok = tokens[i]
+        self.i = i + 1
+        k = self.varmap.get(tok)
+        if k is not None and tokens[i + 1] != "(":
+            if k > self.top:
+                self.top = k
+            return Var(tok, k), f"v[{k}]"
+        if tok in _OPS or tok == _END:
+            if tok == "(":
+                e = self.expr()
+                self.expect(")")
+                return e
+            if tok == "-":
+                e, s = self.atom()
+                return Neg(e), f"(-{s})"
+            raise self.error(i, "expected number, variable, function, or '('")
+        if not tok.isidentifier():
+            value = float(tok)  # a literal such as 1e999 parses to inf
+            return Num(value), repr(value) if math.isfinite(value) else "1e999"
+        if tokens[i + 1] != "(":
+            raise UnknownVariableError(tok)
+        if tok not in FUNCTIONS:
+            raise self.error(i, f"unknown function {tok!r}")
+        self.i = i + 2
+        args = [self.expr()]
+        if tokens[self.i] == ",":
+            self.i += 1
+            args.append(self.expr())
+        self.expect(")")
+        if len(args) != FUNCTIONS[tok]:
+            raise self.error(i, f"{tok} takes {FUNCTIONS[tok]} argument(s)")
+        nodes, sources = zip(*args)
+        return Call(tok, nodes), f"m.{tok}({','.join(sources)})"
 
 
 def parse(text: str, declared_vars) -> Expr:
-    """Parse ``text`` over the declared variable names (order fixes indices)."""
+    """Parse ``text`` over the declared variable names (order fixes indices).
+
+    The root keeps the closure source and the largest variable index, which
+    ``_compiled`` turns into a function on the first evaluation.
+    """
     if not text or not text.strip():
         raise ExprSyntaxError(0, "empty expression")
-    root = _Parser(text, list(declared_vars)).parse()
-    object.__setattr__(root, "_nvars", len(list(declared_vars)))
+    names = list(declared_vars)
+    parser = _Parser(text, names)
+    root, source = parser.parse()
+    object.__setattr__(root, "_nvars", len(names))
+    object.__setattr__(root, "_closure", (source, parser.top))
     return root
 
 
@@ -265,7 +275,8 @@ def unparse(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation: compiled closures over a value tuple `v` and math shim `m`
+# evaluation: compiled closures over a value tuple `v` and math shim `m`,
+# from the source that the parser emits
 
 class _DomainViolation(Exception):
     pass
@@ -443,37 +454,14 @@ builtins_abs = abs
 _SHIM = _Shim()
 
 
-def _codegen(e):
-    if isinstance(e, Num):  # a literal such as 1e999 parses to inf
-        return repr(e.value) if math.isfinite(e.value) else "1e999"
-    if isinstance(e, Var):
-        return f"v[{e.index}]"
-    if isinstance(e, Neg):
-        return f"(-{_codegen(e.arg)})"
-    if isinstance(e, BinOp):
-        a, b = _codegen(e.lhs), _codegen(e.rhs)
-        if e.op == "+":
-            return f"({a}+{b})"
-        if e.op == "-":
-            return f"({a}-{b})"
-        if e.op == "*":
-            return f"({a}*{b})"
-        if e.op == "/":
-            return f"m.div({a},{b})"
-        return f"m.pw({a},{b})"
-    if isinstance(e, Call):
-        args = ",".join(_codegen(a) for a in e.args)
-        return f"m.{e.func}({args})"
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
 def _compiled(e):
-    """(closure, largest variable index) of ``e``, compiled on first use and
-    kept on the node itself, so it lives exactly as long as the expression."""
-    entry = getattr(e, "_closure", None)
-    if entry is None:
-        fn = eval(compile(f"lambda v, m: {_codegen(e)}", "<expr>", "eval"), {"__builtins__": {}})
-        entry = (fn, _max_var_index(e))
+    """(closure, largest variable index) of ``e``, compiled on first use from
+    the source that ``parse`` left on the root, and kept on the node itself,
+    so it lives exactly as long as the expression."""
+    entry = e._closure
+    if type(entry[0]) is str:
+        fn = eval(compile(f"lambda v, m: {entry[0]}", "<expr>", "eval"), {"__builtins__": {}})
+        entry = (fn, entry[1])
         object.__setattr__(e, "_closure", entry)
     return entry
 
@@ -484,12 +472,6 @@ def _children(e):
     if isinstance(e, BinOp):
         return (e.lhs, e.rhs)
     return e.args if isinstance(e, Call) else ()
-
-
-def _max_var_index(e):
-    if isinstance(e, Var):
-        return e.index
-    return max(map(_max_var_index, _children(e)), default=-1)
 
 
 def _check_dim(e, x):

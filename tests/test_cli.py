@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -193,6 +194,26 @@ def test_console_script_entry():
                           capture_output=True, text=True)
     # argparse reports missing subcommand as a usage error
     assert proc.returncode == 3 or "usage" in proc.stderr
+
+
+@pytest.mark.parametrize("preset, expected", [(None, ["1", "1", "1"]), ("3", ["3", "1", "1"])])
+def test_cli_pins_blas_threads_unless_set(preset, expected):
+    """Loading the CLI sets one BLAS thread before numpy loads; a value the
+    user set stays."""
+    names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    # prints the variables as they are when numpy starts to load
+    code = ("import os, sys\n"
+            "def hook(event, args):\n"
+            "    if event == 'import' and args[0] == 'numpy':\n"
+            f"        print(*(os.environ.get(v) for v in {names!r}))\n"
+            "sys.addaudithook(hook)\n"
+            "import varcert.cli\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == expected
 
 
 def test_console_invocation_smoke(tmp_path):

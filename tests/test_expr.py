@@ -1,10 +1,13 @@
+import json
 import math
+import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from varcert import expr
+from varcert import cli, expr
 from varcert.errors import (
     DimensionMismatchError,
     ExprSyntaxError,
@@ -12,6 +15,7 @@ from varcert.errors import (
     NotInDomainError,
     UnknownVariableError,
 )
+from test_expr_tiers import random_text
 
 
 def central_diff(e, x, h=1e-6):
@@ -46,14 +50,26 @@ def test_index_variable_product():
     assert expr.grad(e, [0.0, 1.0])[0] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["", "x1 +", "sin(x1", "max(x1)", "sin(x1, x2)", "(x1))", "x1 $ x2", "2 3"],
-)
-def test_syntax_errors_are_positioned(text):
+SYNTAX_ERRORS = [
+    ("", 0, "empty expression"),
+    ("   ", 0, "empty expression"),
+    ("x1 +", 4, "expected number, variable, function, or '('"),
+    ("sin(x1", 6, "expected ')'"),
+    ("max(x1)", 0, "max takes 2 argument(s)"),
+    ("sin(x1, x2)", 0, "sin takes 1 argument(s)"),
+    ("(x1))", 4, "unexpected trailing input ')'"),
+    ("x1 $ x2", 3, "unexpected character '$'"),
+    ("2 3", 2, "unexpected trailing input 3.0"),  # the token's value, not its text
+    ("foo(x1)", 0, "unknown function 'foo'"),
+    ("x1 +\t@", 5, "unexpected character '@'"),
+]
+
+
+@pytest.mark.parametrize("text, position, message", SYNTAX_ERRORS, ids=[t for t, _, _ in SYNTAX_ERRORS])
+def test_syntax_errors_are_positioned(text, position, message):
     with pytest.raises(ExprSyntaxError) as exc:
         expr.parse(text, ["x1", "x2"])
-    assert exc.value.position >= 0
+    assert (exc.value.position, exc.value.message) == (position, message)
 
 
 def test_eval_examples():
@@ -241,3 +257,68 @@ def test_a_literal_past_the_float_range_is_inf():
     e = expr.parse("1e999*x1", ["x1"])
     assert expr.evaluate(e, [1.0]) == math.inf
     assert list(expr.grad(e, [1.0])) == [math.inf]
+
+
+def _codegen(e):
+    """The closure source of ``e``, rebuilt by walking the tree: the oracle
+    for the source that the parser emits."""
+    if isinstance(e, expr.Num):  # a literal such as 1e999 parses to inf
+        return repr(e.value) if math.isfinite(e.value) else "1e999"
+    if isinstance(e, expr.Var):
+        return f"v[{e.index}]"
+    if isinstance(e, expr.Neg):
+        return f"(-{_codegen(e.arg)})"
+    if isinstance(e, expr.BinOp):
+        a, b = _codegen(e.lhs), _codegen(e.rhs)
+        if e.op in "+-*":
+            return f"({a}{e.op}{b})"
+        return f"m.div({a},{b})" if e.op == "/" else f"m.pw({a},{b})"
+    args = ",".join(_codegen(a) for a in e.args)
+    return f"m.{e.func}({args})"
+
+
+def _max_var_index(e):
+    if isinstance(e, expr.Var):
+        return e.index
+    return max(map(_max_var_index, expr._children(e)), default=-1)
+
+
+def golden_expressions():
+    """(text, declared names) of every expression the golden problems parse."""
+    seen = []
+    parse = expr.parse
+
+    def recording(text, declared_vars):
+        seen.append((text, list(declared_vars)))
+        return parse(text, declared_vars)
+
+    build = {"nlp": cli.build_nlp, "sip": cli.build_sip, "sdp": cli.build_sdp}
+    cases = json.loads((Path(__file__).with_name("golden") / "cases.json").read_text(encoding="utf-8"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expr, "parse", recording)
+        for case in cases:
+            if case["problem"] is not None:
+                build[case["problem"]["kind"]](case["problem"])
+    return seen
+
+
+EDGE_CASES = ["1e999*x1", "-x1^2", "x1^-1", "--x1", "x1", "3", "(x2)",
+              "max(abs(min(x1, -x2)), max(x1^2, abs(-3)))", "min(max(x1, 2), abs(x2 - 1e999))"]
+
+
+def test_parser_emits_the_source_of_a_tree_walk():
+    """The closure source and largest variable index that ``parse`` keeps
+    equal those rebuilt from the tree, over the golden problems, the grammar
+    fuzz of the tier tests and edge cases."""
+    texts = golden_expressions()
+    assert len(texts) > 50
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        texts.append((random_text(rng, n, rng.randint(1, 6)), [f"x{i + 1}" for i in range(n)]))
+    texts += [(t, ["x1", "x2"]) for t in EDGE_CASES]
+    for text, names in texts:
+        e = expr.parse(text, names)
+        assert e._closure == (_codegen(e), _max_var_index(e)), text
+    assert expr.parse("-x1^2", ["x1"])._closure == ("m.pw((-v[0]),2.0)", 0)
+    assert expr.parse("3", ["x1", "x2"])._closure == ("3.0", -1)
