@@ -37,6 +37,11 @@ contains a variable, since Dual's power rule branches per tangent there.
 
 The power operator is restricted: integer exponents >= 0 work for any
 base, otherwise the base must be positive.
+
+Nesting is bounded: CPython compiles no source nested in more than 200
+brackets, and a closure nests one per chained operator, unary minus and
+call, so 201 chained terms are an ``ExprSyntaxError``; so is text that
+runs the recursive-descent parser out of stack.
 """
 
 from __future__ import annotations
@@ -222,9 +227,20 @@ def parse(text: str, declared_vars) -> Expr:
         raise ExprSyntaxError(0, "empty expression")
     names = list(declared_vars)
     parser = _Parser(text, names)
-    root, source = parser.parse()
+    try:
+        root, source = parser.parse()
+    except RecursionError:
+        raise parser.error(parser.i, "expression nested too deeply") from None
+    closure = source
+    # CPython refuses a source nested in more than 200 brackets, which only a
+    # source with that many brackets can be: such a source is compiled now
+    if source.count("(") + source.count("[") > 200:
+        try:
+            closure = _compile(source)
+        except SyntaxError:
+            raise ExprSyntaxError(0, "expression nested too deeply") from None
     object.__setattr__(root, "_nvars", len(names))
-    object.__setattr__(root, "_closure", (source, parser.top))
+    object.__setattr__(root, "_closure", (closure, parser.top))
     return root
 
 
@@ -460,10 +476,13 @@ def _compiled(e):
     so it lives exactly as long as the expression."""
     entry = e._closure
     if type(entry[0]) is str:
-        fn = eval(compile(f"lambda v, m: {entry[0]}", "<expr>", "eval"), {"__builtins__": {}})
-        entry = (fn, entry[1])
+        entry = (_compile(entry[0]), entry[1])
         object.__setattr__(e, "_closure", entry)
     return entry
+
+
+def _compile(source):
+    return eval(compile(f"lambda v, m: {source}", "<expr>", "eval"), {"__builtins__": {}})
 
 
 def _children(e):

@@ -1,8 +1,11 @@
-"""Self-contained numerical engines: dense two-phase simplex and Jacobi eigensolver.
+"""Numerical engines: a dense two-phase simplex, Lawson-Hanson nnls and least
+distance, and a LAPACK symmetric eigensolver.
 
 Problem sizes here are tiny (at most a few hundred columns after
-discretization), so everything is dense and deterministic: Bland's
-anti-cycling rule fixes all pivot ties.
+discretization), so everything is dense.  The simplex is deterministic:
+Bland's anti-cycling rule fixes all pivot ties.  ``eigh`` calls LAPACK and
+fixes each eigenvector's sign, so its output is deterministic for one machine
+and numpy build.
 
 Every multiplier and membership LP asks whether a target is a nonnegative
 combination of cone generators, plus free lines, plus an optional convex
@@ -14,7 +17,6 @@ optional L1 residual slack (+I | -I) sits on the target rows only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,58 +285,22 @@ def lp_solve(p: LPProblem) -> LPSolution:
 
 
 def eigh(A):
-    """Cyclic Jacobi for symmetric matrices.
+    """(eigenvalues descending, orthonormal eigenvectors as columns) of a
+    symmetric matrix, from LAPACK.
 
-    Returns (eigenvalues descending, orthonormal eigenvectors as columns),
-    iterating until the off-diagonal Frobenius norm is below 1e-12 * ||A||.
+    Each eigenvector's sign is fixed so that its largest-magnitude entry is
+    positive, since sdp atoms are written into the certificate bytes.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape[0] != A.shape[1]:
         raise DimensionMismatchError("eigh requires a square matrix")
-    n = A.shape[0]
     scale = float(np.max(np.abs(A))) if A.size else 0.0
     if float(np.max(np.abs(A - A.T))) > 1e-10 * (1.0 + scale):
         raise ValueError("matrix is not symmetric within 1e-10")
-    A = 0.5 * (A + A.T)
-    V = np.eye(n)
-    norm = float(np.linalg.norm(A))
-    if norm == 0.0 or n == 1:
-        w = np.diag(A).copy()
-        order = np.argsort(-w)
-        return w[order], V[:, order]
-
-    for _ in range(100):
-        # direct off-diagonal norm; the ||A||^2 - ||diag||^2 form cancels badly
-        off = float(np.linalg.norm(A - np.diag(np.diag(A))))
-        if off <= 1e-12 * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-14 * norm:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if theta >= 0:
-                    tau = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    tau = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(tau * tau + 1.0)
-                s = tau * c
-                col_p, col_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p, row_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    else:
-        raise NonConvergenceError(100, "Jacobi sweeps")
-
-    w = np.diag(A).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], V[:, order]
+    w, V = np.linalg.eigh(0.5 * (A + A.T))
+    w, V = w[::-1], V[:, ::-1]  # LAPACK's order is ascending
+    peak = V[np.argmax(np.abs(V), axis=0), np.arange(len(w))]
+    return w, V * np.where(peak < 0.0, -1.0, 1.0)
 
 
 def largest_eigenvalue(A) -> float:

@@ -416,6 +416,36 @@ def test_a_derivative_that_underflows_exits_3_with_an_error_line(tmp_path, capsy
         assert capsys.readouterr().err == "error: derivative overflow\n"
 
 
+def one_constraint_doc(f):
+    return {"kind": "nlp", "n": 1, "objective": "-x1",
+            "constraints": {"f": [f], "Theta": {"A_ineq": [[1]], "b_ineq": [0]}}}
+
+
+def test_a_chain_of_201_terms_exits_3_with_an_error_line(tmp_path, capsys):
+    """x1+x1+...+x1 nests its closure source one bracket per term, and CPython
+    compiles at most 200: 200 terms certify, 201 are a syntax error."""
+    prob = write_problem(tmp_path, one_constraint_doc("+".join(["x1"] * 200)))
+    assert cli.run(["kkt", "-p", prob, "--point", "0", "--kappa", "1"]) == 0
+    capsys.readouterr()
+    prob = write_problem(tmp_path, one_constraint_doc("+".join(["x1"] * 201)))
+    assert cli.run(["kkt", "-p", prob, "--point", "0", "--kappa", "1"]) == 3
+    assert capsys.readouterr().err == ("error: constraint expression error: "
+                                       "syntax error at position 0: expression nested too deeply\n")
+
+
+def test_300_nested_parentheses_exit_3_with_an_error_line(tmp_path, capsys):
+    """The recursive-descent parser runs out of stack inside 300 parentheses;
+    150 parse."""
+    prob = write_problem(tmp_path, one_constraint_doc("(" * 150 + "x1" + ")" * 150))
+    assert cli.run(["kkt", "-p", prob, "--point", "0", "--kappa", "1"]) == 0
+    capsys.readouterr()
+    prob = write_problem(tmp_path, one_constraint_doc("(" * 300 + "x1" + ")" * 300))
+    assert cli.run(["kkt", "-p", prob, "--point", "0", "--kappa", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: constraint expression error: syntax error at position ")
+    assert err.endswith(": expression nested too deeply\n")
+
+
 def test_cq_skips_samples_outside_a_component_domain(tmp_path):
     """f1 = log(x1) at x1 = 0.1: derivability samples reach x1 <= 0, where f
     is undefined; they are skipped and counted, not projected."""

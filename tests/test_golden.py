@@ -142,6 +142,48 @@ def test_corpus_matches_its_parent_outside_the_slope_kappa():
         assert got == digest, name
 
 
+# Every other sdp case has a diagonal Phi(xbar), so these two read a
+# non-trivial eigenvector: Phi(0) = Q diag(0, -1, -2) Q^T (kernel dimension 1)
+# and Q diag(0, 0, -1) Q^T (dimension 2) for a rational rotation Q.  Each one's
+# sha256 prefix with the cyclic Jacobi eigh, and the fields that LAPACK's eigh
+# changed.  Dimension 1 keeps its atom to all 13 digits; only the rounding in
+# the complementarity note moved.  Dimension 2 gets another basis of the
+# kernel, hence other atoms and weights, while the status, the detail,
+# bound.lhs (the weights still sum to 3) and the recheck exit stay.
+PARENT_ROTATED = {
+    "sdp_rotated_kernel1": ("9b1fa995aa26d3ce", 1, {
+        "residual": 0.0,
+        "notes": ["kernel tolerance 3.00e-07",
+                  "complementarity max lambda*<s,Phi s> = 7.49e-18"]}),
+    "sdp_rotated_kernel2": ("03301b155b71fd99", 2, {
+        "atoms": [{"s": [0.03347605167823, 0.1778727522007, 0.9834839286885],
+                   "lambda": 2.156289072268},
+                  {"s": [0.982746955909, -0.1849551855222, 0.0],
+                   "lambda": 0.8437109277319}],
+        "residual": 1.387778780781e-17,
+        "notes": ["kernel tolerance 2.00e-07",
+                  "complementarity max lambda*<s,Phi s> = 7.81e-18"]}),
+}
+
+
+def test_rotated_kernel_cases_match_their_parent_up_to_the_kernel_basis():
+    by_name = {case["name"]: case for case in CASES}
+    for name, (digest, kdim, parent) in PARENT_ROTATED.items():
+        case = by_name[name]
+        assert (case["exit"], case["recheck"]) == (0, 0), name
+        doc = json.loads(expected_text(case))
+        old = parent.get("atoms", doc["atoms"])
+        # the atoms span the same kernel, and their weights sum to bound.lhs
+        atoms = np.array([a["s"] for a in old + doc["atoms"]])
+        assert np.linalg.svd(atoms, compute_uv=False)[kdim:].max(initial=0.0) < 1e-12, name
+        assert sum(a["lambda"] for a in doc["atoms"]) == pytest.approx(doc["bound"]["lhs"], abs=1e-12)
+        # both residuals are rounding, far below tol_stat = 1e-7
+        assert max(doc["residual"], parent["residual"]) <= 1e-15, name
+        doc.update(parent)
+        text = cli.canonical_json(doc)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digest, name
+
+
 def regenerate():
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:

@@ -117,10 +117,17 @@ def test_eigh_rejects_asymmetric():
 
 def test_eigh_invariants_random():
     rng = np.random.default_rng(1)
+    # random sizes up to the benchmark's largest Phi (m = 16), and a rotated
+    # matrix with a repeated eigenvalue, whose eigenvector basis is not unique
+    mats = []
     for _ in range(50):
-        n = int(rng.integers(2, 5))
+        n = int(rng.integers(2, 17))
         B = rng.normal(size=(n, n))
-        A = 0.5 * (B + B.T)
+        mats.append(0.5 * (B + B.T))
+    Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    mats.append(Q @ np.diag([2.0, 0.0, 0.0, 0.0, -1.0, -1.0]) @ Q.T)
+    for A in mats:
+        n = len(A)
         w, V = eigh(A)
         # reconstruction and orthogonality
         assert np.linalg.norm(V @ np.diag(w) @ V.T - A) <= 1e-9 * max(1.0, np.linalg.norm(A))
@@ -128,7 +135,9 @@ def test_eigh_invariants_random():
         # trace and determinant
         assert np.sum(w) == pytest.approx(np.trace(A), rel=1e-8, abs=1e-8)
         assert np.prod(w) == pytest.approx(np.linalg.det(A), rel=1e-7, abs=1e-8)
-        assert np.all(np.diff(w) <= 1e-12)
+        # descending order, and each column's largest-magnitude entry is positive
+        assert np.all(np.diff(w) <= 0.0)
+        assert np.all(V[np.argmax(np.abs(V), axis=0), np.arange(n)] > 0.0)
 
 
 def test_sigma_matches_random_unit_vector_sup():
