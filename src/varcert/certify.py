@@ -21,6 +21,7 @@ from .errors import (
     InfeasiblePointError,
     NoMultiplierError,
     NonconvexUnsupportedError,
+    NumericalBreakdownError,
 )
 from .expr import SmoothMap
 from . import funcspace as fs
@@ -166,22 +167,52 @@ def resolve_kappa(kappa, estimate):
     return None, "unavailable", rep
 
 
-def bound_holds(lhs, rhs, tol_bound):
-    """The multiplier bound lhs <= rhs, with a tolerance relative to rhs."""
-    return lhs <= rhs + tol_bound * (1.0 + rhs)
-
-
 def verdict(residual, lhs, rhs, tol_stat, tol_bound):
     """(status, detail) of a dual certificate, by the ladder RESIDUAL ->
     KAPPA_UNAVAILABLE -> BOUND_EXCEEDED -> VERIFIED shared by nlp, sip and
-    sdp.  ``rhs`` is None when no kappa is available."""
+    sdp.  ``rhs`` is None when no kappa is available; the bound lhs <= rhs
+    has a tolerance relative to rhs."""
     if residual > tol_stat:
         return INCONCLUSIVE, "RESIDUAL"
     if rhs is None:
         return INCONCLUSIVE, "KAPPA_UNAVAILABLE"
-    if not bound_holds(lhs, rhs, tol_bound):
+    if not lhs <= rhs + tol_bound * (1.0 + rhs):  # a NaN rhs fails
         return REFUTED, "BOUND_EXCEEDED"
     return VERIFIED, None
+
+
+def checked(found):
+    """(residual, lhs) of a condition function's (failures, residual, lhs);
+    a failure raises, so no certificate is issued that its checker rejects."""
+    failures, residual, lhs = found
+    if failures:
+        raise NumericalBreakdownError("the multiplier fails its own check: " + "; ".join(failures))
+    return residual, lhs
+
+
+def kkt_conditions(p: ConstrainedProblem, y, J, g, lam, w, ab):
+    """(failures, residual, lhs) of a DualKKT certificate, from the image
+    y = f(x), the Jacobian J and the objective gradient g at its point.
+
+    y is in Theta, the weights w >= 0 (one per row of A_ineq) are
+    complementary to its slack, and lam = A_ineq^T w + A_eq^T (a - b) for the
+    equality weights ab = (a, b).  residual is ||g + J^T lam||, lhs ||lam||."""
+    Th = p.Theta
+    failures = []
+    if not Th.contains(y):
+        failures.append(f"infeasible point: residual {Th.residual(y):.3e}")
+    if np.any(w < -TOL_CONE):
+        failures.append("negative generator weight")
+    l = Th.A_eq.shape[0]
+    lam_hat = Th.A_ineq.T @ w if len(w) else np.zeros(p.m)
+    if l:
+        lam_hat = lam_hat + Th.A_eq.T @ (ab[:l] - ab[l:])
+    if float(np.linalg.norm(lam_hat - lam)) > TOL_CONE * (1.0 + np.linalg.norm(lam)):
+        failures.append("multiplier is not the recorded conic combination")
+    if len(w) and float(np.max(w * (Th.b_ineq - Th.A_ineq @ y))) > \
+            1e-6 * (1.0 + float(np.max(np.abs(w)))):
+        failures.append("complementary slackness violated")
+    return failures, float(np.linalg.norm(g + J.T @ lam)), float(np.linalg.norm(lam))
 
 
 def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42) -> Certificate:
@@ -238,9 +269,9 @@ def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42) -> 
     lam = G_act.T @ w if r else np.zeros(p.m)
     if l:
         lam = lam + E.T @ mu
-
-    residual = float(np.linalg.norm(grad_used + J.T @ lam))
-    bound_lhs = float(np.linalg.norm(lam))
+    gen_weights = np.zeros(p.Theta.A_ineq.shape[0])
+    gen_weights[act] = w
+    residual, bound_lhs = checked(kkt_conditions(p, ybar, J, grad_used, lam, gen_weights, ab))
     if obj_kind == "smooth":
         scale = float(np.linalg.norm(grad_used))
         bound_rule = "kappa*||grad objective|| (enhanced estimate)"
@@ -248,8 +279,6 @@ def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42) -> 
         scale = rel_lipschitz_estimate(p.objective, xbar, radius=0.5, seed=seed)
         bound_rule = "ell*kappa with sampled relative Lipschitz ell"
     bound_rhs = kappa_val * scale if kappa_val is not None else None
-    gen_weights = np.zeros(p.Theta.A_ineq.shape[0])
-    gen_weights[act] = w
     status, detail = verdict(residual, bound_lhs, bound_rhs, TOL_STAT, TOL_BOUND)
     return Certificate(kind="DualKKT", status=status, detail=detail, point=xbar,
                        multipliers=lam, generator_weights=gen_weights,

@@ -17,7 +17,7 @@ from functools import cache
 import numpy as np
 
 from . import expr as expr_mod
-from .certify import Certificate, TOL_BOUND, TOL_STAT, verdict
+from .certify import Certificate, TOL_BOUND, TOL_STAT, checked, verdict
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -107,7 +107,7 @@ def _feasibility(p: SDProblem, x, w):
                              feasible=sigma_plus <= TOL_FEAS and psi_max <= TOL_FEAS)
 
 
-def _entry_grads(M, x):
+def entry_grads(M, x):
     """(i, j) -> expr.grad of M[i][j] at x, each computed on first use."""
     x = np.asarray(x, dtype=float)
     return cache(lambda i, j: expr_mod.grad(M[i][j], x))
@@ -115,7 +115,7 @@ def _entry_grads(M, x):
 
 def grad_quadform(p: SDProblem, x, s) -> np.ndarray:
     """j-th component <s, (dPhi/dx_j)(x) s>, via entrywise expression gradients."""
-    return _quadform(p, _entry_grads(p.Phi, x), s)
+    return _quadform(p, entry_grads(p.Phi, x), s)
 
 
 def _quadform(p: SDProblem, phi_grads, s):
@@ -131,8 +131,13 @@ def _quadform(p: SDProblem, phi_grads, s):
     return out
 
 
+def _tol_ker(w):
+    """The kernel tolerance for the eigenvalues w of Phi(x)."""
+    return 1e-7 * (1.0 + float(np.max(np.abs(w))) if len(w) else 1.0)
+
+
 def _kernel_atoms(w, V, seed):
-    tol_ker = 1e-7 * (1.0 + float(np.max(np.abs(w))) if len(w) else 1.0)
+    tol_ker = _tol_ker(w)
     kernel = [V[:, i] for i in range(len(w)) if abs(w[i]) <= tol_ker]
     atoms = [v / np.linalg.norm(v) for v in kernel]
     kdim = len(kernel)
@@ -148,6 +153,40 @@ def _kernel_atoms(w, V, seed):
     return atoms, tol_ker
 
 
+def conditions(p: SDProblem, x, A, w, phi_grads, psi_grads, g0, atoms, psi_atoms):
+    """(failures, residual, lhs) of an SDP certificate at x, from A = Phi(x),
+    its eigenvalues w (descending), the ``entry_grads`` tables of Phi and Psi
+    and the objective gradient g0.
+
+    x is feasible (``_feasibility``), and each atom (s, lambda) has ||s|| = 1,
+    lambda >= 0 and |<s, A s>| <= 10 tol_ker; an atom off the unit sphere
+    settles the check, with residual and lhs inf.  residual is ||g0 + sum
+    lambda grad<s,Phi s> + sum c_ij mu_ij grad Psi_ij|| and lhs is sum lambda
+    + sum c_ij |mu_ij| over psi_atoms [((i, j), mu_ij)], c_ij = 2 off the
+    diagonal (Psi is symmetric)."""
+    rep = _feasibility(p, x, w)
+    failures = [] if rep.feasible else [
+        f"infeasible point: sigma+ {rep.sigma_plus:.3e}, |Psi|max {rep.psi_max:.3e}"]
+    tol_ker = _tol_ker(w)
+    for s, lam in atoms:
+        if abs(float(np.linalg.norm(s)) - 1.0) > 1e-8:
+            return failures + ["atom is not a unit vector"], math.inf, math.inf
+        if lam < -1e-12:
+            failures.append("negative atom weight")
+        if abs(float(s @ A @ s)) > 10 * tol_ker:
+            failures.append("complementarity violated for an atom")
+    resid = g0.copy()
+    total = 0.0
+    for s, lam in atoms:
+        resid = resid + lam * _quadform(p, phi_grads, s)
+        total += lam
+    for (i, j), mij in psi_atoms:
+        factor = 1.0 if i == j else 2.0
+        resid = resid + factor * mij * psi_grads(i, j)
+        total += factor * abs(mij)
+    return failures, float(np.linalg.norm(resid)), total
+
+
 def certify(p: SDProblem, xbar, kappa, seed=42) -> Certificate:
     """Eigenvector-atom multiplier certificate with the 2*kappa bound."""
     xbar = np.asarray(xbar, dtype=float)
@@ -159,7 +198,7 @@ def certify(p: SDProblem, xbar, kappa, seed=42) -> Certificate:
             f"sigma+ {rep.sigma_plus:.3e}, |Psi|max {rep.psi_max:.3e}")
     g0 = p.grad_objective(xbar)
     atoms, tol_ker = _kernel_atoms(w, V, seed)
-    phi_grads, psi_grads = _entry_grads(p.Phi, xbar), _entry_grads(p.Psi, xbar)
+    phi_grads, psi_grads = entry_grads(p.Phi, xbar), entry_grads(p.Psi, xbar)
     lam_cols = [_quadform(p, phi_grads, s) for s in atoms]
 
     psi_entries = []
@@ -183,7 +222,8 @@ def certify(p: SDProblem, xbar, kappa, seed=42) -> Certificate:
         lam_atoms, mu = found
     elif float(np.linalg.norm(g0)) > TOL_STAT:
         raise NoMultiplierError("no kernel atoms and nonzero objective gradient")
-    residual, total = _residual(p, phi_grads, psi_grads, g0, lam_atoms, mu.items())
+    residual, total = checked(conditions(p, xbar, Abar, w, phi_grads, psi_grads, g0,
+                                         lam_atoms, mu.items()))
     comp_worst = max([0.0] + [abs(float(s @ Abar @ s)) * wgt for s, wgt in lam_atoms])
     bound_rhs = 2.0 * kappa * float(np.linalg.norm(g0))
     notes = [f"kernel tolerance {tol_ker:.2e}",
@@ -198,26 +238,6 @@ def certify(p: SDProblem, xbar, kappa, seed=42) -> Certificate:
         tolerances={"tol_stat": TOL_STAT, "tol_bound": TOL_BOUND, "tol_ker": tol_ker},
         seed=seed, notes=notes,
     )
-
-
-def stationarity_residual(p: SDProblem, x, g0, atoms, psi_atoms):
-    """(||g0 + sum lambda grad<s,Phi s> + sum c_ij mu_ij grad Psi_ij||,
-    sum lambda + sum c_ij |mu_ij|) for atoms [(s, lambda)] and psi_atoms
-    [((i, j), mu_ij)], where c_ij is 2 off the diagonal (Psi is symmetric)."""
-    return _residual(p, _entry_grads(p.Phi, x), _entry_grads(p.Psi, x), g0, atoms, psi_atoms)
-
-
-def _residual(p: SDProblem, phi_grads, psi_grads, g0, atoms, psi_atoms):
-    resid = g0.copy()
-    total = 0.0
-    for s, wgt in atoms:
-        resid = resid + wgt * _quadform(p, phi_grads, s)
-        total += wgt
-    for (i, j), mij in psi_atoms:
-        factor = 1.0 if i == j else 2.0
-        resid = resid + factor * mij * psi_grads(i, j)
-        total += factor * abs(mij)
-    return float(np.linalg.norm(resid)), total
 
 
 def reduce_to_sip(p: SDProblem) -> SIProblem:

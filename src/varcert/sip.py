@@ -1,11 +1,12 @@
 """Semi-infinite programs: min objective(x) s.t. theta(x,s) <= 0 for all s in a box S.
 
 Feasibility is the sup of the constraint over the compact index box
-(grid plus projected-gradient polish), multipliers are recovered as
-finite atomic measures supported on active indexes, and Caratheodory
-pivoting reduces the support to at most n atoms while preserving the
-stationarity equation.  Equality families psi(x,t) = 0 are handled by
-the two-inequality split with the 2*kappa bound.
+(grid plus projected-gradient polish), and multipliers are recovered as
+finite atomic measures supported on active indexes.  The multiplier LP's
+simplex vertex has at most n positive weights, so the support has at most
+n atoms (Caratheodory's bound; ``caratheodory_reduce`` prunes any other
+conic combination to that size).  Equality families psi(x,t) = 0 are
+handled by the two-inequality split with the 2*kappa bound.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import expr as expr_mod
 from .calculus import FEASIBLE_SAMPLE, CQReport, INCONCLUSIVE, REFUTED, VERIFIED, \
     ratio_stability_estimate
-from .certify import Certificate, TOL_BOUND, TOL_STAT, resolve_kappa, verdict
+from .certify import Certificate, TOL_BOUND, TOL_STAT, checked, resolve_kappa, verdict
 from .errors import (
     DimensionMismatchError,
     InfeasiblePointError,
@@ -459,24 +460,54 @@ def caratheodory_reduce(atoms, weights, G) -> AtomicMultiplier:
 
 def stationarity_atoms(atoms, cols, target, lines=(), line_cols=(), line_costs=None):
     """Least-cost multiplier sum_i w_i cols_i + sum_j mu_j line_cols_j = target
-    with w >= 0, pruned by Caratheodory; None when there is none.
+    with w >= 0; None when there is none.
 
     An atom costs 1 per unit weight and line j costs ``line_costs[j]``
     (default 1) per unit of |mu_j|; each line enters the LP as a +/- column
-    pair.  Returns ([(atom, w)], {tuple(line): mu})."""
+    pair.  The simplex returns a vertex, so at most len(target) weights are
+    positive: the Caratheodory bound holds with no reduction.  Returns
+    ([(atom, w)], {tuple(line): mu}) over the positive weights, the lines
+    on their + column first."""
     cost = None if line_costs is None else np.concatenate([np.ones(len(cols)), line_costs])
     fit = conic_fit(target, np.array(cols).T if cols else None,
                     np.array(line_cols).T if len(line_cols) else None, cost=cost)
     if fit is None:
         return None
-    # one Caratheodory pass over the full nonnegative column set, tagged by sign
-    tags = [(0.0, a) for a in atoms] + [(1.0, t) for t in lines] + [(-1.0, t) for t in lines]
-    mult = caratheodory_reduce(tags, fit.x, fit.A)
-    signed = {}
-    for (sign, t), w in mult.atoms:
-        if sign:
-            signed[tuple(t)] = signed.get(tuple(t), 0.0) + sign * w
-    return [(a, w) for (sign, a), w in mult.atoms if not sign], signed
+    l = len(lines)
+    signed = {tuple(t): float(v) for t, v in zip(lines, fit.split[:l]) if v > 0.0}
+    for t, v in zip(lines, fit.split[l:]):
+        if v > 0.0:
+            signed[tuple(t)] = signed.get(tuple(t), 0.0) - float(v)
+    return [(a, float(w)) for a, w in zip(atoms, fit.w) if w > 0.0], signed
+
+
+def conditions(p: SIProblem, x, g0, atoms, eq_atoms):
+    """(failures, residual, lhs) of a SIP certificate at x, from the objective
+    gradient g0 there.
+
+    The conditions: each atom (s, lambda) has lambda >= 0, s in the box S and
+    theta(x, s) ~ 0; each equality atom (t, mu) has psi(x, t) ~ 0.  residual
+    is ||g0 + sum lambda grad_x theta(x,s) + sum mu grad_x psi(x,t)|| and lhs
+    is sum lambda + sum |mu|."""
+    failures = []
+    resid = g0.copy()
+    total = 0.0
+    for s, w in atoms:
+        if w < -1e-12:
+            failures.append("negative atom weight")
+        if any(v < lo - 1e-9 or v > hi + 1e-9 for v, (lo, hi) in zip(s, p.S)):
+            failures.append("atom outside the index box")
+        val = p.theta_at(x, s)
+        if val < -1e-5 or val > 1e-6:
+            failures.append(f"atom not active: theta = {val:.3e}")
+        resid = resid + w * p.grad_x_theta(x, s)
+        total += w
+    for t, m in eq_atoms:
+        if abs(p.psi_at(x, t)) > 1e-6:
+            failures.append("equality atom violated at the point")
+        resid = resid + m * p.grad_x_psi(x, t)
+        total += abs(m)
+    return failures, float(np.linalg.norm(resid)), total
 
 
 def certify(p: SIProblem, xbar, kappa, seed=42, density=None) -> Certificate:
@@ -509,7 +540,7 @@ def certify(p: SIProblem, xbar, kappa, seed=42, density=None) -> Certificate:
     atoms, signed = found
     eq_atoms = [(np.array(t), m) for t, m in signed.items() if abs(m) > 0.0]
     bound_factor = 1.0 if p.psi is None else 2.0
-    residual, total = stationarity_residual(p, xbar, g0, atoms, eq_atoms)
+    residual, total = checked(conditions(p, xbar, g0, atoms, eq_atoms))
     comp_worst = max([0.0] + [abs(w * p.theta_at(xbar, s)) for s, w in atoms])
     bound_rhs = bound_factor * kappa_val * float(np.linalg.norm(g0)) \
         if kappa_val is not None else None
@@ -525,17 +556,3 @@ def certify(p: SIProblem, xbar, kappa, seed=42, density=None) -> Certificate:
                        tolerances={"tol_stat": TOL_STAT, "tol_bound": TOL_BOUND,
                                    "tol_active": TOL_ACTIVE, "tol_feas": TOL_FEAS},
                        seed=seed, notes=[f"complementarity max |lambda*theta| = {comp_worst:.2e}"])
-
-
-def stationarity_residual(p: SIProblem, x, g0, atoms, eq_atoms):
-    """(||g0 + sum lambda grad_x theta(x,s) + sum mu grad_x psi(x,t)||,
-    sum lambda + sum |mu|) for atoms [(s, lambda)] and eq_atoms [(t, mu)]."""
-    resid = g0.copy()
-    total = 0.0
-    for s, w in atoms:
-        resid = resid + w * p.grad_x_theta(x, s)
-        total += w
-    for t, m in eq_atoms:
-        resid = resid + m * p.grad_x_psi(x, t)
-        total += abs(m)
-    return float(np.linalg.norm(resid)), total

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonConvergenceError, NumericalBreakdownError
+from .errors import DimensionMismatchError, NonConvergenceError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -29,7 +29,6 @@ UNBOUNDED = "unbounded"
 
 _RC_TOL = 1e-9
 _PIVOT_TOL = 1e-9
-_BREAKDOWN_TOL = 1e-12
 
 
 @dataclass
@@ -147,21 +146,7 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _rebuild(T, M_full, r, cost_rows, basis):
-    """Refactorization: recompute the tableau from the basis by direct solve."""
-    mrows = M_full.shape[0]
-    B = M_full[:, basis]
-    Binv_M = np.linalg.solve(B, M_full)
-    Binv_r = np.linalg.solve(B, r)
-    T[:mrows, :-1] = Binv_M
-    T[:mrows, -1] = Binv_r
-    for k, c_full in cost_rows:
-        y = c_full[basis]
-        T[mrows + k, :-1] = c_full - y @ Binv_M
-        T[mrows + k, -1] = -y @ Binv_r
-
-
-def _simplex_loop(T, basis, allowed, obj_row, max_iter=20000, refactor=None):
+def _simplex_loop(T, basis, allowed, obj_row, max_iter=20000):
     """Bland's rule iteration on the bottom objective row. Returns status."""
     it = 0
     while True:
@@ -185,14 +170,7 @@ def _simplex_loop(T, basis, allowed, obj_row, max_iter=20000, refactor=None):
         if not ratios:
             return UNBOUNDED, it
         ratios.sort(key=lambda z: (z[0], z[1]))
-        row = ratios[0][2]
-        if abs(T[row, col]) < _BREAKDOWN_TOL:
-            if refactor is not None:
-                refactor()
-            if abs(T[row, col]) < _BREAKDOWN_TOL:
-                raise NumericalBreakdownError(
-                    f"pivot magnitude {abs(T[row, col]):.3e} below breakdown threshold")
-        _pivot(T, basis, row, col)
+        _pivot(T, basis, ratios[0][2], col)
 
 
 def lp_solve(p: LPProblem) -> LPSolution:
@@ -218,11 +196,8 @@ def lp_solve(p: LPProblem) -> LPSolution:
     for i in range(mrows):
         T[mrows] -= T[i]  # price out the artificial basis
 
-    def refactor():
-        _rebuild(T, M_full, r, [(0, cost_art), (1, cost_full)], basis)
-
     allowed = list(range(ncols + mrows))
-    status, it1 = _simplex_loop(T, basis, allowed, mrows, refactor=refactor)
+    status, it1 = _simplex_loop(T, basis, allowed, mrows)
     phase1 = -T[mrows, -1]
     if phase1 > 1e-9 * (1.0 + float(np.linalg.norm(r))):
         return LPSolution(status=INFEASIBLE, iterations=it1)
@@ -246,7 +221,6 @@ def lp_solve(p: LPProblem) -> LPSolution:
         T = T[rows]
         basis = [basis[i] for i in keep]
         M_full = M_full[keep]
-        r = r[keep]
         row_map = keep
     else:
         row_map = list(range(mrows))
@@ -255,10 +229,7 @@ def lp_solve(p: LPProblem) -> LPSolution:
     # phase 2 over structural + slack columns only
     allowed = list(range(ncols))
 
-    def refactor2():
-        _rebuild(T[: nbrows + 2], M_full, r, [(1, cost_full[: ncols + mrows])], basis)
-
-    status, it2 = _simplex_loop(T, basis, allowed, nbrows + 1, refactor=refactor2)
+    status, it2 = _simplex_loop(T, basis, allowed, nbrows + 1)
     if status == UNBOUNDED:
         return LPSolution(status=UNBOUNDED, iterations=it1 + it2)
 
@@ -301,12 +272,6 @@ def eigh(A):
     w, V = w[::-1], V[:, ::-1]  # LAPACK's order is ascending
     peak = V[np.argmax(np.abs(V), axis=0), np.arange(len(w))]
     return w, V * np.where(peak < 0.0, -1.0, 1.0)
-
-
-def largest_eigenvalue(A) -> float:
-    """sigma(A): the largest eigenvalue of a symmetric matrix."""
-    w, _ = eigh(A)
-    return float(w[0])
 
 
 def lp_solve_with_tiebreak(p: LPProblem) -> LPSolution:

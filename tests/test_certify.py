@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -247,3 +249,17 @@ def test_dual_certificate_plq_with_domain_normal_cone(name):
     p = ConstrainedProblem(PLQFunction(pieces), SmoothMap.identity(2), theta)
     cert = dual_certificate(p, x, kappa=1.0)
     assert cli.canonical_json(cli.certificate_document(cert, "nlp")).strip() == PLQ_DOMAIN_PINS[name]
+
+
+def test_an_issuer_writes_no_certificate_that_its_own_check_rejects(tmp_path, monkeypatch):
+    """A multiplier that fails its kind's condition function is a numerical
+    error, exit 4, and no file is written."""
+    monkeypatch.setattr(certify, "kkt_conditions", lambda *args: (["forced failure"], 0.0, 0.0))
+    prob, out = tmp_path / "problem.json", tmp_path / "cert.json"
+    prob.write_text(json.dumps({
+        "kind": "nlp", "n": 2, "objective": "-x1 - x2",
+        "constraints": {"f": ["x1", "x2"],
+                        "Theta": {"A_ineq": [[1, 0], [0, 1]], "b_ineq": [0, 0]}}}))
+    argv = ["kkt", "-p", str(prob), "--point", "0,0", "--kappa", "1", "--out", str(out)]
+    assert cli.run(argv) == 4
+    assert not out.exists()

@@ -11,13 +11,15 @@ a script to rewrite the expected outputs after an intended change:
 
 import hashlib
 import json
+import math
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from varcert import cli
+from varcert import cli, solvers
 from varcert.certify import ConstrainedProblem, dual_certificate
 from varcert.expr import SmoothMap
 from varcert.funcspace import PLQFunction
@@ -68,16 +70,96 @@ def test_golden_certificate(case, tmp_path):
     assert recheck == case["recheck"]
 
 
-def test_recheck_refutes_sdp_atom_off_the_unit_sphere(tmp_path):
-    """Tampering the sdp_readme atom to s = [2, 0] makes recheck exit 1
-    (REFUTED), not 3: the unit check settles it before the residual."""
-    case = next(c for c in CASES if c["name"] == "sdp_readme")
+def recheck_edited(case, edit, tmp_path):
+    """The recheck exit code of the case's golden certificate after ``edit(doc)``."""
     cert = json.loads(expected_text(case))
-    cert["atoms"][0]["s"] = [2.0, 0.0]
+    edit(cert)
     prob, out = tmp_path / "problem.json", tmp_path / "cert.json"
     prob.write_text(json.dumps(case["problem"]), encoding="utf-8")
     out.write_text(json.dumps(cert), encoding="utf-8")
-    assert cli.run(["recheck", "-p", str(prob), "-c", str(out)]) == 1
+    return cli.run(["recheck", "-p", str(prob), "-c", str(out)])
+
+
+def by_name(name):
+    return next(c for c in CASES if c["name"] == name)
+
+
+def test_recheck_refutes_sdp_atom_off_the_unit_sphere(tmp_path):
+    """Tampering the sdp_readme atom to s = [2, 0] makes recheck exit 1
+    (REFUTED), not 3: the unit check settles it before the residual."""
+    def edit(cert):
+        cert["atoms"][0]["s"] = [2.0, 0.0]
+    assert recheck_edited(by_name("sdp_readme"), edit, tmp_path) == 1
+
+
+def forged_verified(section=None, field=None, value=None):
+    """An edit that claims VERIFIED with no detail, and sets one field."""
+    def edit(cert):
+        cert["status"], cert["detail"] = "VERIFIED", None
+        if section is not None:
+            cert[section][field] = value
+    return edit
+
+
+FORGERIES = [(name, section, field, value)
+             for name in ("nlp_bound_exceeded", "sip_bound_exceeded", "sdp_bound_exceeded")
+             for section, field, value in (("bound", "rhs", 100.0),
+                                           ("tolerances", "tol_bound", 1e9))] + [
+    ("nlp_kappa_unavailable", None, None, None),
+    ("sip_kappa1", "bound", "kappa", None),
+]
+
+
+@pytest.mark.parametrize("name, section, field, value", FORGERIES,
+                         ids=[f"{n}-{f or 'status'}" for n, _, f, _ in FORGERIES])
+def test_recheck_refutes_a_forged_verified_claim(name, section, field, value, tmp_path):
+    """recheck recomputes the bound from kappa with its own tolerances, and
+    VERIFIED needs a kappa: none of these forgeries rechecks to exit 0."""
+    assert recheck_edited(by_name(name), forged_verified(section, field, value), tmp_path) == 1
+
+
+@pytest.mark.parametrize("kappa, code", [
+    (math.inf, 1), (math.nan, 1), (-1.0, 1), (-1e-9, 1),
+    ("1", 3), (True, 3), ([1.0], 3), (10 ** 400, 3),  # 10**400 has no float
+], ids=["inf", "nan", "negative", "tiny_negative", "string", "bool", "list", "huge_int"])
+def test_recheck_reads_kappa_as_a_finite_nonnegative_number(kappa, code, tmp_path):
+    edit = forged_verified("bound", "kappa", kappa)
+    assert recheck_edited(by_name("sip_kappa1"), edit, tmp_path) == code
+
+
+def scramble_informational(cert):
+    """Set every field recheck does not read to a value that would refute
+    the certificate if it were read."""
+    cert["tolerances"] = {key: -1.0 for key in cert["tolerances"]}
+    cert["bound"].update(rhs=-1.0, lhs=1e9, rule="forged", kappa_source="forged")
+    cert.update(residual=1e9, detail="FORGED", seed=-1, notes=["forged"], tool_version="0")
+
+
+VERIFIED_CASES = [c for c in CASES
+                  if c["recheck"] is not None and c["exit"] == 0 and expected_text(c)]
+
+
+@pytest.mark.parametrize("case", VERIFIED_CASES, ids=[c["name"] for c in VERIFIED_CASES])
+def test_informational_fields_leave_a_verified_recheck_at_0(case, tmp_path):
+    assert recheck_edited(case, scramble_informational, tmp_path) == 0
+
+
+def test_recheck_solves_no_lp(tmp_path, monkeypatch):
+    """With every varcert binding of lp_solve replaced by one that raises,
+    recheck reproduces each golden recheck exit code."""
+    lp_solve = solvers.lp_solve
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("lp_solve called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "varcert" and getattr(module, "lp_solve", None) is lp_solve:
+            monkeypatch.setattr(module, "lp_solve", no_lp)
+    with pytest.raises(AssertionError):  # the patch reaches the issuers
+        issue(by_name("nlp_kkt_kappa1"), tmp_path)
+    for case in CASES:
+        if case["recheck"] is not None:
+            assert recheck_edited(case, lambda cert: None, tmp_path) == case["recheck"], case["name"]
 
 
 # Each case before the SIP kappa was estimated from strong slopes: the
