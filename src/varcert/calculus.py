@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -50,7 +51,7 @@ VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
 INCONCLUSIVE = "INCONCLUSIVE"
 NOT_APPLICABLE = "NOT-APPLICABLE"
-# a ratio-scheme sample whose violation is at most this counts as feasible
+# a sample whose violation is at most this counts as feasible
 FEASIBLE_SAMPLE = 10 * geo.TOL_FEAS
 
 
@@ -87,6 +88,7 @@ class Composite:
         self.ybar = f.eval(self.xbar)
         self.domain_oracle = domain_oracle
         self._last_image = (None, None)
+        self._last_point = (None, None)
         if domain_oracle is None:
             if not math.isfinite(theta.value(self.ybar)):
                 raise NotInDomainError("f(xbar) is outside dom(theta)")
@@ -118,17 +120,6 @@ class Composite:
                 return 0.0
         return min((d for _, d in self._piece_projections(y, pieces)), default=INF)
 
-    def project_dom(self, y):
-        """Nearest point of dom theta (over its polyhedral pieces)."""
-        pieces = self.theta.dom_pieces()
-        if pieces is None:
-            return np.asarray(y, dtype=float), 0.0
-        y = np.asarray(y, dtype=float)
-        for P in pieces:
-            if P.residual(y) <= 0.0:
-                return y.copy(), 0.0
-        return min(self._piece_projections(y, pieces), key=lambda wd: wd[1], default=(None, INF))
-
     def _piece_projections(self, y, pieces):
         """project(P, y) for each nonempty piece P, kept for the last y: a
         sampler's violation projects an image that the Gauss-Newton
@@ -137,6 +128,23 @@ class Composite:
         if self._last_image[0] != y.tobytes():
             self._last_image = (y.tobytes(), [project(P, y) for P in pieces if not P.is_empty()])
         return self._last_image[1]
+
+    def image(self, x):
+        """f(x), or None when x is outside dom f (its image is not finite).
+        The last point's image is kept: ``restore`` measures the violation at
+        z, starts from z and measures its end point again."""
+        key = np.asarray(x, dtype=float).tobytes()
+        if self._last_point[0] != key:
+            y = self.f.eval(x)
+            self._last_point = (key, y if np.isfinite(y).all() else None)
+        return self._last_point[1]
+
+    def violation(self, x):
+        """dist(f(x); dom theta).  The one rule for points outside dom f:
+        there is no image to measure or project, so they are infinitely
+        infeasible, and samplers skip them."""
+        y = self.image(x)
+        return INF if y is None else self.dist_dom(y)
 
     def dom_residual(self, y):
         """(d, v): d = dist(y; dom theta) and v = d * grad dist(.; dom theta)(y),
@@ -149,7 +157,11 @@ class Composite:
         """
         y = np.asarray(y, dtype=float)
         if self.domain_oracle is None:
-            w, d = self.project_dom(y)
+            pieces = self.theta.dom_pieces()
+            if pieces is None or any(P.residual(y) <= 0.0 for P in pieces):
+                return 0.0, None
+            w, d = min(self._piece_projections(y, pieces), key=lambda wd: wd[1],
+                       default=(None, INF))
             return d, (y - w if 0.0 < d < INF else None)
         d = self.dist_dom(y)
         if not 0.0 < d < INF:
@@ -170,101 +182,96 @@ class Composite:
         return False
 
 
-def feasible_set_oracle(c: Composite) -> SampledSetOracle:
-    """Oracle for Omega = f^{-1}(dom theta): penalty descent plus GN restoration.
+# ---------------------------------------------------------------------------
+# feasibility restoration onto Omega = f^{-1}(dom theta)
 
-    The graduated penalty phase can stall short of tol_feas on flat
-    landscapes (for instance a squared map against a singleton target);
-    the Gauss-Newton polish drives the image onto dom theta so that
-    distance estimates are backed by genuinely feasible points.
+PENALTY_MUS = (1e2, 1e4, 1e6)  # the penalty descent's graduated penalties
+PENALTY_STEPS = 60  # descent steps per penalty
+
+
+def restore(c: Composite, z):
+    """A point of Omega = f^{-1}(dom theta) near z.
+
+    Gauss-Newton steps from z usually land on Omega.  When they stall above
+    TOL_FEAS (a rank-deficient Jacobian, an image that meets dom theta
+    tangentially), a graduated penalty descent from z finds a nearby point
+    that Gauss-Newton then polishes.  Distance estimates stay upper bounds either way, which the
+    ratio tests tolerate.  No step goes to a point outside dom f, and a z
+    outside dom f comes back unchanged, infinitely violating.
     """
+    z = np.array(z, dtype=float)
+    x = _polish(c, z)
+    if geo.TOL_FEAS < c.violation(x) < INF:
+        x = _polish(c, _penalty_descent(c, z))
+    return x
 
-    last = [None, None]  # the last point's bytes and its image
 
-    def image(x):
-        """f(x), or None when x is outside dom f (its image is not finite).
-        The last point's image is kept: a projection measures the violation
-        at z, starts the restoration from z and measures its end point again."""
-        key = np.asarray(x, dtype=float).tobytes()
-        if last[0] != key:
-            y = c.f.eval(x)
-            last[:] = key, (y if np.isfinite(y).all() else None)
-        return last[1]
+def _gauss_newton(c: Composite, x):
+    """Gauss-Newton iterates x + lstsq(J(x), -v) from x, with
+    (d, v) = ``c.dom_residual(f(x))``.  They end once d <= 1e-12, at a step
+    shorter than 1e-15 or longer than 1e3, and before a step to a point
+    outside dom f; a point outside dom f takes no step."""
+    y = c.image(x)
+    while y is not None:
+        d, v = c.dom_residual(y)
+        if not 1e-12 < d < INF:
+            return
+        delta, *_ = np.linalg.lstsq(c.f.jacobian(x), -v, rcond=None)
+        nd = float(np.linalg.norm(delta))
+        if nd < 1e-15 or nd > 1e3:
+            return
+        x = x + delta
+        y = c.image(x)
+        if y is not None:
+            yield x
 
-    def violation(x):
-        # the one rule for points outside dom f: there is no image to measure
-        # or project, so they are infinitely infeasible, and samplers skip them
-        y = image(x)
-        return INF if y is None else c.dist_dom(y)
 
-    if c.domain_oracle is not None:
-        return SampledSetOracle(violation)
+def _polish(c: Composite, x, steps=60):
+    """The last of at most ``steps`` Gauss-Newton iterates from x, or x."""
+    for x in islice(_gauss_newton(c, x), steps):
+        pass
+    return x
 
-    def grad_sq(x):
-        # penalty descent only steps to points with a finite image
-        y = image(x)
-        w, d = c.project_dom(y)
-        if d == 0.0:
-            return np.zeros(c.n)
-        return 2.0 * (c.f.jacobian(x).T @ (y - w))
 
-    base = SampledSetOracle(violation, grad_sq=grad_sq)
+def _penalty_descent(c: Composite, z):
+    """Backtracking descent from z on ||x - z||^2 + mu g(x)^2, g = c.violation,
+    for each mu in PENALTY_MUS until g(x) <= TOL_FEAS.  The gradient of g^2
+    is 2 J(x)^T v, v from ``c.dom_residual``; a trial point outside dom f
+    has an infinite penalty and is rejected."""
+    x = z
+    for mu in PENALTY_MUS:
+        if c.violation(x) <= geo.TOL_FEAS:
+            break
 
-    def gn_restore(x, iters=60):
-        """Gauss-Newton steps; stops before a step whose image is not finite."""
-        y = image(x)
-        for _ in range(iters if y is not None else 0):
-            w, d = c.project_dom(y)
-            if d <= 1e-12:
+        def fval(p):
+            return float(np.dot(p - z, p - z)) + mu * c.violation(p) ** 2
+
+        fx = fval(x)
+        t = 1.0  # adaptive: grows on acceptance, halves on rejection
+        for _ in range(PENALTY_STEPS):
+            _, v = c.dom_residual(c.image(x))
+            grad_sq = np.zeros(c.n) if v is None else 2.0 * (c.f.jacobian(x).T @ v)
+            g = 2.0 * (x - z) + mu * grad_sq
+            gn = float(np.linalg.norm(g))
+            if gn < 1e-12:
                 break
-            J = c.f.jacobian(x)
-            delta, *_ = np.linalg.lstsq(J, w - y, rcond=None)
-            nd = float(np.linalg.norm(delta))
-            if nd < 1e-15 or nd > 1e3:
+            for _ in range(60):
+                xn = x - t * g
+                fn = fval(xn)
+                if fn <= fx - 1e-4 * t * gn * gn:
+                    x, fx = xn, fn
+                    t *= 2.0
+                    break
+                t *= 0.5
+            else:
                 break
-            x_next = x + delta
-            y = image(x_next)
-            if y is None:
-                break
-            x = x_next
-        return x
-
-    def project_fn(z):
-        z = np.asarray(z, dtype=float)
-        # Gauss-Newton restoration is cheap and usually lands on a nearby
-        # feasible point; the graduated penalty descent is the fallback when
-        # it stalls (rank-deficient Jacobian and the like).  Distance
-        # estimates stay upper bounds either way, which the ratio tests
-        # tolerate.  A z outside dom f comes back as is, infinitely violating.
-        x = gn_restore(z.copy())
-        v = violation(x)
-        if v <= geo.TOL_FEAS or v == INF:
-            return x
-        x = SampledSetOracle.project(base, z)
-        return gn_restore(x)
-
-    return SampledSetOracle(violation, grad_sq=grad_sq, project_fn=project_fn)
+    return x
 
 
-def _composite_candidate_fn(c: Composite):
-    """Gauss-Newton feasibility restoration candidates for sampled quotients."""
-
-    def candidates(x, u, t):
-        base = np.asarray(x) + t * np.asarray(u)
-        z = base.copy()
-        out = []
-        for _ in range(2):
-            y = c.f.eval(z)
-            w, d = c.project_dom(y)
-            if d <= geo.TOL_FEAS:
-                break
-            J = c.f.jacobian(z)
-            delta, *_ = np.linalg.lstsq(J, w - y, rcond=None)
-            z = z + delta
-            out.append((z - np.asarray(x)) / t)
-        return out
-
-    return candidates
+def feasible_set_oracle(c: Composite) -> SampledSetOracle:
+    """Oracle for Omega = f^{-1}(dom theta): the violation dist(f(x); dom theta),
+    inf outside dom f, and the projection ``restore``."""
+    return SampledSetOracle(c.violation, lambda z: restore(c, z))
 
 
 def composite_fn(c: Composite, t_floor=1e-6) -> OracleFn:
@@ -273,7 +280,13 @@ def composite_fn(c: Composite, t_floor=1e-6) -> OracleFn:
     def val(z):
         return c.theta.value(c.f.eval(z))
 
-    return OracleFn(val, c.n, candidate_fn=_composite_candidate_fn(c), t_floor=t_floor)
+    def candidates(x, u, t):
+        """The first two Gauss-Newton iterates of ``restore`` from x + t u,
+        as directions from x."""
+        x = np.asarray(x, dtype=float)
+        return [(z - x) / t for z in islice(_gauss_newton(c, x + t * np.asarray(u)), 2)]
+
+    return OracleFn(val, c.n, candidate_fn=candidates, t_floor=t_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +430,7 @@ def sampled_tangent_directions(c: Composite, count=12, radius=1e-3, seed=0):
         w = oracle.project(z)
         d = w - c.xbar
         nd = float(np.linalg.norm(d))
-        if nd > 1e-2 * radius and oracle.violation(w) <= geo.TOL_FEAS * 10:
+        if nd > 1e-2 * radius and oracle.violation(w) <= FEASIBLE_SAMPLE:
             dirs.append(d / nd)
     return dirs
 
@@ -835,7 +848,7 @@ def prox_regularity_check(c: Composite, radius=0.3, samples=40, seed=0, kappa=No
         w = oracle.project(z)
         v = oracle.violation(w)
         skipped += v == INF
-        if v <= geo.TOL_FEAS * 10:
+        if v <= FEASIBLE_SAMPLE:
             pts.append(_refine_onto_facets(c, Theta, w))
     notes = [f"{skipped} samples outside dom f skipped"] if skipped else []
     ratios = []

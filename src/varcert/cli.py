@@ -292,6 +292,15 @@ def _refuted(failures, log):
     return EXIT_REFUTED
 
 
+def _psi_entry(t, p):
+    """A Psi atom's entry (i, j): two integral numbers with 0 <= i <= j < m."""
+    i, j = t
+    m = 0 if p.Psi is None else len(p.Psi)
+    if not (all(type(v) in (int, float) and float(v).is_integer() for v in t) and 0 <= i <= j < m):
+        raise CliError(f"Psi atom t = {t} is not an entry (i, j) with 0 <= i <= j < {m}")
+    return int(i), int(j)
+
+
 def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
     kind = prob_doc["kind"]
     if cert_doc.get("problem_kind") != kind:
@@ -362,8 +371,7 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
         A = p.phi_value(x)
         atoms = [(np.array(a["s"], dtype=float), float(a["lambda"]))
                  for a in cert_doc.get("atoms", [])]
-        psi_atoms = [(tuple(int(v) for v in a["t"]), float(a["mu"]))
-                     for a in cert_doc.get("eq_atoms", [])]
+        psi_atoms = [(_psi_entry(a["t"], p), float(a["mu"])) for a in cert_doc.get("eq_atoms", [])]
         g = p.grad_objective(x)
         failures, residual, lhs = sdp_mod.conditions(
             p, x, A, eigh(A)[0], sdp_mod.entry_grads(p.Phi, x), sdp_mod.entry_grads(p.Psi, x),
@@ -513,6 +521,8 @@ def _cmd_recheck(args):
             cert_doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read certificate {args.certificate}: {exc}")
+    if not isinstance(cert_doc, dict):
+        raise CliError("certificate file must hold a JSON object")
     prob_doc = load_problem(args.problem)
     try:
         return recheck(cert_doc, prob_doc, log=lambda m: print(m, file=sys.stderr))

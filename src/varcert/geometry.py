@@ -31,8 +31,6 @@ from .solvers import INFEASIBLE, OPTIMAL, LPProblem, conic_fit, least_distance, 
 
 TOL_FEAS = 1e-8
 TOL_ACTIVE = 1e-6
-PENALTY_MUS = (1e2, 1e4, 1e6)  # SampledSetOracle.project's graduated penalties
-PENALTY_STEPS = 60  # descent steps per penalty
 
 _MAX_RAY_SUBSETS = 500_000
 
@@ -493,68 +491,23 @@ def dist_to_cone(K: PolyhedralCone, z) -> float:
 # sampled sets and derivability
 
 class SampledSetOracle:
-    """Nonconvex set access: feasibility callback plus local projection by penalty descent.
+    """Nonconvex set access: a violation callback and a local projection.
 
     ``violation(x) >= 0`` vanishes exactly on the set (typically
-    dist(f(x); Theta)).  ``grad_sq`` is the gradient of violation**2; if
-    omitted it is approximated by central differences.  ``project_fn``
-    replaces the penalty descent when a better projection is available.
+    dist(f(x); Theta)).  ``projection(z)`` returns a nearby point of the set;
+    for Omega = f^{-1}(dom theta) it is ``calculus.restore``.
     """
 
-    def __init__(self, violation, grad_sq=None, project_fn=None):
+    def __init__(self, violation, projection):
         self.violation = violation
-        self.grad_sq = grad_sq
-        self.project_fn = project_fn
+        self.projection = projection
 
     def feasible(self, x):
         return self.violation(np.asarray(x, dtype=float)) <= TOL_FEAS
 
-    def _grad_sq(self, x):
-        if self.grad_sq is not None:
-            return self.grad_sq(x)
-        h = 1e-7
-        g = np.zeros(len(x))
-        for i in range(len(x)):
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            g[i] = (self.violation(xp) ** 2 - self.violation(xm) ** 2) / (2 * h)
-        return g
-
     def project(self, z):
-        """Approximate nearest feasible point by graduated penalty descent."""
-        z = np.asarray(z, dtype=float)
-        if self.project_fn is not None:
-            return np.asarray(self.project_fn(z), dtype=float)
-        if self.feasible(z):
-            return z.copy()
-        x = z.copy()
-        for mu in PENALTY_MUS:
-            def fval(p):
-                return float(np.dot(p - z, p - z)) + mu * self.violation(p) ** 2
-
-            fx = fval(x)
-            t = 1.0  # adaptive: grows on acceptance, halves on rejection
-            for _ in range(PENALTY_STEPS):
-                g = 2.0 * (x - z) + mu * self._grad_sq(x)
-                gn = float(np.linalg.norm(g))
-                if gn < 1e-12:
-                    break
-                accepted = False
-                for _ in range(60):
-                    xn = x - t * g
-                    fn = fval(xn)
-                    if fn <= fx - 1e-4 * t * gn * gn:
-                        x, fx = xn, fn
-                        accepted = True
-                        t *= 2.0
-                        break
-                    t *= 0.5
-                if not accepted:
-                    break
-            if self.violation(x) <= TOL_FEAS:
-                break
-        return x
+        """Approximate nearest point of the set."""
+        return self.projection(np.asarray(z, dtype=float))
 
     def dist(self, z):
         """Distance to the set; inf where ``violation`` is inf, which marks a

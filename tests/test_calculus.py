@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from varcert import calculus as calc
+from varcert import calculus as calc, geometry as geo
 from varcert.calculus import (
     Composite,
     DomainOracle,
@@ -32,6 +32,7 @@ from varcert.funcspace import (
     subderivative_sampled,
 )
 from varcert.geometry import Polyhedron
+from test_acceptance import random_poly_map
 
 
 def id_map(n=1):
@@ -77,6 +78,17 @@ def test_chain_rule_matches_sampled_quotient():
         lhs = chain_subderivative(c, u).value
         rhs = subderivative_sampled(fn, xbar, u, seed=3).value
         assert rhs == pytest.approx(lhs, abs=1e-4)
+
+
+def test_chain_rule_oracle_skips_restoration_outside_dom_f():
+    """f = log(x1) - x2 at x1 = 0.004: along u = (-1, 0) the quotient levels
+    reach x1 <= 0, where f has no image.  The restoration candidates take no
+    step from there, so the sampled quotient matches the chain rule."""
+    f = SmoothMap.from_strings(["log(x1) - x2"], ["x1", "x2"])
+    c = Composite(IndicatorFn(Polyhedron([[1.0]], [0.0])), f, [0.004, 10.0])
+    u = np.array([-1.0, 0.0])
+    assert subderivative_sampled(composite_fn(c), c.xbar, u).value == 0.0
+    assert chain_subderivative(c, u).value == 0.0
 
 
 def test_sum_subderivative_examples():
@@ -239,6 +251,26 @@ def test_feasible_set_oracle_evaluates_f_once_per_point(monkeypatch):
     assert 0.0 < d < INF
     assert len(points) >= 3  # z and the Gauss-Newton iterates
     assert len(points) == len(set(points))
+
+
+def test_restore_reaches_omega_through_the_penalty_fallback():
+    """A seeded polynomial composite (n = 2, m = 3) on which Gauss-Newton
+    alone stalls above TOL_FEAS: restore reaches Omega through the penalty
+    descent and its Gauss-Newton polish, nearer z than the stalled point."""
+    rng = np.random.default_rng(9)
+    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    f = random_poly_map(rng, n, m)
+    xbar = rng.normal(size=n) * 0.5
+    A = rng.normal(size=(m, m))
+    b = A @ f.eval(xbar) + np.abs(rng.normal(size=m)) * 0.2
+    c = Composite(IndicatorFn(Polyhedron(A, b)), f, xbar)
+    z = xbar + 0.5 * rng.standard_normal(n)
+    assert (n, m) == (2, 3)
+    stalled = calc._polish(c, z)
+    assert geo.TOL_FEAS < c.violation(stalled) < INF
+    x = calc.restore(c, z)
+    assert c.violation(x) <= geo.TOL_FEAS
+    assert np.linalg.norm(x - z) < np.linalg.norm(stalled - z)
 
 
 def affine_composite(rng, n):

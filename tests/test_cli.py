@@ -252,6 +252,15 @@ def test_recheck_malformed_certificate_exit_3(tmp_path):
     assert cli.run(["recheck", "-p", prob, "-c", str(broken)]) == 3
 
 
+@pytest.mark.parametrize("text", ["[]", "1", '"x"', "null"])
+def test_recheck_certificate_not_an_object_exit_3(text, tmp_path, capsys):
+    prob = write_problem(tmp_path, linear_sip_doc())
+    cert = tmp_path / "cert.json"
+    cert.write_text(text, encoding="utf-8")
+    assert cli.run(["recheck", "-p", prob, "-c", str(cert)]) == 3
+    assert "error: certificate file must hold a JSON object" in capsys.readouterr().err
+
+
 def test_kkt_with_estimated_kappa(tmp_path):
     prob = write_problem(tmp_path, orthant_doc())
     out = str(tmp_path / "cert.json")

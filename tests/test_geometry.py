@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from varcert import geometry as geo
+from varcert.calculus import Composite, feasible_set_oracle
 from varcert.errors import EmptySetError, NotMemberError, NumericalBreakdownError
+from varcert.expr import SmoothMap
+from varcert.funcspace import IndicatorFn
 from varcert.geometry import (
     Polyhedron,
     PolyhedralCone,
-    SampledSetOracle,
     derivability_check,
     normal_cone,
     project,
@@ -271,23 +273,18 @@ def test_derivability_examples():
 
 
 def test_sampled_set_oracle_penalty_projection():
-    # parabola epigraph {b >= a^2} via violation = max(a^2 - b, 0)
-    def violation(z):
-        return max(z[0] ** 2 - z[1], 0.0)
-
-    def grad_sq(z):
-        v = z[0] ** 2 - z[1]
-        if v <= 0:
-            return np.zeros(2)
-        return np.array([4.0 * z[0] * v, -2.0 * v])
-
-    oracle = SampledSetOracle(violation, grad_sq=grad_sq)
+    # parabola epigraph {b >= a^2} as Omega = f^{-1}(dom theta), f = a^2 - b,
+    # Theta = {y <= 0}; the violation is max(a^2 - b, 0)
+    f = SmoothMap.from_strings(["x1^2 - x2"], ["x1", "x2"])
+    c = Composite(IndicatorFn(Polyhedron([[1.0]], [0.0])), f, [0.0, 0.0])
+    oracle = feasible_set_oracle(c)
     assert oracle.feasible([0.5, 0.5])
     z = np.array([0.0, -1.0])
     d = oracle.dist(z)
-    # true distance to the epigraph from (0,-1): nearest point near (+-0.786, 0.618)
+    # from (0,-1) the nearest point of the epigraph is (0, 0), at distance 1
     a = np.linspace(-2, 2, 4001)
     true = float(np.min(np.hypot(a, a ** 2 + 1.0)))
+    assert true == pytest.approx(1.0)
     assert d == pytest.approx(true, abs=5e-3)
     assert oracle.violation(oracle.project(z)) <= 1e-5
 

@@ -127,6 +127,16 @@ def test_recheck_reads_kappa_as_a_finite_nonnegative_number(kappa, code, tmp_pat
     assert recheck_edited(by_name("sip_kappa1"), edit, tmp_path) == code
 
 
+@pytest.mark.parametrize("t", [[-2, -1], [0.7, 1.2], [1, 0], [0, 2]],
+                         ids=["wraps_around", "fractional", "lower_triangle", "out_of_range"])
+def test_recheck_reads_a_psi_atom_only_as_an_upper_triangle_entry(t, tmp_path):
+    """sdp_psi_offdiag (m = 2) stores t = [0, 1]: an entry that is not two
+    integers with 0 <= i <= j < m is malformed, exit 3."""
+    def edit(cert):
+        cert["eq_atoms"][0]["t"] = t
+    assert recheck_edited(by_name("sdp_psi_offdiag"), edit, tmp_path) == 3
+
+
 def scramble_informational(cert):
     """Set every field recheck does not read to a value that would refute
     the certificate if it were read."""
