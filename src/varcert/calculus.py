@@ -45,7 +45,7 @@ from .geometry import (
     project,
     tangent_cone,
 )
-from .solvers import OPTIMAL, LPProblem, conic_fit, lp_solve
+from .solvers import OPTIMAL, LPProblem, least_norm_multiplier, lp_solve
 
 VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
@@ -689,27 +689,13 @@ def normal_cone_inverse_image(c: Composite, kappa):
     J = c.f.jacobian(c.xbar)
     N = normal_cone(Theta, c.ybar)
     gens, lines = N.ensure_generators()
-    mapped = PolyhedralCone.from_generators(
-        gens @ J if gens.shape[0] else np.zeros((0, c.n)),
-        lines @ J if lines.shape[0] else np.zeros((0, c.n)),
-        n=c.n,
-    )
+    mapped = PolyhedralCone.from_generators(gens @ J, lines @ J, n=c.n)
 
     def bound_checker(v, tol=1e-6):
-        v = np.asarray(v, dtype=float)
-        r, l = gens.shape[0], lines.shape[0]
-        if r + l == 0:
-            if float(np.linalg.norm(v)) <= 1e-10:
-                return BoundCheck(np.zeros(c.m), 0.0, kappa * float(np.linalg.norm(v)), True)
-            raise InfeasibleWitnessError("normal cone is {0} but v is nonzero")
-        fit = conic_fit(v, J.T @ gens.T, J.T @ lines.T, tiebreak=True)
+        fit = least_norm_multiplier(J, v, gens.T, lines.T)
         if fit is None:
             raise InfeasibleWitnessError("v admits no representation over the mapped cone")
-        lam = np.zeros(c.m)
-        if r:
-            lam += gens.T @ fit.w
-        if l:
-            lam += lines.T @ fit.mu
+        lam = fit[1]
         lam_norm = float(np.linalg.norm(lam))
         bound = kappa * float(np.linalg.norm(v))
         return BoundCheck(lam, lam_norm, bound, lam_norm <= bound + tol * (1.0 + bound))

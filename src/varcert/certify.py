@@ -34,7 +34,7 @@ from .funcspace import (
     rel_lipschitz_estimate,
 )
 from .geometry import Polyhedron, project, tangent_cone
-from .solvers import OPTIMAL, LPProblem, conic_fit, lp_solve
+from .solvers import OPTIMAL, LPProblem, least_norm_multiplier, lp_solve
 
 TOL_STAT = 1e-7
 TOL_CONE = 1e-8
@@ -216,8 +216,8 @@ def kkt_conditions(p: ConstrainedProblem, y, J, g, lam, w, ab):
 
 
 def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42) -> Certificate:
-    """Recover lambda in N_Theta(ybar) with J^T lambda = -g, minimal generator
-    weight, and check the bounded-multiplier estimate."""
+    """Recover the lambda of least Euclidean norm in N_Theta(ybar) with
+    J^T lambda = -g, and check the bounded-multiplier estimate on it."""
     xbar, ybar = _check_feasible(p, xbar)
     J = p.f.jacobian(xbar)
     kappa_val, kappa_source, rep = resolve_kappa(kappa, lambda: calc.msqc_estimate(
@@ -232,43 +232,25 @@ def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42) -> 
     E = p.Theta.A_eq
     r, l = G_act.shape[0], E.shape[0]
     grads, obj_kind = _objective_gradients(p, xbar)
-    # multiplier columns J^T a: active generators (rays) and equality rows (lines)
-    JG, JE = J.T @ G_act.T, J.T @ E.T
 
-    if obj_kind == "smooth":
-        grad_used = grads[0]
-        if r + l == 0:
-            if float(np.linalg.norm(grad_used)) > TOL_STAT:
-                raise NoMultiplierError("normal cone is {0} but the gradient is nonzero")
-            w = mu = ab = np.zeros(0)
-        else:
-            fit = conic_fit(-grad_used, JG, JE, tiebreak=True)
-            if fit is None:
-                raise NoMultiplierError("stationarity system infeasible: not dual-stationary")
-            w, mu, ab = fit.w, fit.mu, fit.split
-    else:
-        # -g for some g in conv{piece gradients} + N_dom: the N_dom rays and
-        # lines join the multiplier columns at no cost
+    Jx, target, cols = J, -grads[0], None
+    if obj_kind != "smooth":
+        # J^T lam + g = 0 for some g in conv{piece gradients} + N_dom: the
+        # hull and the N_dom rays and lines are equality columns outside the
+        # norm, and the hull's sum(nu) = 1 is one more target row
         Gm = np.array(grads)  # (k, n)
         Ndom = fs._union_domain_normal_cone(
             [piece.omega for piece in p.objective.active_pieces(xbar)], xbar)
         dr, dl = Ndom.ensure_generators()
-        kd, ld = dr.shape[0], dl.shape[0]
-        fit = conic_fit(np.zeros(p.n), np.hstack([JG, dr.T]), np.hstack([JE, dl.T]),
-                        convex=Gm.T, tiebreak=True,
-                        cost=np.concatenate([np.ones(r), np.zeros(kd), np.ones(l), np.zeros(ld)]))
-        if fit is None:
-            raise NoMultiplierError("stationarity system infeasible: not dual-stationary")
-        grad_used = Gm.T @ fit.conv
-        if kd:
-            grad_used = grad_used + dr.T @ fit.w[r:]
-        if ld:
-            grad_used = grad_used + dl.T @ fit.mu[l:]
-        w, mu = fit.w[:r], fit.mu[:l]
-        ab = np.concatenate([fit.split[:l], fit.split[l + ld:2 * l + ld]])
-    lam = G_act.T @ w if r else np.zeros(p.m)
-    if l:
-        lam = lam + E.T @ mu
+        cols = np.vstack([np.hstack([Gm.T, dr.T, dl.T, -dl.T]),
+                          np.concatenate([np.ones(len(Gm)), np.zeros(len(dr) + 2 * len(dl))])])
+        Jx, target = np.hstack([J, np.zeros((p.m, 1))]), np.append(np.zeros(p.n), 1.0)
+    fit = least_norm_multiplier(Jx, target, G_act.T, E.T, extra=cols, tol=TOL_STAT)
+    if fit is None:
+        raise NoMultiplierError("stationarity system infeasible: not dual-stationary")
+    z, lam = fit
+    grad_used = grads[0] if cols is None else cols[:-1] @ z[r + 2 * l:]
+    w, ab = z[:r], z[r:r + 2 * l]
     gen_weights = np.zeros(p.Theta.A_ineq.shape[0])
     gen_weights[act] = w
     residual, bound_lhs = checked(kkt_conditions(p, ybar, J, grad_used, lam, gen_weights, ab))

@@ -28,7 +28,8 @@ from .errors import (
 )
 from . import expr as expr_mod
 from .geometry import PolyhedralCone, Polyhedron, normal_cone, project, project_cone, tangent_cone
-from .solvers import OPTIMAL, UNBOUNDED, LPProblem, conic_fit, eigh, lp_solve
+from .solvers import (OPTIMAL, UNBOUNDED, LPProblem, conic_fit, eigh, least_norm_multiplier,
+                      lp_solve)
 
 INF = math.inf
 
@@ -476,22 +477,14 @@ class SubdifferentialSet:
             return self.hrep.contains(v, tol)
         if self.kind == "cone_cap_ball":
             return self.cone.contains(v, tol) and float(np.linalg.norm(v)) <= self.radius + tol
-        if self.kind == "mapped_ball":
-            lam = self._preimage_multiplier(v, tol)
-            return lam is not None and float(np.linalg.norm(lam)) <= self.radius + tol
+        if self.kind == "mapped_ball":  # the least-norm lam in the cone with JT lam = v
+            rays, lines = self.cone.ensure_generators()
+            fit = least_norm_multiplier(self.JT.T, v, rays.T, lines.T, tol=tol)
+            return fit is not None and float(np.linalg.norm(fit[1])) <= self.radius + tol
         # polyhedral V-rep: L1-residual LP over a convex + conic combination
         fit = conic_fit(v, self.rays.T, self.lines.T, convex=self.vertices.T, cost=0.0,
                         residual=1.0)
         return fit is not None and fit.residual <= tol * (1.0 + float(np.linalg.norm(v)))
-
-    def _preimage_multiplier(self, v, tol):
-        """Minimal-1-norm lambda in the cone with JT lambda = v, or None."""
-        rays, lines = self.cone.ensure_generators()
-        # residual strongly penalized
-        fit = conic_fit(v, self.JT @ rays.T, self.JT @ lines.T, residual=1e6)
-        if fit is None or fit.residual > tol * (1.0 + float(np.linalg.norm(v))):
-            return None
-        return rays.T @ fit.w + lines.T @ fit.mu
 
     def sample(self, count, seed=0):
         """Random elements of the set (for membership-style property tests)."""

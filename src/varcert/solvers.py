@@ -1,5 +1,5 @@
-"""Numerical engines: a dense two-phase simplex, Lawson-Hanson nnls and least
-distance, and a LAPACK symmetric eigensolver.
+"""Numerical engines: a dense two-phase simplex, Lawson-Hanson nnls, least
+distance and the least-norm multiplier, and a LAPACK symmetric eigensolver.
 
 Problem sizes here are tiny (at most a few hundred columns after
 discretization), so everything is dense.  The simplex is deterministic:
@@ -7,12 +7,16 @@ Bland's anti-cycling rule fixes all pivot ties.  ``eigh`` calls LAPACK and
 fixes each eigenvector's sign, so its output is deterministic for one machine
 and numpy build.
 
-Every multiplier and membership LP asks whether a target is a nonnegative
-combination of cone generators, plus free lines, plus an optional convex
-hull.  ``conic_fit`` builds that LP with the columns
-[rays | +lines | -lines | convex | +I | -I]: a free line is a +/- pair of
-nonnegative columns, a row sum(convex) = 1 follows the target rows, and the
-optional L1 residual slack (+I | -I) sits on the target rows only.
+Two fits ask whether a target is a nonnegative combination of cone
+generators plus free lines; in both a free line is a +/- pair of
+nonnegative columns.  ``least_norm_multiplier`` returns the multiplier of
+least Euclidean norm, the one the bound ||lambda|| <= kappa ||v|| speaks of:
+nnls finds a fit, and an active-set descent that holds the equality rows
+exactly moves it to the least norm.  ``conic_fit`` is the LP for the checks
+where a 1-norm or a vertex is the right answer (SIP atoms, membership): its
+columns are [rays | +lines | -lines | convex | +I | -I], a row
+sum(convex) = 1 follows the target rows, and the optional L1 residual slack
+(+I | -I) sits on the target rows only.
 """
 
 from __future__ import annotations
@@ -274,57 +278,20 @@ def eigh(A):
     return w, V * np.where(peak < 0.0, -1.0, 1.0)
 
 
-def lp_solve_with_tiebreak(p: LPProblem) -> LPSolution:
-    """lp_solve, then re-optimize min max(x_i) over the optimal face, taken
-    over the variables with positive cost.
-
-    Multiplier-recovery LPs minimize a 1-norm surrogate whose optimal face
-    can be fat; the infinity-norm tie-break pulls the returned weights
-    toward the Euclidean-minimal multiplier the bound theorems refer to.
-    """
-    sol = lp_solve(p)
-    if sol.status != OPTIMAL:
-        return sol
-    cap_idx = np.flatnonzero(p.c > 0)
-    if not len(cap_idx):
-        return sol
-    # one extra variable t: the optimal-face row c.x <= objective, then x_j <= t
-    K, nc = len(p.c), len(cap_idx)
-    caps = np.zeros((nc, K + 1))
-    caps[np.arange(nc), cap_idx] = 1.0
-    caps[:, K] = -1.0
-    A2 = np.vstack([np.hstack([p.A, np.zeros((p.A.shape[0], 1))]), np.append(p.c, 0.0), caps])
-    b2 = np.concatenate([p.b, [sol.objective + 1e-9 * (1.0 + abs(sol.objective))], np.zeros(nc)])
-    bounds2 = (list(p.bounds) if p.bounds is not None else [(None, None)] * K) + [(0.0, None)]
-    sol2 = lp_solve(LPProblem(c=np.append(np.zeros(K), 1.0), A=A2, b=b2,
-                              senses=list(p.senses) + ["<="] * (1 + nc), bounds=bounds2))
-    if sol2.status != OPTIMAL:
-        return sol
-    x = sol2.x[:K]
-    return LPSolution(status=OPTIMAL, x=x, y=None,
-                      objective=float(p.c @ x), iterations=sol.iterations + sol2.iterations)
-
-
 @dataclass
 class ConicFit:
     w: np.ndarray  # ray weights
-    mu: np.ndarray  # signed line coefficients a - b
     split: np.ndarray  # line weights (a, b), as in the columns
-    conv: np.ndarray  # convex weights
     residual: float  # L1 norm of the residual slack
-    x: np.ndarray  # the weight of every column of A
-    A: np.ndarray  # the target rows of the LP matrix
 
 
-def conic_fit(target, rays, lines=None, convex=None, cost=None, residual=None,
-              tiebreak=False):
+def conic_fit(target, rays, lines=None, convex=None, cost=None, residual=None):
     """Least-cost fit  rays w + lines (a - b) [+ convex nu, sum(nu) = 1]
     [+ r+ - r-] = target, every weight >= 0; None when there is none.
 
     Generators are columns (None: no block).  ``cost`` prices the rays,
     then the lines (scalar or per generator, default 1); convex columns are
-    free.  ``residual`` prices the L1 slack; ``tiebreak`` selects
-    ``lp_solve_with_tiebreak``."""
+    free.  ``residual`` prices the L1 slack."""
     b = np.asarray(target, dtype=float)
     n = len(b)
     R, L, V = (np.zeros((n, 0)) if M is None else np.asarray(M, dtype=float).reshape(n, -1)
@@ -344,16 +311,12 @@ def conic_fit(target, rays, lines=None, convex=None, cost=None, residual=None,
         sum_row = np.zeros(len(c))
         sum_row[r + 2 * l:r + 2 * l + k] = 1.0
         rows, rhs = np.vstack([A, sum_row]), np.append(b, 1.0)
-    solve = lp_solve_with_tiebreak if tiebreak else lp_solve
-    sol = solve(LPProblem(c=c, A=rows, b=rhs, senses=["="] * len(rhs),
-                          bounds=[(0.0, None)] * len(c)))
+    sol = lp_solve(LPProblem(c=c, A=rows, b=rhs, senses=["="] * len(rhs),
+                             bounds=[(0.0, None)] * len(c)))
     if sol.status != OPTIMAL:
         return None
     x = sol.x
-    split = x[r:r + 2 * l]
-    return ConicFit(w=x[:r], mu=split[:l] - split[l:], split=split,
-                    conv=x[r + 2 * l:r + 2 * l + k], residual=float(np.sum(x[r + 2 * l + k:])),
-                    x=x, A=A)
+    return ConicFit(w=x[:r], split=x[r:r + 2 * l], residual=float(np.sum(x[r + 2 * l + k:])))
 
 
 def nnls(E, f):
@@ -363,7 +326,8 @@ def nnls(E, f):
     Each outer step frees the bound variable with the largest residual
     gradient; the inner loop steps back along the segment to the
     unconstrained passive-set solution until every passive weight is
-    positive."""
+    positive.  A step that leaves w and the passive set as they were ends the
+    loop: every later step would repeat it."""
     E = np.atleast_2d(np.asarray(E, dtype=float))
     f = np.asarray(f, dtype=float)
     k = E.shape[1]
@@ -376,7 +340,8 @@ def nnls(E, f):
         grad[passive] = -np.inf
         if passive.all() or grad.max() <= tol:
             break
-        passive[int(np.argmax(grad))] = True
+        j, start = int(np.argmax(grad)), w
+        passive[j] = True
         while True:
             trial = np.zeros(k)
             trial[passive] = np.linalg.lstsq(E[:, passive], f, rcond=None)[0]
@@ -389,6 +354,8 @@ def nnls(E, f):
             w = w + alpha * (trial - w)
             passive &= w > tol
             w[~passive] = 0.0
+        if not passive[j] and np.array_equal(w, start):  # passive is w > tol
+            break
     return w
 
 
@@ -415,3 +382,72 @@ def min_norm_point(P):
     n = P.shape[0]
     w = nnls(np.vstack([P, np.ones(P.shape[1])]), np.append(np.zeros(n), 1.0))
     return P @ w / w.sum()
+
+
+def least_norm_multiplier(J, target, rays, lines=None, extra=None, tol=1e-9):
+    """(z, lam): the lam = rays z_r + lines (z_a - z_b) of least Euclidean
+    norm with J^T lam + extra z_e = target, and its weights z >= 0 over
+    [rays | lines | -lines | extra] (columns; ``extra`` stays out of the
+    norm); None when the best nonnegative fit misses the target by more than
+    tol * (1 + ||target||).
+
+    With the SVD J = U S V^T the equality rows read U_1^T lam + S^-1 V_1^T
+    extra z_e = S^-1 V_1^T target and V_2^T extra z_e = V_2^T target, and
+    nnls finds a fit.  Without ``extra`` they fix U_1^T lam, so ||U_2^T lam||
+    is the norm left to minimize; with U_2 empty (J^T injective) every fit
+    has the same lam."""
+    J = np.atleast_2d(np.asarray(J, dtype=float))
+    t = np.asarray(target, dtype=float)
+    m, n = J.shape
+    R, L = (np.zeros((m, 0)) if M is None else np.asarray(M, dtype=float).reshape(m, -1)
+            for M in (rays, lines))
+    B = np.hstack([R, L, -L])
+    C = np.zeros((n, 0)) if extra is None else np.asarray(extra, dtype=float).reshape(n, -1)
+    U, s, Vt = np.linalg.svd(J)
+    k = int(np.sum(s > max(m, n) * np.finfo(float).eps * s.max(initial=0.0)))
+    eq = np.vstack([np.hstack([U[:, :k].T @ B, Vt[:k] @ C / s[:k, None]]),
+                    np.hstack([np.zeros((n - k, B.shape[1])), Vt[k:] @ C])])
+    norm = U[:, k:].T @ B if not C.shape[1] else np.hstack([B, np.zeros((m, C.shape[1]))])
+    z = nnls(eq, np.concatenate([Vt[:k] @ t / s[:k], Vt[k:] @ t]))
+    miss = np.hstack([J.T @ B, C]) @ z - t
+    if float(np.linalg.norm(miss)) > tol * (1.0 + float(np.linalg.norm(t))):
+        return None
+    if norm.shape[0]:
+        z = _least_norm_on_fits(norm, eq, z)
+    return z, B @ z[:B.shape[1]]
+
+
+def _least_norm_on_fits(N, E, z):
+    """argmin ||N z'|| over z' >= 0 with E z' = E z, from z, by the primal
+    active-set method (Nocedal & Wright, *Numerical Optimization*, 2006,
+    alg. 16.3) on an orthonormal basis of E's rows.  The working set starts
+    with no bound, so its rows stay independent and a freed weight grows in
+    the next step.  Steps stay in null(E): z stays a fit even at the cap."""
+    _, s, Vt = np.linalg.svd(E)
+    Er = Vt[:int(np.sum(s > max(E.shape) * np.finfo(float).eps * s.max(initial=0.0)))]
+    r, free, scale = len(Er), np.ones(len(z), dtype=bool), float(np.linalg.norm(N))
+    for _ in range(10 * (len(z) + 1)):
+        Z = np.linalg.svd(Er[:, free])[2][r:].T  # null space of the working rows
+        # least squares on the face, blind to what N does not see (a line's
+        # +/- pair, a repeated ray)
+        u, sv, vt = np.linalg.svd(N[:, free] @ Z, full_matrices=False)
+        keep = sv > 1e-10 * scale
+        step = np.zeros(len(z))
+        step[free] = Z @ (vt[keep].T @ (u[:, keep].T @ -(N @ z) / sv[keep]))
+        trial = z + step
+        # a weight that the step moves by rounding only does not block it
+        blocked = (trial < 0.0) & (step < -1e-12 * float(np.abs(step).max(initial=0.0)))
+        if blocked.any():
+            ratio = np.where(blocked, z / np.where(blocked, z - trial, 1.0), np.inf)
+            j = int(np.argmin(ratio))
+            z = np.maximum(z + ratio[j] * step, 0.0)
+            z[j], free[j] = 0.0, False
+            continue
+        z = np.maximum(trial, 0.0)
+        grad = N.T @ (N @ z)
+        mult = grad - Er.T @ np.linalg.lstsq(Er[:, free].T, grad[free], rcond=None)[0]
+        j = int(np.argmin(np.where(free, 0.0, mult)))
+        if free[j] or mult[j] >= -1e-10 * (1.0 + float(np.abs(grad).max())):
+            break
+        free[j] = True
+    return z

@@ -379,13 +379,19 @@ def test_normal_cone_inverse_image_examples():
     assert chk.lam_norm == pytest.approx(np.sqrt(2.0), abs=1e-8)
     with pytest.raises(InfeasibleWitnessError):
         checker([-1.0, 0.0])
-    # f(x) = (x, x): the tie-broken multiplier meets the Euclidean bound
+    # f(x) = (x, x): the least-norm multiplier (1, 1) meets the Euclidean bound
     f = SmoothMap.from_strings(["x1", "x1"], ["x1"])
     c = Composite(ind, f, [0.0])
     cone, checker = normal_cone_inverse_image(c, kappa=1.0 / np.sqrt(2.0))
     chk = checker([2.0])
     assert np.allclose(chk.lam, [1.0, 1.0], atol=1e-8)
     assert chk.ok
+    # Theta = {y1 - 0.999 y2 <= 0}: the one multiplier 1000 (1, -0.999) lies
+    # almost in null(J^T) and still has to be found
+    c = Composite(IndicatorFn(Polyhedron([[1.0, -0.999]], [0.0])), f, [0.0])
+    cone, checker = normal_cone_inverse_image(c, kappa=2000.0)
+    chk = checker([1.0])
+    assert np.allclose(chk.lam, [1000.0, -999.0], rtol=1e-9) and chk.ok
 
 
 def test_robustness_check_orthant_and_parabola():

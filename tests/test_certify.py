@@ -53,7 +53,7 @@ def test_dual_certificate_no_multiplier():
 
 
 def test_dual_certificate_duplicated_row_map():
-    # f(x) = (x, x), Theta = R^2_-: tie-broken multiplier (1/2, 1/2)
+    # f(x) = (x, x), Theta = R^2_-: the least-norm multiplier (1/2, 1/2)
     p = ConstrainedProblem(
         SmoothFn("-x1", 1),
         SmoothMap.from_strings(["x1", "x1"], ["x1"]),
@@ -64,6 +64,22 @@ def test_dual_certificate_duplicated_row_map():
     assert cert.residual <= 1e-9
     assert np.allclose(cert.multipliers, [0.5, 0.5], atol=1e-8)
     assert cert.bound_lhs <= 1.0 + 1e-9
+
+
+# f(x) = (x, x) into Theta = {y1 - 0.999 y2 <= 0}: the one multiplier is
+# 1000 (1, -0.999), of norm 1413.5, and it lies almost in null(J^T), where
+# J^T = (1, 1).  A least-squares fit that weights J^T lam = t above ||lam||
+# misses t there, so an exact equality is what keeps this point VERIFIED.
+NEAR_NULL_RAY = Polyhedron([[1.0, -0.999]], [0.0])
+
+
+def test_dual_certificate_multiplier_nearly_in_null_of_j_transpose():
+    p = ConstrainedProblem(SmoothFn("-x1", 1), SmoothMap.from_strings(["x1", "x1"], ["x1"]),
+                           NEAR_NULL_RAY)
+    cert = dual_certificate(p, [0.0], kappa=2000.0)
+    assert (cert.status, cert.detail) == (certify.VERIFIED, None)
+    assert np.allclose(cert.multipliers, [1000.0, -999.0], rtol=1e-9)
+    assert cert.residual <= 1e-9
 
 
 def test_dual_bound_exceeded_detail():
@@ -183,9 +199,10 @@ def test_dual_certificate_interior_stationary_point():
 
 
 # The PLQ branch of dual_certificate with a nonzero domain normal cone
-# N_dom: its rays and lines sit beside the Theta generators and equality
-# rows in the stationarity LP, whose column order solvers.conic_fit fixes.
-# The certificate bytes were pinned before that LP moved behind conic_fit.
+# N_dom: its rays and lines join the piece-gradient hull as equality columns
+# of solvers.least_norm_multiplier, outside the norm.  The certificate bytes
+# were pinned under the stationarity LP; the least-norm multiplier kept every
+# byte but the four residuals, which moved from 0 by rounding (at most 1.2e-15).
 _Z2 = np.zeros((2, 2))
 _BOX2 = Polyhedron.box([(-1.0, 1.0), (-1.0, 1.0)])
 PLQ_DOMAIN_CASES = {
@@ -208,7 +225,7 @@ PLQ_DOMAIN_PINS = {
         '{"kind":"DualKKT","status":"VERIFIED","detail":null,"problem_kind":"nlp","point"'
         ':[0.000000000000e+00,-1.000000000000e+00],"multipliers":[0.000000000000e+00,-1.0'
         '00000000000e+00],"generator_weights":[0.000000000000e+00,0.000000000000e+00,0.00'
-        '0000000000e+00,1.000000000000e+00],"residual":0.000000000000e+00,"bound":{"lhs":'
+        '0000000000e+00,1.000000000000e+00],"residual":2.482534153247e-16,"bound":{"lhs":'
         '1.000000000000e+00,"rhs":1.414213044778e+00,"kappa":1.000000000000e+00,"kappa_so'
         'urce":"user-asserted","rule":"ell*kappa with sampled relative Lipschitz ell"},"t'
         'olerances":{"tol_stat":1.000000000000e-07,"tol_cone":1.000000000000e-08,"tol_bou'
@@ -217,7 +234,7 @@ PLQ_DOMAIN_PINS = {
         '{"kind":"DualKKT","status":"VERIFIED","detail":null,"problem_kind":"nlp","point"'
         ':[0.000000000000e+00,-1.000000000000e+00],"multipliers":[0.000000000000e+00,-1.0'
         '00000000000e+00],"generator_weights":[0.000000000000e+00,0.000000000000e+00,0.00'
-        '0000000000e+00,1.000000000000e+00],"residual":0.000000000000e+00,"bound":{"lhs":'
+        '0000000000e+00,1.000000000000e+00],"residual":1.110223024625e-15,"bound":{"lhs":'
         '1.000000000000e+00,"rhs":1.000000000000e+00,"kappa":1.000000000000e+00,"kappa_so'
         'urce":"user-asserted","rule":"ell*kappa with sampled relative Lipschitz ell"},"t'
         'olerances":{"tol_stat":1.000000000000e-07,"tol_cone":1.000000000000e-08,"tol_bou'
@@ -226,7 +243,7 @@ PLQ_DOMAIN_PINS = {
         '{"kind":"DualKKT","status":"VERIFIED","detail":null,"problem_kind":"nlp","point"'
         ':[0.000000000000e+00,0.000000000000e+00],"multipliers":[0.000000000000e+00,0.000'
         '000000000e+00],"generator_weights":[0.000000000000e+00,0.000000000000e+00,0.0000'
-        '00000000e+00,0.000000000000e+00],"residual":0.000000000000e+00,"bound":{"lhs":0.'
+        '00000000e+00,0.000000000000e+00],"residual":2.220446049250e-16,"bound":{"lhs":0.'
         '000000000000e+00,"rhs":1.414192218934e+00,"kappa":1.000000000000e+00,"kappa_sour'
         'ce":"user-asserted","rule":"ell*kappa with sampled relative Lipschitz ell"},"tol'
         'erances":{"tol_stat":1.000000000000e-07,"tol_cone":1.000000000000e-08,"tol_bound'
@@ -235,7 +252,7 @@ PLQ_DOMAIN_PINS = {
         '{"kind":"DualKKT","status":"VERIFIED","detail":null,"problem_kind":"nlp","point"'
         ':[0.000000000000e+00,-1.000000000000e+00],"multipliers":[0.000000000000e+00,-2.0'
         '00000000000e+00],"generator_weights":[0.000000000000e+00],"eq_weights":[0.000000'
-        '000000e+00,2.000000000000e+00],"residual":0.000000000000e+00,"bound":{"lhs":2.00'
+        '000000e+00,2.000000000000e+00],"residual":6.753223014464e-16,"bound":{"lhs":2.00'
         '0000000000e+00,"rhs":2.236067654891e+00,"kappa":1.000000000000e+00,"kappa_source'
         '":"user-asserted","rule":"ell*kappa with sampled relative Lipschitz ell"},"toler'
         'ances":{"tol_stat":1.000000000000e-07,"tol_cone":1.000000000000e-08,"tol_bound":'

@@ -26,7 +26,12 @@ from varcert.funcspace import (
     subdifferential,
     value,
 )
-from varcert.geometry import Polyhedron, cone_halfspaces_from_generators, tangent_cone
+from varcert.geometry import (
+    Polyhedron,
+    PolyhedralCone,
+    cone_halfspaces_from_generators,
+    tangent_cone,
+)
 
 
 def orthant_indicator(n=2):
@@ -271,6 +276,27 @@ def test_subdifferential_set_algebra():
     mapped = A.map_adjoint([[2.0]])
     assert mapped.interval() == pytest.approx((-2.0, 2.0))
     assert A.contains([0.3]) and not A.contains([1.2])
+
+
+def test_mapped_ball_membership_reads_the_least_norm_preimage():
+    # v = lam1 + 2 lam2 over lam in R^2_+ with ||lam|| <= 0.46: the least-norm
+    # preimage of v = 1 is (0.2, 0.4), of norm 0.447, while the 1-norm-minimal
+    # (0, 0.5) has norm 0.5.  support(1) = 0.46 sqrt(5) = 1.0286.
+    K = PolyhedralCone.from_generators(np.eye(2))
+    S = SubdifferentialSet.cone_cap_ball(K, 0.46).map_adjoint([[1.0, 2.0]])
+    assert S.support([1.0]) == pytest.approx(0.46 * np.sqrt(5.0))
+    assert S.contains([1.0])
+    assert not S.contains([1.03])
+    assert not S.contains([-0.1])
+
+
+def test_mapped_ball_membership_with_a_preimage_nearly_in_null_of_j_transpose():
+    # v = lam1 + lam2 over the ray lam = w (1, -0.999): the one preimage of 1
+    # is 1000 (1, -0.999), of norm 1413.5
+    K = PolyhedralCone.from_generators([[1.0, -0.999]])
+    S = SubdifferentialSet.cone_cap_ball(K, 1414.0).map_adjoint([[1.0, 1.0]])
+    assert S.contains([1.0])
+    assert not S.contains([1.001])
 
 
 def test_distance_function_is_epi_differentiable_at_boundary():

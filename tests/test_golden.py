@@ -166,7 +166,7 @@ def test_recheck_solves_no_lp(tmp_path, monkeypatch):
         if name.split(".")[0] == "varcert" and getattr(module, "lp_solve", None) is lp_solve:
             monkeypatch.setattr(module, "lp_solve", no_lp)
     with pytest.raises(AssertionError):  # the patch reaches the issuers
-        issue(by_name("nlp_kkt_kappa1"), tmp_path)
+        issue(by_name("nlp_primal"), tmp_path)
     for case in CASES:
         if case["recheck"] is not None:
             assert recheck_edited(case, lambda cert: None, tmp_path) == case["recheck"], case["name"]
@@ -218,17 +218,49 @@ PARENT = {
 PARENT_KAPPA = {"sip_readme_estimate": 9.999989963092e-01,
                 "sip_two_index_estimate": 9.999989963092e-01}
 
+# The floats that the least-norm multiplier (solvers.least_norm_multiplier,
+# which replaced the 1-norm LP and its infinity-norm tie-break) moved, with
+# their values before it.  Each residual is rounding: it moved by at most
+# 3.4e-16, against tol_stat = 1e-7.  The PLQ case's first generator weight was
+# 2e-9 of slack that the tie-break LP's optimal-face row allowed; the least
+# Euclidean norm puts 0 there, within tol_cone = 1e-8.
+PARENT_FLOATS = {
+    "random_lp_0": {"residual": 0.0},
+    "random_lp_1": {"residual": 0.0},
+    "random_lp_2": {"residual": 1.241267076624e-16},
+    "random_lp_4": {"residual": 1.110223024625e-16},
+    "random_lp_5": {"residual": 1.570092458684e-16},
+    "nlp_plq_library": {"residual": 0.0, "multipliers": [1.999999943436e-09, -1.0],
+                        "generator_weights": [1.999999943436e-09, 0.0, 0.0, 1.0]},
+}
+FLOAT_TOL = {"residual": 1e-15, "multipliers": 1e-8, "generator_weights": 1e-8}
+
+# f = (x1, 2 x1), Theta = R^2_-, objective -x1, kappa 0.46.  The 1-norm LP
+# returned lambda = (3e-9, 0.5), of norm 0.5 > 0.46: REFUTED (BOUND_EXCEEDED),
+# exit 1, recheck exit 1, certificate f39ff90316b0ffbc.  The least-norm
+# lambda is (0.2, 0.4), of norm 0.447, and the verdict turns to VERIFIED.
+PARENT_CHANGED = {"nlp_least_norm_multiplier": (("f39ff90316b0ffbc", 1, 1), (0, 0))}
+
 
 def test_corpus_matches_its_parent_outside_the_slope_kappa():
     by_name = {case["name"]: case for case in CASES}
+    assert set(by_name) == set(PARENT) | set(PARENT_CHANGED) | set(PARENT_ROTATED)
+    for name, ((digest, *_), codes) in PARENT_CHANGED.items():
+        case = by_name[name]
+        assert (case["exit"], case["recheck"]) == codes, name
+        assert hashlib.sha256(expected_text(case).encode("utf-8")).hexdigest()[:16] != digest
     for name, (digest, code, recheck) in PARENT.items():
         case = by_name[name]
         assert (case["exit"], case["recheck"]) == (code, recheck), name
         text = expected_text(case)
-        if name in PARENT_KAPPA:
+        if name in PARENT_KAPPA or name in PARENT_FLOATS:
             doc = json.loads(text)
-            assert doc["bound"]["kappa"] == doc["bound"]["rhs"] == 1.0
-            doc["bound"]["kappa"] = doc["bound"]["rhs"] = PARENT_KAPPA[name]
+            if name in PARENT_KAPPA:
+                assert doc["bound"]["kappa"] == doc["bound"]["rhs"] == 1.0
+                doc["bound"]["kappa"] = doc["bound"]["rhs"] = PARENT_KAPPA[name]
+            for field, old in PARENT_FLOATS.get(name, {}).items():
+                assert np.allclose(doc[field], old, rtol=0.0, atol=FLOAT_TOL[field]), name
+                doc[field] = old
             text = cli.canonical_json(doc)
         got = None if text is None else hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
         assert got == digest, name

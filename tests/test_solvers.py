@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from varcert import solvers
+from varcert.certify import ConstrainedProblem, dual_certificate
+from varcert.expr import SmoothMap
+from varcert.funcspace import SmoothFn
+from varcert.geometry import Polyhedron
 from varcert.solvers import LPProblem, conic_fit, eigh, lp_solve
 
 
@@ -227,31 +231,25 @@ def test_lp_solve_mixed_senses_and_bounds_against_scipy():
             solved += 1
 
 
-def test_conic_fit_blocks_costs_and_tiebreak():
+def test_conic_fit_blocks_and_costs():
     # conv{(0,0), (2,0)} + cone{(0,1)} + span{(1,1)}; columns are generators
     V = np.array([[0.0, 2.0], [0.0, 0.0]])
     ray = np.array([[0.0], [1.0]])
     fit = conic_fit([1.0, 3.0], ray, convex=V)
-    assert np.allclose(fit.w, [3.0]) and np.allclose(fit.conv, [0.5, 0.5])
-    assert fit.residual == 0.0 and fit.A.shape == (2, 3)
-    assert np.allclose(fit.A @ fit.x, [1.0, 3.0])
+    assert np.allclose(fit.w, [3.0]) and fit.residual == 0.0
     # below the hull: no exact fit, but an L1 residual slack of 1
     assert conic_fit([1.0, -1.0], ray, convex=V) is None
     fit = conic_fit([1.0, -1.0], ray, convex=V, residual=10.0)
-    assert fit.residual == pytest.approx(1.0) and np.isclose(fit.conv.sum(), 1.0)
-    assert fit.A.shape == (2, 7)  # [ray | convex | +I | -I]
-    # a line enters as a +/- column pair; mu is the signed coefficient
+    assert fit.residual == pytest.approx(1.0) and np.allclose(fit.w, [0.0])
+    # a line enters as a +/- column pair (a, b): (-1, 2) = (0, 0) + 3 (0, 1) - (1, 1)
     fit = conic_fit([-1.0, 2.0], ray, np.array([[1.0], [1.0]]), convex=V)
-    assert fit.split.shape == (2,) and np.allclose(fit.mu, fit.split[:1] - fit.split[1:])
-    assert np.allclose(fit.A @ fit.x, [-1.0, 2.0])
+    assert np.allclose(fit.w, [3.0]) and np.allclose(fit.split, [0.0, 1.0])
     # per-generator prices: rays first, then lines
     fit = conic_fit([2.0], np.array([[1.0, 2.0]]), np.array([[1.0]]), cost=[1.0, 0.25, 5.0])
     assert np.allclose(fit.w, [0.0, 1.0]) and np.allclose(fit.split, 0.0)
-    # two equal columns: the 1-norm face is w1 + w2 = 2, the tie-break takes
-    # the infinity-norm-minimal point on it
+    # two equal columns: the simplex returns a vertex of the 1-norm face w1 + w2 = 2
     twins = np.array([[1.0, 1.0]])
     assert sorted(conic_fit([2.0], twins).w.tolist()) == [0.0, 2.0]
-    assert np.allclose(conic_fit([2.0], twins, tiebreak=True).w, [1.0, 1.0])
 
 
 def _pivot_loop(T, basis, row, col):
@@ -377,6 +375,87 @@ def test_nnls_matches_the_best_nonnegative_support():
         w = solvers.nnls(E, f)
         assert (w >= 0).all()
         assert np.linalg.norm(E @ w - f) == pytest.approx(best, abs=1e-9)
+
+
+# One of the least-distance systems on which nnls once ran to its 3k step
+# cap: the largest gradient (6e-14) sat just above tol (4e-14), and each step
+# freed that column and dropped it again.  The weights it returned, as hex,
+# after 23 lstsq calls.
+CAPPED_E = [[-1.0587693203149913, 0.5824119416599729, 0.6821304157823306, -0.8912619278291577],
+            [-0.5470225797663378, -0.468256245266554, -0.6039790213071831, -0.433654094689622],
+            [0.104546698492026, -0.8201182809455438, 0.5831545556951847, 0.13265105412765274],
+            [2.8199664825478976e-14, 0.0040720976183542534, -2.223221606811876e-13,
+             2.101023440414066]]
+CAPPED_F = [0.0, 0.0, 0.0, -1.0]
+CAPPED_W = ["0x0.0p+0", "0x0.0p+0", "0x1.abd350cf9583fp-43", "0x0.0p+0"]
+
+
+def test_nnls_stops_at_a_step_that_changes_nothing(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    w = solvers.nnls(CAPPED_E, CAPPED_F)
+    assert [float(v).hex() for v in w] == CAPPED_W
+    assert len(calls) < 23
+
+
+def test_least_norm_multiplier_on_a_scaled_ray():
+    """f = a x1 into Theta = R^m_-, objective -t x1: the least-norm
+    lambda >= 0 with <a, lambda> = t is t a+ / ||a+||^2, where the 1-norm
+    minimum puts all of t on the largest a_i."""
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        m = int(rng.integers(3, 7))
+        a = rng.uniform(0.1, 2.0, m) * rng.choice([-1.0, 1.0], m)
+        a[:3] = np.abs(a[:3]) * [1.0, 1.0, -1.0]  # two positive entries and a negative one
+        t = float(rng.uniform(0.1, 3.0))
+        p = ConstrainedProblem(SmoothFn(f"-{t!r}*x1", 1),
+                               SmoothMap.from_strings([f"{float(v)!r}*x1" for v in a], ["x1"]),
+                               Polyhedron.nonpositive_orthant(m))
+        cert = dual_certificate(p, [0.0], kappa=1.0)
+        plus = np.maximum(a, 0.0)
+        assert np.allclose(cert.multipliers, t * plus / (plus @ plus), rtol=0.0, atol=1e-12)
+        assert cert.residual <= 1e-12
+
+
+def test_least_norm_multiplier_beats_every_lp_vertex():
+    """On J^T lam + extra y = t with m > n, lam = B z: the equality holds,
+    z >= 0, and <lam, lam_v - lam> >= 0 (up to 1e-7) for the vertex lam_v of
+    the fit that 10 random positive costs select, which holds at every
+    feasible point exactly when lam has the least norm.  In every third
+    instance the rays reach up to 1e4 times further into null(J^T) than
+    into range(J), as in a constraint nearly parallel to null(J^T)."""
+    rng = np.random.default_rng(12)
+    for trial in range(90):
+        n = int(rng.integers(1, 5))
+        m = n + int(rng.integers(1, 4))
+        r, l = int(rng.integers(1, 2 * m + 1)), int(rng.integers(0, 2))
+        J, R, L = rng.normal(size=(m, n)), rng.normal(size=(m, r)), rng.normal(size=(m, l))
+        if trial % 3 == 0:
+            R += np.linalg.svd(J)[0][:, n:] @ rng.normal(size=(m - n, r)) * 10 ** rng.uniform(0, 4)
+        extra = rng.normal(size=(n, int(rng.integers(1, 3)))) if trial % 2 else None
+        B = np.hstack([R, L, -L])
+        cols = J.T @ B if extra is None else np.hstack([J.T @ B, extra])
+        t = cols @ rng.random(cols.shape[1])
+        z, lam = solvers.least_norm_multiplier(J, t, R, L, extra=extra)
+        assert (z >= 0.0).all() and np.allclose(lam, B @ z[:B.shape[1]], rtol=0.0, atol=1e-12)
+        assert np.linalg.norm(cols @ z - t) <= 1e-9 * (1.0 + np.linalg.norm(t))
+        for _ in range(10):
+            sol = lp_solve(LPProblem(c=rng.random(cols.shape[1]), A=cols, b=t,
+                                     senses=["="] * n, bounds=[(0.0, None)] * cols.shape[1]))
+            lam_v = B @ sol.x[:B.shape[1]]
+            assert lam @ (lam_v - lam) >= -1e-7 * (1.0 + lam @ lam)
+
+
+def test_least_norm_multiplier_refuses_an_unreachable_target():
+    # J^T lam = lam1 + lam2 over lam in R^2_+ cannot be negative
+    J = np.ones((2, 1))
+    assert solvers.least_norm_multiplier(J, [-1.0], np.eye(2)) is None
+    z, lam = solvers.least_norm_multiplier(J, [2.0], np.eye(2))
+    assert np.allclose(lam, [1.0, 1.0])
+    # a line is a +/- pair: lam = (-1, 0) = -e1 needs the minus column
+    z, lam = solvers.least_norm_multiplier(np.eye(2), [-1.0, 0.0], None, np.eye(2)[:, :1])
+    assert np.allclose(z, [0.0, 1.0]) and np.allclose(lam, [-1.0, 0.0])
 
 
 def test_min_norm_point_of_a_hull():
