@@ -110,13 +110,24 @@ def load_problem(path):
     return doc
 
 
+def _finite(values, key):
+    """``values`` as a float array; anything but finite numbers is refused."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise CliError(f"{key!r} must hold numbers")
+    if not np.isfinite(arr).all():
+        raise CliError(f"{key!r} must hold finite numbers")
+    return arr
+
+
 def _matrix(doc, key, rows=None, cols=None, default_empty_cols=None):
     M = doc.get(key)
     if M is None:
         if default_empty_cols is None:
             raise CliError(f"missing matrix {key!r}")
         return np.zeros((0, default_empty_cols))
-    arr = np.array(M, dtype=float)
+    arr = _finite(M, key)
     if arr.ndim == 1 and arr.size == 0:
         return np.zeros((0, default_empty_cols or (cols or 0)))
     if arr.ndim != 2:
@@ -141,9 +152,9 @@ def build_nlp(doc) -> ConstrainedProblem:
         raise CliError("nlp constraints need a 'Theta' polyhedron object")
     m = f.m
     A_ineq = _matrix(theta_doc, "A_ineq", cols=m, default_empty_cols=m)
-    b_ineq = np.array(theta_doc.get("b_ineq", []), dtype=float)
+    b_ineq = _finite(theta_doc.get("b_ineq", []), "b_ineq")
     A_eq = _matrix(theta_doc, "A_eq", cols=m, default_empty_cols=m)
-    b_eq = np.array(theta_doc.get("b_eq", []), dtype=float)
+    b_eq = _finite(theta_doc.get("b_eq", []), "b_eq")
     if A_ineq.shape[0] != len(b_ineq) or A_eq.shape[0] != len(b_eq):
         raise CliError("Theta right-hand sides do not match the matrices")
     Theta = Polyhedron(A_ineq, b_ineq, A_eq, b_eq, n=m)
@@ -160,7 +171,7 @@ def _index_box(box, key):
         return None
     try:
         return [(float(lo), float(hi)) for lo, hi in box]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise CliError(f"index box {key!r} must be a list of [lo, hi] number pairs")
 
 
@@ -179,7 +190,7 @@ def build_sip(doc) -> sip_mod.SIProblem:
             doc["n"], doc["objective"], theta=cons.get("theta"), S=_index_box(S, "S"),
             psi=cons.get("psi"), T=_index_box(T, "T"))
     except VarcertError as exc:
-        raise CliError(f"sip expression error: {exc}")
+        raise CliError(f"sip problem error: {exc}")
 
 
 def build_sdp(doc) -> sdp_mod.SDProblem:
@@ -203,13 +214,13 @@ def _resolve_point(doc, args):
     elif doc.get("point") is not None:
         try:
             pt = [float(v) for v in doc["point"]]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise CliError(f"cannot parse point {doc['point']!r}")
     else:
         raise CliError("no point: pass --point or put 'point' in the problem file")
     if len(pt) != doc["n"]:
         raise CliError(f"point has length {len(pt)}, problem declares n={doc['n']}")
-    return np.array(pt)
+    return _finite(pt, "point")
 
 
 def _resolve_kappa(doc, args):
@@ -219,9 +230,12 @@ def _resolve_kappa(doc, args):
     if raw is None or raw == "estimate":
         return "estimate"
     try:
-        return float(raw)
-    except (TypeError, ValueError):
+        kappa = float(raw)
+    except (TypeError, ValueError, OverflowError):
         raise CliError(f"cannot parse kappa {raw!r}")
+    if not 0.0 <= kappa < math.inf:  # the rule recheck applies to bound.kappa
+        raise CliError(f"kappa must be a finite nonnegative number, got {raw!r}")
+    return kappa
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 Feasibility is the sup of the constraint over the compact index box
 (grid plus projected-gradient polish), and multipliers are recovered as
-finite atomic measures supported on active indexes.  The multiplier LP's
-simplex vertex has at most n positive weights, so the support has at most
-n atoms (Caratheodory's bound; ``caratheodory_reduce`` prunes any other
-conic combination to that size).  Equality families psi(x,t) = 0 are
-handled by the two-inequality split with the 2*kappa bound.
+finite atomic measures supported on active indexes.  The atoms come from
+the exchange method (Hettich & Kortanek, SIAM Review 35, 1993): an LP over
+a small working set of active indexes, whose duals price the rest of the
+active set (``active_indexes``) for the index to add next.  The multiplier
+LP's simplex vertex has at most n positive weights, so the support has at
+most n atoms (Caratheodory's bound; ``caratheodory_reduce`` prunes any
+other conic combination to that size).  Equality families psi(x,t) = 0 are
+handled by the two-inequality split over the T grid with the 2*kappa bound.
 """
 
 from __future__ import annotations
@@ -23,14 +26,14 @@ from .calculus import FEASIBLE_SAMPLE, CQReport, INCONCLUSIVE, REFUTED, VERIFIED
 from .certify import Certificate, TOL_BOUND, TOL_STAT, checked, resolve_kappa, verdict
 from .errors import (
     DimensionMismatchError,
+    DimensionTooLargeError,
     InfeasiblePointError,
     NoMultiplierError,
 )
 from .geometry import TOL_ACTIVE, TOL_FEAS
 from .solvers import OPTIMAL, LPProblem, conic_fit, lp_solve, min_norm_point
 
-DEDUP_RADIUS = 1e-4
-MAX_ATOMS = 400  # grid cells polished by active_indexes
+MAX_GRID_CELLS = 2 ** 20  # index grid points, checked before any is allocated
 SLOPE_TAU = 0.25  # near-active radius of the slope estimate, in units of sup / ||grad||
 SLOPE_DENSITY = 16  # index grid of the slope estimate, per axis
 SLOPE_POLISH_STEPS = 30
@@ -70,8 +73,9 @@ class SIProblem:
         for box in (self.S, self.T):
             if box is not None:
                 for lo, hi in box:
-                    if lo > hi:
-                        raise DimensionMismatchError("index box has lo > hi")
+                    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                        raise DimensionMismatchError(
+                            f"index box bounds must be finite with lo <= hi, got [{lo}, {hi}]")
 
     @property
     def k(self):
@@ -119,7 +123,12 @@ def _cached_grid(axes, density):
 def _box_grid(box, density):
     """The density**k grid over the box, built once per (box, density); each
     caller gets its own copy.  The key carries each lower bound's type, since
-    a degenerate axis keeps it (an integer bound gives an integer axis)."""
+    a degenerate axis keeps it (an integer bound gives an integer axis).  A
+    grid of more than MAX_GRID_CELLS points is refused before it is built."""
+    if math.prod(density if hi > lo else 1 for lo, hi in box) > MAX_GRID_CELLS:
+        raise DimensionTooLargeError(
+            f"index grid of {density} points per axis over {len(box)} axes exceeds "
+            f"{MAX_GRID_CELLS} points")
     return _cached_grid(tuple((lo, hi, type(lo)) for lo, hi in box), density).copy()
 
 
@@ -236,19 +245,15 @@ def _grid_values(e, x, grid):
     return np.where(np.isfinite(vals), vals, -np.inf)
 
 
-def _top_cells(e, x, sign, box, density, count, floor, value_fn, grad_fn, steps):
+def _top_cells(e, x, sign, box, density, count, value_fn, grad_fn, steps):
     """Grid search plus polish: sort the cells of the density-``density`` grid
     over ``box`` by sign * e(x, cell) and run ``_polish_max`` from each of the
-    best ``count`` cells whose value is at least ``floor``.  Returns
-    [(cell, cell value, polished index, polished value)], best cell first."""
+    best ``count`` cells.  Returns [(cell, cell value, polished index,
+    polished value)], best cell first."""
     grid = _box_grid(box, density)
     vals = sign * _grid_values(e, x, grid)
-    out = []
-    for idx in np.argsort(-vals)[:count]:
-        if vals[idx] < floor:
-            break
-        out.append((grid[idx], vals[idx], *_polish_max(value_fn, grad_fn, grid[idx], box, steps)))
-    return out
+    return [(grid[idx], vals[idx], *_polish_max(value_fn, grad_fn, grid[idx], box, steps))
+            for idx in np.argsort(-vals)[:count]]
 
 
 def sup_violation(p: SIProblem, x, density=None):
@@ -256,7 +261,7 @@ def sup_violation(p: SIProblem, x, density=None):
     x = np.asarray(x, dtype=float)
     if p.theta is None:
         return 0.0, None
-    cells = _top_cells(p.theta, x, 1.0, p.S, density or default_density(p.k), 5, -np.inf,
+    cells = _top_cells(p.theta, x, 1.0, p.S, density or default_density(p.k), 5,
                        lambda ss: p.theta_at(x, ss), lambda ss: p.grad_s_theta(x, ss), 100)
     best_s, best_v = cells[0][:2]
     for _, _, s, v in cells:
@@ -274,39 +279,68 @@ def sup_abs_equality(p: SIProblem, x, density=None):
     best, best_t, best_sign = 0.0, None, 1.0
     for sign in (1.0, -1.0):
         for _, _, t, v in _top_cells(p.psi, x, sign, p.T, density or default_density(len(p.T)),
-                                     3, -np.inf, lambda tt: sign * p.psi_at(x, tt),
+                                     3, lambda tt: sign * p.psi_at(x, tt),
                                      lambda tt: sign * _index_partials(p.psi, x, tt), 60):
             if float(v) > best:
                 best, best_t, best_sign = float(v), t, sign
     return best, best_t, best_sign
 
 
-def _dedupe(points, radius=DEDUP_RADIUS):
-    """Greedy, in order: keep a point unless it lies within ``radius`` of a
-    kept one (a NaN distance counts as far)."""
-    out, kept = [], np.empty((len(points), len(points[0]) if points else 0))
-    for s in points:
-        if not (np.linalg.norm(kept[:len(out)] - s, axis=1) <= radius).any():
-            kept[len(out)] = s
-            out.append(s)
-    return out
-
-
 def active_indexes(p: SIProblem, xbar, density=None):
-    """Index points with theta(xbar, s) >= -TOL_ACTIVE, polished and
-    deduplicated, from at most MAX_ATOMS grid cells and the polished argmax
-    of the sup (an active peak between grid nodes has no cell near 0)."""
+    """The active index set as the exchange method sees it: (seed, price).
+
+    ``seed`` holds (s*, grad_x theta(xbar, s*)) for the polished argmax s* of
+    the sup when it is active (an active peak between grid nodes has no cell
+    near 0).  ``price(y, floor)`` tries the grid cells with theta >=
+    -TOL_ACTIVE - 1e-3, best central-difference <grad_x theta, y> first; a
+    cell below -TOL_ACTIVE is polished once, when first tried, and the exact
+    gradient decides.  It returns (s, gradient) with <gradient, y> > floor,
+    each index once, or None; a cell turned down stays a candidate."""
     xbar = np.asarray(xbar, dtype=float)
     sup, s_max = sup_violation(p, xbar, density)
     if sup > TOL_FEAS:
         raise InfeasiblePointError(f"sup violation {sup:.3e} exceeds tol_feas")
-    cells = _top_cells(p.theta, xbar, 1.0, p.S, density or default_density(p.k), MAX_ATOMS,
-                       -TOL_ACTIVE - 1e-3, lambda ss: p.theta_at(xbar, ss),
-                       lambda ss: p.grad_s_theta(xbar, ss), 40)
-    active = [s for _, _, s, v in cells if v >= -TOL_ACTIVE]
-    if p.theta_at(xbar, s_max) >= -TOL_ACTIVE:
-        active.append(s_max)
-    return _dedupe(active)
+    seed = [(s_max, p.grad_x_theta(xbar, s_max))] if p.theta_at(xbar, s_max) >= -TOL_ACTIVE \
+        else []
+    grid = _box_grid(p.S, density or default_density(p.k))
+    vals = _grid_values(p.theta, xbar, grid)
+    near = vals >= -TOL_ACTIVE - 1e-3
+    cells, vals = grid[near].astype(float, copy=False), vals[near]
+    grads = _x_gradients(p.theta, xbar, cells)
+    exact = np.zeros(len(cells), dtype=bool)
+    live = np.ones(len(cells), dtype=bool)
+
+    def price(y, floor):
+        floor += 1e-9  # the simplex's reduced-cost tolerance
+        scores = grads @ y
+        picks = np.flatnonzero(live & (scores > floor))
+        for i in picks[np.argsort(-scores[picks], kind="stable")]:
+            if not exact[i] and vals[i] < -TOL_ACTIVE:
+                cells[i], vals[i] = _polish_max(lambda ss: p.theta_at(xbar, ss),
+                                                lambda ss: p.grad_s_theta(xbar, ss),
+                                                cells[i], p.S, 40)
+                live[i] = vals[i] >= -TOL_ACTIVE
+            if live[i] and not exact[i]:
+                grads[i], exact[i] = p.grad_x_theta(xbar, cells[i]), True
+            if live[i] and grads[i] @ y > floor:
+                live[i] = False
+                return cells[i].copy(), grads[i].copy()
+        return None
+
+    return seed, price
+
+
+def _x_gradients(e, z, cells):
+    """Central-difference x-gradients of e at (z, s) for every index s in
+    ``cells`` at once: two grid evaluations per coordinate of z."""
+    fd = np.empty((len(cells), len(z)))
+    for j in range(len(z)):
+        h = 1e-6 * max(1.0, abs(z[j]))
+        up, down = list(z), list(z)
+        up[j] += h
+        down[j] -= h
+        fd[:, j] = (_grid_values(e, up, cells) - _grid_values(e, down, cells)) / (2 * h)
+    return fd
 
 
 def _near_active_gradients(e, signs, z, box):
@@ -338,13 +372,7 @@ def _near_active_gradients(e, signs, z, box):
     for sign, row in zip(signs, vals):
         pick = top - row <= 2.0 * SLOPE_TAU * top
         cells, gap = grid[pick], top - row[pick]
-        fd = np.empty((len(cells), len(z)))
-        for j in range(len(z)):
-            h = 1e-6 * max(1.0, abs(z[j]))
-            up, down = list(z), list(z)
-            up[j] += h
-            down[j] -= h
-            fd[:, j] = sign * (_grid_values(e, up, cells) - _grid_values(e, down, cells)) / (2 * h)
+        fd = sign * _x_gradients(e, z, cells)
         # the slack covers the central-difference error
         screen = gap <= delta * (np.linalg.norm(fd - g_star, axis=1) + 1e-6 * (1.0 + scale))
         for s, gs in zip(cells[screen], gap[screen]):
@@ -396,23 +424,25 @@ def sip_kappa_estimate(p: SIProblem, xbar, radius=0.25, samples=30, seed=0) -> C
 
 
 def emfcq_check(p: SIProblem, xbar, tol=1e-7) -> CQReport:
-    """Extended MFCQ: some u has <grad_x theta(xbar,s), u> < 0 on every active s."""
+    """Extended MFCQ: some u has <grad_x theta(xbar,s), u> < 0 on every active s.
+    The direction LP min tau s.t. <c_s, u> <= tau, u in the unit box, gains
+    the rows that ``active_indexes`` prices above tau at its u."""
     xbar = np.asarray(xbar, dtype=float)
-    act = active_indexes(p, xbar)
-    if not act:
+    seed, price = active_indexes(p, xbar)
+    if not seed:
         return CQReport("EMFCQ", VERIFIED, confidence="exact",
                         notes=["no active indexes: condition is vacuous"])
-    cols = [p.grad_x_theta(xbar, s) for s in act]
-    n = p.n
-    # min tau s.t. <c_j, u> <= tau, u in the unit box
-    A = np.array([list(cj) + [-1.0] for cj in cols])
-    bounds = [(-1.0, 1.0)] * n + [(None, None)]
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    sol = lp_solve(LPProblem(c=c, A=A, b=np.zeros(len(cols)), senses=["<="] * len(cols),
-                             bounds=bounds))
-    if sol.status != OPTIMAL:
-        return CQReport("EMFCQ", INCONCLUSIVE, notes=["direction LP failed"])
+    rows, n = [c for _, c in seed], p.n
+    while True:
+        sol = lp_solve(LPProblem(c=np.eye(n + 1)[-1], A=np.hstack([rows, -np.ones((len(rows), 1))]),
+                                 b=np.zeros(len(rows)), senses=["<="] * len(rows),
+                                 bounds=[(-1.0, 1.0)] * n + [(None, None)]))
+        if sol.status != OPTIMAL:
+            return CQReport("EMFCQ", INCONCLUSIVE, notes=["direction LP failed"])
+        new = price(sol.x[:n], sol.objective)
+        if new is None:
+            break
+        rows.append(new[1])
     if sol.objective < -tol:
         return CQReport("EMFCQ", VERIFIED, witness=sol.x[:n], confidence="sampling",
                         notes=[f"max inner product {sol.objective:.3e} on sampled active set"])
@@ -458,7 +488,8 @@ def caratheodory_reduce(atoms, weights, G) -> AtomicMultiplier:
     return AtomicMultiplier(atoms=kept)
 
 
-def stationarity_atoms(atoms, cols, target, lines=(), line_cols=(), line_costs=None):
+def stationarity_atoms(atoms, cols, target, lines=(), line_cols=(), line_costs=None,
+                       price=None):
     """Least-cost multiplier sum_i w_i cols_i + sum_j mu_j line_cols_j = target
     with w >= 0; None when there is none.
 
@@ -467,12 +498,28 @@ def stationarity_atoms(atoms, cols, target, lines=(), line_cols=(), line_costs=N
     pair.  The simplex returns a vertex, so at most len(target) weights are
     positive: the Caratheodory bound holds with no reduction.  Returns
     ([(atom, w)], {tuple(line): mu}) over the positive weights, the lines
-    on their + column first."""
-    cost = None if line_costs is None else np.concatenate([np.ones(len(cols)), line_costs])
-    fit = conic_fit(target, np.array(cols).T if cols else None,
-                    np.array(line_cols).T if len(line_cols) else None, cost=cost)
-    if fit is None:
-        return None
+    on their + column first.
+
+    With ``price(y, floor)``, which returns an (atom, column) with
+    <column, y> > floor or None, the atoms are a working set grown from the
+    LP duals y: phase 1 minimizes the L1 residual with free atoms (floor 0)
+    until it is 0, then phase 2 the cost (floor 1)."""
+    atoms, cols = list(atoms), list(cols)
+    L = np.array(line_cols).T if len(line_cols) else None
+    tol = 1e-9 * (1.0 + float(np.linalg.norm(target)))  # lp_solve's feasibility rule
+    for floor in (0.0, 1.0) if price is not None else (1.0,):
+        while True:
+            cost = 0.0 if floor == 0.0 else None if line_costs is None else \
+                np.concatenate([np.ones(len(cols)), line_costs])
+            fit = conic_fit(target, np.array(cols).T if cols else None, L, cost=cost,
+                            residual=1.0 if floor == 0.0 else None)
+            if fit is None or price is None or (floor == 0.0 and fit.residual <= tol) \
+                    or (new := price(fit.y, floor)) is None:
+                break
+            atoms.append(new[0])
+            cols.append(new[1])
+        if fit is None or fit.residual > tol:
+            return None
     l = len(lines)
     signed = {tuple(t): float(v) for t, v in zip(lines, fit.split[:l]) if v > 0.0}
     for t, v in zip(lines, fit.split[l:]):
@@ -516,7 +563,8 @@ def certify(p: SIProblem, xbar, kappa, seed=42, density=None) -> Certificate:
     An equality family psi(x,t) = 0 enters by the two-inequality split: each
     point of the T grid (``density`` per axis, at most 33) gives a free +/-
     column pair, and the bound becomes sum(lambda) + sum|mu| <= 2*kappa*||grad||.
-    When no multiplier exists, the theta grid is refined twice (2x, 4x)."""
+    The theta atoms come from the exchange method over ``active_indexes``
+    on the ``density`` grid."""
     xbar = np.asarray(xbar, dtype=float)
     if p.psi is not None and sup_abs_equality(p, xbar)[0] > TOL_FEAS:
         raise InfeasiblePointError("equality family violated at xbar")
@@ -525,18 +573,13 @@ def certify(p: SIProblem, xbar, kappa, seed=42, density=None) -> Certificate:
     kappa_val, kappa_source, _ = resolve_kappa(
         kappa, lambda: sip_kappa_estimate(p, xbar, seed=seed))
     eq_points = [] if p.psi is None else \
-        _dedupe(list(_box_grid(p.T, min(density or default_density(len(p.T)), 33))))
+        list(_box_grid(p.T, min(density or default_density(len(p.T)), 33)))
     eq_cols = [p.grad_x_psi(xbar, t) for t in eq_points]
-    density = density or default_density(p.k)
-    for round_density in (density, 2 * density, 4 * density):
-        act = [] if p.theta is None else active_indexes(p, xbar, density=round_density)
-        found = stationarity_atoms(act, [p.grad_x_theta(xbar, s) for s in act], -g0,
-                                   eq_points, eq_cols)
-        if found is not None or p.theta is None:  # only the theta grid refines
-            break
+    start, price = ([], None) if p.theta is None else active_indexes(p, xbar, density)
+    found = stationarity_atoms([s for s, _ in start], [c for _, c in start], -g0,
+                               eq_points, eq_cols, price=price)
     if found is None:
-        raise NoMultiplierError("no atomic multiplier" if p.theta is None
-                                else "no atomic multiplier after two grid refinements")
+        raise NoMultiplierError("no atomic multiplier")
     atoms, signed = found
     eq_atoms = [(np.array(t), m) for t, m in signed.items() if abs(m) > 0.0]
     bound_factor = 1.0 if p.psi is None else 2.0

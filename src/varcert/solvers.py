@@ -283,6 +283,7 @@ class ConicFit:
     w: np.ndarray  # ray weights
     split: np.ndarray  # line weights (a, b), as in the columns
     residual: float  # L1 norm of the residual slack
+    y: np.ndarray  # duals of the target rows: a column c prices at cost - <c, y>
 
 
 def conic_fit(target, rays, lines=None, convex=None, cost=None, residual=None):
@@ -316,7 +317,8 @@ def conic_fit(target, rays, lines=None, convex=None, cost=None, residual=None):
     if sol.status != OPTIMAL:
         return None
     x = sol.x
-    return ConicFit(w=x[:r], split=x[r:r + 2 * l], residual=float(np.sum(x[r + 2 * l + k:])))
+    return ConicFit(w=x[:r], split=x[r:r + 2 * l], residual=float(np.sum(x[r + 2 * l + k:])),
+                    y=sol.y[:n])
 
 
 def nnls(E, f):

@@ -380,9 +380,15 @@ def test_three_dimensional_equality_box_verifies(tmp_path):
 
 
 def test_bad_sip_input_exits_3_with_an_error_line(tmp_path, capsys):
-    """--grid below 1, a malformed or non-numeric index box bound and a
-    non-numeric point in the problem file: exit 3 and an error line."""
+    """--grid below 1, an index grid of more than 2**20 points (--grid 100000
+    on a 2-D box, or the default 16 per axis on a 6-D one), a malformed or
+    non-numeric index box bound and a non-numeric point in the problem file:
+    exit 3 and an error line.  The grid is refused before it is allocated."""
     cases = [(equality_box_doc([[0, 1]]), ["--grid", grid]) for grid in ("-5", "0")]
+    for k, args in ((2, ["--grid", "100000"]), (6, [])):
+        doc = equality_box_doc([[0, 1]])
+        doc["constraints"]["S"] = [[0, 1]] * k
+        cases.append((doc, args))
     for key, box in (("S", [[0]]), ("S", [[0, "a"]]), ("T", [[None, 1]]), ("T", 5)):
         doc = equality_box_doc([[0, 1]])
         doc["constraints"][key] = box
@@ -396,6 +402,52 @@ def test_bad_sip_input_exits_3_with_an_error_line(tmp_path, capsys):
         assert cli.run(["sip", "-p", prob, "--kappa", "1", *point, *args]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+NON_FINITE = [
+    ("kappa_negative", linear_sip_doc(), ["--point", "0", "--kappa", "-1"]),
+    ("kappa_nan", linear_sip_doc(), ["--point", "0", "--kappa", "nan"]),
+    ("kappa_inf", linear_sip_doc(), ["--point", "0", "--kappa", "inf"]),
+    ("kappa_in_file", dict(linear_sip_doc(), kappa=-1.0), ["--point", "0"]),
+    ("S_nan", {**linear_sip_doc(), "constraints": {"theta": "s1*x1", "S": [[0.0, float("nan")]]}},
+     ["--point", "0", "--kappa", "1"]),
+    ("S_inf", {**linear_sip_doc(), "constraints": {"theta": "s1*x1", "S": [[0.0, float("inf")]]}},
+     ["--point", "0", "--kappa", "1"]),
+    ("point_nan", linear_sip_doc(), ["--point", "nan", "--kappa", "1"]),
+    ("point_in_file_inf", dict(linear_sip_doc(), point=[float("inf")]), ["--kappa", "1"]),
+    # an integer with no float: json reads 10**400 back as an int
+    ("point_huge_int", dict(linear_sip_doc(), point=[10 ** 400]), ["--kappa", "1"]),
+    ("kappa_huge_int", dict(linear_sip_doc(), kappa=10 ** 400), ["--point", "0"]),
+    ("S_huge_int", {**linear_sip_doc(), "constraints": {"theta": "s1*x1", "S": [[0, 10 ** 400]]}},
+     ["--point", "0", "--kappa", "1"]),
+    ("A_ineq_nan", {**orthant_doc(), "constraints": {"f": ["x1", "x2"], "Theta": {
+        "A_ineq": [[float("nan"), 0.0], [0.0, 1.0]], "b_ineq": [0.0, 0.0]}}},
+     ["--point", "0,0", "--kappa", "1"]),
+    ("b_ineq_inf", {**orthant_doc(), "constraints": {"f": ["x1", "x2"], "Theta": {
+        "A_ineq": [[1.0, 0.0], [0.0, 1.0]], "b_ineq": [0.0, float("inf")]}}},
+     ["--point", "0,0", "--kappa", "1"]),
+    ("b_eq_nan", {**orthant_doc(), "constraints": {"f": ["x1", "x2"], "Theta": {
+        "A_eq": [[1.0, 0.0]], "b_eq": [float("nan")]}}}, ["--point", "0,0", "--kappa", "1"]),
+]
+
+
+@pytest.mark.parametrize("doc, args", [case[1:] for case in NON_FINITE],
+                         ids=[case[0] for case in NON_FINITE])
+def test_non_finite_or_negative_input_exits_3_with_an_error_line(doc, args, tmp_path, capsys,
+                                                                 monkeypatch):
+    """A kappa that is not finite and >= 0 (the rule recheck applies), an
+    index box bound, a point coordinate or a Theta entry that is not a
+    finite number: exit 3 and an error line, before any certificate work."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("certificate work started")
+
+    monkeypatch.setattr(cli.sip_mod, "certify", no_work)
+    monkeypatch.setattr(cli.certify, "dual_certificate", no_work)
+    prob = write_problem(tmp_path, doc)
+    command = "sip" if doc["kind"] == "sip" else "kkt"
+    assert cli.run([command, "-p", prob, *args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):

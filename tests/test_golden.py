@@ -191,10 +191,8 @@ PARENT = {
     "sip_eq": ("44573492953bcb29", 0, 0),
     "sip_kappa_unavailable": ("75b8adbdd72f3aee", 2, 2),
     "sip_bound_exceeded": ("d21e60c204208566", 1, 1),
-    "sip_no_multiplier": ("ecade3753565c4fd", 1, 1),
     "sip_readme_estimate": ("b601a32bd59770f4", 0, 0),
     "sip_two_index_estimate": ("861849ff42e46d51", 0, 0),
-    "sip_cubic_no_multiplier_estimate": ("ecade3753565c4fd", 1, 1),
     "sdp_readme": ("85ea79e957fdeb6f", 0, 0),
     "sdp_psi_kernel2": ("f8651b8e4006e1c4", 0, 0),
     "sdp_psi_offdiag": ("f81b323eca4cbf67", 0, 0),
@@ -213,7 +211,6 @@ PARENT = {
     "random_lp_9": ("38018ed3f5956a2f", 0, 0),
     "sip_eq_theta_psi": ("e5e2741c55811b2e", 0, 0),
     "sip_eq_theta_psi_grid16": ("e5e2741c55811b2e", 0, 0),
-    "sip_eq_no_multiplier": ("64a57779e736905f", 1, 1),
 }
 PARENT_KAPPA = {"sip_readme_estimate": 9.999989963092e-01,
                 "sip_two_index_estimate": 9.999989963092e-01}
@@ -239,7 +236,23 @@ FLOAT_TOL = {"residual": 1e-15, "multipliers": 1e-8, "generator_weights": 1e-8}
 # returned lambda = (3e-9, 0.5), of norm 0.5 > 0.46: REFUTED (BOUND_EXCEEDED),
 # exit 1, recheck exit 1, certificate f39ff90316b0ffbc.  The least-norm
 # lambda is (0.2, 0.4), of norm 0.447, and the verdict turns to VERIFIED.
-PARENT_CHANGED = {"nlp_least_norm_multiplier": (("f39ff90316b0ffbc", 1, 1), (0, 0))}
+#
+# theta = s1*x1 + s2*x2 on [0,1]^2, objective -x1-x2, kappa 2: the LP over the
+# 400 grid cells that active_indexes kept gave lambda = 10.5 at s ~ (0.095,
+# 0.095), REFUTED (BOUND_EXCEEDED), although lambda = 1 at s = (1, 1) meets the
+# bound.  The exchange method prices the whole active grid and finds it.
+#
+# The three NO_MULTIPLIER cases keep every byte but the note, which read "no
+# atomic multiplier after two grid refinements" before the retries at 2x and
+# 4x density were deleted.
+PARENT_CHANGED = {"nlp_least_norm_multiplier": (("f39ff90316b0ffbc", 1, 1), (0, 0)),
+                  "sip_flat_face": (("3bed75f153b582c7", 1, 1), (0, 0)),
+                  "sip_no_multiplier": (("ecade3753565c4fd", 1, 1), (1, 1)),
+                  "sip_cubic_no_multiplier_estimate": (("ecade3753565c4fd", 1, 1), (1, 1)),
+                  "sip_eq_no_multiplier": (("64a57779e736905f", 1, 1), (1, 1))}
+PARENT_NOTES = {name: ["no atomic multiplier after two grid refinements"]
+                for name in ("sip_no_multiplier", "sip_cubic_no_multiplier_estimate",
+                             "sip_eq_no_multiplier")}
 
 
 def test_corpus_matches_its_parent_outside_the_slope_kappa():
@@ -249,6 +262,12 @@ def test_corpus_matches_its_parent_outside_the_slope_kappa():
         case = by_name[name]
         assert (case["exit"], case["recheck"]) == codes, name
         assert hashlib.sha256(expected_text(case).encode("utf-8")).hexdigest()[:16] != digest
+        if name in PARENT_NOTES:
+            doc = json.loads(expected_text(case))
+            assert doc["notes"] == ["no atomic multiplier"], name
+            doc["notes"] = PARENT_NOTES[name]
+            text = cli.canonical_json(doc)
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digest, name
     for name, (digest, code, recheck) in PARENT.items():
         case = by_name[name]
         assert (case["exit"], case["recheck"]) == (code, recheck), name

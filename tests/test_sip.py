@@ -32,18 +32,57 @@ def test_sup_violation_examples():
     assert s[0] == pytest.approx(0.5, abs=1e-4)
 
 
+def drain(price, y, floor):
+    """Every index that ``price`` offers at one y, in the order offered."""
+    out = []
+    while (new := price(np.asarray(y, dtype=float), floor)) is not None:
+        out.append(new)
+    return out
+
+
 def test_active_indexes_examples():
+    """The seed is the polished argmax when it is active; price offers each
+    active index with <grad_x theta, y> > floor once, with its exact gradient."""
     p = linear_sip()
-    act = active_indexes(p, [0.0])
-    assert len(act) >= 32  # the whole box is active: grid representatives
+    seed, price = active_indexes(p, [0.0])
+    assert len(seed) == 1 and seed[0][1] == pytest.approx([seed[0][0][0]])
+    assert price(np.array([-1.0]), 0.0) is None  # every column s has <s, -1> <= 0
+    offered = drain(price, [1.0], 0.5)  # the whole box is active: the cells with s > 0.5
+    assert [s[0] for s, _ in offered] == pytest.approx(np.linspace(0.0, 1.0, 64)[32:][::-1])
+    assert all(g == pytest.approx(s) for s, g in offered)
+    assert [s[0] for s, _ in drain(price, [1.0], 0.0)] == \
+        pytest.approx(np.linspace(0.0, 1.0, 64)[1:32][::-1])  # each offered once
     p2 = SIProblem.from_strings(1, "x1", theta="s1*x1 - 1", S=[(0.0, 1.0)])
-    assert active_indexes(p2, [0.0]) == []
+    seed, price = active_indexes(p2, [0.0])
+    assert seed == [] and price(np.array([1.0]), -1e9) is None
     p3 = SIProblem.from_strings(1, "x1", theta="0 - (s1 - 0.5)^2", S=[(0.0, 1.0)])
-    act = active_indexes(p3, [7.0])
-    assert len(act) == 1
-    assert act[0][0] == pytest.approx(0.5, abs=1e-4)
+    (s, g), = active_indexes(p3, [7.0])[0]
+    assert s[0] == pytest.approx(0.5, abs=1e-4) and g.tolist() == [0.0]
     with pytest.raises(InfeasiblePointError):
         active_indexes(p, [1.0])
+
+
+def test_a_cell_turned_down_at_one_dual_stays_a_candidate(monkeypatch):
+    """theta = s1*x1 - (s1 - 0.5)^2 at x = 0 is active at s = 0.5 only, where
+    grad_x theta = 0.5; the grid cells beside it sit below -TOL_ACTIVE and
+    their screened gradients are their own s.  Priced at floor 0.5, the
+    cells above 0.5 pass the screen, are polished onto 0.5 and turned down by
+    the exact gradient; at floor 0.4 they are offered.  Each cell is polished
+    once."""
+    p = SIProblem.from_strings(1, "x1", theta="s1*x1 - (s1 - 0.5)^2", S=[(0.0, 1.0)])
+    seed, price = active_indexes(p, [0.0])
+    assert seed[0][0][0] == pytest.approx(0.5, abs=1e-6)
+    polished = []
+    real = sip._polish_max
+    monkeypatch.setattr(sip, "_polish_max",
+                        lambda v, g, s0, box, steps=100: polished.append(float(s0[0]))
+                        or real(v, g, s0, box, steps))
+    assert price(np.array([1.0]), 0.5) is None
+    assert len(polished) == 2 and all(s > 0.5 for s in polished)  # 32/63 and 33/63
+    s, g = price(np.array([1.0]), 0.4)
+    assert s[0] == pytest.approx(0.5, abs=1e-6) and g[0] == pytest.approx(0.5, abs=1e-6)
+    drain(price, [1.0], 0.0)
+    assert len(polished) == len(set(polished))  # never the same cell twice
 
 
 def test_sip_kappa_estimate_examples():
@@ -76,9 +115,49 @@ def test_certify_remark_fixture():
 
 
 def test_certify_no_multiplier_by_sign():
-    with pytest.raises(NoMultiplierError):
-        certify(SIProblem.from_strings(1, "x1", theta="s1*x1", S=[(0.0, 1.0)]),
-                [0.0], kappa=1.0)
+    """theta priced by the exchange loop, and psi alone (one LP): one note."""
+    for p in (SIProblem.from_strings(1, "x1", theta="s1*x1", S=[(0.0, 1.0)]),
+              SIProblem.from_strings(1, "x1", psi="t1*x1^2", T=[(0.0, 1.0)])):
+        with pytest.raises(NoMultiplierError, match="^no atomic multiplier$"):
+            certify(p, [0.0], kappa=1.0)
+
+
+def test_flat_face_takes_one_atom_at_the_far_corner(monkeypatch):
+    """theta = s1*x1 + s2*x2 on [0,1]^2, objective -x1-x2 at 0: every index is
+    active and lambda = 1 at s = (1, 1) is the least multiplier.  The
+    exchange loop finds it from 3 LPs of at most 2 columns (the seed at the
+    polished argmax, then the corner)."""
+    widths = []
+    real = sip.conic_fit
+    monkeypatch.setattr(sip, "conic_fit", lambda target, rays, *a, **k: widths.append(
+        0 if rays is None else np.shape(rays)[1]) or real(target, rays, *a, **k))
+    p = SIProblem.from_strings(2, "-x1 - x2", theta="s1*x1 + s2*x2", S=[(0.0, 1.0), (0.0, 1.0)])
+    cert = certify(p, [0.0, 0.0], kappa=2.0)
+    assert (cert.status, cert.atoms, cert.bound_lhs) == ("VERIFIED", [([1.0, 1.0], 1.0)], 1.0)
+    assert widths == [1, 2, 2]
+
+
+def test_a_tiny_gradient_gets_its_large_multiplier():
+    """theta = 1e-7*s1*x1 needs lambda = 1e7 at s = 1: no cap on the weights
+    may cut it off."""
+    p = SIProblem.from_strings(1, "-x1", theta="1e-7*s1*x1", S=[(0.0, 1.0)])
+    cert = certify(p, [0.0], kappa=1e10)
+    assert cert.status == "VERIFIED"
+    (s, lam), = cert.atoms
+    assert s == [1.0] and lam == pytest.approx(1e7, rel=1e-12)
+    assert cert.residual <= 1e-7
+
+
+def test_emfcq_on_the_flat_face_and_the_cap():
+    """Row generation keeps the verdicts: the flat face has an active index
+    (s = 0) with a zero gradient, so no direction exists; the cap's one
+    active index has gradient (1, 0), so u = (-1, .) works."""
+    flat = SIProblem.from_strings(2, "x1", theta="s1*x1 + s2*x2", S=[(0.0, 1.0), (0.0, 1.0)])
+    assert emfcq_check(flat, [0.0, 0.0]).verdict == REFUTED
+    cap = SIProblem.from_strings(2, "x1", theta="x1 - (s1 - 0.5)^2 - 4*(s2 - 0.5)^2",
+                                 S=[(0.0, 1.0), (0.0, 1.0)])
+    rep = emfcq_check(cap, [0.0, 0.0])
+    assert rep.verdict == VERIFIED and rep.witness[0] == -1.0
 
 
 def test_certify_bound_exceeded():
@@ -169,25 +248,6 @@ def test_equality_grid_follows_the_dimension_of_T(monkeypatch):
         p = SIProblem.from_strings(2, "x1^2 - x2", theta="x2 - s1", S=[(0.0, 1.0)], psi=psi, T=T)
         assert certify(p, [0.0, 0.0], kappa=1.0, density=density).status == "VERIFIED"
         assert asked[-1] == expected
-
-
-def test_equality_family_gets_the_theta_grid_refinement(monkeypatch):
-    """With theta and psi, a missing multiplier retries theta at 2x and 4x
-    density; with psi alone there is no theta grid to refine."""
-    seen = []
-    real = sip.active_indexes
-    monkeypatch.setattr(sip, "active_indexes",
-                        lambda p, x, density=None: seen.append(density) or real(p, x, density))
-    p = SIProblem.from_strings(2, "x1^2 + x2", theta="s1*x2 - 0.1", S=[(0.0, 1.0)],
-                               psi="t1*t2*x1", T=[(0.0, 1.0), (0.0, 1.0)])
-    with pytest.raises(NoMultiplierError, match="^no atomic multiplier after two grid refinements$"):
-        certify(p, [0.0, 0.0], kappa=1.0)
-    assert seen == [64, 128, 256]
-    seen.clear()
-    eq_only = SIProblem.from_strings(1, "x1", psi="t1*x1^2", T=[(0.0, 1.0)])
-    with pytest.raises(NoMultiplierError, match="^no atomic multiplier$"):
-        certify(eq_only, [0.0], kappa=1.0)
-    assert seen == []
 
 
 def test_verified_certificates_have_tiny_residual():
@@ -335,41 +395,6 @@ def test_polish_point_box_exit_matches_the_full_polish(monkeypatch):
     assert early_calls == 0 < full_calls
 
 
-def test_dedupe_keeps_every_atom_of_a_flat_active_face():
-    """theta = (s1 - 0.3)*(x1 - 0.2)^3 vanishes on all of S at x = 0.2: all
-    256 grid atoms are active and pairwise far apart, so dedupe keeps them
-    in grid order (bytes pinned before dedupe became one distance test per
-    candidate)."""
-    import hashlib
-
-    p = SIProblem.from_strings(1, "-x1", theta="(s1 - 0.3)*(x1 - 0.2)^3", S=[(0.3, 1.3)])
-    act = active_indexes(p, [0.2], density=256)
-    assert len(act) == 256
-    assert hashlib.sha256(b"".join(s.tobytes() for s in act)).hexdigest() == \
-        "b32f99983fb121961e8114ca321f6c205459eebe1de20ab427bc6b51a40a9184"
-
-
-def test_dedupe_matches_the_pairwise_loop():
-    """Same kept points, in the same order, as a greedy scan with one norm
-    per pair; near-duplicates, exact repeats and NaN coordinates included."""
-    def dedupe_loop(points, radius=sip.DEDUP_RADIUS):
-        out = []
-        for s in points:
-            if not any(np.linalg.norm(s - q) <= radius for q in out):
-                out.append(s)
-        return out
-
-    rng = np.random.default_rng(9)
-    for trial in range(60):
-        k = 1 + trial % 3
-        pts = list(rng.normal(size=(int(rng.integers(0, 40)), k)) * 3e-4)
-        pts += [p + 2e-5 for p in pts[:5]] + pts[:3]
-        if trial % 4 == 0 and pts:
-            pts[int(rng.integers(len(pts)))][0] = np.nan
-        got, want = sip._dedupe(pts), dedupe_loop(pts)
-        assert [id(s) for s in got] == [id(s) for s in want]
-
-
 def _sup_violation_loop(p, x, density, polish_top=5, polish_steps=100):
     """The grid-sort-polish loop sup_violation ran before the shared search."""
     grid = sip._box_grid(p.S, density)
@@ -398,24 +423,11 @@ def _sup_abs_equality_loop(p, x, density, polish_steps=60):
     return best, best_t, best_sign
 
 
-def _active_indexes_loop(p, x, density):
-    grid = sip._box_grid(p.S, density)
-    vals = sip._grid_values(p.theta, x, grid)
-    cands = []
-    for idx in np.argsort(-vals)[:sip.MAX_ATOMS]:
-        if vals[idx] < -sip.TOL_ACTIVE - 1e-3:
-            break
-        s, v = sip._polish_max(lambda ss: p.theta_at(x, ss), lambda ss: p.grad_s_theta(x, ss),
-                               grid[idx], p.S, steps=40)
-        if v >= -sip.TOL_ACTIVE:
-            cands.append(s)
-    return sip._dedupe(cands)
-
-
 def test_top_cell_search_matches_the_three_loops(monkeypatch):
     """sup_violation, sup_abs_equality and active_indexes make the same
     _polish_max calls, in the same order, and return the same bits as the
-    loops each of them ran before sharing one search."""
+    loops each of them ran before sharing one search; active_indexes polishes
+    no grid cell before its price picks one."""
     calls = []
     polish = sip._polish_max
 
@@ -449,12 +461,8 @@ def test_top_cell_search_matches_the_three_loops(monkeypatch):
     for p in (flat, cap):
         for density in (9, 17, 65):
             calls.clear()
-            got = sip.active_indexes(p, np.zeros(2), density)
-            got_calls = calls[5:]  # after active_indexes' own sup_violation
+            (s_max, _), = sip.active_indexes(p, np.zeros(2), density)[0]
+            got_calls = list(calls)
             calls.clear()
-            ref = _active_indexes_loop(p, np.zeros(2), density)
-            assert bits(got) == bits(ref) and got_calls == calls
-            if p is flat:  # every cell is active, up to MAX_ATOMS of them
-                assert len(got) == min(density ** 2, sip.MAX_ATOMS)
-            else:
-                assert len(got) == 1 and 0 < len(calls) < density ** 2
+            assert bits([s_max]) == bits(_sup_violation_loop(p, np.zeros(2), density)[1:])
+            assert got_calls == calls
