@@ -479,6 +479,7 @@ def _cmd_subderiv(args):
         u = [float(v) for v in args.direction.split(",")]
     except (AttributeError, ValueError):
         raise CliError("subderiv needs --direction as comma-separated floats")
+    _finite(u, "direction")
     if len(u) != doc["n"]:
         raise CliError("direction length does not match n")
     fn = SmoothFn(doc["objective"], doc["n"])
@@ -555,6 +556,17 @@ def _summarize(cert: Certificate):
     print(" ".join(parts), file=sys.stderr)
 
 
+def _seed(text):
+    """A ``--seed`` value: numpy's generators take nonnegative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, not {seed}")
+    return seed
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="varcert",
                                  description="stationarity certificates for "
@@ -568,7 +580,7 @@ def build_parser():
         if kappa:
             sp.add_argument("--kappa", default=None,
                             help="metric subregularity modulus or 'estimate'")
-        sp.add_argument("--seed", type=int, default=42)
+        sp.add_argument("--seed", type=_seed, default=42)
         sp.add_argument("--out", default=None, help="certificate path (default stdout)")
 
     sp = sub.add_parser("kkt", help="dual KKT certificate with bounded multipliers")

@@ -22,18 +22,23 @@ Derivatives are exact forward mode, in two tiers that give the same bits
 errors and warnings:
 
 - Cold: ``Dual`` numbers through the compiled closure of each expression,
-  one directional pass per coordinate.  The parser emits the closure's
-  source as it reads the text, and the first evaluation compiles it.
+  in one pass whose tangents are the rows of I: numpy arrays, or the float
+  1.0 at width 1 (vector forward mode, Griewank & Walther, *Evaluating
+  Derivatives*, 2nd ed., section 3.2).  Each entry sees the float operations
+  of a pass per coordinate in their order; the kink warnings are replayed
+  once per further coordinate.  The parser emits the closure's source as it
+  reads the text, and the first evaluation compiles it.
 - Hot: from the ``HOT_AFTER``-th call (8) of the same map or expression on,
   ``SmoothMap.jacobian``, ``SmoothMap.eval`` and ``grad`` run one
   straight-line function generated for it (``_hot_code``), which performs
   per tangent the float operations of ``Dual`` in their order.  Generating
-  it costs about 10-20 Dual Jacobians, which is why one-shot callers (one
-  certificate, one recheck) stay cold.
+  it costs about 10-20 per-coordinate Dual Jacobians, which is why one-shot
+  callers (one certificate, one recheck) stay cold.
 
-Two things always stay on ``Dual``: ``directional``, whose width-1 pass
-straight-line code does not speed up, and an expression whose exponent
-contains a variable, since Dual's power rule branches per tangent there.
+Two things always stay on ``Dual`` passes with float tangents:
+``directional``, whose width-1 pass straight-line code does not speed up,
+and an expression whose exponent contains a variable (one pass per
+coordinate), since Dual's power rule branches per tangent there.
 
 The power operator is restricted: integer exponents >= 0 work for any
 base, otherwise the base must be positive.
@@ -46,6 +51,7 @@ runs the recursive-descent parser out of stack.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -126,7 +132,8 @@ def _tokenize(text):
 class _Parser:
     """Recursive descent that returns, per production, the node and the
     source of its closure over a value tuple ``v`` and math shim ``m``; it
-    also keeps the largest variable index it meets."""
+    also keeps the largest variable index it meets and whether an exponent
+    holds a variable."""
 
     def __init__(self, text, declared_vars):
         self.text = text
@@ -135,6 +142,7 @@ class _Parser:
         # only a name token can be a variable
         self.varmap = {name: k for k, name in enumerate(declared_vars) if name.isidentifier()}
         self.top = -1
+        self.var_power = False
 
     def error(self, i, message):
         """A syntax error at token ``i``, whose position is found only now."""
@@ -177,6 +185,7 @@ class _Parser:
         if self.tokens[self.i] == "^":
             self.i += 1
             b, t = self.atom()
+            self.var_power = self.var_power or "v[" in t  # a variable's source is v[k]
             return BinOp("^", e, b), f"m.pw({s},{t})"
         return e, s
 
@@ -221,7 +230,8 @@ def parse(text: str, declared_vars) -> Expr:
     """Parse ``text`` over the declared variable names (order fixes indices).
 
     The root keeps the closure source and the largest variable index, which
-    ``_compiled`` turns into a function on the first evaluation.
+    ``_compiled`` turns into a function on the first evaluation, and whether
+    an exponent contains a variable (``_var_power``).
     """
     if not text or not text.strip():
         raise ExprSyntaxError(0, "empty expression")
@@ -240,6 +250,7 @@ def parse(text: str, declared_vars) -> Expr:
         except SyntaxError:
             raise ExprSyntaxError(0, "expression nested too deeply") from None
     object.__setattr__(root, "_nvars", len(names))
+    object.__setattr__(root, "_var_power", parser.var_power)
     object.__setattr__(root, "_closure", (closure, parser.top))
     return root
 
@@ -316,7 +327,8 @@ def _kink(message, replay=None):
 
 
 class Dual:
-    """Scalar dual number: value plus one directional derivative."""
+    """Dual number: a float value and its tangent, a float or an array of
+    tangents, one per seed direction."""
 
     __slots__ = ("val", "dot")
 
@@ -356,8 +368,23 @@ def _split(a):
     return a, None
 
 
+def _or0(t):
+    """A tangent with -0.0 made 0.0, or 0.0 for a constant: ``(t or 0.0)``
+    with the same bits on a float, and elementwise on an array of tangents."""
+    return 0.0 if t is None else t + 0.0
+
+
 class _Shim:
-    """Math functions over floats and Duals with domain flags and kink rules."""
+    """Math functions over floats and Duals with domain flags and kink rules.
+
+    A Dual's tangent is a float, or an array of tangents for a pass at width
+    n (see ``_tangent_pass``), which sees per entry the float operations of a
+    pass at width 1.  Each KinkWarning's message is also appended to
+    ``replay`` when it is a list.
+    """
+
+    def __init__(self, replay=None):
+        self.replay = replay
 
     @staticmethod
     def div(a, b):
@@ -368,8 +395,10 @@ class _Shim:
         val = av / bv
         if ad is None and bd is None:
             return val
-        dot = ((ad or 0.0) * bv - av * (bd or 0.0)) / (bv * bv)
-        return Dual(val, dot)
+        q = bv * bv
+        if q == 0.0:
+            raise ZeroDivisionError  # as float division does; an array would not
+        return Dual(val, (_or0(ad) * bv - av * _or0(bd)) / q)
 
     @staticmethod
     def pw(a, b):
@@ -387,7 +416,7 @@ class _Shim:
         val = av ** bv
         if ad is None and bd is None:
             return val
-        dot = val * ((bd or 0.0) * math.log(av) + bv * (ad or 0.0) / av)
+        dot = val * (_or0(bd) * math.log(av) + bv * _or0(ad) / av)
         return Dual(val, dot)
 
     @staticmethod
@@ -428,42 +457,39 @@ class _Shim:
             raise _DomainViolation  # one-sided; not differentiable
         return Dual(val, 0.5 * ad / val)
 
-    @staticmethod
-    def abs(a):
+    def abs(self, a):
         av, ad = _split(a)
         val = builtins_abs(av)
         if ad is None:
             return val
         if av == 0.0:
-            _kink(_KINK_MESSAGES["abs"])
+            _kink(_KINK_MESSAGES["abs"], self.replay)
             return Dual(0.0, ad)
         return Dual(val, ad if av > 0 else -ad)
 
-    @staticmethod
-    def max(a, b):
+    def max(self, a, b):
         av, ad = _split(a)
         bv, bd = _split(b)
         if ad is None and bd is None:
             return av if av >= bv else bv
         if av == bv:
-            _kink(_KINK_MESSAGES["max"])
-            return Dual(av, ad or 0.0)
+            _kink(_KINK_MESSAGES["max"], self.replay)
+            return Dual(av, _or0(ad))
         if av > bv:
-            return Dual(av, ad or 0.0)
-        return Dual(bv, bd or 0.0)
+            return Dual(av, _or0(ad))
+        return Dual(bv, _or0(bd))
 
-    @staticmethod
-    def min(a, b):
+    def min(self, a, b):
         av, ad = _split(a)
         bv, bd = _split(b)
         if ad is None and bd is None:
             return av if av <= bv else bv
         if av == bv:
-            _kink(_KINK_MESSAGES["min"])
-            return Dual(av, ad or 0.0)
+            _kink(_KINK_MESSAGES["min"], self.replay)
+            return Dual(av, _or0(ad))
         if av < bv:
-            return Dual(av, ad or 0.0)
-        return Dual(bv, bd or 0.0)
+            return Dual(av, _or0(ad))
+        return Dual(bv, _or0(bd))
 
 
 builtins_abs = abs
@@ -523,8 +549,8 @@ def evaluate(e: Expr, x) -> float:
 
 # SmoothMap.eval, SmoothMap.jacobian and grad run the hot code from the
 # HOT_AFTER-th call on the same map or expression.  Generating and compiling
-# costs about as much as 10-20 Dual Jacobians, so an object used a few times
-# (one certificate, one recheck) stays on the Dual tier.
+# costs about as much as 10-20 per-coordinate Dual Jacobians, so an object
+# used a few times (one certificate, one recheck) stays on the Dual tier.
 HOT_AFTER = 8
 
 # the comparison that picks the first branch, as in _Shim
@@ -792,19 +818,64 @@ def directional(e: Expr, x, u) -> float:
     return out.dot if isinstance(out, Dual) else 0.0
 
 
+@functools.cache
+def _unit_rows(n):
+    """The rows of I, the tangents of a pass at width n; read-only, since
+    every pass at that width shares them."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return tuple(eye)
+
+
+def _tangent_pass(components, xs, var_power):
+    """Per component, its gradient at the float point ``xs`` from one Dual
+    pass whose tangents are the rows of I (the float 1.0 at width 1): an
+    array, or a float that every entry shares.
+
+    Per entry it does the float operations of one pass per coordinate, so the
+    bits, errors and KinkWarnings are theirs: an error depends on values only
+    and ends the first pass too, and the kinks, which values alone decide, are
+    replayed after the pass n - 1 times, in the order of passes 2..n.  An
+    exponent that contains a variable branches per tangent (``_Shim.pw``), so
+    when ``var_power`` says a component has one, one pass per coordinate
+    runs.  Raises what the closures raise.
+    """
+    n = len(xs)
+    if n == 1:  # the pass per coordinate itself
+        duals = (Dual(xs[0], 1.0),)
+        outs = [_compiled(c)[0](duals, _SHIM) for c in components]
+    elif var_power:
+        J = np.zeros((len(components), n))
+        for j in range(n):
+            duals = tuple(Dual(xi, 1.0 if i == j else 0.0) for i, xi in enumerate(xs))
+            for k, c in enumerate(components):
+                out = _compiled(c)[0](duals, _SHIM)
+                J[k, j] = out.dot if isinstance(out, Dual) else 0.0
+        return list(J)
+    else:
+        kinks = []
+        shim = _Shim(kinks)
+        duals = tuple(map(Dual, xs, _unit_rows(n)))
+        with np.errstate(all="ignore"):  # an overflow gives inf, as on floats
+            outs = [_compiled(c)[0](duals, shim) for c in components]
+        for message in kinks * (n - 1):
+            _kink(message)
+    return [out.dot if isinstance(out, Dual) else 0.0 for out in outs]
+
+
 def grad(e: Expr, x) -> np.ndarray:
-    """Exact forward-mode gradient: one Dual pass per coordinate, or from the
-    HOT_AFTER-th call on ``e`` one call of its straight-line code."""
+    """Exact forward-mode gradient: one vector-tangent Dual pass
+    (``_tangent_pass``), or from the HOT_AFTER-th call on ``e`` one call of
+    its straight-line code."""
     _check_dim(e, x)
     n = len(x)
     hot = _tier(e, "_hot_grad", lambda: _hot_code([e], n, True))
-    if hot is None:
-        g = np.zeros(n)
-        for i in range(n):
-            g[i] = directional(e, x, [1.0 if j == i else 0.0 for j in range(n)])
-        return g
     xs = [float(xj) for xj in x]
     try:
+        if hot is None:
+            (dot,) = _tangent_pass([e], xs, e._var_power)
+            # a copy: the tangent may be a shared row of I
+            return np.array(dot if type(dot) is np.ndarray else [dot] * n)
         return np.array(hot(*xs)[0], dtype=float)
     except _DomainViolation:
         raise NotInDomainError("derivative requested outside the expression domain")
@@ -845,8 +916,9 @@ class SmoothMap:
         return np.array(hot(*x))
 
     def jacobian(self, x) -> np.ndarray:
-        """One Dual pass per coordinate over every component; from the
-        HOT_AFTER-th call on this map, one call of straight-line code."""
+        """One vector-tangent Dual pass over every component
+        (``_tangent_pass``); from the HOT_AFTER-th call on this map, one call
+        of straight-line code."""
         self._check(x)
         hot = _tier(self, "_hot_jacobian", lambda: _hot_code(self.components, self.n, True))
         xs = [float(xi) for xi in x]
@@ -854,11 +926,9 @@ class SmoothMap:
             if hot is not None:
                 return np.array(hot(*xs), dtype=float)
             J = np.zeros((self.m, self.n))
-            for j in range(self.n):
-                duals = tuple(Dual(xi, 1.0 if i == j else 0.0) for i, xi in enumerate(xs))
-                for k, c in enumerate(self.components):
-                    val = _compiled(c)[0](duals, _SHIM)
-                    J[k, j] = val.dot if isinstance(val, Dual) else 0.0
+            var_power = any(c._var_power for c in self.components)
+            for k, dot in enumerate(_tangent_pass(self.components, xs, var_power)):
+                J[k] = dot
             return J
         except _DomainViolation:
             raise NotInDomainError("Jacobian requested outside a component domain")

@@ -115,20 +115,34 @@ def entry_grads(M, x):
 
 def grad_quadform(p: SDProblem, x, s) -> np.ndarray:
     """j-th component <s, (dPhi/dx_j)(x) s>, via entrywise expression gradients."""
-    return _quadform(p, entry_grads(p.Phi, x), s)
+    return quadforms(p, entry_grads(p.Phi, x), [s])[0]
 
 
-def _quadform(p: SDProblem, phi_grads, s):
-    s = np.asarray(s, dtype=float)
-    if abs(float(np.linalg.norm(s)) - 1.0) > 1e-10:
-        raise NotUnitError(f"atom has norm {np.linalg.norm(s):.12f}")
-    out = np.zeros(p.n)
-    for i in range(p.m):
-        for j in range(i, p.m):
-            weight = s[i] * s[j] * (1.0 if i == j else 2.0)
-            if weight != 0.0:
-                out += weight * phi_grads(i, j)
-    return out
+def quadforms(p: SDProblem, phi_grads, atoms) -> np.ndarray:
+    """Row k: grad <s, Phi s> at the point of the ``entry_grads`` table
+    ``phi_grads``, for s = atoms[k], a unit vector.
+
+    One sweep over the upper-triangle entries serves every atom.  Each row
+    sums weight * grad over the entries in row-major order, skipping a zero
+    weight, and an entry's gradient is computed only when some atom weighs it.
+    """
+    S = np.array(atoms, dtype=float).reshape(len(atoms), p.m)
+    for s in S:
+        if abs(float(np.linalg.norm(s)) - 1.0) > 1e-10:
+            raise NotUnitError(f"atom has norm {np.linalg.norm(s):.12f}")
+    rows, cols = np.triu_indices(p.m)
+    weights = S[:, rows] * S[:, cols] * np.where(rows == cols, 1.0, 2.0)
+    live_atoms, live_entries = np.nonzero(weights)
+    grads = np.zeros((len(rows), p.n))
+    for e in np.unique(live_entries):
+        grads[e] = phi_grads(int(rows[e]), int(cols[e]))
+    terms = np.zeros((len(S), len(rows), p.n))
+    terms[live_atoms, live_entries] = weights[live_atoms, live_entries, None] * grads[live_entries]
+    # a zero-weight term is 0.0, which leaves a partial sum started at 0.0
+    # unchanged (such a sum is never -0.0); accumulate starts at the first
+    # term instead, which can only turn a final 0.0 into -0.0, and + 0.0
+    # undoes that
+    return np.add.accumulate(terms, axis=1)[:, -1] + 0.0
 
 
 def _tol_ker(w):
@@ -177,8 +191,8 @@ def conditions(p: SDProblem, x, A, w, phi_grads, psi_grads, g0, atoms, psi_atoms
             failures.append("complementarity violated for an atom")
     resid = g0.copy()
     total = 0.0
-    for s, lam in atoms:
-        resid = resid + lam * _quadform(p, phi_grads, s)
+    for (_, lam), col in zip(atoms, quadforms(p, phi_grads, [s for s, _ in atoms])):
+        resid = resid + lam * col
         total += lam
     for (i, j), mij in psi_atoms:
         factor = 1.0 if i == j else 2.0
@@ -199,7 +213,7 @@ def certify(p: SDProblem, xbar, kappa, seed=42) -> Certificate:
     g0 = p.grad_objective(xbar)
     atoms, tol_ker = _kernel_atoms(w, V, seed)
     phi_grads, psi_grads = entry_grads(p.Phi, xbar), entry_grads(p.Psi, xbar)
-    lam_cols = [_quadform(p, phi_grads, s) for s in atoms]
+    lam_cols = list(quadforms(p, phi_grads, atoms))
 
     psi_entries = []
     psi_cols = []

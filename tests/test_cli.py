@@ -537,3 +537,42 @@ def test_a_zero_slope_plateau_is_inconclusive_not_refuted(tmp_path):
     cert = json.loads(open(out).read())
     assert (cert["status"], cert["detail"]) == ("INCONCLUSIVE", "KAPPA_UNAVAILABLE")
     assert cert["notes"] == ["msqc_estimate verdict INCONCLUSIVE"]
+
+
+def kernel_2d_sdp_doc():
+    """Phi = diag(x1, 0, -1): at x1 = 0 the kernel is 2-dimensional, so sdp
+    draws random kernel combinations from its seed."""
+    return {"kind": "sdp", "n": 1, "objective": "-x1",
+            "constraints": {"Phi": [["x1", "0", "0"], [None, "0", "0"], [None, None, "-1"]]}}
+
+
+NEGATIVE_SEED = [
+    ("cq", orthant_doc(), ["--point", "0,0", "--which", "all"]),
+    ("sip", linear_sip_doc(), ["--point", "0"]),
+    ("kkt", orthant_doc(), ["--point", "0,0", "--kappa", "estimate"]),
+    ("sdp", kernel_2d_sdp_doc(), ["--point", "0", "--kappa", "1"]),
+]
+
+
+@pytest.mark.parametrize("command, doc, args", NEGATIVE_SEED, ids=[c[0] for c in NEGATIVE_SEED])
+def test_a_negative_seed_exits_3_with_an_error_line(command, doc, args, tmp_path, capsys):
+    """numpy's generators take no negative seed, so the option refuses one
+    before any work; each of these commands draws from the seed."""
+    prob = write_problem(tmp_path, doc)
+    assert cli.run([command, "-p", prob, *args]) in (0, 2)  # the default seed works
+    capsys.readouterr()
+    assert cli.run([command, "-p", prob, *args, "--seed", "-1"]) == 3
+    err = capsys.readouterr().err
+    assert f"varcert {command}: error: argument --seed: must be a nonnegative integer, not -1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("direction", ["nan,0", "inf,0", "0,-inf"])
+def test_a_non_finite_direction_exits_3_before_any_work(direction, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("subderivative work started")
+
+    monkeypatch.setattr(cli, "subderivative", no_work)
+    prob = write_problem(tmp_path, orthant_doc())
+    assert cli.run(["subderiv", "-p", prob, "--point", "1,1", "--direction", direction]) == 3
+    assert capsys.readouterr().err == "error: 'direction' must hold finite numbers\n"

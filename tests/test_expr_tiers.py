@@ -1,4 +1,5 @@
-"""The hot tier (straight-line code) against the Dual tier, bit for bit.
+"""The hot tier (straight-line code) against the Dual tier, and the Dual
+tier's one vector-tangent pass against one pass per coordinate, bit for bit.
 
 ``expr.HOT_AFTER`` patched to 0 puts every call on the hot tier; patched
 high it keeps every call on Dual.  Results are compared as bytes, with one
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from varcert import expr
-from varcert.errors import KinkWarning
+from varcert.errors import KinkWarning, NotInDomainError
 
 COLD = 10**9
 CONSTANTS = ["0", "1", "2", "3", "0.5", "2.5", "1e-170", "1e-320", "1e200", "1e308", "1e999"]
@@ -56,7 +57,8 @@ def random_point(rng, n):
 
 
 def outcome(fn):
-    """(result bytes or error class and message, KinkWarning messages)."""
+    """(result bytes or error class and message, KinkWarning messages and any
+    other warning's class and message)."""
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         try:
@@ -64,7 +66,8 @@ def outcome(fn):
             out = ("ok", a.shape, np.where(np.isnan(a), np.nan, a).tobytes())
         except Exception as exc:  # the error class and message are compared
             out = ("error", type(exc).__name__, str(exc))
-    return out, [str(w.message) for w in rec if issubclass(w.category, KinkWarning)]
+    return out, [str(w.message) if issubclass(w.category, KinkWarning)
+                 else (w.category.__name__, str(w.message)) for w in rec]
 
 
 def all_outcomes(texts, names, points):
@@ -139,3 +142,104 @@ def test_hot_code_is_freed_with_its_object(monkeypatch):
     refs = [weakref.ref(obj) for obj in (m, e, m._hot_jacobian, m._hot_eval, e._hot_grad)]
     del m, e  # no gc.collect(): the hot code holds no reference cycle
     assert all(ref() is None for ref in refs)
+
+
+# ---------------------------------------------------------------------------
+# the Dual tier's vector-tangent pass against one directional pass per coordinate
+
+def unit(n, j):
+    return [1.0 if i == j else 0.0 for i in range(n)]
+
+
+def per_coordinate_grad(e, x):
+    """The reference gradient: ``directional`` along each unit vector."""
+    return np.array([expr.directional(e, x, unit(len(x), j)) for j in range(len(x))])
+
+
+def per_coordinate_jacobian(es, x):
+    """The reference Jacobian: pass j runs every component along unit vector j."""
+    J = np.zeros((len(es), len(x)))
+    try:
+        for j in range(len(x)):
+            for k, e in enumerate(es):
+                J[k, j] = expr.directional(e, x, unit(len(x), j))
+    except NotInDomainError as exc:
+        if str(exc) == "derivative requested outside the expression domain":
+            raise NotInDomainError("Jacobian requested outside a component domain")
+        raise
+    return J
+
+
+def assert_cold_matches_per_coordinate(texts, x):
+    names = [f"x{i + 1}" for i in range(len(x))]
+    es = [expr.parse(t, names) for t in texts]
+    m = expr.SmoothMap(es, names)
+    jac = outcome(lambda: m.jacobian(x))
+    assert jac == outcome(lambda: per_coordinate_jacobian(es, x)), (texts, x)
+    grads = [outcome(lambda: expr.grad(e, x)) for e in es]
+    assert grads == [outcome(lambda: per_coordinate_grad(e, x)) for e in es], (texts, x)
+    return jac, grads
+
+
+def test_cold_tier_matches_per_coordinate_passes_over_the_full_grammar(monkeypatch):
+    monkeypatch.setattr(expr, "HOT_AFTER", COLD)
+    rng = random.Random(20261019)
+    kinds, kinked = set(), 0
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        texts = [random_text(rng, n, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+        for x in [random_point(rng, n) for _ in range(2)]:
+            (result, kinks), _ = assert_cold_matches_per_coordinate(texts, x)
+            kinds.add(result[0] if result[0] == "ok" else result[2])
+            kinked += n > 1 and len(kinks) > 0
+    # the draws reach both error messages as well as results, and replayed kinks
+    assert {"ok", "derivative overflow", "Jacobian requested outside a component domain"} <= kinds
+    assert kinked >= 3
+
+
+@pytest.mark.parametrize("texts, x", [
+    (["-0 * x1", "-max(2, x2) + x3", "x1 * (-0) - x2"], [1.0, 0.5, 2.0]),  # -0.0 tangents
+    (["3", "max(1, 2) - 4", "1e999"], [0.5] * 5),  # constants
+    (["x1 * x2 - x3 / x1", "sin(x2)^2"], [1, 2, 3]),  # integer coordinates
+    (["abs(x1) + max(x2, x3)", "min(x3, x2) * abs(x1 - x2)"], [0.0, 1.5, 1.5, 4.0]),
+    (["abs(x1) + log(x2)"], [0.0, -1.0, 3.0]),  # a kink, then a domain error
+    (["max(x1, x2)", "abs(x2 - x1) + 1/x1"], [1e-170, 1e-170, 0.0]),  # kinks, then q underflows
+    (["1/x1 + log(x2)", "x2"], [1e-170, -1.0]),
+    (["x1*x1*x1*x1 + x2", "exp(x2) * x1"], [1e100, 700.0]),  # tangents overflow to inf
+    (["x1^x2 + abs(x3)", "x3 * x1"], [2.0, 3.0, 0.0]),  # a variable exponent
+])
+def test_cold_tier_matches_per_coordinate_passes_at_edges(monkeypatch, texts, x):
+    monkeypatch.setattr(expr, "HOT_AFTER", COLD)
+    assert_cold_matches_per_coordinate(texts, x)
+
+
+def count_calls(e):
+    """Wrap the compiled closure of ``e``; the list grows by one per call."""
+    fn, top = expr._compiled(e)
+    calls = []
+
+    def counted(v, m):
+        calls.append(1)
+        return fn(v, m)
+
+    object.__setattr__(e, "_closure", (counted, top))
+    return calls
+
+
+def test_a_cold_gradient_or_jacobian_runs_each_closure_once(monkeypatch):
+    monkeypatch.setattr(expr, "HOT_AFTER", COLD)
+    names = [f"x{i + 1}" for i in range(12)]
+    x = np.linspace(-1.0, 1.0, 12)
+    e = expr.parse(" + ".join(f"sin(x{i + 1})*x{12 - i}" for i in range(12)), names)
+    calls = count_calls(e)
+    expr.grad(e, x)
+    assert len(calls) == 1
+    m = expr.SmoothMap.from_strings(["x1*x12", "abs(x3) + exp(x4)"], names)
+    counts = [count_calls(c) for c in m.components]
+    m.jacobian(x)
+    assert [len(c) for c in counts] == [1, 1]
+    # an exponent that holds a variable keeps one pass per coordinate
+    e = expr.parse("x1^x2 + x3", names)
+    calls = count_calls(e)
+    expr.grad(e, x + 2.0)
+    assert len(calls) == 12

@@ -147,3 +147,58 @@ def test_atoms_lie_in_kernel_complementarity():
         assert abs(s @ A @ s) <= 10 * cert.tolerances["tol_ker"]
     assert cert.residual <= 1e-7
     assert len(cert.atoms) <= 2
+
+
+def per_atom_quadform(p, phi_grads, s):
+    """The reference for one atom: sum weight * grad over the entries, in
+    row-major order, skipping a zero weight."""
+    out = np.zeros(p.n)
+    for i in range(p.m):
+        for j in range(i, p.m):
+            weight = s[i] * s[j] * (1.0 if i == j else 2.0)
+            if weight != 0.0:
+                out += weight * phi_grads(i, j)
+    return out
+
+
+def test_one_entry_sweep_matches_per_atom_sums_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    for _ in range(12):
+        m, n = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+        terms = [f"{rng.normal():.6f}*x{k + 1}*x{(k + 1) % n + 1}" for k in range(n)]
+        Phi = [[" + ".join([f"sin({rng.normal():.6f}*x{(i + j) % n + 1})", *rng.choice(terms, 2)])
+                for j in range(m)] for i in range(m)]
+        p = SDProblem.from_strings(n, "x1", Phi)
+        x = rng.normal(size=n)
+        atoms = [v / np.linalg.norm(v) for v in rng.normal(size=(3, m))]
+        atoms.append(np.eye(m)[m - 1])  # zero entries: most entries weigh 0
+        zeros = rng.normal(size=m)
+        zeros[::2] = 0.0
+        atoms.append(zeros / np.linalg.norm(zeros))
+        grads = sdp.entry_grads(p.Phi, x)
+        swept = sdp.quadforms(p, grads, atoms)
+        assert swept.shape == (len(atoms), n)
+        for row, s in zip(swept, atoms):
+            assert row.tobytes() == per_atom_quadform(p, grads, s).tobytes()
+            assert row.tobytes() == grad_quadform(p, x, s).tobytes()
+
+
+def test_the_sweep_differentiates_only_entries_some_atom_weighs():
+    """Phi[1][1] = log(x1) has no derivative at x1 = -1; atoms that give it
+    weight 0 never ask for one."""
+    p = SDProblem.from_strings(1, "x1", [["x1", "0"], [None, "log(x1)"]])
+    grads = sdp.entry_grads(p.Phi, [-1.0])
+    assert sdp.quadforms(p, grads, [[1.0, 0.0], [-1.0, 0.0]]).tolist() == [[1.0], [1.0]]
+    assert sdp.quadforms(p, grads, []).shape == (0, 1)
+    with pytest.raises(NotUnitError):
+        sdp.quadforms(p, grads, [[1.0, 0.0], [0.6, 0.6]])
+
+
+
+def test_a_sum_of_one_negative_zero_term_is_zero():
+    """The entry's gradient is -0.0; a sum started at 0.0 gives 0.0."""
+    p = SDProblem.from_strings(1, "x1", [["-(x1*0)"]])
+    grads = sdp.entry_grads(p.Phi, [1.0])
+    assert grads(0, 0).tobytes() == np.array([-0.0]).tobytes()
+    swept = sdp.quadforms(p, grads, [[1.0]])
+    assert swept.tobytes() == per_atom_quadform(p, grads, [1.0]).tobytes() == np.zeros(1).tobytes()
