@@ -43,7 +43,7 @@ from .errors import (
 )
 from .expr import SmoothMap
 from .funcspace import IndicatorFn, SmoothFn, subderivative, subderivative_sampled
-from .geometry import Polyhedron
+from .geometry import Polyhedron, tangent_cone
 from .solvers import eigh
 
 EXIT_VERIFIED = 0
@@ -339,8 +339,7 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
             if cert_doc.get("kind") == "Primal":
                 g = p.objective.gradient(x)
                 J = p.f.jacobian(x)
-                from .geometry import tangent_cone as _tc
-                T = _tc(p.Theta, y)
+                T = tangent_cone(p.Theta, y)
                 lin_ok = T.contains(J @ u, 1e-7)
                 if lin_ok and float(g @ u) < -certify.TOL_STAT:
                     log("recheck: descent witness reproduces REFUTED")

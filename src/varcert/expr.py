@@ -28,17 +28,19 @@ errors and warnings:
   of a pass per coordinate in their order; the kink warnings are replayed
   once per further coordinate.  The parser emits the closure's source as it
   reads the text, and the first evaluation compiles it.
-- Hot: from the ``HOT_AFTER``-th call (8) of the same map or expression on,
-  ``SmoothMap.jacobian``, ``SmoothMap.eval`` and ``grad`` run one
-  straight-line function generated for it (``_hot_code``), which performs
-  per tangent the float operations of ``Dual`` in their order.  Generating
-  it costs about 10-20 per-coordinate Dual Jacobians, which is why one-shot
-  callers (one certificate, one recheck) stay cold.
+- Hot: from the ``HOT_AFTER``-th call (8) of the same map on,
+  ``SmoothMap.jacobian`` runs one straight-line function generated for it
+  (``_hot_code``), which performs per tangent the float operations of
+  ``Dual`` in their order.  Generating it costs about 10-20 per-coordinate
+  Dual Jacobians, which is why one-shot callers (one certificate, one
+  recheck) stay cold.
 
-Two things always stay on ``Dual`` passes with float tangents:
-``directional``, whose width-1 pass straight-line code does not speed up,
-and an expression whose exponent contains a variable (one pass per
-coordinate), since Dual's power rule branches per tangent there.
+Only the Jacobian has a hot tier: the strong-slope estimate of kappa takes
+one per sample, while ``grad`` and values are not called often enough on
+one object for generated code to pay, and ``directional``'s width-1 pass
+it does not speed up.  A map with an exponent that contains a variable
+stays on Dual passes with float tangents (one pass per coordinate), since
+Dual's power rule branches per tangent there.
 
 The power operator is restricted: integer exponents >= 0 work for any
 base, otherwise the base must be positive.
@@ -526,13 +528,18 @@ def _check_dim(e, x):
 
 
 def evaluate_flagged(e: Expr, x):
-    """Evaluate at ``x``; returns ``(value, domain_violation)`` with a +inf sentinel."""
-    _check_dim(e, x)
+    """Evaluate at ``x``; returns ``(value, domain_violation)`` with a +inf sentinel.
+
+    The closure gets ``tuple(x)``, which is ``x`` itself for a tuple, so a
+    caller that evaluates many expressions at one point converts it once.
+    """
+    v = tuple(x)
+    _check_dim(e, v)
     fn, maxidx = _compiled(e)
-    if maxidx >= len(x):
-        raise DimensionMismatchError(f"expression references variable index {maxidx}, point has length {len(x)}")
+    if maxidx >= len(v):
+        raise DimensionMismatchError(f"expression references variable index {maxidx}, point has length {len(v)}")
     try:
-        val = fn(tuple(x), _SHIM)
+        val = fn(v, _SHIM)
     except _VALUE_ERRORS:
         return math.inf, True
     if isinstance(val, float) and math.isnan(val):
@@ -545,40 +552,23 @@ def evaluate(e: Expr, x) -> float:
 
 
 # ---------------------------------------------------------------------------
-# hot tier: straight-line code, generated once an object is called often
+# hot tier: straight-line Jacobian code, generated once a map is called often
 
-# SmoothMap.eval, SmoothMap.jacobian and grad run the hot code from the
-# HOT_AFTER-th call on the same map or expression.  Generating and compiling
-# costs about as much as 10-20 per-coordinate Dual Jacobians, so an object
-# used a few times (one certificate, one recheck) stays on the Dual tier.
+# SmoothMap.jacobian runs the hot code from the HOT_AFTER-th call on the same
+# map.  Generating and compiling costs about as much as 10-20 per-coordinate
+# Dual Jacobians, so a map used a few times (one certificate, one recheck)
+# stays on the Dual tier.
 HOT_AFTER = 8
 
 # the comparison that picks the first branch, as in _Shim
 _KINK_TESTS = {"abs": ">=", "max": ">=", "min": "<="}
 _HOT_GLOBALS = {"__builtins__": {}, "_DV": _DomainViolation, "_sin": math.sin,
                 "_cos": math.cos, "_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt,
-                "_abs": builtins_abs, "_float": float, "_inf": math.inf, "_kink": _kink,
-                "_VALUE_ERRORS": _VALUE_ERRORS}
+                "_abs": builtins_abs, "_kink": _kink}
 
 
 class _StaysCold(Exception):
-    """The expression is left to the Dual tier (see _hot_code)."""
-
-
-def _tier(owner, attr, build):
-    """The hot code kept on ``owner`` under ``attr``, or None on the Dual tier.
-
-    Counts calls until HOT_AFTER, then calls ``build`` once and keeps its
-    result (a function, or None for code that stays on Dual) for good.
-    """
-    state = getattr(owner, attr, 1)
-    if type(state) is int:
-        if state < HOT_AFTER:
-            object.__setattr__(owner, attr, state + 1)
-            return None
-        state = build()
-        object.__setattr__(owner, attr, state)
-    return state
+    """The map is left to the Dual tier (see _hot_code)."""
 
 
 def _fold(e, args):
@@ -618,17 +608,15 @@ def _intern(e, n, ids, nodes):
     return ids[key]
 
 
-def _hot_code(components, n, tangents):
-    """One straight-line function of v0..v{n-1} for all ``components``, or None.
+def _hot_code(components, n):
+    """One straight-line function of v0..v{n-1} that returns the Jacobian
+    rows of ``components``, or None.
 
-    - ``tangents=False``: called with the coordinates as ``evaluate`` passes
-      them, unconverted, it returns each component's value, with +inf where
-      ``evaluate`` returns its sentinel.
-    - ``tangents=True``: called with float coordinates, it returns per
-      component the n tangents for the unit seeds, that is the Jacobian rows.
-      Per tangent it performs the float operations of ``Dual`` and ``_Shim``
-      in their order, with the same domain raises and kink branches, and it
-      emits each KinkWarning once per seed, in the order of n Dual passes.
+    Called with float coordinates, it returns per component the n tangents
+    for the unit seeds.  Per tangent it performs the float operations of
+    ``Dual`` and ``_Shim`` in their order, with the same domain raises and
+    kink branches, and it emits each KinkWarning once per seed, in the order
+    of n Dual passes.
 
     Each value is named once, and a tangent is inlined into its parent unless
     its node is shared or the tangent can raise.  Repeated subtrees, keyed
@@ -638,7 +626,6 @@ def _hot_code(components, n, tangents):
     tangent; for a constant that always raises; and for a component that is
     not declared over exactly n variables.
     """
-    width = n if tangents else 0
     env = dict(_HOT_GLOBALS)
     body = []
     temps = itertools.count()
@@ -662,33 +649,6 @@ def _hot_code(components, n, tangents):
     def or0(t):  # Dual's ``(ad or 0.0)``, with None for a constant operand
         return "0.0" if t is None else t if t in ("0.0", "1.0") else f"({t} or 0.0)"
 
-    def emit_dag(roots):
-        """Emit the subtrees of ``roots``; returns their value and tangent texts."""
-        ids, nodes = {}, []
-        root_ids = [_intern(e, n, ids, nodes) for e in roots]
-        uses = [0] * len(nodes)
-        for i in itertools.chain(root_ids, *(kids for _, kids in nodes)):
-            uses[i] += 1
-        vals, tans, consts = [], [], []
-        for i, (e, kids) in enumerate(nodes):
-            val, tan, const = None, None, None
-            if isinstance(e, Var):
-                val, tan = f"v{e.index}", ["1.0" if j == e.index else "0.0" for j in range(width)]
-            elif all(consts[k] is not None for k in kids):
-                try:
-                    const = _fold(e, [consts[k] for k in kids])
-                except _VALUE_ERRORS:
-                    raise _StaysCold
-                val = lit(const)
-            else:
-                val, tan = emit_op(e, *[(vals[k], tans[k], consts[k]) for k in kids])
-                if uses[i] > 1:
-                    tan = [t if t.isidentifier() or t in ("0.0", "1.0") else new(t) for t in tan]
-            vals.append(val)
-            tans.append(tan)
-            consts.append(const)
-        return [(vals[i], tans[i]) for i in root_ids]
-
     def emit_op(e, a, b=(None, None, None)):
         (A, ta, _), (B, tb, cb) = a, b
         if isinstance(e, Neg):
@@ -708,35 +668,30 @@ def _hot_code(components, n, tangents):
         if f == "/":
             emit(f"if {B} == 0.0: raise _DV")
             val = new(f"{A} / {B}")
-            if not tangents:
-                return val, []
             q = new(f"{B} * {B}")
             # named here, so that an underflowing q raises where Dual's does
             return val, [new(f"({or0(x)} * {B} - {A} * {or0(y)}) / {q}")
-                         for x, y in zip(ta or [None] * width, tb or [None] * width)]
+                         for x, y in zip(ta or [None] * n, tb or [None] * n)]
         if f == "^":
             if cb is None:
                 raise _StaysCold  # a variable exponent: Dual branches per tangent
             if float(cb).is_integer() and cb >= 0:
                 k = int(cb)
                 val = new(f"{A} ** {k}")
-                if k == 0 or not tangents:
-                    return val, ["0.0"] * width
+                if k == 0:
+                    return val, ["0.0"] * n
                 c = new(f"{k} * {A} ** {k - 1}")
                 return val, [f"({c} * {x})" for x in ta]
             emit(f"if {A} <= 0.0: raise _DV")
             val = new(f"{A} ** {B}")
-            c = new(f"0.0 * _log({A})") if tangents else None
+            c = new(f"0.0 * _log({A})")
             return val, [f"({val} * ({c} + {B} * {or0(x)} / {A}))" for x in ta]
         if f in _KINK_TESTS:
             return emit_kink(f, A, ta, B, tb)
         if f in ("log", "sqrt"):
             # Dual also refuses sqrt at 0, where its derivative is one-sided
-            bad = "<" if f == "sqrt" and not tangents else "<="
-            emit(f"if {A} {bad} 0.0: raise _DV")
+            emit(f"if {A} <= 0.0: raise _DV")
         val = new(f"_{f}({A})")
-        if not tangents:
-            return val, []
         if f in ("sin", "cos"):
             c = new(f"_cos({A})" if f == "sin" else f"-_sin({A})")
             return val, [f"({c} * {x})" for x in ta]
@@ -751,16 +706,12 @@ def _hot_code(components, n, tangents):
         if f == "abs":
             val = new(f"_abs({A})")
             B, then, other = "0.0", ta, [f"-{x}" for x in ta]
-        elif not tangents:
-            return new(f"{A} if {A} {test} {B} else {B}"), []
         else:
             val = new()
-            then, other = ([or0(t) for t in ts or [None] * width] for ts in (ta, tb))
-        if not tangents:
-            return val, []
+            then, other = ([or0(t) for t in ts or [None] * n] for ts in (ta, tb))
         kinks.append(f)
         emit(f"if {A} == {B}: _kink({_KINK_MESSAGES[f]!r}, K)")
-        names = [new() for _ in range(width)]
+        names = [new() for _ in range(n)]
         for cond, pick, ts in ((f"if {A} {test} {B}:", A, then), ("else:", B, other)):
             emit(cond)
             if f != "abs":
@@ -772,25 +723,34 @@ def _hot_code(components, n, tangents):
     try:
         if any(getattr(c, "_nvars", None) != n for c in components):
             raise _StaysCold
-        if tangents:
-            results = emit_dag(components)
-            if kinks:
-                body.insert(0, "    K = []")
-                emit(f"for w in K * {width - 1}:")  # the warnings of Dual passes 2..n
-                emit("_kink(w)", 2)
-            rows = ["(" + "".join(f"{t}, " for t in tan or ["0.0"] * width) + ")" for _, tan in results]
-        else:
-            rows = [f"r{k}" for k in range(len(components))]
-            for r, c in zip(rows, components):
-                emit("try:")
-                start = len(body)
-                ((val, _),) = emit_dag([c])
-                body[start:] = ["    " + line for line in body[start:]]
-                emit(f"{r} = _float({val})", 2)
-                emit("except _VALUE_ERRORS:")
-                emit(f"{r} = _inf", 2)
-                emit(f"if {r} != {r}:")
-                emit(f"{r} = _inf", 2)
+        ids, nodes = {}, []
+        root_ids = [_intern(e, n, ids, nodes) for e in components]
+        uses = [0] * len(nodes)
+        for i in itertools.chain(root_ids, *(kids for _, kids in nodes)):
+            uses[i] += 1
+        vals, tans, consts = [], [], []
+        for i, (e, kids) in enumerate(nodes):
+            val, tan, const = None, None, None
+            if isinstance(e, Var):
+                val, tan = f"v{e.index}", ["1.0" if j == e.index else "0.0" for j in range(n)]
+            elif all(consts[k] is not None for k in kids):
+                try:
+                    const = _fold(e, [consts[k] for k in kids])
+                except _VALUE_ERRORS:
+                    raise _StaysCold
+                val = lit(const)
+            else:
+                val, tan = emit_op(e, *[(vals[k], tans[k], consts[k]) for k in kids])
+                if uses[i] > 1:
+                    tan = [t if t.isidentifier() or t in ("0.0", "1.0") else new(t) for t in tan]
+            vals.append(val)
+            tans.append(tan)
+            consts.append(const)
+        if kinks:
+            body.insert(0, "    K = []")
+            emit(f"for w in K * {n - 1}:")  # the warnings of Dual passes 2..n
+            emit("_kink(w)", 2)
+        rows = ["(" + "".join(f"{t}, " for t in tans[i] or ["0.0"] * n) + ")" for i in root_ids]
         emit("return (" + "".join(f"{r}, " for r in rows) + ")")
         source = f"def hot({', '.join(f'v{j}' for j in range(n))}):\n" + "\n".join(body)
         exec(compile(source, "<hot expr>", "exec"), env)
@@ -865,22 +825,17 @@ def _tangent_pass(components, xs, var_power):
 
 def grad(e: Expr, x) -> np.ndarray:
     """Exact forward-mode gradient: one vector-tangent Dual pass
-    (``_tangent_pass``), or from the HOT_AFTER-th call on ``e`` one call of
-    its straight-line code."""
+    (``_tangent_pass``)."""
     _check_dim(e, x)
-    n = len(x)
-    hot = _tier(e, "_hot_grad", lambda: _hot_code([e], n, True))
     xs = [float(xj) for xj in x]
     try:
-        if hot is None:
-            (dot,) = _tangent_pass([e], xs, e._var_power)
-            # a copy: the tangent may be a shared row of I
-            return np.array(dot if type(dot) is np.ndarray else [dot] * n)
-        return np.array(hot(*xs)[0], dtype=float)
+        (dot,) = _tangent_pass([e], xs, e._var_power)
     except _DomainViolation:
         raise NotInDomainError("derivative requested outside the expression domain")
     except _ARITH_ERRORS:
         raise NotInDomainError("derivative overflow")
+    # a copy: the tangent may be a shared row of I
+    return np.array(dot if type(dot) is np.ndarray else [dot] * len(xs))
 
 
 class SmoothMap:
@@ -907,23 +862,22 @@ class SmoothMap:
             raise DimensionMismatchError(f"point has length {len(x)}, map expects {self.n}")
 
     def eval(self, x) -> np.ndarray:
-        """``evaluate`` per component; from the HOT_AFTER-th call on this map,
-        one call of straight-line code with the same values."""
+        """``evaluate`` per component, over one tuple of ``x``."""
         self._check(x)
-        hot = _tier(self, "_hot_eval", lambda: _hot_code(self.components, self.n, False))
-        if hot is None:
-            return np.array([evaluate(c, x) for c in self.components])
-        return np.array(hot(*x))
+        v = tuple(x)
+        return np.array([evaluate_flagged(c, v)[0] for c in self.components])
 
     def jacobian(self, x) -> np.ndarray:
         """One vector-tangent Dual pass over every component
         (``_tangent_pass``); from the HOT_AFTER-th call on this map, one call
-        of straight-line code."""
+        of its straight-line code (``_hot_code``)."""
         self._check(x)
-        hot = _tier(self, "_hot_jacobian", lambda: _hot_code(self.components, self.n, True))
+        hot = getattr(self, "_hot_jacobian", 1)  # the call count, then the code or None
+        if type(hot) is int:
+            self._hot_jacobian = hot = hot + 1 if hot < HOT_AFTER else _hot_code(self.components, self.n)
         xs = [float(xi) for xi in x]
         try:
-            if hot is not None:
+            if callable(hot):
                 return np.array(hot(*xs), dtype=float)
             J = np.zeros((self.m, self.n))
             var_power = any(c._var_power for c in self.components)

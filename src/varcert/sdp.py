@@ -29,6 +29,9 @@ from .geometry import TOL_FEAS
 from .sip import SIProblem, stationarity_atoms
 from .solvers import eigh
 
+# an atom s is a unit vector when | ||s|| - 1 | <= TOL_UNIT
+TOL_UNIT = 1e-10
+
 
 @dataclass
 class SDProblem:
@@ -66,22 +69,21 @@ class SDProblem:
         return expr_mod.grad(self.objective, x)
 
     def phi_value(self, x) -> np.ndarray:
-        m = self.m
-        A = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                A[i, j] = A[j, i] = expr_mod.evaluate(self.Phi[i][j], x)
-        return A
+        return _values(self.Phi, x)
 
     def psi_value(self, x) -> np.ndarray:
-        if self.Psi is None:
-            return None
-        m = len(self.Psi)
-        A = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                A[i, j] = A[j, i] = expr_mod.evaluate(self.Psi[i][j], x)
-        return A
+        return None if self.Psi is None else _values(self.Psi, x)
+
+
+def _values(M, x):
+    """The symmetric matrix of the expression grid M's values at x, read from
+    its upper triangle."""
+    m = len(M)
+    A = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            A[i, j] = A[j, i] = expr_mod.evaluate(M[i][j], x)
+    return A
 
 
 @dataclass
@@ -128,7 +130,7 @@ def quadforms(p: SDProblem, phi_grads, atoms) -> np.ndarray:
     """
     S = np.array(atoms, dtype=float).reshape(len(atoms), p.m)
     for s in S:
-        if abs(float(np.linalg.norm(s)) - 1.0) > 1e-10:
+        if abs(float(np.linalg.norm(s)) - 1.0) > TOL_UNIT:
             raise NotUnitError(f"atom has norm {np.linalg.norm(s):.12f}")
     rows, cols = np.triu_indices(p.m)
     weights = S[:, rows] * S[:, cols] * np.where(rows == cols, 1.0, 2.0)
@@ -172,18 +174,18 @@ def conditions(p: SDProblem, x, A, w, phi_grads, psi_grads, g0, atoms, psi_atoms
     its eigenvalues w (descending), the ``entry_grads`` tables of Phi and Psi
     and the objective gradient g0.
 
-    x is feasible (``_feasibility``), and each atom (s, lambda) has ||s|| = 1,
-    lambda >= 0 and |<s, A s>| <= 10 tol_ker; an atom off the unit sphere
-    settles the check, with residual and lhs inf.  residual is ||g0 + sum
-    lambda grad<s,Phi s> + sum c_ij mu_ij grad Psi_ij|| and lhs is sum lambda
-    + sum c_ij |mu_ij| over psi_atoms [((i, j), mu_ij)], c_ij = 2 off the
-    diagonal (Psi is symmetric)."""
+    x is feasible (``_feasibility``), and each atom (s, lambda) has ||s|| = 1
+    to ``TOL_UNIT``, lambda >= 0 and |<s, A s>| <= 10 tol_ker; an atom off
+    the unit sphere settles the check, with residual and lhs inf.  residual
+    is ||g0 + sum lambda grad<s,Phi s> + sum c_ij mu_ij grad Psi_ij|| and lhs
+    is sum lambda + sum c_ij |mu_ij| over psi_atoms [((i, j), mu_ij)], c_ij =
+    2 off the diagonal (Psi is symmetric)."""
     rep = _feasibility(p, x, w)
     failures = [] if rep.feasible else [
         f"infeasible point: sigma+ {rep.sigma_plus:.3e}, |Psi|max {rep.psi_max:.3e}"]
     tol_ker = _tol_ker(w)
     for s, lam in atoms:
-        if abs(float(np.linalg.norm(s)) - 1.0) > 1e-8:
+        if abs(float(np.linalg.norm(s)) - 1.0) > TOL_UNIT:
             return failures + ["atom is not a unit vector"], math.inf, math.inf
         if lam < -1e-12:
             failures.append("negative atom weight")

@@ -88,8 +88,7 @@ class SIProblem:
         return expr_mod.evaluate(self.theta, list(x) + list(s))
 
     def grad_x_theta(self, x, s):
-        g = expr_mod.grad(self.theta, list(x) + list(s))
-        return g[: self.n]
+        return _grad_x(self.theta, x, s)
 
     def grad_s_theta(self, x, s):
         return _index_partials(self.theta, x, s)
@@ -98,8 +97,7 @@ class SIProblem:
         return expr_mod.evaluate(self.psi, list(x) + list(t))
 
     def grad_x_psi(self, x, t):
-        g = expr_mod.grad(self.psi, list(x) + list(t))
-        return g[: self.n]
+        return _grad_x(self.psi, x, t)
 
 
 def _index_partials(e, x, s):

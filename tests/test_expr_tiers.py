@@ -1,7 +1,8 @@
-"""The hot tier (straight-line code) against the Dual tier, and the Dual
-tier's one vector-tangent pass against one pass per coordinate, bit for bit.
+"""The Jacobian's hot tier (straight-line code) against the Dual tier, the
+Dual tier's one vector-tangent pass against one pass per coordinate, and
+``SmoothMap.eval`` against ``evaluate`` per component, bit for bit.
 
-``expr.HOT_AFTER`` patched to 0 puts every call on the hot tier; patched
+``expr.HOT_AFTER`` patched to 0 puts every Jacobian on the hot tier; patched
 high it keeps every call on Dual.  Results are compared as bytes, with one
 exception: NaN sign and payload, which CPython's own float arithmetic does
 not keep fixed (they change once its bytecode specializes).
@@ -79,7 +80,7 @@ def all_outcomes(texts, names, points):
 
 def test_hot_tier_matches_dual_over_the_full_grammar(monkeypatch):
     rng = random.Random(20261018)
-    kinds = set()
+    kinds, flagged, ints = set(), 0, 0
     for _ in range(150):
         n = rng.randint(1, 4)
         names = [f"x{i + 1}" for i in range(n)]
@@ -91,8 +92,16 @@ def test_hot_tier_matches_dual_over_the_full_grammar(monkeypatch):
         assert all_outcomes(texts, names, points) == cold, texts
         for (jac, _), _, _ in cold:
             kinds.add(jac[0] if jac[0] == "ok" else jac[2])
-    # the draws reach both error messages as well as results
+        m = expr.SmoothMap.from_strings(texts, names)
+        for x in points:
+            values = outcome(lambda: [expr.evaluate(c, x) for c in m.components])
+            assert outcome(lambda: m.eval(x)) == values, (texts, x)
+            flagged += any(expr.evaluate_flagged(c, x)[1] for c in m.components)
+            ints += any(type(xj) is int for xj in x)
+    # the draws reach both error messages as well as results, and values
+    # at int coordinates and outside the domain
     assert {"ok", "derivative overflow", "Jacobian requested outside a component domain"} <= kinds
+    assert flagged >= 10 and ints >= 10
 
 
 @pytest.mark.parametrize("texts, x", [
@@ -113,34 +122,36 @@ def test_hot_tier_matches_dual_at_edges(monkeypatch, texts, x):
 
 def test_a_map_switches_tiers_with_the_same_bits():
     m = expr.SmoothMap.from_strings(["x1*sin(x2) + (x1 - 0.3)^2", "exp(x2/3) - x1*x2"], ["x1", "x2"])
-    e = expr.parse("x1*sin(x2) + cos(x1)^3", ["x1", "x2"])
     x = np.array([0.7, -1.3])
-    calls = [(m.jacobian(x).tobytes(), m.eval(x).tobytes(), expr.grad(e, x).tobytes())
-             for _ in range(expr.HOT_AFTER + 2)]
-    assert m._hot_jacobian is not None and m._hot_eval is not None and e._hot_grad is not None
+    calls = [m.jacobian(x).tobytes() for _ in range(expr.HOT_AFTER + 2)]
+    assert callable(m._hot_jacobian)
     assert len(set(calls)) == 1
 
 
 def test_a_map_called_fewer_than_k_times_compiles_no_code():
     m = expr.SmoothMap.from_strings(["x1*x2", "sin(x1)"], ["x1", "x2"])
-    e = expr.parse("x1^2 + x2", ["x1", "x2"])
     for _ in range(expr.HOT_AFTER - 1):
         m.jacobian([0.5, 0.25])
+    assert not callable(m._hot_jacobian)
+
+
+def test_grad_and_eval_build_no_code(monkeypatch):
+    built = []
+    monkeypatch.setattr(expr, "_hot_code", lambda *args: built.append(args))
+    m = expr.SmoothMap.from_strings(["x1*x2", "sin(x1)"], ["x1", "x2"])
+    e = expr.parse("x1^2 + x2", ["x1", "x2"])
+    for _ in range(expr.HOT_AFTER + 2):
         m.eval([0.5, 0.25])
         expr.grad(e, [0.5, 0.25])
-    assert not callable(m._hot_jacobian) and not callable(m._hot_eval)
-    assert not callable(e._hot_grad)
+    assert built == []
 
 
 def test_hot_code_is_freed_with_its_object(monkeypatch):
     monkeypatch.setattr(expr, "HOT_AFTER", 0)
     m = expr.SmoothMap.from_strings(["x1*x2", "cos(x2)"], ["x1", "x2"])
-    e = expr.parse("x1^2 * x2", ["x1", "x2"])
     m.jacobian([1.0, 2.0])
-    m.eval([1.0, 2.0])
-    expr.grad(e, [1.0, 2.0])
-    refs = [weakref.ref(obj) for obj in (m, e, m._hot_jacobian, m._hot_eval, e._hot_grad)]
-    del m, e  # no gc.collect(): the hot code holds no reference cycle
+    refs = [weakref.ref(obj) for obj in (m, m._hot_jacobian)]
+    del m  # no gc.collect(): the hot code holds no reference cycle
     assert all(ref() is None for ref in refs)
 
 

@@ -92,6 +92,18 @@ def test_recheck_refutes_sdp_atom_off_the_unit_sphere(tmp_path):
     assert recheck_edited(by_name("sdp_readme"), edit, tmp_path) == 1
 
 
+
+def test_recheck_refutes_sdp_atom_just_off_the_unit_sphere(tmp_path, capsys):
+    """An atom 5e-9 off the unit sphere fails the unit check that the
+    residual's quadratic forms apply too: exit 1 with a failure line, where
+    a looser check let the quadratic forms end recheck with exit 3."""
+    def edit(cert):
+        cert["atoms"][0]["s"] = [1.0 + 5e-9, 0.0]
+    assert recheck_edited(by_name("sdp_readme"), edit, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "recheck failure: atom is not a unit vector" in err.splitlines()
+    assert "Traceback" not in err
+
 def forged_verified(section=None, field=None, value=None):
     """An edit that claims VERIFIED with no detail, and sets one field."""
     def edit(cert):
