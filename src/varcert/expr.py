@@ -17,38 +17,45 @@ identity branch; max/min: the first argument).  A derivative outside the
 domain, or one that overflows or underflows to a zero divisor, raises
 ``NotInDomainError``.
 
-Derivatives are exact forward mode, in two tiers that give the same bits
-(a NaN's sign aside, which CPython's float arithmetic does not keep fixed),
-errors and warnings:
+Values and derivatives run on the parse tree, in tiers that give the same
+bits (a NaN's sign aside, which CPython's float arithmetic does not keep
+fixed), errors and warnings.  The parser builds only the tree.
 
-- Cold: ``Dual`` numbers through the compiled closure of each expression,
-  in one pass whose tangents are the rows of I: numpy arrays, or the float
-  1.0 at width 1 (vector forward mode, Griewank & Walther, *Evaluating
-  Derivatives*, 2nd ed., section 3.2).  Each entry sees the float operations
-  of a pass per coordinate in their order; the kink warnings are replayed
-  once per further coordinate.  The parser emits the closure's source as it
-  reads the text, and the first evaluation compiles it.
-- Hot: from the ``HOT_AFTER``-th call (8) of the same map on,
+- Cold: ``_walk`` goes down the tree with floats, ``Dual`` numbers or numpy
+  grids, doing the float operations and shim calls that the expression's
+  compiled closure would do, in their order.  A gradient or Jacobian is one
+  pass on ``Dual`` numbers whose tangents are the rows of I: numpy arrays,
+  or the float 1.0 at width 1 (vector forward mode, Griewank & Walther,
+  *Evaluating Derivatives*, 2nd ed., section 3.2).  Each entry sees the
+  float operations of a pass per coordinate in their order; the kink
+  warnings are replayed once per further coordinate.
+- Hot closure: from the ``HOT_AFTER``-th use (8) of the same expression on,
+  its closure is compiled from the source that ``_source`` writes for the
+  tree and kept on the root node.  Compiling costs about as much as 13-17
+  walks, which is why one-shot callers (one certificate, one recheck) only
+  walk.
+- Hot Jacobian: from the ``HOT_AFTER``-th call of the same map on,
   ``SmoothMap.jacobian`` runs one straight-line function generated for it
   (``_hot_code``), which performs per tangent the float operations of
   ``Dual`` in their order.  Generating it costs about 10-20 per-coordinate
-  Dual Jacobians, which is why one-shot callers (one certificate, one
-  recheck) stay cold.
+  Dual Jacobians.
 
-Only the Jacobian has a hot tier: the strong-slope estimate of kappa takes
-one per sample, while ``grad`` and values are not called often enough on
-one object for generated code to pay, and ``directional``'s width-1 pass
-it does not speed up.  A map with an exponent that contains a variable
-stays on Dual passes with float tangents (one pass per coordinate), since
-Dual's power rule branches per tangent there.
+Only the Jacobian has generated derivative code: the strong-slope estimate of
+kappa takes one per sample, while ``grad`` is not called often enough on one
+object for it to pay, and ``directional``'s width-1 pass it does not speed
+up.  A map with an exponent that contains a variable stays on Dual passes
+with float tangents (one pass per coordinate), since Dual's power rule
+branches per tangent there.
 
 The power operator is restricted: integer exponents >= 0 work for any
 base, otherwise the base must be positive.
 
 Nesting is bounded: CPython compiles no source nested in more than 200
-brackets, and a closure nests one per chained operator, unary minus and
-call, so 201 chained terms are an ``ExprSyntaxError``; so is text that
-runs the recursive-descent parser out of stack.
+brackets, and a closure nests one per chained operator, unary minus, call
+and variable, so 201 chained terms are an ``ExprSyntaxError``; so is text
+that runs the recursive-descent parser out of stack.  The parser counts the
+brackets, and compiles a tree with more than 200 at once, so that the rule
+holds whether or not the expression ever gets hot.
 """
 
 from __future__ import annotations
@@ -107,7 +114,7 @@ class Call(Expr):
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / parser, which emits each expression's closure source as it goes
+# tokenizer / parser
 
 _TOKEN = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*/^(),]"
 _TOKEN_RE = re.compile(_TOKEN)
@@ -132,10 +139,13 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Recursive descent that returns, per production, the node and the
-    source of its closure over a value tuple ``v`` and math shim ``m``; it
-    also keeps the largest variable index it meets and whether an exponent
-    holds a variable."""
+    """Recursive descent that returns the node of each production.
+
+    It also counts the brackets of the tree's closure source (``_source``),
+    one per node that is not a number: ``v[``, ``(-``, ``(a op b)``,
+    ``m.div(``, ``m.pw(`` and ``m.f(``; and it keeps the largest variable
+    index it meets and whether an exponent holds a variable.
+    """
 
     def __init__(self, text, declared_vars):
         self.text = text
@@ -143,6 +153,8 @@ class _Parser:
         self.i = 0
         # only a name token can be a variable
         self.varmap = {name: k for k, name in enumerate(declared_vars) if name.isidentifier()}
+        self.brackets = 0
+        self.variables = 0  # variable nodes built so far
         self.top = -1
         self.var_power = False
 
@@ -167,29 +179,30 @@ class _Parser:
         return e
 
     def expr(self):
-        e, s = self.term()
+        e = self.term()
         while (op := self.tokens[self.i]) in ("+", "-"):
             self.i += 1
-            b, t = self.term()
-            e, s = BinOp(op, e, b), f"({s}{op}{t})"
-        return e, s
+            e = BinOp(op, e, self.term())
+            self.brackets += 1
+        return e
 
     def term(self):
-        e, s = self.factor()
+        e = self.factor()
         while (op := self.tokens[self.i]) in ("*", "/"):
             self.i += 1
-            b, t = self.factor()
-            e, s = BinOp(op, e, b), f"({s}*{t})" if op == "*" else f"m.div({s},{t})"
-        return e, s
+            e = BinOp(op, e, self.factor())
+            self.brackets += 1
+        return e
 
     def factor(self):
-        e, s = self.atom()
+        e = self.atom()
         if self.tokens[self.i] == "^":
             self.i += 1
-            b, t = self.atom()
-            self.var_power = self.var_power or "v[" in t  # a variable's source is v[k]
-            return BinOp("^", e, b), f"m.pw({s},{t})"
-        return e, s
+            variables = self.variables
+            e = BinOp("^", e, self.atom())
+            self.brackets += 1
+            self.var_power = self.var_power or self.variables > variables
+        return e
 
     def atom(self):
         tokens, i = self.tokens, self.i
@@ -199,19 +212,20 @@ class _Parser:
         if k is not None and tokens[i + 1] != "(":
             if k > self.top:
                 self.top = k
-            return Var(tok, k), f"v[{k}]"
+            self.variables += 1
+            self.brackets += 1
+            return Var(tok, k)
         if tok in _OPS or tok == _END:
             if tok == "(":
                 e = self.expr()
                 self.expect(")")
                 return e
             if tok == "-":
-                e, s = self.atom()
-                return Neg(e), f"(-{s})"
+                self.brackets += 1
+                return Neg(self.atom())
             raise self.error(i, "expected number, variable, function, or '('")
         if not tok.isidentifier():
-            value = float(tok)  # a literal such as 1e999 parses to inf
-            return Num(value), repr(value) if math.isfinite(value) else "1e999"
+            return Num(float(tok))  # a literal such as 1e999 parses to inf
         if tokens[i + 1] != "(":
             raise UnknownVariableError(tok)
         if tok not in FUNCTIONS:
@@ -224,36 +238,37 @@ class _Parser:
         self.expect(")")
         if len(args) != FUNCTIONS[tok]:
             raise self.error(i, f"{tok} takes {FUNCTIONS[tok]} argument(s)")
-        nodes, sources = zip(*args)
-        return Call(tok, nodes), f"m.{tok}({','.join(sources)})"
+        self.brackets += 1
+        return Call(tok, tuple(args))
 
 
 def parse(text: str, declared_vars) -> Expr:
     """Parse ``text`` over the declared variable names (order fixes indices).
 
-    The root keeps the closure source and the largest variable index, which
-    ``_compiled`` turns into a function on the first evaluation, and whether
-    an exponent contains a variable (``_var_power``).
+    The root keeps the number of declared names (``_nvars``), the largest
+    variable index (``_top``), whether an exponent contains a variable
+    (``_var_power``) and its closure state (``_closure``, see ``_run``).
     """
     if not text or not text.strip():
         raise ExprSyntaxError(0, "empty expression")
     names = list(declared_vars)
     parser = _Parser(text, names)
     try:
-        root, source = parser.parse()
+        root = parser.parse()
     except RecursionError:
         raise parser.error(parser.i, "expression nested too deeply") from None
-    closure = source
+    closure = 0  # no use yet
     # CPython refuses a source nested in more than 200 brackets, which only a
     # source with that many brackets can be: such a source is compiled now
-    if source.count("(") + source.count("[") > 200:
+    if parser.brackets > 200:
         try:
-            closure = _compile(source)
-        except SyntaxError:
+            closure = _compile(_source(root))
+        except (SyntaxError, RecursionError):
             raise ExprSyntaxError(0, "expression nested too deeply") from None
     object.__setattr__(root, "_nvars", len(names))
+    object.__setattr__(root, "_top", parser.top)
     object.__setattr__(root, "_var_power", parser.var_power)
-    object.__setattr__(root, "_closure", (closure, parser.top))
+    object.__setattr__(root, "_closure", closure)
     return root
 
 
@@ -304,8 +319,8 @@ def unparse(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation: compiled closures over a value tuple `v` and math shim `m`,
-# from the source that the parser emits
+# evaluation: the tree walked, or its compiled closure, over a value tuple `v`
+# and a math shim `m`
 
 class _DomainViolation(Exception):
     pass
@@ -498,19 +513,82 @@ builtins_abs = abs
 _SHIM = _Shim()
 
 
-def _compiled(e):
-    """(closure, largest variable index) of ``e``, compiled on first use from
-    the source that ``parse`` left on the root, and kept on the node itself,
-    so it lives exactly as long as the expression."""
-    entry = e._closure
-    if type(entry[0]) is str:
-        entry = (_compile(entry[0]), entry[1])
-        object.__setattr__(e, "_closure", entry)
-    return entry
+# A closure, or a map's Jacobian code, is generated from the HOT_AFTER-th use
+# of the same expression or map.  Generating and compiling costs about as much
+# as 13-17 walks of a tree, or 10-20 per-coordinate Dual Jacobians, so an
+# expression or map used a few times (one certificate, one recheck) stays cold.
+HOT_AFTER = 8
+
+
+def _source(e):
+    """The source of the closure of ``e`` over ``v`` and ``m``, with one
+    bracket per node that is not a number."""
+    if isinstance(e, Num):  # a literal such as 1e999 parses to inf
+        return repr(e.value) if math.isfinite(e.value) else "1e999"
+    if isinstance(e, Var):
+        return f"v[{e.index}]"
+    if isinstance(e, Neg):
+        return f"(-{_source(e.arg)})"
+    if isinstance(e, BinOp):
+        a, b = _source(e.lhs), _source(e.rhs)
+        if e.op in "+-*":
+            return f"({a}{e.op}{b})"
+        return f"m.div({a},{b})" if e.op == "/" else f"m.pw({a},{b})"
+    return f"m.{e.func}({','.join(map(_source, e.args))})"
 
 
 def _compile(source):
     return eval(compile(f"lambda v, m: {source}", "<expr>", "eval"), {"__builtins__": {}})
+
+
+def _walk(e, v, m):
+    """The value of ``e`` over the value tuple ``v`` and math shim ``m``.
+
+    It performs the float operations and shim calls of the compiled closure
+    in their order, so it gives the same bits, errors and KinkWarnings; where
+    CPython folds a constant subexpression at compile time, the walk computes
+    the same IEEE operation at run time.
+    """
+    t = type(e)
+    if t is BinOp:
+        a = _walk(e.lhs, v, m)
+        b = _walk(e.rhs, v, m)
+        op = e.op
+        if op == "+":
+            return a + b
+        if op == "*":
+            return a * b
+        if op == "-":
+            return a - b
+        return m.div(a, b) if op == "/" else m.pw(a, b)
+    if t is Var:
+        return v[e.index]
+    if t is Num:
+        return e.value
+    if t is Call:
+        f, args = getattr(m, e.func), e.args
+        if len(args) == 1:
+            return f(_walk(args[0], v, m))
+        return f(_walk(args[0], v, m), _walk(args[1], v, m))
+    return -_walk(e.arg, v, m)
+
+
+def _run(e, v, m):
+    """The value of the root ``e`` over ``v`` and ``m``: its tree walked
+    while cold, its compiled closure once hot.
+
+    Counts the uses on the node; the HOT_AFTER-th compiles ``_source(e)``,
+    and the closure is kept on the node itself, so it lives exactly as long
+    as the expression.
+    """
+    fn = e._closure
+    if type(fn) is int:
+        if fn + 1 < HOT_AFTER:
+            object.__setattr__(e, "_closure", fn + 1)
+            return _walk(e, v, m)
+        fn = _compile(_source(e))
+        object.__setattr__(e, "_closure", fn)
+    return fn(v, m)
 
 
 def _children(e):
@@ -530,16 +608,15 @@ def _check_dim(e, x):
 def evaluate_flagged(e: Expr, x):
     """Evaluate at ``x``; returns ``(value, domain_violation)`` with a +inf sentinel.
 
-    The closure gets ``tuple(x)``, which is ``x`` itself for a tuple, so a
+    The expression gets ``tuple(x)``, which is ``x`` itself for a tuple, so a
     caller that evaluates many expressions at one point converts it once.
     """
     v = tuple(x)
     _check_dim(e, v)
-    fn, maxidx = _compiled(e)
-    if maxidx >= len(v):
-        raise DimensionMismatchError(f"expression references variable index {maxidx}, point has length {len(v)}")
+    if e._top >= len(v):
+        raise DimensionMismatchError(f"expression references variable index {e._top}, point has length {len(v)}")
     try:
-        val = fn(v, _SHIM)
+        val = _run(e, v, _SHIM)
     except _VALUE_ERRORS:
         return math.inf, True
     if isinstance(val, float) and math.isnan(val):
@@ -553,12 +630,6 @@ def evaluate(e: Expr, x) -> float:
 
 # ---------------------------------------------------------------------------
 # hot tier: straight-line Jacobian code, generated once a map is called often
-
-# SmoothMap.jacobian runs the hot code from the HOT_AFTER-th call on the same
-# map.  Generating and compiling costs about as much as 10-20 per-coordinate
-# Dual Jacobians, so a map used a few times (one certificate, one recheck)
-# stays on the Dual tier.
-HOT_AFTER = 8
 
 # the comparison that picks the first branch, as in _Shim
 _KINK_TESTS = {"abs": ">=", "max": ">=", "min": "<="}
@@ -765,12 +836,11 @@ def directional(e: Expr, x, u) -> float:
     It has no hot tier: straight-line code measured no faster at width 1.
     """
     _check_dim(e, x)
-    fn, maxidx = _compiled(e)
-    if maxidx >= len(x):
+    if e._top >= len(x):
         raise DimensionMismatchError("point too short for expression")
     duals = tuple(Dual(float(xj), float(uj)) for xj, uj in zip(x, u))
     try:
-        out = fn(duals, _SHIM)
+        out = _run(e, duals, _SHIM)
     except _DomainViolation:
         raise NotInDomainError("derivative requested outside the expression domain")
     except _ARITH_ERRORS:
@@ -798,18 +868,18 @@ def _tangent_pass(components, xs, var_power):
     replayed after the pass n - 1 times, in the order of passes 2..n.  An
     exponent that contains a variable branches per tangent (``_Shim.pw``), so
     when ``var_power`` says a component has one, one pass per coordinate
-    runs.  Raises what the closures raise.
+    runs.  Raises what the expressions raise.
     """
     n = len(xs)
     if n == 1:  # the pass per coordinate itself
         duals = (Dual(xs[0], 1.0),)
-        outs = [_compiled(c)[0](duals, _SHIM) for c in components]
+        outs = [_run(c, duals, _SHIM) for c in components]
     elif var_power:
         J = np.zeros((len(components), n))
         for j in range(n):
             duals = tuple(Dual(xi, 1.0 if i == j else 0.0) for i, xi in enumerate(xs))
             for k, c in enumerate(components):
-                out = _compiled(c)[0](duals, _SHIM)
+                out = _run(c, duals, _SHIM)
                 J[k, j] = out.dot if isinstance(out, Dual) else 0.0
         return list(J)
     else:
@@ -817,7 +887,7 @@ def _tangent_pass(components, xs, var_power):
         shim = _Shim(kinks)
         duals = tuple(map(Dual, xs, _unit_rows(n)))
         with np.errstate(all="ignore"):  # an overflow gives inf, as on floats
-            outs = [_compiled(c)[0](duals, shim) for c in components]
+            outs = [_run(c, duals, shim) for c in components]
         for message in kinks * (n - 1):
             _kink(message)
     return [out.dot if isinstance(out, Dual) else 0.0 for out in outs]
@@ -931,7 +1001,6 @@ def evaluate_grid(e: Expr, values) -> np.ndarray:
     Out-of-domain entries come back as nan/inf rather than flagged; grid
     scanners filter them afterward.
     """
-    fn, _ = _compiled(e)
     with np.errstate(all="ignore"):
-        out = fn(tuple(values), _NP_SHIM)
+        out = _run(e, tuple(values), _NP_SHIM)
     return np.asarray(out, dtype=float)

@@ -77,12 +77,13 @@ class SDProblem:
 
 def _values(M, x):
     """The symmetric matrix of the expression grid M's values at x, read from
-    its upper triangle."""
+    its upper triangle; x becomes a tuple once, which every entry shares."""
     m = len(M)
     A = np.zeros((m, m))
+    v = tuple(x)
     for i in range(m):
         for j in range(i, m):
-            A[i, j] = A[j, i] = expr_mod.evaluate(M[i][j], x)
+            A[i, j] = A[j, i] = expr_mod.evaluate(M[i][j], v)
     return A
 
 

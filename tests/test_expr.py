@@ -15,7 +15,7 @@ from varcert.errors import (
     NotInDomainError,
     UnknownVariableError,
 )
-from test_expr_tiers import random_text
+from test_expr_tiers import outcome, random_point, random_text
 
 
 def central_diff(e, x, h=1e-6):
@@ -70,6 +70,15 @@ def test_syntax_errors_are_positioned(text, position, message):
     with pytest.raises(ExprSyntaxError) as exc:
         expr.parse(text, ["x1", "x2"])
     assert (exc.value.position, exc.value.message) == (position, message)
+
+
+def test_a_chain_too_deep_to_write_as_source_is_a_syntax_error():
+    """The parser reads 5,000 chained terms in a loop, but writing their
+    closure source recurses once per term and runs out of stack: the same
+    error as a chain that CPython refuses to compile."""
+    with pytest.raises(ExprSyntaxError) as exc:
+        expr.parse("+".join(["x1"] * 5000), ["x1"])
+    assert (exc.value.position, exc.value.message) == (0, "expression nested too deeply")
 
 
 def test_eval_examples():
@@ -259,24 +268,6 @@ def test_a_literal_past_the_float_range_is_inf():
     assert list(expr.grad(e, [1.0])) == [math.inf]
 
 
-def _codegen(e):
-    """The closure source of ``e``, rebuilt by walking the tree: the oracle
-    for the source that the parser emits."""
-    if isinstance(e, expr.Num):  # a literal such as 1e999 parses to inf
-        return repr(e.value) if math.isfinite(e.value) else "1e999"
-    if isinstance(e, expr.Var):
-        return f"v[{e.index}]"
-    if isinstance(e, expr.Neg):
-        return f"(-{_codegen(e.arg)})"
-    if isinstance(e, expr.BinOp):
-        a, b = _codegen(e.lhs), _codegen(e.rhs)
-        if e.op in "+-*":
-            return f"({a}{e.op}{b})"
-        return f"m.div({a},{b})" if e.op == "/" else f"m.pw({a},{b})"
-    args = ",".join(_codegen(a) for a in e.args)
-    return f"m.{e.func}({args})"
-
-
 def _max_var_index(e):
     if isinstance(e, expr.Var):
         return e.index
@@ -306,10 +297,20 @@ EDGE_CASES = ["1e999*x1", "-x1^2", "x1^-1", "--x1", "x1", "3", "(x2)",
               "max(abs(min(x1, -x2)), max(x1^2, abs(-3)))", "min(max(x1, 2), abs(x2 - 1e999))"]
 
 
-def test_parser_emits_the_source_of_a_tree_walk():
-    """The closure source and largest variable index that ``parse`` keeps
-    equal those rebuilt from the tree, over the golden problems, the grammar
-    fuzz of the tier tests and edge cases."""
+def bits(out):
+    """A float, or a Dual's value and tangents, as one array."""
+    if isinstance(out, expr.Dual):
+        return np.concatenate([[out.val], np.ravel(out.dot)])
+    return out
+
+
+def test_the_walk_and_the_compiled_source_agree_bit_for_bit():
+    """Over the golden problems, the grammar fuzz of the tier tests and edge
+    cases, walking the tree gives what the closure compiled from ``_source``
+    gives: the same bits on floats, on width-n Dual numbers and on numpy
+    grids, the same error and the same warnings in order.  The parser's
+    bracket count is that of the source, and its largest variable index that
+    of the tree."""
     texts = golden_expressions()
     assert len(texts) > 50
     rng = random.Random(20261018)
@@ -317,8 +318,29 @@ def test_parser_emits_the_source_of_a_tree_walk():
         n = rng.randint(1, 4)
         texts.append((random_text(rng, n, rng.randint(1, 6)), [f"x{i + 1}" for i in range(n)]))
     texts += [(t, ["x1", "x2"]) for t in EDGE_CASES]
+    shim, grid_shim = expr._Shim(), expr._NP_SHIM
+    kinds, kinked = set(), 0
     for text, names in texts:
         e = expr.parse(text, names)
-        assert e._closure == (_codegen(e), _max_var_index(e)), text
-    assert expr.parse("-x1^2", ["x1"])._closure == ("m.pw((-v[0]),2.0)", 0)
-    assert expr.parse("3", ["x1", "x2"])._closure == ("3.0", -1)
+        parser = expr._Parser(text, names)
+        parser.parse()
+        source = expr._source(e)
+        assert parser.brackets == source.count("(") + source.count("["), text
+        assert e._top == _max_var_index(e), text
+        fn = expr._compile(source)
+        n = len(names)
+        for x in [random_point(rng, n) for _ in range(3)]:
+            v = tuple(x)
+            duals = tuple(map(expr.Dual, map(float, x), expr._unit_rows(n) if n > 1 else [1.0]))
+            grid = tuple(np.array([random_point(rng, 1)[0] for _ in range(4)]) for _ in range(n))
+            for args in ((v, shim), (duals, shim), (grid, grid_shim)):
+                with np.errstate(all="ignore"):
+                    walked = outcome(lambda: bits(expr._walk(e, *args)))
+                    assert walked == outcome(lambda: bits(fn(*args))), (text, x)
+                kinds.add(walked[0][0] if walked[0][0] == "ok" else walked[0][1])
+                kinked += any(isinstance(w, str) for w in walked[1])
+    # the draws reach results, every shim error and kinks
+    assert {"ok", "_DomainViolation", "OverflowError", "ZeroDivisionError"} <= kinds
+    assert kinked >= 10
+    assert expr._source(expr.parse("-x1^2", ["x1"])) == "m.pw((-v[0]),2.0)"
+    assert expr._source(expr.parse("3", ["x1", "x2"])) == "3.0"

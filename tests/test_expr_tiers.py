@@ -146,6 +146,24 @@ def test_grad_and_eval_build_no_code(monkeypatch):
     assert built == []
 
 
+def test_an_expression_compiles_once_from_its_hot_after_th_use(monkeypatch):
+    """Values, gradients and grid values all count as uses; the walks before
+    the HOT_AFTER-th use and the closure from it on give the same bits."""
+    compiled = []
+    real = expr._compile
+    monkeypatch.setattr(expr, "_compile", lambda source: compiled.append(source) or real(source))
+    e = expr.parse("x1*sin(x2) + max(x1, x2)^2 / (x2 - 0.3) - exp(-x1)", ["x1", "x2"])
+    x, grid = [0.7, -1.3], (np.linspace(-1.0, 1.0, 5), 0.25)
+    uses = [lambda: expr.evaluate(e, x), lambda: expr.grad(e, x), lambda: expr.evaluate_grid(e, grid)]
+    results, counts = [], []
+    for k in range(3 * expr.HOT_AFTER):
+        results.append(np.asarray(uses[k % 3]()).tobytes())
+        counts.append(len(compiled))
+    assert counts == [0] * (expr.HOT_AFTER - 1) + [1] * (2 * expr.HOT_AFTER + 1)
+    assert all(results[k] == results[k % 3] for k in range(len(results)))
+    assert callable(e._closure)
+
+
 def test_hot_code_is_freed_with_its_object(monkeypatch):
     monkeypatch.setattr(expr, "HOT_AFTER", 0)
     m = expr.SmoothMap.from_strings(["x1*x2", "cos(x2)"], ["x1", "x2"])
@@ -224,16 +242,18 @@ def test_cold_tier_matches_per_coordinate_passes_at_edges(monkeypatch, texts, x)
     assert_cold_matches_per_coordinate(texts, x)
 
 
-def count_calls(e):
-    """Wrap the compiled closure of ``e``; the list grows by one per call."""
-    fn, top = expr._compiled(e)
+def count_calls(monkeypatch, e):
+    """Count the walks of the tree of ``e``, which stands for its closure
+    while cold; the list grows by one per walk."""
+    walk = expr._walk
     calls = []
 
-    def counted(v, m):
-        calls.append(1)
-        return fn(v, m)
+    def counted(node, v, m):
+        if node is e:
+            calls.append(1)
+        return walk(node, v, m)
 
-    object.__setattr__(e, "_closure", (counted, top))
+    monkeypatch.setattr(expr, "_walk", counted)
     return calls
 
 
@@ -242,15 +262,15 @@ def test_a_cold_gradient_or_jacobian_runs_each_closure_once(monkeypatch):
     names = [f"x{i + 1}" for i in range(12)]
     x = np.linspace(-1.0, 1.0, 12)
     e = expr.parse(" + ".join(f"sin(x{i + 1})*x{12 - i}" for i in range(12)), names)
-    calls = count_calls(e)
+    calls = count_calls(monkeypatch, e)
     expr.grad(e, x)
     assert len(calls) == 1
     m = expr.SmoothMap.from_strings(["x1*x12", "abs(x3) + exp(x4)"], names)
-    counts = [count_calls(c) for c in m.components]
+    counts = [count_calls(monkeypatch, c) for c in m.components]
     m.jacobian(x)
     assert [len(c) for c in counts] == [1, 1]
     # an exponent that holds a variable keeps one pass per coordinate
     e = expr.parse("x1^x2 + x3", names)
-    calls = count_calls(e)
+    calls = count_calls(monkeypatch, e)
     expr.grad(e, x + 2.0)
     assert len(calls) == 12

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varcert import cli, solvers
+from varcert import cli, expr, solvers
 from varcert.certify import ConstrainedProblem, dual_certificate
 from varcert.expr import SmoothMap
 from varcert.funcspace import PLQFunction
@@ -182,6 +182,17 @@ def test_recheck_solves_no_lp(tmp_path, monkeypatch):
     for case in CASES:
         if case["recheck"] is not None:
             assert recheck_edited(case, lambda cert: None, tmp_path) == case["recheck"], case["name"]
+
+
+@pytest.mark.parametrize("name", ["nlp_kkt_kappa1", "nlp_primal", "sdp_readme", "sdp_psi_kernel2"])
+def test_a_one_shot_command_and_its_recheck_compile_no_expression(name, tmp_path, monkeypatch):
+    """A kkt, primal or sdp certificate and its recheck use each expression
+    fewer than HOT_AFTER times, so every one is walked and none compiled."""
+    compiled = []
+    monkeypatch.setattr(expr, "_compile", compiled.append)
+    case = by_name(name)
+    assert issue(case, tmp_path) == (case["exit"], expected_text(case), case["recheck"])
+    assert compiled == []
 
 
 # Each case before the SIP kappa was estimated from strong slopes: the
