@@ -18,7 +18,6 @@ import numpy as np
 from . import geometry as geo
 from .errors import (
     DimensionMismatchError,
-    InfeasibleWitnessError,
     NonconvexUnsupportedError,
     NotInDomainError,
 )
@@ -41,11 +40,10 @@ from .geometry import (
     Polyhedron,
     PolyhedralCone,
     SampledSetOracle,
-    normal_cone,
     project,
     tangent_cone,
 )
-from .solvers import OPTIMAL, LPProblem, least_norm_multiplier, lp_solve
+from .solvers import OPTIMAL, LPProblem, lp_solve
 
 VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
@@ -306,6 +304,8 @@ def chain_subdifferential(c: Composite, cq: CQReport = None) -> SubdifferentialS
     Route A: theta locally Lipschitz and Dini-Hadamard regular at ybar.
     Route B: theta convex relatively Lipschitz, under AQC with a closed
     adjoint image (automatic for polyhedral data in finite dimensions).
+
+    Kept: the paper's subdifferential chain rule, library API without a command.
     """
     JT = c.f.jacobian(c.xbar).T
     theta = c.theta
@@ -363,7 +363,10 @@ def _diagonal_composite(phi: FnObject, psi: FnObject, x) -> Composite:
 
 
 def sum_subderivative(phi: FnObject, psi: FnObject, x, u, seed=0) -> SubderivativeValue:
-    """d(phi+psi)(x)(u) = d phi(x)(u) + d psi(x)(u) under a tangential or metric QC."""
+    """d(phi+psi)(x)(u) = d phi(x)(u) + d psi(x)(u) under a tangential or metric QC.
+
+    Kept: the paper's subderivative sum rule, library API without a command.
+    """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     flags = []
@@ -404,7 +407,10 @@ def _tangential_qc_exact(pieces_a, pieces_b, x, tol=1e-9):
 
 
 def sum_subdifferential(phi: FnObject, psi: FnObject, x) -> SubdifferentialSet:
-    """Minkowski sum of subdifferentials; both summands Lipschitz + regular."""
+    """Minkowski sum of subdifferentials; both summands Lipschitz + regular.
+
+    Kept: the paper's subdifferential sum rule, library API without a command.
+    """
     for fn in (phi, psi):
         if isinstance(fn, IndicatorFn):
             raise NonconvexUnsupportedError(
@@ -641,67 +647,8 @@ def robinson_check(c: Composite, eps_scale=1e-3) -> CQReport:
     return CQReport("Robinson", VERIFIED, confidence="exact", notes=notes)
 
 
-def guignard_check(c: Composite) -> CQReport:
-    """Polyhedral Guignard comparison, exact only for affine f and polyhedral dom."""
-    pieces = c.dom_theta_pieces()
-    J = c.f.jacobian(c.xbar)
-    probe = c.xbar + 0.37 * np.ones(c.n)
-    affine = np.allclose(c.f.jacobian(probe), J, atol=1e-10)
-    if pieces is None or len(pieces) != 1 or not affine:
-        return CQReport("Guignard", NOT_APPLICABLE,
-                        notes=["assessed only for affine f with one polyhedral dom piece"])
-    Theta = pieces[0]
-    f0 = c.ybar - J @ c.xbar
-    Omega = Polyhedron(
-        Theta.A_ineq @ J, Theta.b_ineq - Theta.A_ineq @ f0,
-        Theta.A_eq @ J, Theta.b_eq - Theta.A_eq @ f0, n=c.n,
-    )
-    lhs = tangent_cone(Omega, c.xbar).polar()
-    N = normal_cone(Theta, c.ybar)
-    rays, lines = N.ensure_generators()
-    rhs = PolyhedralCone.from_generators(
-        rays @ J if rays.shape[0] else np.zeros((0, c.n)),
-        lines @ J if lines.shape[0] else np.zeros((0, c.n)),
-        n=c.n,
-    )
-    if lhs.same_set(rhs):
-        return CQReport("Guignard", VERIFIED, confidence="exact")
-    return CQReport("Guignard", REFUTED, confidence="exact")
-
-
 # ---------------------------------------------------------------------------
-# normals to inverse images, robustness, prox-regularity
-
-@dataclass
-class BoundCheck:
-    lam: np.ndarray
-    lam_norm: float
-    bound: float
-    ok: bool
-
-
-def normal_cone_inverse_image(c: Composite, kappa):
-    """(J^T N_Theta(ybar) in generator form, checker for ||lambda|| <= kappa ||v||)."""
-    pieces = c.dom_theta_pieces()
-    if pieces is None or len(pieces) != 1:
-        raise NonconvexUnsupportedError("requires a single polyhedral dom-theta piece")
-    Theta = pieces[0]
-    J = c.f.jacobian(c.xbar)
-    N = normal_cone(Theta, c.ybar)
-    gens, lines = N.ensure_generators()
-    mapped = PolyhedralCone.from_generators(gens @ J, lines @ J, n=c.n)
-
-    def bound_checker(v, tol=1e-6):
-        fit = least_norm_multiplier(J, v, gens.T, lines.T)
-        if fit is None:
-            raise InfeasibleWitnessError("v admits no representation over the mapped cone")
-        lam = fit[1]
-        lam_norm = float(np.linalg.norm(lam))
-        bound = kappa * float(np.linalg.norm(v))
-        return BoundCheck(lam, lam_norm, bound, lam_norm <= bound + tol * (1.0 + bound))
-
-    return mapped, bound_checker
-
+# robustness of subnormals
 
 @dataclass
 class RobustnessReport:
@@ -799,124 +746,3 @@ def _cone_membership_violation(v, J, gens, lines):
     if sol.status != OPTIMAL:
         return INF
     return float(sol.objective)
-
-
-@dataclass
-class ProxRegularityReport:
-    status: str
-    r_hat: float = None
-    r_hat_half: float = None
-    r_theory: float = None
-    passed: bool = False
-    notes: list = field(default_factory=list)
-
-
-def prox_regularity_check(c: Composite, radius=0.3, samples=40, seed=0, kappa=None,
-                          fd_step=1e-4) -> ProxRegularityReport:
-    """Estimate the prox-regularity constant <v, u - x> <= r ||u - x||^2.
-
-    Sampled over feasible pairs and unit normals; passes when the estimate
-    is finite and stable under sample doubling.  A curvature-based bound
-    gamma*beta from finite-difference Hessians is reported alongside.
-    """
-    pieces = c.dom_theta_pieces()
-    if kappa is None:
-        return ProxRegularityReport(NOT_APPLICABLE, notes=["no subamenability modulus supplied"])
-    if pieces is None or len(pieces) != 1:
-        return ProxRegularityReport(NOT_APPLICABLE, notes=["needs one polyhedral dom piece"])
-    Theta = pieces[0]
-    oracle = feasible_set_oracle(c)
-    rng = np.random.default_rng(seed)
-    pts = []
-    skipped = 0
-    for _ in range(samples):
-        z = c.xbar + radius * rng.standard_normal(c.n)
-        w = oracle.project(z)
-        v = oracle.violation(w)
-        skipped += v == INF
-        if v <= FEASIBLE_SAMPLE:
-            pts.append(_refine_onto_facets(c, Theta, w))
-    notes = [f"{skipped} samples outside dom f skipped"] if skipped else []
-    ratios = []
-    for x in pts:
-        y = c.f.eval(x)
-        # points are GN-polished to ~1e-12 feasibility; only genuinely touched
-        # faces may contribute normals, else tolerance-fake normals leak in
-        act = Theta.active_rows(y, tol_active=1e-9)
-        if not act:
-            continue
-        Jx = c.f.jacobian(x)
-        for _ in range(3):
-            lam = np.zeros(c.m)
-            for i in act:
-                lam += rng.random() * Theta.A_ineq[i]
-            if Theta.A_eq.shape[0]:
-                lam += Theta.A_eq.T @ rng.normal(size=Theta.A_eq.shape[0])
-            v = Jx.T @ lam
-            nv = float(np.linalg.norm(v))
-            if nv <= 1e-12:
-                continue
-            v /= nv
-            for u in pts:
-                den = float(np.dot(u - x, u - x))
-                if den > 1e-4:
-                    ratios.append(max(0.0, float(v @ (u - x)) / den))
-    if not ratios:
-        return ProxRegularityReport(NOT_APPLICABLE, notes=["no boundary normals sampled"] + notes)
-    r_half = max(ratios[: len(ratios) // 2]) if len(ratios) >= 2 else max(ratios)
-    r_hat = max(ratios)
-    stable = r_hat <= max(2.0 * r_half, r_half + 0.1)
-    beta = _max_hessian_norm(c, fd_step)
-    r_theory = kappa * beta
-    return ProxRegularityReport(VERIFIED if stable else INCONCLUSIVE, r_hat=r_hat,
-                                r_hat_half=r_half, r_theory=r_theory, passed=stable, notes=notes)
-
-
-def _refine_onto_facets(c: Composite, Theta: Polyhedron, x, band=1e-4):
-    """Newton-pull rows that are almost active onto their facets exactly.
-
-    Feasibility restoration may stop a hair inside the set; normals exist
-    only at exactly-touched faces, so near-active rows are driven to zero
-    residual (and the point is kept only if it stays feasible).
-    """
-    x = np.asarray(x, dtype=float).copy()
-    for i in range(Theta.A_ineq.shape[0]):
-        y = c.f.eval(x)
-        res = float(Theta.A_ineq[i] @ y - Theta.b_ineq[i])
-        if -band <= res < -1e-12:
-            xt = x.copy()
-            ok = False
-            for _ in range(6):
-                yt = c.f.eval(xt)
-                g = float(Theta.A_ineq[i] @ yt - Theta.b_ineq[i])
-                if abs(g) <= 1e-13:
-                    ok = True
-                    break
-                grad = Theta.A_ineq[i] @ c.f.jacobian(xt)
-                gg = float(grad @ grad)
-                if gg < 1e-18:
-                    break
-                xt = xt - (g / gg) * grad
-            if ok and c.dist_dom(c.f.eval(xt)) <= 1e-9:
-                x = xt
-    return x
-
-
-def _max_hessian_norm(c: Composite, h):
-    """Max spectral norm of component Hessians by central differences of the Jacobian."""
-    from .solvers import eigh
-
-    n = c.n
-    worst = 0.0
-    for k in range(c.m):
-        H = np.zeros((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            Jp = c.f.jacobian(c.xbar + e)
-            Jm = c.f.jacobian(c.xbar - e)
-            H[:, j] = (Jp[k] - Jm[k]) / (2 * h)
-        H = 0.5 * (H + H.T)
-        w, _ = eigh(H)
-        worst = max(worst, float(np.max(np.abs(w))))
-    return worst

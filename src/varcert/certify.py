@@ -1,15 +1,13 @@
 """Stationarity certification for: minimize objective(x) subject to f(x) in Theta.
 
-Three certificate kinds: the primal descent-cone test (no linearized
-feasible direction is a descent direction), the dual KKT certificate with
-the bounded-multiplier estimate ||lambda|| <= kappa ||grad|| (or ell*kappa
-for piecewise objectives), and the exact-penalty cross-check of
-objective + ell*kappa*dist(f(.); Theta).
+Two certificate kinds: the primal descent-cone test (no linearized
+feasible direction is a descent direction) and the dual KKT certificate
+with the bounded-multiplier estimate ||lambda|| <= kappa ||grad|| (or
+ell*kappa for piecewise objectives).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,14 +24,13 @@ from .errors import (
 from .expr import SmoothMap
 from . import funcspace as fs
 from .funcspace import (
-    INF,
     FnObject,
     IndicatorFn,
     PLQFunction,
     SmoothFn,
     rel_lipschitz_estimate,
 )
-from .geometry import Polyhedron, project, tangent_cone
+from .geometry import Polyhedron, tangent_cone
 from .solvers import OPTIMAL, LPProblem, least_norm_multiplier, lp_solve
 
 TOL_STAT = 1e-7
@@ -80,7 +77,6 @@ class Certificate:
     kappa_source: str = None
     bound_rule: str = None
     descent_witness: np.ndarray = None
-    penalty_margin: float = None
     tolerances: dict = field(default_factory=dict)
     seed: int = None
     notes: list = field(default_factory=list)
@@ -270,50 +266,3 @@ def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42) -> 
                        tolerances={"tol_stat": TOL_STAT, "tol_cone": TOL_CONE,
                                    "tol_bound": TOL_BOUND},
                        seed=seed, notes=notes)
-
-
-def exact_penalty_check(p: ConstrainedProblem, xbar, ell=None, kappa=1.0,
-                        radius=0.5, samples=200, seed=42) -> Certificate:
-    """Sampled test that x -> objective + ell*kappa*dist(f(x);Theta) dips
-    no lower than its value at xbar."""
-    xbar, ybar = _check_feasible(p, xbar)
-    if ell is None:
-        if isinstance(p.objective, SmoothFn):
-            ell = float(np.linalg.norm(p.objective.gradient(xbar)))
-        else:
-            ell = rel_lipschitz_estimate(p.objective, xbar, radius=radius, seed=seed)
-
-    def psi(z):
-        v = p.objective.value(z)
-        if not math.isfinite(v):
-            return INF
-        return v + ell * kappa * project(p.Theta, p.f.eval(z))[1]
-
-    base = psi(xbar)
-    tol = 1e-8 * (1.0 + abs(base))
-    rng = np.random.default_rng(seed)
-    worst = (0.0, None)
-    for _ in range(samples):
-        step = rng.standard_normal(p.n)
-        nrm = float(np.linalg.norm(step))
-        if nrm == 0:
-            continue
-        z = xbar + step * (radius * rng.random() ** (1.0 / p.n) / nrm)
-        gap = psi(z) - base
-        if gap < worst[0]:
-            worst = (gap, z)
-    margin, witness = worst
-    if margin >= -tol:
-        status, detail = VERIFIED, None
-    elif margin < -10 * tol:
-        status, detail = REFUTED, "PENALTY_DESCENT"
-    else:
-        status, detail = INCONCLUSIVE, "MARGINAL"
-    return Certificate(kind="ExactPenalty", status=status, detail=detail, point=xbar,
-                       penalty_margin=margin,
-                       descent_witness=witness if status == REFUTED else None,
-                       kappa=kappa, kappa_source="user-asserted",
-                       bound_rule=f"ell={ell:.6g}",
-                       tolerances={"tol": tol}, seed=seed,
-                       notes=[f"{samples} samples at radius {radius}",
-                              "sampling-confidence" if status == VERIFIED else "witnessed"])

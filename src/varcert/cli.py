@@ -263,8 +263,6 @@ def certificate_document(cert: Certificate, problem_kind) -> dict:
                            for t, m in cert.eq_atoms]
     if cert.descent_witness is not None:
         doc["descent_witness"] = [float(v) for v in cert.descent_witness]
-    if cert.penalty_margin is not None:
-        doc["penalty_margin"] = float(cert.penalty_margin)
     doc["residual"] = cert.residual
     doc["bound"] = {
         "lhs": cert.bound_lhs,
@@ -324,10 +322,10 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
         raise CliError("certificate point does not match the problem dimension")
     x = np.array(point, dtype=float)
 
-    if cert_doc.get("kind") in ("Primal", "ExactPenalty"):
+    if cert_doc.get("kind") == "Primal":
         # primal-style certificates: a REFUTED witness is recheckable by
         # plain evaluation; a VERIFIED verdict is a universally quantified
-        # LP/sampling statement with no finite witness to replay
+        # LP statement with no finite witness to replay
         p = build_nlp(prob_doc)
         y = p.f.eval(x)
         if not p.Theta.contains(y):
@@ -336,18 +334,16 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
         witness = cert_doc.get("descent_witness")
         if cert_doc.get("status") == REFUTED and witness is not None:
             u = np.array(witness, dtype=float)
-            if cert_doc.get("kind") == "Primal":
-                g = p.objective.gradient(x)
-                J = p.f.jacobian(x)
-                T = tangent_cone(p.Theta, y)
-                lin_ok = T.contains(J @ u, 1e-7)
-                if lin_ok and float(g @ u) < -certify.TOL_STAT:
-                    log("recheck: descent witness reproduces REFUTED")
-                    return EXIT_REFUTED
-                log("recheck failure: stored descent witness does not descend")
+            g = p.objective.gradient(x)
+            J = p.f.jacobian(x)
+            T = tangent_cone(p.Theta, y)
+            lin_ok = T.contains(J @ u, 1e-7)
+            if lin_ok and float(g @ u) < -certify.TOL_STAT:
+                log("recheck: descent witness reproduces REFUTED")
                 return EXIT_REFUTED
-        log(f"recheck: {cert_doc.get('kind')} status {cert_doc.get('status')} "
-            "(no finite witness to replay)")
+            log("recheck failure: stored descent witness does not descend")
+            return EXIT_REFUTED
+        log(f"recheck: Primal status {cert_doc.get('status')} (no finite witness to replay)")
         return _status_exit(cert_doc.get("status"))
 
     # the bound scale is ||grad objective||, doubled for sip with psi and for sdp

@@ -72,10 +72,6 @@ class InfeasiblePointError(VarcertError):
     pass
 
 
-class InfeasibleWitnessError(VarcertError):
-    """A vector claimed to lie in a cone could not be represented over its generators."""
-
-
 class NotUnitError(VarcertError):
     pass
 

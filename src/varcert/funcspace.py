@@ -1,9 +1,8 @@
 """Extended-real-valued function objects and their pointwise variational data.
 
 Values, subderivatives (analytic where the structure allows, sampled
-difference quotients otherwise), Dini-Hadamard subdifferentials,
-epi-differentiability and regularity checks, and relative-Lipschitz
-estimation.
+difference quotients otherwise), Dini-Hadamard subdifferentials and
+relative-Lipschitz estimation.
 
 The sampled subderivative is the independent oracle of the toolkit: at
 each level t of a geometric grid it minimizes the difference quotient
@@ -28,8 +27,7 @@ from .errors import (
 )
 from . import expr as expr_mod
 from .geometry import PolyhedralCone, Polyhedron, normal_cone, project, project_cone, tangent_cone
-from .solvers import (OPTIMAL, UNBOUNDED, LPProblem, conic_fit, eigh, least_norm_multiplier,
-                      lp_solve)
+from .solvers import OPTIMAL, LPProblem, conic_fit, eigh, least_norm_multiplier, lp_solve
 
 INF = math.inf
 
@@ -286,37 +284,6 @@ class ScaledFn(FnObject):
         return self.inner.dom_pieces()
 
 
-class SumFn(FnObject):
-    def __init__(self, f: FnObject, g: FnObject):
-        if f.n != g.n:
-            raise DimensionMismatchError("sum of functions on different spaces")
-        self.f = f
-        self.g = g
-        self.n = f.n
-        self.t_floor = max(f.t_floor, g.t_floor)
-
-    def value(self, x):
-        vf = self.f.value(x)
-        if not math.isfinite(vf):
-            return INF
-        vg = self.g.value(x)
-        return vf + vg if math.isfinite(vg) else INF
-
-    def dom_pieces(self):
-        df, dg = self.f.dom_pieces(), self.g.dom_pieces()
-        if df is None:
-            return dg
-        if dg is None:
-            return df
-        out = []
-        for P in df:
-            for Q in dg:
-                inter = Polyhedron.intersection(P, Q)
-                if not inter.is_empty():
-                    out.append(inter)
-        return out
-
-
 class SeparableSumFn(FnObject):
     """theta(y1, y2) = phi(y1) + psi(y2) on the product space."""
 
@@ -370,13 +337,12 @@ class SubdifferentialSet:
 
     kinds: "polyhedral" (V-rep: vertices + rays + lines), "cone_cap_ball"
     (polyhedral cone intersected with a norm ball, as for distance
-    functions), "mapped_ball" (adjoint image of a cone_cap_ball),
-    "hrep" (outer polyhedral approximation from sampled subderivatives),
-    and "empty".
+    functions), "mapped_ball" (adjoint image of a cone_cap_ball) and
+    "empty".
     """
 
     def __init__(self, kind, n, vertices=None, rays=None, lines=None,
-                 cone=None, radius=None, JT=None, hrep=None, flags=None):
+                 cone=None, radius=None, JT=None, flags=None):
         self.kind = kind
         self.n = n
         self.vertices = vertices
@@ -385,7 +351,6 @@ class SubdifferentialSet:
         self.cone = cone
         self.radius = radius
         self.JT = JT
-        self.hrep = hrep
         self.flags = list(flags or [])
 
     # ---- constructors -------------------------------------------------
@@ -420,17 +385,9 @@ class SubdifferentialSet:
     def empty(cls, n):
         return cls("empty", n)
 
-    @classmethod
-    def from_hrep(cls, P: Polyhedron, flags=None):
-        return cls("hrep", P.n, hrep=P, flags=flags)
-
     # ---- queries --------------------------------------------------------
     def is_empty(self):
-        if self.kind == "empty":
-            return True
-        if self.kind == "hrep":
-            return self.hrep.is_empty()
-        return False
+        return self.kind == "empty"
 
     def support(self, u) -> float:
         """sup { <v, u> : v in set }; -inf if the set is empty."""
@@ -451,30 +408,12 @@ class SubdifferentialSet:
             J = self.JT.T
             pk, _ = project_cone(self.cone, J @ u)
             return self.radius * float(np.linalg.norm(pk))
-        if self.kind == "hrep":
-            P = self.hrep
-            m = P.A_ineq.shape[0] + P.A_eq.shape[0]
-            if m == 0:
-                return INF
-            sol = lp_solve(LPProblem(
-                c=-u,
-                A=np.vstack([P.A_ineq, P.A_eq]),
-                b=np.concatenate([P.b_ineq, P.b_eq]),
-                senses=["<="] * P.A_ineq.shape[0] + ["="] * P.A_eq.shape[0],
-            ))
-            if sol.status == UNBOUNDED:
-                return INF
-            if sol.status != OPTIMAL:
-                return -INF
-            return -sol.objective
         raise ValueError(self.kind)
 
     def contains(self, v, tol=1e-8) -> bool:
         v = np.asarray(v, dtype=float)
         if self.kind == "empty":
             return False
-        if self.kind == "hrep":
-            return self.hrep.contains(v, tol)
         if self.kind == "cone_cap_ball":
             return self.cone.contains(v, tol) and float(np.linalg.norm(v)) <= self.radius + tol
         if self.kind == "mapped_ball":  # the least-norm lam in the cone with JT lam = v
@@ -513,13 +452,6 @@ class SubdifferentialSet:
                 if nv > 0:
                     v = v * (self.radius * rng.random() / nv)
                 out.append(v)
-        elif self.kind == "hrep":
-            if not self.hrep.is_empty():
-                center, _ = self.hrep.chebyshev_center()
-                out.append(center)
-                for _ in range(count):
-                    w, _ = project(self.hrep, center + rng.normal(size=self.n))
-                    out.append(w)
         return out
 
     # ---- algebra --------------------------------------------------------
@@ -772,117 +704,6 @@ def _union_domain_normal_cone(omegas, x) -> PolyhedralCone:
     return PolyhedralCone.from_halfspaces(G, H, n=n)
 
 
-@dataclass
-class EpiDirectionReport:
-    direction: np.ndarray
-    status: str
-    quotients: list
-    limsup: float
-    liminf: float
-
-
-@dataclass
-class EpiReport:
-    status: str
-    directions: list
-
-
-def epi_check(fn: FnObject, x, directions=None, seed=0) -> EpiReport:
-    """Path-search check of epi-differentiability.
-
-    Per direction, the best nearby feasible direction is searched at each
-    t-level; VERIFIED when the achieved quotients converge (tail limsup
-    and liminf agree within the spread tolerance), INCONCLUSIVE otherwise.
-    """
-    x = np.asarray(x, dtype=float)
-    n = fn.n
-    if directions is None:
-        rng_dirs = np.random.default_rng(seed + 1)
-        directions = [e for i in range(n) for e in (np.eye(n)[i], -np.eye(n)[i])]
-        for _ in range(6):
-            v = rng_dirs.standard_normal(n)
-            directions.append(v / np.linalg.norm(v))
-    rows = []
-    overall = "VERIFIED"
-    for u in directions:
-        rng = np.random.default_rng(seed)
-        levels = _level_quotients(fn, x, np.asarray(u, dtype=float), rng)
-        tail = levels[-QUOTIENT_TAIL:]
-        finite = [q for q in tail if math.isfinite(q)]
-        if not finite:
-            status, lsup, linf = "VERIFIED", INF, INF  # quotients diverge to +inf
-        elif len(finite) < len(tail):
-            status, lsup, linf = "INCONCLUSIVE", INF, min(finite)
-        else:
-            lsup, linf = max(tail), min(tail)
-            status = "VERIFIED" if lsup - linf <= QUOTIENT_TOL_SPREAD else "INCONCLUSIVE"
-        if status != "VERIFIED":
-            overall = "INCONCLUSIVE"
-        rows.append(EpiDirectionReport(np.asarray(u, dtype=float), status, levels, lsup, linf))
-    return EpiReport(status=overall, directions=rows)
-
-
-@dataclass
-class RegularityReport:
-    passed: bool
-    max_gap: float
-    mode: str
-    per_direction: list
-    tol: float
-
-
-def regularity_check(fn: FnObject, x, directions=None, seed=0, tol_reg=1e-5) -> RegularityReport:
-    """Compare the support function of the subdifferential with the subderivative.
-
-    Uses the exact subdifferential when available; otherwise builds the
-    outer polyhedral approximation {v : <v,u_i> <= d_hat(u_i)} from the
-    sampled subderivative on the test directions.
-    """
-    x = np.asarray(x, dtype=float)
-    n = fn.n
-    rng = np.random.default_rng(seed)
-    if directions is None:
-        directions = [e for i in range(n) for e in (np.eye(n)[i], -np.eye(n)[i])]
-        while len(directions) < 50:
-            v = rng.standard_normal(n)
-            directions.append(v / np.linalg.norm(v))
-    dvals = []
-    for u in directions:
-        try:
-            dvals.append(subderivative(fn, x, u, seed=seed).value)
-        except InconclusiveError as exc:
-            dvals.append(exc.value)
-    try:
-        S = subdifferential(fn, x)
-        mode = "exact-subdifferential"
-    except NonconvexUnsupportedError:
-        # outer approximation; inflate by half the pass tolerance so that
-        # sampling noise in d_hat cannot spuriously empty the set
-        rows, rhs = [], []
-        for u, d in zip(directions, dvals):
-            if math.isfinite(d):
-                rows.append(np.asarray(u, dtype=float))
-                rhs.append(d + 0.5 * tol_reg)
-        P = Polyhedron(np.array(rows) if rows else None,
-                       np.array(rhs) if rhs else None, n=n)
-        S = SubdifferentialSet.from_hrep(P, flags=["sampled-outer"])
-        mode = "sampled-outer"
-    gaps = []
-    for u, d in zip(directions, dvals):
-        s = S.support(u)
-        if d == INF and s == INF:
-            gap = 0.0
-        elif s == -INF:
-            gap = INF  # empty subdifferential against a proper subderivative
-        else:
-            gap = abs(d - s)
-        gaps.append(gap)
-    max_gap = float(max(gaps)) if gaps else 0.0
-    return RegularityReport(passed=max_gap <= tol_reg, max_gap=max_gap, mode=mode,
-                            per_direction=list(zip([np.asarray(u) for u in directions], gaps)),
-                            tol=tol_reg)
-
-
 def rel_lipschitz_estimate(fn: FnObject, x, radius, samples=60, seed=0) -> float:
     """Lower estimate of the relative Lipschitz constant on dom(fn) near x."""
     x = np.asarray(x, dtype=float)
@@ -924,8 +745,11 @@ def rel_lipschitz_estimate(fn: FnObject, x, radius, samples=60, seed=0) -> float
 
 # convenience PLQ builders -------------------------------------------------
 
-def plq_abs(n=1):
-    """|x| on the line as a two-piece PLQ."""
+def plq_abs():
+    """|x| on the line as a two-piece PLQ.
+
+    Kept: the smallest nonsmooth PLQ, a fixture of the calculus unit tests.
+    """
     pos = Polyhedron([[-1.0]], [0.0])
     neg = Polyhedron([[1.0]], [0.0])
     return PLQFunction([

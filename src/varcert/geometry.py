@@ -240,14 +240,6 @@ class PolyhedralCone:
     def zero(cls, n):
         return cls.from_generators(None, None, n=n)
 
-    @property
-    def has_halfspace(self):
-        return self.G is not None
-
-    @property
-    def has_generators(self):
-        return self.rays is not None
-
     def ensure_halfspace(self):
         if self.G is None:
             G, H = cone_halfspaces_from_generators(self.rays, self.lines)
@@ -287,32 +279,6 @@ class PolyhedralCone:
             out.rays = self.G.copy()
             out.lines = self.H.copy()
         return out
-
-    def validate_forms(self, tol=1e-7):
-        """Cross-check the two representations when both are populated.
-
-        Every generator must satisfy the halfspace form, and the halfspace
-        form must not cut anything off the generated cone (tested by LP
-        membership of the halfspace form's own generators).
-        """
-        if self.G is None or self.rays is None:
-            return True
-        half = PolyhedralCone.from_halfspaces(self.G, self.H, n=self.n)
-        gen = PolyhedralCone.from_generators(self.rays, self.lines, n=self.n)
-        for r in self.rays:
-            if not half.contains(r, tol):
-                return False
-        for l in self.lines:
-            if not (half.contains(l, tol) and half.contains(-l, tol)):
-                return False
-        hrays, hlines = cone_generators_from_halfspaces(self.G, self.H)
-        for r in hrays:
-            if not gen.contains(r, tol):
-                return False
-        for l in hlines:
-            if not (gen.contains(l, tol) and gen.contains(-l, tol)):
-                return False
-        return True
 
     def same_set(self, other, tol=1e-7):
         """Mutual membership of generators (and +/- lines) in both cones."""

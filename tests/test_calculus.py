@@ -11,16 +11,12 @@ from varcert.calculus import (
     chain_subderivative,
     chain_subdifferential,
     composite_fn,
-    guignard_check,
     msqc_estimate,
-    normal_cone_inverse_image,
-    prox_regularity_check,
     robinson_check,
     robustness_check,
     sum_subderivative,
     sum_subdifferential,
 )
-from varcert.errors import InfeasibleWitnessError
 from varcert.expr import SmoothMap
 from varcert.funcspace import (
     INF,
@@ -31,7 +27,7 @@ from varcert.funcspace import (
     plq_max_of_affine,
     subderivative_sampled,
 )
-from varcert.geometry import Polyhedron
+from varcert.geometry import Polyhedron, PolyhedralCone
 from test_acceptance import random_poly_map
 
 
@@ -363,37 +359,6 @@ def test_robinson_check_examples():
     assert np.allclose(np.abs(rep.witness), [0.0, 1.0])
 
 
-def test_guignard_polyhedral_exact():
-    ind = IndicatorFn(Polyhedron.nonpositive_orthant(2))
-    f = SmoothMap.from_strings(["x1 + x2", "x1 - x2"], ["x1", "x2"])
-    rep = guignard_check(Composite(ind, f, [0.0, 0.0]))
-    assert rep.verdict == calc.VERIFIED
-
-
-def test_normal_cone_inverse_image_examples():
-    ind = IndicatorFn(Polyhedron.nonpositive_orthant(2))
-    c = Composite(ind, SmoothMap.identity(2), [0.0, 0.0])
-    cone, checker = normal_cone_inverse_image(c, kappa=1.0)
-    chk = checker([1.0, 1.0])
-    assert chk.ok
-    assert chk.lam_norm == pytest.approx(np.sqrt(2.0), abs=1e-8)
-    with pytest.raises(InfeasibleWitnessError):
-        checker([-1.0, 0.0])
-    # f(x) = (x, x): the least-norm multiplier (1, 1) meets the Euclidean bound
-    f = SmoothMap.from_strings(["x1", "x1"], ["x1"])
-    c = Composite(ind, f, [0.0])
-    cone, checker = normal_cone_inverse_image(c, kappa=1.0 / np.sqrt(2.0))
-    chk = checker([2.0])
-    assert np.allclose(chk.lam, [1.0, 1.0], atol=1e-8)
-    assert chk.ok
-    # Theta = {y1 - 0.999 y2 <= 0}: the one multiplier 1000 (1, -0.999) lies
-    # almost in null(J^T) and still has to be found
-    c = Composite(IndicatorFn(Polyhedron([[1.0, -0.999]], [0.0])), f, [0.0])
-    cone, checker = normal_cone_inverse_image(c, kappa=2000.0)
-    chk = checker([1.0])
-    assert np.allclose(chk.lam, [1000.0, -999.0], rtol=1e-9) and chk.ok
-
-
 def test_robustness_check_orthant_and_parabola():
     ind = IndicatorFn(Polyhedron.nonpositive_orthant(2))
     c = Composite(ind, SmoothMap.identity(2), [0.0, 0.0])
@@ -410,26 +375,6 @@ def test_robustness_check_orthant_and_parabola():
     assert rep.max_violation <= 1e-5
 
     rep = robustness_check(c, kappa=None)
-    assert rep.status == calc.NOT_APPLICABLE
-
-
-def test_prox_regularity_convex_and_parabola():
-    ind = IndicatorFn(Polyhedron.nonpositive_orthant(2))
-    c = Composite(ind, SmoothMap.identity(2), [0.0, 0.0])
-    rep = prox_regularity_check(c, kappa=1.0, seed=1)
-    assert rep.status == calc.VERIFIED
-    assert rep.r_hat <= 1e-5  # convex sets need no curvature allowance
-
-    # parabola hypograph {b <= a^2}: nonconvex, prox-regular with r ~ curvature
-    neg = IndicatorFn(Polyhedron([[1.0]], [0.0]))
-    f = SmoothMap.from_strings(["x2 - x1^2"], ["x1", "x2"])
-    c = Composite(neg, f, [0.0, 0.0])
-    rep = prox_regularity_check(c, kappa=1.0, seed=1)
-    assert rep.status == calc.VERIFIED
-    assert 0.05 <= rep.r_hat <= 5.0  # curvature scale of the parabola
-    assert rep.r_theory == pytest.approx(2.0, abs=1e-3)
-
-    rep = prox_regularity_check(c, kappa=None)
     assert rep.status == calc.NOT_APPLICABLE
 
 
@@ -493,7 +438,9 @@ def test_chain_subdifferential_indicator_matches_inverse_image_cone():
     f = SmoothMap.from_strings(["x1 + x2^2", "x2 - x1^2"], ["x1", "x2"])
     c = Composite(ind, f, [0.0, 0.0])
     S = chain_subdifferential(c)
-    cone, _ = normal_cone_inverse_image(c, kappa=1.0)
+    J = c.f.jacobian(c.xbar)
+    gens, lines = geo.normal_cone(ind.P, c.ybar).ensure_generators()
+    cone = PolyhedralCone.from_generators(gens @ J, lines @ J, n=2)
     rng = np.random.default_rng(5)
     for _ in range(25):
         v = rng.standard_normal(2)
@@ -502,9 +449,9 @@ def test_chain_subdifferential_indicator_matches_inverse_image_cone():
 
 def test_samplers_skip_and_count_points_outside_dom_f():
     """f1 = log(x1) at x1 = 0.1: samples reach x1 <= 0, where f has no
-    image; the robustness and prox-regularity samplers skip them and say so."""
+    image; the robustness sampler skips them and says so."""
     f = SmoothMap.from_strings(["log(x1)", "x2"], ["x1", "x2"])
     c = Composite(IndicatorFn(Polyhedron(np.eye(2), np.zeros(2))), f, [0.1, 0.0])
-    for rep in (robustness_check(c, kappa=1.0, r0=0.2), prox_regularity_check(c, kappa=1.0)):
-        assert rep.status == "VERIFIED"
-        assert any(note.endswith("samples outside dom f skipped") for note in rep.notes)
+    rep = robustness_check(c, kappa=1.0, r0=0.2)
+    assert rep.status == "VERIFIED"
+    assert any(note.endswith("samples outside dom f skipped") for note in rep.notes)

@@ -8,7 +8,6 @@ from varcert.certify import (
     Certificate,
     ConstrainedProblem,
     dual_certificate,
-    exact_penalty_check,
     primal_check,
 )
 from varcert.errors import InfeasiblePointError, NoMultiplierError
@@ -118,20 +117,6 @@ def test_dual_certificate_plq_objective():
     assert cert.bound_rule.startswith("ell*kappa")
 
 
-def test_exact_penalty_examples():
-    p = ConstrainedProblem(SmoothFn("-x1", 1), SmoothMap.identity(1),
-                           Polyhedron([[1.0]], [0.0]))
-    cert = exact_penalty_check(p, [0.0], ell=1.0, kappa=1.0, radius=0.5)
-    assert cert.status == certify.VERIFIED
-    cert = exact_penalty_check(p, [0.0], ell=1.0, kappa=0.5, radius=0.5)
-    assert cert.status == certify.REFUTED
-    assert cert.descent_witness is not None
-    # unconstrained minimizer of a smooth bowl
-    p2 = ConstrainedProblem(SmoothFn("x1^2", 1), SmoothMap.identity(1),
-                            Polyhedron.whole_space(1))
-    assert exact_penalty_check(p2, [0.0], ell=1.0, kappa=1.0).status == certify.VERIFIED
-
-
 def random_lp_problem(rng, n):
     A = rng.normal(size=(int(rng.integers(1, 4)), n))
     x0 = rng.normal(size=n) * 0.3
@@ -184,8 +169,6 @@ def test_dual_certificate_nonlinear_map():
     assert cert.status == certify.VERIFIED
     assert np.allclose(cert.multipliers, [1.0, 1.0], atol=1e-8)
     assert primal_check(p, [0.0, 0.0]).status == certify.VERIFIED
-    pen = exact_penalty_check(p, [0.0, 0.0], kappa=cert.kappa, radius=0.2, seed=1)
-    assert pen.status == certify.VERIFIED
 
 
 def test_dual_certificate_interior_stationary_point():

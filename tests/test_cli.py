@@ -136,6 +136,24 @@ def test_recheck_detects_tampering(tmp_path):
     assert cli.run(["recheck", "-p", prob, "-c", str(tampered)]) == 1
 
 
+def test_recheck_replays_the_nlp_checks_for_a_kind_no_command_issues(tmp_path, capsys):
+    """A kkt certificate relabelled "ExactPenalty", VERIFIED at a feasible point
+    that is not stationary and stripped of its multipliers, is no primal
+    certificate: recheck runs the nlp checks on it and refutes it."""
+    prob = write_problem(tmp_path, orthant_doc())
+    out = str(tmp_path / "cert.json")
+    assert cli.run(["kkt", "-p", prob, "--point", "0,0", "--kappa", "1",
+                    "--out", out]) == 0
+    cert = json.loads(open(out).read())
+    cert.update(kind="ExactPenalty", status="VERIFIED", point=[-5, -3])
+    del cert["multipliers"], cert["generator_weights"]
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(cert), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.run(["recheck", "-p", prob, "-c", str(forged)]) == 1
+    assert "recheck failure: RESIDUAL" in capsys.readouterr().err
+
+
 def test_recheck_wrong_problem_exit_3(tmp_path):
     prob = write_problem(tmp_path, orthant_doc())
     out = str(tmp_path / "cert.json")

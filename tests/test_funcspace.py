@@ -15,11 +15,8 @@ from varcert.funcspace import (
     SeparableSumFn,
     SmoothFn,
     SubdifferentialSet,
-    SumFn,
-    epi_check,
     plq_abs,
     plq_max_of_affine,
-    regularity_check,
     rel_lipschitz_estimate,
     subderivative,
     subderivative_sampled,
@@ -210,33 +207,6 @@ def test_domain_of_subderivative_is_tangent_cone():
                 assert abs(d) <= lhat * np.linalg.norm(u) + 1e-8
 
 
-def test_epi_check_examples():
-    rep = epi_check(plq_abs(), [0.0])
-    assert rep.status == "VERIFIED"
-    rep = epi_check(orthant_indicator(), [0.0, 0.0])
-    assert rep.status == "VERIFIED"
-
-    def oscillator(z):
-        return z[0] * math.sin(math.log(abs(z[0]))) if z[0] != 0 else 0.0
-
-    rep = epi_check(OracleFn(oscillator, 1), [0.0], directions=[[1.0]])
-    assert rep.status == "INCONCLUSIVE"
-
-
-def test_regularity_check_examples():
-    assert regularity_check(plq_abs(), [0.0]).passed
-
-    def damped(z):
-        return z[0] ** 2 * math.sin(1.0 / z[0]) if z[0] != 0 else 0.0
-
-    rep = regularity_check(OracleFn(damped, 1), [0.0])
-    assert rep.passed and rep.mode == "sampled-outer"
-
-    rep = regularity_check(OracleFn(lambda z: -abs(z[0]), 1), [0.0])
-    assert not rep.passed
-    assert rep.max_gap == INF
-
-
 def test_rel_lipschitz_examples():
     assert rel_lipschitz_estimate(plq_abs(), [0.0], 0.5, samples=80) == pytest.approx(1.0, abs=0.05)
     ind = orthant_indicator()
@@ -252,11 +222,6 @@ def test_scaled_and_sum_wrappers():
     assert subderivative(f, [0.0], [1.0]).value == pytest.approx(3.0)
     lo, hi = subdifferential(f, [0.0]).interval()
     assert (lo, hi) == pytest.approx((-3.0, 3.0))
-    s = SumFn(plq_abs(), SmoothFn("x1", 1))
-    assert value(s, [2.0]) == pytest.approx(4.0)
-    sv = subderivative(s, [0.0], [-1.0])  # sampled route for sums
-    assert sv.mode == "sampled"
-    assert sv.value == pytest.approx(0.0, abs=1e-6)
 
 
 def test_separable_sum_is_analytic_and_unconditional():
@@ -299,13 +264,6 @@ def test_mapped_ball_membership_with_a_preimage_nearly_in_null_of_j_transpose():
     assert not S.contains([1.001])
 
 
-def test_distance_function_is_epi_differentiable_at_boundary():
-    # distance functions to polyhedra have full-limit difference quotients
-    P = Polyhedron([[1.0, 1.0], [1.0, -1.0]], [0.0, 0.0])
-    rep = epi_check(DistanceFn(P), [0.0, 0.0])
-    assert rep.status == "VERIFIED"
-
-
 def test_plq_boundary_subdifferential_has_domain_normal_rays():
     # x^2 on [-1, 1] at the right endpoint: subdifferential [2, inf)
     sq = PLQFunction([(Polyhedron.box([(-1.0, 1.0)]), [[1.0]], [0.0], 0.0)])
@@ -313,7 +271,6 @@ def test_plq_boundary_subdifferential_has_domain_normal_rays():
     assert S.support([1.0]) == INF
     assert -S.support([-1.0]) == pytest.approx(2.0)
     assert S.contains([5.0]) and not S.contains([1.5])
-    assert regularity_check(sq, [1.0]).passed
 
 
 def test_polyhedral_set_membership_random():

@@ -116,12 +116,12 @@ def test_double_polar_identity_random():
         # force the conversion machinery: rebuild the double polar from
         # the polar's halfspace/generator data only
         P1 = K.polar()
-        if P1.has_halfspace:
+        if P1.G is not None:
             P1 = PolyhedralCone.from_halfspaces(P1.G, P1.H, n=n)
         else:
             P1 = PolyhedralCone.from_generators(P1.rays, P1.lines, n=n)
         K2 = P1.polar()
-        if K2.has_halfspace:
+        if K2.G is not None:
             K2 = PolyhedralCone.from_halfspaces(K2.G, K2.H, n=n)
         else:
             K2 = PolyhedralCone.from_generators(K2.rays, K2.lines, n=n)
@@ -312,13 +312,11 @@ def test_chebyshev_center():
 
 def test_validate_forms_invariant():
     K = PolyhedralCone.from_generators([[0.0, 1.0], [1.0, 1.0]])
-    K.ensure_halfspace()
-    assert K.validate_forms()
-    # inconsistent pair must be caught
-    bad = PolyhedralCone.from_generators([[1.0, 0.0]])
-    bad.G = np.array([[0.0, 1.0], [1.0, 0.0]])  # would force u1 <= 0
-    bad.H = np.zeros((0, 2))
-    assert not bad.validate_forms()
+    G, H = K.ensure_halfspace()
+    assert K.same_set(PolyhedralCone.from_halfspaces(G, H, n=2))
+    # a halfspace form that cuts the generated cone must be caught
+    bad = PolyhedralCone.from_halfspaces([[0.0, 1.0], [1.0, 0.0]], n=2)  # forces u1 <= 0
+    assert not PolyhedralCone.from_generators([[1.0, 0.0]]).same_set(bad)
 
 
 def _facet_probes(G, gens, lines, tol=1e-9):
