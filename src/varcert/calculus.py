@@ -75,7 +75,11 @@ class CQReport:
 
 
 class Composite:
-    """theta(f(.)) anchored at a base point with f(xbar) in dom(theta)."""
+    """theta(f(.)) anchored at a base point with f(xbar) in dom(theta).
+
+    Kept: ``domain_oracle``, which the second-order-cone fixture needs; that
+    fixture reproduces the sampled kappa's false VERIFIED (ROADMAP item 10).
+    """
 
     def __init__(self, theta: FnObject, f: SmoothMap, xbar, domain_oracle: DomainOracle = None):
         if theta.n != f.m:
@@ -224,9 +228,9 @@ def _gauss_newton(c: Composite, x):
             yield x
 
 
-def _polish(c: Composite, x, steps=60):
-    """The last of at most ``steps`` Gauss-Newton iterates from x, or x."""
-    for x in islice(_gauss_newton(c, x), steps):
+def _polish(c: Composite, x):
+    """The last of at most 60 Gauss-Newton iterates from x, or x."""
+    for x in islice(_gauss_newton(c, x), 60):
         pass
     return x
 
@@ -272,7 +276,7 @@ def feasible_set_oracle(c: Composite) -> SampledSetOracle:
     return SampledSetOracle(c.violation, lambda z: restore(c, z))
 
 
-def composite_fn(c: Composite, t_floor=1e-6) -> OracleFn:
+def composite_fn(c: Composite) -> OracleFn:
     """theta-after-f as a sampled function object (the chain-rule oracle side)."""
 
     def val(z):
@@ -284,21 +288,21 @@ def composite_fn(c: Composite, t_floor=1e-6) -> OracleFn:
         x = np.asarray(x, dtype=float)
         return [(z - x) / t for z in islice(_gauss_newton(c, x + t * np.asarray(u)), 2)]
 
-    return OracleFn(val, c.n, candidate_fn=candidates, t_floor=t_floor)
+    return OracleFn(val, c.n, candidate_fn=candidates, t_floor=1e-6)
 
 
 # ---------------------------------------------------------------------------
 # chain rules
 
-def chain_subderivative(c: Composite, u, route="asserted", seed=0) -> SubderivativeValue:
+def chain_subderivative(c: Composite, u) -> SubderivativeValue:
     """d(theta o f)(xbar)(u) = d theta(ybar)(Jacobian u), under AQC+epi or MSQC."""
     J = c.f.jacobian(c.xbar)
-    inner = subderivative(c.theta, c.ybar, J @ np.asarray(u, dtype=float), seed=seed)
-    inner.flags = list(inner.flags) + [f"hypothesis:{route}"]
+    inner = subderivative(c.theta, c.ybar, J @ np.asarray(u, dtype=float))
+    inner.flags = list(inner.flags) + ["hypothesis:asserted"]
     return inner
 
 
-def chain_subdifferential(c: Composite, cq: CQReport = None) -> SubdifferentialSet:
+def chain_subdifferential(c: Composite) -> SubdifferentialSet:
     """Adjoint image of the outer subdifferential.
 
     Route A: theta locally Lipschitz and Dini-Hadamard regular at ybar.
@@ -322,28 +326,20 @@ def chain_subdifferential(c: Composite, cq: CQReport = None) -> SubdifferentialS
         if _plq_locally_lipschitz_at(theta, c.ybar):
             mapped.flags.append("route:A-lipschitz-regular")
         else:
-            mapped.flags.append("route:B-convex-AQC")
-            if cq is not None and cq.condition.lower().startswith("abadie") and cq.verdict == VERIFIED:
-                mapped.flags.append(f"AQC:{cq.confidence}")
-            else:
-                mapped.flags.append("heuristic:AQC-unverified")
+            mapped.flags += ["route:B-convex-AQC", "heuristic:AQC-unverified"]
         return mapped
     if isinstance(theta, IndicatorFn):
-        mapped.flags.append("route:B-convex-AQC")
-        if cq is not None and cq.verdict == VERIFIED:
-            mapped.flags.append(f"AQC:{cq.confidence}")
-        else:
-            mapped.flags.append("heuristic:AQC-unverified")
+        mapped.flags += ["route:B-convex-AQC", "heuristic:AQC-unverified"]
         return mapped
     mapped.flags.append("route:unclassified")
     return mapped
 
 
-def _plq_locally_lipschitz_at(theta: PLQFunction, y, probe=16, seed=0):
-    """Interior-of-domain test: finite values in a small ball around y."""
-    rng = np.random.default_rng(seed)
+def _plq_locally_lipschitz_at(theta: PLQFunction, y):
+    """Interior-of-domain test: finite values at 16 points of a small ball around y."""
+    rng = np.random.default_rng(0)
     r = 1e-6
-    for _ in range(probe):
+    for _ in range(16):
         d = rng.standard_normal(theta.n)
         d /= np.linalg.norm(d)
         if not math.isfinite(theta.value(np.asarray(y) + r * d)):
@@ -362,7 +358,7 @@ def _diagonal_composite(phi: FnObject, psi: FnObject, x) -> Composite:
     return Composite(SeparableSumFn(phi, psi), f, x)
 
 
-def sum_subderivative(phi: FnObject, psi: FnObject, x, u, seed=0) -> SubderivativeValue:
+def sum_subderivative(phi: FnObject, psi: FnObject, x, u) -> SubderivativeValue:
     """d(phi+psi)(x)(u) = d phi(x)(u) + d psi(x)(u) under a tangential or metric QC.
 
     Kept: the paper's subderivative sum rule, library API without a command.
@@ -376,17 +372,17 @@ def sum_subderivative(phi: FnObject, psi: FnObject, x, u, seed=0) -> Subderivati
     else:
         ok = _tangential_qc_exact(dphi_p, dpsi_p, x)
         flags.append("tangential-QC:exact" if ok else "QCUnverified")
-    d1 = subderivative(phi, x, u, seed=seed)
+    d1 = subderivative(phi, x, u)
     if d1.value == INF:
         return SubderivativeValue(INF, d1.mode, flags=flags + d1.flags)
-    d2 = subderivative(psi, x, u, seed=seed)
+    d2 = subderivative(psi, x, u)
     if d2.value == INF:
         return SubderivativeValue(INF, d2.mode, flags=flags + d2.flags)
     mode = "analytic" if d1.mode == d2.mode == "analytic" else "sampled"
     return SubderivativeValue(d1.value + d2.value, mode, flags=flags)
 
 
-def _tangential_qc_exact(pieces_a, pieces_b, x, tol=1e-9):
+def _tangential_qc_exact(pieces_a, pieces_b, x):
     """T_{A cap B}(x) = T_A(x) cap T_B(x), piece by piece (exact for polyhedra)."""
     for P in pieces_a:
         if not P.contains(x):
@@ -424,19 +420,20 @@ def sum_subdifferential(phi: FnObject, psi: FnObject, x) -> SubdifferentialSet:
 # ---------------------------------------------------------------------------
 # qualification conditions
 
-def sampled_tangent_directions(c: Composite, count=12, radius=1e-3, seed=0):
-    """Unit directions toward nearby feasible points of Omega = f^{-1}(dom theta)."""
+def sampled_tangent_directions(c: Composite, count=12, seed=0):
+    """Unit directions toward nearby feasible points of Omega = f^{-1}(dom theta),
+    from points drawn at radius 1e-3 around xbar."""
     oracle = feasible_set_oracle(c)
     rng = np.random.default_rng(seed)
     dirs = []
     for _ in range(count * 3):
         if len(dirs) >= count:
             break
-        z = c.xbar + radius * rng.standard_normal(c.n)
+        z = c.xbar + 1e-3 * rng.standard_normal(c.n)
         w = oracle.project(z)
         d = w - c.xbar
         nd = float(np.linalg.norm(d))
-        if nd > 1e-2 * radius and oracle.violation(w) <= FEASIBLE_SAMPLE:
+        if nd > 1e-5 and oracle.violation(w) <= FEASIBLE_SAMPLE:
             dirs.append(d / nd)
     return dirs
 
@@ -466,8 +463,14 @@ def _linearized_cone_generators(c: Composite, J):
     return out
 
 
-def abadie_check(c: Composite, samples=10, tol=1e-2, seed=0, t_grid=None,
-                 directions=None) -> CQReport:
+ABADIE_SAMPLES = 10  # the Abadie check tests at least this many directions
+ABADIE_TOL = 1e-2  # the derivability ratio it accepts
+# floored: below t ~ 1e-3 quadratic violations drop under tol_feas and
+# membership tolerance would fake derivability
+ABADIE_T_GRID = tuple(1e-1 * 0.5 ** j for j in range(8))
+
+
+def abadie_check(c: Composite, seed=0) -> CQReport:
     """AQC: tangents of Omega = f^{-1}(dom theta) match the linearized cone.
 
     The linearized cone is exact (polyhedral preimage); the tangent side is
@@ -479,8 +482,7 @@ def abadie_check(c: Composite, samples=10, tol=1e-2, seed=0, t_grid=None,
     oracle = feasible_set_oracle(c)
     rng = np.random.default_rng(seed)
     notes = []
-    dirs = list(directions) if directions is not None else []
-    dirs += _linearized_cone_generators(c, J)
+    dirs = _linearized_cone_generators(c, J)
     # sampled tangents toward nearby feasible points always linearize;
     # in oracle mode they are the only reachable source of directions
     sampled = sampled_tangent_directions(c, count=6, seed=seed + 1)
@@ -488,23 +490,20 @@ def abadie_check(c: Composite, samples=10, tol=1e-2, seed=0, t_grid=None,
         if c.tangent_member(J @ d, tol=1e-6):
             dirs.append(d)
     tries = 0
-    while len(dirs) < samples and tries < samples * 80:
+    while len(dirs) < ABADIE_SAMPLES and tries < ABADIE_SAMPLES * 80:
         tries += 1
         u = rng.standard_normal(c.n)
         u /= np.linalg.norm(u)
         if c.tangent_member(J @ u):
             dirs.append(u)
-    if t_grid is None:
-        # floored: below t ~ 1e-3 quadratic violations drop under tol_feas
-        # and membership tolerance would fake derivability
-        t_grid = [1e-1 * 0.5 ** j for j in range(8)]
     witness = None
     inconclusive = False
     skipped = 0
     for u in dirs:
-        rep = geo.derivability_check(oracle, c.xbar, u, t_grid=t_grid, tol_deriv=tol)
+        rep = geo.derivability_check(oracle, c.xbar, u, t_grid=ABADIE_T_GRID,
+                                     tol_deriv=ABADIE_TOL)
         skipped += rep.skipped
-        if rep.max_tail_ratio > 10 * tol:
+        if rep.max_tail_ratio > 10 * ABADIE_TOL:
             witness = np.asarray(u)
             break
         if not rep.passed:
@@ -539,6 +538,9 @@ def msqc_estimate(c: Composite, radius=0.5, samples=30, seed=0) -> CQReport:
     slope is the largest tied one, so the nearest piece's is conservative.
     A zero slope gives kappa_hat = inf, INCONCLUSIVE.  The verdict follows
     ``ratio_stability_estimate``.
+
+    Kept: ``radius`` and ``samples``, which the acceptance criteria set (0.3
+    and 15, 0.3 and 20, 0.5 and 40).
     """
 
     def ratio(z):
@@ -612,7 +614,7 @@ def ratio_stability_estimate(condition, ratio_fn, xbar, radius, samples, seed) -
     return CQReport(condition, INCONCLUSIVE, kappa_hat=kappa_hat, samples=used)
 
 
-def robinson_check(c: Composite, eps_scale=1e-3) -> CQReport:
+def robinson_check(c: Composite) -> CQReport:
     """0 in int{ f(xbar) + J X - dom theta }, via 2m LP feasibility certificates."""
     pieces = c.dom_theta_pieces()
     if pieces is None:
@@ -620,7 +622,7 @@ def robinson_check(c: Composite, eps_scale=1e-3) -> CQReport:
                         notes=["dom theta is the whole space"])
     J = c.f.jacobian(c.xbar)
     m, n = c.m, c.n
-    eps = eps_scale * (1.0 + float(np.linalg.norm(c.ybar)))
+    eps = 1e-3 * (1.0 + float(np.linalg.norm(c.ybar)))
     notes = []
     if len(pieces) > 1:
         notes.append("dom theta is a union; per-direction piece choice")
@@ -658,8 +660,12 @@ class RobustnessReport:
     notes: list = field(default_factory=list)
 
 
-def robustness_check(c: Composite, kappa=None, sequences=5, levels=16, seed=0,
-                     r0=1e-2) -> RobustnessReport:
+ROBUSTNESS_SEQUENCES = 5  # boundary sequences tested
+ROBUSTNESS_LEVELS = 16  # points per sequence, at radii ROBUSTNESS_R0 / 2^k
+ROBUSTNESS_R0 = 1e-2  # the first radius
+
+
+def robustness_check(c: Composite, kappa=None, seed=0) -> RobustnessReport:
     """Limits of nearby subnormals stay in the subnormal cone at xbar.
 
     Samples feasible points x_k -> xbar with normals v_k built from the
@@ -679,20 +685,20 @@ def robustness_check(c: Composite, kappa=None, sequences=5, levels=16, seed=0,
     lines_bar = Theta.A_eq
     max_violation = 0.0
     done = skipped = 0
-    for _ in range(sequences * 3):
-        if done >= sequences:
+    for _ in range(ROBUSTNESS_SEQUENCES * 3):
+        if done >= ROBUSTNESS_SEQUENCES:
             break
         d = rng.standard_normal(c.n)
         d /= np.linalg.norm(d)
-        if oracle.feasible(c.xbar + r0 * d):
+        if oracle.feasible(c.xbar + ROBUSTNESS_R0 * d):
             d = -d
-            if oracle.feasible(c.xbar + r0 * d):
+            if oracle.feasible(c.xbar + ROBUSTNESS_R0 * d):
                 continue  # interior direction pair: nothing to test
         weights = rng.random(max(1, Theta.A_ineq.shape[0]))
         eq_weights = rng.normal(size=Theta.A_eq.shape[0]) if Theta.A_eq.shape[0] else None
         tail = []
-        for k in range(levels):
-            r = r0 * 2.0 ** (-k)
+        for k in range(ROBUSTNESS_LEVELS):
+            r = ROBUSTNESS_R0 * 2.0 ** (-k)
             xk = oracle.project(c.xbar + r * d)
             if oracle.violation(xk) == INF:
                 skipped += 1

@@ -500,8 +500,7 @@ def _cmd_cq(args):
     if which in ("abadie", "all"):
         reports["abadie"] = calculus.abadie_check(comp, seed=args.seed)
     if which in ("msqc", "all"):
-        reports["msqc"] = calculus.msqc_estimate(comp, radius=args.radius,
-                                                 samples=args.samples, seed=args.seed)
+        reports["msqc"] = calculus.msqc_estimate(comp, seed=args.seed)
     if which in ("robinson", "all"):
         reports["robinson"] = calculus.robinson_check(comp)
     out = {"point": [float(v) for v in x], "tool_version": __version__}
@@ -604,8 +603,6 @@ def build_parser():
     common(sp, kappa=False)
     sp.add_argument("--which", choices=["abadie", "msqc", "robinson", "all"],
                     default="all")
-    sp.add_argument("--radius", type=float, default=0.5)
-    sp.add_argument("--samples", type=int, default=30)
     sp.set_defaults(fn=_cmd_cq)
 
     sp = sub.add_parser("recheck", help="re-verify a certificate without LPs")

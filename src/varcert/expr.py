@@ -245,9 +245,10 @@ class _Parser:
 def parse(text: str, declared_vars) -> Expr:
     """Parse ``text`` over the declared variable names (order fixes indices).
 
-    The root keeps the number of declared names (``_nvars``), the largest
-    variable index (``_top``), whether an exponent contains a variable
-    (``_var_power``) and its closure state (``_closure``, see ``_run``).
+    The root keeps the source text (``_text``), the number of declared names
+    (``_nvars``), the largest variable index (``_top``), whether an exponent
+    contains a variable (``_var_power``) and its closure state (``_closure``,
+    see ``_run``).
     """
     if not text or not text.strip():
         raise ExprSyntaxError(0, "empty expression")
@@ -265,57 +266,12 @@ def parse(text: str, declared_vars) -> Expr:
             closure = _compile(_source(root))
         except (SyntaxError, RecursionError):
             raise ExprSyntaxError(0, "expression nested too deeply") from None
+    object.__setattr__(root, "_text", text)
     object.__setattr__(root, "_nvars", len(names))
     object.__setattr__(root, "_top", parser.top)
     object.__setattr__(root, "_var_power", parser.var_power)
     object.__setattr__(root, "_closure", closure)
     return root
-
-
-# ---------------------------------------------------------------------------
-# unparsing
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
-
-
-def _is_atomlike(e):
-    return isinstance(e, (Num, Var, Call, Neg))
-
-
-def _render(e, parent_prec, right_side):
-    if isinstance(e, Num):
-        v = e.value
-        if float(v).is_integer() and abs(v) < 1e15:
-            return str(int(v))
-        return repr(v)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Call):
-        inner = ", ".join(_render(a, 0, False) for a in e.args)
-        return f"{e.func}({inner})"
-    if isinstance(e, Neg):
-        body = _render(e.arg, 0, False) if not _is_atomlike(e.arg) else None
-        if body is not None:
-            return f"-({body})"
-        return "-" + _render(e.arg, 99, False)
-    if isinstance(e, BinOp):
-        p = _PREC[e.op]
-        if e.op == "^":
-            # grammar requires atoms on both sides of ^
-            lhs = _render(e.lhs, 99, False) if _is_atomlike(e.lhs) else "(" + _render(e.lhs, 0, False) + ")"
-            rhs = _render(e.rhs, 99, False) if _is_atomlike(e.rhs) else "(" + _render(e.rhs, 0, False) + ")"
-            return f"{lhs}^{rhs}"
-        lhs = _render(e.lhs, p, False)
-        rhs = _render(e.rhs, p + 1, True)  # - and / are left-associative
-        s = f"{lhs} {e.op} {rhs}"
-        if p < parent_prec:
-            return "(" + s + ")"
-        return s
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
-def unparse(e: Expr) -> str:
-    return _render(e, 0, False)
 
 
 # ---------------------------------------------------------------------------

@@ -73,14 +73,11 @@ class FnObject:
 class SmoothFn(FnObject):
     """Expression-backed continuously differentiable function."""
 
-    def __init__(self, e, n=None, var_names=None):
+    def __init__(self, e, n=None):
         if isinstance(e, str):
-            if var_names is None:
-                var_names = [f"x{i+1}" for i in range(n)]
-            e = expr_mod.parse(e, var_names)
+            e = expr_mod.parse(e, [f"x{i+1}" for i in range(n)])
         self.e = e
         self.n = n if n is not None else getattr(e, "_nvars")
-        self.var_names = var_names
 
     def value(self, x):
         self._check(x)
@@ -94,19 +91,15 @@ class SmoothFn(FnObject):
 class OracleFn(FnObject):
     """Black-box function; all variational data is sampled."""
 
-    def __init__(self, fn, n, dom=None, candidate_fn=None, t_floor=0.0):
+    def __init__(self, fn, n, candidate_fn=None, t_floor=0.0):
         self.fn = fn
         self.n = n
-        self._dom = dom
         self.candidate_fn = candidate_fn
         self.t_floor = t_floor
 
     def value(self, x):
         self._check(x)
         return float(self.fn(np.asarray(x, dtype=float)))
-
-    def dom_pieces(self):
-        return self._dom
 
 
 class IndicatorFn(FnObject):
@@ -165,7 +158,7 @@ class PLQFunction(FnObject):
 
     t_floor = 1e-6
 
-    def __init__(self, pieces, validate=True, consistency_tol=1e-8, seed=0):
+    def __init__(self, pieces, validate=True):
         self.pieces = []
         n = None
         for omega, B, b, beta in pieces:
@@ -179,10 +172,13 @@ class PLQFunction(FnObject):
         self.n = n
         self._convex = None
         if validate:
-            self._validate_consistency(consistency_tol, seed)
+            self._validate_consistency()
 
-    def _validate_consistency(self, tol, seed):
-        rng = np.random.default_rng(seed)
+    def _validate_consistency(self):
+        """Pieces agree to 1e-8 relative at the Chebyshev center of each
+        overlap and at four vertices of it (LPs with random costs, boxed to
+        within 1 of the center)."""
+        rng = np.random.default_rng(0)
         for i in range(len(self.pieces)):
             for j in range(i + 1, len(self.pieces)):
                 inter = Polyhedron.intersection(self.pieces[i].omega, self.pieces[j].omega)
@@ -203,7 +199,7 @@ class PLQFunction(FnObject):
                         probes.append(sol.x)
                 for p in probes:
                     vi, vj = self.pieces[i].quad(p), self.pieces[j].quad(p)
-                    if abs(vi - vj) > tol * (1.0 + abs(vi)):
+                    if abs(vi - vj) > 1e-8 * (1.0 + abs(vi)):
                         raise ValueError(
                             f"PLQ pieces {i} and {j} disagree at {p}: {vi} vs {vj}"
                         )
@@ -218,11 +214,11 @@ class PLQFunction(FnObject):
     def dom_pieces(self):
         return [p.omega for p in self.pieces]
 
-    def active_pieces(self, x, tol=geo.TOL_FEAS):
-        return [p for p in self.pieces if p.omega.contains(x, tol)]
+    def active_pieces(self, x):
+        return [p for p in self.pieces if p.omega.contains(x)]
 
-    def is_convex(self, samples=500, seed=0):
-        """B_i all PSD plus sampled midpoint convexity over the domain."""
+    def is_convex(self):
+        """B_i all PSD plus midpoint convexity at 500 sampled pairs over the domain."""
         if self._convex is not None:
             return self._convex
         ok = True
@@ -232,10 +228,10 @@ class PLQFunction(FnObject):
                 ok = False
                 break
         if ok:
-            rng = np.random.default_rng(seed)
-            pts = self._sample_domain(rng, max(40, samples // 10))
+            rng = np.random.default_rng(0)
+            pts = self._sample_domain(rng, 50)
             if len(pts) >= 2:
-                for _ in range(samples):
+                for _ in range(500):
                     a = pts[rng.integers(0, len(pts))]
                     b = pts[rng.integers(0, len(pts))]
                     m = 0.5 * (a + b)
@@ -556,12 +552,12 @@ def _analytic_subderivative(fn, x, u):
     return None
 
 
-def subderivative(fn: FnObject, x, u, seed=0) -> SubderivativeValue:
+def subderivative(fn: FnObject, x, u) -> SubderivativeValue:
     """Directional subderivative; analytic for structured objects, else sampled."""
     val = _analytic_subderivative(fn, x, u)
     if val is not None:
         return SubderivativeValue(value=val, mode="analytic")
-    return subderivative_sampled(fn, x, u, seed=seed)
+    return subderivative_sampled(fn, x, u)
 
 
 def _level_quotients(fn, x, u, rng):
@@ -704,7 +700,10 @@ def _union_domain_normal_cone(omegas, x) -> PolyhedralCone:
     return PolyhedralCone.from_halfspaces(G, H, n=n)
 
 
-def rel_lipschitz_estimate(fn: FnObject, x, radius, samples=60, seed=0) -> float:
+REL_LIPSCHITZ_SAMPLES = 60  # points drawn by the relative-Lipschitz estimate
+
+
+def rel_lipschitz_estimate(fn: FnObject, x, radius, seed=0) -> float:
     """Lower estimate of the relative Lipschitz constant on dom(fn) near x."""
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(seed)
@@ -715,7 +714,7 @@ def rel_lipschitz_estimate(fn: FnObject, x, radius, samples=60, seed=0) -> float
     if math.isfinite(fn.value(x)):
         pts.append(x)
         vals.append(fn.value(x))
-    for _ in range(samples):
+    for _ in range(REL_LIPSCHITZ_SAMPLES):
         step = rng.standard_normal(n)
         nrm = float(np.linalg.norm(step))
         if nrm == 0:

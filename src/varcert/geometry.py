@@ -55,13 +55,14 @@ def _as_vector(v, k):
     return v
 
 
-def nullspace(M, tol=1e-10):
-    """Orthonormal basis (columns) of the null space of M."""
+def nullspace(M):
+    """Orthonormal basis (columns) of the null space of M: singular values at
+    most 1e-10 times the largest (or 1) count as zero."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[0] == 0:
         return np.eye(M.shape[1])
     _, s, Vt = np.linalg.svd(M)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if len(s) else 1.0)))
+    rank = int(np.sum(s > 1e-10 * max(1.0, s[0] if len(s) else 1.0)))
     return Vt[rank:].T
 
 
@@ -171,8 +172,9 @@ class Polyhedron:
         res = self.A_ineq @ np.asarray(x, dtype=float) - self.b_ineq
         return [int(i) for i in np.nonzero(res >= -tol_active)[0]]
 
-    def chebyshev_center(self, cap=1e3):
-        """A point deep inside the set (LP); raises EmptySetError if empty."""
+    def chebyshev_center(self):
+        """A point deep inside the set (LP), within the box |x_i| <= 1e3 and
+        with a radius of at most 1e3; raises EmptySetError if empty."""
         if self.is_empty():
             raise EmptySetError("polyhedron is empty")
         norms = np.linalg.norm(self.A_ineq, axis=1) if self.A_ineq.shape[0] else np.zeros(0)
@@ -189,10 +191,10 @@ class Polyhedron:
             b.append(self.b_eq[i])
             senses.append("=")
         if not A:
-            return np.zeros(n), cap
+            return np.zeros(n), 1e3
         c = np.zeros(n + 1)
         c[-1] = -1.0
-        bounds = [(-cap, cap)] * n + [(0.0, cap)]
+        bounds = [(-1e3, 1e3)] * n + [(0.0, 1e3)]
         sol = lp_solve(LPProblem(c=c, A=np.array(A), b=np.array(b), senses=senses, bounds=bounds))
         if sol.status != OPTIMAL:
             raise EmptySetError("chebyshev center LP failed")
@@ -280,15 +282,15 @@ class PolyhedralCone:
             out.lines = self.H.copy()
         return out
 
-    def same_set(self, other, tol=1e-7):
-        """Mutual membership of generators (and +/- lines) in both cones."""
+    def same_set(self, other):
+        """Mutual membership of generators (and +/- lines) in both cones, to 1e-7."""
         for a, b in ((self, other), (other, self)):
             rays, lines = a.ensure_generators()
             for r in rays:
-                if not b.contains(r, tol):
+                if not b.contains(r, 1e-7):
                     return False
             for l in lines:
-                if not (b.contains(l, tol) and b.contains(-l, tol)):
+                if not (b.contains(l, 1e-7) and b.contains(-l, 1e-7)):
                     return False
         return True
 
@@ -313,11 +315,11 @@ def _orth_complement_within(NH, L):
     return U[:, :rank]
 
 
-def _pointed_cone_rays(Gr, tol=1e-9):
+def _pointed_cone_rays(Gr):
     """Extreme rays of the pointed cone {w : Gr w <= 0} in R^d."""
     p, d = Gr.shape
     scale = 1.0 + float(np.max(np.abs(Gr))) if Gr.size else 1.0
-    feas_tol = tol * scale
+    feas_tol = 1e-9 * scale
     if d == 1:
         out = []
         for w in (np.array([1.0]), np.array([-1.0])):
@@ -487,8 +489,9 @@ class SampledSetOracle:
         return float(np.linalg.norm(z - self.project(z)))
 
 
-def default_t_grid(t0=1e-2, rho=0.5, levels=20):
-    return [t0 * rho ** j for j in range(levels)]
+def default_t_grid():
+    """The 20 levels 1e-2 * 0.5^j of the difference-quotient and derivability grids."""
+    return [1e-2 * 0.5 ** j for j in range(20)]
 
 
 @dataclass
@@ -501,8 +504,9 @@ class DerivabilityReport:
     skipped: int = 0
 
 
-def derivability_check(target, x, u, t_grid=None, tol_deriv=1e-6, tail=5) -> DerivabilityReport:
-    """Verify dist(x + t u; set)/t -> 0 along a geometric grid.
+def derivability_check(target, x, u, t_grid=None, tol_deriv=1e-6) -> DerivabilityReport:
+    """Verify dist(x + t u; set)/t -> 0 along a geometric grid: the largest
+    ratio over the last 5 usable levels is at most ``tol_deriv``.
 
     ``target`` is a Polyhedron (the direction must then lie in the tangent
     cone), a PolyhedralCone, or a SampledSetOracle.
@@ -524,7 +528,7 @@ def derivability_check(target, x, u, t_grid=None, tol_deriv=1e-6, tail=5) -> Der
     ratios = [dist_fn(x + t * u) / t for t in t_grid]
     # an infinite distance is a sample without an estimate: skip it
     usable = [r for r in ratios if r < np.inf]
-    max_tail = float(max(usable[-tail:], default=np.nan))
+    max_tail = float(max(usable[-5:], default=np.nan))
     return DerivabilityReport(ratios=ratios, max_tail_ratio=max_tail,
                               passed=max_tail <= tol_deriv, tol=tol_deriv, t_grid=list(t_grid),
                               skipped=len(ratios) - len(usable))

@@ -258,7 +258,11 @@ def certify(p: SDProblem, xbar, kappa, seed=42) -> Certificate:
 
 
 def reduce_to_sip(p: SDProblem) -> SIProblem:
-    """Sphere-chart reduction theta(x, angles) = <s(angles), Phi(x) s(angles)>, m <= 3."""
+    """Sphere-chart reduction theta(x, angles) = <s(angles), Phi(x) s(angles)>, m <= 3.
+
+    theta is written from the source text that each entry and the objective
+    were parsed from (``expr.parse`` keeps it on the root), so it parses to
+    the entries' own trees."""
     m = p.m
     if m > 3:
         raise DimensionTooLargeError("sphere chart available only for m <= 3")
@@ -274,7 +278,5 @@ def reduce_to_sip(p: SDProblem) -> SIProblem:
     terms = []
     for i in range(m):
         for j in range(m):
-            entry = expr_mod.unparse(p.Phi[i][j])
-            terms.append(f"({entry})*({comps[i]})*({comps[j]})")
-    theta = " + ".join(terms)
-    return SIProblem.from_strings(p.n, expr_mod.unparse(p.objective), theta=theta, S=box)
+            terms.append(f"({p.Phi[i][j]._text})*({comps[i]})*({comps[j]})")
+    return SIProblem.from_strings(p.n, p.objective._text, theta=" + ".join(terms), S=box)

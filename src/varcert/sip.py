@@ -270,7 +270,12 @@ def sup_violation(p: SIProblem, x, density=None):
 
 def sup_abs_equality(p: SIProblem, x, density=None):
     """(sup_t |psi(x,t)|, argmax t, sign of psi there) over the equality
-    index box; the argmax is None while the sup is 0."""
+    index box; the argmax is None while the sup is 0.
+
+    Kept: ``density``, for ``sip --grid N``: ``certify`` builds the T columns
+    at density N but calls this sup at the default density, an open defect
+    (FOUND in CHANGES.md).
+    """
     if p.psi is None:
         return 0.0, None, 1.0
     x = np.asarray(x, dtype=float)
@@ -408,9 +413,14 @@ def violation_slope(p: SIProblem, z):
     return g, float(np.linalg.norm(min_norm_point(np.array(cols).T))) / g
 
 
-def sip_kappa_estimate(p: SIProblem, xbar, radius=0.25, samples=30, seed=0) -> CQReport:
-    """Ratio scheme with dist(z; feasible set) estimated as g(z) / |grad g|(z),
-    the violation over its strong slope: each sample's ratio is 1 / slope."""
+def sip_kappa_estimate(p: SIProblem, xbar, samples=30, seed=0) -> CQReport:
+    """Ratio scheme at radius 0.25 with dist(z; feasible set) estimated as
+    g(z) / |grad g|(z), the violation over its strong slope: each sample's
+    ratio is 1 / slope.
+
+    Kept: ``samples``, which ``perfbench/spans.py`` reads from the signature
+    for ``samples_used_frac``.
+    """
 
     def ratio(z):
         g, slope = violation_slope(p, z)
@@ -418,10 +428,10 @@ def sip_kappa_estimate(p: SIProblem, xbar, radius=0.25, samples=30, seed=0) -> C
             return None
         return 1.0 / slope if slope > 0.0 else math.inf
 
-    return ratio_stability_estimate("SIP-MSQC", ratio, xbar, radius, samples, seed)
+    return ratio_stability_estimate("SIP-MSQC", ratio, xbar, 0.25, samples, seed)
 
 
-def emfcq_check(p: SIProblem, xbar, tol=1e-7) -> CQReport:
+def emfcq_check(p: SIProblem, xbar) -> CQReport:
     """Extended MFCQ: some u has <grad_x theta(xbar,s), u> < 0 on every active s.
     The direction LP min tau s.t. <c_s, u> <= tau, u in the unit box, gains
     the rows that ``active_indexes`` prices above tau at its u."""
@@ -441,7 +451,7 @@ def emfcq_check(p: SIProblem, xbar, tol=1e-7) -> CQReport:
         if new is None:
             break
         rows.append(new[1])
-    if sol.objective < -tol:
+    if sol.objective < -1e-7:
         return CQReport("EMFCQ", VERIFIED, witness=sol.x[:n], confidence="sampling",
                         notes=[f"max inner product {sol.objective:.3e} on sampled active set"])
     return CQReport("EMFCQ", REFUTED, confidence="sampling",

@@ -33,6 +33,7 @@ UNBOUNDED = "unbounded"
 
 _RC_TOL = 1e-9
 _PIVOT_TOL = 1e-9
+_MAX_PIVOTS = 20000  # per simplex phase
 
 
 @dataclass
@@ -150,13 +151,13 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _simplex_loop(T, basis, allowed, obj_row, max_iter=20000):
+def _simplex_loop(T, basis, allowed, obj_row):
     """Bland's rule iteration on the bottom objective row. Returns status."""
     it = 0
     while True:
         it += 1
-        if it > max_iter:
-            raise NonConvergenceError(max_iter, "simplex iteration limit")
+        if it > _MAX_PIVOTS:
+            raise NonConvergenceError(_MAX_PIVOTS, "simplex iteration limit")
         rc = T[obj_row, :-1]
         col = -1
         for j in allowed:

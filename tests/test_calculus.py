@@ -164,8 +164,9 @@ def soc_halfspace_composite():
     return Composite(theta, f, [0.0, 0.0, 0.0], domain_oracle=oracle)
 
 
-def test_abadie_check_oracle_domain_cone_fixture():
-    rep = abadie_check(soc_halfspace_composite(), samples=8, seed=3)
+def test_abadie_check_oracle_domain_cone_fixture(monkeypatch):
+    monkeypatch.setattr(calc, "ABADIE_SAMPLES", 8)
+    rep = abadie_check(soc_halfspace_composite(), seed=3)
     assert rep.verdict == calc.VERIFIED
 
 
@@ -447,11 +448,12 @@ def test_chain_subdifferential_indicator_matches_inverse_image_cone():
         assert S.contains(v, 1e-7) == cone.contains(v, 1e-7)
 
 
-def test_samplers_skip_and_count_points_outside_dom_f():
+def test_samplers_skip_and_count_points_outside_dom_f(monkeypatch):
     """f1 = log(x1) at x1 = 0.1: samples reach x1 <= 0, where f has no
     image; the robustness sampler skips them and says so."""
+    monkeypatch.setattr(calc, "ROBUSTNESS_R0", 0.2)
     f = SmoothMap.from_strings(["log(x1)", "x2"], ["x1", "x2"])
     c = Composite(IndicatorFn(Polyhedron(np.eye(2), np.zeros(2))), f, [0.1, 0.0])
-    rep = robustness_check(c, kappa=1.0, r0=0.2)
+    rep = robustness_check(c, kappa=1.0)
     assert rep.status == "VERIFIED"
     assert any(note.endswith("samples outside dom f skipped") for note in rep.notes)

@@ -197,6 +197,15 @@ def test_primal_and_cq_commands(tmp_path):
     assert rep["robinson"]["verdict"] == "VERIFIED"
 
 
+def test_cq_has_no_radius_option(tmp_path, capsys):
+    """The MSQC sampler's radius and sample count are the library's defaults:
+    ``cq --radius`` is a usage error, exit 3, with no traceback."""
+    prob = write_problem(tmp_path, orthant_doc())
+    assert cli.run(["cq", "-p", prob, "--point", "0,0", "--radius", "0.3"]) == 3
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --radius 0.3" in err and "Traceback" not in err
+
+
 def test_subderiv_command(tmp_path):
     prob = write_problem(tmp_path, orthant_doc())
     out = str(tmp_path / "sd.json")

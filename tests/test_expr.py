@@ -189,29 +189,6 @@ def test_grad_linearity_and_chain_rule_structure():
         assert np.allclose(expr.grad(enest, x), math.cos(gval) * expr.grad(ea, x), atol=1e-9)
 
 
-def test_unparse_reparse_roundtrip_random():
-    rng = np.random.default_rng(3)
-    names = ["x1", "x2", "x3"]
-    for _ in range(200):
-        e = expr.parse(random_expr(rng, names, 3), names)
-        assert expr.parse(expr.unparse(e), names) == e
-
-
-def test_unparse_roundtrip_tricky_cases():
-    names = ["x1", "x2"]
-    for text in [
-        "x1 - (x2 - 1)",
-        "x1 / (x2 * x1)",
-        "-(x1 + x2)",
-        "(x1 + x2)^(x1 - x2)",
-        "-x1^2",
-        "max(x1, min(x1, x2))",
-        "2 - -x1",
-    ]:
-        e = expr.parse(text, names)
-        assert expr.parse(expr.unparse(e), names) == e
-
-
 def test_smoothmap_eval_and_jacobian():
     m = expr.SmoothMap.from_strings(["x1^2 - x2", "x1*x2", "sin(x1)"], ["x1", "x2"])
     x = np.array([0.7, -0.4])

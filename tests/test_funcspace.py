@@ -185,15 +185,16 @@ def test_positive_homogeneity():
         assert d1 == pytest.approx(lam * d2, abs=1e-6 * lam)
 
 
-def test_domain_of_subderivative_is_tangent_cone():
+def test_domain_of_subderivative_is_tangent_cone(monkeypatch):
     # dom d(phi)(x) = T_dom(x), checked on sampled directions, and
     # |d(phi)(x)(u)| <= lhat * ||u|| there
     rng = np.random.default_rng(4)
     P = Polyhedron([[1.0, 1.0], [1.0, -1.0]], [0.0, 0.0])
+    monkeypatch.setattr(fs, "REL_LIPSCHITZ_SAMPLES", 80)
     for fn in (IndicatorFn(P), plq_abs()):
         x = np.zeros(fn.n)
         dom = fn.dom_pieces()
-        lhat = rel_lipschitz_estimate(fn, x, 0.5, samples=80, seed=5)
+        lhat = rel_lipschitz_estimate(fn, x, 0.5, seed=5)
         for _ in range(40):
             u = rng.standard_normal(fn.n)
             u /= np.linalg.norm(u)
@@ -207,12 +208,15 @@ def test_domain_of_subderivative_is_tangent_cone():
                 assert abs(d) <= lhat * np.linalg.norm(u) + 1e-8
 
 
-def test_rel_lipschitz_examples():
-    assert rel_lipschitz_estimate(plq_abs(), [0.0], 0.5, samples=80) == pytest.approx(1.0, abs=0.05)
+def test_rel_lipschitz_examples(monkeypatch):
+    monkeypatch.setattr(fs, "REL_LIPSCHITZ_SAMPLES", 80)
+    assert rel_lipschitz_estimate(plq_abs(), [0.0], 0.5) == pytest.approx(1.0, abs=0.05)
     ind = orthant_indicator()
-    assert rel_lipschitz_estimate(ind, [-0.5, -0.5], 0.3, samples=40) == 0.0
+    monkeypatch.setattr(fs, "REL_LIPSCHITZ_SAMPLES", 40)
+    assert rel_lipschitz_estimate(ind, [-0.5, -0.5], 0.3) == 0.0
     sq = PLQFunction([(Polyhedron.box([(-1.0, 1.0)]), [[1.0]], [0.0], 0.0)])
-    lhat = rel_lipschitz_estimate(sq, [0.0], 1.0, samples=120, seed=7)
+    monkeypatch.setattr(fs, "REL_LIPSCHITZ_SAMPLES", 120)
+    lhat = rel_lipschitz_estimate(sq, [0.0], 1.0, seed=7)
     assert 1.7 <= lhat <= 2.0 + 1e-9
 
 

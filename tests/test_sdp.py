@@ -85,6 +85,16 @@ def test_reduce_to_sip_examples():
         reduce_to_sip(big)
 
 
+def test_reduce_to_sip_keeps_an_overflowing_literal():
+    """1e999 parses to inf; theta is written from the entry's text, which
+    parses again, where rendering the tree would write the name 'inf'."""
+    p = SDProblem.from_strings(1, "-x1", [["min(x1, 1e999)", "0"], ["0", "-1"]])
+    assert p.phi_value([-2.0])[0, 0] == -2.0
+    q = reduce_to_sip(p)
+    assert sip.sup_violation(q, [-2.0])[0] == 0.0
+    assert sip.sup_violation(q, [1.0])[0] == 1.0
+
+
 def fmt(v):
     return repr(float(v))
 

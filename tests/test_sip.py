@@ -93,7 +93,7 @@ def test_sip_kappa_estimate_examples():
     rep = sip_kappa_estimate(p_cubic, [0.0], seed=3)
     assert rep.diverging
     p_slack = SIProblem.from_strings(1, "x1", theta="s1*x1 - 1", S=[(0.0, 1.0)])
-    rep = sip_kappa_estimate(p_slack, [0.0], radius=0.25, seed=3)
+    rep = sip_kappa_estimate(p_slack, [0.0], seed=3)
     assert rep.verdict == VERIFIED
     assert rep.kappa_hat == 0.0
 
