@@ -1,14 +1,16 @@
 """Stationarity certification for: minimize objective(x) subject to f(x) in Theta.
 
-Two certificate kinds: the primal descent-cone test (no linearized
-feasible direction is a descent direction) and the dual KKT certificate
-with the bounded-multiplier estimate ||lambda|| <= kappa ||grad|| (or
-ell*kappa for piecewise objectives).
+Both certificate kinds read one least-norm fit of J^T lambda = -grad over
+N_Theta(f(xbar)) (``_fit``), which answers both sides of one Farkas
+alternative.  A multiplier is the primal certificate's witness that no
+linearized feasible direction descends, and the dual KKT certificate checks
+||lambda|| <= kappa ||grad|| (ell*kappa for piecewise objectives) on it.
+Without one, both kinds store the fit's descent direction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,8 +32,8 @@ from .funcspace import (
     SmoothFn,
     rel_lipschitz_estimate,
 )
-from .geometry import Polyhedron, tangent_cone
-from .solvers import OPTIMAL, LPProblem, least_norm_multiplier, lp_solve
+from .geometry import Polyhedron
+from .solvers import least_norm_multiplier
 
 TOL_STAT = 1e-7
 TOL_CONE = 1e-8
@@ -111,42 +113,15 @@ def _objective_gradients(p: ConstrainedProblem, x):
 
 
 def primal_check(p: ConstrainedProblem, xbar, seed=42) -> Certificate:
-    """No linearized feasible direction descends: min <g,u> over the
-    linearized cone (boxed) is >= -tol."""
-    xbar, ybar = _check_feasible(p, xbar)
-    T = tangent_cone(p.Theta, ybar)
-    J = p.f.jacobian(xbar)
-    G = T.G @ J if T.G.shape[0] else np.zeros((0, p.n))
-    H = T.H @ J if T.H.shape[0] else np.zeros((0, p.n))
-    grads, obj_kind = _objective_gradients(p, xbar)
-    worst = (0.0, None)
-    for gi, g in enumerate(grads):
-        rows = [G, H]
-        senses = ["<="] * G.shape[0] + ["="] * H.shape[0]
-        if obj_kind == "plq":
-            # restrict to directions staying in the active piece of the objective
-            piece = p.objective.active_pieces(xbar)[gi]
-            Tp = tangent_cone(piece.omega, xbar)
-            rows += [Tp.G, Tp.H]
-            senses += ["<="] * Tp.G.shape[0] + ["="] * Tp.H.shape[0]
-        A = np.vstack([M for M in rows if M.shape[0]]) if any(M.shape[0] for M in rows) \
-            else np.zeros((0, p.n))
-        b = np.zeros(A.shape[0])
-        sol = lp_solve(LPProblem(c=g, A=A, b=b, senses=senses[: A.shape[0]],
-                                 bounds=[(-1.0, 1.0)] * p.n))
-        if sol.status != OPTIMAL:
-            continue
-        if sol.objective < worst[0]:
-            worst = (sol.objective, sol.x)
-    opt, witness = worst
-    status = VERIFIED if opt >= -TOL_STAT else REFUTED
-    return Certificate(
-        kind="Primal", status=status, point=xbar,
-        descent_witness=None if status == VERIFIED else witness,
-        residual=max(0.0, -opt),
-        tolerances={"tol_stat": TOL_STAT}, seed=seed,
-        notes=[f"descent LP optimum {opt:.3e}"],
-    )
+    """No linearized feasible direction descends.  VERIFIED stores the fit's
+    multiplier; no bound is claimed, so the ladder stops at its RESIDUAL
+    rung.  REFUTED stores the fit's descent witness."""
+    cert, _ = _fit(p, xbar, "Primal", seed)
+    if cert.descent_witness is not None:
+        return cert
+    status, detail = verdict(cert.residual, cert.bound_lhs, np.inf, TOL_STAT, TOL_BOUND)
+    return replace(cert, status=status, detail=detail, bound_lhs=None,
+                   notes=[f"least-norm multiplier residual {cert.residual:.3e}"])
 
 
 def resolve_kappa(kappa, estimate):
@@ -178,12 +153,12 @@ def verdict(residual, lhs, rhs, tol_stat, tol_bound):
 
 
 def checked(found):
-    """(residual, lhs) of a condition function's (failures, residual, lhs);
-    a failure raises, so no certificate is issued that its checker rejects."""
-    failures, residual, lhs = found
+    """The values of a condition function's (failures, *values); a failure
+    raises, so no certificate is issued that its checker rejects."""
+    failures, *values = found
     if failures:
-        raise NumericalBreakdownError("the multiplier fails its own check: " + "; ".join(failures))
-    return residual, lhs
+        raise NumericalBreakdownError("the witness fails its own check: " + "; ".join(failures))
+    return values
 
 
 def kkt_conditions(p: ConstrainedProblem, y, J, g, lam, w, ab):
@@ -211,22 +186,35 @@ def kkt_conditions(p: ConstrainedProblem, y, J, g, lam, w, ab):
     return failures, float(np.linalg.norm(g + J.T @ lam)), float(np.linalg.norm(lam))
 
 
-def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42) -> Certificate:
-    """Recover the lambda of least Euclidean norm in N_Theta(ybar) with
-    J^T lambda = -g, and check the bounded-multiplier estimate on it."""
+def descent_conditions(p: ConstrainedProblem, y, J, grads, d):
+    """(failures, descent) of a descent witness d, from the image y = f(x),
+    the Jacobian J and the objective gradients at its point (one, or the
+    active pieces' of a PLQ objective): y is in Theta, J d is in the
+    linearized cone to TOL_STAT (1 + ||J d||), and descent = -max <g, d>
+    exceeds TOL_STAT."""
+    Th = p.Theta
+    failures = []
+    if not Th.contains(y):
+        failures.append(f"infeasible point: residual {Th.residual(y):.3e}")
+    v = J @ d
+    rows = np.vstack([Th.A_ineq[Th.active_rows(y)], Th.A_eq, -Th.A_eq])
+    if float(np.max(rows @ v, initial=-np.inf)) > TOL_STAT * (1.0 + float(np.linalg.norm(v))):
+        failures.append("descent witness leaves the linearized cone")
+    descent = -max(float(g @ d) for g in grads)
+    if not descent > TOL_STAT:  # a NaN fails
+        failures.append(f"descent witness does not descend: slope {-descent:.3e}")
+    return failures, descent
+
+
+def _fit(p: ConstrainedProblem, xbar, kind, seed):
+    """(certificate, objective gradients): the lam of least Euclidean norm in
+    N_Theta(ybar) with J^T lam = -g and bound_lhs ||lam||, no status yet; or
+    REFUTED, when there is none, with least_norm_multiplier's Farkas
+    direction at max-norm 1 as descent_witness and its descent as residual."""
     xbar, ybar = _check_feasible(p, xbar)
     J = p.f.jacobian(xbar)
-    kappa_val, kappa_source, rep = resolve_kappa(kappa, lambda: calc.msqc_estimate(
-        calc.Composite(IndicatorFn(p.Theta), p.f, xbar), seed=seed))
-    notes = []
-    if rep is not None:
-        notes.append(f"msqc_estimate kappa_hat={rep.kappa_hat:.4g}" if kappa_val is not None
-                     else f"msqc_estimate verdict {rep.verdict}")
-
-    act = p.Theta.active_rows(ybar)
-    G_act = p.Theta.A_ineq[act] if act else np.zeros((0, p.m))
-    E = p.Theta.A_eq
-    r, l = G_act.shape[0], E.shape[0]
+    act, E = p.Theta.active_rows(ybar), p.Theta.A_eq
+    r, l = len(act), len(E)
     grads, obj_kind = _objective_gradients(p, xbar)
 
     Jx, target, cols = J, -grads[0], None
@@ -241,28 +229,46 @@ def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42) -> 
         cols = np.vstack([np.hstack([Gm.T, dr.T, dl.T, -dl.T]),
                           np.concatenate([np.ones(len(Gm)), np.zeros(len(dr) + 2 * len(dl))])])
         Jx, target = np.hstack([J, np.zeros((p.m, 1))]), np.append(np.zeros(p.n), 1.0)
-    fit = least_norm_multiplier(Jx, target, G_act.T, E.T, extra=cols, tol=TOL_STAT)
-    if fit is None:
-        raise NoMultiplierError("stationarity system infeasible: not dual-stationary")
+    fit = least_norm_multiplier(Jx, target, p.Theta.A_ineq[act].T, E.T, extra=cols, tol=TOL_STAT)
+    cert = Certificate(kind=kind, status=None, point=xbar, tolerances={"tol_stat": TOL_STAT},
+                       seed=seed)
+    if not isinstance(fit, tuple):  # the witness is the x part of the direction
+        d = fit[:p.n] / float(np.max(np.abs(fit[:p.n])))
+        (descent,) = checked(descent_conditions(p, ybar, J, grads, d))
+        return replace(cert, status=REFUTED, descent_witness=d, residual=descent,
+                       notes=[f"descent slope {-descent:.3e} along the witness"]), grads
     z, lam = fit
     grad_used = grads[0] if cols is None else cols[:-1] @ z[r + 2 * l:]
-    w, ab = z[:r], z[r:r + 2 * l]
-    gen_weights = np.zeros(p.Theta.A_ineq.shape[0])
-    gen_weights[act] = w
-    residual, bound_lhs = checked(kkt_conditions(p, ybar, J, grad_used, lam, gen_weights, ab))
-    if obj_kind == "smooth":
-        scale = float(np.linalg.norm(grad_used))
+    ab, gen_weights = z[r:r + 2 * l], np.zeros(p.Theta.A_ineq.shape[0])
+    gen_weights[act] = z[:r]
+    residual, lhs = checked(kkt_conditions(p, ybar, J, grad_used, lam, gen_weights, ab))
+    return replace(cert, multipliers=lam, generator_weights=gen_weights,
+                   eq_weights=ab if l else None, residual=residual, bound_lhs=lhs), grads
+
+
+def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42) -> Certificate:
+    """Recover the lambda of least Euclidean norm in N_Theta(ybar) with
+    J^T lambda = -g, and check the bounded-multiplier estimate on it; kappa
+    is resolved after the fit, so no multiplier, no estimate."""
+    cert, grads = _fit(p, xbar, "DualKKT", seed)
+    if cert.descent_witness is not None:
+        raise NoMultiplierError("stationarity system infeasible: not dual-stationary",
+                                witness=cert.descent_witness)
+    kappa_val, kappa_source, rep = resolve_kappa(kappa, lambda: calc.msqc_estimate(
+        calc.Composite(IndicatorFn(p.Theta), p.f, cert.point), seed=seed))
+    notes = []
+    if rep is not None:
+        notes.append(f"msqc_estimate kappa_hat={rep.kappa_hat:.4g}" if kappa_val is not None
+                     else f"msqc_estimate verdict {rep.verdict}")
+    if isinstance(p.objective, SmoothFn):
+        scale = float(np.linalg.norm(grads[0]))
         bound_rule = "kappa*||grad objective|| (enhanced estimate)"
     else:
-        scale = rel_lipschitz_estimate(p.objective, xbar, radius=0.5, seed=seed)
+        scale = rel_lipschitz_estimate(p.objective, cert.point, radius=0.5, seed=seed)
         bound_rule = "ell*kappa with sampled relative Lipschitz ell"
     bound_rhs = kappa_val * scale if kappa_val is not None else None
-    status, detail = verdict(residual, bound_lhs, bound_rhs, TOL_STAT, TOL_BOUND)
-    return Certificate(kind="DualKKT", status=status, detail=detail, point=xbar,
-                       multipliers=lam, generator_weights=gen_weights,
-                       eq_weights=ab if l else None,
-                       residual=residual, bound_lhs=bound_lhs, bound_rhs=bound_rhs,
-                       kappa=kappa_val, kappa_source=kappa_source, bound_rule=bound_rule,
-                       tolerances={"tol_stat": TOL_STAT, "tol_cone": TOL_CONE,
-                                   "tol_bound": TOL_BOUND},
-                       seed=seed, notes=notes)
+    status, detail = verdict(cert.residual, cert.bound_lhs, bound_rhs, TOL_STAT, TOL_BOUND)
+    return replace(cert, status=status, detail=detail, bound_rhs=bound_rhs, kappa=kappa_val,
+                   kappa_source=kappa_source, bound_rule=bound_rule,
+                   tolerances={"tol_stat": TOL_STAT, "tol_cone": TOL_CONE,
+                               "tol_bound": TOL_BOUND}, notes=notes)

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .expr import SmoothMap
 from .funcspace import IndicatorFn, SmoothFn, subderivative, subderivative_sampled
-from .geometry import Polyhedron, tangent_cone
+from .geometry import Polyhedron
 from .solvers import eigh
 
 EXIT_VERIFIED = 0
@@ -322,33 +322,17 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
         raise CliError("certificate point does not match the problem dimension")
     x = np.array(point, dtype=float)
 
-    if cert_doc.get("kind") == "Primal":
-        # primal-style certificates: a REFUTED witness is recheckable by
-        # plain evaluation; a VERIFIED verdict is a universally quantified
-        # LP statement with no finite witness to replay
-        p = build_nlp(prob_doc)
-        y = p.f.eval(x)
-        if not p.Theta.contains(y):
-            log("recheck failure: infeasible point")
-            return EXIT_REFUTED
-        witness = cert_doc.get("descent_witness")
-        if cert_doc.get("status") == REFUTED and witness is not None:
-            u = np.array(witness, dtype=float)
-            g = p.objective.gradient(x)
-            J = p.f.jacobian(x)
-            T = tangent_cone(p.Theta, y)
-            lin_ok = T.contains(J @ u, 1e-7)
-            if lin_ok and float(g @ u) < -certify.TOL_STAT:
-                log("recheck: descent witness reproduces REFUTED")
-                return EXIT_REFUTED
-            log("recheck failure: stored descent witness does not descend")
-            return EXIT_REFUTED
-        log(f"recheck: Primal status {cert_doc.get('status')} (no finite witness to replay)")
-        return _status_exit(cert_doc.get("status"))
-
     # the bound scale is ||grad objective||, doubled for sip with psi and for sdp
     if kind == "nlp":
         p = build_nlp(prob_doc)
+        y, J, g = p.f.eval(x), p.f.jacobian(x), p.objective.gradient(x)
+        witness = cert_doc.get("descent_witness")
+        if witness is not None:  # a descent direction shows REFUTED, whatever the status
+            failures, _ = certify.descent_conditions(p, y, J, [g], np.array(witness, dtype=float))
+            if failures:
+                return _refuted(failures, log)
+            log("recheck: descent witness reproduces REFUTED")
+            return EXIT_REFUTED
         rows, l = p.Theta.A_ineq.shape[0], p.Theta.A_eq.shape[0]
         # a NO_MULTIPLIER certificate stores no combination: read it as the empty one
         lam = np.array(cert_doc.get("multipliers", np.zeros(p.m)), dtype=float)
@@ -360,9 +344,7 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
         ab = np.array(cert_doc.get("eq_weights", np.zeros(2 * l)), dtype=float)
         if l and len(ab) != 2 * l:
             raise CliError("equality weights malformed")
-        g = p.objective.gradient(x)
-        failures, residual, lhs = certify.kkt_conditions(p, p.f.eval(x), p.f.jacobian(x), g,
-                                                         lam, w, ab)
+        failures, residual, lhs = certify.kkt_conditions(p, y, J, g, lam, w, ab)
         scale = float(np.linalg.norm(g))
     elif kind == "sip":
         p = build_sip(prob_doc)
@@ -395,7 +377,9 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
         raise CliError(f"bound.kappa must be a number or null, not {kappa!r}")
     if kappa is not None and not 0.0 <= kappa < math.inf:
         failures.append(f"kappa {kappa} is not a finite nonnegative number")
-    rhs = None if kappa is None else kappa * scale
+    # an nlp Primal certificate claims no bound: its ladder stops at the RESIDUAL rung
+    rhs = math.inf if (kind, cert_doc.get("kind")) == ("nlp", "Primal") else \
+        None if kappa is None else kappa * scale
     stored = cert_doc.get("status")
     status, detail = certify.verdict(residual, lhs, rhs, certify.TOL_STAT, certify.TOL_BOUND)
     # a missing kappa refutes only a VERIFIED claim; the other rungs refute any
@@ -437,7 +421,8 @@ def _issue(args, kind, build, cert_kind, certify_fn):
         cert = certify_fn(p, x, kappa)
     except NoMultiplierError as exc:
         cert = Certificate(kind=cert_kind, status=REFUTED, detail="NO_MULTIPLIER",
-                           point=x, seed=args.seed, notes=[str(exc)])
+                           point=x, descent_witness=exc.witness, seed=args.seed,
+                           notes=[str(exc)])
     return _emit(cert, kind, args)
 
 

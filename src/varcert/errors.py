@@ -65,7 +65,11 @@ class NumericalBreakdownError(VarcertError):
 
 
 class NoMultiplierError(VarcertError):
-    """The stationarity system is infeasible: the point is not dual-stationary."""
+    """The point is not dual-stationary; ``witness``, if not None, is a descent direction."""
+
+    def __init__(self, message, witness=None):
+        self.witness = witness
+        super().__init__(message)
 
 
 class InfeasiblePointError(VarcertError):

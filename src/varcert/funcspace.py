@@ -415,7 +415,7 @@ class SubdifferentialSet:
         if self.kind == "mapped_ball":  # the least-norm lam in the cone with JT lam = v
             rays, lines = self.cone.ensure_generators()
             fit = least_norm_multiplier(self.JT.T, v, rays.T, lines.T, tol=tol)
-            return fit is not None and float(np.linalg.norm(fit[1])) <= self.radius + tol
+            return isinstance(fit, tuple) and float(np.linalg.norm(fit[1])) <= self.radius + tol
         # polyhedral V-rep: L1-residual LP over a convex + conic combination
         fit = conic_fit(v, self.rays.T, self.lines.T, convex=self.vertices.T, cost=0.0,
                         residual=1.0)

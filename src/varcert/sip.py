@@ -270,12 +270,7 @@ def sup_violation(p: SIProblem, x, density=None):
 
 def sup_abs_equality(p: SIProblem, x, density=None):
     """(sup_t |psi(x,t)|, argmax t, sign of psi there) over the equality
-    index box; the argmax is None while the sup is 0.
-
-    Kept: ``density``, for ``sip --grid N``: ``certify`` builds the T columns
-    at density N but calls this sup at the default density, an open defect
-    (FOUND in CHANGES.md).
-    """
+    index box; the argmax is None while the sup is 0."""
     if p.psi is None:
         return 0.0, None, 1.0
     x = np.asarray(x, dtype=float)
@@ -570,16 +565,14 @@ def certify(p: SIProblem, xbar, kappa, seed=42, density=None) -> Certificate:
 
     An equality family psi(x,t) = 0 enters by the two-inequality split: each
     point of the T grid (``density`` per axis, at most 33) gives a free +/-
-    column pair, and the bound becomes sum(lambda) + sum|mu| <= 2*kappa*||grad||.
+    column pair, and the bound becomes sum(lambda) + sum|mu| <= 2*kappa*||grad||;
+    the feasibility sup of |psi| runs on the ``density`` grid too.
     The theta atoms come from the exchange method over ``active_indexes``
     on the ``density`` grid."""
     xbar = np.asarray(xbar, dtype=float)
-    if p.psi is not None and sup_abs_equality(p, xbar)[0] > TOL_FEAS:
+    if p.psi is not None and sup_abs_equality(p, xbar, density)[0] > TOL_FEAS:
         raise InfeasiblePointError("equality family violated at xbar")
     g0 = p.grad_objective(xbar)
-    # SIP certificates carry no estimator notes
-    kappa_val, kappa_source, _ = resolve_kappa(
-        kappa, lambda: sip_kappa_estimate(p, xbar, seed=seed))
     eq_points = [] if p.psi is None else \
         list(_box_grid(p.T, min(density or default_density(len(p.T)), 33)))
     eq_cols = [p.grad_x_psi(xbar, t) for t in eq_points]
@@ -588,6 +581,9 @@ def certify(p: SIProblem, xbar, kappa, seed=42, density=None) -> Certificate:
                                eq_points, eq_cols, price=price)
     if found is None:
         raise NoMultiplierError("no atomic multiplier")
+    # kappa after the fit, so no multiplier, no estimate; no estimator notes
+    kappa_val, kappa_source, _ = resolve_kappa(
+        kappa, lambda: sip_kappa_estimate(p, xbar, seed=seed))
     atoms, signed = found
     eq_atoms = [(np.array(t), m) for t, m in signed.items() if abs(m) > 0.0]
     bound_factor = 1.0 if p.psi is None else 2.0

@@ -12,7 +12,8 @@ generators plus free lines; in both a free line is a +/- pair of
 nonnegative columns.  ``least_norm_multiplier`` returns the multiplier of
 least Euclidean norm, the one the bound ||lambda|| <= kappa ||v|| speaks of:
 nnls finds a fit, and an active-set descent that holds the equality rows
-exactly moves it to the least norm.  ``conic_fit`` is the LP for the checks
+exactly moves it to the least norm; on a miss, the nnls residual gives the
+Farkas direction instead.  ``conic_fit`` is the LP for the checks
 where a 1-norm or a vertex is the right answer (SIP atoms, membership): its
 columns are [rays | +lines | -lines | convex | +I | -I], a row
 sum(convex) = 1 follows the target rows, and the optional L1 residual slack
@@ -391,14 +392,17 @@ def least_norm_multiplier(J, target, rays, lines=None, extra=None, tol=1e-9):
     """(z, lam): the lam = rays z_r + lines (z_a - z_b) of least Euclidean
     norm with J^T lam + extra z_e = target, and its weights z >= 0 over
     [rays | lines | -lines | extra] (columns; ``extra`` stays out of the
-    norm); None when the best nonnegative fit misses the target by more than
-    tol * (1 + ||target||).
+    norm).  When the best nonnegative fit misses the target by more than
+    tol * (1 + ||target||): the Farkas direction d (an array, not a tuple),
+    with <c, d> <= 0 for every column c of [J^T B | extra] and <target, d> > 0.
 
-    With the SVD J = U S V^T the equality rows read U_1^T lam + S^-1 V_1^T
-    extra z_e = S^-1 V_1^T target and V_2^T extra z_e = V_2^T target, and
-    nnls finds a fit.  Without ``extra`` they fix U_1^T lam, so ||U_2^T lam||
-    is the norm left to minimize; with U_2 empty (J^T injective) every fit
-    has the same lam."""
+    With the SVD J = U S V^T and M = [S^-1 V_1^T; V_2^T] the equality rows
+    M [J^T B | extra] z = M target read U_1^T lam + S^-1 V_1^T extra z_e =
+    S^-1 V_1^T target and V_2^T extra z_e = V_2^T target, and nnls finds a
+    fit.  Without ``extra`` they fix U_1^T lam, so ||U_2^T lam|| is the norm
+    left to minimize; with U_2 empty (J^T injective) every fit has the same
+    lam.  On a miss the nnls residual r has (M [J^T B | extra])^T r <= 0 and
+    <M target, r> = ||r||^2 (Lawson & Hanson, 1974, ch. 23): d = M^T r."""
     J = np.atleast_2d(np.asarray(J, dtype=float))
     t = np.asarray(target, dtype=float)
     m, n = J.shape
@@ -411,10 +415,12 @@ def least_norm_multiplier(J, target, rays, lines=None, extra=None, tol=1e-9):
     eq = np.vstack([np.hstack([U[:, :k].T @ B, Vt[:k] @ C / s[:k, None]]),
                     np.hstack([np.zeros((n - k, B.shape[1])), Vt[k:] @ C])])
     norm = U[:, k:].T @ B if not C.shape[1] else np.hstack([B, np.zeros((m, C.shape[1]))])
-    z = nnls(eq, np.concatenate([Vt[:k] @ t / s[:k], Vt[k:] @ t]))
+    f = np.concatenate([Vt[:k] @ t / s[:k], Vt[k:] @ t])
+    z = nnls(eq, f)
     miss = np.hstack([J.T @ B, C]) @ z - t
     if float(np.linalg.norm(miss)) > tol * (1.0 + float(np.linalg.norm(t))):
-        return None
+        r = f - eq @ z
+        return Vt[:k].T @ (r[:k] / s[:k]) + Vt[k:].T @ r[k:]
     if norm.shape[0]:
         z = _least_norm_on_fits(norm, eq, z)
     return z, B @ z[:B.shape[1]]

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from varcert.errors import InfeasiblePointError, NoMultiplierError
 from varcert.expr import SmoothMap
 from varcert.funcspace import PLQFunction, SmoothFn, plq_abs
 from varcert.geometry import Polyhedron
-from varcert.solvers import LPProblem, lp_solve, OPTIMAL
+from varcert.solvers import LPProblem, OPTIMAL, conic_fit, lp_solve
 
 
 def orthant_problem(obj="-x1 - x2"):
@@ -263,3 +264,148 @@ def test_an_issuer_writes_no_certificate_that_its_own_check_rejects(tmp_path, mo
     argv = ["kkt", "-p", str(prob), "--point", "0,0", "--kappa", "1", "--out", str(out)]
     assert cli.run(argv) == 4
     assert not out.exists()
+
+
+def _linearized_descent_lp(J, A_act, E, grads, piece_rows):
+    """min over the gradients g_i of min <g_i, u> over u in [-1, 1]^n with
+    A_act J u <= 0, E J u = 0 and piece_rows[i] u <= 0: the parent's boxed
+    descent LP, an oracle independent of the least-norm fit."""
+    n = J.shape[1]
+    best = 0.0
+    for g, rows in zip(grads, piece_rows):
+        A = np.vstack([A_act @ J, E @ J, rows])
+        sol = lp_solve(LPProblem(c=g, A=A, b=np.zeros(len(A)),
+                                 senses=["<="] * len(A_act) + ["="] * len(E) + ["<="] * len(rows),
+                                 bounds=[(-1.0, 1.0)] * n))
+        assert sol.status == OPTIMAL
+        best = min(best, sol.objective)
+    return best
+
+
+def _random_jacobian(rng, trial, m, n):
+    """An m x n Jacobian, of rank min(m, n) - 1 in trials 0 and 1 mod 4."""
+    if trial % 4 < 2:
+        k = min(m, n) - 1
+        return rng.normal(size=(m, k)) @ rng.normal(size=(k, n))
+    return rng.normal(size=(m, n))
+
+
+def _random_theta(rng, trial, J):
+    """Theta with 1-4 rows active at y = 0, one inactive row and, every third
+    trial, an equality row; and a multiplier lam in its normal cone at 0."""
+    m = J.shape[0]
+    k = int(rng.integers(1, 5))
+    A = rng.normal(size=(k + 1, m))
+    E = rng.normal(size=(int(trial % 3 == 0), m))
+    Theta = Polyhedron(A, np.append(np.zeros(k), 1.0), E, np.zeros(len(E)), n=m)
+    lam = A[:k].T @ rng.random(k) + E.T @ rng.normal(size=len(E))
+    return Theta, A[:k], E, lam
+
+
+def _recheck(cert, doc):
+    """(exit code, log lines) of recheck on the certificate as written."""
+    lines = []
+    cert_doc = json.loads(cli.canonical_json(cli.certificate_document(cert, "nlp")))
+    return cli.recheck(cert_doc, doc, lines.append), lines
+
+
+def _kkt(p, x):
+    """kkt's outcome as the CLI issues it: the certificate, or the
+    NO_MULTIPLIER certificate built from the error's witness."""
+    try:
+        return dual_certificate(p, x, kappa=1e6)
+    except NoMultiplierError as exc:
+        return Certificate(kind="DualKKT", status=certify.REFUTED, detail="NO_MULTIPLIER",
+                           point=np.asarray(x, dtype=float), descent_witness=exc.witness)
+
+
+def test_primal_and_kkt_read_one_farkas_alternative():
+    """Seeded nlps at x = 0, with an equality row every third trial, a
+    rank-deficient J in half, and stationary objectives in half.
+    primal and kkt agree with each other and with the boxed descent LP; every
+    VERIFIED replays through kkt_conditions (recheck exit 0); every descent
+    witness passes recheck, and the flipped one fails it."""
+    rng = np.random.default_rng(26)
+    verdicts = set()
+    for trial in range(60):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        J = _random_jacobian(rng, trial, m, n)
+        Theta, A_act, E, lam = _random_theta(rng, trial, J)
+        g = -J.T @ lam if trial % 2 == 0 else rng.normal(size=n)
+        doc = {"kind": "nlp", "n": n,
+               "objective": " + ".join(f"{float(g[j])!r}*x{j + 1}" for j in range(n)) + " + x2^2",
+               "constraints": {
+                   "f": [" + ".join([f"{float(J[i, j])!r}*x{j + 1}" for j in range(n)]
+                                    + [f"{float(rng.normal())!r}*x1^2"]) for i in range(m)],
+                   "Theta": {"A_ineq": Theta.A_ineq.tolist(), "b_ineq": Theta.b_ineq.tolist(),
+                             "A_eq": Theta.A_eq.tolist(), "b_eq": Theta.b_eq.tolist()}}}
+        p, x = cli.build_nlp(doc), np.zeros(n)
+        primal, kkt = primal_check(p, x), _kkt(p, x)
+        assert primal.status == kkt.status, trial
+        descent = _linearized_descent_lp(J, A_act, E, [g], [np.zeros((0, n))])
+        verdicts.add(primal.status)
+        if primal.status == certify.VERIFIED:
+            assert descent >= -1e-6, trial
+            assert np.array_equal(primal.multipliers, kkt.multipliers), trial
+            failures, residual, _ = certify.kkt_conditions(
+                p, p.f.eval(x), J, g, primal.multipliers, primal.generator_weights,
+                primal.eq_weights if primal.eq_weights is not None else np.zeros(0))
+            assert failures == [] and residual <= certify.TOL_STAT, trial
+            assert _recheck(primal, doc)[0] == 0, trial
+            continue
+        assert primal.status == certify.REFUTED and kkt.detail == "NO_MULTIPLIER", trial
+        assert np.array_equal(primal.descent_witness, kkt.descent_witness), trial
+        assert np.max(np.abs(primal.descent_witness)) == 1.0
+        assert descent <= -primal.residual + 1e-12 and primal.residual > certify.TOL_STAT, trial
+        for cert in (primal, kkt):
+            assert _recheck(cert, doc) == (1, ["recheck: descent witness reproduces REFUTED"])
+            code, lines = _recheck(replace(cert, descent_witness=-cert.descent_witness), doc)
+            assert code == 1 and lines[0].startswith("recheck failure: "), trial
+    assert verdicts == {certify.VERIFIED, certify.REFUTED}
+
+
+def test_primal_and_kkt_agree_on_a_plq_objective():
+    """|x1| + <g, x> (two pieces; every third trial restricted to x2 <= 0)
+    through the library: primal and kkt agree with the per-piece descent LP;
+    a VERIFIED multiplier passes kkt_conditions' cone checks and -J^T lam is
+    in conv{piece gradients} + N_dom; a witness descends on every active
+    piece, stays in the domain's tangent cone, and fails flipped."""
+    rng = np.random.default_rng(27)
+    verdicts = set()
+    for trial in range(24):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        J = _random_jacobian(rng, trial, m, n)
+        Theta, A_act, E, lam = _random_theta(rng, trial, J)
+        e1 = np.eye(n)[0]
+        g = -J.T @ lam + rng.uniform(-0.9, 0.9) * e1 if trial % 2 == 0 else rng.normal(size=n)
+        dom = np.eye(n)[1:2] if trial % 3 == 0 else np.zeros((0, n))
+        pieces = [(Polyhedron(np.vstack([-sign * e1, dom]), np.zeros(1 + len(dom))),
+                   np.zeros((n, n)), g + sign * e1, 0.0) for sign in (1.0, -1.0)]
+        f = SmoothMap.from_strings(
+            [" + ".join(f"{float(J[i, j])!r}*x{j + 1}" for j in range(n)) for i in range(m)],
+            [f"x{j + 1}" for j in range(n)])
+        p, x = ConstrainedProblem(PLQFunction(pieces), f, Theta), np.zeros(n)
+        primal, kkt = primal_check(p, x), _kkt(p, x)
+        assert primal.status == kkt.status, trial
+        grads = [g + e1, g - e1]
+        descent = _linearized_descent_lp(J, A_act, E, grads,
+                                         [np.vstack([-e1, dom]), np.vstack([e1, dom])])
+        verdicts.add(primal.status)
+        if primal.status == certify.VERIFIED:
+            assert descent >= -1e-6, trial
+            v = -J.T @ primal.multipliers
+            failures, _, _ = certify.kkt_conditions(
+                p, f.eval(x), J, v, primal.multipliers, primal.generator_weights,
+                primal.eq_weights if primal.eq_weights is not None else np.zeros(0))
+            assert failures == [], trial
+            hull = conic_fit(v, dom.T if len(dom) else None, convex=np.array(grads).T,
+                             cost=0.0, residual=1.0)
+            assert hull.residual <= 1e-9 * (1.0 + np.linalg.norm(v)), trial
+            continue
+        d = primal.descent_witness
+        assert np.array_equal(d, kkt.descent_witness) and np.max(np.abs(d)) == 1.0, trial
+        assert descent <= -primal.residual + 1e-12 and primal.residual > certify.TOL_STAT, trial
+        assert (dom @ d <= 1e-12).all(), trial
+        assert certify.descent_conditions(p, f.eval(x), J, grads, d) == ([], primal.residual)
+        assert certify.descent_conditions(p, f.eval(x), J, grads, -d)[0] != [], trial
+    assert verdicts == {certify.VERIFIED, certify.REFUTED}

@@ -154,6 +154,59 @@ def test_recheck_replays_the_nlp_checks_for_a_kind_no_command_issues(tmp_path, c
     assert "recheck failure: RESIDUAL" in capsys.readouterr().err
 
 
+def test_recheck_refutes_a_forged_primal_verified(tmp_path, capsys):
+    """The README kkt certificate relabelled Primal, VERIFIED at the feasible
+    point (-5, -3), where -x1 - x2 descends along (-1, -1), and stripped of
+    its multipliers: a Primal VERIFIED replays its multiplier through the
+    nlp checks, so the empty one leaves the whole gradient as residual."""
+    prob = write_problem(tmp_path, orthant_doc())
+    out = str(tmp_path / "cert.json")
+    assert cli.run(["kkt", "-p", prob, "--point", "0,0", "--kappa", "1",
+                    "--out", out]) == 0
+    cert = json.loads(open(out).read())
+    cert.update(kind="Primal", status="VERIFIED", point=[-5, -3])
+    del cert["multipliers"], cert["generator_weights"]
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(cert), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.run(["recheck", "-p", prob, "-c", str(forged)]) == 1
+    err = capsys.readouterr().err
+    assert "recheck failure: RESIDUAL" in err and "Traceback" not in err
+
+
+def test_no_multiplier_runs_no_kappa_estimate(tmp_path, monkeypatch):
+    """kappa is resolved after the fit: with both estimators raising, the nlp
+    and sip NO_MULTIPLIER cases still issue REFUTED at --kappa estimate."""
+    from varcert import calculus, sip
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("kappa estimated")
+
+    monkeypatch.setattr(calculus, "msqc_estimate", no_estimate)
+    monkeypatch.setattr(sip, "sip_kappa_estimate", no_estimate)
+    doc = orthant_doc()
+    doc["objective"] = "x1 + x2"
+    sip_doc = linear_sip_doc()
+    sip_doc["constraints"]["theta"] = "(s1 - 0.5)*x1^3"
+    for command, problem in (("kkt", doc), ("sip", sip_doc)):
+        prob, out = write_problem(tmp_path, problem), tmp_path / f"{command}.json"
+        point = ",".join(["0"] * problem["n"])
+        assert cli.run([command, "-p", prob, "--point", point, "--kappa", "estimate",
+                        "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["detail"] == "NO_MULTIPLIER"
+
+
+def test_sip_grid_reaches_the_psi_feasibility_sup(tmp_path, capsys):
+    """psi(0, 0.5) = 1, a bump 1e-4 wide that the 33-grid hits at t = 16/32
+    and the default 64-grid misses: --grid 33 must find the point infeasible."""
+    prob = write_problem(tmp_path, {
+        "kind": "sip", "n": 1, "objective": "x1^2",
+        "constraints": {"psi": "x1 + exp(0 - ((t1 - 0.5)/0.0001)^2)", "T": [[0.0, 1.0]]}})
+    assert cli.run(["sip", "-p", prob, "--point", "0", "--kappa", "1", "--grid", "33"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible point: ") and "Traceback" not in err
+
+
 def test_recheck_wrong_problem_exit_3(tmp_path):
     prob = write_problem(tmp_path, orthant_doc())
     out = str(tmp_path / "cert.json")

@@ -130,6 +130,15 @@ def test_recheck_refutes_a_forged_verified_claim(name, section, field, value, tm
     assert recheck_edited(by_name(name), forged_verified(section, field, value), tmp_path) == 1
 
 
+def test_only_an_nlp_primal_claims_no_bound(tmp_path):
+    """A Primal VERIFIED skips the bound, and only on nlp: a sip certificate
+    relabelled Primal still needs sum(lambda) <= kappa ||grad||."""
+    def edit(cert):
+        forged_verified()(cert)
+        cert["kind"] = "Primal"
+    assert recheck_edited(by_name("sip_bound_exceeded"), edit, tmp_path) == 1
+
+
 @pytest.mark.parametrize("kappa, code", [
     (math.inf, 1), (math.nan, 1), (-1.0, 1), (-1e-9, 1),
     ("1", 3), (True, 3), ([1.0], 3), (10 ** 400, 3),  # 10**400 has no float
@@ -166,9 +175,8 @@ def test_informational_fields_leave_a_verified_recheck_at_0(case, tmp_path):
     assert recheck_edited(case, scramble_informational, tmp_path) == 0
 
 
-def test_recheck_solves_no_lp(tmp_path, monkeypatch):
-    """With every varcert binding of lp_solve replaced by one that raises,
-    recheck reproduces each golden recheck exit code."""
+def forbid_lp(monkeypatch):
+    """Replace every varcert binding of lp_solve by one that raises."""
     lp_solve = solvers.lp_solve
 
     def no_lp(*args, **kwargs):
@@ -177,11 +185,33 @@ def test_recheck_solves_no_lp(tmp_path, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "varcert" and getattr(module, "lp_solve", None) is lp_solve:
             monkeypatch.setattr(module, "lp_solve", no_lp)
+
+
+def test_recheck_solves_no_lp(tmp_path, monkeypatch):
+    """With lp_solve raising, recheck reproduces each golden recheck exit code."""
+    forbid_lp(monkeypatch)
     with pytest.raises(AssertionError):  # the patch reaches the issuers
-        issue(by_name("nlp_primal"), tmp_path)
+        issue(by_name("sip_kappa1"), tmp_path)
     for case in CASES:
         if case["recheck"] is not None:
             assert recheck_edited(case, lambda cert: None, tmp_path) == case["recheck"], case["name"]
+
+
+NLP_CASES = [c for c in CASES if c["args"] is not None and c["problem"]["kind"] == "nlp"]
+
+
+@pytest.mark.parametrize("case", NLP_CASES, ids=[c["name"] for c in NLP_CASES])
+def test_kkt_and_primal_solve_no_lp(case, tmp_path, monkeypatch):
+    """kkt with an asserted kappa and primal read one least-norm fit, which
+    solves no LP: both issue at each golden nlp point with lp_solve raising."""
+    forbid_lp(monkeypatch)
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps(case["problem"]), encoding="utf-8")
+    args = case["args"]
+    i = next(i for i, arg in enumerate(args) if arg.startswith("--point"))
+    point = args[i:i + 1] if "=" in args[i] else args[i:i + 2]
+    assert cli.run(["kkt", "-p", str(prob), *point, "--kappa", "1"]) in (0, 1, 2)
+    assert cli.run(["primal", "-p", str(prob), *point]) in (0, 1)
 
 
 @pytest.mark.parametrize("name", ["nlp_kkt_kappa1", "nlp_primal", "sdp_readme", "sdp_psi_kernel2"])
@@ -237,6 +267,19 @@ PARENT = {
 }
 PARENT_KAPPA = {"sip_readme_estimate": 9.999989963092e-01,
                 "sip_two_index_estimate": 9.999989963092e-01}
+
+# kkt and primal read one least-norm fit (certify._fit), and every nlp
+# verdict carries its witness.  Per case: the fields it gained, and the
+# parent value of each field that changed.  The primal VERIFIED stores the
+# fit's multiplier; the primal REFUTED keeps its witness (-1, -1) and
+# residual 2, the LP's optimum over the box, which the fit's direction
+# reaches at max-norm 1; the kkt NO_MULTIPLIER stores that direction too.
+PARENT_WITNESS = {
+    "nlp_primal": (("multipliers", "generator_weights"),
+                   {"notes": ["descent LP optimum 0.000e+00"]}),
+    "nlp_primal_refuted": ((), {"notes": ["descent LP optimum -2.000e+00"]}),
+    "nlp_no_multiplier": (("descent_witness",), {}),
+}
 
 # The floats that the least-norm multiplier (solvers.least_norm_multiplier,
 # which replaced the 1-norm LP and its infinity-norm tie-break) moved, with
@@ -295,8 +338,14 @@ def test_corpus_matches_its_parent_outside_the_slope_kappa():
         case = by_name[name]
         assert (case["exit"], case["recheck"]) == (code, recheck), name
         text = expected_text(case)
-        if name in PARENT_KAPPA or name in PARENT_FLOATS:
+        if name in PARENT_KAPPA or name in PARENT_FLOATS or name in PARENT_WITNESS:
             doc = json.loads(text)
+            gained, changed = PARENT_WITNESS.get(name, ((), {}))
+            for field in gained:
+                del doc[field]
+            for field, old in changed.items():
+                assert doc[field] != old, name
+                doc[field] = old
             if name in PARENT_KAPPA:
                 assert doc["bound"]["kappa"] == doc["bound"]["rhs"] == 1.0
                 doc["bound"]["kappa"] = doc["bound"]["rhs"] = PARENT_KAPPA[name]

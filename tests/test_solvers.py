@@ -448,14 +448,43 @@ def test_least_norm_multiplier_beats_every_lp_vertex():
 
 
 def test_least_norm_multiplier_refuses_an_unreachable_target():
-    # J^T lam = lam1 + lam2 over lam in R^2_+ cannot be negative
+    # J^T lam = lam1 + lam2 over lam in R^2_+ cannot be negative: the Farkas
+    # direction d prices every column <J^T e_i, d> <= 0 and the target > 0
     J = np.ones((2, 1))
-    assert solvers.least_norm_multiplier(J, [-1.0], np.eye(2)) is None
+    d = solvers.least_norm_multiplier(J, [-1.0], np.eye(2))
+    assert not isinstance(d, tuple)
+    assert (d @ (J.T @ np.eye(2)) <= 0.0).all() and d @ [-1.0] > 0.0
+    assert d == pytest.approx([-0.5])  # <target, d> = ||r||^2 = 1/2
     z, lam = solvers.least_norm_multiplier(J, [2.0], np.eye(2))
     assert np.allclose(lam, [1.0, 1.0])
     # a line is a +/- pair: lam = (-1, 0) = -e1 needs the minus column
     z, lam = solvers.least_norm_multiplier(np.eye(2), [-1.0, 0.0], None, np.eye(2)[:, :1])
     assert np.allclose(z, [0.0, 1.0]) and np.allclose(lam, [-1.0, 0.0])
+
+
+def test_least_norm_multiplier_misses_with_a_farkas_direction():
+    """Either a nonnegative fit reaches the target, or the returned d prices
+    every column <c, d> <= 0 and the target <t, d> > 0, so none can; every
+    fourth J is rank-deficient."""
+    rng = np.random.default_rng(13)
+    misses = 0
+    for trial in range(120):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        J = rng.normal(size=(m, n))
+        if trial % 4 == 0 and n > 1:
+            J[:, -1] = J[:, 0]
+        R, L = rng.normal(size=(m, int(rng.integers(0, 4)))), rng.normal(size=(m, trial % 2))
+        extra = rng.normal(size=(n, int(rng.integers(1, 3)))) if trial % 3 == 0 else None
+        cols = np.hstack([J.T @ R, J.T @ L, -J.T @ L] + ([] if extra is None else [extra]))
+        t = rng.normal(size=n)
+        found = solvers.least_norm_multiplier(J, t, R, L, extra=extra)
+        if isinstance(found, tuple):
+            assert np.linalg.norm(cols @ found[0] - t) <= 1e-9 * (1.0 + np.linalg.norm(t))
+            continue
+        misses += 1
+        assert (found @ cols <= 1e-12 * np.linalg.norm(found) * (1.0 + np.abs(cols).sum())).all()
+        assert t @ found > 0.0
+    assert misses >= 40
 
 
 def test_min_norm_point_of_a_hull():
