@@ -1,8 +1,9 @@
 """Semi-infinite programs: min objective(x) s.t. theta(x,s) <= 0 for all s in a box S.
 
 Feasibility is the sup of the constraint over the compact index box
-(grid plus projected-gradient polish), and multipliers are recovered as
-finite atomic measures supported on active indexes.  The atoms come from
+(grid plus projected-gradient polish from the grid's local maxima), and
+multipliers are recovered as finite atomic measures supported on active
+indexes.  The atoms come from
 the exchange method (Hettich & Kortanek, SIAM Review 35, 1993): an LP over
 a small working set of active indexes, whose duals price the rest of the
 active set (``active_indexes``) for the index to add next.  The multiplier
@@ -243,19 +244,44 @@ def _grid_values(e, x, grid):
     return np.where(np.isfinite(vals), vals, -np.inf)
 
 
+def _local_maxima(vals, box):
+    """Mask of the grid cells whose value is >= each neighbour's along every
+    axis of ``box``; ``vals`` is in ``_box_grid``'s row order.  The cells
+    per axis come from the grid's own size: 1 on a degenerate axis, and the
+    same count on the others."""
+    live = [hi > lo for lo, hi in box]
+    side = round(len(vals) ** (1.0 / max(1, sum(live))))
+    v = vals.reshape([side if a else 1 for a in live])
+    keep = np.ones(v.shape, dtype=bool)
+    for axis in range(v.ndim):
+        w, k = np.moveaxis(v, axis, 0), np.moveaxis(keep, axis, 0)  # views
+        k[:-1] &= w[:-1] >= w[1:]
+        k[1:] &= w[1:] >= w[:-1]
+    return keep.ravel()
+
+
 def _top_cells(e, x, sign, box, density, count, value_fn, grad_fn, steps):
     """Grid search plus polish: sort the cells of the density-``density`` grid
-    over ``box`` by sign * e(x, cell) and run ``_polish_max`` from each of the
-    best ``count`` cells.  Returns [(cell, cell value, polished index,
-    polished value)], best cell first."""
+    over ``box`` by sign * e(x, cell), an undefined cell last, and run
+    ``_polish_max`` from each of the best ``count`` defined cells that are
+    local maxima of the grid (``_local_maxima``).  One ascent per peak: the
+    other cells of a peak climb to its maximizer.  The best cell is always a
+    start (an undefined one only when every cell is undefined), and on a
+    plateau every cell is a local maximum.  Returns [(cell, cell value,
+    polished index, polished value)], best cell first."""
     grid = _box_grid(box, density)
-    vals = sign * _grid_values(e, x, grid)
+    raw = _grid_values(e, x, grid)
+    vals = np.where(np.isfinite(raw), sign * raw, -np.inf)
+    order = np.argsort(-vals)
+    keep = _local_maxima(vals, box) & (vals > -np.inf)
+    keep[order[0]] = True
     return [(grid[idx], vals[idx], *_polish_max(value_fn, grad_fn, grid[idx], box, steps))
-            for idx in np.argsort(-vals)[:count]]
+            for idx in order[keep[order]][:count]]
 
 
 def sup_violation(p: SIProblem, x, density=None):
-    """(sup_s theta(x,s)^+, argmax): grid plus polish from the top 5 cells."""
+    """(sup_s theta(x,s)^+, argmax): grid plus polish from the best 5 cells
+    that are local maxima of the grid, so each peak is climbed once."""
     x = np.asarray(x, dtype=float)
     if p.theta is None:
         return 0.0, None

@@ -207,6 +207,46 @@ def test_sip_grid_reaches_the_psi_feasibility_sup(tmp_path, capsys):
     assert err.startswith("infeasible point: ") and "Traceback" not in err
 
 
+def test_undefined_psi_cells_rank_last_for_both_signs(tmp_path, capsys):
+    """psi is undefined on t < 0.5 and -1 on t >= 0.5 at x = 0: the sup of
+    -psi must climb from a defined cell, not from an undefined one, and find
+    the point infeasible."""
+    prob = write_problem(tmp_path, {
+        "kind": "sip", "n": 1, "objective": "x1^2",
+        "constraints": {"psi": "x1 - 1 + 0*sqrt(t1 - 0.5)", "T": [[0.0, 1.0]]}})
+    assert cli.run(["sip", "-p", prob, "--point", "0", "--kappa", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible point: ") and "Traceback" not in err
+
+
+def test_undefined_psi_cells_are_no_start_when_psi_is_not_flat(tmp_path, capsys):
+    """psi is undefined on t < 0.5; where defined, each sign of it has one
+    local maximum on the grid (t near 0.505 for +psi, t = 1 for -psi): the
+    other starts of each sign are not taken from the undefined cells."""
+    prob = write_problem(tmp_path, {
+        "kind": "sip", "n": 1, "objective": "x1^2",
+        "constraints": {"psi": "x1 - 1 - 0.1*(t1 - 0.505)^2 + 0*sqrt(t1 - 0.5)",
+                        "T": [[0.0, 1.0]]}})
+    for point in ("0", "1"):
+        assert cli.run(["sip", "-p", prob, "--point", point, "--kappa", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible point: ") and "Traceback" not in err
+
+
+def test_undefined_theta_cells_are_no_start_beside_an_isolated_peak(tmp_path, capsys):
+    """theta is undefined on s < 0.5 and has one peak, at s = 0.8: the sup
+    climbs it once and polishes from no undefined cell, so x = 1 is
+    infeasible and x = 0 is certified."""
+    prob = write_problem(tmp_path, {
+        "kind": "sip", "n": 1, "objective": "x1^2",
+        "constraints": {"theta": "x1 - (s1 - 0.8)^2 + 0*sqrt(s1 - 0.5)",
+                        "S": [[0.0, 1.0]]}})
+    assert cli.run(["sip", "-p", prob, "--point", "1", "--kappa", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible point: ") and "Traceback" not in err
+    assert cli.run(["sip", "-p", prob, "--point", "0", "--kappa", "1"]) == 0
+
+
 def test_recheck_wrong_problem_exit_3(tmp_path):
     prob = write_problem(tmp_path, orthant_doc())
     out = str(tmp_path / "cert.json")
