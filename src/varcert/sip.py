@@ -3,21 +3,23 @@
 Feasibility is the sup of the constraint over the compact index box
 (grid plus projected-gradient polish from the grid's local maxima), and
 multipliers are recovered as finite atomic measures supported on active
-indexes.  The atoms come from
-the exchange method (Hettich & Kortanek, SIAM Review 35, 1993): an LP over
-a small working set of active indexes, whose duals price the rest of the
-active set (``active_indexes``) for the index to add next.  The multiplier
-LP's simplex vertex has at most n positive weights, so the support has at
-most n atoms (Caratheodory's bound; ``caratheodory_reduce`` prunes any
-other conic combination to that size).  Equality families psi(x,t) = 0 are
-handled by the two-inequality split over the T grid with the 2*kappa bound.
+indexes.  An equality family psi(x,t) = 0 is the two-inequality split: the
+index families psi <= 0 and -psi <= 0 over T join theta <= 0 over S
+(``SIProblem.families``), and each family's sup, grid and atoms are found
+alike.  The atoms come from the exchange method (Hettich & Kortanek, SIAM
+Review 35, 1993): an LP over a small working set of active indexes, whose
+duals price the rest of every family's active set (``active_indexes``) for
+the index to add next.  The multiplier LP's simplex vertex has at most n
+positive weights, so the support has at most n atoms (Caratheodory's
+bound; ``caratheodory_reduce`` prunes any other conic combination to that
+size).  With psi the bound is 2*kappa.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .errors import (
     DimensionTooLargeError,
     InfeasiblePointError,
     NoMultiplierError,
+    NotInDomainError,
 )
 from .geometry import TOL_ACTIVE, TOL_FEAS
 from .solvers import OPTIMAL, LPProblem, conic_fit, lp_solve, min_norm_point
@@ -82,6 +85,13 @@ class SIProblem:
     def k(self):
         return len(self.S) if self.S is not None else 0
 
+    @property
+    def families(self):
+        """The index families (expression, sign, box): theta <= 0 over S, and
+        psi = 0 over T as the two inequalities psi <= 0 and -psi <= 0."""
+        theta = [] if self.theta is None else [(self.theta, 1.0, self.S)]
+        return theta + [(self.psi, sign, self.T) for sign in (1.0, -1.0) if self.psi is not None]
+
     def grad_objective(self, x):
         return expr_mod.grad(self.objective, x)
 
@@ -90,9 +100,6 @@ class SIProblem:
 
     def grad_x_theta(self, x, s):
         return _grad_x(self.theta, x, s)
-
-    def grad_s_theta(self, x, s):
-        return _index_partials(self.theta, x, s)
 
     def psi_at(self, x, t):
         return expr_mod.evaluate(self.psi, list(x) + list(t))
@@ -171,6 +178,8 @@ def _polish_max(value_fn, grad_fn, s0, box, steps=100):
     ``val`` and fails the strict acceptance test: the search ends
     unaccepted, as it would have after its remaining evaluations.
     A point box returns the clipped start at once (``_point_box``).
+    No trial is accepted at an undefined point (+inf from ``evaluate``), and
+    a ``NotInDomainError`` from ``grad_fn`` ends the polish at ``s``.
     """
     s = _clip_box(np.asarray(s0, dtype=float), box)
     val = value_fn(s)
@@ -179,7 +188,10 @@ def _polish_max(value_fn, grad_fn, s0, box, steps=100):
         return s, val
     t = max(max(widths), 1e-3) / 8.0
     for _ in range(steps):
-        g = grad_fn(s)
+        try:
+            g = grad_fn(s)
+        except NotInDomainError:
+            return s, val
         gn = float(np.linalg.norm(g))
         if gn < 1e-14:
             break
@@ -189,7 +201,7 @@ def _polish_max(value_fn, grad_fn, s0, box, steps=100):
             if _pinned(cand, s):
                 break
             vc = value_fn(cand)
-            if vc > val + 1e-18:
+            if val + 1e-18 < vc < math.inf:
                 s, val = cand, vc
                 t *= 2.0
                 accepted = True
@@ -204,15 +216,18 @@ def _polish_max(value_fn, grad_fn, s0, box, steps=100):
     # recover the 1e-6-level accuracy the eigenvalue cross-checks need
     k = len(s)
     for _ in range(12):
-        g = grad_fn(s)
-        if float(np.linalg.norm(g)) < 1e-13:
+        try:
+            g = grad_fn(s)
+            if float(np.linalg.norm(g)) < 1e-13:
+                break
+            h = 1e-5
+            H = np.zeros((k, k))
+            for j in range(k):
+                e = np.zeros(k)
+                e[j] = h
+                H[:, j] = (grad_fn(s + e) - grad_fn(s - e)) / (2 * h)
+        except NotInDomainError:
             break
-        h = 1e-5
-        H = np.zeros((k, k))
-        for j in range(k):
-            e = np.zeros(k)
-            e[j] = h
-            H[:, j] = (grad_fn(s + e) - grad_fn(s - e)) / (2 * h)
         H = 0.5 * (H + H.T)
         try:
             step_vec = np.linalg.lstsq(H, -g, rcond=None)[0]
@@ -225,7 +240,7 @@ def _polish_max(value_fn, grad_fn, s0, box, steps=100):
             if _pinned(cand, s):
                 break
             vc = value_fn(cand)
-            if vc > val:
+            if val < vc < math.inf:
                 s, val = cand, vc
                 moved = True
                 break
@@ -260,95 +275,88 @@ def _local_maxima(vals, box):
     return keep.ravel()
 
 
-def _top_cells(e, x, sign, box, density, count, value_fn, grad_fn, steps):
-    """Grid search plus polish: sort the cells of the density-``density`` grid
-    over ``box`` by sign * e(x, cell), an undefined cell last, and run
-    ``_polish_max`` from each of the best ``count`` defined cells that are
+def _sup(e, x, sign, box, density):
+    """sup of sign*e(x, .) over the box: sort the cells of the
+    density-``density`` grid by sign * e(x, cell), an undefined cell last,
+    and run ``_polish_max`` from each of the best 5 defined cells that are
     local maxima of the grid (``_local_maxima``).  One ascent per peak: the
     other cells of a peak climb to its maximizer.  The best cell is always a
     start (an undefined one only when every cell is undefined), and on a
-    plateau every cell is a local maximum.  Returns [(cell, cell value,
-    polished index, polished value)], best cell first."""
+    plateau every cell is a local maximum.  Returns (sup, argmax, grid,
+    values of sign*e on the grid with undefined cells at -inf)."""
     grid = _box_grid(box, density)
     raw = _grid_values(e, x, grid)
     vals = np.where(np.isfinite(raw), sign * raw, -np.inf)
     order = np.argsort(-vals)
     keep = _local_maxima(vals, box) & (vals > -np.inf)
     keep[order[0]] = True
-    return [(grid[idx], vals[idx], *_polish_max(value_fn, grad_fn, grid[idx], box, steps))
-            for idx in order[keep[order]][:count]]
+    best_s, best_v = grid[order[0]], vals[order[0]]
+    for idx in order[keep[order]][:5]:
+        s, v = _polish_max(lambda ss: sign * expr_mod.evaluate(e, list(x) + list(ss)),
+                           lambda ss: sign * _index_partials(e, x, ss), grid[idx], box)
+        if v > best_v:
+            best_s, best_v = s, v
+    return float(best_v), best_s, grid, vals
 
 
-def sup_violation(p: SIProblem, x, density=None):
-    """(sup_s theta(x,s)^+, argmax): grid plus polish from the best 5 cells
-    that are local maxima of the grid, so each peak is climbed once."""
+def sup_violation(p: SIProblem, x):
+    """(sup_s theta(x,s)^+, argmax) on the default grid (see ``_sup``)."""
     x = np.asarray(x, dtype=float)
     if p.theta is None:
         return 0.0, None
-    cells = _top_cells(p.theta, x, 1.0, p.S, density or default_density(p.k), 5,
-                       lambda ss: p.theta_at(x, ss), lambda ss: p.grad_s_theta(x, ss), 100)
-    best_s, best_v = cells[0][:2]
-    for _, _, s, v in cells:
-        if v > best_v:
-            best_s, best_v = s, v
-    return max(0.0, float(best_v)), best_s
-
-
-def sup_abs_equality(p: SIProblem, x, density=None):
-    """(sup_t |psi(x,t)|, argmax t, sign of psi there) over the equality
-    index box; the argmax is None while the sup is 0."""
-    if p.psi is None:
-        return 0.0, None, 1.0
-    x = np.asarray(x, dtype=float)
-    best, best_t, best_sign = 0.0, None, 1.0
-    for sign in (1.0, -1.0):
-        for _, _, t, v in _top_cells(p.psi, x, sign, p.T, density or default_density(len(p.T)),
-                                     3, lambda tt: sign * p.psi_at(x, tt),
-                                     lambda tt: sign * _index_partials(p.psi, x, tt), 60):
-            if float(v) > best:
-                best, best_t, best_sign = float(v), t, sign
-    return best, best_t, best_sign
+    sup, s, _, _ = _sup(p.theta, x, 1.0, p.S, default_density(p.k))
+    return max(0.0, sup), s
 
 
 def active_indexes(p: SIProblem, xbar, density=None):
     """The active index set as the exchange method sees it: (seed, price).
 
-    ``seed`` holds (s*, grad_x theta(xbar, s*)) for the polished argmax s* of
-    the sup when it is active (an active peak between grid nodes has no cell
-    near 0).  ``price(y, floor)`` tries the grid cells with theta >=
-    -TOL_ACTIVE - 1e-3, best central-difference <grad_x theta, y> first; a
-    cell below -TOL_ACTIVE is polished once, when first tried, and the exact
-    gradient decides.  It returns (s, gradient) with <gradient, y> > floor,
-    each index once, or None; a cell turned down stays a candidate."""
+    Every index family (e, sign, box) of ``p.families`` needs sup sign*e(xbar, .)
+    <= TOL_FEAS.  ``seed`` holds ((family, s*), sign * grad_x e(xbar, s*)) for
+    each family whose polished argmax s* is active (an active peak between
+    grid nodes has no cell near 0).  ``price(y, floor)`` tries the grid cells
+    of every family with sign*e >= -TOL_ACTIVE - 1e-3, best central-difference
+    <sign * grad_x e, y> first; a cell below -TOL_ACTIVE is polished once, when
+    first tried, and the exact gradient decides.  It returns ((family, s),
+    gradient) with <gradient, y> > floor, each index once, or None; a cell
+    turned down stays a candidate."""
     xbar = np.asarray(xbar, dtype=float)
-    sup, s_max = sup_violation(p, xbar, density)
-    if sup > TOL_FEAS:
-        raise InfeasiblePointError(f"sup violation {sup:.3e} exceeds tol_feas")
-    seed = [(s_max, p.grad_x_theta(xbar, s_max))] if p.theta_at(xbar, s_max) >= -TOL_ACTIVE \
-        else []
-    grid = _box_grid(p.S, density or default_density(p.k))
-    vals = _grid_values(p.theta, xbar, grid)
-    near = vals >= -TOL_ACTIVE - 1e-3
-    cells, vals = grid[near].astype(float, copy=False), vals[near]
-    grads = _x_gradients(p.theta, xbar, cells)
-    exact = np.zeros(len(cells), dtype=bool)
-    live = np.ones(len(cells), dtype=bool)
+    families = p.families
+    seed, cells, vals, grads = [], [], [], []
+    for fam in families:
+        e, sign, box = fam
+        sup, s_max, grid, v = _sup(e, xbar, sign, box, density or default_density(len(box)))
+        if sup > TOL_FEAS:
+            raise InfeasiblePointError(f"sup violation {sup:.3e} exceeds tol_feas")
+        if sup >= -TOL_ACTIVE:
+            seed.append(((fam, s_max), sign * _grad_x(e, xbar, s_max)))
+        near = v >= -TOL_ACTIVE - 1e-3
+        cells.append(grid[near].astype(float, copy=False))
+        vals.append(v[near])
+        grads.append(sign * _x_gradients(e, xbar, cells[-1]))
+    # one row per near-active cell of every family; cells[f] holds family f's
+    starts = np.cumsum([0] + [len(c) for c in cells])
+    vals, grads = np.concatenate(vals), np.concatenate(grads)
+    exact = np.zeros(len(vals), dtype=bool)
+    live = np.ones(len(vals), dtype=bool)
 
     def price(y, floor):
         floor += 1e-9  # the simplex's reduced-cost tolerance
         scores = grads @ y
         picks = np.flatnonzero(live & (scores > floor))
         for i in picks[np.argsort(-scores[picks], kind="stable")]:
+            f = int(np.searchsorted(starts, i, side="right")) - 1
+            (e, sign, box), fc, j = families[f], cells[f], i - starts[f]
             if not exact[i] and vals[i] < -TOL_ACTIVE:
-                cells[i], vals[i] = _polish_max(lambda ss: p.theta_at(xbar, ss),
-                                                lambda ss: p.grad_s_theta(xbar, ss),
-                                                cells[i], p.S, 40)
+                fc[j], vals[i] = _polish_max(
+                    lambda ss: sign * expr_mod.evaluate(e, list(xbar) + list(ss)),
+                    lambda ss: sign * _index_partials(e, xbar, ss), fc[j], box, 40)
                 live[i] = vals[i] >= -TOL_ACTIVE
             if live[i] and not exact[i]:
-                grads[i], exact[i] = p.grad_x_theta(xbar, cells[i]), True
+                grads[i], exact[i] = sign * _grad_x(e, xbar, fc[j]), True
             if live[i] and grads[i] @ y > floor:
                 live[i] = False
-                return cells[i].copy(), grads[i].copy()
+                return (families[f], fc[j].copy()), grads[i].copy()
         return None
 
     return seed, price
@@ -379,7 +387,8 @@ def _near_active_gradients(e, signs, z, box):
     central differences over all cells at once, and only the survivors get
     an exact gradient."""
     grid = _box_grid(box, SLOPE_DENSITY)
-    vals = np.stack([sign * _grid_values(e, z, grid) for sign in signs])
+    raw = _grid_values(e, z, grid)
+    vals = np.stack([np.where(np.isfinite(raw), sign * raw, -np.inf) for sign in signs])
     f, i = np.unravel_index(int(np.argmax(vals)), vals.shape)
     top_sign = signs[f]
     s_star, top = _polish_max(lambda s: top_sign * expr_mod.evaluate(e, list(z) + list(s)),
@@ -419,11 +428,8 @@ def violation_slope(p: SIProblem, z):
     2004).  The Minkowski sum of two hulls is the hull of the pairwise
     sums."""
     z = np.asarray(z, dtype=float)
-    groups = []
-    if p.theta is not None:
-        groups.append(_near_active_gradients(p.theta, (1.0,), z, p.S))
-    if p.psi is not None:
-        groups.append(_near_active_gradients(p.psi, (1.0, -1.0), z, p.T))
+    groups = [_near_active_gradients(e, signs, z, box) for e, signs, box in
+              ((p.theta, (1.0,), p.S), (p.psi, (1.0, -1.0), p.T)) if e is not None]
     g = math.hypot(*(v for v, _ in groups))
     if g == 0.0:
         return 0.0, 0.0
@@ -457,7 +463,7 @@ def emfcq_check(p: SIProblem, xbar) -> CQReport:
     The direction LP min tau s.t. <c_s, u> <= tau, u in the unit box, gains
     the rows that ``active_indexes`` prices above tau at its u."""
     xbar = np.asarray(xbar, dtype=float)
-    seed, price = active_indexes(p, xbar)
+    seed, price = active_indexes(replace(p, psi=None, T=None), xbar)
     if not seed:
         return CQReport("EMFCQ", VERIFIED, confidence="exact",
                         notes=["no active indexes: condition is vacuous"])
@@ -589,29 +595,23 @@ def conditions(p: SIProblem, x, g0, atoms, eq_atoms):
 def certify(p: SIProblem, xbar, kappa, seed=42, density=None) -> Certificate:
     """Atomic-multiplier KKT certificate with the bound sum(lambda) <= kappa*||grad||.
 
-    An equality family psi(x,t) = 0 enters by the two-inequality split: each
-    point of the T grid (``density`` per axis, at most 33) gives a free +/-
-    column pair, and the bound becomes sum(lambda) + sum|mu| <= 2*kappa*||grad||;
-    the feasibility sup of |psi| runs on the ``density`` grid too.
-    The theta atoms come from the exchange method over ``active_indexes``
-    on the ``density`` grid."""
+    An equality family psi(x,t) = 0 enters by the two-inequality split:
+    psi <= 0 and -psi <= 0 are two more index families over T, an atom
+    (t, w) of the family with sign +/-1 is the equality atom (t, +/-w), and
+    the bound becomes sum(lambda) + sum|mu| <= 2*kappa*||grad||.  Every
+    family's feasibility sup and atoms come from ``active_indexes`` and the
+    exchange method on the ``density`` grid."""
     xbar = np.asarray(xbar, dtype=float)
-    if p.psi is not None and sup_abs_equality(p, xbar, density)[0] > TOL_FEAS:
-        raise InfeasiblePointError("equality family violated at xbar")
+    start, price = active_indexes(p, xbar, density)
     g0 = p.grad_objective(xbar)
-    eq_points = [] if p.psi is None else \
-        list(_box_grid(p.T, min(density or default_density(len(p.T)), 33)))
-    eq_cols = [p.grad_x_psi(xbar, t) for t in eq_points]
-    start, price = ([], None) if p.theta is None else active_indexes(p, xbar, density)
-    found = stationarity_atoms([s for s, _ in start], [c for _, c in start], -g0,
-                               eq_points, eq_cols, price=price)
+    found = stationarity_atoms([a for a, _ in start], [c for _, c in start], -g0, price=price)
     if found is None:
         raise NoMultiplierError("no atomic multiplier")
     # kappa after the fit, so no multiplier, no estimate; no estimator notes
     kappa_val, kappa_source, _ = resolve_kappa(
         kappa, lambda: sip_kappa_estimate(p, xbar, seed=seed))
-    atoms, signed = found
-    eq_atoms = [(np.array(t), m) for t, m in signed.items() if abs(m) > 0.0]
+    atoms = [(s, w) for ((e, _, _), s), w in found[0] if e is p.theta]
+    eq_atoms = [(t, sign * w) for ((e, sign, _), t), w in found[0] if e is not p.theta]
     bound_factor = 1.0 if p.psi is None else 2.0
     residual, total = checked(conditions(p, xbar, g0, atoms, eq_atoms))
     comp_worst = max([0.0] + [abs(w * p.theta_at(xbar, s)) for s, w in atoms])

@@ -247,6 +247,44 @@ def test_undefined_theta_cells_are_no_start_beside_an_isolated_peak(tmp_path, ca
     assert cli.run(["sip", "-p", prob, "--point", "0", "--kappa", "1"]) == 0
 
 
+def test_undefined_psi_cells_give_no_columns(tmp_path, capsys):
+    """psi = x1 - 1 is feasible at x = 1 where defined (t >= 0.5 or 0.51):
+    a cell where psi is undefined, or at the edge where its derivative is,
+    is never near-active, so it gives no column, and the point is certified
+    with mu = -2 at one t."""
+    for edge in ("0.5", "0.51"):
+        prob = write_problem(tmp_path, {
+            "kind": "sip", "n": 1, "objective": "x1^2",
+            "constraints": {"psi": f"x1 - 1 + 0*sqrt(t1 - {edge})", "T": [[0.0, 1.0]]}})
+        assert cli.run(["sip", "-p", prob, "--point", "1", "--kappa", "1"]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("SIP-EQ: VERIFIED") and "bound 2 <= 4" in err
+
+
+def test_the_sup_stops_at_an_edge_of_the_domain(tmp_path, capsys):
+    """The maximizer of each sup below lies at s = 0.5 or t = 0.5, where
+    sqrt(s1 - 0.5) stops being defined: the polish stays on the defined side
+    and stops where the derivative is undefined, so the verdicts are those
+    of the sup's value, not an error."""
+    def run(constraints, point):
+        prob = write_problem(tmp_path, {"kind": "sip", "n": 1, "objective": "x1^2",
+                                        "constraints": constraints})
+        code = cli.run(["sip", "-p", prob, "--point", point, "--kappa", "1"])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    theta = {"theta": "x1 - 1 - 0.1*s1 + 0*sqrt(s1 - 0.5)", "S": [[0.0, 1.0]]}
+    code, err = run(theta, "0")
+    assert code == 0 and err.startswith("SIP: VERIFIED")
+    code, err = run(theta, "2")
+    assert code == 1 and err.startswith("infeasible point: ")
+    for sign in ("+", "-"):
+        code, err = run({"psi": f"x1 - 1 {sign} 0.1*t1 + 0*sqrt(t1 - 0.5)",
+                         "T": [[0.0, 1.0]]}, "0")
+        assert code == 1 and err.startswith("infeasible point: ")
+
+
 def test_recheck_wrong_problem_exit_3(tmp_path):
     prob = write_problem(tmp_path, orthant_doc())
     out = str(tmp_path / "cert.json")

@@ -1,7 +1,11 @@
+import dataclasses
+import functools
+import json
+
 import numpy as np
 import pytest
 
-from varcert import sip
+from varcert import cli, sip
 from varcert.calculus import REFUTED, VERIFIED
 from varcert.errors import InfeasiblePointError, NoMultiplierError
 from varcert.sip import (
@@ -33,33 +37,53 @@ def test_sup_violation_examples():
 
 
 def drain(price, y, floor):
-    """Every index that ``price`` offers at one y, in the order offered."""
+    """Every (family, index, gradient) that ``price`` offers at one y, in
+    the order offered."""
     out = []
     while (new := price(np.asarray(y, dtype=float), floor)) is not None:
-        out.append(new)
+        (fam, s), g = new
+        out.append((fam, s, g))
     return out
 
 
 def test_active_indexes_examples():
-    """The seed is the polished argmax when it is active; price offers each
-    active index with <grad_x theta, y> > floor once, with its exact gradient."""
+    """The seed is the polished argmax of each family when it is active;
+    price offers each active index of every family with
+    <sign * grad_x e, y> > floor once, with its exact gradient, tagged with
+    its family."""
     p = linear_sip()
+    theta, = p.families
     seed, price = active_indexes(p, [0.0])
-    assert len(seed) == 1 and seed[0][1] == pytest.approx([seed[0][0][0]])
+    ((fam, s), g), = seed
+    assert fam == theta and g == pytest.approx([s[0]])
     assert price(np.array([-1.0]), 0.0) is None  # every column s has <s, -1> <= 0
     offered = drain(price, [1.0], 0.5)  # the whole box is active: the cells with s > 0.5
-    assert [s[0] for s, _ in offered] == pytest.approx(np.linspace(0.0, 1.0, 64)[32:][::-1])
-    assert all(g == pytest.approx(s) for s, g in offered)
-    assert [s[0] for s, _ in drain(price, [1.0], 0.0)] == \
+    assert all(fam == theta for fam, _, _ in offered)
+    assert [s[0] for _, s, _ in offered] == pytest.approx(np.linspace(0.0, 1.0, 64)[32:][::-1])
+    assert all(g == pytest.approx(s) for _, s, g in offered)
+    assert [s[0] for _, s, _ in drain(price, [1.0], 0.0)] == \
         pytest.approx(np.linspace(0.0, 1.0, 64)[1:32][::-1])  # each offered once
     p2 = SIProblem.from_strings(1, "x1", theta="s1*x1 - 1", S=[(0.0, 1.0)])
     seed, price = active_indexes(p2, [0.0])
     assert seed == [] and price(np.array([1.0]), -1e9) is None
     p3 = SIProblem.from_strings(1, "x1", theta="0 - (s1 - 0.5)^2", S=[(0.0, 1.0)])
-    (s, g), = active_indexes(p3, [7.0])[0]
+    ((_, s), g), = active_indexes(p3, [7.0])[0]
     assert s[0] == pytest.approx(0.5, abs=1e-4) and g.tolist() == [0.0]
     with pytest.raises(InfeasiblePointError):
         active_indexes(p, [1.0])
+    # psi = t1*x1 on T = [0, 1] at x = 0: the families +psi and -psi are
+    # active on every cell, with columns +t1 and -t1
+    eq = SIProblem.from_strings(1, "x1", psi="t1*x1", T=[(0.0, 1.0)])
+    plus, minus = eq.families
+    seed, price = active_indexes(eq, [0.0])
+    assert [fam for (fam, _), _ in seed] == [plus, minus]
+    assert all(g == pytest.approx([fam[1] * s[0]]) for (fam, s), g in seed)
+    offered = drain(price, [-1.0], 0.5)
+    assert all(fam == minus for fam, _, _ in offered)
+    assert [s[0] for _, s, _ in offered] == pytest.approx(np.linspace(0.0, 1.0, 64)[32:][::-1])
+    assert all(g == pytest.approx(-s) for _, s, g in offered)
+    with pytest.raises(InfeasiblePointError):
+        active_indexes(SIProblem.from_strings(1, "x1", psi="t1*x1 - 1", T=[(0.0, 1.0)]), [0.0])
 
 
 def test_a_cell_turned_down_at_one_dual_stays_a_candidate(monkeypatch):
@@ -71,7 +95,7 @@ def test_a_cell_turned_down_at_one_dual_stays_a_candidate(monkeypatch):
     once."""
     p = SIProblem.from_strings(1, "x1", theta="s1*x1 - (s1 - 0.5)^2", S=[(0.0, 1.0)])
     seed, price = active_indexes(p, [0.0])
-    assert seed[0][0][0] == pytest.approx(0.5, abs=1e-6)
+    assert seed[0][0][1][0] == pytest.approx(0.5, abs=1e-6)
     polished = []
     real = sip._polish_max
     monkeypatch.setattr(sip, "_polish_max",
@@ -79,7 +103,7 @@ def test_a_cell_turned_down_at_one_dual_stays_a_candidate(monkeypatch):
                         or real(v, g, s0, box, steps))
     assert price(np.array([1.0]), 0.5) is None
     assert len(polished) == 2 and all(s > 0.5 for s in polished)  # 32/63 and 33/63
-    s, g = price(np.array([1.0]), 0.4)
+    (_, s), g = price(np.array([1.0]), 0.4)
     assert s[0] == pytest.approx(0.5, abs=1e-6) and g[0] == pytest.approx(0.5, abs=1e-6)
     drain(price, [1.0], 0.0)
     assert len(polished) == len(set(polished))  # never the same cell twice
@@ -228,9 +252,9 @@ def test_certify_with_equalities_examples():
     assert cert.bound_rule == "2*kappa*||grad objective||"
 
 
-def test_equality_grid_follows_the_dimension_of_T(monkeypatch):
-    """The T grid takes --grid or the default for T's own dimension, capped
-    at 33 per axis: 33 for one or two index variables, 16 for three."""
+def test_equality_grid_takes_the_command_density(monkeypatch):
+    """The T grid takes --grid or the default for T's own dimension, with no
+    cap: 64 for one or two index variables, 16 for three."""
     asked = []
     real = sip._box_grid
 
@@ -241,13 +265,105 @@ def test_equality_grid_follows_the_dimension_of_T(monkeypatch):
         return real(box, density)
 
     monkeypatch.setattr(sip, "_box_grid", recording)
-    for T, density, expected in (([(0.0, 2.0)], None, 33), ([(0.0, 2.0)] * 3, None, 16),
-                                 ([(0.0, 2.0)] * 3, 8, 8), ([(0.0, 2.0)], 100, 33)):
+    for T, density, expected in (([(0.0, 2.0)], None, 64), ([(0.0, 2.0)] * 3, None, 16),
+                                 ([(0.0, 2.0)] * 3, 8, 8), ([(0.0, 2.0)], 100, 100)):
         asked.clear()
         psi = "*".join(f"t{i + 1}" for i in range(len(T))) + "*x1"
         p = SIProblem.from_strings(2, "x1^2 - x2", theta="x2 - s1", S=[(0.0, 1.0)], psi=psi, T=T)
         assert certify(p, [0.0, 0.0], kappa=1.0, density=density).status == "VERIFIED"
         assert asked[-1] == expected
+
+
+def _equality_cases():
+    """24 seeded sip problems with psi over a 1- or 2-index T, half with a
+    theta, n = 1 to 3, at a point where psi vanishes for every t (or, in
+    every 8th case, 0.05 off it), with the grid cycling through the default,
+    9, 17 and 33 per axis."""
+    rng = np.random.default_rng(2801)
+    num = lambda v: repr(round(float(v), 3))  # noqa: E731
+    cases = []
+    for i in range(24):
+        n, k2, with_theta = 1 + i % 3, 1 + (i // 3) % 2, (i // 6) % 2 == 1
+        c = rng.uniform(-1.0, 1.0, n).round(3)
+        T = [[0.0, float(rng.choice([1.0, 2.0]))] for _ in range(k2)]
+        ts = [f"t{a + 1}" for a in range(k2)]
+        menu = ["1", ts[0], f"sin({ts[0]})", f"({ts[0]} - 0.4)^2", f"{ts[0]}*{ts[-1]}",
+                f"cos({ts[-1]})"]
+        coef = [menu[int(rng.integers(len(menu)))] for _ in range(n)]
+        cons = {"psi": " + ".join(f"{a}*(x{j + 1} - {num(c[j])})" for j, a in enumerate(coef)),
+                "T": T}
+        r, b = float(rng.uniform(0.1, 0.9)), rng.uniform(-1.0, 1.0, n)
+        if with_theta:
+            cons["theta"] = (" + ".join(f"{num(b[j])}*s1*(x{j + 1} - {num(c[j])})"
+                                        for j in range(n))
+                             + f" - {num(rng.uniform(0.5, 2.0))}*(s1 - {num(r)})^2")
+            cons["S"] = [[0.0, 1.0]]
+        g = rng.normal(size=n)
+        if rng.random() < 0.6:  # in the cone of a psi column and the theta peak's
+            tt = rng.uniform(0.0, 1.0, k2) * np.array([hi for _, hi in T])
+            env = {"t1": tt[0], "t2": tt[-1], "sin": np.sin, "cos": np.cos}
+            a = np.array([eval(e.replace("^", "**"), env) for e in coef], dtype=float)
+            g = -float(rng.uniform(-2.0, 2.0)) * a
+            if with_theta:
+                g = g - float(rng.uniform(0.0, 2.0)) * r * b
+        point = c + (0.05 if i % 8 == 7 else 0.0)
+        args = ["--point", ",".join(num(v) for v in point),
+                "--kappa", num(rng.choice([0.5, 1.0, 3.0]))]
+        if i % 4:
+            args += ["--grid", str([9, 17, 33][i % 4 - 1])]
+        doc = {"kind": "sip", "n": n, "objective": " + ".join(f"{num(g[j])}*x{j + 1}"
+                                                              for j in range(n)),
+               "constraints": cons}
+        cases.append((doc, args))
+    return cases
+
+
+# (issue exit, status, detail, bound lhs at --grid <= 33) of each case above,
+# as issued when every psi column was a T grid point (at most 33 per axis)
+# and |psi| had its own sup
+EQUALITY_VERDICTS = [
+    (0, "VERIFIED", None, None),
+    (0, "VERIFIED", None, 0.6543499145744),
+    (1, "REFUTED", "NO_MULTIPLIER", None),
+    (0, "VERIFIED", None, 1.1615),
+    (0, "VERIFIED", None, None),
+    (0, "VERIFIED", None, 0.3876104958811),
+    (0, "VERIFIED", None, 0.6559633868336),
+    (1, None, None, None),
+    (0, "VERIFIED", None, None),
+    (0, "VERIFIED", None, 0.09525),
+    (0, "VERIFIED", None, 1.002663379041),
+    (1, "REFUTED", "BOUND_EXCEEDED", 1.370779549783),
+    (0, "VERIFIED", None, None),
+    (0, "VERIFIED", None, 0.6104056795132),
+    (0, "VERIFIED", None, 0.7905),
+    (1, None, None, None),
+    (0, "VERIFIED", None, None),
+    (0, "VERIFIED", None, 0.9199188213147),
+    (0, "VERIFIED", None, 2.029778840669),
+    (1, "REFUTED", "BOUND_EXCEEDED", 3.166066650263),
+    (0, "VERIFIED", None, None),
+    (0, "VERIFIED", None, 0.11775),
+    (0, "VERIFIED", None, 1.492652470739),
+    (1, None, None, None),
+]
+
+
+def test_equality_families_keep_the_verdicts_of_the_grid_columns(tmp_path):
+    """psi as the families +psi and -psi keeps every status and detail of
+    the T grid columns, and at --grid <= 33, where both see the same cells,
+    the bound's lhs to 1e-9; every VERIFIED certificate rechecks."""
+    prob, out = tmp_path / "problem.json", tmp_path / "cert.json"
+    for (doc, args), (code, status, detail, lhs) in zip(_equality_cases(), EQUALITY_VERDICTS):
+        prob.write_text(json.dumps(doc), encoding="utf-8")
+        out.unlink(missing_ok=True)
+        assert cli.run(["sip", "-p", str(prob), *args, "--out", str(out)]) == code, args
+        cert = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+        assert (cert.get("status"), cert.get("detail")) == (status, detail), args
+        if lhs is not None:
+            assert cert["bound"]["lhs"] == pytest.approx(lhs, abs=1e-9)
+        if status == "VERIFIED":
+            assert cli.run(["recheck", "-p", str(prob), "-c", str(out)]) == 0
 
 
 def test_verified_certificates_have_tiny_residual():
@@ -281,6 +397,14 @@ def test_equality_only_kappa_estimate_reads_the_danskin_slope():
         g, slope = sip.violation_slope(p, [x])
         assert g == pytest.approx(abs(x) ** 3, rel=1e-12)
         assert slope == pytest.approx(3.0 * x ** 2, rel=1e-9)
+
+
+def test_slope_of_psi_skips_its_undefined_cells_for_both_signs():
+    """psi = x1 is undefined on t < 0.5: for sign -1 those cells stay last,
+    so the slope at x1 = -0.1 reads the defined cells, as at x1 = 0.1."""
+    p = SIProblem.from_strings(1, "x1^2", psi="x1 + 0*sqrt(t1 - 0.5)", T=[(0.0, 1.0)])
+    for x in (0.1, -0.1):
+        assert sip.violation_slope(p, [x]) == (0.1, 1.0)
 
 
 def test_slope_estimate_takes_the_hull_of_near_active_gradients():
@@ -402,7 +526,8 @@ def _sup_violation_loop(p, x, density, polish_top=5, polish_steps=100):
     order = np.argsort(-vals)[:polish_top]
     best_s, best_v = grid[order[0]], vals[order[0]]
     for idx in order:
-        s, v = sip._polish_max(lambda ss: p.theta_at(x, ss), lambda ss: p.grad_s_theta(x, ss),
+        s, v = sip._polish_max(lambda ss: p.theta_at(x, ss),
+                               lambda ss: sip._index_partials(p.theta, x, ss),
                                grid[idx], p.S, steps=polish_steps)
         if v > best_v:
             best_s, best_v = s, v
@@ -485,13 +610,16 @@ def test_sup_keeps_its_bits_on_isolated_peaks():
 
 
 def test_top_cell_search_matches_the_three_loops(monkeypatch):
-    """sup_violation, sup_abs_equality and active_indexes return the same
-    bits as the loops each of them ran before sharing one search.  Their
+    """The family sup of theta, those of +psi and -psi, and active_indexes
+    return the same bits as the loops the theta sup, the |psi| sup and
+    active_indexes ran before sharing one search; the |psi| loop with 5
+    starts of 100 steps per sign, as every family now has.  Their
     _polish_max calls are the loop's calls, run over every cell, whose start
     is a defined local maximum of the grid for the function polished: in
-    the loop's order, at most 5 for theta and 3 per sign for psi.  On the
-    flat face every cell ties, so they are the loop's 5 calls.
-    active_indexes polishes no grid cell before its price picks one."""
+    the loop's order, at most 5 per family.  On the flat face and on the
+    psi that vanishes at x = 0 every cell ties, so they are the loop's first
+    5 calls per family.  active_indexes polishes no grid cell before its
+    price picks one."""
     calls = []
     density, dry = None, False
     polish = sip._polish_max
@@ -541,13 +669,29 @@ def test_top_cell_search_matches_the_three_loops(monkeypatch):
         assert bits(got) == bits(loop(p, x, density))
         assert got_calls == restricted(loop, p, x, box, count, signs)
 
+    def theta_sup(p, x, density):
+        sup, s = sip._sup(p.theta, x, 1.0, p.S, density)[:2]
+        return max(0.0, sup), s
+
+    def psi_sup(p, x, density):
+        """The +psi and -psi family sups, read as the |psi| loop's
+        (sup, argmax, sign)."""
+        best = 0.0, None, 1.0
+        for sign in (1.0, -1.0):
+            sup, t = sip._sup(p.psi, x, sign, p.T, density)[:2]
+            if sup > best[0]:
+                best = sup, t, sign
+        return best
+
+    psi_loop = functools.partial(_sup_abs_equality_loop, polish_top=5, polish_steps=100)
+
     cubic = SIProblem.from_strings(2, "x1", theta="(s1 - 0.3)*(x1 - 0.2)^3 + x2*s2 - s2^2",
                                    S=[(0.3, 1.3), (0.0, 1.0)],
                                    psi="sin(3*t1 - x1)*x2 + t1*x1", T=[(0.0, 2.0)])
     for x in ([0.2, 0.0], [0.5, -0.3], [1.0, 0.4]):
         for density in (8, 16):
-            both(sip.sup_violation, _sup_violation_loop, cubic, np.array(x), cubic.S, 5, 1)
-            both(sip.sup_abs_equality, _sup_abs_equality_loop, cubic, np.array(x), cubic.T, 3, 2)
+            both(theta_sup, _sup_violation_loop, cubic, np.array(x), cubic.S, 5, 1)
+            both(psi_sup, psi_loop, cubic, np.array(x), cubic.T, 5, 2)
     # a flat active face (every cell active) and a cap whose cells fall below the floor
     flat = SIProblem.from_strings(2, "x1", theta="s1*x1 + s2*x2", S=[(0.0, 1.0), (0.0, 1.0)])
     cap = SIProblem.from_strings(2, "x1", theta="x1 - (s1 - 0.5)^2 - 4*(s2 - 0.5)^2",
@@ -555,10 +699,17 @@ def test_top_cell_search_matches_the_three_loops(monkeypatch):
     for p in (flat, cap):
         for density in (9, 17, 65):
             calls.clear()
-            (s_max, _), = sip.active_indexes(p, np.zeros(2), density)[0]
+            ((_, s_max), _), = sip.active_indexes(p, np.zeros(2), density)[0]
             got_calls = starts(calls)
             calls.clear()
             assert bits([s_max]) == bits(_sup_violation_loop(p, np.zeros(2), density)[1:])
             if p is flat:
                 assert got_calls == starts(calls) and len(calls) == 5
             assert got_calls == restricted(_sup_violation_loop, p, np.zeros(2), p.S, 5, 1)
+    eq = dataclasses.replace(cubic, theta=None, S=None)  # psi vanishes at x = 0
+    for density in (8, 16):
+        calls.clear()
+        sip.active_indexes(eq, np.zeros(2), density)
+        got_calls = starts(calls)
+        assert got_calls == restricted(psi_loop, eq, np.zeros(2), eq.T, 5, 2) == \
+            [c for f in range(2) for c in starts(calls[f * density:(f + 1) * density])[:5]]
