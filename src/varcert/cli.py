@@ -329,8 +329,9 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
         witness = cert_doc.get("descent_witness")
         if witness is not None:  # a descent direction shows REFUTED, whatever the status
             failures, _ = certify.descent_conditions(p, y, J, [g], np.array(witness, dtype=float))
-            if failures:
-                return _refuted(failures, log)
+            if failures:  # a witness that fails shows nothing: neither REFUTED nor VERIFIED
+                _refuted(failures, log)
+                return EXIT_INCONCLUSIVE
             log("recheck: descent witness reproduces REFUTED")
             return EXIT_REFUTED
         rows, l = p.Theta.A_ineq.shape[0], p.Theta.A_eq.shape[0]

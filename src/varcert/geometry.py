@@ -10,6 +10,16 @@ by stripping the lineality space and enumerating extreme rays of the
 pointed remainder (each extreme ray is cut out by dim-1 independent
 active constraints).  Exact cone operations are reserved for polyhedra;
 nonconvex sets enter only through ``SampledSetOracle``.
+
+Projections onto a polyhedron are exact: Lawson and Hanson's least-distance
+program, solved by NNLS.  Each ``Polyhedron`` also remembers the last
+``_MAX_FACES`` faces its projections landed on (a face: the active
+inequality rows plus every equality row), most recently hit first.  Sampled
+points keep landing on the same few faces, so ``project`` first tries them in
+closed form: the projection onto a face's affine hull, accepted only when its
+inequality multipliers are >= 0 and it satisfies every other row exactly.
+That is the KKT system of the strictly convex projection problem, so an
+accepted face yields the projection itself; the NNLS runs only on a miss.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ TOL_FEAS = 1e-8
 TOL_ACTIVE = 1e-6
 
 _MAX_RAY_SUBSETS = 500_000
+_MAX_FACES = 16
 
 
 def _as_matrix(M, n):
@@ -83,6 +94,7 @@ class Polyhedron:
         self.A_eq = _as_matrix(A_eq, self.n)
         self.b_eq = _as_vector(b_eq, self.A_eq.shape[0])
         self._empty = None
+        self._faces = []  # see _face_hit: at most _MAX_FACES, most recently hit first
 
     # ---- constructors -------------------------------------------------
     @classmethod
@@ -421,9 +433,52 @@ def _nearest(A, b, C, d, z):
     return y0 + N @ least_distance(A @ N, b - A @ y0)
 
 
+def _face_hit(P: Polyhedron, z):
+    """The projection of z from a remembered face of P, or None.
+
+    A face with rows K (K y = k on it) stores Q R = K^T, the least-norm point
+    c of its affine hull, R^-1 restricted to the inequality rows and the
+    other inequality rows.  x = z - Q Q^T (z - c) is the nearest point of the
+    hull and z - x = K^T mu with R mu = Q^T (z - c); x is the projection onto
+    P when the inequality part of mu is >= 0 and A x <= b holds on the other
+    rows.  A hit moves its face to the front."""
+    for i, (Q, c, R_inv, A, b) in enumerate(P._faces):
+        q = Q.T @ (z - c)
+        x = z - Q @ q
+        if (R_inv @ q >= 0.0).all() and (A @ x <= b).all():
+            P._faces.insert(0, P._faces.pop(i))
+            return x
+    return None
+
+
+def _remember_face(P: Polyhedron, x):
+    """Remember the face of the rows active at the projection x, unless its
+    rows are dependent (R has a diagonal entry <= 1e-10 times its largest)."""
+    act = P.active_rows(x)
+    K = np.vstack([P.A_ineq[act], P.A_eq])
+    if not 0 < len(K) <= P.n:
+        return
+    Q, R = np.linalg.qr(K.T)
+    diag = np.abs(np.diag(R))
+    if diag.min() <= 1e-10 * diag.max():
+        return
+    R_inv = np.linalg.inv(R)
+    c = Q @ (R_inv.T @ np.concatenate([P.b_ineq[act], P.b_eq]))
+    P._faces.insert(0, (Q, c, R_inv[:len(act)], np.delete(P.A_ineq, act, axis=0),
+                        np.delete(P.b_ineq, act)))
+    del P._faces[_MAX_FACES:]
+
+
 def project(P: Polyhedron, z):
     """Euclidean projection onto P and the distance, exact by Lawson and
     Hanson's least-distance program.
+
+    The first try is P's remembered faces (module docstring): a face whose
+    multipliers are >= 0 and whose hull point satisfies every other row
+    meets the projection's KKT conditions, so it gives the projection in
+    closed form.  On a miss the NNLS point is returned as it is, and the face
+    of its active rows is remembered; P keeps at most ``_MAX_FACES`` faces.
+    A result's last bits may thus depend on the points P projected before.
 
     The shortcut requires exact membership: rounding tol-level distances
     to zero would hide sub-tolerance infeasibility from polishing loops.
@@ -433,7 +488,10 @@ def project(P: Polyhedron, z):
         return z.copy(), 0.0
     if P.is_empty():
         raise EmptySetError("cannot project onto an empty polyhedron")
-    x = _nearest(P.A_ineq, P.b_ineq, P.A_eq, P.b_eq, z)
+    x = _face_hit(P, z)
+    if x is None:
+        x = _nearest(P.A_ineq, P.b_ineq, P.A_eq, P.b_eq, z)
+        _remember_face(P, x)
     return x, float(np.linalg.norm(z - x))
 
 

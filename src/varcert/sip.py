@@ -463,6 +463,9 @@ def emfcq_check(p: SIProblem, xbar) -> CQReport:
     The direction LP min tau s.t. <c_s, u> <= tau, u in the unit box, gains
     the rows that ``active_indexes`` prices above tau at its u."""
     xbar = np.asarray(xbar, dtype=float)
+    if p.theta is None:
+        return CQReport("EMFCQ", VERIFIED, confidence="exact",
+                        notes=["no inequality family: condition is vacuous"])
     seed, price = active_indexes(replace(p, psi=None, T=None), xbar)
     if not seed:
         return CQReport("EMFCQ", VERIFIED, confidence="exact",

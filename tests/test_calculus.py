@@ -230,6 +230,19 @@ def test_msqc_estimate_projects_no_image_twice_in_a_row(monkeypatch):
     assert all(a != b for a, b in zip(images, images[1:]))
 
 
+def test_msqc_estimate_is_the_same_from_remembered_faces():
+    """A second estimate on one Composite projects from the faces its Theta
+    remembered during the first: same verdict, kappa_hat equal to 1e-12."""
+    ind = IndicatorFn(Polyhedron([[1.0, 0.0], [0.0, 1.0], [1.0, 2.0]], [0.0, 0.0, 0.1]))
+    f = SmoothMap.from_strings(["x1 + x2^2", "x2 - x1^2"], ["x1", "x2"])
+    c = Composite(ind, f, [0.0, 0.0])
+    cold = msqc_estimate(c, radius=0.5, samples=30, seed=5)
+    assert ind.P._faces
+    warm = msqc_estimate(c, radius=0.5, samples=30, seed=5)
+    assert warm.verdict == cold.verdict
+    assert warm.kappa_hat == pytest.approx(cold.kappa_hat, rel=1e-12)
+
+
 def test_feasible_set_oracle_evaluates_f_once_per_point(monkeypatch):
     """One dist: the violation at z, the Gauss-Newton restoration from z and
     the violation at its end point share each image."""

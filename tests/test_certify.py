@@ -324,7 +324,7 @@ def test_primal_and_kkt_read_one_farkas_alternative():
     rank-deficient J in half, and stationary objectives in half.
     primal and kkt agree with each other and with the boxed descent LP; every
     VERIFIED replays through kkt_conditions (recheck exit 0); every descent
-    witness passes recheck, and the flipped one fails it."""
+    witness passes recheck (exit 1), and the flipped one fails it (exit 2)."""
     rng = np.random.default_rng(26)
     verdicts = set()
     for trial in range(60):
@@ -360,7 +360,7 @@ def test_primal_and_kkt_read_one_farkas_alternative():
         for cert in (primal, kkt):
             assert _recheck(cert, doc) == (1, ["recheck: descent witness reproduces REFUTED"])
             code, lines = _recheck(replace(cert, descent_witness=-cert.descent_witness), doc)
-            assert code == 1 and lines[0].startswith("recheck failure: "), trial
+            assert code == 2 and lines[0].startswith("recheck failure: "), trial
     assert verdicts == {certify.VERIFIED, certify.REFUTED}
 
 

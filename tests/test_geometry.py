@@ -204,9 +204,9 @@ def test_project_rejects_a_non_finite_point():
         project_cone(PolyhedralCone.whole_space(2), [np.nan, 1.0])
 
 
-def test_project_satisfies_kkt_on_nearly_parallel_rows():
-    """Feasible projection, and z - y is a nonnegative combination of the rows
-    active at y plus any combination of the equality rows."""
+def nearly_parallel_instances():
+    """40 seeded (P, x0, z): 2-4 nearly parallel inequality rows, up to 2
+    random ones and up to n - 2 equality rows through x0, and z near x0."""
     rng = np.random.default_rng(11)
     for _ in range(40):
         n = int(rng.integers(2, 6))
@@ -217,15 +217,116 @@ def test_project_satisfies_kkt_on_nearly_parallel_rows():
         C = rng.standard_normal((int(rng.integers(0, n - 1)), n))
         x0 = rng.standard_normal(n)
         P = Polyhedron(A, A @ x0 + rng.uniform(0.0, 0.1, len(A)), C, C @ x0, n=n)
-        z = x0 + 3.0 * rng.standard_normal(n)
+        yield P, x0, x0 + 3.0 * rng.standard_normal(n)
+
+
+def assert_projection_kkt(P, z, y, d):
+    """Feasible projection, and z - y is a nonnegative combination of the rows
+    active at y plus any combination of the equality rows."""
+    scale = 1.0 + np.linalg.norm(z)
+    assert P.residual(y) <= 1e-12 * scale
+    assert d == pytest.approx(np.linalg.norm(z - y), abs=1e-15)
+    active = P.A_ineq[P.A_ineq @ y - P.b_ineq >= -1e-9 * scale]
+    E = np.vstack([active, P.A_eq, -P.A_eq]).T
+    w = nnls(E, z - y)
+    assert np.linalg.norm(E @ w - (z - y)) <= 1e-9 * scale
+
+
+def test_project_satisfies_kkt_on_nearly_parallel_rows():
+    for P, _, z in nearly_parallel_instances():
+        assert_projection_kkt(P, z, *project(P, z))
+
+
+def cold_projection(P, z):
+    """The NNLS point, as ``project`` computes it with no remembered face."""
+    return geo._nearest(P.A_ineq, P.b_ineq, P.A_eq, P.b_eq, z)
+
+
+def test_warm_projections_on_nearly_parallel_rows_match_the_nnls(monkeypatch):
+    """60 points per instance, most projected from a remembered face: each
+    meets the KKT bounds above and lies within 1e-10 (1 + ||z||) of the NNLS
+    point."""
+    nnls_calls = []
+    least_distance = geo.least_distance
+
+    def counting(G, h):
+        nnls_calls.append(len(G))
+        return least_distance(G, h)
+
+    monkeypatch.setattr(geo, "least_distance", counting)
+    rng = np.random.default_rng(12)
+    projected = 0
+    for P, x0, z0 in nearly_parallel_instances():
+        for z in [z0] + [x0 + 3.0 * rng.standard_normal(P.n) for _ in range(59)]:
+            y, d = project(P, z)
+            assert_projection_kkt(P, z, y, d)
+            if d > 0.0:
+                projected += 1
+                assert np.linalg.norm(y - cold_projection(P, z)) <= 1e-10 * (1.0 + np.linalg.norm(z))
+        assert len(P._faces) <= geo._MAX_FACES
+    # cold_projection solved one NNLS per projected point; project solved the rest
+    assert projected > 1000 and len(nnls_calls) - projected < 0.25 * projected
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-5])
+def test_warm_projections_onto_a_thin_wedge_are_no_worse_than_the_nnls(eps, scale):
+    """60 points around the wedge of the test above, projected through its
+    memory: no residual above the NNLS's at the same z (or 1e-12 (1 + ||z||)),
+    and, where the NNLS itself is accurate (eps >= 1e-3), within
+    1e-10 (1 + ||z||) of its point."""
+    P = Polyhedron([[1.0, 0.0], [-1.0, eps]], [0.0, 0.0])
+    rng = np.random.default_rng(5)
+    for z in scale * np.vstack([[0.3, 1.0], rng.standard_normal((59, 2))]):
+        y, _ = project(P, z)
+        cold = cold_projection(P, z) if P.residual(z) > 0.0 else z
+        size = 1.0 + np.linalg.norm(z)
+        assert P.residual(y) <= max(P.residual(cold), 1e-12 * size)
+        if eps >= 1e-3:
+            assert np.linalg.norm(y - cold) <= 1e-10 * size
+    assert P._faces
+
+
+def test_a_remembered_face_projects_without_the_nnls(monkeypatch):
+    """Once {y1 <= 0, y2 <= 0} has projected (1, 1, 0) onto its edge, every
+    point whose projection lies on that edge is a hit: no NNLS runs."""
+    P = Polyhedron([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.0, 0.0])
+    project(P, [1.0, 1.0, 0.0])
+
+    def refuse(G, h):
+        raise AssertionError("the NNLS ran on a remembered face")
+
+    monkeypatch.setattr(geo, "least_distance", refuse)
+    rng = np.random.default_rng(8)
+    for z in np.abs(rng.standard_normal((50, 3))) * [1.0, 1.0, -1.0] + [1e-3, 1e-3, 0.5]:
         y, d = project(P, z)
-        scale = 1.0 + np.linalg.norm(z)
-        assert P.residual(y) <= 1e-12 * scale
-        assert d == pytest.approx(np.linalg.norm(z - y), abs=1e-15)
-        active = A[A @ y - P.b_ineq >= -1e-9 * scale]
-        E = np.vstack([active, C, -C]).T
-        w = nnls(E, z - y)
-        assert np.linalg.norm(E @ w - (z - y)) <= 1e-9 * scale
+        assert np.array_equal(y, [0.0, 0.0, z[2]])
+        assert d == pytest.approx(np.hypot(z[0], z[1]), rel=1e-15)
+
+
+def test_the_face_memory_is_bounded():
+    """A box in R^12 has 3^12 faces; 1,000 projections remember at most 16."""
+    P = Polyhedron.box([(-1.0, 1.0)] * 12)
+    rng = np.random.default_rng(9)
+    for z in 2.0 * rng.standard_normal((1000, 12)):
+        y, _ = project(P, z)
+        assert np.allclose(y, np.clip(z, -1.0, 1.0), rtol=0.0, atol=1e-12)
+        assert len(P._faces) <= geo._MAX_FACES
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_face_of_dependent_rows_is_never_remembered(n):
+    """y1 <= 0, y2 <= 0 and y1 + y2 <= 0 meet at the projection of every z
+    with z1, z2 > 0: three rows in R^2, or rank 2 in R^3.  The NNLS serves
+    each such point, exactly."""
+    P = Polyhedron(np.hstack([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], np.zeros((3, n - 2))]),
+                   [0.0, 0.0, 0.0])
+    rng = np.random.default_rng(10)
+    for z in np.abs(rng.standard_normal((20, n))) + 1e-3:
+        y, d = project(P, z)
+        assert np.allclose(y, np.append([0.0, 0.0], z[2:]), rtol=0.0, atol=1e-14)
+        assert d == pytest.approx(np.linalg.norm(z[:2]), rel=1e-14)
+    assert P._faces == []
 
 
 def test_project_variational_inequality_and_lipschitz():

@@ -104,6 +104,21 @@ def test_recheck_refutes_sdp_atom_just_off_the_unit_sphere(tmp_path, capsys):
     assert "recheck failure: atom is not a unit vector" in err.splitlines()
     assert "Traceback" not in err
 
+
+def test_recheck_of_a_failing_descent_witness_is_inconclusive(tmp_path, capsys):
+    """The nlp_primal_refuted witness (-1, -1) rechecks to exit 1; negated to
+    (1, 1) it neither descends nor stays in the linearized cone, which shows
+    nothing: exit 2 with the failure lines, not the valid witness's exit 1."""
+    def negate(cert):
+        cert["descent_witness"] = [-w for w in cert["descent_witness"]]
+    case = by_name("nlp_primal_refuted")
+    assert recheck_edited(case, lambda cert: None, tmp_path) == 1
+    assert "recheck: descent witness reproduces REFUTED" in capsys.readouterr().err
+    assert recheck_edited(case, negate, tmp_path) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("recheck failure: ") for line in err)
+
+
 def forged_verified(section=None, field=None, value=None):
     """An edit that claims VERIFIED with no detail, and sets one field."""
     def edit(cert):

@@ -184,6 +184,13 @@ def test_emfcq_on_the_flat_face_and_the_cap():
     assert rep.verdict == VERIFIED and rep.witness[0] == -1.0
 
 
+def test_emfcq_without_theta_is_vacuous():
+    """A psi-only problem has no inequality family to qualify."""
+    p = SIProblem.from_strings(1, "x1", psi="t1*x1", T=[(0.0, 1.0)])
+    rep = emfcq_check(p, [0.0])
+    assert rep.verdict == VERIFIED and rep.notes == ["no inequality family: condition is vacuous"]
+
+
 def test_certify_bound_exceeded():
     cert = certify(linear_sip(), [0.0], kappa=0.5)
     assert cert.status == "REFUTED"
