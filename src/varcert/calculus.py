@@ -4,7 +4,7 @@ Verdict semantics: REFUTED verdicts always carry a concrete witness and
 are conclusive (up to stated tolerances); VERIFIED verdicts obtained by
 sampling are labeled sampling-confidence, since qualification conditions
 are universally quantified.  Only the Robinson check, which reduces to
-finitely many LP feasibility problems, is exact.
+finitely many polyhedral emptiness questions, is exact.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .geometry import (
     project,
     tangent_cone,
 )
-from .solvers import OPTIMAL, LPProblem, lp_solve
+from .solvers import nnls
 
 VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
@@ -615,7 +615,8 @@ def ratio_stability_estimate(condition, ratio_fn, xbar, radius, samples, seed) -
 
 
 def robinson_check(c: Composite) -> CQReport:
-    """0 in int{ f(xbar) + J X - dom theta }, via 2m LP feasibility certificates."""
+    """0 in int{ f(xbar) + J X - dom theta }, via 2m emptiness questions: for each
+    t = +/-eps e_j - f(xbar), some piece P of dom theta has {u : J u - t in P} nonempty."""
     pieces = c.dom_theta_pieces()
     if pieces is None:
         return CQReport("Robinson", VERIFIED, confidence="exact",
@@ -629,20 +630,9 @@ def robinson_check(c: Composite) -> CQReport:
     for j in range(m):
         for sgn in (1.0, -1.0):
             target = sgn * eps * np.eye(m)[j] - c.ybar
-            ok = False
-            for P in pieces:
-                # variables (u, w): J u - w = target, w in P
-                A_eq = np.hstack([J, -np.eye(m)])
-                A_ineq = np.hstack([np.zeros((P.A_ineq.shape[0], n)), P.A_ineq])
-                A_eq2 = np.hstack([np.zeros((P.A_eq.shape[0], n)), P.A_eq])
-                A = np.vstack([A_eq, A_ineq, A_eq2])
-                b = np.concatenate([target, P.b_ineq, P.b_eq])
-                senses = ["="] * m + ["<="] * P.A_ineq.shape[0] + ["="] * P.A_eq.shape[0]
-                sol = lp_solve(LPProblem(c=np.zeros(n + m), A=A, b=b, senses=senses))
-                if sol.status == OPTIMAL:
-                    ok = True
-                    break
-            if not ok:
+            if all(Polyhedron(P.A_ineq @ J, P.b_ineq + P.A_ineq @ target,
+                              P.A_eq @ J, P.b_eq + P.A_eq @ target, n=n).is_empty()
+                   for P in pieces):
                 w = sgn * np.eye(m)[j]
                 return CQReport("Robinson", REFUTED, witness=w, confidence="exact",
                                 notes=notes + [f"direction {w} unreachable at eps={eps:.1e}"])
@@ -670,7 +660,7 @@ def robustness_check(c: Composite, kappa=None, seed=0) -> RobustnessReport:
 
     Samples feasible points x_k -> xbar with normals v_k built from the
     mapped active generators; the tail average of each normalized sequence
-    is tested for membership in J(xbar)^T N_Theta(ybar) by an LP residual.
+    is tested for membership in J(xbar)^T N_Theta(ybar) by an NNLS residual.
     """
     pieces = c.dom_theta_pieces()
     if kappa is None:
@@ -728,27 +718,7 @@ def robustness_check(c: Composite, kappa=None, seed=0) -> RobustnessReport:
 
 
 def _cone_membership_violation(v, J, gens, lines):
-    """min ||J^T lambda - v||_inf over lambda in cone(gens) + span(lines)."""
-    n = J.shape[1]
-    r, l = gens.shape[0], lines.shape[0]
-    ncols = r + 2 * l + 1
-    A = np.zeros((2 * n, ncols))
-    cols = []
-    if r:
-        cols.append((J.T @ gens.T, 0))
-    if l:
-        cols.append((J.T @ lines.T, r))
-        cols.append((-(J.T @ lines.T), r + l))
-    for M, off in cols:
-        A[:n, off:off + M.shape[1]] = M
-        A[n:, off:off + M.shape[1]] = -M
-    A[:n, -1] = -1.0
-    A[n:, -1] = -1.0
-    b = np.concatenate([v, -v])
-    cost = np.zeros(ncols)
-    cost[-1] = 1.0
-    sol = lp_solve(LPProblem(c=cost, A=A, b=b, senses=["<="] * (2 * n),
-                             bounds=[(0.0, None)] * ncols))
-    if sol.status != OPTIMAL:
-        return INF
-    return float(sol.objective)
+    """min ||J^T lambda - v|| over lambda in cone(gens) + span(lines): the
+    residual of the NNLS fit of v by J^T [gens; lines; -lines]^T."""
+    E = J.T @ np.vstack([gens, lines, -lines]).T
+    return float(np.linalg.norm(E @ nnls(E, v) - v))

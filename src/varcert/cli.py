@@ -334,8 +334,11 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
                 return EXIT_INCONCLUSIVE
             log("recheck: descent witness reproduces REFUTED")
             return EXIT_REFUTED
+        if cert_doc.get("status") == REFUTED and "multipliers" not in cert_doc:  # shows nothing
+            _refuted(["a REFUTED certificate with neither descent_witness nor multipliers"], log)
+            return EXIT_INCONCLUSIVE
         rows, l = p.Theta.A_ineq.shape[0], p.Theta.A_eq.shape[0]
-        # a NO_MULTIPLIER certificate stores no combination: read it as the empty one
+        # a missing combination reads as the empty one: a VERIFIED without it fails
         lam = np.array(cert_doc.get("multipliers", np.zeros(p.m)), dtype=float)
         if len(lam) != p.m:
             raise CliError("multiplier length does not match the image dimension")

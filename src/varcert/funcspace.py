@@ -27,7 +27,7 @@ from .errors import (
 )
 from . import expr as expr_mod
 from .geometry import PolyhedralCone, Polyhedron, normal_cone, project, project_cone, tangent_cone
-from .solvers import OPTIMAL, LPProblem, conic_fit, eigh, least_norm_multiplier, lp_solve
+from .solvers import eigh, least_norm_multiplier, nnls
 
 INF = math.inf
 
@@ -175,28 +175,18 @@ class PLQFunction(FnObject):
             self._validate_consistency()
 
     def _validate_consistency(self):
-        """Pieces agree to 1e-8 relative at the Chebyshev center of each
-        overlap and at four vertices of it (LPs with random costs, boxed to
-        within 1 of the center)."""
+        """Pieces agree to 1e-8 relative at the point of each overlap nearest
+        0 and at the projections onto the overlap of four random points
+        around it (standard normal offsets)."""
         rng = np.random.default_rng(0)
         for i in range(len(self.pieces)):
             for j in range(i + 1, len(self.pieces)):
                 inter = Polyhedron.intersection(self.pieces[i].omega, self.pieces[j].omega)
                 if inter.is_empty():
                     continue
-                center, _ = inter.chebyshev_center()
-                probes = [center]
-                boxed = Polyhedron.intersection(
-                    inter, Polyhedron.box([(c - 1.0, c + 1.0) for c in center]))
-                for _ in range(4):
-                    sol = lp_solve(LPProblem(
-                        c=rng.normal(size=self.n),
-                        A=np.vstack([boxed.A_ineq, boxed.A_eq]),
-                        b=np.concatenate([boxed.b_ineq, boxed.b_eq]),
-                        senses=["<="] * boxed.A_ineq.shape[0] + ["="] * boxed.A_eq.shape[0],
-                    ))
-                    if sol.status == OPTIMAL:
-                        probes.append(sol.x)
+                center = project(inter, np.zeros(self.n))[0]
+                probes = [center] + [project(inter, center + rng.normal(size=self.n))[0]
+                                     for _ in range(4)]
                 for p in probes:
                     vi, vj = self.pieces[i].quad(p), self.pieces[j].quad(p)
                     if abs(vi - vj) > 1e-8 * (1.0 + abs(vi)):
@@ -250,15 +240,10 @@ class PLQFunction(FnObject):
         nonempty = [p.omega for p in self.pieces if not p.omega.is_empty()]
         if not nonempty:
             return pts
-        centers = []
-        for P in nonempty:
-            try:
-                centers.append(P.chebyshev_center()[0])
-            except Exception:
-                continue
+        centers = [project(P, np.zeros(self.n))[0] for P in nonempty]
         for _ in range(count):
             P = nonempty[rng.integers(0, len(nonempty))]
-            base = centers[rng.integers(0, len(centers))] if centers else np.zeros(self.n)
+            base = centers[rng.integers(0, len(centers))]
             z = base + rng.normal(size=self.n)
             pts.append(project(P, z)[0])
         return pts
@@ -416,10 +401,12 @@ class SubdifferentialSet:
             rays, lines = self.cone.ensure_generators()
             fit = least_norm_multiplier(self.JT.T, v, rays.T, lines.T, tol=tol)
             return isinstance(fit, tuple) and float(np.linalg.norm(fit[1])) <= self.radius + tol
-        # polyhedral V-rep: L1-residual LP over a convex + conic combination
-        fit = conic_fit(v, self.rays.T, self.lines.T, convex=self.vertices.T, cost=0.0,
-                        residual=1.0)
-        return fit is not None and fit.residual <= tol * (1.0 + float(np.linalg.norm(v)))
+        # polyhedral V-rep: the NNLS fit of (v, 1) by the vertices, each with a 1
+        # in the last row (their weights sum to 1), and the rays and +/- lines
+        G = np.vstack([self.vertices, self.rays, self.lines, -self.lines]).T
+        E = np.vstack([G, np.arange(G.shape[1]) < len(self.vertices)])
+        f = np.append(v, 1.0)
+        return float(np.linalg.norm(E @ nnls(E, f) - f)) <= tol * (1.0 + float(np.linalg.norm(v)))
 
     def sample(self, count, seed=0):
         """Random elements of the set (for membership-style property tests)."""

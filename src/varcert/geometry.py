@@ -11,13 +11,16 @@ pointed remainder (each extreme ray is cut out by dim-1 independent
 active constraints).  Exact cone operations are reserved for polyhedra;
 nonconvex sets enter only through ``SampledSetOracle``.
 
-Projections onto a polyhedron are exact: Lawson and Hanson's least-distance
-program, solved by NNLS.  Each ``Polyhedron`` also remembers the last
-``_MAX_FACES`` faces its projections landed on (a face: the active
-inequality rows plus every equality row), most recently hit first.  Sampled
-points keep landing on the same few faces, so ``project`` first tries them in
-closed form: the projection onto a face's affine hull, accepted only when its
-inequality multipliers are >= 0 and it satisfies every other row exactly.
+No LP runs here.  Projections onto a polyhedron are exact: Lawson and
+Hanson's least-distance program, solved by NNLS.  The same program decides
+emptiness (no point passes ``contains``: its rows relaxed by ``TOL_FEAS``
+have no solution), and an NNLS fit decides generator-cone membership.
+Each ``Polyhedron`` also remembers the last ``_MAX_FACES`` faces its
+projections landed on (a face: the active inequality rows plus every
+equality row), most recently hit first.  Sampled points keep landing on
+the same few faces, so ``project`` first tries them in closed form: the
+projection onto a face's affine hull, accepted only when its inequality
+multipliers are >= 0 and it satisfies every other row exactly.
 That is the KKT system of the strictly convex projection problem, so an
 accepted face yields the projection itself; the NNLS runs only on a miss.
 """
@@ -37,7 +40,7 @@ from .errors import (
     NumericalBreakdownError,
     VarcertError,
 )
-from .solvers import INFEASIBLE, OPTIMAL, LPProblem, conic_fit, least_distance, lp_solve
+from .solvers import least_distance, nnls
 
 TOL_FEAS = 1e-8
 TOL_ACTIVE = 1e-6
@@ -163,18 +166,12 @@ class Polyhedron:
         return self.residual(x) <= tol
 
     def is_empty(self):
+        """No point passes ``contains``: the rows relaxed by TOL_FEAS (each
+        equality as two inequalities) have no least-distance point."""
         if self._empty is None:
-            m = self.A_ineq.shape[0] + self.A_eq.shape[0]
-            if m == 0:
-                self._empty = False
-            else:
-                p = LPProblem(
-                    c=np.zeros(self.n),
-                    A=np.vstack([self.A_ineq, self.A_eq]),
-                    b=np.concatenate([self.b_ineq, self.b_eq]),
-                    senses=["<="] * self.A_ineq.shape[0] + ["="] * self.A_eq.shape[0],
-                )
-                self._empty = lp_solve(p).status == INFEASIBLE
+            G = np.vstack([self.A_ineq, self.A_eq, -self.A_eq])
+            h = np.concatenate([self.b_ineq, self.b_eq, -self.b_eq]) + TOL_FEAS
+            self._empty = least_distance(G, h) is None
         return self._empty
 
     def active_rows(self, x, tol_active=TOL_ACTIVE):
@@ -183,34 +180,6 @@ class Polyhedron:
             return []
         res = self.A_ineq @ np.asarray(x, dtype=float) - self.b_ineq
         return [int(i) for i in np.nonzero(res >= -tol_active)[0]]
-
-    def chebyshev_center(self):
-        """A point deep inside the set (LP), within the box |x_i| <= 1e3 and
-        with a radius of at most 1e3; raises EmptySetError if empty."""
-        if self.is_empty():
-            raise EmptySetError("polyhedron is empty")
-        norms = np.linalg.norm(self.A_ineq, axis=1) if self.A_ineq.shape[0] else np.zeros(0)
-        n = self.n
-        A = []
-        b = []
-        senses = []
-        for i in range(self.A_ineq.shape[0]):
-            A.append(np.concatenate([self.A_ineq[i], [norms[i]]]))
-            b.append(self.b_ineq[i])
-            senses.append("<=")
-        for i in range(self.A_eq.shape[0]):
-            A.append(np.concatenate([self.A_eq[i], [0.0]]))
-            b.append(self.b_eq[i])
-            senses.append("=")
-        if not A:
-            return np.zeros(n), 1e3
-        c = np.zeros(n + 1)
-        c[-1] = -1.0
-        bounds = [(-1e3, 1e3)] * n + [(0.0, 1e3)]
-        sol = lp_solve(LPProblem(c=c, A=np.array(A), b=np.array(b), senses=senses, bounds=bounds))
-        if sol.status != OPTIMAL:
-            raise EmptySetError("chebyshev center LP failed")
-        return sol.x[:n], float(sol.x[-1])
 
     def __repr__(self):
         return f"Polyhedron(n={self.n}, ineq={self.A_ineq.shape[0]}, eq={self.A_eq.shape[0]})"
@@ -276,12 +245,12 @@ class PolyhedralCone:
             if self.H.shape[0]:
                 ok = ok and float(np.max(np.abs(self.H @ u))) <= tol * scale
             return ok
-        return self._contains_by_lp(u, tol * scale)
+        return self._contains_by_fit(u, tol * scale)
 
-    def _contains_by_lp(self, u, tol):
-        # minimize the L1 residual of u = R^T w + L^T c, w >= 0
-        fit = conic_fit(u, self.rays.T, self.lines.T, cost=0.0, residual=1.0)
-        return fit is not None and fit.residual <= tol
+    def _contains_by_fit(self, u, tol):
+        # the NNLS fit of u by the generators R^T w + L^T (a - b), w, a, b >= 0
+        E = np.vstack([self.rays, self.lines, -self.lines]).T
+        return float(np.linalg.norm(E @ nnls(E, u) - u)) <= tol
 
     def polar(self):
         """Standard cone duality: generators become halfspaces and vice versa."""
@@ -421,16 +390,22 @@ def _finite_point(z):
 
 
 def _nearest(A, b, C, d, z):
-    """Nearest point to z of the nonempty {y : A y <= b, C y = d}.
+    """Nearest point to z of {y : A y <= b, C y = d}.
 
     y0 is the nearest point of {C y = d} and N an orthonormal basis of
     null(C); then y = y0 + N w with w the least-norm solution of
-    (A N) w <= b - A y0, a least-distance program solved exactly."""
-    if not C.shape[0]:
-        return z + least_distance(A, b - A @ z)
-    y0 = z - np.linalg.lstsq(C, C @ z - d, rcond=None)[0]
-    N = nullspace(C)
-    return y0 + N @ least_distance(A @ N, b - A @ y0)
+    (A N) w <= b - A y0, a least-distance program solved exactly.  A set
+    nonempty only within TOL_FEAS has no such w: NumericalBreakdownError."""
+    if C.shape[0]:
+        y0 = z - np.linalg.lstsq(C, C @ z - d, rcond=None)[0]
+        N = nullspace(C)
+        w = least_distance(A @ N, b - A @ y0)
+    else:
+        w = least_distance(A, b - A @ z)
+    if w is None:
+        raise NumericalBreakdownError(
+            f"no point satisfies every row: the set is nonempty only within tol_feas = {TOL_FEAS:g}")
+    return y0 + N @ w if C.shape[0] else z + w
 
 
 def _face_hit(P: Polyhedron, z):
@@ -482,6 +457,7 @@ def project(P: Polyhedron, z):
 
     The shortcut requires exact membership: rounding tol-level distances
     to zero would hide sub-tolerance infeasibility from polishing loops.
+    A P nonempty only within TOL_FEAS raises NumericalBreakdownError.
     """
     z = _finite_point(z)
     if P.residual(z) <= 0.0:

@@ -7,17 +7,18 @@ Bland's anti-cycling rule fixes all pivot ties.  ``eigh`` calls LAPACK and
 fixes each eigenvector's sign, so its output is deterministic for one machine
 and numpy build.
 
-Two fits ask whether a target is a nonnegative combination of cone
-generators plus free lines; in both a free line is a +/- pair of
-nonnegative columns.  ``least_norm_multiplier`` returns the multiplier of
-least Euclidean norm, the one the bound ||lambda|| <= kappa ||v|| speaks of:
-nnls finds a fit, and an active-set descent that holds the equality rows
-exactly moves it to the least norm; on a miss, the nnls residual gives the
-Farkas direction instead.  ``conic_fit`` is the LP for the checks
-where a 1-norm or a vertex is the right answer (SIP atoms, membership): its
-columns are [rays | +lines | -lines | convex | +I | -I], a row
-sum(convex) = 1 follows the target rows, and the optional L1 residual slack
-(+I | -I) sits on the target rows only.
+Feasibility and membership questions are answered by least squares, from
+the least-squares side of their alternatives (Lawson & Hanson, *Solving
+Least Squares Problems*, 1974, ch. 23): ``least_distance`` finds G w <= h
+empty when its NNLS residual vanishes, and a target is in the cone of some
+columns when their NNLS fit reaches it.  ``least_norm_multiplier`` returns
+the multiplier of least Euclidean norm, the one the bound ||lambda|| <=
+kappa ||v|| speaks of: nnls finds a fit (a free line is a +/- pair of
+nonnegative columns), and an active-set descent that holds the equality
+rows exactly moves it to the least norm; on a miss, the nnls residual gives
+the Farkas direction instead.  The one LP, ``conic_fit``, fits the SIP and
+sdp atoms, where a least-cost simplex vertex is the answer: its columns are
+[rays | +lines | -lines | +I | -I], the L1 residual slack +I | -I optional.
 """
 
 from __future__ import annotations
@@ -288,39 +289,32 @@ class ConicFit:
     y: np.ndarray  # duals of the target rows: a column c prices at cost - <c, y>
 
 
-def conic_fit(target, rays, lines=None, convex=None, cost=None, residual=None):
-    """Least-cost fit  rays w + lines (a - b) [+ convex nu, sum(nu) = 1]
-    [+ r+ - r-] = target, every weight >= 0; None when there is none.
+def conic_fit(target, rays, lines=None, cost=None, residual=None):
+    """Least-cost fit  rays w + lines (a - b) [+ r+ - r-] = target, every
+    weight >= 0; None when there is none.
 
     Generators are columns (None: no block).  ``cost`` prices the rays,
-    then the lines (scalar or per generator, default 1); convex columns are
-    free.  ``residual`` prices the L1 slack."""
+    then the lines (scalar or per generator, default 1).  ``residual``
+    prices the L1 slack."""
     b = np.asarray(target, dtype=float)
     n = len(b)
-    R, L, V = (np.zeros((n, 0)) if M is None else np.asarray(M, dtype=float).reshape(n, -1)
-               for M in (rays, lines, convex))
-    r, l, k = R.shape[1], L.shape[1], V.shape[1]
+    R, L = (np.zeros((n, 0)) if M is None else np.asarray(M, dtype=float).reshape(n, -1)
+            for M in (rays, lines))
+    r, l = R.shape[1], L.shape[1]
     price = np.ones(r + l) if cost is None else np.broadcast_to(
         np.asarray(cost, dtype=float), (r + l,))
-    blocks = [R, L, -L, V]
-    costs = [price[:r], price[r:], price[r:], np.zeros(k)]
+    blocks = [R, L, -L]
+    costs = [price[:r], price[r:], price[r:]]
     if residual is not None:
         blocks += [np.eye(n), -np.eye(n)]
         costs.append(np.full(2 * n, float(residual)))
-    A = np.hstack(blocks)
     c = np.concatenate(costs)
-    rows, rhs = A, b
-    if k:
-        sum_row = np.zeros(len(c))
-        sum_row[r + 2 * l:r + 2 * l + k] = 1.0
-        rows, rhs = np.vstack([A, sum_row]), np.append(b, 1.0)
-    sol = lp_solve(LPProblem(c=c, A=rows, b=rhs, senses=["="] * len(rhs),
+    sol = lp_solve(LPProblem(c=c, A=np.hstack(blocks), b=b, senses=["="] * n,
                              bounds=[(0.0, None)] * len(c)))
     if sol.status != OPTIMAL:
         return None
     x = sol.x
-    return ConicFit(w=x[:r], split=x[r:r + 2 * l], residual=float(np.sum(x[r + 2 * l + k:])),
-                    y=sol.y[:n])
+    return ConicFit(w=x[:r], split=x[r:r + 2 * l], residual=float(np.sum(x[r + 2 * l:])), y=sol.y)
 
 
 def nnls(E, f):
@@ -364,16 +358,27 @@ def nnls(E, f):
 
 
 def least_distance(G, h):
-    """The point w of least norm with G w <= h, for a nonempty system
+    """The point w of least norm with G w <= h, or None when there is none
     (Lawson & Hanson, 1974, ch. 23): w = -r[:-1] / r[-1] for the residual
     r = (G^T u, h^T u + 1) of the NNLS solution u of min ||[G^T; h^T] u + e_last||.
-    r[-1] = 1 / (1 + ||w||^2) cancels when w is long, so h is first scaled
-    down until no row is violated at 0 by more than distance 1."""
+    r[-1] is the squared NNLS residual, 0 exactly on an empty system; a w
+    that misses a unit-norm row by over 1e-9 (1 + ||w|| + |h_i|) is None too.
+    Rows are scaled to unit norm, as nnls's weights shrink below its
+    tolerance when its columns grow, and r[-1] = 1 / (1 + ||w||^2) cancels
+    when w is long, so h is then scaled down until no row is violated at 0
+    by more than distance 1."""
     norms = np.linalg.norm(G, axis=1)
-    s = max(1.0, float(np.max(-h[norms > 0] / norms[norms > 0], initial=0.0)))
+    rows = norms > 0
+    G, h = G / np.where(rows, norms, 1.0)[:, None], h / np.where(rows, norms, 1.0)
+    s = max(1.0, float(np.max(-h[rows], initial=0.0)))
     u = nnls(np.vstack([G.T, h / s]), np.append(np.zeros(G.shape[1]), -1.0))
-    r = G.T @ u
-    return -s * r / (h @ u / s + 1.0)
+    den = h @ u / s + 1.0
+    if den <= 0.0:
+        return None
+    w = -s * (G.T @ u) / den
+    if (G @ w - h > 1e-9 * (rows * (1.0 + float(np.linalg.norm(w))) + np.abs(h))).any():
+        return None
+    return w
 
 
 def min_norm_point(P):

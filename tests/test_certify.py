@@ -398,8 +398,10 @@ def test_primal_and_kkt_agree_on_a_plq_objective():
                 p, f.eval(x), J, v, primal.multipliers, primal.generator_weights,
                 primal.eq_weights if primal.eq_weights is not None else np.zeros(0))
             assert failures == [], trial
-            hull = conic_fit(v, dom.T if len(dom) else None, convex=np.array(grads).T,
-                             cost=0.0, residual=1.0)
+            # v in cone(dom) + conv(grads): the hull weights sum to 1 on an extra row
+            cols = np.vstack([np.hstack([dom.T, np.array(grads).T]),
+                              np.r_[np.zeros(len(dom)), np.ones(len(grads))]])
+            hull = conic_fit(np.append(v, 1.0), cols, cost=0.0, residual=1.0)
             assert hull.residual <= 1e-9 * (1.0 + np.linalg.norm(v)), trial
             continue
         d = primal.descent_witness

@@ -454,6 +454,28 @@ def test_thin_wedge_estimated_kappa_and_cq(tmp_path):
     assert cli.run(["cq", "-p", prob, "--point", "0,0", "--which", "all"]) == 0
 
 
+def slab_doc():
+    """Theta = {a.y <= 1, -a.y <= -1 - 1e-9}, a = (0.6, 0.8): nonempty only within tol_feas."""
+    return {"kind": "nlp", "n": 2, "objective": "-0.6*x1 - 0.8*x2",
+            "constraints": {"f": ["x1", "x2"],
+                            "Theta": {"A_ineq": [[0.6, 0.8], [-0.6, -0.8]],
+                                      "b_ineq": [1, -1.000000001]}}}
+
+
+def test_a_slab_empty_within_rounding_exits_4_where_it_projects(tmp_path, capsys):
+    """Estimating kappa and cq project onto Theta, which has no point: exit 4
+    with a numerical error line, not a kappa_hat read from a bogus projection.
+    kkt with an asserted kappa and primal project nothing: exit 0."""
+    prob = write_problem(tmp_path, slab_doc())
+    for args in (["kkt", "--kappa", "estimate"], ["cq", "--which", "all"]):
+        capsys.readouterr()
+        assert cli.run([*args, "-p", prob, "--point", "0.6,0.8"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and "Traceback" not in err
+    for args in (["kkt", "--kappa", "1"], ["primal"]):
+        assert cli.run([*args, "-p", prob, "--point", "0.6,0.8"]) == 0
+
+
 def test_point_outside_a_component_domain_is_infeasible(tmp_path, capsys):
     """f1 = log(x1) is NaN at x1 = -1; the image is not in Theta, so kkt
     reports an infeasible point (exit 1) instead of a domain error."""

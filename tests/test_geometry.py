@@ -167,6 +167,29 @@ def test_project_examples():
         project(Polyhedron([[1.0], [-1.0]], [-1.0, -1.0]), [0.0])
 
 
+def test_a_set_empty_within_rounding_has_no_projection():
+    """{a.x <= 1, -a.x <= -1 - 1e-9} is nonempty only within TOL_FEAS: it is
+    not empty, but no point meets its rows, so there is no projection to
+    return (an LP-based emptiness test let the NNLS point through, 2.07 off
+    the slab)."""
+    a = np.array([0.6, 0.8])
+    P = Polyhedron(np.array([a, -a]), [1.0, -1.0 - 1e-9])
+    assert not P.is_empty() and P.contains(a)
+    with pytest.raises(NumericalBreakdownError, match="nonempty only within tol_feas"):
+        project(P, [3.0, -2.0])
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e8, 1e10])
+def test_projection_onto_rows_of_large_norm(scale):
+    """{scale y1 <= -0.1 scale, scale y2 <= 2 scale} is {y1 <= -0.1, y2 <= 2}:
+    the nearest point to 0 is (-0.1, 0) however long the rows, where
+    unscaled NNLS weights of 1e-9 fell below its tolerance and 0 came back."""
+    P = Polyhedron([[scale, 0.0], [0.0, scale]], [-0.1 * scale, 2.0 * scale])
+    assert not P.is_empty()
+    y, d = project(P, [0.0, 0.0])
+    assert np.allclose(y, [-0.1, 0.0], rtol=0.0, atol=1e-15) and d == pytest.approx(0.1, rel=1e-15)
+
+
 def test_project_wedge_against_grid_oracle():
     W = wedge()
     z = np.array([1.0, 0.0])
@@ -402,13 +425,6 @@ def test_cone_conversion_known_cases():
     K2 = PolyhedralCone.from_halfspaces(G, H)
     assert K.same_set(K2)
     assert K2.contains([0.5, 1.0]) and not K2.contains([1.0, 0.5])
-
-
-def test_chebyshev_center():
-    box = Polyhedron.box([(-1.0, 1.0), (-1.0, 1.0)])
-    x, r = box.chebyshev_center()
-    assert np.allclose(x, [0.0, 0.0], atol=1e-9)
-    assert r == pytest.approx(1.0, abs=1e-9)
 
 
 def test_validate_forms_invariant():

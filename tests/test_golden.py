@@ -119,6 +119,18 @@ def test_recheck_of_a_failing_descent_witness_is_inconclusive(tmp_path, capsys):
     assert len(err) == 2 and all(line.startswith("recheck failure: ") for line in err)
 
 
+@pytest.mark.parametrize("name", ["nlp_primal_refuted", "nlp_no_multiplier"])
+def test_recheck_of_a_refuted_nlp_without_its_witness_is_inconclusive(name, tmp_path, capsys):
+    """An nlp REFUTED shows itself by its descent witness or its multipliers;
+    with neither it shows nothing: exit 2 with one failure line, not the
+    exit 1 of a residual read from an empty multiplier."""
+    def strip(cert):
+        del cert["descent_witness"]
+    assert recheck_edited(by_name(name), strip, tmp_path) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("recheck failure: ")
+
+
 def forged_verified(section=None, field=None, value=None):
     """An edit that claims VERIFIED with no detail, and sets one field."""
     def edit(cert):
@@ -227,6 +239,14 @@ def test_kkt_and_primal_solve_no_lp(case, tmp_path, monkeypatch):
     point = args[i:i + 1] if "=" in args[i] else args[i:i + 2]
     assert cli.run(["kkt", "-p", str(prob), *point, "--kappa", "1"]) in (0, 1, 2)
     assert cli.run(["primal", "-p", str(prob), *point]) in (0, 1)
+
+
+def test_cq_solves_no_lp(tmp_path, monkeypatch):
+    """Abadie, MSQC and Robinson answer by least squares: with lp_solve
+    raising, cq writes the golden nlp_cq_all bytes."""
+    forbid_lp(monkeypatch)
+    case = by_name("nlp_cq_all")
+    assert issue(case, tmp_path) == (case["exit"], expected_text(case), case["recheck"])
 
 
 @pytest.mark.parametrize("name", ["nlp_kkt_kappa1", "nlp_primal", "sdp_readme", "sdp_psi_kernel2"])

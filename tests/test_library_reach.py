@@ -129,3 +129,18 @@ def unset_parameters():
 
 def test_every_defaulted_parameter_is_set_or_kept_with_a_reason():
     assert unset_parameters() == []
+
+
+def callers(name):
+    """``module.definition`` of the top-level statement around each call of
+    ``name`` in ``src/``, once per call."""
+    return [f"{path.stem}.{getattr(stmt, 'name', None)}" for path in SRC
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+            for called, _ in _calls(stmt) if called == name]
+
+
+def test_the_lp_answers_only_the_sip_and_sdp_atom_fit():
+    """Every other feasibility or membership question is answered by least
+    squares: the simplex serves conic_fit alone, and conic_fit the atom fit."""
+    assert callers("lp_solve") == ["solvers.conic_fit"]
+    assert callers("conic_fit") == ["sip.stationarity_atoms"]
