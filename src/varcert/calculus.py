@@ -3,23 +3,35 @@
 Verdict semantics: REFUTED verdicts always carry a concrete witness and
 are conclusive (up to stated tolerances); VERIFIED verdicts obtained by
 sampling are labeled sampling-confidence, since qualification conditions
-are universally quantified.  Only the Robinson check, which reduces to
-finitely many polyhedral emptiness questions, is exact.
+are universally quantified.
+
+Where dom theta is one polyhedron and f has no kink at xbar,
+``coderivative_constant`` computes c = min ||J^T y|| over unit normals y
+at f(xbar), and reg F = 1/c exactly (the coderivative criterion).  c > 0
+is Robinson's condition, gives metric subregularity with modulus 1/c, and
+for polyhedral Theta that implies Abadie: ``cq_reports`` then reports all
+three with confidence "exact" and samples nothing.  c = 0 refutes
+Robinson with its normal as witness, and the sampled checks answer the
+rest.  Elsewhere Robinson reduces to finitely many polyhedral emptiness
+questions, which is exact too, and Abadie and MSQC are sampled.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import combinations, islice
 
 import numpy as np
 
 from . import geometry as geo
 from .errors import (
     DimensionMismatchError,
+    KinkWarning,
     NonconvexUnsupportedError,
     NotInDomainError,
+    NumericalBreakdownError,
 )
 from .expr import SmoothMap
 from .funcspace import (
@@ -91,6 +103,7 @@ class Composite:
         self.domain_oracle = domain_oracle
         self._last_image = (None, None)
         self._last_point = (None, None)
+        self._coderivative = False  # not computed yet
         if domain_oracle is None:
             if not math.isfinite(theta.value(self.ybar)):
                 raise NotInDomainError("f(xbar) is outside dom(theta)")
@@ -110,6 +123,16 @@ class Composite:
             return None
         return self.theta.dom_pieces()
 
+    def coderivative(self):
+        """``coderivative_of`` at xbar when dom theta is one polyhedron, else
+        None.  Computed once."""
+        if self._coderivative is False:
+            pieces = self.dom_theta_pieces()
+            self._coderivative = None
+            if pieces is not None and len(pieces) == 1:
+                self._coderivative = coderivative_of(self.f, self.xbar, pieces[0], self.ybar)
+        return self._coderivative
+
     def dist_dom(self, y):
         """dist(y; dom theta); 0 when theta is finite everywhere."""
         if self.domain_oracle is not None:
@@ -117,18 +140,20 @@ class Composite:
         pieces = self.theta.dom_pieces()
         if pieces is None:
             return 0.0
-        for P in pieces:  # membership first: projections are only for outsiders
-            if P.contains(y):
-                return 0.0
-        return min((d for _, d in self._piece_projections(y, pieces)), default=INF)
+        residuals = [P.residual(y) for P in pieces]
+        if min(residuals, default=INF) <= geo.TOL_FEAS:  # projections are only for outsiders
+            return 0.0
+        return min((d for _, d in self._piece_projections(y, pieces, residuals)), default=INF)
 
-    def _piece_projections(self, y, pieces):
+    def _piece_projections(self, y, pieces, residuals):
         """project(P, y) for each nonempty piece P, kept for the last y: a
         sampler's violation projects an image that the Gauss-Newton
-        restoration then projects again."""
+        restoration then projects again.  ``residuals`` are the pieces'
+        P.residual(y), which the caller has just computed."""
         y = np.asarray(y, dtype=float)
         if self._last_image[0] != y.tobytes():
-            self._last_image = (y.tobytes(), [project(P, y) for P in pieces if not P.is_empty()])
+            self._last_image = (y.tobytes(), [project(P, y, r) for P, r in zip(pieces, residuals)
+                                              if not P.is_empty()])
         return self._last_image[1]
 
     def image(self, x):
@@ -160,9 +185,10 @@ class Composite:
         y = np.asarray(y, dtype=float)
         if self.domain_oracle is None:
             pieces = self.theta.dom_pieces()
-            if pieces is None or any(P.residual(y) <= 0.0 for P in pieces):
+            residuals = [] if pieces is None else [P.residual(y) for P in pieces]
+            if pieces is None or min(residuals, default=INF) <= 0.0:
                 return 0.0, None
-            w, d = min(self._piece_projections(y, pieces), key=lambda wd: wd[1],
+            w, d = min(self._piece_projections(y, pieces, residuals), key=lambda wd: wd[1],
                        default=(None, INF))
             return d, (y - w if 0.0 < d < INF else None)
         d = self.dist_dom(y)
@@ -614,9 +640,122 @@ def ratio_stability_estimate(condition, ratio_fn, xbar, radius, samples, seed) -
     return CQReport(condition, INCONCLUSIVE, kappa_hat=kappa_hat, samples=used)
 
 
+CODERIVATIVE_MAX_FACES = 4096  # the enumeration cap: faces of N_Theta(ybar) tried at most
+KAPPA_MARGIN = 1e-9  # a computed kappa is (1 + KAPPA_MARGIN) / c, strictly above reg F
+
+
+def coderivative_constant(J, P: Polyhedron, ybar, rows=None):
+    """(c, y): c = min ||J^T y|| over unit y in N_P(ybar), and a unit
+    minimizer y (None when N_P(ybar) = {0}, c = inf); None past the cap.
+
+    N_P(ybar) is generated by the inequality rows ``rows`` and spanned by
+    the equality rows.  ``rows`` defaults to the rows that ybar meets to
+    rounding, b_i - a_i.ybar <= 1e-12 (|b_i| + ||a_i|| ||ybar||): a row with
+    more slack is inactive at ybar however thin P is, so the answer does not
+    depend on units.  kkt passes the rows of its fit (``TOL_ACTIVE``), the
+    rows its multipliers lie on.  Each inequality row is scaled to unit norm
+    first: the cone is the same, and a row's scale moves neither c nor y.
+
+    reg F = 1/c for F(x) = f(x) - P at xbar, J = f'(xbar): the Mordukhovich
+    coderivative criterion (Mordukhovich, Trans. AMS 340, 1993; Rockafellar &
+    Wets, Variational Analysis, 9G).  The minimum of a quadratic form over a
+    polyhedral cone and the sphere is a Pareto eigenvalue (Seeger, Linear
+    Algebra Appl. 292, 1999): every y in N = cone(active rows) + span(equality
+    rows) has positive weights on a linearly independent subset S of the
+    active rows, taken with a basis of the equality rows, and a minimizer in
+    the relative interior of such a face is an eigenvector of the whitened
+    pencil (B^T J J^T B, B^T B), B = [lines | rows of S].  B = U s V^T whitens
+    it (y = U t, weights V s^-1 t), so each face is one symmetric eigh; the
+    faces of one size are solved as one batch.  An eigenvector counts when
+    its inequality weights have one sign, to 1e-9 of their largest.
+
+    Rounding errs toward a smaller c, which only enlarges kappa: each
+    eigenvalue loses 64 eps cond(B) ||J||_F^2 before its square root, where
+    cond(B) of unit columns measures only the angles between them, so a c
+    below about 1e-7 ||J||_F reads 0.  None when more than
+    CODERIVATIVE_MAX_FACES faces would be tried.
+    """
+    if rows is None:
+        ybar = np.asarray(ybar, dtype=float)
+        rows = P.b_ineq - P.A_ineq @ ybar <= 1e-12 * (
+            np.abs(P.b_ineq) + np.linalg.norm(P.A_ineq, axis=1) * np.linalg.norm(ybar))
+    G = P.A_ineq[rows]
+    norms = np.linalg.norm(G, axis=1)
+    G = G[norms > 0.0] / norms[norms > 0.0, None]
+    _, sv, Vt = np.linalg.svd(P.A_eq)
+    L = Vt[:int(np.sum(sv > 1e-10 * max(1.0, sv[0] if len(sv) else 1.0)))]
+    k, l = len(G), len(L)
+    sizes = range(0 if l else 1, min(k, P.n - l) + 1)
+    if sum(math.comb(k, j) for j in sizes) > CODERIVATIVE_MAX_FACES:
+        return None
+    margin = 64.0 * np.finfo(float).eps * float(np.sum(J * J))
+    best, y = INF, None
+    for j in sizes:
+        faces = np.array(list(combinations(range(k), j)), dtype=int).reshape(math.comb(k, j), j)
+        B = np.concatenate([np.broadcast_to(L.T, (len(faces), P.n, l)),
+                            G[faces].transpose(0, 2, 1)], axis=2)
+        U, s, Vt = np.linalg.svd(B, full_matrices=False)
+        keep = s[:, -1] > 1e-10 * s[:, 0]
+        U, s, Vt = U[keep], s[keep], Vt[keep]
+        K = J.T @ U
+        lam, T = np.linalg.eigh(K.transpose(0, 2, 1) @ K)
+        W = (Vt.transpose(0, 2, 1) @ (T / s[:, :, None]))[:, l:, :]
+        tol = 1e-9 * np.abs(W).max(axis=1, initial=0.0)[:, None, :]
+        pos, neg = (W >= -tol).all(axis=1), (W <= tol).all(axis=1)
+        low = np.where(pos | neg, lam - margin * (s[:, :1] / s[:, -1:]), INF)
+        if low.size and low.min() < best:
+            f, q = np.unravel_index(np.argmin(low), low.shape)
+            best = float(low[f, q])
+            y = (U[f] @ T[f][:, q]) * (1.0 if pos[f, q] else -1.0)
+    return math.sqrt(max(best, 0.0)), y
+
+
+def coderivative_of(f: SmoothMap, xbar, P: Polyhedron, ybar, rows=None):
+    """``coderivative_constant(f'(xbar), P, ybar, rows)`` where the criterion
+    applies.
+
+    None when the Jacobian at xbar passes a kink (an abs at 0 or a max or
+    min tie, which emits KinkWarning): the criterion needs f strictly
+    differentiable at xbar, and at a kink J is one branch's.  Off its ties
+    each abs, max and min keeps one branch near xbar.  None too when
+    ybar does not project onto P (free when ybar lies in P exactly): a P
+    with no point to rounding, such as a slab nonempty only within
+    TOL_FEAS, has no normal cone to read, and the sampled checks, whose
+    projections fail alike, report it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", KinkWarning)
+        try:
+            J = f.jacobian(xbar)
+        except KinkWarning:
+            return None
+    try:
+        project(P, ybar)
+    except NumericalBreakdownError:
+        return None
+    return coderivative_constant(J, P, ybar, rows)
+
+
+def criterion_note(cval):
+    return f"coderivative criterion: c = min ||J^T y|| over unit y in N_Theta(f(xbar)) = {cval:.6g}"
+
+
 def robinson_check(c: Composite) -> CQReport:
-    """0 in int{ f(xbar) + J X - dom theta }, via 2m emptiness questions: for each
-    t = +/-eps e_j - f(xbar), some piece P of dom theta has {u : J u - t in P} nonempty."""
+    """0 in int{ f(xbar) + J X - dom theta }.
+
+    Where ``Composite.coderivative`` decides, Robinson's condition is c > 0
+    (for one polyhedral piece it is the coderivative criterion), and c = 0
+    is REFUTED with its unit normal y, J^T y = 0 within the rounding of c,
+    as witness.  Otherwise 2m emptiness questions: for each
+    t = +/-eps e_j - f(xbar), some piece P of dom theta has {u : J u - t in P}
+    nonempty."""
+    exact = c.coderivative()
+    if exact is not None:
+        cval, y = exact
+        if cval > 0.0:
+            return CQReport("Robinson", VERIFIED, confidence="exact", notes=[criterion_note(cval)])
+        return CQReport("Robinson", REFUTED, witness=y, confidence="exact",
+                        notes=[f"unit normal y with ||J^T y|| = "
+                               f"{float(np.linalg.norm(c.f.jacobian(c.xbar).T @ y)):.1e}: c = 0"])
     pieces = c.dom_theta_pieces()
     if pieces is None:
         return CQReport("Robinson", VERIFIED, confidence="exact",
@@ -637,6 +776,32 @@ def robinson_check(c: Composite) -> CQReport:
                 return CQReport("Robinson", REFUTED, witness=w, confidence="exact",
                                 notes=notes + [f"direction {w} unreachable at eps={eps:.1e}"])
     return CQReport("Robinson", VERIFIED, confidence="exact", notes=notes)
+
+
+CQ_CONDITIONS = ("abadie", "msqc", "robinson")
+
+
+def cq_reports(c: Composite, names=CQ_CONDITIONS, seed=0) -> dict:
+    """name -> CQReport for each of ``names``, in CQ_CONDITIONS order.
+
+    Where ``Composite.coderivative`` gives c > 0, all three hold and none is
+    sampled: Robinson's condition is c > 0, metric regularity with modulus
+    1/c gives MSQC with kappa_hat = 1/c (0 for c = inf, where N = {0}), and
+    for polyhedral Theta, MSQC implies Abadie (for u with J u in T_Theta(ybar),
+    dist(f(xbar + t u); Theta) = o(t), so dist(xbar + t u; Omega) = o(t)).
+    Each is VERIFIED with confidence "exact".  Otherwise each sampled check
+    runs, and ``robinson_check`` decides Robinson."""
+    exact = c.coderivative()
+    if exact is not None and exact[0] > 0.0:
+        note = criterion_note(exact[0])
+        checks = {"abadie": lambda: CQReport("Abadie", VERIFIED, confidence="exact", notes=[note]),
+                  "msqc": lambda: CQReport("MSQC", VERIFIED, kappa_hat=1.0 / exact[0],
+                                           confidence="exact", notes=[note])}
+    else:
+        checks = {"abadie": lambda: abadie_check(c, seed=seed),
+                  "msqc": lambda: msqc_estimate(c, seed=seed)}
+    checks["robinson"] = lambda: robinson_check(c)
+    return {name: checks[name]() for name in CQ_CONDITIONS if name in names}
 
 
 # ---------------------------------------------------------------------------

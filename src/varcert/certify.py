@@ -116,7 +116,7 @@ def primal_check(p: ConstrainedProblem, xbar, seed=42) -> Certificate:
     """No linearized feasible direction descends.  VERIFIED stores the fit's
     multiplier; no bound is claimed, so the ladder stops at its RESIDUAL
     rung.  REFUTED stores the fit's descent witness."""
-    cert, _ = _fit(p, xbar, "Primal", seed)
+    cert, *_ = _fit(p, xbar, "Primal", seed)
     if cert.descent_witness is not None:
         return cert
     status, detail = verdict(cert.residual, cert.bound_lhs, np.inf, TOL_STAT, TOL_BOUND)
@@ -124,11 +124,17 @@ def primal_check(p: ConstrainedProblem, xbar, seed=42) -> Certificate:
                    notes=[f"least-norm multiplier residual {cert.residual:.3e}"])
 
 
+KAPPA_COMPUTED = "computed (coderivative criterion)"
+
+
 def resolve_kappa(kappa, estimate):
     """(kappa value or None, its source, estimator report or None).
 
     A number is taken as asserted; otherwise ``estimate()`` runs and its
-    kappa_hat is used when the report is VERIFIED."""
+    kappa_hat is used when the report is VERIFIED (1 for a kappa_hat of 0).
+    A sampled kappa_hat is a lower estimate of a supremum; where nlp's
+    coderivative criterion gives c > 0, ``dual_certificate`` computes kappa
+    instead and does not call this."""
     if isinstance(kappa, (int, float)):
         return float(kappa), "user-asserted", None
     rep = estimate()
@@ -207,7 +213,7 @@ def descent_conditions(p: ConstrainedProblem, y, J, grads, d):
 
 
 def _fit(p: ConstrainedProblem, xbar, kind, seed):
-    """(certificate, objective gradients): the lam of least Euclidean norm in
+    """(certificate, objective gradients, f(xbar)): the lam of least Euclidean norm in
     N_Theta(ybar) with J^T lam = -g and bound_lhs ||lam||, no status yet; or
     REFUTED, when there is none, with least_norm_multiplier's Farkas
     direction at max-norm 1 as descent_witness and its descent as residual."""
@@ -236,30 +242,39 @@ def _fit(p: ConstrainedProblem, xbar, kind, seed):
         d = fit[:p.n] / float(np.max(np.abs(fit[:p.n])))
         (descent,) = checked(descent_conditions(p, ybar, J, grads, d))
         return replace(cert, status=REFUTED, descent_witness=d, residual=descent,
-                       notes=[f"descent slope {-descent:.3e} along the witness"]), grads
+                       notes=[f"descent slope {-descent:.3e} along the witness"]), grads, ybar
     z, lam = fit
     grad_used = grads[0] if cols is None else cols[:-1] @ z[r + 2 * l:]
     ab, gen_weights = z[r:r + 2 * l], np.zeros(p.Theta.A_ineq.shape[0])
     gen_weights[act] = z[:r]
     residual, lhs = checked(kkt_conditions(p, ybar, J, grad_used, lam, gen_weights, ab))
     return replace(cert, multipliers=lam, generator_weights=gen_weights,
-                   eq_weights=ab if l else None, residual=residual, bound_lhs=lhs), grads
+                   eq_weights=ab if l else None, residual=residual, bound_lhs=lhs), grads, ybar
 
 
 def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42) -> Certificate:
     """Recover the lambda of least Euclidean norm in N_Theta(ybar) with
     J^T lambda = -g, and check the bounded-multiplier estimate on it; kappa
-    is resolved after the fit, so no multiplier, no estimate."""
-    cert, grads = _fit(p, xbar, "DualKKT", seed)
+    is resolved after the fit, so no multiplier, no estimate.  Unless kappa
+    is asserted, the coderivative criterion's c > 0 gives the computed
+    kappa = (1 + KAPPA_MARGIN) / c, just above reg F = 1/c (1 for c = inf),
+    with no sampling; otherwise ``msqc_estimate`` samples it."""
+    cert, grads, ybar = _fit(p, xbar, "DualKKT", seed)
     if cert.descent_witness is not None:
         raise NoMultiplierError("stationarity system infeasible: not dual-stationary",
                                 witness=cert.descent_witness)
-    kappa_val, kappa_source, rep = resolve_kappa(kappa, lambda: calc.msqc_estimate(
-        calc.Composite(IndicatorFn(p.Theta), p.f, cert.point), seed=seed))
-    notes = []
-    if rep is not None:
-        notes.append(f"msqc_estimate kappa_hat={rep.kappa_hat:.4g}" if kappa_val is not None
-                     else f"msqc_estimate verdict {rep.verdict}")
+    found = None if isinstance(kappa, (int, float)) else \
+        calc.coderivative_of(p.f, cert.point, p.Theta, ybar, p.Theta.active_rows(ybar))
+    if found is not None and found[0] > 0.0:
+        kappa_val = (1.0 + calc.KAPPA_MARGIN) / found[0] if np.isfinite(found[0]) else 1.0
+        kappa_source, notes = KAPPA_COMPUTED, [calc.criterion_note(found[0])]
+    else:
+        kappa_val, kappa_source, rep = resolve_kappa(kappa, lambda: calc.msqc_estimate(
+            calc.Composite(IndicatorFn(p.Theta), p.f, cert.point), seed=seed))
+        notes = []
+        if rep is not None:
+            notes.append(f"msqc_estimate kappa_hat={rep.kappa_hat:.4g}" if kappa_val is not None
+                         else f"msqc_estimate verdict {rep.verdict}")
     if isinstance(p.objective, SmoothFn):
         scale = float(np.linalg.norm(grads[0]))
         bound_rule = "kappa*||grad objective|| (enhanced estimate)"

@@ -484,14 +484,8 @@ def _cmd_subderiv(args):
 def _cmd_cq(args):
     _, p, x = _load(args, "nlp", build_nlp)
     comp = calculus.Composite(IndicatorFn(p.Theta), p.f, x)
-    which = args.which
-    reports = {}
-    if which in ("abadie", "all"):
-        reports["abadie"] = calculus.abadie_check(comp, seed=args.seed)
-    if which in ("msqc", "all"):
-        reports["msqc"] = calculus.msqc_estimate(comp, seed=args.seed)
-    if which in ("robinson", "all"):
-        reports["robinson"] = calculus.robinson_check(comp)
+    reports = calculus.cq_reports(comp, calculus.CQ_CONDITIONS if args.which == "all"
+                                  else (args.which,), seed=args.seed)
     out = {"point": [float(v) for v in x], "tool_version": __version__}
     exit_code = EXIT_VERIFIED
     for name, rep in reports.items():

@@ -81,33 +81,39 @@ FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "log": 1, "sqrt": 1, "abs": 1, "max":
 
 
 class Expr:
-    """Base class for expression nodes. Nodes are immutable after parsing."""
+    """Base class for expression nodes.
+
+    Nodes are immutable after parsing by convention: only the parser builds
+    them, and past ``parse`` only the root's bookkeeping (``_closure``)
+    changes.  The classes are plain dataclasses, since a frozen one costs
+    about three times as much to build; with ``eq`` and no ``frozen`` a node
+    is unhashable, so nothing can key a cache on one."""
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(eq=True)
 class Num(Expr):
     value: float
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(eq=True)
 class Var(Expr):
     name: str
     index: int
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(eq=True)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(eq=True)
 class BinOp(Expr):
     op: str
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(eq=True)
 class Call(Expr):
     func: str
     args: tuple
@@ -266,11 +272,8 @@ def parse(text: str, declared_vars) -> Expr:
             closure = _compile(_source(root))
         except (SyntaxError, RecursionError):
             raise ExprSyntaxError(0, "expression nested too deeply") from None
-    object.__setattr__(root, "_text", text)
-    object.__setattr__(root, "_nvars", len(names))
-    object.__setattr__(root, "_top", parser.top)
-    object.__setattr__(root, "_var_power", parser.var_power)
-    object.__setattr__(root, "_closure", closure)
+    root._text, root._nvars, root._top = text, len(names), parser.top
+    root._var_power, root._closure = parser.var_power, closure
     return root
 
 
@@ -540,10 +543,9 @@ def _run(e, v, m):
     fn = e._closure
     if type(fn) is int:
         if fn + 1 < HOT_AFTER:
-            object.__setattr__(e, "_closure", fn + 1)
+            e._closure = fn + 1
             return _walk(e, v, m)
-        fn = _compile(_source(e))
-        object.__setattr__(e, "_closure", fn)
+        fn = e._closure = _compile(_source(e))
     return fn(v, m)
 
 

@@ -401,11 +401,15 @@ class SubdifferentialSet:
             rays, lines = self.cone.ensure_generators()
             fit = least_norm_multiplier(self.JT.T, v, rays.T, lines.T, tol=tol)
             return isinstance(fit, tuple) and float(np.linalg.norm(fit[1])) <= self.radius + tol
-        # polyhedral V-rep: the NNLS fit of (v, 1) by the vertices, each with a 1
-        # in the last row (their weights sum to 1), and the rays and +/- lines
+        # polyhedral V-rep: the NNLS fit of (v, w) by the vertices, each with a w
+        # in the last row (their weights sum to 1), and the rays and +/- lines.
+        # The row holds sum(nu) = 1 in least squares only; weighted by the
+        # vertex scale w = max(1, R), R the largest vertex norm, a residual r
+        # puts v within sqrt(1 + R^2 / w^2) r <= sqrt(2) r of the set
         G = np.vstack([self.vertices, self.rays, self.lines, -self.lines]).T
-        E = np.vstack([G, np.arange(G.shape[1]) < len(self.vertices)])
-        f = np.append(v, 1.0)
+        w = max(1.0, float(np.linalg.norm(self.vertices, axis=1).max(initial=0.0)))
+        E = np.vstack([G, w * (np.arange(G.shape[1]) < len(self.vertices))])
+        f = np.append(v, w)
         return float(np.linalg.norm(E @ nnls(E, f) - f)) <= tol * (1.0 + float(np.linalg.norm(v)))
 
     def sample(self, count, seed=0):

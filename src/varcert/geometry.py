@@ -444,9 +444,10 @@ def _remember_face(P: Polyhedron, x):
     del P._faces[_MAX_FACES:]
 
 
-def project(P: Polyhedron, z):
+def project(P: Polyhedron, z, residual=None):
     """Euclidean projection onto P and the distance, exact by Lawson and
-    Hanson's least-distance program.
+    Hanson's least-distance program.  ``residual`` is P.residual(z) when the
+    caller has computed it already.
 
     The first try is P's remembered faces (module docstring): a face whose
     multipliers are >= 0 and whose hull point satisfies every other row
@@ -460,7 +461,7 @@ def project(P: Polyhedron, z):
     A P nonempty only within TOL_FEAS raises NumericalBreakdownError.
     """
     z = _finite_point(z)
-    if P.residual(z) <= 0.0:
+    if (P.residual(z) if residual is None else residual) <= 0.0:
         return z.copy(), 0.0
     if P.is_empty():
         raise EmptySetError("cannot project onto an empty polyhedron")

@@ -426,7 +426,7 @@ def least_norm_multiplier(J, target, rays, lines=None, extra=None, tol=1e-9):
     if float(np.linalg.norm(miss)) > tol * (1.0 + float(np.linalg.norm(t))):
         r = f - eq @ z
         return Vt[:k].T @ (r[:k] / s[:k]) + Vt[k:].T @ r[k:]
-    if norm.shape[0]:
+    if norm.shape[0] and len(z):  # with no column, lam = 0 is the only fit
         z = _least_norm_on_fits(norm, eq, z)
     return z, B @ z[:B.shape[1]]
 

@@ -218,9 +218,9 @@ def test_msqc_estimate_projects_no_image_twice_in_a_row(monkeypatch):
     images = []
     project = calc.project
 
-    def recording(P, y):
+    def recording(P, y, *residual):
         images.append(np.asarray(y, dtype=float).tobytes())
-        return project(P, y)
+        return project(P, y, *residual)
 
     monkeypatch.setattr(calc, "project", recording)
     ind = IndicatorFn(Polyhedron([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]))
@@ -228,6 +228,29 @@ def test_msqc_estimate_projects_no_image_twice_in_a_row(monkeypatch):
     msqc_estimate(Composite(ind, f, [0.0, 0.0]), radius=0.5, samples=10)
     assert images
     assert all(a != b for a, b in zip(images, images[1:]))
+
+
+def test_msqc_estimate_tests_each_image_against_theta_once(monkeypatch):
+    """A sample's violation tests P.residual(y) once: the projection of an
+    outsider takes the residual its caller computed, not its own."""
+    ind = IndicatorFn(Polyhedron([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]))
+    c = Composite(ind, SmoothMap.from_strings(["x1 + x2^2", "x2 - x1^2"], ["x1", "x2"]),
+                  [0.0, 0.0])
+    calls = {"residual": 0, "dom_residual": 0, "project": 0}
+    residual, dom_residual, project = Polyhedron.residual, Composite.dom_residual, calc.project
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Polyhedron, "residual", counted("residual", residual))
+    monkeypatch.setattr(Composite, "dom_residual", counted("dom_residual", dom_residual))
+    monkeypatch.setattr(calc, "project", counted("project", project))
+    msqc_estimate(c, radius=0.5, samples=10)
+    assert calls["project"] > 0
+    assert calls["residual"] == calls["dom_residual"]
 
 
 def test_msqc_estimate_is_the_same_from_remembered_faces():

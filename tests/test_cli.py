@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from varcert import cli
+from varcert import certify, cli
 
 
 def write_problem(tmp_path, doc, name="problem.json"):
@@ -425,7 +425,7 @@ def test_kkt_with_estimated_kappa(tmp_path):
     code = cli.run(["kkt", "-p", prob, "--point", "0,0", "--out", out])
     assert code == 0
     cert = json.loads(open(out).read())
-    assert cert["bound"]["kappa_source"].startswith("estimated")
+    assert cert["bound"]["kappa_source"] == certify.KAPPA_COMPUTED
     assert cli.run(["recheck", "-p", prob, "-c", out]) == 0
 
 
@@ -449,7 +449,7 @@ def test_thin_wedge_estimated_kappa_and_cq(tmp_path):
     assert cli.run(["kkt", "-p", prob, "--point", "0,0", "--out", out]) == 0
     cert = json.loads(open(out).read())
     assert cert["status"] == "VERIFIED"
-    assert cert["bound"]["kappa_source"].startswith("estimated")
+    assert cert["bound"]["kappa_source"] == certify.KAPPA_COMPUTED
     assert cli.run(["recheck", "-p", prob, "-c", out]) == 0
     assert cli.run(["cq", "-p", prob, "--point", "0,0", "--which", "all"]) == 0
 
@@ -487,12 +487,19 @@ def test_point_outside_a_component_domain_is_infeasible(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("infeasible point")
 
 
+def log_slab_doc():
+    """f = (log(x1), x2, x2) into {y1 <= 0, y2 <= 0, y3 >= 0}: the normals e2
+    and -e3 cancel under J^T, so c = 0, and kappa and cq are sampled."""
+    return {"kind": "nlp", "n": 2, "objective": "-x2",
+            "constraints": {"f": ["log(x1)", "x2", "x2"],
+                            "Theta": {"A_ineq": [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
+                                      "b_ineq": [0, 0, 0]}}}
+
+
 def test_estimated_kappa_skips_samples_outside_a_component_domain(tmp_path):
     """f1 = log(x1) at x1 = 0.3: the radius-0.5 ratio samples reach x1 <= 0,
     where f is undefined; they are skipped, not projected."""
-    doc = {"kind": "nlp", "n": 2, "objective": "-x2",
-           "constraints": {"f": ["log(x1)", "x2"],
-                           "Theta": {"A_ineq": [[1, 0], [0, 1]], "b_ineq": [0, 0]}}}
+    doc = log_slab_doc()
     prob = write_problem(tmp_path, doc)
     out = str(tmp_path / "cert.json")
     assert cli.run(["kkt", "-p", prob, "--point", "0.3,0", "--out", out]) == 0
@@ -689,24 +696,24 @@ def test_300_nested_parentheses_exit_3_with_an_error_line(tmp_path, capsys):
 
 def test_cq_skips_samples_outside_a_component_domain(tmp_path):
     """f1 = log(x1) at x1 = 0.1: derivability samples reach x1 <= 0, where f
-    is undefined; they are skipped and counted, not projected."""
-    doc = {"kind": "nlp", "n": 2, "objective": "x1 + x2",
-           "constraints": {"f": ["log(x1)", "x2"],
-                           "Theta": {"A_ineq": [[1, 0], [0, 1]], "b_ineq": [0, 0]}}}
-    prob = write_problem(tmp_path, doc)
+    is undefined; they are skipped and counted, not projected.  c = 0 here
+    (Robinson fails), so Abadie is sampled."""
+    prob = write_problem(tmp_path, log_slab_doc())
     out = str(tmp_path / "cq.json")
-    assert cli.run(["cq", "-p", prob, "--point", "0.1,0", "--which", "all", "--out", out]) == 0
+    assert cli.run(["cq", "-p", prob, "--point", "0.1,0", "--which", "abadie", "--out", out]) == 0
     notes = json.loads(open(out).read())["abadie"]["notes"]
     assert any(note.endswith("samples outside dom f skipped") for note in notes)
 
 
 def test_a_zero_slope_plateau_is_inconclusive_not_refuted(tmp_path):
-    """f = min(x1, 0.13) against y <= 0 at 0: kappa = 1 holds near 0, but
-    beyond x1 = 0.13 the violation is flat.  A zero slope leaves no finite
-    kappa_hat, so the estimate is INCONCLUSIVE with kappa_hat null, and kkt
-    has no kappa to bound with."""
+    """f = min(x1, 0.13) - min(0, x1) against y <= 0 at 0: kappa = 1 holds
+    near 0, but beyond x1 = 0.13 the violation is flat.  The tie of min(0, x1)
+    at 0 keeps the coderivative criterion aside, so kappa is sampled.  A zero
+    slope leaves no finite kappa_hat, so the estimate is INCONCLUSIVE with
+    kappa_hat null, and kkt has no kappa to bound with."""
     doc = {"kind": "nlp", "n": 1, "objective": "-x1",
-           "constraints": {"f": ["min(x1, 0.13)"], "Theta": {"A_ineq": [[1]], "b_ineq": [0]}}}
+           "constraints": {"f": ["min(x1, 0.13) - min(0, x1)"],
+                           "Theta": {"A_ineq": [[1]], "b_ineq": [0]}}}
     prob = write_problem(tmp_path, doc)
     out = str(tmp_path / "cq.json")
     assert cli.run(["cq", "-p", prob, "--point", "0", "--which", "msqc", "--out", out]) == 2
@@ -717,6 +724,24 @@ def test_a_zero_slope_plateau_is_inconclusive_not_refuted(tmp_path):
     cert = json.loads(open(out).read())
     assert (cert["status"], cert["detail"]) == ("INCONCLUSIVE", "KAPPA_UNAVAILABLE")
     assert cert["notes"] == ["msqc_estimate verdict INCONCLUSIVE"]
+
+
+def test_a_plateau_off_its_tie_reads_kappa_from_the_criterion(tmp_path):
+    """f = min(x1, 0.13) is x1 near 0 (its tie is at 0.13), so against y <= 0
+    at 0 the coderivative criterion reads c = 1 and nothing is sampled: MSQC
+    is VERIFIED exactly with kappa_hat 1, where the sampled estimate met the
+    plateau beyond 0.13 and was INCONCLUSIVE, and kkt bounds with kappa
+    computed."""
+    doc = {"kind": "nlp", "n": 1, "objective": "-x1",
+           "constraints": {"f": ["min(x1, 0.13)"], "Theta": {"A_ineq": [[1]], "b_ineq": [0]}}}
+    prob = write_problem(tmp_path, doc)
+    out = str(tmp_path / "cq.json")
+    assert cli.run(["cq", "-p", prob, "--point", "0", "--which", "msqc", "--out", out]) == 0
+    msqc = json.loads(open(out).read())["msqc"]
+    assert (msqc["verdict"], msqc["confidence"], msqc["kappa_hat"]) == ("VERIFIED", "exact", 1.0)
+    assert cli.run(["kkt", "-p", prob, "--point", "0", "--kappa", "estimate", "--out", out]) == 0
+    cert = json.loads(open(out).read())
+    assert (cert["status"], cert["bound"]["kappa_source"]) == ("VERIFIED", certify.KAPPA_COMPUTED)
 
 
 def kernel_2d_sdp_doc():

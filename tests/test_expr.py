@@ -321,3 +321,29 @@ def test_the_walk_and_the_compiled_source_agree_bit_for_bit():
     assert kinked >= 10
     assert expr._source(expr.parse("-x1^2", ["x1"])) == "m.pw((-v[0]),2.0)"
     assert expr._source(expr.parse("3", ["x1", "x2"])) == "3.0"
+
+
+def test_nodes_are_unhashable_and_unchanged_by_use():
+    """Nodes are immutable after parsing by convention, not by ``frozen``:
+    a tree compares equal to a fresh parse after walks, Dual passes, the
+    compiled closure, the hot Jacobian and a grid scan, and no node is
+    hashable, so nothing keys a cache on one."""
+    texts = ["sin(x1)*x2^2 - max(x1, x2)/3", "exp(x1 - x2) + abs(x2) - log(2 + x1^2)",
+             "-(x1 + 2)^3 + sqrt(1 + x2^2)*min(x1, 0.5)"]
+    names = ["x1", "x2"]
+    f = expr.SmoothMap.from_strings(texts, names)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for k in range(2 * expr.HOT_AFTER):
+            x = [0.1 * k - 0.7, 0.3 - 0.05 * k]
+            f.eval(x)
+            f.jacobian(x)
+            for e in f.components:
+                expr.grad(e, x)
+        for e in f.components:
+            expr.evaluate_grid(e, (np.linspace(-1.0, 1.0, 6), np.linspace(0.0, 1.0, 6)))
+    assert all(callable(e._closure) for e in f.components)
+    for e, text in zip(f.components, texts):
+        assert e == expr.parse(text, names)
+        with pytest.raises(TypeError):
+            hash(e)

@@ -300,6 +300,20 @@ PARENT = {
     "sip_eq_theta_psi": ("e5e2741c55811b2e", 0, 0),
     "sip_eq_theta_psi_grid16": ("e5e2741c55811b2e", 0, 0),
 }
+# The coderivative criterion (calculus.coderivative_constant) gives c = 1 at
+# the README orthant point, where kkt sampled kappa_hat = 1 and cq sampled
+# Abadie and MSQC.  Per case, the parent value of each field that changed:
+# kkt's kappa is now (1 + 1e-9) / c, its rhs follows, and its source and note
+# name the criterion; cq keeps every verdict and MSQC's kappa_hat = 1/c, and
+# Abadie and MSQC become exact.  Each report notes the criterion's c.
+PARENT_CRITERION = {
+    "nlp_kkt_estimate": {"bound": {"rhs": 1.414213562373, "kappa": 1.0,
+                                   "kappa_source": "estimated (sampling-confidence)"},
+                         "notes": ["msqc_estimate kappa_hat=1"]},
+    "nlp_cq_all": {"abadie": {"confidence": "sampling", "notes": []},
+                   "msqc": {"confidence": "sampling", "notes": []},
+                   "robinson": {"notes": []}},
+}
 PARENT_KAPPA = {"sip_readme_estimate": 9.999989963092e-01,
                 "sip_two_index_estimate": 9.999989963092e-01}
 
@@ -373,8 +387,15 @@ def test_corpus_matches_its_parent_outside_the_slope_kappa():
         case = by_name[name]
         assert (case["exit"], case["recheck"]) == (code, recheck), name
         text = expected_text(case)
-        if name in PARENT_KAPPA or name in PARENT_FLOATS or name in PARENT_WITNESS:
+        if name in PARENT_KAPPA or name in PARENT_FLOATS or name in PARENT_WITNESS \
+                or name in PARENT_CRITERION:
             doc = json.loads(text)
+            for field, old in PARENT_CRITERION.get(name, {}).items():
+                assert doc[field] != old, name
+                if isinstance(old, dict):
+                    doc[field].update(old)
+                else:
+                    doc[field] = old
             gained, changed = PARENT_WITNESS.get(name, ((), {}))
             for field in gained:
                 del doc[field]

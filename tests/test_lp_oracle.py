@@ -1,21 +1,26 @@
 """Least-squares answers against the general-form simplex as the reference.
 
-Emptiness, Robinson's condition, the SIP extended MFCQ, cone and V-rep
-membership and the robustness residual are answered by NNLS and the
-least-distance program.  Each property below poses the same question to
+Emptiness, the SIP extended MFCQ, cone and V-rep membership and the
+robustness residual are answered by NNLS and the least-distance program,
+and Robinson's condition by the coderivative criterion's eigenproblems
+(``calculus.coderivative_constant``) or, where it steps aside, by emptiness
+questions.  Each property below poses the same question to
 ``lp_solve`` on seeded instances and requires the same answer, except in a
 band of width about 1e-9 times the instance's scale around the decision
 boundary, where the two solvers' tolerances differ.
 """
 
+import itertools
+
 import numpy as np
+import pytest
 
 from varcert import calculus as calc
 from varcert import sip as sip_mod
 from varcert.calculus import Composite, _cone_membership_violation, robinson_check
 from varcert.expr import SmoothMap
 from varcert.funcspace import IndicatorFn, SubdifferentialSet
-from varcert.geometry import TOL_FEAS, PolyhedralCone, Polyhedron
+from varcert.geometry import TOL_FEAS, PolyhedralCone, Polyhedron, normal_cone
 from varcert.solvers import OPTIMAL, LPProblem, lp_solve
 
 
@@ -66,9 +71,30 @@ def test_is_empty_agrees_with_the_lp_outside_a_band_at_tol_feas():
 
 
 def robinson_by_lp(c):
-    """(verdict, witness) of Robinson's condition as the simplex answers it:
-    for each target t = +/-eps e_j - f(xbar), some piece has (u, w) with
-    J u - w = t and w in the piece."""
+    """Whether Robinson's condition fails, as the simplex answers the exact
+    question: some y in N_Theta(ybar) has J^T y = 0 and ||y||_1 = 1.  One LP
+    per sign pattern s of y: y = G^T w + E^T a (w >= 0 on the active rows G,
+    a free on the equality rows E), J^T y = 0, s_i y_i >= 0 and s.y = 1."""
+    J = c.f.jacobian(c.xbar)
+    (P,) = c.dom_theta_pieces()
+    M = np.vstack([P.A_ineq[P.active_rows(c.ybar)], P.A_eq]).T
+    k = M.shape[1] - len(P.A_eq)
+    for signs in itertools.product((1.0, -1.0), repeat=c.m):
+        A = np.vstack([J.T @ M, np.diag(signs) @ M, np.array(signs) @ M])
+        sol = lp_solve(LPProblem(c=np.zeros(M.shape[1]), A=A,
+                                 b=np.r_[np.zeros(c.n + c.m), 1.0],
+                                 senses=["="] * c.n + [">="] * c.m + ["="],
+                                 bounds=[(0.0, None)] * k + [(None, None)] * len(P.A_eq)))
+        if sol.status == OPTIMAL:
+            return True
+    return False
+
+
+def robinson_reach_by_lp(c):
+    """(verdict, witness, eps) of Robinson's condition as the simplex answers
+    robinson_check's emptiness questions: for each target
+    t = +/-eps e_j - f(xbar), some piece has (u, w) with J u - w = t and w in
+    the piece."""
     J = c.f.jacobian(c.xbar)
     m, n = c.m, c.n
     eps = 1e-3 * (1.0 + float(np.linalg.norm(c.ybar)))
@@ -116,12 +142,46 @@ def random_composite(rng):
 
 
 def test_robinson_check_agrees_with_the_lp():
+    """robinson_check reads c = 0 from the coderivative criterion; its
+    witness is a unit normal y with J^T y = 0 to rounding.  Where the
+    criterion does not decide (a Theta that is one point, which ybar misses
+    by rounding, so that it does not project), the emptiness questions
+    answer, and the verdict still agrees."""
+    rng = np.random.default_rng(32)
+    verdicts, undecided = [], 0
+    for trial in range(150):
+        c = random_composite(rng)
+        rep = robinson_check(c)
+        fails = robinson_by_lp(c)
+        assert rep.verdict == (calc.REFUTED if fails else calc.VERIFIED), trial
+        assert rep.confidence == "exact", trial
+        if c.coderivative() is None:
+            undecided += 1
+        elif fails:
+            y, J = rep.witness, c.f.jacobian(c.xbar)
+            assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12), trial
+            assert np.linalg.norm(J.T @ y) <= 1e-12 * (1.0 + np.linalg.norm(J)), trial
+            N = normal_cone(c.dom_theta_pieces()[0], c.ybar)
+            assert N.contains(y, 1e-9), trial
+        else:
+            assert rep.witness is None, trial
+        verdicts.append(rep.verdict)
+    assert verdicts.count(calc.REFUTED) >= 10 and verdicts.count(calc.VERIFIED) >= 10
+    assert undecided <= 3
+
+
+def test_robinson_emptiness_questions_agree_with_the_reach_lp(monkeypatch):
+    """With the criterion out of the way, robinson_check's emptiness
+    questions, which still decide Robinson for a kinked f, past the
+    enumeration cap, where ybar does not project and for a union of pieces,
+    give the simplex's verdict, witness and note on the same 150 composites."""
+    monkeypatch.setattr(Composite, "coderivative", lambda self: None)
     rng = np.random.default_rng(32)
     verdicts = []
     for trial in range(150):
         c = random_composite(rng)
         rep = robinson_check(c)
-        verdict, witness, eps = robinson_by_lp(c)
+        verdict, witness, eps = robinson_reach_by_lp(c)
         assert rep.verdict == verdict, trial
         if witness is None:
             assert rep.witness is None and rep.notes == [], trial
@@ -207,9 +267,9 @@ def membership_queries(rng, rays, lines, vertices=None):
 def test_cone_and_v_rep_membership_agree_with_the_lp_outside_a_band():
     """The NNLS residual is Euclidean and the LP's is the 1-norm, which is
     between 1 and sqrt(n) times it.  The V-rep fit also holds its row
-    sum(nu) = 1 in least squares only: its residual is between 1 and
-    sqrt(1 + R^2) times the distance to the set, R the largest vertex norm.
-    Outside that band above the tolerance, both answer alike."""
+    sum(nu) = 1 in least squares only, weighted by max(1, R), R the largest
+    vertex norm: the distance to the set is between 1 and sqrt(2) times its
+    residual.  Outside that band above the tolerance, both answer alike."""
     rng = np.random.default_rng(34)
     band = 0
     for trial in range(150):
@@ -228,12 +288,29 @@ def test_cone_and_v_rep_membership_agree_with_the_lp_outside_a_band():
         for v in membership_queries(rng, rays, lines, vertices):
             tol = 1e-8 * (1.0 + np.linalg.norm(v))
             rho = l1_fit_residual(v, rays, lines, vertices)
-            R = np.linalg.norm(vertices, axis=1).max()
-            if tol < rho <= np.sqrt(n * (1.0 + R ** 2)) * tol + 1e-15:
+            if tol < rho <= np.sqrt(2 * n) * tol + 1e-15:
                 band += 1
                 continue
             assert V.contains(v) == (rho <= tol), trial
     assert band < 0.05 * 150 * 18
+
+
+def test_v_rep_membership_weights_the_vertex_sum_row():
+    """The seed-34, trial-17 query of the test above: one vertex of norm
+    R = 1.69, two rays, and a point at Euclidean distance 5.1e-8 from the set
+    (its exact-sum 1-norm residual is 9.5e-8), against the tolerance 3.5e-8.
+    With the row sum(nu) = 1 at weight 1 the fit let the sum drift to
+    1 + 2e-8 and read 3.4e-8, a member; at weight R it reads 4.0e-8."""
+    vertices = [[1.0742161873121048, 1.0489384239974349, -0.62896214199793, -0.44679266640677806]]
+    rays = np.array([[-2.0647583705856536, 0.6041265433369188, -1.0072263269786115,
+                      -0.25842888863112806],
+                     [1.6615565756650401, -1.3164603496458298, -0.77423039384628,
+                      1.0640325909925732]])
+    v = np.array([0.6789280862010043, 0.3644786971333481, -2.3489371131500176,
+                  0.32867525259959474])
+    assert l1_fit_residual(v, rays, np.zeros((0, 4)), np.array(vertices)) > \
+        1e-8 * (1.0 + np.linalg.norm(v))
+    assert not SubdifferentialSet.polytope(vertices, rays, np.zeros((0, 4))).contains(v)
 
 
 def linf_violation_by_lp(v, J, gens, lines):
