@@ -747,7 +747,7 @@ def robinson_check(c: Composite) -> CQReport:
     is REFUTED with its unit normal y, J^T y = 0 within the rounding of c,
     as witness.  Otherwise 2m emptiness questions: for each
     t = +/-eps e_j - f(xbar), some piece P of dom theta has {u : J u - t in P}
-    nonempty."""
+    nonempty.  A DomainOracle gives no pieces to ask: INCONCLUSIVE."""
     exact = c.coderivative()
     if exact is not None:
         cval, y = exact
@@ -756,6 +756,9 @@ def robinson_check(c: Composite) -> CQReport:
         return CQReport("Robinson", REFUTED, witness=y, confidence="exact",
                         notes=[f"unit normal y with ||J^T y|| = "
                                f"{float(np.linalg.norm(c.f.jacobian(c.xbar).T @ y)):.1e}: c = 0"])
+    if c.domain_oracle is not None:
+        return CQReport("Robinson", INCONCLUSIVE,
+                        notes=["dom theta is a DomainOracle: its domain was not checked"])
     pieces = c.dom_theta_pieces()
     if pieces is None:
         return CQReport("Robinson", VERIFIED, confidence="exact",

@@ -394,14 +394,21 @@ def _nearest(A, b, C, d, z):
 
     y0 is the nearest point of {C y = d} and N an orthonormal basis of
     null(C); then y = y0 + N w with w the least-norm solution of
-    (A N) w <= b - A y0, a least-distance program solved exactly.  A set
-    nonempty only within TOL_FEAS has no such w: NumericalBreakdownError."""
+    (A N) w <= b - A y0, a least-distance program solved exactly.  The
+    rounding of y0 can leave b - A y0 below 0 on a row that y0 meets, which
+    empties the program when null(C) is {0}; so when it has no w, it is
+    solved again with each row relaxed by 1e-12 (|b_i| + ||a_i|| ||y0||).
+    No w even then (a set nonempty only within TOL_FEAS):
+    NumericalBreakdownError."""
+    y0, G = z, A
     if C.shape[0]:
         y0 = z - np.linalg.lstsq(C, C @ z - d, rcond=None)[0]
         N = nullspace(C)
-        w = least_distance(A @ N, b - A @ y0)
-    else:
-        w = least_distance(A, b - A @ z)
+        G = A @ N
+    h = b - A @ y0
+    w = least_distance(G, h)
+    if w is None:
+        w = least_distance(G, h + 1e-12 * (np.abs(b) + np.linalg.norm(A, axis=1) * np.linalg.norm(y0)))
     if w is None:
         raise NumericalBreakdownError(
             f"no point satisfies every row: the set is nonempty only within tol_feas = {TOL_FEAS:g}")

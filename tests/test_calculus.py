@@ -396,6 +396,14 @@ def test_robinson_check_examples():
     assert np.allclose(np.abs(rep.witness), [0.0, 1.0])
 
 
+def test_robinson_check_leaves_a_domain_oracle_unchecked():
+    """A DomainOracle gives no pieces to ask, so Robinson's condition is
+    INCONCLUSIVE, not an exact VERIFIED for "the whole space"."""
+    rep = robinson_check(soc_halfspace_composite())
+    assert rep.verdict == calc.INCONCLUSIVE and rep.confidence != "exact"
+    assert rep.notes == ["dom theta is a DomainOracle: its domain was not checked"]
+
+
 def test_robustness_check_orthant_and_parabola():
     ind = IndicatorFn(Polyhedron.nonpositive_orthant(2))
     c = Composite(ind, SmoothMap.identity(2), [0.0, 0.0])

@@ -214,7 +214,7 @@ def test_c_zero_falls_back_to_the_samplers(monkeypatch):
 def test_a_kink_at_xbar_keeps_the_samplers(monkeypatch):
     """f = min(x1, 0.13) is x1 near 0, where the criterion reads c = 1; at
     its tie x1 = 0.13 the Jacobian is one branch's, so the criterion steps
-    aside and kappa and cq are sampled, from the compiled Jacobian too."""
+    aside and kappa and cq are sampled, from the compiled closure too."""
     f = SmoothMap.from_strings(["min(x1, 0.13)"], ["x1"])
     assert calc.coderivative_of(f, [0.0], Polyhedron([[1.0]], [0.0]), [0.0])[0] == \
         pytest.approx(1.0, abs=1e-12)

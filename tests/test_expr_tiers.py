@@ -1,17 +1,17 @@
-"""The Jacobian's hot tier (straight-line code) against the Dual tier, the
-Dual tier's one vector-tangent pass against one pass per coordinate, and
-``SmoothMap.eval`` against ``evaluate`` per component, bit for bit.
+"""The hot tier (compiled closures) against the Dual tier's walk, the Dual
+tier's one vector-tangent pass against one pass per coordinate,
+``SmoothMap.eval`` against ``evaluate`` per component, and a map's Jacobian
+across the switch from walked trees to compiled closures, bit for bit.
 
-``expr.HOT_AFTER`` patched to 0 puts every Jacobian on the hot tier; patched
-high it keeps every call on Dual.  Results are compared as bytes, with one
-exception: NaN sign and payload, which CPython's own float arithmetic does
-not keep fixed (they change once its bytecode specializes).
+``expr.HOT_AFTER`` patched to 0 compiles every expression's closure at its
+first use; patched high it keeps every use on the walk.  Results are
+compared as bytes, with one exception: NaN sign and payload, which CPython's
+own float arithmetic does not keep fixed (they change once its bytecode
+specializes).
 """
-
 import math
 import random
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -79,8 +79,10 @@ def all_outcomes(texts, names, points):
 
 
 def test_hot_tier_matches_dual_over_the_full_grammar(monkeypatch):
+    """Jacobians, values and gradients through compiled closures against the
+    same through walked trees."""
     rng = random.Random(20261018)
-    kinds, flagged, ints = set(), 0, 0
+    kinds = set()
     for _ in range(150):
         n = rng.randint(1, 4)
         names = [f"x{i + 1}" for i in range(n)]
@@ -92,16 +94,8 @@ def test_hot_tier_matches_dual_over_the_full_grammar(monkeypatch):
         assert all_outcomes(texts, names, points) == cold, texts
         for (jac, _), _, _ in cold:
             kinds.add(jac[0] if jac[0] == "ok" else jac[2])
-        m = expr.SmoothMap.from_strings(texts, names)
-        for x in points:
-            values = outcome(lambda: [expr.evaluate(c, x) for c in m.components])
-            assert outcome(lambda: m.eval(x)) == values, (texts, x)
-            flagged += any(expr.evaluate_flagged(c, x)[1] for c in m.components)
-            ints += any(type(xj) is int for xj in x)
-    # the draws reach both error messages as well as results, and values
-    # at int coordinates and outside the domain
+    # the draws reach both error messages as well as results
     assert {"ok", "derivative overflow", "Jacobian requested outside a component domain"} <= kinds
-    assert flagged >= 10 and ints >= 10
 
 
 @pytest.mark.parametrize("texts, x", [
@@ -110,7 +104,7 @@ def test_hot_tier_matches_dual_over_the_full_grammar(monkeypatch):
     (["log(x2) + 1/x1"], [1e-170, -1.0]),
     (["(x1^3)^0", "x1^2"], np.array([1e200, 0.0])),  # numpy ** overflows to inf, float ** raises
     (["sqrt(x1) + x2", "-0 * x1"], [0.0, -0.0]),
-    (["x1^x2", "x2"], [2.0, 3.0]),  # a variable exponent stays on Dual
+    (["x1^x2", "x2"], [2.0, 3.0]),  # a variable exponent: one closure call per coordinate
 ])
 def test_hot_tier_matches_dual_at_edges(monkeypatch, texts, x):
     names = ["x1", "x2"]
@@ -121,29 +115,30 @@ def test_hot_tier_matches_dual_at_edges(monkeypatch, texts, x):
 
 
 def test_a_map_switches_tiers_with_the_same_bits():
-    m = expr.SmoothMap.from_strings(["x1*sin(x2) + (x1 - 0.3)^2", "exp(x2/3) - x1*x2"], ["x1", "x2"])
+    """2 HOT_AFTER Jacobian calls on one map: its components are walked
+    until the HOT_AFTER-th call compiles their closures, and every call
+    gives the same bytes and the same replayed kink warnings."""
+    m = expr.SmoothMap.from_strings(["x1*sin(x2) + (x1 - 0.3)^2", "exp(x2/3) - x1*x2",
+                                     "abs(x1 - 0.7) + max(x2, -1.3)"], ["x1", "x2"])
     x = np.array([0.7, -1.3])
-    calls = [m.jacobian(x).tobytes() for _ in range(expr.HOT_AFTER + 2)]
-    assert callable(m._hot_jacobian)
-    assert len(set(calls)) == 1
+    calls, compiled = [], []
+    for _ in range(2 * expr.HOT_AFTER):
+        calls.append(outcome(lambda: m.jacobian(x)))
+        compiled.append([callable(c._closure) for c in m.components])
+    assert compiled == [[False] * 3] * (expr.HOT_AFTER - 1) + [[True] * 3] * (expr.HOT_AFTER + 1)
+    assert calls[0][0][0] == "ok" and len(calls[0][1]) == 4  # two kinks, replayed once
+    assert all(call == calls[0] for call in calls)
 
 
-def test_a_map_called_fewer_than_k_times_compiles_no_code():
+def test_a_map_called_fewer_than_k_times_compiles_no_code(monkeypatch):
+    compiled = []
+    real = expr._compile
+    monkeypatch.setattr(expr, "_compile", lambda source: compiled.append(source) or real(source))
     m = expr.SmoothMap.from_strings(["x1*x2", "sin(x1)"], ["x1", "x2"])
     for _ in range(expr.HOT_AFTER - 1):
         m.jacobian([0.5, 0.25])
-    assert not callable(m._hot_jacobian)
-
-
-def test_grad_and_eval_build_no_code(monkeypatch):
-    built = []
-    monkeypatch.setattr(expr, "_hot_code", lambda *args: built.append(args))
-    m = expr.SmoothMap.from_strings(["x1*x2", "sin(x1)"], ["x1", "x2"])
-    e = expr.parse("x1^2 + x2", ["x1", "x2"])
-    for _ in range(expr.HOT_AFTER + 2):
-        m.eval([0.5, 0.25])
-        expr.grad(e, [0.5, 0.25])
-    assert built == []
+    assert compiled == []
+    assert not any(callable(c._closure) for c in m.components)
 
 
 def test_an_expression_compiles_once_from_its_hot_after_th_use(monkeypatch):
@@ -162,15 +157,6 @@ def test_an_expression_compiles_once_from_its_hot_after_th_use(monkeypatch):
     assert counts == [0] * (expr.HOT_AFTER - 1) + [1] * (2 * expr.HOT_AFTER + 1)
     assert all(results[k] == results[k % 3] for k in range(len(results)))
     assert callable(e._closure)
-
-
-def test_hot_code_is_freed_with_its_object(monkeypatch):
-    monkeypatch.setattr(expr, "HOT_AFTER", 0)
-    m = expr.SmoothMap.from_strings(["x1*x2", "cos(x2)"], ["x1", "x2"])
-    m.jacobian([1.0, 2.0])
-    refs = [weakref.ref(obj) for obj in (m, m._hot_jacobian)]
-    del m  # no gc.collect(): the hot code holds no reference cycle
-    assert all(ref() is None for ref in refs)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +186,9 @@ def per_coordinate_jacobian(es, x):
 
 
 def assert_cold_matches_per_coordinate(texts, x):
+    """The map's Jacobian and each gradient against passes per coordinate,
+    and ``SmoothMap.eval`` against ``evaluate`` per component; returns the
+    Jacobian's outcome and whether some value is outside its domain."""
     names = [f"x{i + 1}" for i in range(len(x))]
     es = [expr.parse(t, names) for t in texts]
     m = expr.SmoothMap(es, names)
@@ -207,23 +196,29 @@ def assert_cold_matches_per_coordinate(texts, x):
     assert jac == outcome(lambda: per_coordinate_jacobian(es, x)), (texts, x)
     grads = [outcome(lambda: expr.grad(e, x)) for e in es]
     assert grads == [outcome(lambda: per_coordinate_grad(e, x)) for e in es], (texts, x)
-    return jac, grads
+    values = outcome(lambda: m.eval(x))
+    assert values == outcome(lambda: [expr.evaluate(e, x) for e in es]), (texts, x)
+    with np.errstate(all="ignore"):
+        return jac, any(expr.evaluate_flagged(e, x)[1] for e in es)
 
 
 def test_cold_tier_matches_per_coordinate_passes_over_the_full_grammar(monkeypatch):
     monkeypatch.setattr(expr, "HOT_AFTER", COLD)
     rng = random.Random(20261019)
-    kinds, kinked = set(), 0
+    kinds, kinked, flagged, ints = set(), 0, 0, 0
     for _ in range(200):
         n = rng.randint(1, 12)
         texts = [random_text(rng, n, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
         for x in [random_point(rng, n) for _ in range(2)]:
-            (result, kinks), _ = assert_cold_matches_per_coordinate(texts, x)
+            (result, kinks), outside = assert_cold_matches_per_coordinate(texts, x)
             kinds.add(result[0] if result[0] == "ok" else result[2])
             kinked += n > 1 and len(kinks) > 0
-    # the draws reach both error messages as well as results, and replayed kinks
+            flagged += outside
+            ints += any(type(xj) is int for xj in x)
+    # the draws reach both error messages as well as results, replayed kinks,
+    # and values at int coordinates and outside the domain
     assert {"ok", "derivative overflow", "Jacobian requested outside a component domain"} <= kinds
-    assert kinked >= 3
+    assert kinked >= 3 and flagged >= 10 and ints >= 10
 
 
 @pytest.mark.parametrize("texts, x", [
@@ -233,9 +228,13 @@ def test_cold_tier_matches_per_coordinate_passes_over_the_full_grammar(monkeypat
     (["abs(x1) + max(x2, x3)", "min(x3, x2) * abs(x1 - x2)"], [0.0, 1.5, 1.5, 4.0]),
     (["abs(x1) + log(x2)"], [0.0, -1.0, 3.0]),  # a kink, then a domain error
     (["max(x1, x2)", "abs(x2 - x1) + 1/x1"], [1e-170, 1e-170, 0.0]),  # kinks, then q underflows
-    (["1/x1 + log(x2)", "x2"], [1e-170, -1.0]),
+    (["1/x1 + log(x2)", "x2"], [1e-170, -1.0]),  # the first failure in pass order wins
     (["x1*x1*x1*x1 + x2", "exp(x2) * x1"], [1e100, 700.0]),  # tangents overflow to inf
     (["x1^x2 + abs(x3)", "x3 * x1"], [2.0, 3.0, 0.0]),  # a variable exponent
+    (["max(x1, x2) + max(x1, x2)", "abs(x1 - x2) * min(x2, x1)"], [1.5, 1.5]),  # repeated kinks
+    (["log(x2) + 1/x1"], [1e-170, -1.0]),
+    (["(x1^3)^0", "x1^2"], np.array([1e200, 0.0])),  # numpy ** overflows to inf, float ** raises
+    (["sqrt(x1) + x2", "-0 * x1"], [0.0, -0.0]),  # sqrt at 0 and -0.0 tangents
 ])
 def test_cold_tier_matches_per_coordinate_passes_at_edges(monkeypatch, texts, x):
     monkeypatch.setattr(expr, "HOT_AFTER", COLD)

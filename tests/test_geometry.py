@@ -179,6 +179,23 @@ def test_a_set_empty_within_rounding_has_no_projection():
         project(P, [3.0, -2.0])
 
 
+def test_a_point_pinned_by_equality_rows_projects_despite_rounding():
+    """Two equality rows pin {y} at n = 2, with inequality rows active at y;
+    y itself misses the equality rows by 2.2e-16.  With null(C) empty, the
+    active rows read b - A y0 = -1e-16 in place of 0, and the exact program
+    had no point; the rounding of b - A y0 is now allowed."""
+    P = Polyhedron([[0.951, -1.002], [2.442, -1.056], [-1.579, -1.966], [-0.355, -0.243]],
+                   [-0.4283628282284083, -1.15124592, -0.4773385979899333, -0.026675016000000024],
+                   [[-1.308, 0.781], [1.561, -1.543]], [0.722033704, -1.1606553999999998])
+    y = np.array([-0.259824, 0.48935199999999995])
+    assert 0.0 < P.residual(y) <= 3e-16 and not P.is_empty()
+    for z in (y, y + [1.0, -2.0]):
+        x, d = project(P, z)
+        assert np.allclose(x, y, rtol=0.0, atol=1e-12)
+        assert d == pytest.approx(np.linalg.norm(z - y), abs=1e-12)
+        assert P.residual(x) <= 1e-12
+
+
 @pytest.mark.parametrize("scale", [1e6, 1e8, 1e10])
 def test_projection_onto_rows_of_large_norm(scale):
     """{scale y1 <= -0.1 scale, scale y2 <= 2 scale} is {y1 <= -0.1, y2 <= 2}:
