@@ -81,7 +81,9 @@ class CQReport:
     witness: np.ndarray = None
     kappa_hat: float = None
     samples: int = 0
-    confidence: str = "sampling"
+    # "exact", "exact-witness" or "sampling" for how the verdict was reached;
+    # "none" for a report that decided nothing
+    confidence: str = field(kw_only=True)
     diverging: bool = False
     notes: list = field(default_factory=list)
 
@@ -547,7 +549,8 @@ def abadie_check(c: Composite, seed=0) -> CQReport:
         return CQReport("Abadie", REFUTED, witness=witness, samples=len(dirs),
                         confidence="exact-witness", notes=notes)
     if inconclusive or not dirs:
-        return CQReport("Abadie", INCONCLUSIVE, samples=len(dirs), notes=notes)
+        return CQReport("Abadie", INCONCLUSIVE, samples=len(dirs), confidence="sampling",
+                        notes=notes)
     return CQReport("Abadie", VERIFIED, samples=len(dirs), confidence="sampling", notes=notes)
 
 
@@ -622,11 +625,12 @@ def ratio_stability_estimate(condition, ratio_fn, xbar, radius, samples, seed) -
     k1, k2, k3 = kappas
     kappa_hat = max(kappas)
     if kappa_hat == 0.0:
-        return CQReport(condition, VERIFIED, kappa_hat=0.0, samples=used,
+        return CQReport(condition, VERIFIED, kappa_hat=0.0, samples=used, confidence="sampling",
                         notes=["no infeasible samples: the feasible set is locally everything"])
     if kappa_hat == INF:
         return CQReport(condition, INCONCLUSIVE, witness=worst_point, kappa_hat=kappa_hat,
-                        samples=used, notes=["an infeasible sample has zero slope"])
+                        samples=used, confidence="sampling",
+                        notes=["an infeasible sample has zero slope"])
     g1 = k2 / k1 if k1 > 0 else INF
     g2 = k3 / k2 if k2 > 0 else INF
     if g1 < 1.1 and g2 < 1.1:
@@ -634,10 +638,11 @@ def ratio_stability_estimate(condition, ratio_fn, xbar, radius, samples, seed) -
                         confidence="sampling")
     if g1 >= 1.5 and g2 >= 1.5 and g1 * g2 >= 3.0:
         return CQReport(condition, REFUTED, witness=worst_point, kappa_hat=kappa_hat,
-                        samples=used, diverging=True,
+                        samples=used, confidence="sampling", diverging=True,
                         notes=["kappa doubles under radius halving",
                                f"worst sampled ratio {worst_ratio:.4g}"])
-    return CQReport(condition, INCONCLUSIVE, kappa_hat=kappa_hat, samples=used)
+    return CQReport(condition, INCONCLUSIVE, kappa_hat=kappa_hat, samples=used,
+                    confidence="sampling")
 
 
 CODERIVATIVE_MAX_FACES = 4096  # the enumeration cap: faces of N_Theta(ybar) tried at most
@@ -757,7 +762,7 @@ def robinson_check(c: Composite) -> CQReport:
                         notes=[f"unit normal y with ||J^T y|| = "
                                f"{float(np.linalg.norm(c.f.jacobian(c.xbar).T @ y)):.1e}: c = 0"])
     if c.domain_oracle is not None:
-        return CQReport("Robinson", INCONCLUSIVE,
+        return CQReport("Robinson", INCONCLUSIVE, confidence="none",
                         notes=["dom theta is a DomainOracle: its domain was not checked"])
     pieces = c.dom_theta_pieces()
     if pieces is None:

@@ -12,24 +12,29 @@ duals price the rest of every family's active set (``active_indexes``) for
 the index to add next.  The multiplier LP's simplex vertex has at most n
 positive weights, so the support has at most n atoms (Caratheodory's
 bound; ``caratheodory_reduce`` prunes any other conic combination to that
-size).  With psi the bound is 2*kappa.
+size).  With psi the bound is 2*kappa.  Unless asserted, kappa is computed
+from Danskin's criterion on the same active set where it applies
+(``danskin_constant``), and sampled (``sip_kappa_estimate``) elsewhere.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import expr as expr_mod
-from .calculus import FEASIBLE_SAMPLE, CQReport, REFUTED, VERIFIED, ratio_stability_estimate
+from .calculus import (FEASIBLE_SAMPLE, KAPPA_MARGIN, REFUTED, VERIFIED, CQReport,
+                       ratio_stability_estimate)
 from .certify import Certificate, TOL_BOUND, TOL_STAT, checked, resolve_kappa, verdict
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
     InfeasiblePointError,
+    KinkWarning,
     NoMultiplierError,
     NotInDomainError,
 )
@@ -40,6 +45,7 @@ MAX_GRID_CELLS = 2 ** 20  # index grid points, checked before any is allocated
 SLOPE_TAU = 0.25  # near-active radius of the slope estimate, in units of sup / ||grad||
 SLOPE_DENSITY = 16  # index grid of the slope estimate, per axis
 SLOPE_POLISH_STEPS = 30
+KAPPA_DANSKIN = "computed (Danskin criterion)"
 
 
 def default_density(k):
@@ -457,12 +463,65 @@ def sip_kappa_estimate(p: SIProblem, xbar, samples=30, seed=0) -> CQReport:
     return ratio_stability_estimate("SIP-MSQC", ratio, xbar, 0.25, samples, seed)
 
 
+def active_hull(rows, price):
+    """(c, q, rows): the least-norm point q of the hull of the active
+    x-gradients, found by row generation, and c, a lower bound on its norm.
+
+    Each round takes q for the hull of ``rows`` and asks ``price`` (see
+    ``active_indexes``) for a column g with <g, u> > tau = max <row, u> at
+    u = -q / ||q||_inf, which joins the rows.  When none is left, every
+    active column has <g, u> <= tau + 1e-9 (price's reduced-cost floor), so
+    <g, q> >= min <row, q> - 1e-9 ||q||_inf, and every point h of the hull
+    has ||h|| >= <h, q> / ||q||: c is that bound less the rounding of the
+    products (0 when it is not positive, inf with no rows).  ||q|| itself
+    is no lower bound, since any hull point's norm is at least the minimum.
+    The active set is the grid's (cells screened by central differences),
+    so c bounds the hull of what the grid sees."""
+    rows = list(rows)
+    if not rows:
+        return math.inf, None, rows
+    while True:
+        R = np.array(rows)
+        q = min_norm_point(R.T)
+        u = -q / np.abs(q).max() if q.any() else q
+        new = price(u, float(np.max(R @ u)))
+        if new is None:
+            break
+        rows.append(new[1])
+    if not q.any():
+        return 0.0, q, rows
+    rounding = 4 * len(q) * np.finfo(float).eps * float(np.linalg.norm(R, axis=1).max())
+    low = (float(np.min(R @ q)) - 1e-9 * float(np.abs(q).max())) / float(np.linalg.norm(q))
+    return max(low - rounding, 0.0), q, rows
+
+
+def danskin_constant(p: SIProblem, xbar, indexes, price):
+    """``active_hull``'s c for theta at xbar from the x-gradients at
+    ``indexes`` and the columns ``price`` still offers; None where a
+    gradient it reads passes a kink (an abs at 0 or a max or min tie, which
+    emits KinkWarning) or leaves the domain.
+
+    c > 0 is the extended MFCQ.  By Danskin's theorem the strong slope of
+    the violation sup theta(., s)^+ is the least norm in the hull of the
+    near-active gradients, which tends to at least c as the point nears
+    xbar, so any kappa > 1/c is a local modulus (Danskin, *The Theory of
+    Max-Min*, 1967; Aze & Corvellec, ESAIM: COCV 10, 2004).  At a kink the
+    gradient is one branch's, and the criterion needs theta strictly
+    differentiable."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", KinkWarning)
+        try:
+            return active_hull([_grad_x(p.theta, xbar, s) for s in indexes], price)[0]
+        except (KinkWarning, NotInDomainError):
+            return None
+
+
 def emfcq_check(p: SIProblem, xbar) -> CQReport:
     """Extended MFCQ: some u has <grad_x theta(xbar,s), u> < 0 on every active s.
     By Gordan's alternative (Mangasarian, *Nonlinear Programming*, 1969, ch. 2)
     it holds iff 0 is outside the hull of the gradients c_s, whose least-norm
     point q has <c_s, q> >= ||q||^2: u = -q / ||q||_inf has tau = max <c_s, u>
-    < 0.  The rows gain what ``active_indexes`` prices above tau at u."""
+    < 0.  The rows are ``active_hull``'s."""
     xbar = np.asarray(xbar, dtype=float)
     if p.theta is None:
         return CQReport("EMFCQ", VERIFIED, confidence="exact",
@@ -471,15 +530,9 @@ def emfcq_check(p: SIProblem, xbar) -> CQReport:
     if not seed:
         return CQReport("EMFCQ", VERIFIED, confidence="exact",
                         notes=["no active indexes: condition is vacuous"])
-    rows = [c for _, c in seed]
-    while True:
-        q = min_norm_point(np.array(rows).T)
-        u = -q / np.abs(q).max() if q.any() else q
-        tau = float(np.max(np.array(rows) @ u))
-        new = price(u, tau)
-        if new is None:
-            break
-        rows.append(new[1])
+    _, q, rows = active_hull([c for _, c in seed], price)
+    u = -q / np.abs(q).max() if q.any() else q
+    tau = float(np.max(np.array(rows) @ u))
     if tau < -1e-7:
         return CQReport("EMFCQ", VERIFIED, witness=u, confidence="sampling",
                         notes=[f"max inner product {tau:.3e} on sampled active set"])
@@ -602,16 +655,39 @@ def certify(p: SIProblem, xbar, kappa, seed=42, density=None) -> Certificate:
     (t, w) of the family with sign +/-1 is the equality atom (t, +/-w), and
     the bound becomes sum(lambda) + sum|mu| <= 2*kappa*||grad||.  Every
     family's feasibility sup and atoms come from ``active_indexes`` and the
-    exchange method on the ``density`` grid."""
+    exchange method on the ``density`` grid.
+
+    Unless kappa is asserted or psi is present, ``danskin_constant`` reads c
+    from the same active set, the fit's columns among its rows; c > 0 gives
+    the computed kappa = (1 + KAPPA_MARGIN) / c (1 for c = inf) with no
+    sampling.  The atoms' gradients are in the hull, so sum(lambda) <=
+    ||grad|| / c and the bound holds.  Otherwise ``sip_kappa_estimate``
+    samples kappa."""
     xbar = np.asarray(xbar, dtype=float)
     start, price = active_indexes(p, xbar, density)
     g0 = p.grad_objective(xbar)
-    found = stationarity_atoms([a for a, _ in start], [c for _, c in start], -g0, price=price)
+    taken = [a for a, _ in start]
+
+    def fit_price(y, floor):  # price offers an index once: keep the fit's for c
+        new = price(y, floor)
+        if new is not None:
+            taken.append(new[0])
+        return new
+
+    found = stationarity_atoms(taken, [c for _, c in start], -g0, price=fit_price)
     if found is None:
         raise NoMultiplierError("no atomic multiplier")
     # kappa after the fit, so no multiplier, no estimate; no estimator notes
-    kappa_val, kappa_source, _ = resolve_kappa(
-        kappa, lambda: sip_kappa_estimate(p, xbar, seed=seed))
+    c = None if isinstance(kappa, (int, float)) or p.psi is not None else \
+        danskin_constant(p, xbar, [s for _, s in taken], price)
+    if c is not None and c > 0.0:
+        kappa_val = (1.0 + KAPPA_MARGIN) / c if math.isfinite(c) else 1.0
+        kappa_source = KAPPA_DANSKIN
+        notes = [f"Danskin criterion: c = {c:.6g} <= dist(0, conv grad_x theta(xbar, active s))"]
+    else:
+        kappa_val, kappa_source, _ = resolve_kappa(
+            kappa, lambda: sip_kappa_estimate(p, xbar, seed=seed))
+        notes = []
     atoms = [(s, w) for ((e, _, _), s), w in found[0] if e is p.theta]
     eq_atoms = [(t, sign * w) for ((e, sign, _), t), w in found[0] if e is not p.theta]
     bound_factor = 1.0 if p.psi is None else 2.0
@@ -630,4 +706,5 @@ def certify(p: SIProblem, xbar, kappa, seed=42, density=None) -> Certificate:
                        bound_rule=f"{'2*' if p.psi is not None else ''}kappa*||grad objective||",
                        tolerances={"tol_stat": TOL_STAT, "tol_bound": TOL_BOUND,
                                    "tol_active": TOL_ACTIVE, "tol_feas": TOL_FEAS},
-                       seed=seed, notes=[f"complementarity max |lambda*theta| = {comp_worst:.2e}"])
+                       seed=seed,
+                       notes=[f"complementarity max |lambda*theta| = {comp_worst:.2e}"] + notes)

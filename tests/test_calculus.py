@@ -398,9 +398,10 @@ def test_robinson_check_examples():
 
 def test_robinson_check_leaves_a_domain_oracle_unchecked():
     """A DomainOracle gives no pieces to ask, so Robinson's condition is
-    INCONCLUSIVE, not an exact VERIFIED for "the whole space"."""
+    INCONCLUSIVE, not an exact VERIFIED for "the whole space", and with
+    nothing sampled its confidence is "none"."""
     rep = robinson_check(soc_halfspace_composite())
-    assert rep.verdict == calc.INCONCLUSIVE and rep.confidence != "exact"
+    assert (rep.verdict, rep.confidence, rep.samples) == (calc.INCONCLUSIVE, "none", 0)
     assert rep.notes == ["dom theta is a DomainOracle: its domain was not checked"]
 
 

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from varcert import certify, cli
+from varcert import calculus, certify, cli
 
 
 def write_problem(tmp_path, doc, name="problem.json"):
@@ -742,6 +742,19 @@ def test_a_plateau_off_its_tie_reads_kappa_from_the_criterion(tmp_path):
     assert cli.run(["kkt", "-p", prob, "--point", "0", "--kappa", "estimate", "--out", out]) == 0
     cert = json.loads(open(out).read())
     assert (cert["status"], cert["bound"]["kappa_source"]) == ("VERIFIED", certify.KAPPA_COMPUTED)
+
+
+def test_cq_prints_the_confidence_of_a_report_that_decided_nothing(tmp_path, monkeypatch):
+    """A report that checked nothing, such as Robinson's for a DomainOracle,
+    has confidence "none", and cq writes it as such, not as "sampling"."""
+    unchecked = calculus.CQReport("Robinson", calculus.INCONCLUSIVE, confidence="none",
+                                  notes=["dom theta is a DomainOracle: its domain was not checked"])
+    monkeypatch.setattr(calculus, "robinson_check", lambda c: unchecked)
+    prob, out = write_problem(tmp_path, orthant_doc()), str(tmp_path / "cq.json")
+    assert cli.run(["cq", "-p", prob, "--point", "0,0", "--which", "robinson", "--out", out]) == 2
+    rob = json.loads(open(out).read())["robinson"]
+    assert (rob["verdict"], rob["confidence"], rob["notes"]) == \
+        ("INCONCLUSIVE", "none", unchecked.notes)
 
 
 def kernel_2d_sdp_doc():

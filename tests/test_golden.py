@@ -314,6 +314,18 @@ PARENT_CRITERION = {
                    "msqc": {"confidence": "sampling", "notes": []},
                    "robinson": {"notes": []}},
 }
+# The Danskin criterion (sip.danskin_constant) computes the two-index kappa,
+# where the parent sampled kappa_hat = 1.  Its one active index s = (0.3, 0.6)
+# has gradient 1, so c = 1 - 1e-9 (price's reduced-cost floor) and kappa =
+# (1 + 1e-9)/c = 1.000000002; rhs follows, the source names the criterion and
+# one note gives c.  The README fixture has c = 0 (s = 0 is active with zero
+# gradient) and keeps its sampled kappa.  Per case, the parent value of each
+# field that changed.
+PARENT_DANSKIN = {
+    "sip_two_index_estimate": {"bound": {"rhs": 1.0, "kappa": 1.0,
+                                         "kappa_source": "estimated (sampling-confidence)"},
+                               "notes": ["complementarity max |lambda*theta| = 0.00e+00"]},
+}
 PARENT_KAPPA = {"sip_readme_estimate": 9.999989963092e-01,
                 "sip_two_index_estimate": 9.999989963092e-01}
 
@@ -388,9 +400,11 @@ def test_corpus_matches_its_parent_outside_the_slope_kappa():
         assert (case["exit"], case["recheck"]) == (code, recheck), name
         text = expected_text(case)
         if name in PARENT_KAPPA or name in PARENT_FLOATS or name in PARENT_WITNESS \
-                or name in PARENT_CRITERION:
+                or name in PARENT_CRITERION or name in PARENT_DANSKIN:
             doc = json.loads(text)
-            for field, old in PARENT_CRITERION.get(name, {}).items():
+            if name in PARENT_DANSKIN:
+                assert doc["bound"]["kappa"] == doc["bound"]["rhs"] == 1.000000002, name
+            for field, old in {**PARENT_CRITERION, **PARENT_DANSKIN}.get(name, {}).items():
                 assert doc[field] != old, name
                 if isinstance(old, dict):
                     doc[field].update(old)

@@ -1,13 +1,15 @@
 import dataclasses
 import functools
+import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from varcert import cli, sip
 from varcert.calculus import REFUTED, VERIFIED
-from varcert.errors import InfeasiblePointError, NoMultiplierError
+from varcert.errors import InfeasiblePointError, KinkWarning, NoMultiplierError
 from varcert.sip import (
     SIProblem,
     active_indexes,
@@ -437,13 +439,28 @@ def test_slope_estimate_takes_the_hull_of_near_active_gradients():
 def test_zero_slope_sample_leaves_kappa_unavailable():
     """theta = min(x1, 0.13) is flat beyond 0.13, so samples of the outer
     shell have zero slope: the estimate is INCONCLUSIVE, not a VERIFIED
-    infinite kappa from the stable inner shells."""
+    infinite kappa from the stable inner shells.  Kinked at the point by
+    - min(0, x1), which leaves the plateau as it is, theta has no Danskin
+    c, so certify samples and reports KAPPA_UNAVAILABLE."""
     p = SIProblem.from_strings(1, "-x1", theta="min(x1, 0.13) + 0*s1", S=[(0.0, 1.0)])
     rep = sip_kappa_estimate(p, [0.0], seed=42)
     assert rep.verdict == "INCONCLUSIVE"
     assert rep.kappa_hat == np.inf and rep.witness[0] > 0.13
-    cert = certify(p, [0.0], kappa="estimate")
+    kinked = SIProblem.from_strings(1, "-x1", theta="min(x1, 0.13) - min(0, x1) + 0*s1",
+                                    S=[(0.0, 1.0)])
+    with pytest.warns(KinkWarning):
+        cert = certify(kinked, [0.0], kappa="estimate")
     assert (cert.status, cert.detail) == ("INCONCLUSIVE", "KAPPA_UNAVAILABLE")
+
+
+def test_a_plateau_off_the_point_leaves_the_computed_kappa():
+    """min(x1, 0.13) ties at 0.13, not at 0: every index is active with
+    gradient 1, so c = 1 less price's floor, and kappa is computed without
+    the sampler that the plateau defeats."""
+    p = SIProblem.from_strings(1, "-x1", theta="min(x1, 0.13) + 0*s1", S=[(0.0, 1.0)])
+    cert = certify(p, [0.0], kappa="estimate")
+    assert (cert.status, cert.kappa_source) == ("VERIFIED", sip.KAPPA_DANSKIN)
+    assert cert.kappa == pytest.approx(1.0, abs=1e-8) and cert.kappa > 1.0
 
 
 def test_box_grid_hands_out_independent_copies():
@@ -720,3 +737,96 @@ def test_top_cell_search_matches_the_three_loops(monkeypatch):
         got_calls = starts(calls)
         assert got_calls == restricted(psi_loop, eq, np.zeros(2), eq.T, 5, 2) == \
             [c for f in range(2) for c in starts(calls[f * density:(f + 1) * density])[:5]]
+
+
+def _hull_distance(G):
+    """dist(0, conv of the rows of G), by faces: on each subset of rows, the
+    least-norm point of its affine hull, kept when its weights are >= 0."""
+    best = np.inf
+    for r in range(1, len(G) + 1):
+        for face in itertools.combinations(range(len(G)), r):
+            F = G[list(face)]
+            K = np.block([[F @ F.T, np.ones((r, 1))], [np.ones((1, r)), np.zeros((1, 1))]])
+            try:
+                w = np.linalg.solve(K, np.append(np.zeros(r), 1.0))[:r]
+            except np.linalg.LinAlgError:
+                continue
+            if (w >= -1e-12).all():
+                best = min(best, float(np.linalg.norm(F.T @ w)))
+    return best
+
+
+def _peak_sips():
+    """(problem doc, G, lambda) for 24 seeded SIPs, n <= 3 and k <= 2, with 1
+    to 3 isolated active peaks s_j on grid nodes at x = 0: theta is
+    sum_i exp(-|s - s_i|^2 / 0.09) <g_i, x> - 100 prod_j |s - s_j|^2, so the
+    active set is {s_j} and the x-gradient there is the known
+    G_j = sum_i exp(-|s_j - s_i|^2 / 0.09) g_i.  The objective is
+    -sum_j lambda_j <G_j, x>, stationary with the atoms (s_j, lambda_j).
+    Each hull misses 0 by at least 0.05."""
+    rng = np.random.default_rng(3401)
+    cases = []
+    while len(cases) < 24:
+        n, k, m = (int(v) for v in rng.integers(1, (4, 3, 4)))
+        peaks = rng.integers(0, 64, size=(m, k)) / 63.0
+        gap = np.linalg.norm(peaks[:, None] - peaks[None], axis=2)
+        if m > 1 and gap[np.triu_indices(m, 1)].min() < 0.2:
+            continue
+        g = rng.normal(size=(m, n))
+        G = np.exp(-gap ** 2 / 0.09) @ g
+        if _hull_distance(G) < 0.05:
+            continue
+        lam = rng.uniform(0.1, 2.0, m) * (rng.random(m) < 0.7)
+        if not lam.any():
+            continue
+        sq = ["(" + " + ".join(f"(s{a + 1} - {float(v)!r})^2" for a, v in enumerate(s)) + ")"
+              for s in peaks]
+        theta = " + ".join(f"exp(0 - {d}/0.09)*(" + " + ".join(
+            f"{float(gi[j])!r}*x{j + 1}" for j in range(n)) + ")" for d, gi in zip(sq, g))
+        grad = -lam @ G
+        doc = {"kind": "sip", "n": n,
+               "objective": " + ".join(f"{float(grad[j])!r}*x{j + 1}" for j in range(n)),
+               "constraints": {"theta": f"{theta} - 100*" + "*".join(sq), "S": [[0, 1]] * k}}
+        cases.append((doc, G, lam))
+    return cases
+
+
+def test_danskin_kappa_bounds_the_multipliers_of_isolated_peaks(tmp_path, monkeypatch):
+    """On each peak SIP the computed c is at most dist(0, conv{G_j}) and
+    within 1e-8 of it; the certificate issues with the sampler raising, has
+    sum(lambda) <= kappa ||grad||, and rechecks to exit 0."""
+    def no_sampler(*args, **kwargs):
+        raise AssertionError("sip_kappa_estimate called")
+
+    monkeypatch.setattr(sip, "sip_kappa_estimate", no_sampler)
+    prob, out = tmp_path / "problem.json", tmp_path / "cert.json"
+    for doc, G, _ in _peak_sips():
+        dist = _hull_distance(G)
+        p = cli.build_sip(doc)
+        cert = certify(p, np.zeros(p.n), kappa="estimate")
+        assert cert.kappa_source == sip.KAPPA_DANSKIN, doc
+        c = (1.0 + sip.KAPPA_MARGIN) / cert.kappa
+        assert dist - 1e-8 <= c <= dist, doc
+        g0 = np.linalg.norm(p.grad_objective(np.zeros(p.n)))
+        assert cert.status == "VERIFIED" and cert.bound_lhs <= cert.kappa * g0, doc
+        prob.write_text(json.dumps(doc), encoding="utf-8")
+        point = ",".join(["0"] * p.n)
+        assert cli.run(["sip", "-p", str(prob), "--point", point, "--out", str(out)]) == 0
+        assert cli.run(["recheck", "-p", str(prob), "-c", str(out)]) == 0
+
+
+def test_the_sampler_runs_where_the_danskin_criterion_does_not_apply(monkeypatch):
+    """c = 0 (the README fixture: s = 0 is active with gradient 0), a psi
+    family, and a theta kinked in x at the point each call the sampler."""
+    calls = []
+    real = sip.sip_kappa_estimate
+    monkeypatch.setattr(sip, "sip_kappa_estimate",
+                        lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+    kinked = SIProblem.from_strings(1, "-x1", theta="x1 + 0.5*abs(x1) + 0*s1", S=[(0.0, 1.0)])
+    psi = SIProblem.from_strings(1, "-x1", psi="t1*x1", T=[(1.0, 1.0)])
+    for p in (linear_sip(), psi, kinked):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", KinkWarning)
+            cert = certify(p, [0.0], kappa="estimate")
+        assert calls[-1] is p and cert.kappa_source != sip.KAPPA_DANSKIN
+    assert len(calls) == 3
