@@ -17,36 +17,23 @@ identity branch; max/min: the first argument).  A derivative outside the
 domain, or one that overflows or underflows to a zero divisor, raises
 ``NotInDomainError``.
 
-Values and derivatives run on the parse tree, walked or as its compiled
-closure, which give the same bits (a NaN's sign aside, which CPython's float
-arithmetic does not keep fixed), errors and warnings.  The parser builds
-only the tree.
-
-- Walk: ``_walk`` goes down the tree with floats, ``Dual`` numbers or numpy
-  grids, doing the float operations and shim calls that the expression's
-  compiled closure would do, in their order.  A gradient or Jacobian is one
-  pass on ``Dual`` numbers whose tangents are the rows of I: numpy arrays,
-  or the float 1.0 at width 1 (vector forward mode, Griewank & Walther,
-  *Evaluating Derivatives*, 2nd ed., section 3.2).  Each entry sees the
-  float operations of a pass per coordinate in their order; the kink
-  warnings are replayed once per further coordinate.  An expression with an
-  exponent that contains a variable takes one pass per coordinate with float
-  tangents, since Dual's power rule branches per tangent there.
-- Closure: from the ``HOT_AFTER``-th use (8) of the same expression on, its
-  closure is compiled from the source that ``_source`` writes for the tree
-  and kept on the root node; values, Dual passes and grid scans all run it.
-  Compiling costs about as much as 13-17 walks, which is why one-shot
-  callers (one certificate, one recheck) only walk.
+Values and derivatives come from one walk of the parse tree (``_walk``),
+which goes down it with floats, ``Dual`` numbers or numpy grids.  A gradient
+or Jacobian is one pass on ``Dual`` numbers whose tangents are the rows of I:
+numpy arrays, or the float 1.0 at width 1 (vector forward mode, Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., section 3.2).  Each entry sees
+the float operations of a pass per coordinate in their order; the kink
+warnings are replayed once per further coordinate.  An expression with an
+exponent that contains a variable takes one pass per coordinate with float
+tangents, since Dual's power rule branches per tangent there.
 
 The power operator is restricted: integer exponents >= 0 work for any
 base, otherwise the base must be positive.
 
-Nesting is bounded: CPython compiles no source nested in more than 200
-brackets, and a closure nests one per chained operator, unary minus, call
-and variable, so 201 chained terms are an ``ExprSyntaxError``; so is text
-that runs the recursive-descent parser out of stack.  The parser counts the
-brackets, and compiles a tree with more than 200 at once, so that the rule
-holds whether or not the expression ever gets hot.
+Nesting is bounded: a tree with a root-to-leaf path of more than 200 nodes
+that are not numbers is an ``ExprSyntaxError``, so 201 chained terms are one,
+and so is text that runs the recursive-descent parser out of stack.  The
+bound keeps the walk's own recursion shallow.
 """
 
 from __future__ import annotations
@@ -74,10 +61,10 @@ class Expr:
     """Base class for expression nodes.
 
     Nodes are immutable after parsing by convention: only the parser builds
-    them, and past ``parse`` only the root's bookkeeping (``_closure``)
-    changes.  The classes are plain dataclasses, since a frozen one costs
-    about three times as much to build; with ``eq`` and no ``frozen`` a node
-    is unhashable, so nothing can key a cache on one."""
+    them, and nothing changes one past ``parse``.  The classes are plain
+    dataclasses, since a frozen one costs about three times as much to build;
+    with ``eq`` and no ``frozen`` a node is unhashable, so nothing can key a
+    cache on one."""
 
 
 @dataclass(eq=True)
@@ -137,10 +124,9 @@ def _tokenize(text):
 class _Parser:
     """Recursive descent that returns the node of each production.
 
-    It also counts the brackets of the tree's closure source (``_source``),
-    one per node that is not a number: ``v[``, ``(-``, ``(a op b)``,
-    ``m.div(``, ``m.pw(`` and ``m.f(``; and it keeps the largest variable
-    index it meets and whether an exponent holds a variable.
+    It also keeps ``depth``, the most nodes that are not numbers on a path
+    from the node last returned to a leaf, the largest variable index it
+    meets and whether an exponent holds a variable.
     """
 
     def __init__(self, text, declared_vars):
@@ -149,7 +135,7 @@ class _Parser:
         self.i = 0
         # only a name token can be a variable
         self.varmap = {name: k for k, name in enumerate(declared_vars) if name.isidentifier()}
-        self.brackets = 0
+        self.depth = 0
         self.variables = 0  # variable nodes built so far
         self.top = -1
         self.var_power = False
@@ -178,25 +164,27 @@ class _Parser:
         e = self.term()
         while (op := self.tokens[self.i]) in ("+", "-"):
             self.i += 1
+            depth = self.depth
             e = BinOp(op, e, self.term())
-            self.brackets += 1
+            self.depth = 1 + (depth if depth > self.depth else self.depth)
         return e
 
     def term(self):
         e = self.factor()
         while (op := self.tokens[self.i]) in ("*", "/"):
             self.i += 1
+            depth = self.depth
             e = BinOp(op, e, self.factor())
-            self.brackets += 1
+            self.depth = 1 + (depth if depth > self.depth else self.depth)
         return e
 
     def factor(self):
         e = self.atom()
         if self.tokens[self.i] == "^":
             self.i += 1
-            variables = self.variables
+            depth, variables = self.depth, self.variables
             e = BinOp("^", e, self.atom())
-            self.brackets += 1
+            self.depth = 1 + (depth if depth > self.depth else self.depth)
             self.var_power = self.var_power or self.variables > variables
         return e
 
@@ -209,7 +197,7 @@ class _Parser:
             if k > self.top:
                 self.top = k
             self.variables += 1
-            self.brackets += 1
+            self.depth = 1
             return Var(tok, k)
         if tok in _OPS or tok == _END:
             if tok == "(":
@@ -217,10 +205,12 @@ class _Parser:
                 self.expect(")")
                 return e
             if tok == "-":
-                self.brackets += 1
-                return Neg(self.atom())
+                e = Neg(self.atom())
+                self.depth += 1
+                return e
             raise self.error(i, "expected number, variable, function, or '('")
         if not tok.isidentifier():
+            self.depth = 0
             return Num(float(tok))  # a literal such as 1e999 parses to inf
         if tokens[i + 1] != "(":
             raise UnknownVariableError(tok)
@@ -228,13 +218,16 @@ class _Parser:
             raise self.error(i, f"unknown function {tok!r}")
         self.i = i + 2
         args = [self.expr()]
+        depth = self.depth
         if tokens[self.i] == ",":
             self.i += 1
             args.append(self.expr())
+            if depth > self.depth:
+                self.depth = depth
         self.expect(")")
         if len(args) != FUNCTIONS[tok]:
             raise self.error(i, f"{tok} takes {FUNCTIONS[tok]} argument(s)")
-        self.brackets += 1
+        self.depth += 1
         return Call(tok, tuple(args))
 
 
@@ -242,9 +235,9 @@ def parse(text: str, declared_vars) -> Expr:
     """Parse ``text`` over the declared variable names (order fixes indices).
 
     The root keeps the source text (``_text``), the number of declared names
-    (``_nvars``), the largest variable index (``_top``), whether an exponent
-    contains a variable (``_var_power``) and its closure state (``_closure``,
-    see ``_run``).
+    (``_nvars``), the largest variable index (``_top``) and whether an
+    exponent contains a variable (``_var_power``).  A root-to-leaf path of
+    more than 200 nodes that are not numbers is an ``ExprSyntaxError``.
     """
     if not text or not text.strip():
         raise ExprSyntaxError(0, "empty expression")
@@ -254,22 +247,15 @@ def parse(text: str, declared_vars) -> Expr:
         root = parser.parse()
     except RecursionError:
         raise parser.error(parser.i, "expression nested too deeply") from None
-    closure = 0  # no use yet
-    # CPython refuses a source nested in more than 200 brackets, which only a
-    # source with that many brackets can be: such a source is compiled now
-    if parser.brackets > 200:
-        try:
-            closure = _compile(_source(root))
-        except (SyntaxError, RecursionError):
-            raise ExprSyntaxError(0, "expression nested too deeply") from None
+    if parser.depth > 200:
+        raise ExprSyntaxError(0, "expression nested too deeply")
     root._text, root._nvars, root._top = text, len(names), parser.top
-    root._var_power, root._closure = parser.var_power, closure
+    root._var_power = parser.var_power
     return root
 
 
 # ---------------------------------------------------------------------------
-# evaluation: the tree walked, or its compiled closure, over a value tuple `v`
-# and a math shim `m`
+# evaluation: the tree walked over a value tuple `v` and a math shim `m`
 
 class _DomainViolation(Exception):
     pass
@@ -462,41 +448,10 @@ builtins_abs = abs
 _SHIM = _Shim()
 
 
-# An expression's closure is compiled from its HOT_AFTER-th use.  Compiling
-# costs about as much as 13-17 walks of its tree, so an expression used a few
-# times (one certificate, one recheck) is only walked.
-HOT_AFTER = 8
-
-
-def _source(e):
-    """The source of the closure of ``e`` over ``v`` and ``m``, with one
-    bracket per node that is not a number."""
-    if isinstance(e, Num):  # a literal such as 1e999 parses to inf
-        return repr(e.value) if math.isfinite(e.value) else "1e999"
-    if isinstance(e, Var):
-        return f"v[{e.index}]"
-    if isinstance(e, Neg):
-        return f"(-{_source(e.arg)})"
-    if isinstance(e, BinOp):
-        a, b = _source(e.lhs), _source(e.rhs)
-        if e.op in "+-*":
-            return f"({a}{e.op}{b})"
-        return f"m.div({a},{b})" if e.op == "/" else f"m.pw({a},{b})"
-    return f"m.{e.func}({','.join(map(_source, e.args))})"
-
-
-def _compile(source):
-    return eval(compile(f"lambda v, m: {source}", "<expr>", "eval"), {"__builtins__": {}})
-
-
 def _walk(e, v, m):
-    """The value of ``e`` over the value tuple ``v`` and math shim ``m``.
-
-    It performs the float operations and shim calls of the compiled closure
-    in their order, so it gives the same bits, errors and KinkWarnings; where
-    CPython folds a constant subexpression at compile time, the walk computes
-    the same IEEE operation at run time.
-    """
+    """The value of ``e`` over the value tuple ``v`` and math shim ``m``:
+    the children's values left to right, then the node's float operation or
+    shim call."""
     t = type(e)
     if t is BinOp:
         a = _walk(e.lhs, v, m)
@@ -521,23 +476,6 @@ def _walk(e, v, m):
     return -_walk(e.arg, v, m)
 
 
-def _run(e, v, m):
-    """The value of the root ``e`` over ``v`` and ``m``: its tree walked
-    while cold, its compiled closure once hot.
-
-    Counts the uses on the node; the HOT_AFTER-th compiles ``_source(e)``,
-    and the closure is kept on the node itself, so it lives exactly as long
-    as the expression.
-    """
-    fn = e._closure
-    if type(fn) is int:
-        if fn + 1 < HOT_AFTER:
-            e._closure = fn + 1
-            return _walk(e, v, m)
-        fn = e._closure = _compile(_source(e))
-    return fn(v, m)
-
-
 def _check_dim(e, x):
     declared = getattr(e, "_nvars", None)
     if declared is not None and len(x) != declared:
@@ -555,7 +493,7 @@ def evaluate_flagged(e: Expr, x):
     if e._top >= len(v):
         raise DimensionMismatchError(f"expression references variable index {e._top}, point has length {len(v)}")
     try:
-        val = _run(e, v, _SHIM)
+        val = _walk(e, v, _SHIM)
     except _VALUE_ERRORS:
         return math.inf, True
     if isinstance(val, float) and math.isnan(val):
@@ -574,7 +512,7 @@ def directional(e: Expr, x, u) -> float:
         raise DimensionMismatchError("point too short for expression")
     duals = tuple(Dual(float(xj), float(uj)) for xj, uj in zip(x, u))
     try:
-        out = _run(e, duals, _SHIM)
+        out = _walk(e, duals, _SHIM)
     except _DomainViolation:
         raise NotInDomainError("derivative requested outside the expression domain")
     except _ARITH_ERRORS:
@@ -607,13 +545,13 @@ def _tangent_pass(components, xs, var_power):
     n = len(xs)
     if n == 1:  # the pass per coordinate itself
         duals = (Dual(xs[0], 1.0),)
-        outs = [_run(c, duals, _SHIM) for c in components]
+        outs = [_walk(c, duals, _SHIM) for c in components]
     elif var_power:
         J = np.zeros((len(components), n))
         for j in range(n):
             duals = tuple(Dual(xi, 1.0 if i == j else 0.0) for i, xi in enumerate(xs))
             for k, c in enumerate(components):
-                out = _run(c, duals, _SHIM)
+                out = _walk(c, duals, _SHIM)
                 J[k, j] = out.dot if isinstance(out, Dual) else 0.0
         return list(J)
     else:
@@ -621,7 +559,7 @@ def _tangent_pass(components, xs, var_power):
         shim = _Shim(kinks)
         duals = tuple(map(Dual, xs, _unit_rows(n)))
         with np.errstate(all="ignore"):  # an overflow gives inf, as on floats
-            outs = [_run(c, duals, shim) for c in components]
+            outs = [_walk(c, duals, shim) for c in components]
         for message in kinks * (n - 1):
             _kink(message)
     return [out.dot if isinstance(out, Dual) else 0.0 for out in outs]
@@ -730,5 +668,5 @@ def evaluate_grid(e: Expr, values) -> np.ndarray:
     scanners filter them afterward.
     """
     with np.errstate(all="ignore"):
-        out = _run(e, tuple(values), _NP_SHIM)
+        out = _walk(e, tuple(values), _NP_SHIM)
     return np.asarray(out, dtype=float)

@@ -24,6 +24,7 @@ from .errors import (
     InconclusiveError,
     NonconvexUnsupportedError,
     NotInDomainError,
+    NumericalBreakdownError,
 )
 from . import expr as expr_mod
 from .geometry import PolyhedralCone, Polyhedron, normal_cone, project, project_cone, tangent_cone
@@ -177,14 +178,20 @@ class PLQFunction(FnObject):
     def _validate_consistency(self):
         """Pieces agree to 1e-8 relative at the point of each overlap nearest
         0 and at the projections onto the overlap of four random points
-        around it (standard normal offsets)."""
+        around it (standard normal offsets).  An overlap that is nonempty
+        only within tol_feas (pieces {x <= 0.3} and {x >= 0.3 + 1e-10}) holds
+        no point of both pieces, so there is nothing to agree on: it is
+        skipped."""
         rng = np.random.default_rng(0)
         for i in range(len(self.pieces)):
             for j in range(i + 1, len(self.pieces)):
                 inter = Polyhedron.intersection(self.pieces[i].omega, self.pieces[j].omega)
                 if inter.is_empty():
                     continue
-                center = project(inter, np.zeros(self.n))[0]
+                try:
+                    center = project(inter, np.zeros(self.n))[0]
+                except NumericalBreakdownError:
+                    continue
                 probes = [center] + [project(inter, center + rng.normal(size=self.n))[0]
                                      for _ in range(4)]
                 for p in probes:

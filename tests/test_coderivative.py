@@ -13,7 +13,7 @@ import pytest
 from varcert import calculus as calc, certify, cli
 from varcert.calculus import Composite, coderivative_constant, cq_reports
 from varcert.certify import ConstrainedProblem, dual_certificate
-from varcert.expr import HOT_AFTER, SmoothMap
+from varcert.expr import SmoothMap
 from varcert.funcspace import IndicatorFn, SmoothFn
 from varcert.geometry import Polyhedron
 
@@ -214,13 +214,12 @@ def test_c_zero_falls_back_to_the_samplers(monkeypatch):
 def test_a_kink_at_xbar_keeps_the_samplers(monkeypatch):
     """f = min(x1, 0.13) is x1 near 0, where the criterion reads c = 1; at
     its tie x1 = 0.13 the Jacobian is one branch's, so the criterion steps
-    aside and kappa and cq are sampled, from the compiled closure too."""
+    aside and kappa and cq are sampled."""
     f = SmoothMap.from_strings(["min(x1, 0.13)"], ["x1"])
     assert calc.coderivative_of(f, [0.0], Polyhedron([[1.0]], [0.0]), [0.0])[0] == \
         pytest.approx(1.0, abs=1e-12)
     p = ConstrainedProblem(SmoothFn("-x1", 1), f, Polyhedron([[1.0]], [0.13]))
-    for _ in range(HOT_AFTER + 1):
-        assert calc.coderivative_of(f, [0.13], p.Theta, [0.13]) is None
+    assert calc.coderivative_of(f, [0.13], p.Theta, [0.13]) is None
     calls = count_calls(monkeypatch, ("msqc_estimate", "abadie_check"))
     assert Composite(IndicatorFn(p.Theta), f, [0.13]).coderivative() is None
     assert dual_certificate(p, [0.13], kappa="estimate").kappa_source != certify.KAPPA_COMPUTED

@@ -15,7 +15,7 @@ from varcert.errors import (
     NotInDomainError,
     UnknownVariableError,
 )
-from test_expr_tiers import outcome, random_point, random_text
+from test_expr_tiers import random_text
 
 
 def central_diff(e, x, h=1e-6):
@@ -73,12 +73,44 @@ def test_syntax_errors_are_positioned(text, position, message):
 
 
 def test_a_chain_too_deep_to_write_as_source_is_a_syntax_error():
-    """The parser reads 5,000 chained terms in a loop, but writing their
-    closure source recurses once per term and runs out of stack: the same
-    error as a chain that CPython refuses to compile."""
+    """The parser reads 5,000 chained terms in a loop, and a path of 5,000
+    nodes is deeper than the 200 that parse allows: the same error as 201
+    terms."""
     with pytest.raises(ExprSyntaxError) as exc:
         expr.parse("+".join(["x1"] * 5000), ["x1"])
     assert (exc.value.position, exc.value.message) == (0, "expression nested too deeply")
+
+
+def nested(n, step):
+    text = "x1"
+    for _ in range(n):
+        text = step(text)
+    return text
+
+
+def balanced(depth):
+    return "x1" if depth == 0 else f"({balanced(depth - 1)}) + ({balanced(depth - 1)})"
+
+
+# (text, accepted): a tree is too deep when a root-to-leaf path holds more
+# than 200 nodes that are not numbers
+NESTING = [("+".join(["x1"] * 200), True), ("+".join(["x1"] * 201), False),
+           ("+".join(["1"] * 201), True), ("+".join(["1"] * 202), False),
+           ("x1" + "/x1" * 199, True), ("x1" + "/x1" * 200, False),
+           (balanced(9), True)]  # 512 leaves, 10 deep
+NESTING += [(nested(n, step), n < 200) for step in [
+    lambda t: f"sin({t})", lambda t: f"max({t}, x1)", lambda t: f"-{t}", lambda t: f"({t})^2",
+    lambda t: f"2/({t})"] for n in (199, 200)]
+
+
+@pytest.mark.parametrize("text, accepted", NESTING, ids=range(len(NESTING)))
+def test_a_path_of_more_than_200_nodes_is_nested_too_deeply(text, accepted):
+    if accepted:
+        expr.parse(text, ["x1"])
+    else:
+        with pytest.raises(ExprSyntaxError) as exc:
+            expr.parse(text, ["x1"])
+        assert exc.value.message == "expression nested too deeply"
 
 
 def test_eval_examples():
@@ -218,8 +250,9 @@ def test_smoothmap_identity_and_jacobian():
 
 
 def test_compiled_closures_live_on_the_expression():
-    """Evaluating many parsed expressions grows no module-level cache, and an
-    expression is freed once its caller drops it."""
+    """No closure is compiled any more, and nothing else is kept either:
+    evaluating many parsed expressions grows no module-level container, and
+    an expression is freed once its caller drops it."""
     import gc
     import weakref
 
@@ -245,16 +278,25 @@ def test_a_literal_past_the_float_range_is_inf():
     assert list(expr.grad(e, [1.0])) == [math.inf]
 
 
+def _children(e):
+    if isinstance(e, expr.Neg):
+        return (e.arg,)
+    if isinstance(e, expr.BinOp):
+        return (e.lhs, e.rhs)
+    return e.args if isinstance(e, expr.Call) else ()
+
+
 def _max_var_index(e):
     if isinstance(e, expr.Var):
         return e.index
-    if isinstance(e, expr.Neg):
-        children = (e.arg,)
-    elif isinstance(e, expr.BinOp):
-        children = (e.lhs, e.rhs)
-    else:
-        children = e.args if isinstance(e, expr.Call) else ()
-    return max(map(_max_var_index, children), default=-1)
+    return max(map(_max_var_index, _children(e)), default=-1)
+
+
+def _depth(e):
+    """The most nodes that are not numbers on a path from ``e`` to a leaf."""
+    if isinstance(e, expr.Num):
+        return 0
+    return 1 + max(map(_depth, _children(e)), default=0)
 
 
 def golden_expressions():
@@ -280,20 +322,10 @@ EDGE_CASES = ["1e999*x1", "-x1^2", "x1^-1", "--x1", "x1", "3", "(x2)",
               "max(abs(min(x1, -x2)), max(x1^2, abs(-3)))", "min(max(x1, 2), abs(x2 - 1e999))"]
 
 
-def bits(out):
-    """A float, or a Dual's value and tangents, as one array."""
-    if isinstance(out, expr.Dual):
-        return np.concatenate([[out.val], np.ravel(out.dot)])
-    return out
-
-
-def test_the_walk_and_the_compiled_source_agree_bit_for_bit():
+def test_the_parser_keeps_the_depth_and_top_of_each_tree():
     """Over the golden problems, the grammar fuzz of the tier tests and edge
-    cases, walking the tree gives what the closure compiled from ``_source``
-    gives: the same bits on floats, on width-n Dual numbers and on numpy
-    grids, the same error and the same warnings in order.  The parser's
-    bracket count is that of the source, and its largest variable index that
-    of the tree."""
+    cases, the parser's depth is the tree's deepest path of nodes that are
+    not numbers, and its largest variable index that of the tree."""
     texts = golden_expressions()
     assert len(texts) > 50
     rng = random.Random(20261018)
@@ -301,46 +333,28 @@ def test_the_walk_and_the_compiled_source_agree_bit_for_bit():
         n = rng.randint(1, 4)
         texts.append((random_text(rng, n, rng.randint(1, 6)), [f"x{i + 1}" for i in range(n)]))
     texts += [(t, ["x1", "x2"]) for t in EDGE_CASES]
-    shim, grid_shim = expr._Shim(), expr._NP_SHIM
-    kinds, kinked = set(), 0
+    depths = set()
     for text, names in texts:
         e = expr.parse(text, names)
         parser = expr._Parser(text, names)
         parser.parse()
-        source = expr._source(e)
-        assert parser.brackets == source.count("(") + source.count("["), text
+        assert parser.depth == _depth(e), text
         assert e._top == _max_var_index(e), text
-        fn = expr._compile(source)
-        n = len(names)
-        for x in [random_point(rng, n) for _ in range(3)]:
-            v = tuple(x)
-            duals = tuple(map(expr.Dual, map(float, x), expr._unit_rows(n) if n > 1 else [1.0]))
-            grid = tuple(np.array([random_point(rng, 1)[0] for _ in range(4)]) for _ in range(n))
-            for args in ((v, shim), (duals, shim), (grid, grid_shim)):
-                with np.errstate(all="ignore"):
-                    walked = outcome(lambda: bits(expr._walk(e, *args)))
-                    assert walked == outcome(lambda: bits(fn(*args))), (text, x)
-                kinds.add(walked[0][0] if walked[0][0] == "ok" else walked[0][1])
-                kinked += any(isinstance(w, str) for w in walked[1])
-    # the draws reach results, every shim error and kinks
-    assert {"ok", "_DomainViolation", "OverflowError", "ZeroDivisionError"} <= kinds
-    assert kinked >= 10
-    assert expr._source(expr.parse("-x1^2", ["x1"])) == "m.pw((-v[0]),2.0)"
-    assert expr._source(expr.parse("3", ["x1", "x2"])) == "3.0"
+        depths.add(parser.depth)
+    assert {0, 1, 2} < depths and max(depths) >= 7
 
 
 def test_nodes_are_unhashable_and_unchanged_by_use():
     """Nodes are immutable after parsing by convention, not by ``frozen``:
-    a tree compares equal to a fresh parse after walks, Dual passes, the
-    compiled closure and a grid scan, and no node is hashable, so nothing
-    keys a cache on one."""
+    a tree compares equal to a fresh parse after walks, Dual passes and a
+    grid scan, and no node is hashable, so nothing keys a cache on one."""
     texts = ["sin(x1)*x2^2 - max(x1, x2)/3", "exp(x1 - x2) + abs(x2) - log(2 + x1^2)",
              "-(x1 + 2)^3 + sqrt(1 + x2^2)*min(x1, 0.5)"]
     names = ["x1", "x2"]
     f = expr.SmoothMap.from_strings(texts, names)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for k in range(2 * expr.HOT_AFTER):
+        for k in range(16):
             x = [0.1 * k - 0.7, 0.3 - 0.05 * k]
             f.eval(x)
             f.jacobian(x)
@@ -348,7 +362,6 @@ def test_nodes_are_unhashable_and_unchanged_by_use():
                 expr.grad(e, x)
         for e in f.components:
             expr.evaluate_grid(e, (np.linspace(-1.0, 1.0, 6), np.linspace(0.0, 1.0, 6)))
-    assert all(callable(e._closure) for e in f.components)
     for e, text in zip(f.components, texts):
         assert e == expr.parse(text, names)
         with pytest.raises(TypeError):

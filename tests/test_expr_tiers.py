@@ -1,13 +1,10 @@
-"""The hot tier (compiled closures) against the Dual tier's walk, the Dual
-tier's one vector-tangent pass against one pass per coordinate,
-``SmoothMap.eval`` against ``evaluate`` per component, and a map's Jacobian
-across the switch from walked trees to compiled closures, bit for bit.
+"""The Dual tier's one vector-tangent pass against one pass per coordinate,
+``SmoothMap.eval`` against ``evaluate`` per component, and repeated calls
+against the first, bit for bit.
 
-``expr.HOT_AFTER`` patched to 0 compiles every expression's closure at its
-first use; patched high it keeps every use on the walk.  Results are
-compared as bytes, with one exception: NaN sign and payload, which CPython's
-own float arithmetic does not keep fixed (they change once its bytecode
-specializes).
+Results are compared as bytes, with one exception: NaN sign and payload,
+which CPython's own float arithmetic does not keep fixed (they change once
+its bytecode specializes).
 """
 import math
 import random
@@ -19,7 +16,6 @@ import pytest
 from varcert import expr
 from varcert.errors import KinkWarning, NotInDomainError
 
-COLD = 10**9
 CONSTANTS = ["0", "1", "2", "3", "0.5", "2.5", "1e-170", "1e-320", "1e200", "1e308", "1e999"]
 EXPONENTS = ["0", "1", "2", "3", "0.5", "1.5", "(-1)", "(-0.5)", "(2*1)", "(1-1)", "x1", "(x1+1)"]
 UNARY = ["sin", "cos", "exp", "log", "sqrt", "abs"]
@@ -71,92 +67,22 @@ def outcome(fn):
                  else (w.category.__name__, str(w.message)) for w in rec]
 
 
-def all_outcomes(texts, names, points):
-    m = expr.SmoothMap.from_strings(texts, names)
-    es = [expr.parse(t, names) for t in texts]
-    return [(outcome(lambda: m.jacobian(x)), outcome(lambda: m.eval(x)),
-             [outcome(lambda: expr.grad(e, x)) for e in es]) for x in points]
-
-
-def test_hot_tier_matches_dual_over_the_full_grammar(monkeypatch):
-    """Jacobians, values and gradients through compiled closures against the
-    same through walked trees."""
-    rng = random.Random(20261018)
-    kinds = set()
-    for _ in range(150):
-        n = rng.randint(1, 4)
-        names = [f"x{i + 1}" for i in range(n)]
-        texts = [random_text(rng, n, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
-        points = [random_point(rng, n) for _ in range(3)]
-        monkeypatch.setattr(expr, "HOT_AFTER", COLD)
-        cold = all_outcomes(texts, names, points)
-        monkeypatch.setattr(expr, "HOT_AFTER", 0)
-        assert all_outcomes(texts, names, points) == cold, texts
-        for (jac, _), _, _ in cold:
-            kinds.add(jac[0] if jac[0] == "ok" else jac[2])
-    # the draws reach both error messages as well as results
-    assert {"ok", "derivative overflow", "Jacobian requested outside a component domain"} <= kinds
-
-
-@pytest.mark.parametrize("texts, x", [
-    (["max(x1, x2) + max(x1, x2)", "abs(x1 - x2) * min(x2, x1)"], [1.5, 1.5]),  # repeated kinks
-    (["1/x1 + log(x2)", "x2"], [1e-170, -1.0]),  # the first failure in Dual's order wins
-    (["log(x2) + 1/x1"], [1e-170, -1.0]),
-    (["(x1^3)^0", "x1^2"], np.array([1e200, 0.0])),  # numpy ** overflows to inf, float ** raises
-    (["sqrt(x1) + x2", "-0 * x1"], [0.0, -0.0]),
-    (["x1^x2", "x2"], [2.0, 3.0]),  # a variable exponent: one closure call per coordinate
-])
-def test_hot_tier_matches_dual_at_edges(monkeypatch, texts, x):
-    names = ["x1", "x2"]
-    monkeypatch.setattr(expr, "HOT_AFTER", COLD)
-    cold = all_outcomes(texts, names, [x])
-    monkeypatch.setattr(expr, "HOT_AFTER", 0)
-    assert all_outcomes(texts, names, [x]) == cold
-
-
-def test_a_map_switches_tiers_with_the_same_bits():
-    """2 HOT_AFTER Jacobian calls on one map: its components are walked
-    until the HOT_AFTER-th call compiles their closures, and every call
-    gives the same bytes and the same replayed kink warnings."""
+def test_repeated_uses_give_the_same_bits():
+    """2 x 8 Jacobian calls on one map give the same bytes and the same
+    replayed kink warnings (two kinks at width 2, each warned twice), and
+    values, gradients and grid values of one expression, used in turn, give
+    the same bytes at every use."""
     m = expr.SmoothMap.from_strings(["x1*sin(x2) + (x1 - 0.3)^2", "exp(x2/3) - x1*x2",
                                      "abs(x1 - 0.7) + max(x2, -1.3)"], ["x1", "x2"])
     x = np.array([0.7, -1.3])
-    calls, compiled = [], []
-    for _ in range(2 * expr.HOT_AFTER):
-        calls.append(outcome(lambda: m.jacobian(x)))
-        compiled.append([callable(c._closure) for c in m.components])
-    assert compiled == [[False] * 3] * (expr.HOT_AFTER - 1) + [[True] * 3] * (expr.HOT_AFTER + 1)
-    assert calls[0][0][0] == "ok" and len(calls[0][1]) == 4  # two kinks, replayed once
+    calls = [outcome(lambda: m.jacobian(x)) for _ in range(16)]
+    assert calls[0][0][0] == "ok" and len(calls[0][1]) == 4
     assert all(call == calls[0] for call in calls)
-
-
-def test_a_map_called_fewer_than_k_times_compiles_no_code(monkeypatch):
-    compiled = []
-    real = expr._compile
-    monkeypatch.setattr(expr, "_compile", lambda source: compiled.append(source) or real(source))
-    m = expr.SmoothMap.from_strings(["x1*x2", "sin(x1)"], ["x1", "x2"])
-    for _ in range(expr.HOT_AFTER - 1):
-        m.jacobian([0.5, 0.25])
-    assert compiled == []
-    assert not any(callable(c._closure) for c in m.components)
-
-
-def test_an_expression_compiles_once_from_its_hot_after_th_use(monkeypatch):
-    """Values, gradients and grid values all count as uses; the walks before
-    the HOT_AFTER-th use and the closure from it on give the same bits."""
-    compiled = []
-    real = expr._compile
-    monkeypatch.setattr(expr, "_compile", lambda source: compiled.append(source) or real(source))
     e = expr.parse("x1*sin(x2) + max(x1, x2)^2 / (x2 - 0.3) - exp(-x1)", ["x1", "x2"])
     x, grid = [0.7, -1.3], (np.linspace(-1.0, 1.0, 5), 0.25)
     uses = [lambda: expr.evaluate(e, x), lambda: expr.grad(e, x), lambda: expr.evaluate_grid(e, grid)]
-    results, counts = [], []
-    for k in range(3 * expr.HOT_AFTER):
-        results.append(np.asarray(uses[k % 3]()).tobytes())
-        counts.append(len(compiled))
-    assert counts == [0] * (expr.HOT_AFTER - 1) + [1] * (2 * expr.HOT_AFTER + 1)
+    results = [np.asarray(uses[k % 3]()).tobytes() for k in range(24)]
     assert all(results[k] == results[k % 3] for k in range(len(results)))
-    assert callable(e._closure)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +111,7 @@ def per_coordinate_jacobian(es, x):
     return J
 
 
-def assert_cold_matches_per_coordinate(texts, x):
+def assert_matches_per_coordinate(texts, x):
     """The map's Jacobian and each gradient against passes per coordinate,
     and ``SmoothMap.eval`` against ``evaluate`` per component; returns the
     Jacobian's outcome and whether some value is outside its domain."""
@@ -202,15 +128,14 @@ def assert_cold_matches_per_coordinate(texts, x):
         return jac, any(expr.evaluate_flagged(e, x)[1] for e in es)
 
 
-def test_cold_tier_matches_per_coordinate_passes_over_the_full_grammar(monkeypatch):
-    monkeypatch.setattr(expr, "HOT_AFTER", COLD)
+def test_cold_tier_matches_per_coordinate_passes_over_the_full_grammar():
     rng = random.Random(20261019)
     kinds, kinked, flagged, ints = set(), 0, 0, 0
     for _ in range(200):
         n = rng.randint(1, 12)
         texts = [random_text(rng, n, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
         for x in [random_point(rng, n) for _ in range(2)]:
-            (result, kinks), outside = assert_cold_matches_per_coordinate(texts, x)
+            (result, kinks), outside = assert_matches_per_coordinate(texts, x)
             kinds.add(result[0] if result[0] == "ok" else result[2])
             kinked += n > 1 and len(kinks) > 0
             flagged += outside
@@ -236,14 +161,12 @@ def test_cold_tier_matches_per_coordinate_passes_over_the_full_grammar(monkeypat
     (["(x1^3)^0", "x1^2"], np.array([1e200, 0.0])),  # numpy ** overflows to inf, float ** raises
     (["sqrt(x1) + x2", "-0 * x1"], [0.0, -0.0]),  # sqrt at 0 and -0.0 tangents
 ])
-def test_cold_tier_matches_per_coordinate_passes_at_edges(monkeypatch, texts, x):
-    monkeypatch.setattr(expr, "HOT_AFTER", COLD)
-    assert_cold_matches_per_coordinate(texts, x)
+def test_cold_tier_matches_per_coordinate_passes_at_edges(texts, x):
+    assert_matches_per_coordinate(texts, x)
 
 
 def count_calls(monkeypatch, e):
-    """Count the walks of the tree of ``e``, which stands for its closure
-    while cold; the list grows by one per walk."""
+    """Count the walks of the tree of ``e``; the list grows by one per walk."""
     walk = expr._walk
     calls = []
 
@@ -257,7 +180,8 @@ def count_calls(monkeypatch, e):
 
 
 def test_a_cold_gradient_or_jacobian_runs_each_closure_once(monkeypatch):
-    monkeypatch.setattr(expr, "HOT_AFTER", COLD)
+    """A gradient or a Jacobian walks each tree once; an exponent that holds
+    a variable, once per coordinate."""
     names = [f"x{i + 1}" for i in range(12)]
     x = np.linspace(-1.0, 1.0, 12)
     e = expr.parse(" + ".join(f"sin(x{i + 1})*x{12 - i}" for i in range(12)), names)

@@ -128,6 +128,19 @@ def test_plq_consistency_validation():
         ])
 
 
+@pytest.mark.parametrize("gap", [1e-12, 1e-10])
+def test_plq_pieces_that_overlap_only_within_tol_feas_build(gap):
+    """{x <= 0.3} and {x >= 0.3 + gap} share no point, though both contain
+    0.3 within tol_feas: |x - 0.3| builds on them, and value takes the first
+    piece there.  Pieces that overlap by 1e-6 must still agree."""
+    f = PLQFunction([(Polyhedron([[1.0]], [0.3]), [[0.0]], [-1.0], 0.3),
+                     (Polyhedron([[-1.0]], [-(0.3 + gap)]), [[0.0]], [1.0], -0.3)])
+    assert f.value([0.3]) == 0.0 and f.value([1.3]) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="disagree"):
+        PLQFunction([(Polyhedron([[1.0]], [0.3]), [[0.0]], [0.0], 0.0),
+                     (Polyhedron([[-1.0]], [-(0.3 - 1e-6)]), [[0.0]], [0.0], 1.0)])
+
+
 def test_plq_convexity_routing():
     nonconvex = PLQFunction([
         (Polyhedron.whole_space(1), [[-1.0]], [0.0], 0.0),  # -x^2
