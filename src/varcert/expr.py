@@ -254,6 +254,38 @@ def parse(text: str, declared_vars) -> Expr:
     return root
 
 
+def affine_in(e: Expr, n) -> bool:
+    """Whether ``e`` is affine in its first ``n`` variables, read off the
+    parse tree: none of them inside a function call, a divisor or a power,
+    and no product of two factors that both hold one.  Exact for the tree,
+    not for the function it computes: ``x1*x2 - x2*x1`` is refused."""
+    return _holds(e, n) is not None
+
+
+def _holds(e, n):
+    """Whether ``e`` holds one of the first ``n`` variables; None when it
+    holds one other than affinely."""
+    t = type(e)
+    if t is Var:
+        return e.index < n
+    if t is Num:
+        return False
+    if t is Neg:
+        return _holds(e.arg, n)
+    if t is Call:
+        return False if all(_holds(a, n) is False for a in e.args) else None
+    lhs, rhs = _holds(e.lhs, n), _holds(e.rhs, n)
+    if lhs is None or rhs is None:
+        return None
+    if e.op in "+-":
+        return lhs or rhs
+    if e.op == "*":
+        return None if lhs and rhs else lhs or rhs
+    if e.op == "/":
+        return None if rhs else lhs
+    return None if lhs or rhs else False  # '^'
+
+
 # ---------------------------------------------------------------------------
 # evaluation: the tree walked over a value tuple `v` and a math shim `m`
 

@@ -1,4 +1,5 @@
-"""Polyhedral sets and cones: tangent/normal cones, polars, projections.
+"""Polyhedral sets and cones: tangent/normal cones, polars, projections,
+and the minimal faces of {d : A d <= 1} with the hull vertices that make them.
 
 Conventions
 -----------
@@ -324,6 +325,73 @@ def _pointed_cone_rays(Gr):
                 seen.setdefault(key, cand / np.linalg.norm(cand))
                 break
     return list(seen.values())
+
+
+def hull_vertices(R):
+    """Indexes of the rows of R, one per distinct row, that hold the
+    vertices of conv({0} u rows): the largest and the most negative row at
+    n = 1, Andrew's monotone chain at n = 2, every nonzero row at n >= 3.
+
+    A row r that is no vertex is sum mu_v v over the vertices and 0 with
+    mu >= 0 summing to 1, so <r, d> <= sum mu_v <= 1 on {d : R d <= 1},
+    with equality only where every v with mu_v > 0 is tight: r lies in the
+    hull of the tight vertices, and dropping it moves no hull distance.  A
+    zero row is never tight."""
+    if R.shape[1] == 1:
+        col = R[:, 0]
+        hi, lo = int(np.argmax(col)), int(np.argmin(col))
+        return [i for i, keep in ((hi, col[hi] > 0.0), (lo, col[lo] < 0.0)) if keep]
+    distinct = {}  # the first index of each distinct nonzero row
+    for i, row in enumerate(R.tolist()):
+        if any(row):
+            distinct.setdefault(tuple(row), i)
+    if R.shape[1] > 2:
+        return list(distinct.values())
+
+    def chain(points):  # one half of the hull, collinear points dropped
+        out = []
+        for (x, y), i in points:
+            while len(out) > 1:
+                (ox, oy), _ = out[-2]
+                (ax, ay), _ = out[-1]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0.0:
+                    break
+                out.pop()
+            out.append(((x, y), i))
+        return out[:-1]
+
+    pts = sorted([*distinct.items(), ((0.0, 0.0), -1)])
+    return [i for _, i in chain(pts) + chain(pts[::-1]) if i >= 0]
+
+
+def minimal_faces(A, cap):
+    """The tight sets of the minimal faces of P = {d : A d <= 1}, as boolean
+    masks over the rows of A; None when more than ``cap`` subsets would be
+    tried.
+
+    Off P's lineality space ker A, P is pointed, so each minimal face is a
+    vertex there: for a subset D of r = rank A rows of rank r, the least-norm
+    solution d of A_D d = 1, which lies in the row space, when it meets
+    A d <= 1.  With A_D^T = Q R, d = Q z for R^T z = 1.  Its tight set is
+    every row with <a, d> >= 1.  Both tests allow 1e-9 ||a|| ||d||, which
+    errs toward a larger tight set and more faces: each only enlarges
+    kappa."""
+    sv = np.linalg.svd(A, compute_uv=False)
+    r = int(np.sum(sv > 1e-10 * sv[0]))
+    if comb(len(A), r) > cap:
+        return None
+    Q, R = np.linalg.qr(A[np.array(list(combinations(range(len(A)), r)))].transpose(0, 2, 1))
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    keep = diag.min(axis=1) > 1e-10 * diag.max(axis=1)
+    Q, R = Q[keep], R[keep]
+    z = np.empty((len(R), r))
+    for i in range(r):  # forward substitution in R^T z = 1
+        z[:, i] = (1.0 - np.einsum("fj,fj->f", R[:, :i, i], z[:, :i])) / R[:, i, i]
+    d = np.einsum("fnr,fr->fn", Q, z)
+    scores = A @ d.T
+    tol = 1e-9 * np.linalg.norm(A, axis=1)[:, None] * np.linalg.norm(d, axis=1)
+    feasible = (scores <= 1.0 + tol).all(axis=0)
+    return list({t.tobytes(): t for t in (scores >= 1.0 - tol)[:, feasible].T}.values())
 
 
 def cone_generators_from_halfspaces(G, H):

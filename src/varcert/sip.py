@@ -14,7 +14,9 @@ positive weights, so the support has at most n atoms (Caratheodory's
 bound; ``caratheodory_reduce`` prunes any other conic combination to that
 size).  With psi the bound is 2*kappa.  Unless asserted, kappa is computed
 from Danskin's criterion on the same active set where it applies
-(``danskin_constant``), and sampled (``sip_kappa_estimate``) elsewhere.
+(``danskin_constant``); where that c is 0 but theta is affine in x, from the
+minimal faces of the active linear system (``affine_kappa``); and sampled
+(``sip_kappa_estimate``) elsewhere.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import expr as expr_mod
-from .calculus import (FEASIBLE_SAMPLE, KAPPA_MARGIN, REFUTED, VERIFIED, CQReport,
-                       ratio_stability_estimate)
+from .calculus import (CODERIVATIVE_MAX_FACES, FEASIBLE_SAMPLE, KAPPA_MARGIN, REFUTED,
+                       VERIFIED, CQReport, ratio_stability_estimate)
 from .certify import Certificate, TOL_BOUND, TOL_STAT, checked, resolve_kappa, verdict
 from .errors import (
     DimensionMismatchError,
@@ -38,7 +40,7 @@ from .errors import (
     NoMultiplierError,
     NotInDomainError,
 )
-from .geometry import TOL_ACTIVE, TOL_FEAS
+from .geometry import TOL_ACTIVE, TOL_FEAS, hull_vertices, minimal_faces
 from .solvers import conic_fit, min_norm_point
 
 MAX_GRID_CELLS = 2 ** 20  # index grid points, checked before any is allocated
@@ -46,6 +48,7 @@ SLOPE_TAU = 0.25  # near-active radius of the slope estimate, in units of sup / 
 SLOPE_DENSITY = 16  # index grid of the slope estimate, per axis
 SLOPE_POLISH_STEPS = 30
 KAPPA_DANSKIN = "computed (Danskin criterion)"
+KAPPA_AFFINE = "computed (affine criterion)"
 
 
 def default_density(k):
@@ -496,10 +499,10 @@ def active_hull(rows, price):
 
 
 def danskin_constant(p: SIProblem, xbar, indexes, price):
-    """``active_hull``'s c for theta at xbar from the x-gradients at
-    ``indexes`` and the columns ``price`` still offers; None where a
-    gradient it reads passes a kink (an abs at 0 or a max or min tie, which
-    emits KinkWarning) or leaves the domain.
+    """(c, rows): ``active_hull``'s c for theta at xbar from the x-gradients
+    at ``indexes`` and the columns ``price`` still offers, and the hull's
+    rows; (None, []) where a gradient it reads passes a kink (an abs at 0
+    or a max or min tie, which emits KinkWarning) or leaves the domain.
 
     c > 0 is the extended MFCQ.  By Danskin's theorem the strong slope of
     the violation sup theta(., s)^+ is the least norm in the hull of the
@@ -511,9 +514,57 @@ def danskin_constant(p: SIProblem, xbar, indexes, price):
     with warnings.catch_warnings():
         warnings.simplefilter("error", KinkWarning)
         try:
-            return active_hull([_grad_x(p.theta, xbar, s) for s in indexes], price)[0]
+            c, _, rows = active_hull([_grad_x(p.theta, xbar, s) for s in indexes], price)
+        except (KinkWarning, NotInDomainError):
+            return None, []
+    return c, rows
+
+
+def affine_kappa(p: SIProblem, xbar, rows, density):
+    """(kappa, faces): for a theta affine in x, the modulus of the active
+    linear system a_t^T d <= 0 at xbar, max over the minimal faces D of
+    P = {d : a_t^T d <= 1} of 1 / dist(0, conv{a_t : t in D}) (1 with no
+    nonzero a_t), and the number of faces; None past the face cap, with no
+    face, or where a gradient passes a kink or leaves the domain.
+
+    Affine theta makes the violation sup theta(., s)^+ convex, so its
+    modulus is 1 / inf of its strong slope (Aze & Corvellec, ESAIM: COCV 10,
+    2004), which for a finite system is this maximum (Canovas, Lopez, Parra
+    & Toledo, Set-Valued Var. Anal. 22, 2014), finite where Danskin's c is
+    0.  The a_t are ``rows`` (Danskin's, exact) and those of the grid cells
+    with theta(xbar, s) >= -TOL_ACTIVE, screened by one grid evaluation per
+    coordinate (exact up to rounding for affine theta); only the rows that
+    make faces get an exact gradient.  As with c, the active set is the
+    grid's."""
+    grid = _box_grid(p.S, density or default_density(p.k))
+    vals = _grid_values(p.theta, xbar, grid)
+    active = vals >= -TOL_ACTIVE
+    cells, base = grid[active].astype(float, copy=False), vals[active]
+    screened = np.empty((len(cells), p.n))
+    for j in range(p.n):
+        up = xbar.copy()
+        up[j] += max(1.0, abs(up[j]))
+        screened[:, j] = (_grid_values(p.theta, up, cells) - base) / (up[j] - xbar[j])
+    R = np.vstack([np.reshape(rows, (-1, p.n)), screened])
+    if not np.isfinite(R).all():
+        return None
+    keep = hull_vertices(R)
+    if not keep:
+        return 1.0, 0
+    faces = minimal_faces(R[keep], CODERIVATIVE_MAX_FACES)
+    if not faces:
+        return None
+    A = R[keep]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", KinkWarning)
+        try:
+            for k in np.flatnonzero(np.any(faces, axis=0)):
+                if keep[k] >= len(rows):
+                    A[k] = _grad_x(p.theta, xbar, cells[keep[k] - len(rows)])
         except (KinkWarning, NotInDomainError):
             return None
+    dist = min(float(np.linalg.norm(min_norm_point(A[f].T))) for f in faces)
+    return (1.0 / dist, len(faces)) if dist > 0.0 else None
 
 
 def emfcq_check(p: SIProblem, xbar) -> CQReport:
@@ -661,8 +712,11 @@ def certify(p: SIProblem, xbar, kappa, seed=42, density=None) -> Certificate:
     from the same active set, the fit's columns among its rows; c > 0 gives
     the computed kappa = (1 + KAPPA_MARGIN) / c (1 for c = inf) with no
     sampling.  The atoms' gradients are in the hull, so sum(lambda) <=
-    ||grad|| / c and the bound holds.  Otherwise ``sip_kappa_estimate``
-    samples kappa."""
+    ||grad|| / c and the bound holds.  Where c = 0 and theta is affine in x
+    (``expr.affine_in``), ``affine_kappa`` gives the exact modulus of the
+    active linear system, over c's rows and the active grid cells, and
+    kappa is (1 + KAPPA_MARGIN) times it, again with no sampling.
+    Otherwise ``sip_kappa_estimate`` samples kappa."""
     xbar = np.asarray(xbar, dtype=float)
     start, price = active_indexes(p, xbar, density)
     g0 = p.grad_objective(xbar)
@@ -678,12 +732,18 @@ def certify(p: SIProblem, xbar, kappa, seed=42, density=None) -> Certificate:
     if found is None:
         raise NoMultiplierError("no atomic multiplier")
     # kappa after the fit, so no multiplier, no estimate; no estimator notes
-    c = None if isinstance(kappa, (int, float)) or p.psi is not None else \
+    c, rows = (None, []) if isinstance(kappa, (int, float)) or p.psi is not None else \
         danskin_constant(p, xbar, [s for _, s in taken], price)
+    affine = affine_kappa(p, xbar, rows, density) \
+        if c == 0.0 and expr_mod.affine_in(p.theta, p.n) else None
     if c is not None and c > 0.0:
         kappa_val = (1.0 + KAPPA_MARGIN) / c if math.isfinite(c) else 1.0
         kappa_source = KAPPA_DANSKIN
         notes = [f"Danskin criterion: c = {c:.6g} <= dist(0, conv grad_x theta(xbar, active s))"]
+    elif affine is not None:
+        kappa_val, kappa_source = (1.0 + KAPPA_MARGIN) * affine[0], KAPPA_AFFINE
+        notes = [f"affine criterion: max 1/dist(0, conv grad_x theta(xbar, D)) over "
+                 f"{affine[1]} minimal face(s) D = {affine[0]:.6g}"]
     else:
         kappa_val, kappa_source, _ = resolve_kappa(
             kappa, lambda: sip_kappa_estimate(p, xbar, seed=seed))

@@ -50,6 +50,31 @@ def test_index_variable_product():
     assert expr.grad(e, [0.0, 1.0])[0] == pytest.approx(1.0)
 
 
+AFFINE_IN_X = [
+    ("(s1 - 0.25)*(x1 - 0.5)", True),
+    ("x1/s1", True),
+    ("sin(s1)*x2", True),
+    ("-(x1 + 2*x2)*exp(s1)/(1 + s1^2) - s1^3", True),
+    ("s1", True),
+    ("x1*x2", False),
+    ("s1/x1", False),
+    ("x1^2", False),
+    ("abs(x1)", False),
+    ("sin(x1)", False),
+    ("2^x1", False),
+    ("max(s1, x2)*0", False),
+    ("x1*(s1 + x2)", False),
+    ("-x1*-x2", False),
+]
+
+
+@pytest.mark.parametrize("text, affine", AFFINE_IN_X, ids=[t for t, _ in AFFINE_IN_X])
+def test_affine_in_reads_the_parse_tree(text, affine):
+    """affine in x1, x2 over x1, x2, s1: no x inside a call, a divisor or a
+    power, and no product of two factors that both hold an x."""
+    assert expr.affine_in(expr.parse(text, ["x1", "x2", "s1"]), 2) is affine
+
+
 SYNTAX_ERRORS = [
     ("", 0, "empty expression"),
     ("   ", 0, "empty expression"),

@@ -15,7 +15,7 @@ from varcert.geometry import (
     project_cone,
     tangent_cone,
 )
-from varcert.solvers import nnls
+from varcert.solvers import min_norm_point, nnls
 
 
 def wedge():
@@ -491,3 +491,22 @@ def test_generator_cone_membership_random():
             checked["near"] += 2
         assert K.G is None  # every query above took the LP path
     assert min(checked.values()) >= 20
+
+
+def test_hull_vertices_are_the_rows_off_the_hull_of_the_others_and_0():
+    """Against a brute-force reference: a distinct nonzero row is a vertex of
+    conv({0} u rows) exactly when it lies off the hull of 0 and the other
+    rows.  Rows on a grid, with repeats, collinear runs and zero rows."""
+    rng = np.random.default_rng(3602)
+    for n in (1, 2):
+        for _ in range(30):
+            R = rng.integers(-3, 4, size=(int(rng.integers(1, 12)), n)).astype(float)
+            got = geo.hull_vertices(R)
+            assert len(got) == len({tuple(R[i]) for i in got})
+            distinct = {tuple(r) for r in R if r.any()}
+            want = set()
+            for r in distinct:
+                others = np.array([np.zeros(n)] + [o for o in distinct if o != r]).T
+                if np.linalg.norm(min_norm_point(others - np.array(r)[:, None])) > 1e-9:
+                    want.add(r)
+            assert {tuple(R[i]) for i in got} == want, R

@@ -308,15 +308,33 @@ PARENT_CRITERION = {
 # has gradient 1, so c = 1 - 1e-9 (price's reduced-cost floor) and kappa =
 # (1 + 1e-9)/c = 1.000000002; rhs follows, the source names the criterion and
 # one note gives c.  The README fixture has c = 0 (s = 0 is active with zero
-# gradient) and keeps its sampled kappa.  Per case, the parent value of each
-# field that changed.
+# gradient) and kept its sampled kappa then (see PARENT_AFFINE).  Per case,
+# the parent value of each field that changed.
 PARENT_DANSKIN = {
     "sip_two_index_estimate": {"bound": {"rhs": 1.0, "kappa": 1.0,
                                          "kappa_source": "estimated (sampling-confidence)"},
                                "notes": ["complementarity max |lambda*theta| = 0.00e+00"]},
 }
+# The affine criterion (sip.affine_kappa) computes the README kappa, where
+# Danskin's c is 0 and the parent sampled kappa_hat = 1.  theta = s1*x1 is
+# affine in x, and {u : s u <= 1 on the grid} has one face, u = 1, tight at
+# s = 1 only, so kappa = (1 + 1e-9)/1 = 1.000000001; rhs follows, the source
+# names the criterion and one note gives the maximum over the faces.  Per
+# case, the parent value of each field that changed.
+PARENT_AFFINE = {
+    "sip_readme_estimate": {"bound": {"rhs": 1.0, "kappa": 1.0,
+                                      "kappa_source": "estimated (sampling-confidence)"},
+                            "notes": ["complementarity max |lambda*theta| = 0.00e+00"]},
+}
+# The kappa that the penalty-descent distance read before the slope estimate
+# (see PARENT).  The README case meets it once PARENT_AFFINE has put back
+# its sampled kappa = 1.
 PARENT_KAPPA = {"sip_readme_estimate": 9.999989963092e-01,
                 "sip_two_index_estimate": 9.999989963092e-01}
+# Cases with no parent: the flat face s1*x1 + s2*x2 at --kappa estimate, whose
+# affine kappa is 1 + 1e-9, and s1*sin(x1), a theta with c = 0 that is not
+# affine in x and still samples kappa.
+ADDED = {"sip_flat_face_estimate", "sip_sin_estimate"}
 
 # kkt and primal read one least-norm fit (certify._fit), and every nlp
 # verdict carries its witness.  Per case: the fields it gained, and the
@@ -373,7 +391,7 @@ PARENT_NOTES = {name: ["no atomic multiplier after two grid refinements"]
 
 def test_corpus_matches_its_parent_outside_the_slope_kappa():
     by_name = {case["name"]: case for case in CASES}
-    assert set(by_name) == set(PARENT) | set(PARENT_CHANGED) | set(PARENT_ROTATED)
+    assert set(by_name) == set(PARENT) | set(PARENT_CHANGED) | set(PARENT_ROTATED) | ADDED
     for name, ((digest, *_), codes) in PARENT_CHANGED.items():
         case = by_name[name]
         assert (case["exit"], case["recheck"]) == codes, name
@@ -389,11 +407,14 @@ def test_corpus_matches_its_parent_outside_the_slope_kappa():
         assert (case["exit"], case["recheck"]) == (code, recheck), name
         text = expected_text(case)
         if name in PARENT_KAPPA or name in PARENT_FLOATS or name in PARENT_WITNESS \
-                or name in PARENT_CRITERION or name in PARENT_DANSKIN:
+                or name in PARENT_CRITERION or name in PARENT_DANSKIN or name in PARENT_AFFINE:
             doc = json.loads(text)
             if name in PARENT_DANSKIN:
                 assert doc["bound"]["kappa"] == doc["bound"]["rhs"] == 1.000000002, name
-            for field, old in {**PARENT_CRITERION, **PARENT_DANSKIN}.get(name, {}).items():
+            if name in PARENT_AFFINE:
+                assert doc["bound"]["kappa"] == doc["bound"]["rhs"] == 1.000000001, name
+            for field, old in {**PARENT_CRITERION, **PARENT_DANSKIN,
+                               **PARENT_AFFINE}.get(name, {}).items():
                 assert doc[field] != old, name
                 if isinstance(old, dict):
                     doc[field].update(old)

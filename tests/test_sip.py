@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from varcert import cli, sip
+from varcert import cli, sip, solvers
 from varcert.calculus import REFUTED, VERIFIED
 from varcert.errors import InfeasiblePointError, KinkWarning, NoMultiplierError
 from varcert.sip import (
@@ -791,13 +791,14 @@ def _peak_sips():
     return cases
 
 
+def no_sampler(*args, **kwargs):
+    raise AssertionError("sip_kappa_estimate called")
+
+
 def test_danskin_kappa_bounds_the_multipliers_of_isolated_peaks(tmp_path, monkeypatch):
     """On each peak SIP the computed c is at most dist(0, conv{G_j}) and
     within 1e-8 of it; the certificate issues with the sampler raising, has
     sum(lambda) <= kappa ||grad||, and rechecks to exit 0."""
-    def no_sampler(*args, **kwargs):
-        raise AssertionError("sip_kappa_estimate called")
-
     monkeypatch.setattr(sip, "sip_kappa_estimate", no_sampler)
     prob, out = tmp_path / "problem.json", tmp_path / "cert.json"
     for doc, G, _ in _peak_sips():
@@ -816,17 +817,116 @@ def test_danskin_kappa_bounds_the_multipliers_of_isolated_peaks(tmp_path, monkey
 
 
 def test_the_sampler_runs_where_the_danskin_criterion_does_not_apply(monkeypatch):
-    """c = 0 (the README fixture: s = 0 is active with gradient 0), a psi
-    family, and a theta kinked in x at the point each call the sampler."""
+    """c = 0 with theta not affine in x (s1*sin(x1): s = 0 is active with
+    gradient 0), a psi family, and a theta kinked in x at the point each
+    call the sampler."""
     calls = []
     real = sip.sip_kappa_estimate
     monkeypatch.setattr(sip, "sip_kappa_estimate",
                         lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+    sine = SIProblem.from_strings(1, "-x1", theta="s1*sin(x1)", S=[(0.0, 1.0)])
     kinked = SIProblem.from_strings(1, "-x1", theta="x1 + 0.5*abs(x1) + 0*s1", S=[(0.0, 1.0)])
     psi = SIProblem.from_strings(1, "-x1", psi="t1*x1", T=[(1.0, 1.0)])
-    for p in (linear_sip(), psi, kinked):
+    for p in (sine, psi, kinked):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", KinkWarning)
             cert = certify(p, [0.0], kappa="estimate")
-        assert calls[-1] is p and cert.kappa_source != sip.KAPPA_DANSKIN
+        assert calls[-1] is p and cert.kappa_source not in (sip.KAPPA_DANSKIN, sip.KAPPA_AFFINE)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("d, c", [(0.0, 0.0), (-0.375, 0.625), (0.5, -1.0)])
+def test_an_affine_theta_with_c_zero_issues_kappa_unsampled(d, c, tmp_path, monkeypatch):
+    """theta = (s1 - d)*(x1 - c) on [d, d + 1] at x = c (the README fixture
+    at d = c = 0): s = d is active with gradient 0, so Danskin's c is 0, and
+    the one face of {u : (s - d) u <= 1} is u = 1 with tight row s = d + 1:
+    kappa = 1 + 1e-9, with the sampler raising, and recheck exits 0."""
+    monkeypatch.setattr(sip, "sip_kappa_estimate", no_sampler)
+    doc = {"kind": "sip", "n": 1, "objective": "-1.5*x1",
+           "constraints": {"theta": f"(s1 - {d!r})*(x1 - {c!r})", "S": [[d, d + 1.0]]}}
+    p = cli.build_sip(doc)
+    cert = certify(p, [c], kappa="estimate")
+    assert (cert.status, cert.kappa_source, cert.kappa) == ("VERIFIED", sip.KAPPA_AFFINE, 1 + 1e-9)
+    assert cert.notes[1] == ("affine criterion: max 1/dist(0, conv grad_x theta(xbar, D)) "
+                             "over 1 minimal face(s) D = 1")
+    prob, out = tmp_path / "problem.json", tmp_path / "cert.json"
+    prob.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.run(["sip", "-p", str(prob), "--point", repr(c), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["bound"]["kappa"] == 1 + 1e-9
+    assert cli.run(["recheck", "-p", str(prob), "-c", str(out)]) == 0
+
+
+def test_the_affine_kappa_of_the_unit_circle_is_its_63_gon():
+    """cos(2 pi s1) x1 + sin(2 pi s1) x2 on the default 64-cell grid: the
+    rows are the 63 corners of a regular polygon on the unit circle, each
+    face of P is tight on two neighbours, whose hull misses 0 by
+    cos(pi/63)."""
+    circle = SIProblem.from_strings(
+        2, "x1", theta="cos(6.283185307179586*s1)*x1 + sin(6.283185307179586*s1)*x2",
+        S=[(0.0, 1.0)])
+    cert = certify(circle, [0.0, 0.0], kappa="estimate")
+    assert (cert.status, cert.kappa_source) == ("VERIFIED", sip.KAPPA_AFFINE)
+    assert 1.0 <= cert.kappa <= (1.0 + 1e-9) / np.cos(np.pi / 63)
+    assert "over 63 minimal face(s)" in cert.notes[1]
+
+
+def _linear_sips():
+    """(problem, density, rows) for 24 seeded homogeneous linear SIPs with
+    Danskin's c = 0, n <= 3 and k <= 2: theta(x, s) = <a(s), x> with a(s) a
+    quadratic in u = s - s0 for a grid node s0, and rows = a(s) over the
+    grid, all active at x = 0.  Half have a(s0) = 0, an active zero row; the
+    other half a constant term, kept when 0 is still in the hull.  The
+    objective is -sum lambda_j <a(s_j), x> over three grid nodes s_j."""
+    rng = np.random.default_rng(3601)
+    cases = []
+    while len(cases) < 24:
+        n, k = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        density = 64 if n < 3 else 16 if k == 1 else 4
+        axis = np.linspace(0.0, 1.0, density)
+        grid = np.stack([m.ravel() for m in np.meshgrid(*[axis] * k, indexing="ij")], axis=1)
+        s0 = grid[rng.integers(len(grid))]
+        u = [f"(s{i + 1} - {float(v)!r})" for i, v in enumerate(s0)]
+        terms = u + [f"{a}*{b}" for a, b in itertools.combinations_with_replacement(u, 2)]
+        U = grid - s0
+        cols = [U[:, i] for i in range(k)] + [U[:, i] * U[:, j] for i, j in
+                                               itertools.combinations_with_replacement(range(k), 2)]
+        if len(cases) % 2:
+            terms, cols = ["1"] + terms, [np.ones(len(grid))] + cols
+        G = np.round(rng.normal(size=(len(terms), n)), 3)
+        rows = np.array(cols).T @ G
+        if np.linalg.norm(sip.min_norm_point(rows.T)) > 0.0:
+            continue
+        theta = " + ".join("(" + " + ".join(f"{float(G[m, j])!r}*{t}" for m, t in enumerate(terms))
+                           + f")*x{j + 1}" for j in range(n))
+        grad = -rng.uniform(0.1, 1.0, 3) @ rows[rng.choice(len(grid), 3)]
+        if np.linalg.norm(grad) < 1e-3:
+            continue
+        cases.append((SIProblem.from_strings(
+            n, " + ".join(f"{float(g)!r}*x{j + 1}" for j, g in enumerate(grad)),
+            theta=theta, S=[(0.0, 1.0)] * k), density, rows))
+    return cases
+
+
+def test_the_affine_kappa_bounds_every_sampled_ratio_of_linear_sips(monkeypatch):
+    """On each linear SIP the affine kappa is issued with the sampler
+    raising, and it bounds dist(d; F) / g(d) at 300 seeded directions d:
+    F = {d : A d <= 0} is the polar of cone{a_t}, so by Moreau dist(d; F)
+    is the norm of d's projection onto cone{a_t}, an nnls fit, and g(d) =
+    max (A d)^+.  At n = 1 both signs of d are drawn, and the largest ratio
+    is kappa itself, less the margin.  Every certificate has sum(lambda) <=
+    kappa ||grad||."""
+    monkeypatch.setattr(sip, "sip_kappa_estimate", no_sampler)
+    rng = np.random.default_rng(3603)
+    for p, density, A in _linear_sips():
+        cert = certify(p, np.zeros(p.n), kappa="estimate", density=density)
+        assert (cert.status, cert.kappa_source) == ("VERIFIED", sip.KAPPA_AFFINE), p.theta._text
+        g0 = float(np.linalg.norm(p.grad_objective(np.zeros(p.n))))
+        assert cert.bound_lhs <= cert.kappa * g0, p.theta._text
+        ratios = []
+        for d in rng.normal(size=(300, p.n)):
+            g = float(np.max(A @ d))
+            if g > 1e-9 * np.linalg.norm(d):
+                ratios.append(float(np.linalg.norm(A.T @ solvers.nnls(A.T, d))) / g)
+        assert max(ratios) <= cert.kappa, p.theta._text
+        if p.n == 1:
+            assert max(ratios) * (1.0 + sip.KAPPA_MARGIN) == pytest.approx(cert.kappa, rel=1e-12)
