@@ -2,10 +2,12 @@
 
 Feasibility is the largest eigenvalue sigma^+(Phi(x)) plus the max-entry
 norm of Psi(x).  Multiplier recovery places rank-one atoms s_i s_i^T on
-the kernel of Phi(xbar) (complementarity forces them there) and solves an
-LP for the weights, with the bound sum(lambda) + sum|mu_ij| <= 2 kappa
-||grad objective||.  For m <= 3 the problem cross-validates against its
-sphere-parameterized semi-infinite reduction.
+the kernel of Phi(xbar) (complementarity forces them there), with the
+bound sum(lambda) + sum|mu_ij| <= 2 kappa ||grad objective||.  As a SIP
+over the unit sphere (v^T Phi(x) v <= 0 for unit v), its atoms come from
+SIP's exchange loop, which prices by the kernel eigenproblem.  For m <= 3
+the problem cross-validates against its sphere-parameterized
+semi-infinite reduction.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import (
     DimensionTooLargeError,
     InfeasiblePointError,
     NoMultiplierError,
+    NonConvergenceError,
     NotUnitError,
 )
 from .geometry import TOL_FEAS
@@ -31,6 +34,8 @@ from .solvers import eigh
 
 # an atom s is a unit vector when | ||s|| - 1 | <= TOL_UNIT
 TOL_UNIT = 1e-10
+# the kernel atoms one certificate may price in
+MAX_OFFERS = 200
 
 
 @dataclass
@@ -153,21 +158,34 @@ def _tol_ker(w):
     return 1e-7 * (1.0 + float(np.max(np.abs(w))) if len(w) else 1.0)
 
 
-def _kernel_atoms(w, V, seed):
-    tol_ker = _tol_ker(w)
-    kernel = [V[:, i] for i in range(len(w)) if abs(w[i]) <= tol_ker]
-    atoms = [v / np.linalg.norm(v) for v in kernel]
-    kdim = len(kernel)
-    if kdim >= 2:
-        rng = np.random.default_rng(seed)
-        extra = 3 * math.comb(kdim, 2)
-        for _ in range(extra):
-            coef = rng.standard_normal(kdim)
-            v = sum(c * k for c, k in zip(coef, kernel))
-            nv = float(np.linalg.norm(v))
-            if nv > 1e-12:
-                atoms.append(v / nv)
-    return atoms, tol_ker
+def _kernel_price(p: SDProblem, U, phi_grads):
+    """``price(y, floor)`` over the unit vectors of span U: the top eigenvector
+    v of U^T (sum_i y_i dPhi/dx_i) U, mapped by U, and its column, when the
+    eigenvalue <column, y> exceeds floor + 1e-9 (Helmberg & Rendl, SIAM J.
+    Optim. 10, 2000).  Only entries on rows that U meets are read, as in
+    ``quadforms``; the offer after MAX_OFFERS raises ``NonConvergenceError``."""
+    on = np.flatnonzero(np.any(U != 0.0, axis=1))
+    rows, cols = (on[t] for t in np.triu_indices(len(on)))
+    G = np.array([phi_grads(i, j) for i, j in zip(rows, cols)]).reshape(-1, p.n)
+    offers = 0
+
+    def price(y, floor):
+        nonlocal offers
+        if not len(on):
+            return None
+        D = np.zeros((p.m, p.m))
+        D[rows, cols] = D[cols, rows] = G @ y
+        w, V = eigh(U.T @ D @ U)
+        if w[0] <= floor + 1e-9:  # the simplex's reduced-cost tolerance
+            return None
+        if offers == MAX_OFFERS:
+            raise NonConvergenceError(offers, "kernel pricing offer limit")
+        offers += 1
+        v = U @ V[:, 0]
+        v = v / np.linalg.norm(v)
+        return (None, v), quadforms(p, phi_grads, [v])[0]
+
+    return price
 
 
 def conditions(p: SDProblem, x, A, w, phi_grads, psi_grads, g0, atoms, psi_atoms):
@@ -205,7 +223,11 @@ def conditions(p: SDProblem, x, A, w, phi_grads, psi_grads, g0, atoms, psi_atoms
 
 
 def certify(p: SDProblem, xbar, kappa, seed=42) -> Certificate:
-    """Eigenvector-atom multiplier certificate with the 2*kappa bound."""
+    """Kernel-atom multiplier certificate with the 2*kappa bound, from the
+    exchange loop of ``sip.stationarity_atoms``: it starts from the unit
+    kernel basis U of Phi(xbar) and a +/- atom pair per Psi entry (i, j),
+    column +/-grad Psi_ij and cost 1, so mu_ij = +/-w / c_ij; ``_kernel_price``
+    offers the rest.  ``seed`` is only recorded: nothing is drawn at random."""
     xbar = np.asarray(xbar, dtype=float)
     Abar = p.phi_value(xbar)
     w, V = eigh(Abar)
@@ -214,29 +236,24 @@ def certify(p: SDProblem, xbar, kappa, seed=42) -> Certificate:
         raise InfeasiblePointError(
             f"sigma+ {rep.sigma_plus:.3e}, |Psi|max {rep.psi_max:.3e}")
     g0 = p.grad_objective(xbar)
-    atoms, tol_ker = _kernel_atoms(w, V, seed)
+    tol_ker = _tol_ker(w)
+    basis = [V[:, i] / np.linalg.norm(V[:, i]) for i in range(len(w)) if abs(w[i]) <= tol_ker]
     phi_grads, psi_grads = entry_grads(p.Phi, xbar), entry_grads(p.Psi, xbar)
-    lam_cols = list(quadforms(p, phi_grads, atoms))
-
-    psi_entries = []
-    psi_cols = []
-    psi_costs = []
-    if p.Psi is not None:
-        mP = len(p.Psi)
-        for i in range(mP):
-            for j in range(i, mP):
-                g = psi_grads(i, j)
-                factor = 1.0 if i == j else 2.0
-                psi_entries.append((i, j))
-                psi_cols.append(factor * g)
-                psi_costs.append(factor)
+    atoms, cols = [(None, u) for u in basis], list(quadforms(p, phi_grads, basis))
+    for e in zip(*np.triu_indices(0 if p.Psi is None else len(p.Psi))):
+        atoms += [(e, 1.0), (e, -1.0)]
+        cols += [psi_grads(*e), -psi_grads(*e)]
 
     lam_atoms, mu = [], {}
-    if lam_cols or psi_cols:
-        found = stationarity_atoms(atoms, lam_cols, -g0, psi_entries, psi_cols, psi_costs)
+    if cols:
+        U = np.array(basis).reshape(-1, p.m).T
+        found = stationarity_atoms(atoms, cols, -g0, _kernel_price(p, U, phi_grads))
         if found is None:
             raise NoMultiplierError("stationarity system infeasible over kernel atoms")
-        lam_atoms, mu = found
+        lam_atoms = [(s, wgt) for (e, s), wgt in found if e is None]
+        # the columns of a +/- pair are never both in a simplex basis
+        mu = {e: s * wgt / (1.0 if e[0] == e[1] else 2.0)
+              for (e, s), wgt in found if e is not None}
     elif float(np.linalg.norm(g0)) > TOL_STAT:
         raise NoMultiplierError("no kernel atoms and nonzero objective gradient")
     residual, total = checked(conditions(p, xbar, Abar, w, phi_grads, psi_grads, g0,

@@ -629,44 +629,31 @@ def caratheodory_reduce(atoms, weights, G) -> AtomicMultiplier:
     return AtomicMultiplier(atoms=kept)
 
 
-def stationarity_atoms(atoms, cols, target, lines=(), line_cols=(), line_costs=None,
-                       price=None):
-    """Least-cost multiplier sum_i w_i cols_i + sum_j mu_j line_cols_j = target
-    with w >= 0; None when there is none.
+def stationarity_atoms(atoms, cols, target, price):
+    """Least-cost multiplier sum_i w_i cols_i = target with w >= 0, each atom
+    costing 1 per unit weight; None when there is none.
 
-    An atom costs 1 per unit weight and line j costs ``line_costs[j]``
-    (default 1) per unit of |mu_j|; each line enters the LP as a +/- column
-    pair.  The simplex returns a vertex, so at most len(target) weights are
-    positive: the Caratheodory bound holds with no reduction.  Returns
-    ([(atom, w)], {tuple(line): mu}) over the positive weights, the lines
-    on their + column first.
-
-    With ``price(y, floor)``, which returns an (atom, column) with
-    <column, y> > floor or None, the atoms are a working set grown from the
-    LP duals y: phase 1 minimizes the L1 residual with free atoms (floor 0)
-    until it is 0, then phase 2 the cost (floor 1)."""
+    The atoms are a working set grown from the LP duals y by ``price(y,
+    floor)``, which returns an (atom, column) with <column, y> > floor or
+    None: phase 1 minimizes the L1 residual with free atoms (floor 0) until
+    it is 0, then phase 2 the cost (floor 1).  The simplex returns a vertex,
+    so at most len(target) weights are positive: the Caratheodory bound
+    holds with no reduction.  Returns [(atom, w)] over the positive weights."""
     atoms, cols = list(atoms), list(cols)
-    L = np.array(line_cols).T if len(line_cols) else None
     tol = 1e-9 * (1.0 + float(np.linalg.norm(target)))  # lp_solve's feasibility rule
-    for floor in (0.0, 1.0) if price is not None else (1.0,):
+    for floor in (0.0, 1.0):
         while True:
-            cost = 0.0 if floor == 0.0 else None if line_costs is None else \
-                np.concatenate([np.ones(len(cols)), line_costs])
-            fit = conic_fit(target, np.array(cols).T if cols else None, L, cost=cost,
+            fit = conic_fit(target, np.array(cols).T if cols else None,
+                            cost=0.0 if floor == 0.0 else None,
                             residual=1.0 if floor == 0.0 else None)
-            if fit is None or price is None or (floor == 0.0 and fit.residual <= tol) \
+            if fit is None or (floor == 0.0 and fit.residual <= tol) \
                     or (new := price(fit.y, floor)) is None:
                 break
             atoms.append(new[0])
             cols.append(new[1])
         if fit is None or fit.residual > tol:
             return None
-    l = len(lines)
-    signed = {tuple(t): float(v) for t, v in zip(lines, fit.split[:l]) if v > 0.0}
-    for t, v in zip(lines, fit.split[l:]):
-        if v > 0.0:
-            signed[tuple(t)] = signed.get(tuple(t), 0.0) - float(v)
-    return [(a, float(w)) for a, w in zip(atoms, fit.w) if w > 0.0], signed
+    return [(a, float(w)) for a, w in zip(atoms, fit.w) if w > 0.0]
 
 
 def conditions(p: SIProblem, x, g0, atoms, eq_atoms):
@@ -728,7 +715,7 @@ def certify(p: SIProblem, xbar, kappa, seed=42, density=None) -> Certificate:
             taken.append(new[0])
         return new
 
-    found = stationarity_atoms(taken, [c for _, c in start], -g0, price=fit_price)
+    found = stationarity_atoms(taken, [c for _, c in start], -g0, fit_price)
     if found is None:
         raise NoMultiplierError("no atomic multiplier")
     # kappa after the fit, so no multiplier, no estimate; no estimator notes
@@ -748,8 +735,8 @@ def certify(p: SIProblem, xbar, kappa, seed=42, density=None) -> Certificate:
         kappa_val, kappa_source, _ = resolve_kappa(
             kappa, lambda: sip_kappa_estimate(p, xbar, seed=seed))
         notes = []
-    atoms = [(s, w) for ((e, _, _), s), w in found[0] if e is p.theta]
-    eq_atoms = [(t, sign * w) for ((e, sign, _), t), w in found[0] if e is not p.theta]
+    atoms = [(s, w) for ((e, _, _), s), w in found if e is p.theta]
+    eq_atoms = [(t, sign * w) for ((e, sign, _), t), w in found if e is not p.theta]
     bound_factor = 1.0 if p.psi is None else 2.0
     residual, total = checked(conditions(p, xbar, g0, atoms, eq_atoms))
     comp_worst = max([0.0] + [abs(w * p.theta_at(xbar, s)) for s, w in atoms])

@@ -18,7 +18,7 @@ nonnegative columns), and an active-set descent that holds the equality
 rows exactly moves it to the least norm; on a miss, the nnls residual gives
 the Farkas direction instead.  The one LP, ``conic_fit``, fits the SIP and
 sdp atoms, where a least-cost simplex vertex is the answer: its columns are
-[rays | +lines | -lines | +I | -I], the L1 residual slack +I | -I optional.
+[rays | +I | -I], the L1 residual slack +I | -I optional.
 """
 
 from __future__ import annotations
@@ -284,27 +284,22 @@ def eigh(A):
 @dataclass
 class ConicFit:
     w: np.ndarray  # ray weights
-    split: np.ndarray  # line weights (a, b), as in the columns
     residual: float  # L1 norm of the residual slack
     y: np.ndarray  # duals of the target rows: a column c prices at cost - <c, y>
 
 
-def conic_fit(target, rays, lines=None, cost=None, residual=None):
-    """Least-cost fit  rays w + lines (a - b) [+ r+ - r-] = target, every
-    weight >= 0; None when there is none.
+def conic_fit(target, rays, cost=None, residual=None):
+    """Least-cost fit  rays w [+ r+ - r-] = target, every weight >= 0; None
+    when there is none.
 
-    Generators are columns (None: no block).  ``cost`` prices the rays,
-    then the lines (scalar or per generator, default 1).  ``residual``
-    prices the L1 slack."""
+    ``rays`` are columns (None: none).  ``cost`` prices them (scalar or per
+    ray, default 1).  ``residual`` prices the L1 slack."""
     b = np.asarray(target, dtype=float)
     n = len(b)
-    R, L = (np.zeros((n, 0)) if M is None else np.asarray(M, dtype=float).reshape(n, -1)
-            for M in (rays, lines))
-    r, l = R.shape[1], L.shape[1]
-    price = np.ones(r + l) if cost is None else np.broadcast_to(
-        np.asarray(cost, dtype=float), (r + l,))
-    blocks = [R, L, -L]
-    costs = [price[:r], price[r:], price[r:]]
+    R = np.zeros((n, 0)) if rays is None else np.asarray(rays, dtype=float).reshape(n, -1)
+    r = R.shape[1]
+    blocks = [R]
+    costs = [np.broadcast_to(np.asarray(1.0 if cost is None else cost, dtype=float), (r,))]
     if residual is not None:
         blocks += [np.eye(n), -np.eye(n)]
         costs.append(np.full(2 * n, float(residual)))
@@ -313,8 +308,7 @@ def conic_fit(target, rays, lines=None, cost=None, residual=None):
                              bounds=[(0.0, None)] * len(c)))
     if sol.status != OPTIMAL:
         return None
-    x = sol.x
-    return ConicFit(w=x[:r], split=x[r:r + 2 * l], residual=float(np.sum(x[r + 2 * l:])), y=sol.y)
+    return ConicFit(w=sol.x[:r], residual=float(np.sum(sol.x[r:])), y=sol.y)
 
 
 def nnls(E, f):

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from varcert import sdp, sip
+from varcert import cli, sdp, sip
 from varcert.errors import DimensionTooLargeError, InfeasiblePointError, NoMultiplierError, NotUnitError
 from varcert.sdp import SDProblem, certify, feasibility, grad_quadform, reduce_to_sip
 from varcert.solvers import eigh
@@ -212,3 +213,99 @@ def test_a_sum_of_one_negative_zero_term_is_zero():
     assert grads(0, 0).tobytes() == np.array([-0.0]).tobytes()
     swept = sdp.quadforms(p, grads, [[1.0]])
     assert swept.tobytes() == per_atom_quadform(p, grads, [1.0]).tobytes() == np.zeros(1).tobytes()
+
+
+def _issue(tmp_path, doc, point, *args):
+    """(exit code, certificate document or None) of ``sdp`` on doc at point."""
+    prob, out = tmp_path / "problem.json", tmp_path / "cert.json"
+    prob.write_text(json.dumps(doc), encoding="utf-8")
+    if out.exists():
+        out.unlink()
+    code = cli.run(["sdp", "-p", str(prob), "--point", point, *args, "--out", str(out)])
+    return code, json.loads(out.read_text(encoding="utf-8")) if out.exists() else None
+
+
+def test_a_rank_one_multiplier_off_the_kernel_basis(tmp_path):
+    """Phi = [[x1, x2], [., x3]] at 0 and objective -<v v^T, Phi> with v =
+    (cos pi/8, sin pi/8): Lambda = v v^T is the only multiplier, an extreme
+    ray of the PSD cone that no atom but +/-v represents.  The kernel price
+    finds v."""
+    v = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)])
+    doc = {"kind": "sdp", "n": 3,
+           "objective": f"-{fmt(v[0] ** 2)}*x1 - {fmt(2 * v[0] * v[1])}*x2 - {fmt(v[1] ** 2)}*x3",
+           "constraints": {"Phi": [["x1", "x2"], [None, "x3"]]}}
+    code, cert = _issue(tmp_path, doc, "0,0,0", "--kappa", "10")
+    assert code == 0 and cert["status"] == "VERIFIED"
+    (atom,) = cert["atoms"]
+    s = np.array(atom["s"])
+    assert min(np.linalg.norm(s - v), np.linalg.norm(s + v)) <= 1e-9
+    assert atom["lambda"] == pytest.approx(1.0, abs=1e-9)
+    assert cert["bound"]["lhs"] == pytest.approx(1.0, abs=1e-9)
+    assert cli.run(["recheck", "-p", str(tmp_path / "problem.json"),
+                    "-c", str(tmp_path / "cert.json")]) == 0
+
+
+def kernel_doc(rng, m, k):
+    """Phi(x) = Phi0 + sum_l D_l x_l with Phi0 = Q diag(0_k, -d) Q^T, whose
+    kernel K has dimension k, and the objective whose multiplier is w I on
+    K; n = k(k+1)/2 + 1, so the map from multipliers to gradients is
+    injective for generic D."""
+    n = k * (k + 1) // 2 + 1
+    Q = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    Phi0 = Q @ np.diag(np.concatenate([np.zeros(k), -rng.uniform(0.5, 2.0, m - k)])) @ Q.T
+    D = rng.uniform(-1.0, 1.0, (n, m, m))
+    D = 0.5 * (D + D.transpose(0, 2, 1))
+    K = Q[:, :k]
+    g = -rng.uniform(0.5, 2.0) * np.einsum("ip,lij,jp->l", K, D, K)
+
+    def entry(i, j):
+        return " + ".join([fmt(0.5 * (Phi0[i, j] + Phi0[j, i]))]
+                          + [f"{fmt(D[l, i, j])}*x{l + 1}" for l in range(n)])
+
+    return {"kind": "sdp", "n": n, "objective": " + ".join(
+                f"{fmt(g[l])}*x{l + 1}" for l in range(n)),
+            "constraints": {"Phi": [[entry(i, j) if j >= i else None for j in range(m)]
+                                    for i in range(m)]}}
+
+
+def test_certificate_bytes_do_not_depend_on_the_seed(tmp_path):
+    """Kernels of dimension 2 and 3: no atom is drawn at random, so --seed
+    changes only the recorded seed."""
+    rng = np.random.default_rng(37)
+    for m, k in ((3, 2), (4, 2), (4, 3), (5, 3)):
+        doc = kernel_doc(rng, m, k)
+        point = ",".join(["0"] * doc["n"])
+        certs = []
+        for seed in ("1", "2", "3"):
+            code, cert = _issue(tmp_path, doc, point, "--kappa", "100", "--seed", seed)
+            assert code == 0 and cert["status"] == "VERIFIED", (m, k, cert)
+            assert cert.pop("seed") == int(seed)
+            certs.append(cert)
+        assert certs[0] == certs[1] == certs[2]
+
+
+def test_the_price_reads_no_entry_off_the_kernel_rows(tmp_path, capsys):
+    """Phi[2][2] = -1 - sqrt(x4) has no derivative at x4 = 0, and the
+    kernel of Phi(0) = diag(0, 0, -1) leaves its row out: the price never
+    asks for it.  grad objective has x4-component 1, which no kernel atom
+    reaches: NO_MULTIPLIER, exit 1, and no derivative error."""
+    doc = {"kind": "sdp", "n": 4, "objective": "-x1 - x3 + x4",
+           "constraints": {"Phi": [["x1", "x2", "0"], [None, "x3", "0"],
+                                   [None, None, "-1 - sqrt(x4)"]]}}
+    code, cert = _issue(tmp_path, doc, "0,0,0,0", "--kappa", "10")
+    assert code == 1 and (cert["status"], cert["detail"]) == ("REFUTED", "NO_MULTIPLIER")
+    assert "error" not in capsys.readouterr().err
+
+
+def test_a_price_that_never_stops_hits_the_offer_cap(tmp_path, capsys, monkeypatch):
+    """A price that offers at any floor is cut off after MAX_OFFERS atoms:
+    exit 4 with a numerical error line, and no exception escapes."""
+    real = sdp._kernel_price
+    monkeypatch.setattr(sdp, "_kernel_price", lambda *a: (
+        lambda price: lambda y, floor: price(y, -math.inf))(real(*a)))
+    code, cert = _issue(tmp_path, kernel_doc(np.random.default_rng(4), 3, 2), "0,0,0,0",
+                        "--kappa", "100")
+    assert code == 4 and cert is None
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and f"after {sdp.MAX_OFFERS} " in err
+    assert "Traceback" not in err

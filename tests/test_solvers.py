@@ -232,7 +232,7 @@ def test_lp_solve_mixed_senses_and_bounds_against_scipy():
 
 
 def test_conic_fit_blocks_and_costs():
-    # conv{(0,0), (2,0)} + cone{(0,1)} + span{(1,1)}; columns are generators.
+    # conv{(0,0), (2,0)} + cone{(0,1)}; columns are generators.
     # A vertex is a free ray with a 1 on an extra row sum = 1, the ray a 0.
     R = np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
     free_hull = [1.0, 0.0, 0.0]
@@ -242,12 +242,6 @@ def test_conic_fit_blocks_and_costs():
     assert conic_fit([1.0, -1.0, 1.0], R, cost=free_hull) is None
     fit = conic_fit([1.0, -1.0, 1.0], R, cost=free_hull, residual=10.0)
     assert fit.residual == pytest.approx(1.0) and np.allclose(fit.w[0], 0.0)
-    # a line enters as a +/- column pair (a, b): (-1, 2) = (0, 0) + 3 (0, 1) - (1, 1)
-    fit = conic_fit([-1.0, 2.0, 1.0], R, np.array([[1.0], [1.0], [0.0]]), cost=free_hull + [1.0])
-    assert np.allclose(fit.w, [3.0, 1.0, 0.0]) and np.allclose(fit.split, [0.0, 1.0])
-    # per-generator prices: rays first, then lines
-    fit = conic_fit([2.0], np.array([[1.0, 2.0]]), np.array([[1.0]]), cost=[1.0, 0.25, 5.0])
-    assert np.allclose(fit.w, [0.0, 1.0]) and np.allclose(fit.split, 0.0)
     # two equal columns: the simplex returns a vertex of the 1-norm face w1 + w2 = 2
     twins = np.array([[1.0, 1.0]])
     assert sorted(conic_fit([2.0], twins).w.tolist()) == [0.0, 2.0]
