@@ -60,11 +60,12 @@ FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "log": 1, "sqrt": 1, "abs": 1, "max":
 class Expr:
     """Base class for expression nodes.
 
-    Nodes are immutable after parsing by convention: only the parser builds
-    them, and nothing changes one past ``parse``.  The classes are plain
-    dataclasses, since a frozen one costs about three times as much to build;
-    with ``eq`` and no ``frozen`` a node is unhashable, so nothing can key a
-    cache on one."""
+    Nodes are immutable after parsing, and that is a contract: ``parse``
+    keeps the last 512 trees and returns the same tree to every caller of the
+    same text and names, so a change to one node would reach them all.  Only
+    the parser builds nodes.  The classes are plain dataclasses, since a
+    frozen one costs about three times as much to build; with ``eq`` and no
+    ``frozen`` a node is unhashable, so nothing can key a cache on one."""
 
 
 @dataclass(eq=True)
@@ -126,7 +127,10 @@ class _Parser:
 
     It also keeps ``depth``, the most nodes that are not numbers on a path
     from the node last returned to a leaf, the largest variable index it
-    meets and whether an exponent holds a variable.
+    meets and whether an exponent holds a variable.  A variable or number
+    token that recurs in the text reuses the leaf of its first use
+    (``leaves``), so a kept tree holds each leaf once; nodes are immutable,
+    and no other parse sees that leaf.
     """
 
     def __init__(self, text, declared_vars):
@@ -135,6 +139,7 @@ class _Parser:
         self.i = 0
         # only a name token can be a variable
         self.varmap = {name: k for k, name in enumerate(declared_vars) if name.isidentifier()}
+        self.leaves = {}
         self.depth = 0
         self.variables = 0  # variable nodes built so far
         self.top = -1
@@ -198,7 +203,7 @@ class _Parser:
                 self.top = k
             self.variables += 1
             self.depth = 1
-            return Var(tok, k)
+            return self.leaves.setdefault(tok, Var(tok, k))
         if tok in _OPS or tok == _END:
             if tok == "(":
                 e = self.expr()
@@ -211,7 +216,7 @@ class _Parser:
             raise self.error(i, "expected number, variable, function, or '('")
         if not tok.isidentifier():
             self.depth = 0
-            return Num(float(tok))  # a literal such as 1e999 parses to inf
+            return self.leaves.setdefault(tok, Num(float(tok)))  # a literal such as 1e999 parses to inf
         if tokens[i + 1] != "(":
             raise UnknownVariableError(tok)
         if tok not in FUNCTIONS:
@@ -238,10 +243,21 @@ def parse(text: str, declared_vars) -> Expr:
     (``_nvars``), the largest variable index (``_top``) and whether an
     exponent contains a variable (``_var_power``).  A root-to-leaf path of
     more than 200 nodes that are not numbers is an ``ExprSyntaxError``.
+
+    A ``str`` text over ``str`` names is parsed once per process: the last
+    512 trees are kept by (text, names), and a repeat returns the same tree,
+    so callers share it (see ``Expr``).  Errors are not kept, so a bad text
+    raises afresh on every call; other input is parsed uncached.
     """
     if not text or not text.strip():
         raise ExprSyntaxError(0, "empty expression")
-    names = list(declared_vars)
+    names = tuple(declared_vars)
+    if type(text) is str and all(type(name) is str for name in names):
+        return _parse_kept(text, names)
+    return _parse(text, names)
+
+
+def _parse(text, names):
     parser = _Parser(text, names)
     try:
         root = parser.parse()
@@ -252,6 +268,10 @@ def parse(text: str, declared_vars) -> Expr:
     root._text, root._nvars, root._top = text, len(names), parser.top
     root._var_power = parser.var_power
     return root
+
+
+# the bound re keeps on its compiled patterns, another pure text -> object map
+_parse_kept = functools.lru_cache(maxsize=512)(_parse)
 
 
 def affine_in(e: Expr, n) -> bool:

@@ -41,7 +41,7 @@ from .errors import (
     NotInDomainError,
 )
 from .geometry import TOL_ACTIVE, TOL_FEAS, hull_vertices, minimal_faces
-from .solvers import conic_fit, min_norm_point
+from .solvers import conic_fit, min_norm_point, nnls
 
 MAX_GRID_CELLS = 2 ** 20  # index grid points, checked before any is allocated
 SLOPE_TAU = 0.25  # near-active radius of the slope estimate, in units of sup / ||grad||
@@ -636,12 +636,17 @@ def stationarity_atoms(atoms, cols, target, price):
     The atoms are a working set grown from the LP duals y by ``price(y,
     floor)``, which returns an (atom, column) with <column, y> > floor or
     None: phase 1 minimizes the L1 residual with free atoms (floor 0) until
-    it is 0, then phase 2 the cost (floor 1).  The simplex returns a vertex,
-    so at most len(target) weights are positive: the Caratheodory bound
-    holds with no reduction.  Returns [(atom, w)] over the positive weights."""
+    it is 0, then phase 2 the cost (floor 1).  Phase 1 is skipped when the
+    start columns C already reach the target, ||C nnls(C, target) - target||_1
+    <= tol: that error bounds phase 1's optimum, so its first LP would end it
+    with the same working set.  The simplex returns a vertex, so at most
+    len(target) weights are positive: the Caratheodory bound holds with no
+    reduction.  Returns [(atom, w)] over the positive weights."""
     atoms, cols = list(atoms), list(cols)
     tol = 1e-9 * (1.0 + float(np.linalg.norm(target)))  # lp_solve's feasibility rule
-    for floor in (0.0, 1.0):
+    C = np.array(cols, dtype=float).reshape(len(cols), len(target)).T
+    reached = np.abs(C @ nnls(C, target) - target).sum() <= tol
+    for floor in (1.0,) if reached else (0.0, 1.0):
         while True:
             fit = conic_fit(target, np.array(cols).T if cols else None,
                             cost=0.0 if floor == 0.0 else None,

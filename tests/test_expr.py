@@ -92,9 +92,11 @@ SYNTAX_ERRORS = [
 
 @pytest.mark.parametrize("text, position, message", SYNTAX_ERRORS, ids=[t for t, _, _ in SYNTAX_ERRORS])
 def test_syntax_errors_are_positioned(text, position, message):
-    with pytest.raises(ExprSyntaxError) as exc:
-        expr.parse(text, ["x1", "x2"])
-    assert (exc.value.position, exc.value.message) == (position, message)
+    """Errors are not memoized: a second call raises afresh, at the same place."""
+    for _ in range(2):
+        with pytest.raises(ExprSyntaxError) as exc:
+            expr.parse(text, ["x1", "x2"])
+        assert (exc.value.position, exc.value.message) == (position, message)
 
 
 def test_a_chain_too_deep_to_write_as_source_is_a_syntax_error():
@@ -275,9 +277,10 @@ def test_smoothmap_identity_and_jacobian():
 
 
 def test_compiled_closures_live_on_the_expression():
-    """No closure is compiled any more, and nothing else is kept either:
-    evaluating many parsed expressions grows no module-level container, and
-    an expression is freed once its caller drops it."""
+    """No closure is compiled any more, and the one thing kept is bounded:
+    evaluating many parsed expressions grows no module-level container, the
+    parse memo holds at most 512 trees, and a tree it has let go is freed
+    once its caller drops it too."""
     import gc
     import weakref
 
@@ -288,13 +291,17 @@ def test_compiled_closures_live_on_the_expression():
     before = container_sizes()
     for i in range(200):
         e = expr.parse(f"x1 * {i} + x2", ["x1", "x2"])
+        if i == 0:
+            first = weakref.ref(e)
         assert expr.evaluate(e, [1.0, 2.0]) == i + 2.0
         assert list(expr.grad(e, [1.0, 2.0])) == [i, 1.0]
     assert container_sizes() == before
-    ref = weakref.ref(e)
     del e
+    for i in range(512):
+        expr.parse(f"x2 - x1 / {i + 1000}", ["x1", "x2"])
+    assert expr._parse_kept.cache_info().currsize <= 512
     gc.collect()
-    assert ref() is None
+    assert first() is None
 
 
 def test_a_literal_past_the_float_range_is_inf():
@@ -347,19 +354,24 @@ EDGE_CASES = ["1e999*x1", "-x1^2", "x1^-1", "--x1", "x1", "3", "(x2)",
               "max(abs(min(x1, -x2)), max(x1^2, abs(-3)))", "min(max(x1, 2), abs(x2 - 1e999))"]
 
 
-def test_the_parser_keeps_the_depth_and_top_of_each_tree():
-    """Over the golden problems, the grammar fuzz of the tier tests and edge
-    cases, the parser's depth is the tree's deepest path of nodes that are
-    not numbers, and its largest variable index that of the tree."""
+def parse_corpus():
+    """(text, declared names) over the golden problems, the grammar fuzz of
+    the tier tests and the edge cases."""
     texts = golden_expressions()
     assert len(texts) > 50
     rng = random.Random(20261018)
     for _ in range(300):
         n = rng.randint(1, 4)
         texts.append((random_text(rng, n, rng.randint(1, 6)), [f"x{i + 1}" for i in range(n)]))
-    texts += [(t, ["x1", "x2"]) for t in EDGE_CASES]
+    return texts + [(t, ["x1", "x2"]) for t in EDGE_CASES]
+
+
+def test_the_parser_keeps_the_depth_and_top_of_each_tree():
+    """Over the parse corpus, the parser's depth is the tree's deepest path of
+    nodes that are not numbers, and its largest variable index that of the
+    tree."""
     depths = set()
-    for text, names in texts:
+    for text, names in parse_corpus():
         e = expr.parse(text, names)
         parser = expr._Parser(text, names)
         parser.parse()
@@ -370,9 +382,9 @@ def test_the_parser_keeps_the_depth_and_top_of_each_tree():
 
 
 def test_nodes_are_unhashable_and_unchanged_by_use():
-    """Nodes are immutable after parsing by convention, not by ``frozen``:
-    a tree compares equal to a fresh parse after walks, Dual passes and a
-    grid scan, and no node is hashable, so nothing keys a cache on one."""
+    """Nodes are immutable after parsing by contract, not by ``frozen``: a
+    tree compares equal to a fresh, unmemoized parse after walks, Dual passes
+    and a grid scan, and no node is hashable, so nothing keys a cache on one."""
     texts = ["sin(x1)*x2^2 - max(x1, x2)/3", "exp(x1 - x2) + abs(x2) - log(2 + x1^2)",
              "-(x1 + 2)^3 + sqrt(1 + x2^2)*min(x1, 0.5)"]
     names = ["x1", "x2"]
@@ -388,6 +400,51 @@ def test_nodes_are_unhashable_and_unchanged_by_use():
         for e in f.components:
             expr.evaluate_grid(e, (np.linspace(-1.0, 1.0, 6), np.linspace(0.0, 1.0, 6)))
     for e, text in zip(f.components, texts):
-        assert e == expr.parse(text, names)
+        assert e == expr._parse(text, tuple(names))
         with pytest.raises(TypeError):
             hash(e)
+
+
+def test_the_parse_memo_returns_the_tree_a_fresh_parse_builds():
+    """A repeated parse returns the kept tree, and that tree equals one built
+    by the unmemoized parser, root attributes included, over the parse
+    corpus."""
+    for text, names in parse_corpus():
+        e = expr.parse(text, names)
+        assert expr.parse(text, list(names)) is e, text
+        fresh = expr._parse(text, tuple(names))
+        assert fresh is not e and fresh == e, text
+        for attr in ("_text", "_nvars", "_top", "_var_power"):
+            assert getattr(fresh, attr) == getattr(e, attr), (text, attr)
+
+
+def test_a_recurring_leaf_is_one_node_of_its_own_tree():
+    """A recurring variable or number is one node within its tree and no
+    other: "x1" alone over one name and over two are two roots, each with
+    its own declared count."""
+    e = expr.parse("x1*2 + x1*2", ["x1"])
+    assert e.lhs is not e.rhs and e.lhs.lhs is e.rhs.lhs and e.lhs.rhs is e.rhs.rhs
+    assert expr.parse("x1*2", ["x1"]).lhs is not e.lhs.lhs
+    one, two = expr.parse("x1", ["x1"]), expr.parse("x1", ["x1", "x2"])
+    assert one is not two and (one._nvars, two._nvars) == (1, 2)
+
+
+@pytest.mark.parametrize("text, names, error, message", [
+    (None, ["x1"], ExprSyntaxError, "syntax error at position 0: empty expression"),
+    (0, ["x1"], ExprSyntaxError, "syntax error at position 0: empty expression"),
+    (b"", ["x1"], ExprSyntaxError, "syntax error at position 0: empty expression"),
+    ("", None, ExprSyntaxError, "syntax error at position 0: empty expression"),
+    (5, ["x1"], AttributeError, "'int' object has no attribute 'strip'"),
+    (["x1"], ["x1"], AttributeError, "'list' object has no attribute 'strip'"),
+    (b"x1", ["x1"], TypeError, "cannot use a string pattern on a bytes-like object"),
+    ("x1", None, TypeError, "'NoneType' object is not iterable"),
+    ("x1", [1], AttributeError, "'int' object has no attribute 'isidentifier'"),
+    ("x1", [["x1"]], AttributeError, "'list' object has no attribute 'isidentifier'"),
+])
+def test_input_that_is_not_text_raises_as_before_the_memo(text, names, error, message):
+    """A text or name that is not a str bypasses the memo and raises what
+    parse raised before there was one, every time."""
+    for _ in range(2):
+        with pytest.raises(error) as exc:
+            expr.parse(text, names)
+        assert type(exc.value) is error and str(exc.value) == message

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varcert import cli, solvers
+from varcert import cli, expr, solvers
 from varcert.certify import ConstrainedProblem, dual_certificate
 from varcert.expr import SmoothMap
 from varcert.funcspace import PLQFunction
@@ -68,6 +68,22 @@ def test_golden_certificate(case, tmp_path):
     assert code == case["exit"]
     assert text == expected_text(case)
     assert recheck == case["recheck"]
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c["args"] is not None],
+                         ids=[c["name"] for c in CASES if c["args"] is not None])
+def test_a_warm_parse_memo_gives_the_same_bytes(case, tmp_path):
+    """The case issued and rechecked twice in one process, from a cleared
+    parse memo and then from the trees it kept, gives the same certificate
+    bytes and exit codes."""
+    cold_dir, warm_dir = tmp_path / "cold", tmp_path / "warm"
+    cold_dir.mkdir()
+    warm_dir.mkdir()
+    expr._parse_kept.cache_clear()
+    cold = issue(case, cold_dir)
+    assert expr._parse_kept.cache_info().currsize > 0
+    assert issue(case, warm_dir) == cold
+    assert cold == (case["exit"], expected_text(case), case["recheck"])
 
 
 def recheck_edited(case, edit, tmp_path):

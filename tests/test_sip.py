@@ -930,3 +930,17 @@ def test_the_affine_kappa_bounds_every_sampled_ratio_of_linear_sips(monkeypatch)
         assert max(ratios) <= cert.kappa, p.theta._text
         if p.n == 1:
             assert max(ratios) * (1.0 + sip.KAPPA_MARGIN) == pytest.approx(cert.kappa, rel=1e-12)
+
+
+@pytest.mark.parametrize("objective, eq_mu", [("x1", -1.0), ("2*x1", -2.0)])
+def test_identical_theta_and_psi_texts_keep_their_families(objective, eq_mu):
+    """theta and psi with the same text are parsed over different names
+    (s1 against t1), so they are two trees and certify tells theta's atoms
+    from psi's: grad = 1 or 2 needs mu < 0, which only psi's atoms carry."""
+    p = SIProblem.from_strings(1, objective, theta="x1", S=[(0.0, 1.0)], psi="x1", T=[(0.0, 1.0)])
+    assert p.theta is not p.psi and p.theta == p.psi
+    cert = certify(p, [0.0], kappa=10.0)
+    assert (cert.status, cert.kind, cert.atoms) == ("VERIFIED", "SIP-EQ", [])
+    (t, mu), = cert.eq_atoms
+    assert mu == pytest.approx(eq_mu, abs=1e-12) and 0.0 <= t[0] <= 1.0
+    assert cert.residual <= 1e-9
