@@ -148,12 +148,12 @@ def verdict(residual, lhs, rhs, tol_stat, tol_bound):
     """(status, detail) of a dual certificate, by the ladder RESIDUAL ->
     KAPPA_UNAVAILABLE -> BOUND_EXCEEDED -> VERIFIED shared by nlp, sip and
     sdp.  ``rhs`` is None when no kappa is available; the bound lhs <= rhs
-    has a tolerance relative to rhs."""
-    if residual > tol_stat:
+    has a tolerance relative to rhs.  A NaN residual, lhs or rhs fails its rung."""
+    if not residual <= tol_stat:
         return INCONCLUSIVE, "RESIDUAL"
     if rhs is None:
         return INCONCLUSIVE, "KAPPA_UNAVAILABLE"
-    if not lhs <= rhs + tol_bound * (1.0 + rhs):  # a NaN rhs fails
+    if not lhs <= rhs + tol_bound * (1.0 + rhs):
         return REFUTED, "BOUND_EXCEEDED"
     return VERIFIED, None
 

@@ -472,7 +472,8 @@ def _cmd_subderiv(args):
     out = {
         "point": [float(v) for v in x],
         "direction": u,
-        "analytic": analytic.value if math.isfinite(analytic.value) else None,
+        "analytic": analytic.value
+        if analytic.mode == "analytic" and math.isfinite(analytic.value) else None,
         "sampled": sampled.value if math.isfinite(sampled.value) else None,
         "spread": sampled.diagnostics.get("spread"),
         "tool_version": __version__,

@@ -14,6 +14,7 @@ candidate direction converges to the nominal one.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from . import geometry as geo
 from .errors import (
     DimensionMismatchError,
     InconclusiveError,
+    KinkWarning,
     NonconvexUnsupportedError,
     NotInDomainError,
     NumericalBreakdownError,
@@ -517,7 +519,12 @@ def _analytic_subderivative(fn, x, u):
     if isinstance(fn, SmoothFn):
         if not math.isfinite(fn.value(x)):
             raise NotInDomainError("point outside the smooth function domain")
-        return float(fn.gradient(x) @ u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", KinkWarning)
+            try:
+                return float(fn.gradient(x) @ u)
+            except KinkWarning:  # at an abs at 0 or a max or min tie: one branch's
+                return None
     if isinstance(fn, IndicatorFn):
         if not fn.P.contains(x):
             raise NotInDomainError("point outside the indicator domain")

@@ -106,7 +106,7 @@ def feasibility(p: SDProblem, x) -> FeasibilityReport:
 
 def _feasibility(p: SDProblem, x, w):
     """The report for the eigenvalues w of Phi(x), in descending order."""
-    sigma_plus = max(0.0, float(w[0]))
+    sigma_plus = float(np.maximum(0.0, w[0]))  # NaN, not 0, for a NaN eigenvalue
     psi_max = 0.0
     B = p.psi_value(np.asarray(x, dtype=float))
     if B is not None:
@@ -204,7 +204,7 @@ def conditions(p: SDProblem, x, A, w, phi_grads, psi_grads, g0, atoms, psi_atoms
         f"infeasible point: sigma+ {rep.sigma_plus:.3e}, |Psi|max {rep.psi_max:.3e}"]
     tol_ker = _tol_ker(w)
     for s, lam in atoms:
-        if abs(float(np.linalg.norm(s)) - 1.0) > TOL_UNIT:
+        if not abs(float(np.linalg.norm(s)) - 1.0) <= TOL_UNIT:  # NaN fails
             return failures + ["atom is not a unit vector"], math.inf, math.inf
         if lam < -1e-12:
             failures.append("negative atom weight")

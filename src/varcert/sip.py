@@ -633,32 +633,33 @@ def stationarity_atoms(atoms, cols, target, price):
     """Least-cost multiplier sum_i w_i cols_i = target with w >= 0, each atom
     costing 1 per unit weight; None when there is none.
 
-    The atoms are a working set grown from the LP duals y by ``price(y,
-    floor)``, which returns an (atom, column) with <column, y> > floor or
-    None: phase 1 minimizes the L1 residual with free atoms (floor 0) until
-    it is 0, then phase 2 the cost (floor 1).  Phase 1 is skipped when the
-    start columns C already reach the target, ||C nnls(C, target) - target||_1
-    <= tol: that error bounds phase 1's optimum, so its first LP would end it
-    with the same working set.  The simplex returns a vertex, so at most
-    len(target) weights are positive: the Caratheodory bound holds with no
-    reduction.  Returns [(atom, w)] over the positive weights."""
+    The working set C grows by ``price(y, floor)``, which returns an (atom,
+    column) with <column, y> > floor or None.  While the nnls residual r =
+    target - C nnls(C, target) exceeds tol in the 1-norm and shrinks, r /
+    ||r||_inf prices at floor 0; C^T r <= 0 < <target, r> = ||r||^2, so when
+    it prices nothing there is no fit (Lawson & Hanson, 1974, ch. 23).  Then
+    ``conic_fit``'s duals price: its fit's at floor 1, its Farkas direction's
+    at floor 0, whose gain is first order where r's is second (r stalls near
+    an sdp target on the kernel cone's boundary).  A simplex vertex has at
+    most len(target) positive weights; w <= 1e-12 sum(w) is roundoff, dropped."""
     atoms, cols = list(atoms), list(cols)
     tol = 1e-9 * (1.0 + float(np.linalg.norm(target)))  # lp_solve's feasibility rule
-    C = np.array(cols, dtype=float).reshape(len(cols), len(target)).T
-    reached = np.abs(C @ nnls(C, target) - target).sum() <= tol
-    for floor in (1.0,) if reached else (0.0, 1.0):
-        while True:
-            fit = conic_fit(target, np.array(cols).T if cols else None,
-                            cost=0.0 if floor == 0.0 else None,
-                            residual=1.0 if floor == 0.0 else None)
-            if fit is None or (floor == 0.0 and fit.residual <= tol) \
-                    or (new := price(fit.y, floor)) is None:
+    last = np.inf
+    while True:
+        C = np.array(cols, dtype=float).reshape(len(cols), len(target)).T
+        r = target - C @ nnls(C, target)
+        miss = np.abs(r).sum()
+        fresh, last = tol < miss < last, miss  # nnls used what r priced last
+        new = price(r / np.abs(r).max(), 0.0) if fresh else None
+        if new is None:
+            fit = conic_fit(target, C)  # no fit after a fresh r: r separates
+            new = None if fit.w is None and fresh else price(fit.y, 0.0 if fit.w is None else 1.0)
+            if new is None:
                 break
-            atoms.append(new[0])
-            cols.append(new[1])
-        if fit is None or fit.residual > tol:
-            return None
-    return [(a, float(w)) for a, w in zip(atoms, fit.w) if w > 0.0]
+        atoms.append(new[0])
+        cols.append(new[1])
+    return None if fit.w is None else \
+        [(a, float(w)) for a, w in zip(atoms, fit.w) if w > 1e-12 * fit.w.sum()]
 
 
 def conditions(p: SIProblem, x, g0, atoms, eq_atoms):
@@ -666,16 +667,16 @@ def conditions(p: SIProblem, x, g0, atoms, eq_atoms):
     gradient g0 there.
 
     The conditions: each atom (s, lambda) has lambda >= 0, s in the box S and
-    theta(x, s) ~ 0; each equality atom (t, mu) has psi(x, t) ~ 0.  residual
-    is ||g0 + sum lambda grad_x theta(x,s) + sum mu grad_x psi(x,t)|| and lhs
-    is sum lambda + sum |mu|."""
+    theta(x, s) ~ 0; each equality atom (t, mu) has t in the box T and
+    psi(x, t) ~ 0.  residual is ||g0 + sum lambda grad_x theta(x,s) + sum mu
+    grad_x psi(x,t)|| and lhs is sum lambda + sum |mu|."""
     failures = []
     resid = g0.copy()
     total = 0.0
     for s, w in atoms:
         if w < -1e-12:
             failures.append("negative atom weight")
-        if any(v < lo - 1e-9 or v > hi + 1e-9 for v, (lo, hi) in zip(s, p.S)):
+        if not all(lo - 1e-9 <= v <= hi + 1e-9 for v, (lo, hi) in zip(s, p.S)):  # NaN fails
             failures.append("atom outside the index box")
         val = p.theta_at(x, s)
         if val < -1e-5 or val > 1e-6:
@@ -683,6 +684,8 @@ def conditions(p: SIProblem, x, g0, atoms, eq_atoms):
         resid = resid + w * p.grad_x_theta(x, s)
         total += w
     for t, m in eq_atoms:
+        if not all(lo - 1e-9 <= v <= hi + 1e-9 for v, (lo, hi) in zip(t, p.T)):
+            failures.append("equality atom outside the index box")
         if abs(p.psi_at(x, t)) > 1e-6:
             failures.append("equality atom violated at the point")
         resid = resid + m * p.grad_x_psi(x, t)

@@ -17,8 +17,8 @@ kappa ||v|| speaks of: nnls finds a fit (a free line is a +/- pair of
 nonnegative columns), and an active-set descent that holds the equality
 rows exactly moves it to the least norm; on a miss, the nnls residual gives
 the Farkas direction instead.  The one LP, ``conic_fit``, fits the SIP and
-sdp atoms, where a least-cost simplex vertex is the answer: its columns are
-[rays | +I | -I], the L1 residual slack +I | -I optional.
+sdp atoms at least cost, where a simplex vertex is the answer, or gives
+phase 1's Farkas direction (``sip.stationarity_atoms``).
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class LPProblem:
 class LPSolution:
     status: str
     x: np.ndarray = None
-    y: np.ndarray = None  # dual values for the given rows
+    y: np.ndarray = None  # dual values for the given rows (INFEASIBLE: phase 1's)
     objective: float = None
     iterations: int = 0
 
@@ -181,7 +181,8 @@ def _simplex_loop(T, basis, allowed, obj_row):
 
 
 def lp_solve(p: LPProblem) -> LPSolution:
-    """Two-phase primal simplex with Bland's anti-cycling rule."""
+    """Two-phase primal simplex with Bland's anti-cycling rule.  INFEASIBLE carries
+    phase 1's duals y: for A x = b, x >= 0, the Farkas direction A^T y <= 0 < <b, y>."""
     if not (np.all(np.isfinite(p.A)) and np.all(np.isfinite(p.b)) and np.all(np.isfinite(p.c))):
         raise ValueError("LP data must be finite")
     M, r, cost, const, to_x, flip, n_user_rows = _standardize(p)
@@ -207,7 +208,8 @@ def lp_solve(p: LPProblem) -> LPSolution:
     status, it1 = _simplex_loop(T, basis, allowed, mrows)
     phase1 = -T[mrows, -1]
     if phase1 > 1e-9 * (1.0 + float(np.linalg.norm(r))):
-        return LPSolution(status=INFEASIBLE, iterations=it1)
+        y = (flip * (1.0 - T[mrows, ncols:ncols + mrows]))[:n_user_rows]  # artificials: 1 - y
+        return LPSolution(status=INFEASIBLE, y=y, iterations=it1)
 
     # drive artificials out of the basis; drop redundant rows
     keep = list(range(mrows))
@@ -283,32 +285,18 @@ def eigh(A):
 
 @dataclass
 class ConicFit:
-    w: np.ndarray  # ray weights
-    residual: float  # L1 norm of the residual slack
-    y: np.ndarray  # duals of the target rows: a column c prices at cost - <c, y>
+    w: np.ndarray  # ray weights, None when no fit exists
+    y: np.ndarray  # target-row duals: a ray c prices at 1 - <c, y>; Farkas when w is None
 
 
-def conic_fit(target, rays, cost=None, residual=None):
-    """Least-cost fit  rays w [+ r+ - r-] = target, every weight >= 0; None
-    when there is none.
-
-    ``rays`` are columns (None: none).  ``cost`` prices them (scalar or per
-    ray, default 1).  ``residual`` prices the L1 slack."""
+def conic_fit(target, rays):
+    """Least-cost fit  rays w = target, every weight >= 0 and costing 1 per
+    unit.  ``rays`` are columns."""
     b = np.asarray(target, dtype=float)
-    n = len(b)
-    R = np.zeros((n, 0)) if rays is None else np.asarray(rays, dtype=float).reshape(n, -1)
-    r = R.shape[1]
-    blocks = [R]
-    costs = [np.broadcast_to(np.asarray(1.0 if cost is None else cost, dtype=float), (r,))]
-    if residual is not None:
-        blocks += [np.eye(n), -np.eye(n)]
-        costs.append(np.full(2 * n, float(residual)))
-    c = np.concatenate(costs)
-    sol = lp_solve(LPProblem(c=c, A=np.hstack(blocks), b=b, senses=["="] * n,
-                             bounds=[(0.0, None)] * len(c)))
-    if sol.status != OPTIMAL:
-        return None
-    return ConicFit(w=sol.x[:r], residual=float(np.sum(sol.x[r:])), y=sol.y)
+    R = np.asarray(rays, dtype=float).reshape(len(b), -1)
+    sol = lp_solve(LPProblem(c=np.ones(R.shape[1]), A=R, b=b, senses=["="] * len(b),
+                             bounds=[(0.0, None)] * R.shape[1]))
+    return ConicFit(w=sol.x, y=sol.y)
 
 
 def nnls(E, f):

@@ -15,7 +15,7 @@ from varcert.errors import InfeasiblePointError, NoMultiplierError
 from varcert.expr import SmoothMap
 from varcert.funcspace import PLQFunction, SmoothFn, plq_abs
 from varcert.geometry import Polyhedron
-from varcert.solvers import LPProblem, OPTIMAL, conic_fit, lp_solve
+from varcert.solvers import LPProblem, OPTIMAL, lp_solve
 
 
 def orthant_problem(obj="-x1 - x2"):
@@ -401,8 +401,13 @@ def test_primal_and_kkt_agree_on_a_plq_objective():
             # v in cone(dom) + conv(grads): the hull weights sum to 1 on an extra row
             cols = np.vstack([np.hstack([dom.T, np.array(grads).T]),
                               np.r_[np.zeros(len(dom)), np.ones(len(grads))]])
-            hull = conic_fit(np.append(v, 1.0), cols, cost=0.0, residual=1.0)
-            assert hull.residual <= 1e-9 * (1.0 + np.linalg.norm(v)), trial
+            # the least L1 residual of a fit: columns [cols | I | -I], the slack costing 1
+            (r, k), eye = cols.shape, np.eye(len(cols))
+            hull = lp_solve(LPProblem(c=np.r_[np.zeros(k), np.ones(2 * r)],
+                                      A=np.hstack([cols, eye, -eye]), b=np.append(v, 1.0),
+                                      senses=["="] * r, bounds=[(0.0, None)] * (k + 2 * r)))
+            assert hull.status == OPTIMAL, trial
+            assert hull.objective <= 1e-9 * (1.0 + np.linalg.norm(v)), trial
             continue
         d = primal.descent_witness
         assert np.array_equal(d, kkt.descent_witness) and np.max(np.abs(d)) == 1.0, trial

@@ -347,6 +347,20 @@ def test_subderiv_command(tmp_path):
     assert rep["sampled"] == pytest.approx(-1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("direction", ["-1", "1"])
+def test_subderiv_at_a_kink_has_no_analytic_value(direction, tmp_path):
+    """abs(x1) at 0: the gradient there is one branch's, so there is no
+    analytic value; the sampled one is 1 in either direction."""
+    prob = write_problem(tmp_path, {"kind": "nlp", "n": 1, "objective": "abs(x1)",
+                                    "constraints": {"f": ["x1"],
+                                                    "Theta": {"A_ineq": [[1]], "b_ineq": [1]}}})
+    out = str(tmp_path / "sd.json")
+    assert cli.run(["subderiv", "-p", prob, "--point", "0",
+                    "--direction", direction, "--out", out]) == 0
+    rep = json.loads(open(out).read())
+    assert rep["analytic"] is None and rep["sampled"] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_console_script_entry():
     proc = subprocess.run([sys.executable, "-m", "varcert.cli"],
                           capture_output=True, text=True)

@@ -121,6 +121,61 @@ def test_recheck_refutes_sdp_atom_just_off_the_unit_sphere(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def recheck_forged(problem, args, edit, tmp_path):
+    """(issue exit, recheck exit) of the certificate that ``args`` issue on
+    ``problem``, rechecked after ``edit(doc)``."""
+    code, text, _ = issue({"problem": problem, "args": args}, tmp_path)
+    cert = json.loads(text)
+    edit(cert)
+    (tmp_path / "cert.json").write_text(json.dumps(cert), encoding="utf-8")
+    return code, cli.run(["recheck", "-p", str(tmp_path / "problem.json"),
+                          "-c", str(tmp_path / "cert.json")])
+
+
+def test_recheck_refutes_a_psi_atom_outside_T(tmp_path, capsys):
+    """psi = x1*t1 on T = [0, 0] has no multiplier for -x1 at 0.  An atom at
+    t = 1 would give one, but t = 1 lies outside T: exit 1."""
+    problem = {"kind": "sip", "n": 1, "objective": "-x1",
+               "constraints": {"psi": "x1*t1", "T": [[0, 0]]}}
+
+    def edit(cert):
+        forged_verified("bound", "kappa", 1)(cert)
+        cert["eq_atoms"] = [{"t": [1], "mu": 1}]
+    assert recheck_forged(problem, ["sip", "--point", "0", "--kappa", "1"], edit,
+                          tmp_path) == (1, 1)
+    err = capsys.readouterr().err
+    assert "recheck failure: equality atom outside the index box" in err.splitlines()
+    assert "Traceback" not in err
+
+
+def test_recheck_refutes_a_nan_sdp_atom(tmp_path, capsys):
+    """Phi = -I has no kernel, so -x1 has no multiplier at 0.  An atom s =
+    (NaN, 0) passes no comparison, so the unit check must read it as
+    failing: exit 1."""
+    problem = {"kind": "sdp", "n": 1, "objective": "-x1",
+               "constraints": {"Phi": [["-1", "0"], [None, "-1"]]}}
+
+    def edit(cert):
+        forged_verified("bound", "kappa", 1)(cert)
+        cert["atoms"] = [{"s": [math.nan, 0.0], "lambda": 1.0}]
+    assert recheck_forged(problem, ["sdp", "--point", "0", "--kappa", "1"], edit,
+                          tmp_path) == (1, 1)
+    err = capsys.readouterr().err
+    assert "recheck failure: atom is not a unit vector" in err.splitlines()
+    assert "Traceback" not in err
+
+
+def test_recheck_refutes_a_nan_point(tmp_path, capsys):
+    """sdp_readme at x = NaN: sigma^+ is NaN, not 0, so the point is not
+    feasible: exit 1."""
+    def edit(cert):
+        cert["point"] = [math.nan]
+    assert recheck_edited(by_name("sdp_readme"), edit, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "recheck failure: infeasible point: sigma+ nan, |Psi|max 0.000e+00" in err.splitlines()
+    assert "Traceback" not in err
+
+
 def test_recheck_of_a_failing_descent_witness_is_inconclusive(tmp_path, capsys):
     """The nlp_primal_refuted witness (-1, -1) rechecks to exit 1; negated to
     (1, 1) it neither descends nor stays in the linearized cone, which shows

@@ -245,6 +245,25 @@ def test_a_rank_one_multiplier_off_the_kernel_basis(tmp_path):
                     "-c", str(tmp_path / "cert.json")]) == 0
 
 
+def test_rank_one_multipliers_on_a_two_dimensional_kernel():
+    """Phi(x) = diag(0, 0, -1) + sum_l D_l x_l with small integer D_l, and the
+    objective -<v v^T, Phi> with v = (cos pi/8, sin pi/8, 0): Lambda = v v^T
+    is a multiplier on the boundary of the kernel's PSD cone.  Near it the
+    nnls residual's gain is second order and stalls; the LP's Farkas
+    direction carries the loop to v, so every instance is VERIFIED with
+    sum(lambda) <= trace(v v^T) = 1 to the bound tolerance 1e-6."""
+    rng = np.random.default_rng(1)
+    v = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8), 0.0])
+    for trial in range(40):
+        D = [(lambda B: B + B.T)(rng.integers(-2, 3, size=(3, 3)).astype(float)) for _ in range(4)]
+        Phi = [[" + ".join([fmt(-1.0 if i == j == 2 else 0.0)]
+                           + [f"({fmt(d[i, j])})*x{l + 1}" for l, d in enumerate(D)])
+                if j >= i else None for j in range(3)] for i in range(3)]
+        objective = " + ".join(f"({fmt(-(v @ d @ v))})*x{l + 1}" for l, d in enumerate(D))
+        cert = certify(SDProblem.from_strings(4, objective, Phi), np.zeros(4), kappa=10.0)
+        assert cert.status == "VERIFIED" and cert.bound_lhs <= 1.0 + 1e-6, trial
+
+
 def kernel_doc(rng, m, k):
     """Phi(x) = Phi0 + sum_l D_l x_l with Phi0 = Q diag(0_k, -d) Q^T, whose
     kernel K has dimension k, and the objective whose multiplier is w I on

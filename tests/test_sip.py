@@ -151,16 +151,131 @@ def test_certify_no_multiplier_by_sign():
 def test_flat_face_takes_one_atom_at_the_far_corner(monkeypatch):
     """theta = s1*x1 + s2*x2 on [0,1]^2, objective -x1-x2 at 0: every index is
     active and lambda = 1 at s = (1, 1) is the least multiplier.  The
-    exchange loop finds it from 3 LPs of at most 2 columns (the seed at the
-    polished argmax, then the corner)."""
+    exchange loop finds it from one LP of 2 columns: the nnls residual of the
+    seed at the polished argmax prices the corner, and the LP's duals price
+    nothing more."""
     widths = []
     real = sip.conic_fit
-    monkeypatch.setattr(sip, "conic_fit", lambda target, rays, *a, **k: widths.append(
-        0 if rays is None else np.shape(rays)[1]) or real(target, rays, *a, **k))
+    monkeypatch.setattr(sip, "conic_fit", lambda target, rays: widths.append(
+        np.shape(rays)[1]) or real(target, rays))
     p = SIProblem.from_strings(2, "-x1 - x2", theta="s1*x1 + s2*x2", S=[(0.0, 1.0), (0.0, 1.0)])
     cert = certify(p, [0.0, 0.0], kappa=2.0)
     assert (cert.status, cert.atoms, cert.bound_lhs) == ("VERIFIED", [([1.0, 1.0], 1.0)], 1.0)
-    assert widths == [1, 2, 2]
+    assert widths == [2]
+
+
+def test_the_readme_fixture_takes_one_lp(monkeypatch):
+    """theta = s1*x1 on [0, 1], objective -x1 at 0: the seed's gradient is 0,
+    its nnls residual prices s = 1, and one LP fits lambda = 1 there."""
+    calls = []
+    real = solvers.lp_solve
+    monkeypatch.setattr(solvers, "lp_solve", lambda lp: calls.append(lp) or real(lp))
+    cert = certify(linear_sip(), [0.0], kappa="estimate")
+    assert (cert.status, cert.atoms) == ("VERIFIED", [([1.0], 1.0)])
+    assert len(calls) == 1
+
+
+def test_a_tiny_target_prices_from_its_normalized_residual():
+    """theta = 0.2*s1*x1 on [0, 1], objective -3e-9*x1 at 0: the residual r =
+    3e-9 of the seed prices s = 1 at <0.2, r / |r|> = 0.2.  Unscaled, <0.2,
+    r> = 6e-10 is below the pricing floor 1e-9, and nothing would fit."""
+    p = SIProblem.from_strings(1, "-3e-9*x1", theta="0.2*s1*x1", S=[(0.0, 1.0)])
+    cert = certify(p, [0.0], kappa=10.0)
+    assert cert.status == "VERIFIED"
+    (s, lam), = cert.atoms
+    assert s == [1.0] and lam == pytest.approx(1.5e-8, rel=1e-9)
+
+
+def _pool_price(pool, taken=(), offers=None):
+    """``price(y, floor)`` over the columns of ``pool``: the best <c, y> >
+    floor + 1e-9 among columns neither ``taken`` nor offered yet, as (index,
+    column).  Each call's (y, floor) goes to ``offers``."""
+    offered = np.isin(np.arange(pool.shape[1]), taken)
+
+    def price(y, floor):
+        if offers is not None:
+            offers.append((np.array(y), floor))
+        scores = np.where(offered, -np.inf, y @ pool)
+        j = int(np.argmax(scores))
+        if scores[j] <= floor + 1e-9:
+            return None
+        offered[j] = True
+        return j, pool[:, j].copy()
+
+    return price
+
+
+def _two_phase_atoms(atoms, cols, target, price):
+    """The exchange loop that ``stationarity_atoms`` replaced, as reference:
+    phase 1 minimizes the L1 residual over [C | I | -I] at zero atom cost
+    and prices its duals at floor 0 until the residual is 0, then phase 2
+    minimizes sum(w) over C and prices at floor 1."""
+    atoms, cols, n = list(atoms), list(cols), len(target)
+    tol = 1e-9 * (1.0 + float(np.linalg.norm(target)))
+    for floor in (0.0, 1.0):
+        while True:
+            C = np.array(cols, dtype=float).reshape(len(cols), n).T
+            slack = np.eye(n)[:, :n if floor == 0.0 else 0]
+            A = np.hstack([C, slack, -slack])
+            cost = np.r_[np.full(C.shape[1], floor), np.ones(A.shape[1] - C.shape[1])]
+            sol = solvers.lp_solve(solvers.LPProblem(c=cost, A=A, b=target, senses=["="] * n,
+                                                     bounds=[(0.0, None)] * len(cost)))
+            if sol.status != solvers.OPTIMAL:
+                return None
+            w, residual = sol.x[:C.shape[1]], float(np.sum(sol.x[C.shape[1]:]))
+            if (floor == 0.0 and residual <= tol) or (new := price(sol.y, floor)) is None:
+                break
+            atoms.append(new[0])
+            cols.append(new[1])
+        if residual > tol:
+            return None
+    return [(a, float(x)) for a, x in zip(atoms, w) if x > 0.0]
+
+
+def _exchange_instances():
+    """Seeded (target, pool, start) triples: a target in the pool's cone on
+    even trials, a free one on odd trials, from 0 to 2 start columns."""
+    rng = np.random.default_rng(40)
+    for trial in range(120):
+        n, k = int(rng.integers(2, 5)), int(rng.integers(2, 13))
+        pool = rng.normal(size=(n, k))
+        if trial % 2 == 0:
+            weights = np.where(rng.uniform(size=k) < 0.4, rng.uniform(0.1, 2.0, size=k), 0.0)
+            target = pool @ weights
+        else:
+            target = rng.normal(size=n)
+        yield trial, target, pool, list(range(int(rng.integers(0, 3))))[:k]
+
+
+def test_one_loop_agrees_with_the_two_phase_loop():
+    """Over seeded targets and pools, stationarity_atoms and the two-phase
+    loop agree on fit versus None and on the least sum(w)."""
+    fits = 0
+    for trial, target, pool, start in _exchange_instances():
+        ours, ref = (loop(start, [pool[:, j] for j in start], target, _pool_price(pool, start))
+                     for loop in (sip.stationarity_atoms, _two_phase_atoms))
+        assert (ours is None) == (ref is None), trial
+        if ours is not None:
+            fits += 1
+            total = sum(w for _, w in ours)
+            assert total == pytest.approx(sum(w for _, w in ref), rel=1e-9, abs=1e-12), trial
+            assert np.allclose(sum(w * pool[:, j] for j, w in ours), target, atol=1e-8), trial
+    assert 60 < fits < 120
+
+
+def test_no_fit_leaves_the_farkas_direction_it_priced_from():
+    """When stationarity_atoms returns None, its last floor-0 price was a
+    Farkas direction d, r / ||r||_inf for the nnls residual r or the LP's:
+    <c, d> <= 1e-9 for every pool column and <target, d> > 0."""
+    misses = 0
+    for trial, target, pool, _ in _exchange_instances():
+        offers = []
+        if sip.stationarity_atoms([], [], target, _pool_price(pool, offers=offers)) is not None:
+            continue
+        misses += 1
+        d = [y for y, floor in offers if floor == 0.0][-1]
+        assert (d @ pool <= 1e-9).all() and target @ d > 0.0, trial
+    assert misses > 10
 
 
 def test_a_tiny_gradient_gets_its_large_multiplier():

@@ -233,18 +233,35 @@ def test_lp_solve_mixed_senses_and_bounds_against_scipy():
 
 def test_conic_fit_blocks_and_costs():
     # conv{(0,0), (2,0)} + cone{(0,1)}; columns are generators.
-    # A vertex is a free ray with a 1 on an extra row sum = 1, the ray a 0.
+    # A vertex is a ray with a 1 on an extra row sum = 1, the ray a 0.
     R = np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
-    free_hull = [1.0, 0.0, 0.0]
-    fit = conic_fit([1.0, 3.0, 1.0], R, cost=free_hull)
-    assert np.allclose(fit.w, [3.0, 0.5, 0.5]) and fit.residual == 0.0
-    # below the hull: no exact fit, but an L1 residual slack of 1
-    assert conic_fit([1.0, -1.0, 1.0], R, cost=free_hull) is None
-    fit = conic_fit([1.0, -1.0, 1.0], R, cost=free_hull, residual=10.0)
-    assert fit.residual == pytest.approx(1.0) and np.allclose(fit.w[0], 0.0)
+    fit = conic_fit([1.0, 3.0, 1.0], R)
+    assert np.allclose(fit.w, [3.0, 0.5, 0.5])
+    # below the hull: no fit, and phase 1's duals separate the target from the rays
+    miss = conic_fit([1.0, -1.0, 1.0], R)
+    assert miss.w is None and (R.T @ miss.y <= 1e-9).all() and miss.y @ [1.0, -1.0, 1.0] > 0.0
     # two equal columns: the simplex returns a vertex of the 1-norm face w1 + w2 = 2
     twins = np.array([[1.0, 1.0]])
     assert sorted(conic_fit([2.0], twins).w.tolist()) == [0.0, 2.0]
+
+
+def test_an_infeasible_lp_carries_a_farkas_direction():
+    """R w = b, w >= 0 with no solution: lp_solve's y has R^T y <= 1e-9 (the
+    reduced-cost tolerance) and <b, y> > 0; a solvable system keeps its
+    optimal duals."""
+    rng = np.random.default_rng(40)
+    infeasible = 0
+    for trial in range(200):
+        n, k = int(rng.integers(1, 5)), int(rng.integers(0, 8))
+        R, b = rng.normal(size=(n, k)), rng.normal(size=n)
+        sol = lp_solve(LPProblem(c=np.ones(k), A=R, b=b, senses=["="] * n,
+                                 bounds=[(0.0, None)] * k))
+        if sol.status == solvers.INFEASIBLE:
+            infeasible += 1
+            assert (R.T @ sol.y <= 1e-9).all() and b @ sol.y > 0.0, trial
+        else:
+            assert sol.status == solvers.OPTIMAL and (R.T @ sol.y <= 1.0 + 1e-9).all(), trial
+    assert 50 < infeasible < 200
 
 
 def _pivot_loop(T, basis, row, col):
