@@ -19,7 +19,6 @@ questions, which is exact too, and Abadie and MSQC are sampled.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 
@@ -28,12 +27,11 @@ import numpy as np
 from . import geometry as geo
 from .errors import (
     DimensionMismatchError,
-    KinkWarning,
     NonconvexUnsupportedError,
     NotInDomainError,
     NumericalBreakdownError,
 )
-from .expr import SmoothMap
+from .expr import Jet, SmoothMap
 from .funcspace import (
     INF,
     DistanceFn,
@@ -132,7 +130,7 @@ class Composite:
             pieces = self.dom_theta_pieces()
             self._coderivative = None
             if pieces is not None and len(pieces) == 1:
-                self._coderivative = coderivative_of(self.f, self.xbar, pieces[0], self.ybar)
+                self._coderivative = coderivative_of(self.f.jet(self.xbar), pieces[0], self.ybar)
         return self._coderivative
 
     def dist_dom(self, y):
@@ -715,24 +713,21 @@ def coderivative_constant(J, P: Polyhedron, ybar, rows=None):
     return math.sqrt(max(best, 0.0)), y
 
 
-def coderivative_of(f: SmoothMap, xbar, P: Polyhedron, ybar, rows=None):
-    """``coderivative_constant(f'(xbar), P, ybar, rows)`` where the criterion
-    applies.
+def coderivative_of(jet: Jet, P: Polyhedron, ybar, rows=None):
+    """``coderivative_constant(J, P, ybar, rows)`` for the Jacobian J of
+    ``jet`` (``SmoothMap.jet`` at xbar) where the criterion applies.
 
-    None when the Jacobian at xbar passes a kink (an abs at 0 or a max or
-    min tie, which emits KinkWarning): the criterion needs f strictly
-    differentiable at xbar, and at a kink J is one branch's.  Off its ties
-    each abs, max and min keeps one branch near xbar.  None too when
-    ybar does not project onto P (free when ybar lies in P exactly): a P
-    with no point to rounding, such as a slab nonempty only within
-    TOL_FEAS, has no normal cone to read, and the sampled checks, whose
-    projections fail alike, report it."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", KinkWarning)
-        try:
-            J = f.jacobian(xbar)
-        except KinkWarning:
-            return None
+    None when the Jacobian passes a kink (an abs at 0 or a max or min tie,
+    which ``jacobian`` warns as a KinkWarning; ``jet.kinks`` lists them, so
+    J is not read): the criterion needs f strictly differentiable at xbar,
+    and at a kink J is one branch's.  Off its ties each abs, max and min
+    keeps one branch near xbar.  None too when ybar does not project onto P
+    (free when ybar lies in P exactly): a P with no point to rounding, such
+    as a slab nonempty only within TOL_FEAS, has no normal cone to read, and
+    the sampled checks, whose projections fail alike, report it."""
+    if jet.kinks:
+        return None
+    J = jet.jacobian()
     try:
         project(P, ybar)
     except NumericalBreakdownError:

@@ -85,13 +85,15 @@ class Certificate:
 
 
 def _check_feasible(p: ConstrainedProblem, x):
+    """(x as floats, the jet of f at x, which holds f(x) and J(x)), when
+    f(x) lies in Theta."""
     x = np.asarray(x, dtype=float)
-    y = p.f.eval(x)
-    if not p.Theta.contains(y):
+    jet = p.f.jet(x)
+    if not p.Theta.contains(jet.values):
         raise InfeasiblePointError(
-            f"f(x) violates Theta by {p.Theta.residual(y):.3e}"
+            f"f(x) violates Theta by {p.Theta.residual(jet.values):.3e}"
         )
-    return x, y
+    return x, jet
 
 
 def _objective_gradients(p: ConstrainedProblem, x):
@@ -213,12 +215,13 @@ def descent_conditions(p: ConstrainedProblem, y, J, grads, d):
 
 
 def _fit(p: ConstrainedProblem, xbar, kind, seed):
-    """(certificate, objective gradients, f(xbar)): the lam of least Euclidean norm in
-    N_Theta(ybar) with J^T lam = -g and bound_lhs ||lam||, no status yet; or
-    REFUTED, when there is none, with least_norm_multiplier's Farkas
-    direction at max-norm 1 as descent_witness and its descent as residual."""
-    xbar, ybar = _check_feasible(p, xbar)
-    J = p.f.jacobian(xbar)
+    """(certificate, objective gradients, jet of f at xbar): the lam of least
+    Euclidean norm in N_Theta(ybar) with J^T lam = -g and bound_lhs ||lam||,
+    no status yet; or REFUTED, when there is none, with
+    least_norm_multiplier's Farkas direction at max-norm 1 as descent_witness
+    and its descent as residual."""
+    xbar, jet = _check_feasible(p, xbar)
+    ybar, J = jet.values, jet.jacobian()
     act, E = p.Theta.active_rows(ybar), p.Theta.A_eq
     r, l = len(act), len(E)
     grads, obj_kind = _objective_gradients(p, xbar)
@@ -242,14 +245,14 @@ def _fit(p: ConstrainedProblem, xbar, kind, seed):
         d = fit[:p.n] / float(np.max(np.abs(fit[:p.n])))
         (descent,) = checked(descent_conditions(p, ybar, J, grads, d))
         return replace(cert, status=REFUTED, descent_witness=d, residual=descent,
-                       notes=[f"descent slope {-descent:.3e} along the witness"]), grads, ybar
+                       notes=[f"descent slope {-descent:.3e} along the witness"]), grads, jet
     z, lam = fit
     grad_used = grads[0] if cols is None else cols[:-1] @ z[r + 2 * l:]
     ab, gen_weights = z[r:r + 2 * l], np.zeros(p.Theta.A_ineq.shape[0])
     gen_weights[act] = z[:r]
     residual, lhs = checked(kkt_conditions(p, ybar, J, grad_used, lam, gen_weights, ab))
     return replace(cert, multipliers=lam, generator_weights=gen_weights,
-                   eq_weights=ab if l else None, residual=residual, bound_lhs=lhs), grads, ybar
+                   eq_weights=ab if l else None, residual=residual, bound_lhs=lhs), grads, jet
 
 
 def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42) -> Certificate:
@@ -259,12 +262,12 @@ def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42) -> 
     is asserted, the coderivative criterion's c > 0 gives the computed
     kappa = (1 + KAPPA_MARGIN) / c, just above reg F = 1/c (1 for c = inf),
     with no sampling; otherwise ``msqc_estimate`` samples it."""
-    cert, grads, ybar = _fit(p, xbar, "DualKKT", seed)
+    cert, grads, jet = _fit(p, xbar, "DualKKT", seed)
     if cert.descent_witness is not None:
         raise NoMultiplierError("stationarity system infeasible: not dual-stationary",
                                 witness=cert.descent_witness)
     found = None if isinstance(kappa, (int, float)) else \
-        calc.coderivative_of(p.f, cert.point, p.Theta, ybar, p.Theta.active_rows(ybar))
+        calc.coderivative_of(jet, p.Theta, jet.values, p.Theta.active_rows(jet.values))
     if found is not None and found[0] > 0.0:
         kappa_val = (1.0 + calc.KAPPA_MARGIN) / found[0] if np.isfinite(found[0]) else 1.0
         kappa_source, notes = KAPPA_COMPUTED, [calc.criterion_note(found[0])]

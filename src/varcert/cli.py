@@ -44,7 +44,6 @@ from .errors import (
 from .expr import SmoothMap
 from .funcspace import IndicatorFn, SmoothFn, subderivative, subderivative_sampled
 from .geometry import Polyhedron
-from .solvers import eigh
 
 EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
@@ -325,7 +324,8 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
     # the bound scale is ||grad objective||, doubled for sip with psi and for sdp
     if kind == "nlp":
         p = build_nlp(prob_doc)
-        y, J, g = p.f.eval(x), p.f.jacobian(x), p.objective.gradient(x)
+        jet = p.f.jet(x)
+        y, J, g = jet.values, jet.jacobian(), p.objective.gradient(x)
         witness = cert_doc.get("descent_witness")
         if witness is not None:  # a descent direction shows REFUTED, whatever the status
             failures, _ = certify.descent_conditions(p, y, J, [g], np.array(witness, dtype=float))
@@ -363,14 +363,12 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
         scale = (1.0 if p.psi is None else 2.0) * float(np.linalg.norm(g))
     elif kind == "sdp":
         p = build_sdp(prob_doc)
-        A = p.phi_value(x)
+        phi, psi = p.tables(x)
         atoms = [(np.array(a["s"], dtype=float), float(a["lambda"]))
                  for a in cert_doc.get("atoms", [])]
         psi_atoms = [(_psi_entry(a["t"], p), float(a["mu"])) for a in cert_doc.get("eq_atoms", [])]
         g = p.grad_objective(x)
-        failures, residual, lhs = sdp_mod.conditions(
-            p, x, A, eigh(A)[0], sdp_mod.entry_grads(p.Phi, x), sdp_mod.entry_grads(p.Psi, x),
-            g, atoms, psi_atoms)
+        failures, residual, lhs = sdp_mod.conditions(phi, psi, g, atoms, psi_atoms)
         scale = 2.0 * float(np.linalg.norm(g))
     else:
         raise CliError(f"recheck does not support problem kind {kind!r}")

@@ -21,11 +21,14 @@ Values and derivatives come from one walk of the parse tree (``_walk``),
 which goes down it with floats, ``Dual`` numbers or numpy grids.  A gradient
 or Jacobian is one pass on ``Dual`` numbers whose tangents are the rows of I:
 numpy arrays, or the float 1.0 at width 1 (vector forward mode, Griewank &
-Walther, *Evaluating Derivatives*, 2nd ed., section 3.2).  Each entry sees
-the float operations of a pass per coordinate in their order; the kink
-warnings are replayed once per further coordinate.  An expression with an
-exponent that contains a variable takes one pass per coordinate with float
-tangents, since Dual's power rule branches per tangent there.
+Walther, *Evaluating Derivatives*, 2nd ed., section 3.2).  The pass carries
+each value with its tangents, so a ``Jet`` gives both from one pass.  Each
+entry sees the float operations of a pass per coordinate in their order; the
+pass records its kink warnings and errors, and they are warned and raised
+when a gradient is read, replayed once per further coordinate.  An
+expression with an exponent that contains a variable takes one pass per
+coordinate with float tangents, since Dual's power rule branches per tangent
+there.
 
 The power operator is restricted: integer exponents >= 0 work for any
 base, otherwise the base must be positive.
@@ -38,6 +41,7 @@ bound keeps the walk's own recursion shallow.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import re
@@ -324,9 +328,11 @@ _KINK_MESSAGES = {"abs": "abs at 0: using identity-branch derivative",
 
 
 def _kink(message, replay=None):
-    """Warn of a kink; every pass warns from here, so filters see one location."""
-    warnings.warn(KinkWarning(message))
-    if replay is not None:
+    """Warn of a kink, or append its message to the list ``replay`` to be
+    warned later; every warning comes from here, so filters see one location."""
+    if replay is None:
+        warnings.warn(KinkWarning(message))
+    else:
         replay.append(message)
 
 
@@ -383,12 +389,12 @@ class _Shim:
 
     A Dual's tangent is a float, or an array of tangents for a pass at width
     n (see ``_tangent_pass``), which sees per entry the float operations of a
-    pass at width 1.  Each KinkWarning's message is also appended to
-    ``replay`` when it is a list.
+    pass at width 1.  When ``replay`` is a list, each KinkWarning's message
+    is appended to it instead of warned.
     """
 
-    def __init__(self, replay=None):
-        self.replay = replay
+    def __init__(self):
+        self.replay = None
 
     @staticmethod
     def div(a, b):
@@ -581,55 +587,156 @@ def _unit_rows(n):
     return tuple(eye)
 
 
-def _tangent_pass(components, xs, var_power):
-    """Per component, its gradient at the float point ``xs`` from one Dual
-    pass whose tangents are the rows of I (the float 1.0 at width 1): an
-    array, or a float that every entry shares.
+# what a Dual pass raises: a value or a derivative outside the domain or the float range
+_PASS_ERRORS = (_DomainViolation,) + _ARITH_ERRORS
+_GRAD_DOMAIN = "derivative requested outside the expression domain"
+_JACOBIAN_DOMAIN = "Jacobian requested outside a component domain"
+_FLOATS = contextlib.nullcontext()  # the pass at width 1, whose tangents are floats
 
-    Per entry it does the float operations of one pass per coordinate, so the
-    bits, errors and KinkWarnings are theirs: an error depends on values only
-    and ends the first pass too, and the kinks, which values alone decide, are
-    replayed after the pass n - 1 times, in the order of passes 2..n.  An
-    exponent that contains a variable branches per tangent (``_Shim.pw``), so
-    when ``var_power`` says a component has one, one pass per coordinate
-    runs.  Raises what the expressions raise.
+
+def _tangent_pass(components, x):
+    """One Dual pass over ``components`` at the point x, which warns and
+    raises nothing: (values, G, notes).
+
+    values[k] is ``evaluate_flagged(components[k], x)``'s value: the value
+    that the pass carries, or a float walk's where the pass raised.  Row k of
+    G is component k's gradient (zeros where the pass raised), from tangents
+    that are the rows of I, or the float 1.0 at width 1.  Per entry the pass
+    does the float operations of one pass per coordinate, so the bits are
+    theirs.  An exponent that contains a variable branches per tangent
+    (``_Shim.pw``), so a component with one takes one pass per coordinate
+    with float tangents.
+
+    ``notes`` maps each component that met a kink or an error to (kinks,
+    error).  kinks[j] lists the KinkWarning messages of the j-th pass per
+    coordinate, up to the error, and error is the class raised, or None.
+    Without a variable exponent, kinks and errors depend on values only:
+    every pass meets the first one's kinks, and an error ends the first pass.
     """
+    v = tuple(x)
+    xs = [float(t) for t in v]
     n = len(xs)
-    if n == 1:  # the pass per coordinate itself
-        duals = (Dual(xs[0], 1.0),)
-        outs = [_walk(c, duals, _SHIM) for c in components]
-    elif var_power:
-        J = np.zeros((len(components), n))
-        for j in range(n):
-            duals = tuple(Dual(xi, 1.0 if i == j else 0.0) for i, xi in enumerate(xs))
-            for k, c in enumerate(components):
-                out = _walk(c, duals, _SHIM)
-                J[k, j] = out.dot if isinstance(out, Dual) else 0.0
-        return list(J)
-    else:
-        kinks = []
-        shim = _Shim(kinks)
-        duals = tuple(map(Dual, xs, _unit_rows(n)))
-        with np.errstate(all="ignore"):  # an overflow gives inf, as on floats
-            outs = [_walk(c, duals, shim) for c in components]
-        for message in kinks * (n - 1):
+    duals = (Dual(xs[0], 1.0),) if n == 1 else tuple(map(Dual, xs, _unit_rows(n)))
+    shim = _Shim()
+    values, G, notes = [], np.zeros((len(components), n)), {}
+    with np.errstate(all="ignore") if n > 1 else _FLOATS:  # an overflow gives inf, as on floats
+        for k, c in enumerate(components):
+            _check_dim(c, v)
+            if n > 1 and c._var_power:
+                out, kinks, error = _passes_per_coordinate(c, xs, G[k])
+            else:
+                shim.replay = met = []
+                error = None
+                try:
+                    out = _walk(c, duals, shim)
+                except _PASS_ERRORS as exc:
+                    error = type(exc)
+                else:
+                    if type(out) is Dual:
+                        G[k] = out.dot
+                kinks = [met] * (n if error is None else 1)
+            if error is None:
+                val = out.val if type(out) is Dual else out
+                values.append(val if val == val else math.inf)
+            else:
+                with np.errstate(all="ignore"):  # v may hold numpy floats
+                    values.append(evaluate_flagged(c, v)[0])
+            if error is not None or any(kinks):
+                notes[k] = (kinks, error)
+    return values, G, notes
+
+
+def _passes_per_coordinate(c, xs, row):
+    """(the value the passes carry, the kinks of each, the error class or
+    None) of c, one pass per coordinate; the gradient goes into ``row``."""
+    shim, kinks = _Shim(), []
+    for j in range(len(xs)):
+        shim.replay = met = []
+        kinks.append(met)
+        try:
+            out = _walk(c, tuple(Dual(xi, 1.0 if i == j else 0.0) for i, xi in enumerate(xs)), shim)
+        except _PASS_ERRORS as exc:
+            return None, kinks, type(exc)
+        if type(out) is Dual:
+            row[j] = out.dot
+    return out, kinks, None
+
+
+def _read(note, domain):
+    """Warn the kinks of a note (kinks, error), pass by pass, and raise its
+    error, which ``domain`` names when the point is outside the domain."""
+    kinks, error = note
+    for met in kinks:
+        for message in met:
             _kink(message)
-    return [out.dot if isinstance(out, Dual) else 0.0 for out in outs]
+    if error is not None:
+        raise NotInDomainError(domain if error is _DomainViolation else "derivative overflow")
+
+
+class Jet:
+    """Values and gradients of expressions at one point, from one Dual pass
+    (``_tangent_pass``), which warns and raises nothing itself.
+
+    ``values[k]`` is ``evaluate_flagged``'s value of component k at the
+    point.  Gradients are read in one of two ways.  ``gradients`` and
+    ``gradient`` read rows as ``grad`` would: a row's KinkWarnings on its
+    first read, and ``grad``'s NotInDomainError at every read of a row
+    without a gradient.  ``jacobian`` reads all rows as
+    ``SmoothMap.jacobian`` always has, in the order of the passes per
+    coordinate.  ``kinks`` lists the messages that ``jacobian`` warns before
+    it returns or raises.
+    """
+
+    def __init__(self, components, x):
+        values, self.G, self._notes = _tangent_pass(components, x)
+        self.values = np.array(values)
+        self._unread = dict(self._notes)
+
+    def gradients(self, ks):
+        """Rows ks of G, read in the order of ks."""
+        if self._unread:
+            for k in ks:
+                self._read_row(k)
+        return self.G[ks]
+
+    def gradient(self, k):
+        """Row k of G, read."""
+        if self._unread:
+            self._read_row(k)
+        return self.G[k]
+
+    def _read_row(self, k):
+        note = self._unread.get(k)
+        if note is not None:
+            _read(note, _GRAD_DOMAIN)
+            del self._unread[k]
+
+    def _in_pass_order(self):
+        """The note of all rows: the kinks of the passes per coordinate, in
+        their order up to the first error, as one list; that error, or None."""
+        messages = []
+        for j in range(self.G.shape[1]):
+            for kinks, error in self._notes.values():
+                if j < len(kinks):
+                    messages += kinks[j]
+                    if error is not None and j == len(kinks) - 1:
+                        return [messages], error
+        return [messages], None
+
+    @property
+    def kinks(self):
+        return self._in_pass_order()[0][0] if self._notes else []
+
+    def jacobian(self) -> np.ndarray:
+        """G, the Jacobian, itself."""
+        if self._notes:
+            _read(self._in_pass_order(), _JACOBIAN_DOMAIN)
+        return self.G
 
 
 def grad(e: Expr, x) -> np.ndarray:
-    """Exact forward-mode gradient: one vector-tangent Dual pass
-    (``_tangent_pass``)."""
-    _check_dim(e, x)
-    xs = [float(xj) for xj in x]
-    try:
-        (dot,) = _tangent_pass([e], xs, e._var_power)
-    except _DomainViolation:
-        raise NotInDomainError("derivative requested outside the expression domain")
-    except _ARITH_ERRORS:
-        raise NotInDomainError("derivative overflow")
-    # a copy: the tangent may be a shared row of I
-    return np.array(dot if type(dot) is np.ndarray else [dot] * len(xs))
+    """Exact forward-mode gradient: one Dual pass (``Jet``)."""
+    return Jet([e], x).gradient(0)
 
 
 class SmoothMap:
@@ -661,21 +768,14 @@ class SmoothMap:
         v = tuple(x)
         return np.array([evaluate_flagged(c, v)[0] for c in self.components])
 
-    def jacobian(self, x) -> np.ndarray:
-        """One vector-tangent Dual pass over every component
-        (``_tangent_pass``)."""
+    def jet(self, x) -> Jet:
+        """The value and the Jacobian at x from one Dual pass: its ``values``
+        are ``eval(x)`` and its ``jacobian()`` is ``jacobian(x)``."""
         self._check(x)
-        xs = [float(xi) for xi in x]
-        try:
-            J = np.zeros((self.m, self.n))
-            var_power = any(c._var_power for c in self.components)
-            for k, dot in enumerate(_tangent_pass(self.components, xs, var_power)):
-                J[k] = dot
-            return J
-        except _DomainViolation:
-            raise NotInDomainError("Jacobian requested outside a component domain")
-        except _ARITH_ERRORS:
-            raise NotInDomainError("derivative overflow")
+        return Jet(self.components, x)
+
+    def jacobian(self, x) -> np.ndarray:
+        return self.jet(x).jacobian()
 
 
 class _NpShim:

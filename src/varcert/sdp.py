@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cached_property
 
 import numpy as np
 
@@ -73,23 +73,40 @@ class SDProblem:
     def grad_objective(self, x):
         return expr_mod.grad(self.objective, x)
 
+    def tables(self, x):
+        """The ``EntryTable`` of Phi and of Psi (None without Psi) at x."""
+        return EntryTable(self.Phi, x), None if self.Psi is None else EntryTable(self.Psi, x)
+
     def phi_value(self, x) -> np.ndarray:
-        return _values(self.Phi, x)
-
-    def psi_value(self, x) -> np.ndarray:
-        return None if self.Psi is None else _values(self.Psi, x)
+        return EntryTable(self.Phi, x).matrix
 
 
-def _values(M, x):
-    """The symmetric matrix of the expression grid M's values at x, read from
-    its upper triangle; x becomes a tuple once, which every entry shares."""
-    m = len(M)
-    A = np.zeros((m, m))
-    v = tuple(x)
-    for i in range(m):
-        for j in range(i, m):
-            A[i, j] = A[j, i] = expr_mod.evaluate(M[i][j], v)
-    return A
+def _entry(m, i, j):
+    """The index of entry (i, j), i <= j, in the row-major upper triangle of
+    an m x m grid; elementwise on index arrays."""
+    return i * (2 * m - i + 1) // 2 + j - i
+
+
+class EntryTable(expr_mod.Jet):
+    """The expression grid M at x: one Dual pass over its upper-triangle
+    entries in row-major order (``expr.Jet``), which gives the symmetric
+    ``matrix`` M(x) and, through ``gradients``, each entry's gradient."""
+
+    def __init__(self, M, x):
+        m = len(M)
+        rows, cols = np.triu_indices(m)
+        super().__init__([M[i][j] for i, j in zip(rows, cols)], np.asarray(x, dtype=float))
+        self.m, self.rows, self.cols = m, rows, cols
+        self.matrix = np.zeros((m, m))
+        self.matrix[rows, cols] = self.matrix[cols, rows] = self.values
+
+    @cached_property
+    def spectrum(self):
+        """``eigh`` of the matrix; NaN eigenvalues and no eigenvectors when
+        it holds a non-finite entry, which LAPACK cannot take."""
+        if np.isfinite(self.matrix).all():
+            return eigh(self.matrix)
+        return np.full(self.m, np.nan), None
 
 
 @dataclass
@@ -100,52 +117,44 @@ class FeasibilityReport:
 
 
 def feasibility(p: SDProblem, x) -> FeasibilityReport:
-    """sigma^+(Phi(x)) from the eigensolver plus the max-entry norm of Psi(x)."""
-    return _feasibility(p, x, eigh(p.phi_value(np.asarray(x, dtype=float)))[0])
+    """sigma^+(Phi(x)) from the eigensolver (NaN when Phi(x) holds a
+    non-finite entry) plus the max-entry norm of Psi(x)."""
+    return _feasibility(*p.tables(x))
 
 
-def _feasibility(p: SDProblem, x, w):
-    """The report for the eigenvalues w of Phi(x), in descending order."""
-    sigma_plus = float(np.maximum(0.0, w[0]))  # NaN, not 0, for a NaN eigenvalue
-    psi_max = 0.0
-    B = p.psi_value(np.asarray(x, dtype=float))
-    if B is not None:
-        psi_max = float(np.max(np.abs(B)))
+def _feasibility(phi, psi):
+    """The report from the tables of Phi and Psi (None without Psi) at x."""
+    sigma_plus = float(np.maximum(0.0, phi.spectrum[0][0]))  # NaN, not 0, for a NaN eigenvalue
+    psi_max = 0.0 if psi is None else float(np.max(np.abs(psi.values)))
     return FeasibilityReport(sigma_plus=sigma_plus, psi_max=psi_max,
                              feasible=sigma_plus <= TOL_FEAS and psi_max <= TOL_FEAS)
 
 
-def entry_grads(M, x):
-    """(i, j) -> expr.grad of M[i][j] at x, each computed on first use."""
-    x = np.asarray(x, dtype=float)
-    return cache(lambda i, j: expr_mod.grad(M[i][j], x))
-
-
 def grad_quadform(p: SDProblem, x, s) -> np.ndarray:
     """j-th component <s, (dPhi/dx_j)(x) s>, via entrywise expression gradients."""
-    return quadforms(p, entry_grads(p.Phi, x), [s])[0]
+    return quadforms(EntryTable(p.Phi, x), [s])[0]
 
 
-def quadforms(p: SDProblem, phi_grads, atoms) -> np.ndarray:
-    """Row k: grad <s, Phi s> at the point of the ``entry_grads`` table
-    ``phi_grads``, for s = atoms[k], a unit vector.
+def quadforms(phi: EntryTable, atoms) -> np.ndarray:
+    """Row k: grad <s, Phi s> at the point of the table ``phi``, for
+    s = atoms[k], a unit vector.
 
     One sweep over the upper-triangle entries serves every atom.  Each row
     sums weight * grad over the entries in row-major order, skipping a zero
-    weight, and an entry's gradient is computed only when some atom weighs it.
+    weight.  Only the rows of entries that some atom weighs are read from
+    the table, in entry order, so only their kinks warn and only their
+    missing derivatives raise.
     """
-    S = np.array(atoms, dtype=float).reshape(len(atoms), p.m)
+    S = np.array(atoms, dtype=float).reshape(len(atoms), phi.m)
     for s in S:
         if abs(float(np.linalg.norm(s)) - 1.0) > TOL_UNIT:
             raise NotUnitError(f"atom has norm {np.linalg.norm(s):.12f}")
-    rows, cols = np.triu_indices(p.m)
+    rows, cols = phi.rows, phi.cols
     weights = S[:, rows] * S[:, cols] * np.where(rows == cols, 1.0, 2.0)
     live_atoms, live_entries = np.nonzero(weights)
-    grads = np.zeros((len(rows), p.n))
-    for e in np.unique(live_entries):
-        grads[e] = phi_grads(int(rows[e]), int(cols[e]))
-    terms = np.zeros((len(S), len(rows), p.n))
-    terms[live_atoms, live_entries] = weights[live_atoms, live_entries, None] * grads[live_entries]
+    read, at = np.unique(live_entries, return_inverse=True)
+    terms = np.zeros((len(S), len(rows), phi.G.shape[1]))
+    terms[live_atoms, live_entries] = weights[live_atoms, live_entries, None] * phi.gradients(read)[at]
     # a zero-weight term is 0.0, which leaves a partial sum started at 0.0
     # unchanged (such a sum is never -0.0); accumulate starts at the first
     # term instead, which can only turn a final 0.0 into -0.0, and + 0.0
@@ -158,22 +167,23 @@ def _tol_ker(w):
     return 1e-7 * (1.0 + float(np.max(np.abs(w))) if len(w) else 1.0)
 
 
-def _kernel_price(p: SDProblem, U, phi_grads):
+def _kernel_price(phi: EntryTable, U):
     """``price(y, floor)`` over the unit vectors of span U: the top eigenvector
     v of U^T (sum_i y_i dPhi/dx_i) U, mapped by U, and its column, when the
     eigenvalue <column, y> exceeds floor + 1e-9 (Helmberg & Rendl, SIAM J.
-    Optim. 10, 2000).  Only entries on rows that U meets are read, as in
-    ``quadforms``; the offer after MAX_OFFERS raises ``NonConvergenceError``."""
+    Optim. 10, 2000).  Only the table rows of entries on rows that U meets
+    are read, once, as in ``quadforms``; the offer after MAX_OFFERS raises
+    ``NonConvergenceError``."""
     on = np.flatnonzero(np.any(U != 0.0, axis=1))
     rows, cols = (on[t] for t in np.triu_indices(len(on)))
-    G = np.array([phi_grads(i, j) for i, j in zip(rows, cols)]).reshape(-1, p.n)
+    G = phi.gradients(_entry(phi.m, rows, cols))
     offers = 0
 
     def price(y, floor):
         nonlocal offers
         if not len(on):
             return None
-        D = np.zeros((p.m, p.m))
+        D = np.zeros((phi.m, phi.m))
         D[rows, cols] = D[cols, rows] = G @ y
         w, V = eigh(U.T @ D @ U)
         if w[0] <= floor + 1e-9:  # the simplex's reduced-cost tolerance
@@ -183,41 +193,44 @@ def _kernel_price(p: SDProblem, U, phi_grads):
         offers += 1
         v = U @ V[:, 0]
         v = v / np.linalg.norm(v)
-        return (None, v), quadforms(p, phi_grads, [v])[0]
+        return (None, v), quadforms(phi, [v])[0]
 
     return price
 
 
-def conditions(p: SDProblem, x, A, w, phi_grads, psi_grads, g0, atoms, psi_atoms):
-    """(failures, residual, lhs) of an SDP certificate at x, from A = Phi(x),
-    its eigenvalues w (descending), the ``entry_grads`` tables of Phi and Psi
-    and the objective gradient g0.
+def conditions(phi: EntryTable, psi, g0, atoms, psi_atoms):
+    """(failures, residual, lhs) of an SDP certificate at x, from the tables
+    of Phi and Psi at x (``SDProblem.tables``) and the objective gradient g0.
 
-    x is feasible (``_feasibility``), and each atom (s, lambda) has ||s|| = 1
-    to ``TOL_UNIT``, lambda >= 0 and |<s, A s>| <= 10 tol_ker; an atom off
-    the unit sphere settles the check, with residual and lhs inf.  residual
-    is ||g0 + sum lambda grad<s,Phi s> + sum c_ij mu_ij grad Psi_ij|| and lhs
-    is sum lambda + sum c_ij |mu_ij| over psi_atoms [((i, j), mu_ij)], c_ij =
-    2 off the diagonal (Psi is symmetric)."""
-    rep = _feasibility(p, x, w)
+    x is feasible (``_feasibility``; a non-finite Phi(x) has sigma^+ NaN),
+    and each atom (s, lambda) has ||s|| = 1 to ``TOL_UNIT``, lambda >= 0 and
+    |<s, Phi(x) s>| <= 10 tol_ker; an atom off the unit sphere settles the
+    check, with residual and lhs inf.  residual is ||g0 + sum lambda
+    grad<s,Phi s> + sum c_ij mu_ij grad Psi_ij|| and lhs is sum lambda +
+    sum c_ij |mu_ij| over psi_atoms [((i, j), mu_ij)], c_ij = 2 off the
+    diagonal (Psi is symmetric).  The gradients are the tables' rows of the
+    entries that the atoms weigh."""
+    rep = _feasibility(phi, psi)
     failures = [] if rep.feasible else [
         f"infeasible point: sigma+ {rep.sigma_plus:.3e}, |Psi|max {rep.psi_max:.3e}"]
-    tol_ker = _tol_ker(w)
+    tol_ker = _tol_ker(phi.spectrum[0])
     for s, lam in atoms:
         if not abs(float(np.linalg.norm(s)) - 1.0) <= TOL_UNIT:  # NaN fails
             return failures + ["atom is not a unit vector"], math.inf, math.inf
         if lam < -1e-12:
             failures.append("negative atom weight")
-        if abs(float(s @ A @ s)) > 10 * tol_ker:
+        with np.errstate(invalid="ignore"):  # NaN on a non-finite Phi(x), which fails above
+            quad = float(s @ phi.matrix @ s)
+        if abs(quad) > 10 * tol_ker:
             failures.append("complementarity violated for an atom")
     resid = g0.copy()
     total = 0.0
-    for (_, lam), col in zip(atoms, quadforms(p, phi_grads, [s for s, _ in atoms])):
+    for (_, lam), col in zip(atoms, quadforms(phi, [s for s, _ in atoms])):
         resid = resid + lam * col
         total += lam
     for (i, j), mij in psi_atoms:
         factor = 1.0 if i == j else 2.0
-        resid = resid + factor * mij * psi_grads(i, j)
+        resid = resid + factor * mij * psi.gradient(_entry(psi.m, i, j))
         total += factor * abs(mij)
     return failures, float(np.linalg.norm(resid)), total
 
@@ -229,25 +242,25 @@ def certify(p: SDProblem, xbar, kappa, seed=42) -> Certificate:
     column +/-grad Psi_ij and cost 1, so mu_ij = +/-w / c_ij; ``_kernel_price``
     offers the rest.  ``seed`` is only recorded: nothing is drawn at random."""
     xbar = np.asarray(xbar, dtype=float)
-    Abar = p.phi_value(xbar)
-    w, V = eigh(Abar)
-    rep = _feasibility(p, xbar, w)
+    phi, psi = p.tables(xbar)
+    rep = _feasibility(phi, psi)
     if not rep.feasible:
         raise InfeasiblePointError(
             f"sigma+ {rep.sigma_plus:.3e}, |Psi|max {rep.psi_max:.3e}")
+    w, V = phi.spectrum
     g0 = p.grad_objective(xbar)
     tol_ker = _tol_ker(w)
     basis = [V[:, i] / np.linalg.norm(V[:, i]) for i in range(len(w)) if abs(w[i]) <= tol_ker]
-    phi_grads, psi_grads = entry_grads(p.Phi, xbar), entry_grads(p.Psi, xbar)
-    atoms, cols = [(None, u) for u in basis], list(quadforms(p, phi_grads, basis))
-    for e in zip(*np.triu_indices(0 if p.Psi is None else len(p.Psi))):
-        atoms += [(e, 1.0), (e, -1.0)]
-        cols += [psi_grads(*e), -psi_grads(*e)]
+    atoms, cols = [(None, u) for u in basis], list(quadforms(phi, basis))
+    if psi is not None:
+        for e, col in zip(zip(*np.triu_indices(psi.m)), psi.gradients(np.arange(len(psi.values)))):
+            atoms += [(e, 1.0), (e, -1.0)]
+            cols += [col, -col]
 
     lam_atoms, mu = [], {}
     if cols:
         U = np.array(basis).reshape(-1, p.m).T
-        found = stationarity_atoms(atoms, cols, -g0, _kernel_price(p, U, phi_grads))
+        found = stationarity_atoms(atoms, cols, -g0, _kernel_price(phi, U))
         if found is None:
             raise NoMultiplierError("stationarity system infeasible over kernel atoms")
         lam_atoms = [(s, wgt) for (e, s), wgt in found if e is None]
@@ -256,9 +269,8 @@ def certify(p: SDProblem, xbar, kappa, seed=42) -> Certificate:
               for (e, s), wgt in found if e is not None}
     elif float(np.linalg.norm(g0)) > TOL_STAT:
         raise NoMultiplierError("no kernel atoms and nonzero objective gradient")
-    residual, total = checked(conditions(p, xbar, Abar, w, phi_grads, psi_grads, g0,
-                                         lam_atoms, mu.items()))
-    comp_worst = max([0.0] + [abs(float(s @ Abar @ s)) * wgt for s, wgt in lam_atoms])
+    residual, total = checked(conditions(phi, psi, g0, lam_atoms, mu.items()))
+    comp_worst = max([0.0] + [abs(float(s @ phi.matrix @ s)) * wgt for s, wgt in lam_atoms])
     bound_rhs = 2.0 * kappa * float(np.linalg.norm(g0))
     notes = [f"kernel tolerance {tol_ker:.2e}",
              f"complementarity max lambda*<s,Phi s> = {comp_worst:.2e}"]

@@ -216,10 +216,10 @@ def test_a_kink_at_xbar_keeps_the_samplers(monkeypatch):
     its tie x1 = 0.13 the Jacobian is one branch's, so the criterion steps
     aside and kappa and cq are sampled."""
     f = SmoothMap.from_strings(["min(x1, 0.13)"], ["x1"])
-    assert calc.coderivative_of(f, [0.0], Polyhedron([[1.0]], [0.0]), [0.0])[0] == \
+    assert calc.coderivative_of(f.jet([0.0]), Polyhedron([[1.0]], [0.0]), [0.0])[0] == \
         pytest.approx(1.0, abs=1e-12)
     p = ConstrainedProblem(SmoothFn("-x1", 1), f, Polyhedron([[1.0]], [0.13]))
-    assert calc.coderivative_of(f, [0.13], p.Theta, [0.13]) is None
+    assert calc.coderivative_of(f.jet([0.13]), p.Theta, [0.13]) is None
     calls = count_calls(monkeypatch, ("msqc_estimate", "abadie_check"))
     assert Composite(IndicatorFn(p.Theta), f, [0.13]).coderivative() is None
     assert dual_certificate(p, [0.13], kappa="estimate").kappa_source != certify.KAPPA_COMPUTED

@@ -15,7 +15,8 @@ from varcert.errors import (
     NotInDomainError,
     UnknownVariableError,
 )
-from test_expr_tiers import random_text
+from test_expr_tiers import (COORDINATES, outcome, per_coordinate_grad, per_coordinate_jacobian,
+                             random_text)
 
 
 def central_diff(e, x, h=1e-6):
@@ -364,6 +365,69 @@ def parse_corpus():
         n = rng.randint(1, 4)
         texts.append((random_text(rng, n, rng.randint(1, 6)), [f"x{i + 1}" for i in range(n)]))
     return texts + [(t, ["x1", "x2"]) for t in EDGE_CASES]
+
+
+def corpus_groups():
+    """The parse corpus in runs of up to three texts over the same names."""
+    groups = []
+    for text, names in parse_corpus():
+        if groups and groups[-1][0] == names and len(groups[-1][1]) < 3:
+            groups[-1][1].append(text)
+        else:
+            groups.append((names, [text]))
+    return groups
+
+
+def test_one_pass_gives_what_the_value_walk_and_the_gradient_passes_gave():
+    """Over the parse corpus at seeded float points, a ``Jet`` of up to three
+    components carries each value ``evaluate_flagged`` gives, +inf where that
+    is NaN or undefined.  Each row read through ``gradients`` has the bytes,
+    NotInDomainError and KinkWarnings (text, count, order) of one directional
+    pass per coordinate, which ``grad`` is held to in ``test_expr_tiers``.
+    Read again, a row warns nothing, or raises with its kinks again.
+    ``jacobian`` matches the passes per coordinate over every component."""
+    rng = random.Random(20261020)
+    seen = {"width 1": 0, "width >= 2": 0, "variable exponent, width >= 2": 0, "error": 0,
+            "kink": 0, "undefined value": 0}
+    for names, texts in corpus_groups():
+        es = [expr.parse(t, names) for t in texts]
+        n = len(names)
+        for trial in range(3):
+            x = [rng.choice(COORDINATES) if rng.random() < 0.7 else rng.gauss(0.0, 2.0)
+                 for _ in range(n)]
+            x = np.array(x) if trial == 1 else x
+            jet = expr.Jet(es, x)
+            with np.errstate(all="ignore"):
+                flagged = [expr.evaluate_flagged(e, x) for e in es]
+            assert jet.values.tobytes() == np.array([v for v, _ in flagged]).tobytes(), (texts, x)
+            assert jet.values.shape == (len(es),) and jet.G.shape == (len(es), n)
+            first = [outcome(lambda: jet.gradients([k])[0]) for k in range(len(es))]
+            again = [outcome(lambda: jet.gradients([k])[0]) for k in range(len(es))]
+            for e, got, got_again in zip(es, first, again):
+                reference = outcome(lambda: per_coordinate_grad(e, x))
+                assert got == reference == outcome(lambda: expr.grad(e, x)), (texts, x)
+                assert got_again == (reference if got[0][0] == "error" else (got[0], [])), (texts, x)
+                seen["width 1" if n == 1 else "width >= 2"] += 1
+                seen["variable exponent, width >= 2"] += e._var_power and n > 1
+                seen["error"] += got[0][0] == "error"
+                seen["kink"] += len(got[1]) > 0
+            seen["undefined value"] += sum(bad for _, bad in flagged)
+            # all rows in one read: the rows' kinks in turn, up to the first error
+            kinks = []
+            for (result, met) in first:
+                kinks += met
+                if result[0] == "error":
+                    break
+            together = outcome(lambda: expr.Jet(es, x).gradients(list(range(len(es)))))
+            assert together[1] == kinks, (texts, x)
+            if result[0] == "error":
+                assert together[0] == result, (texts, x)
+            else:
+                assert together[0][2] == b"".join(row[2] for row, _ in first), (texts, x)
+            jacobian = outcome(lambda: expr.Jet(es, x).jacobian())
+            assert jacobian == outcome(lambda: per_coordinate_jacobian(es, x)), (texts, x)
+            assert expr.Jet(es, x).kinks == jacobian[1], (texts, x)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_the_parser_keeps_the_depth_and_top_of_each_tree():

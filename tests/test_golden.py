@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,23 @@ def test_recheck_refutes_a_nan_point(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "recheck failure: infeasible point: sigma+ nan, |Psi|max 0.000e+00" in err.splitlines()
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["sdp_rotated_kernel1", "sdp_rotated_kernel2"])
+def test_recheck_refutes_a_nan_point_before_the_eigensolver(name, tmp_path, capsys):
+    """Every entry of these Phi holds x, so at x = NaN all of Phi(x) is
+    non-finite: sigma^+ is NaN without the eigensolver, whose failure read as
+    a malformed certificate (exit 3).  Exit 1 with the infeasible-point line,
+    and no RuntimeWarning."""
+    def edit(cert):
+        cert["point"] = [math.nan] * len(cert["point"])
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        assert recheck_edited(by_name(name), edit, tmp_path) == 1
+    assert [str(w.message) for w in rec] == []
+    err = capsys.readouterr().err
+    assert "recheck failure: infeasible point: sigma+ nan, |Psi|max 0.000e+00" in err.splitlines()
+    assert "Traceback" not in err and "error:" not in err
 
 
 def test_recheck_of_a_failing_descent_witness_is_inconclusive(tmp_path, capsys):

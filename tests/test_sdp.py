@@ -1,11 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from varcert import cli, sdp, sip
-from varcert.errors import DimensionTooLargeError, InfeasiblePointError, NoMultiplierError, NotUnitError
+from varcert import cli, expr, sdp, sip
+from varcert.errors import (DimensionTooLargeError, InfeasiblePointError, KinkWarning,
+                            NoMultiplierError, NotInDomainError, NotUnitError)
 from varcert.sdp import SDProblem, certify, feasibility, grad_quadform, reduce_to_sip
 from varcert.solvers import eigh
 
@@ -160,15 +162,15 @@ def test_atoms_lie_in_kernel_complementarity():
     assert len(cert.atoms) <= 2
 
 
-def per_atom_quadform(p, phi_grads, s):
-    """The reference for one atom: sum weight * grad over the entries, in
-    row-major order, skipping a zero weight."""
+def per_atom_quadform(p, x, s):
+    """The reference for one atom: sum weight * expr.grad over the entries,
+    in row-major order, skipping a zero weight."""
     out = np.zeros(p.n)
     for i in range(p.m):
         for j in range(i, p.m):
             weight = s[i] * s[j] * (1.0 if i == j else 2.0)
             if weight != 0.0:
-                out += weight * phi_grads(i, j)
+                out += weight * expr.grad(p.Phi[i][j], x)
     return out
 
 
@@ -186,11 +188,10 @@ def test_one_entry_sweep_matches_per_atom_sums_bit_for_bit():
         zeros = rng.normal(size=m)
         zeros[::2] = 0.0
         atoms.append(zeros / np.linalg.norm(zeros))
-        grads = sdp.entry_grads(p.Phi, x)
-        swept = sdp.quadforms(p, grads, atoms)
+        swept = sdp.quadforms(sdp.EntryTable(p.Phi, x), atoms)
         assert swept.shape == (len(atoms), n)
         for row, s in zip(swept, atoms):
-            assert row.tobytes() == per_atom_quadform(p, grads, s).tobytes()
+            assert row.tobytes() == per_atom_quadform(p, x, s).tobytes()
             assert row.tobytes() == grad_quadform(p, x, s).tobytes()
 
 
@@ -198,21 +199,61 @@ def test_the_sweep_differentiates_only_entries_some_atom_weighs():
     """Phi[1][1] = log(x1) has no derivative at x1 = -1; atoms that give it
     weight 0 never ask for one."""
     p = SDProblem.from_strings(1, "x1", [["x1", "0"], [None, "log(x1)"]])
-    grads = sdp.entry_grads(p.Phi, [-1.0])
-    assert sdp.quadforms(p, grads, [[1.0, 0.0], [-1.0, 0.0]]).tolist() == [[1.0], [1.0]]
-    assert sdp.quadforms(p, grads, []).shape == (0, 1)
+    table = sdp.EntryTable(p.Phi, [-1.0])
+    assert sdp.quadforms(table, [[1.0, 0.0], [-1.0, 0.0]]).tolist() == [[1.0], [1.0]]
+    assert sdp.quadforms(table, []).shape == (0, 1)
     with pytest.raises(NotUnitError):
-        sdp.quadforms(p, grads, [[1.0, 0.0], [0.6, 0.6]])
+        sdp.quadforms(table, [[1.0, 0.0], [0.6, 0.6]])
+    # an atom that weighs the entry asks for its derivative, at every read
+    for _ in range(2):
+        with pytest.raises(NotInDomainError, match="outside the expression domain"):
+            sdp.quadforms(table, [[0.0, 1.0]])
+
+
+def kink_messages(fn):
+    """The KinkWarning messages that ``fn()`` warns, in order."""
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        fn()
+    return [str(w.message) for w in rec if issubclass(w.category, KinkWarning)]
+
+
+def test_an_entry_no_atom_weighs_warns_no_kink():
+    """Phi[1][1] = abs(x1) - 1 has a kink at x1 = 0; atoms that give it weight
+    0 warn nothing, as one expr.grad per entry read on first use did."""
+    p = SDProblem.from_strings(2, "x1", [["x1", "x2"], [None, "abs(x1) - 1"]])
+    table = sdp.EntryTable(p.Phi, [0.0, 0.0])
+    assert kink_messages(lambda: sdp.quadforms(table, [[1.0, 0.0], [-1.0, 0.0]])) == []
+    price = sdp._kernel_price(table, np.array([[1.0], [0.0]]))
+    assert kink_messages(lambda: price(np.array([1.0, 0.0]), 0.0)) == []
+
+
+def test_an_entry_an_atom_weighs_warns_its_kinks_once():
+    """The same kinked entry, weighed by an atom: its kink warns once per
+    coordinate on the entry's first read, and never again, as one expr.grad
+    per entry read on first use did."""
+    p = SDProblem.from_strings(2, "x1", [["x1", "x2"], [None, "abs(x1) - max(x2, 0)"]])
+    table = sdp.EntryTable(p.Phi, [0.0, 0.0])
+    atom = [[0.6, 0.8]]
+    expected = kink_messages(lambda: expr.grad(p.Phi[1][1], [0.0, 0.0]))
+    assert expected == ["abs at 0: using identity-branch derivative",
+                        "max tie: using first-argument derivative"] * 2
+    assert kink_messages(lambda: sdp.quadforms(table, atom)) == expected
+    assert kink_messages(lambda: sdp.quadforms(table, atom)) == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KinkWarning)
+        reference = per_atom_quadform(p, [0.0, 0.0], atom[0])
+    assert sdp.quadforms(table, atom).tobytes() == reference.tobytes()
 
 
 
 def test_a_sum_of_one_negative_zero_term_is_zero():
     """The entry's gradient is -0.0; a sum started at 0.0 gives 0.0."""
     p = SDProblem.from_strings(1, "x1", [["-(x1*0)"]])
-    grads = sdp.entry_grads(p.Phi, [1.0])
-    assert grads(0, 0).tobytes() == np.array([-0.0]).tobytes()
-    swept = sdp.quadforms(p, grads, [[1.0]])
-    assert swept.tobytes() == per_atom_quadform(p, grads, [1.0]).tobytes() == np.zeros(1).tobytes()
+    table = sdp.EntryTable(p.Phi, [1.0])
+    assert table.gradient(0).tobytes() == np.array([-0.0]).tobytes()
+    swept = sdp.quadforms(table, [[1.0]])
+    assert swept.tobytes() == per_atom_quadform(p, [1.0], [1.0]).tobytes() == np.zeros(1).tobytes()
 
 
 def _issue(tmp_path, doc, point, *args):
@@ -314,6 +355,22 @@ def test_the_price_reads_no_entry_off_the_kernel_rows(tmp_path, capsys):
     code, cert = _issue(tmp_path, doc, "0,0,0,0", "--kappa", "10")
     assert code == 1 and (cert["status"], cert["detail"]) == ("REFUTED", "NO_MULTIPLIER")
     assert "error" not in capsys.readouterr().err
+
+
+def test_an_undefined_entry_makes_the_point_infeasible_before_the_eigensolver(tmp_path, capsys):
+    """log(x1) at x1 = 0 evaluates to +inf, so Phi(0) is not finite: sigma^+
+    is NaN without the eigensolver, and sdp exits 1 with the infeasible-point
+    line and no RuntimeWarning."""
+    doc = {"kind": "sdp", "n": 1, "objective": "x1",
+           "constraints": {"Phi": [["x1 - 1", "log(x1)"], [None, "-1"]]}}
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        code, cert = _issue(tmp_path, doc, "0", "--kappa", "1")
+    assert (code, cert) == (1, None)
+    assert [str(w.message) for w in rec] == []
+    assert capsys.readouterr().err == "infeasible point: sigma+ nan, |Psi|max 0.000e+00\n"
+    table = sdp.EntryTable(SDProblem.from_strings(1, "x1", doc["constraints"]["Phi"]).Phi, [0.0])
+    assert table.matrix[0, 1] == math.inf and np.isnan(table.spectrum[0]).all()
 
 
 def test_a_price_that_never_stops_hits_the_offer_cap(tmp_path, capsys, monkeypatch):
