@@ -175,10 +175,12 @@ def kkt_conditions(p: ConstrainedProblem, y, J, g, lam, w, ab):
 
     y is in Theta, the weights w >= 0 (one per row of A_ineq) are
     complementary to its slack, and lam = A_ineq^T w + A_eq^T (a - b) for the
-    equality weights ab = (a, b).  residual is ||g + J^T lam||, lhs ||lam||."""
+    equality weights ab = (a, b).  residual is ||g + J^T lam||, lhs ||lam||.
+    The slack of a y outside Theta, which may not be finite, is not read."""
     Th = p.Theta
     failures = []
-    if not Th.contains(y):
+    feasible = Th.contains(y)
+    if not feasible:
         failures.append(f"infeasible point: residual {Th.residual(y):.3e}")
     if np.any(w < -TOL_CONE):
         failures.append("negative generator weight")
@@ -188,7 +190,7 @@ def kkt_conditions(p: ConstrainedProblem, y, J, g, lam, w, ab):
         lam_hat = lam_hat + Th.A_eq.T @ (ab[:l] - ab[l:])
     if float(np.linalg.norm(lam_hat - lam)) > TOL_CONE * (1.0 + np.linalg.norm(lam)):
         failures.append("multiplier is not the recorded conic combination")
-    if len(w) and float(np.max(w * (Th.b_ineq - Th.A_ineq @ y))) > \
+    if feasible and len(w) and float(np.max(w * (Th.b_ineq - Th.A_ineq @ y))) > \
             1e-6 * (1.0 + float(np.max(np.abs(w)))):
         failures.append("complementary slackness violated")
     return failures, float(np.linalg.norm(g + J.T @ lam)), float(np.linalg.norm(lam))
@@ -199,15 +201,15 @@ def descent_conditions(p: ConstrainedProblem, y, J, grads, d):
     the Jacobian J and the objective gradients at its point (one, or the
     active pieces' of a PLQ objective): y is in Theta, J d is in the
     linearized cone to TOL_STAT (1 + ||J d||), and descent = -max <g, d>
-    exceeds TOL_STAT."""
+    exceeds TOL_STAT.  A y outside Theta has no linearized cone to test."""
     Th = p.Theta
-    failures = []
     if not Th.contains(y):
-        failures.append(f"infeasible point: residual {Th.residual(y):.3e}")
-    v = J @ d
-    rows = np.vstack([Th.A_ineq[Th.active_rows(y)], Th.A_eq, -Th.A_eq])
-    if float(np.max(rows @ v, initial=-np.inf)) > TOL_STAT * (1.0 + float(np.linalg.norm(v))):
-        failures.append("descent witness leaves the linearized cone")
+        failures = [f"infeasible point: residual {Th.residual(y):.3e}"]
+    else:
+        failures, v = [], J @ d
+        rows = np.vstack([Th.A_ineq[Th.active_rows(y)], Th.A_eq, -Th.A_eq])
+        if float(np.max(rows @ v, initial=-np.inf)) > TOL_STAT * (1.0 + float(np.linalg.norm(v))):
+            failures.append("descent witness leaves the linearized cone")
     descent = -max(float(g @ d) for g in grads)
     if not descent > TOL_STAT:  # a NaN fails
         failures.append(f"descent witness does not descend: slope {-descent:.3e}")

@@ -303,15 +303,6 @@ def _refuted(failures, log):
     return EXIT_REFUTED
 
 
-def _psi_entry(t, p):
-    """A Psi atom's entry (i, j): two integral numbers with 0 <= i <= j < m."""
-    i, j = t
-    m = 0 if p.Psi is None else len(p.Psi)
-    if not (all(type(v) in (int, float) and float(v).is_integer() for v in t) and 0 <= i <= j < m):
-        raise CliError(f"Psi atom t = {t} is not an entry (i, j) with 0 <= i <= j < {m}")
-    return int(i), int(j)
-
-
 def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
     kind = prob_doc["kind"]
     if cert_doc.get("problem_kind") != kind:
@@ -350,26 +341,15 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
             raise CliError("equality weights malformed")
         failures, residual, lhs = certify.kkt_conditions(p, y, J, g, lam, w, ab)
         scale = float(np.linalg.norm(g))
-    elif kind == "sip":
-        p = build_sip(prob_doc)
+    elif kind in ("sip", "sdp"):  # one index family: a SIP's box, or an sdp's sphere
+        p = build_sip(prob_doc) if kind == "sip" else build_sdp(prob_doc)
+        fam = sip_mod.box_family(p, x) if kind == "sip" else sdp_mod.sphere_family(p, x)
         atoms = [(np.array(a["s"], dtype=float), float(a["lambda"]))
                  for a in cert_doc.get("atoms", [])]
-        eq_atoms = [(np.array(a["t"], dtype=float), float(a["mu"]))
-                    for a in cert_doc.get("eq_atoms", [])]
-        if eq_atoms and p.psi is None:
-            raise CliError("certificate carries equality atoms but the problem has no psi")
+        eq_atoms = [(a["t"], float(a["mu"])) for a in cert_doc.get("eq_atoms", [])]
         g = p.grad_objective(x)
-        failures, residual, lhs = sip_mod.conditions(p, x, g, atoms, eq_atoms)
-        scale = (1.0 if p.psi is None else 2.0) * float(np.linalg.norm(g))
-    elif kind == "sdp":
-        p = build_sdp(prob_doc)
-        phi, psi = p.tables(x)
-        atoms = [(np.array(a["s"], dtype=float), float(a["lambda"]))
-                 for a in cert_doc.get("atoms", [])]
-        psi_atoms = [(_psi_entry(a["t"], p), float(a["mu"])) for a in cert_doc.get("eq_atoms", [])]
-        g = p.grad_objective(x)
-        failures, residual, lhs = sdp_mod.conditions(phi, psi, g, atoms, psi_atoms)
-        scale = 2.0 * float(np.linalg.norm(g))
+        failures, residual, lhs = sip_mod.conditions(fam, g, atoms, eq_atoms)
+        scale = fam.bound_factor * float(np.linalg.norm(g))
     else:
         raise CliError(f"recheck does not support problem kind {kind!r}")
 

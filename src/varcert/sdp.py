@@ -3,11 +3,11 @@
 Feasibility is the largest eigenvalue sigma^+(Phi(x)) plus the max-entry
 norm of Psi(x).  Multiplier recovery places rank-one atoms s_i s_i^T on
 the kernel of Phi(xbar) (complementarity forces them there), with the
-bound sum(lambda) + sum|mu_ij| <= 2 kappa ||grad objective||.  As a SIP
-over the unit sphere (v^T Phi(x) v <= 0 for unit v), its atoms come from
-SIP's exchange loop, which prices by the kernel eigenproblem.  For m <= 3
-the problem cross-validates against its sphere-parameterized
-semi-infinite reduction.
+bound sum(lambda) + sum c_ij |mu_ij| <= 2 kappa ||grad objective||.  As a
+SIP over the unit sphere (v^T Phi(x) v <= 0 for unit v), its index family
+(``sphere_family``) serves SIP's ``certify`` and ``conditions``, whose
+exchange loop prices by the kernel eigenproblem.  For m <= 3 the problem
+cross-validates against its sphere-parameterized semi-infinite reduction.
 """
 
 from __future__ import annotations
@@ -18,18 +18,16 @@ from functools import cached_property
 
 import numpy as np
 
-from . import expr as expr_mod
-from .certify import Certificate, TOL_BOUND, TOL_STAT, checked, verdict
+from . import expr as expr_mod, sip
+from .certify import Certificate
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
     InfeasiblePointError,
-    NoMultiplierError,
     NonConvergenceError,
     NotUnitError,
 )
 from .geometry import TOL_FEAS
-from .sip import SIProblem, stationarity_atoms
 from .solvers import eigh
 
 # an atom s is a unit vector when | ||s|| - 1 | <= TOL_UNIT
@@ -73,12 +71,12 @@ class SDProblem:
     def grad_objective(self, x):
         return expr_mod.grad(self.objective, x)
 
-    def tables(self, x):
-        """The ``EntryTable`` of Phi and of Psi (None without Psi) at x."""
-        return EntryTable(self.Phi, x), None if self.Psi is None else EntryTable(self.Psi, x)
-
     def phi_value(self, x) -> np.ndarray:
         return EntryTable(self.Phi, x).matrix
+
+    def family(self, x):
+        """The index family at x (``sphere_family``), for ``sip.certify``."""
+        return sphere_family(self, x)
 
 
 def _entry(m, i, j):
@@ -115,19 +113,14 @@ class FeasibilityReport:
     psi_max: float
     feasible: bool
 
+    def __str__(self):
+        return f"sigma+ {self.sigma_plus:.3e}, |Psi|max {self.psi_max:.3e}"
+
 
 def feasibility(p: SDProblem, x) -> FeasibilityReport:
-    """sigma^+(Phi(x)) from the eigensolver (NaN when Phi(x) holds a
-    non-finite entry) plus the max-entry norm of Psi(x)."""
-    return _feasibility(*p.tables(x))
-
-
-def _feasibility(phi, psi):
-    """The report from the tables of Phi and Psi (None without Psi) at x."""
-    sigma_plus = float(np.maximum(0.0, phi.spectrum[0][0]))  # NaN, not 0, for a NaN eigenvalue
-    psi_max = 0.0 if psi is None else float(np.max(np.abs(psi.values)))
-    return FeasibilityReport(sigma_plus=sigma_plus, psi_max=psi_max,
-                             feasible=sigma_plus <= TOL_FEAS and psi_max <= TOL_FEAS)
+    """sigma^+(Phi(x)) (NaN when Phi(x) holds a non-finite entry) and the
+    max-entry norm of Psi(x): the report of ``sphere_family``'s sup."""
+    return sphere_family(p, x).sup()[2]
 
 
 def grad_quadform(p: SDProblem, x, s) -> np.ndarray:
@@ -198,95 +191,86 @@ def _kernel_price(phi: EntryTable, U):
     return price
 
 
-def conditions(phi: EntryTable, psi, g0, atoms, psi_atoms):
-    """(failures, residual, lhs) of an SDP certificate at x, from the tables
-    of Phi and Psi at x (``SDProblem.tables``) and the objective gradient g0.
+def _psi_entry(p: SDProblem, t):
+    """A certificate's Psi atom t as its entry (i, j): two integral numbers
+    with 0 <= i <= j < m."""
+    i, j = t
+    m = 0 if p.Psi is None else len(p.Psi)
+    if not (all(type(v) in (int, float) and float(v).is_integer() for v in t) and 0 <= i <= j < m):
+        raise DimensionMismatchError(
+            f"Psi atom t = {t} is not an entry (i, j) with 0 <= i <= j < {m}")
+    return int(i), int(j)
 
-    x is feasible (``_feasibility``; a non-finite Phi(x) has sigma^+ NaN),
-    and each atom (s, lambda) has ||s|| = 1 to ``TOL_UNIT``, lambda >= 0 and
-    |<s, Phi(x) s>| <= 10 tol_ker; an atom off the unit sphere settles the
-    check, with residual and lhs inf.  residual is ||g0 + sum lambda
-    grad<s,Phi s> + sum c_ij mu_ij grad Psi_ij|| and lhs is sum lambda +
-    sum c_ij |mu_ij| over psi_atoms [((i, j), mu_ij)], c_ij = 2 off the
-    diagonal (Psi is symmetric).  The gradients are the tables' rows of the
-    entries that the atoms weigh."""
-    rep = _feasibility(phi, psi)
-    failures = [] if rep.feasible else [
-        f"infeasible point: sigma+ {rep.sigma_plus:.3e}, |Psi|max {rep.psi_max:.3e}"]
+
+def sphere_family(p: SDProblem, x) -> sip.Family:
+    """An sdp's family at x (``sip.Family``) from one ``EntryTable`` of Phi:
+    atoms (None, v) of <v, Phi(x) v> <= 0, seeded by the unit kernel basis
+    and priced by ``_kernel_price``, and each Psi entry (i, j) as the pair
+    (+/-1/c_ij, (i, j)) of columns +/-grad Psi_ij.  Its sup, reported as a
+    ``FeasibilityReport``, is lambda_max(Phi(x)) (NaN at a non-finite
+    Phi(x)) or |Psi(x)|max.  An atom needs ||s|| = 1 to ``TOL_UNIT`` (else
+    it ends the checks, with no column), lambda >= 0 and |<s, Phi(x) s>|
+    <= 10 tol_ker."""
+    phi, psi = EntryTable(p.Phi, x), None if p.Psi is None else EntryTable(p.Psi, x)
     tol_ker = _tol_ker(phi.spectrum[0])
-    for s, lam in atoms:
-        if not abs(float(np.linalg.norm(s)) - 1.0) <= TOL_UNIT:  # NaN fails
-            return failures + ["atom is not a unit vector"], math.inf, math.inf
-        if lam < -1e-12:
-            failures.append("negative atom weight")
-        with np.errstate(invalid="ignore"):  # NaN on a non-finite Phi(x), which fails above
-            quad = float(s @ phi.matrix @ s)
-        if abs(quad) > 10 * tol_ker:
-            failures.append("complementarity violated for an atom")
-    resid = g0.copy()
-    total = 0.0
-    for (_, lam), col in zip(atoms, quadforms(phi, [s for s, _ in atoms])):
-        resid = resid + lam * col
-        total += lam
-    for (i, j), mij in psi_atoms:
-        factor = 1.0 if i == j else 2.0
-        resid = resid + factor * mij * psi.gradient(_entry(psi.m, i, j))
-        total += factor * abs(mij)
-    return failures, float(np.linalg.norm(resid)), total
+    # Psi's upper triangle by rows, with c_ij = 2 where mu_ij stands for (i, j) and (j, i)
+    entries = [] if psi is None else [((i, j), 1.0 if i == j else 2.0)
+                                      for i in range(psi.m) for j in range(i, psi.m)]
+
+    def sup():
+        w, V = phi.spectrum
+        psi_max = 0.0 if psi is None else float(np.max(np.abs(psi.values)))
+        sigma_plus = float(np.maximum(0.0, w[0]))  # NaN, not 0, for a NaN eigenvalue
+        rep = FeasibilityReport(sigma_plus, psi_max, sigma_plus <= TOL_FEAS and psi_max <= TOL_FEAS)
+        if psi is None or not psi_max > w[0]:
+            return float(w[0]), (None, None if V is None else V[:, 0]), rep
+        k = int(np.argmax(np.abs(psi.values)))
+        return psi_max, (float(np.sign(psi.values[k])) / entries[k][1], entries[k][0]), rep
+
+    def active():
+        rep = sup()[2]
+        if not rep.feasible:
+            raise InfeasiblePointError(rep)
+        w, V = phi.spectrum
+        basis = [V[:, i] / np.linalg.norm(V[:, i]) for i in range(len(w)) if abs(w[i]) <= tol_ker]
+        seed = list(zip([(None, u) for u in basis], quadforms(phi, basis)))
+        if psi is not None:
+            for (t, c), col in zip(entries, psi.gradients(np.arange(len(entries)))):
+                seed += [((1.0 / c, t), col), ((-1.0 / c, t), -col)]
+        return seed, _kernel_price(phi, np.array(basis).reshape(-1, p.m).T)
+
+    def terms(atoms, eq_atoms):
+        ts = [_psi_entry(p, t) for t, _ in eq_atoms]
+        rep = sup()[2]
+        failures = [] if rep.feasible else [f"infeasible point: {rep}"]
+        for s, lam in atoms:
+            if not abs(float(np.linalg.norm(s)) - 1.0) <= TOL_UNIT:  # NaN fails
+                return failures + ["atom is not a unit vector"], None, None
+            if lam < -1e-12:
+                failures.append("negative atom weight")
+            with np.errstate(invalid="ignore"):  # NaN on a non-finite Phi(x), which fails above
+                quad = float(s @ phi.matrix @ s)
+            if abs(quad) > 10 * tol_ker:
+                failures.append("complementarity violated for an atom")
+        return failures, quadforms(phi, [s for s, _ in atoms]), \
+            [(1.0 if i == j else 2.0, psi.gradient(_entry(psi.m, i, j))) for i, j in ts]
+
+    def describe(atoms, eq_atoms):
+        comp = max([0.0] + [abs(float(s @ phi.matrix @ s)) * w for s, w in atoms])
+        return "SDP", {"tol_ker": tol_ker}, [
+            f"kernel tolerance {tol_ker:.2e}", f"complementarity max lambda*<s,Phi s> = {comp:.2e}"]
+
+    return sip.Family(sup, active, terms, describe, bound_factor=2.0,
+                      no_multiplier="stationarity system infeasible over kernel atoms")
 
 
 def certify(p: SDProblem, xbar, kappa, seed=42) -> Certificate:
-    """Kernel-atom multiplier certificate with the 2*kappa bound, from the
-    exchange loop of ``sip.stationarity_atoms``: it starts from the unit
-    kernel basis U of Phi(xbar) and a +/- atom pair per Psi entry (i, j),
-    column +/-grad Psi_ij and cost 1, so mu_ij = +/-w / c_ij; ``_kernel_price``
-    offers the rest.  ``seed`` is only recorded: nothing is drawn at random."""
-    xbar = np.asarray(xbar, dtype=float)
-    phi, psi = p.tables(xbar)
-    rep = _feasibility(phi, psi)
-    if not rep.feasible:
-        raise InfeasiblePointError(
-            f"sigma+ {rep.sigma_plus:.3e}, |Psi|max {rep.psi_max:.3e}")
-    w, V = phi.spectrum
-    g0 = p.grad_objective(xbar)
-    tol_ker = _tol_ker(w)
-    basis = [V[:, i] / np.linalg.norm(V[:, i]) for i in range(len(w)) if abs(w[i]) <= tol_ker]
-    atoms, cols = [(None, u) for u in basis], list(quadforms(phi, basis))
-    if psi is not None:
-        for e, col in zip(zip(*np.triu_indices(psi.m)), psi.gradients(np.arange(len(psi.values)))):
-            atoms += [(e, 1.0), (e, -1.0)]
-            cols += [col, -col]
-
-    lam_atoms, mu = [], {}
-    if cols:
-        U = np.array(basis).reshape(-1, p.m).T
-        found = stationarity_atoms(atoms, cols, -g0, _kernel_price(phi, U))
-        if found is None:
-            raise NoMultiplierError("stationarity system infeasible over kernel atoms")
-        lam_atoms = [(s, wgt) for (e, s), wgt in found if e is None]
-        # the columns of a +/- pair are never both in a simplex basis
-        mu = {e: s * wgt / (1.0 if e[0] == e[1] else 2.0)
-              for (e, s), wgt in found if e is not None}
-    elif float(np.linalg.norm(g0)) > TOL_STAT:
-        raise NoMultiplierError("no kernel atoms and nonzero objective gradient")
-    residual, total = checked(conditions(phi, psi, g0, lam_atoms, mu.items()))
-    comp_worst = max([0.0] + [abs(float(s @ phi.matrix @ s)) * wgt for s, wgt in lam_atoms])
-    bound_rhs = 2.0 * kappa * float(np.linalg.norm(g0))
-    notes = [f"kernel tolerance {tol_ker:.2e}",
-             f"complementarity max lambda*<s,Phi s> = {comp_worst:.2e}"]
-    status, detail = verdict(residual, total, bound_rhs, TOL_STAT, TOL_BOUND)
-    return Certificate(
-        kind="SDP", status=status, detail=detail, point=xbar,
-        atoms=[(np.asarray(s, dtype=float).tolist(), w) for s, w in lam_atoms],
-        eq_atoms=[([int(i), int(j)], m_) for (i, j), m_ in mu.items() if m_ != 0.0],
-        residual=residual, bound_lhs=total, bound_rhs=bound_rhs, kappa=kappa,
-        kappa_source="user-asserted", bound_rule="2*kappa*||grad objective||",
-        tolerances={"tol_stat": TOL_STAT, "tol_bound": TOL_BOUND, "tol_ker": tol_ker},
-        seed=seed, notes=notes,
-    )
+    """Kernel-atom multiplier certificate with the 2*kappa bound: SIP's
+    ``certify`` on the sphere family.  ``seed`` is only recorded."""
+    return sip.certify(p, xbar, kappa, seed)
 
 
-def reduce_to_sip(p: SDProblem) -> SIProblem:
+def reduce_to_sip(p: SDProblem) -> sip.SIProblem:
     """Sphere-chart reduction theta(x, angles) = <s(angles), Phi(x) s(angles)>, m <= 3.
 
     theta is written from the source text that each entry and the objective
@@ -308,4 +292,4 @@ def reduce_to_sip(p: SDProblem) -> SIProblem:
     for i in range(m):
         for j in range(m):
             terms.append(f"({p.Phi[i][j]._text})*({comps[i]})*({comps[j]})")
-    return SIProblem.from_strings(p.n, p.objective._text, theta=" + ".join(terms), S=box)
+    return sip.SIProblem.from_strings(p.n, p.objective._text, theta=" + ".join(terms), S=box)

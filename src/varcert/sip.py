@@ -106,14 +106,8 @@ class SIProblem:
     def theta_at(self, x, s):
         return expr_mod.evaluate(self.theta, list(x) + list(s))
 
-    def grad_x_theta(self, x, s):
-        return _grad_x(self.theta, x, s)
-
     def psi_at(self, x, t):
         return expr_mod.evaluate(self.psi, list(x) + list(t))
-
-    def grad_x_psi(self, x, t):
-        return _grad_x(self.psi, x, t)
 
 
 def _index_partials(e, x, s):
@@ -309,35 +303,92 @@ def _sup(e, x, sign, box, density):
 
 def sup_violation(p: SIProblem, x):
     """(sup_s theta(x,s)^+, argmax) on the default grid (see ``_sup``)."""
-    x = np.asarray(x, dtype=float)
     if p.theta is None:
         return 0.0, None
-    sup, s, _, _ = _sup(p.theta, x, 1.0, p.S, default_density(p.k))
+    sup, (_, s), _ = box_family(replace(p, psi=None, T=None), x).sup()
     return max(0.0, sup), s
+
+
+@dataclass
+class Family:
+    """The constraints of a SIP, or of an sdp as the SIP over unit v of
+    <v, Phi(x) v> <= 0 (Shapiro, Math. Program. 77, 1997), at a point x:
+    c(x, s) <= 0 for every index s, and psi(x, t) = 0 as +/-psi <= 0.  An
+    atom is (None, s), or (f, t) for an equality index with mu_t = f * w."""
+    sup: object  # () -> (sup c(x, .) or NaN, an argmax atom, the InfeasiblePointError text)
+    active: object  # () -> (seed [(atom, column)], price(y, floor)); infeasible x: raises
+    terms: object  # (atoms [(s, lambda)], eq_atoms [(t, mu)]) -> (failure lines of the point and
+    # the atoms, with no sup; [grad_x c(x, s)], None off the index set; [(c_t, grad_x psi(x, t))])
+    describe: object  # (atoms, eq_atoms) -> (kind, tolerances it adds, notes)
+    bound_factor: float  # sum(lambda) + sum c_t |mu| <= bound_factor * kappa * ||grad objective||
+    no_multiplier: str  # the NoMultiplierError text
+
+
+def box_family(p: SIProblem, x, density=None) -> Family:
+    """A SIP's family at x: each (e, sign, box) of ``p.families``, atoms
+    (None, s) of theta and (sign, t) of +/-psi.  Its sup is the best of
+    ``_sup``'s on the density grid, ``active_indexes`` gives its active set
+    and price, and ``terms`` checks a finite x, boxes and activity."""
+    x = np.asarray(x, dtype=float)
+
+    def sup():
+        (v, s, _, _), e, sign = max(
+            ((_sup(e, x, sign, box, density or default_density(len(box))), e, sign)
+             for e, sign, box in p.families), key=lambda found: found[0][0])
+        return v, (None if e is p.theta else sign, s), f"sup violation {v:.3e} exceeds tol_feas"
+
+    def terms(atoms, eq_atoms):
+        if eq_atoms and p.psi is None:
+            raise DimensionMismatchError(
+                "certificate carries equality atoms but the problem has no psi")
+        failures = [] if all(map(math.isfinite, x)) else ["infeasible point: x is not finite"]
+        for s, w in atoms:
+            if w < -1e-12:
+                failures.append("negative atom weight")
+            if not all(lo - 1e-9 <= v <= hi + 1e-9 for v, (lo, hi) in zip(s, p.S)):  # NaN fails
+                failures.append("atom outside the index box")
+            val = p.theta_at(x, s)
+            if val < -1e-5 or val > 1e-6:
+                failures.append(f"atom not active: theta = {val:.3e}")
+        for t, _ in eq_atoms:
+            if not all(lo - 1e-9 <= v <= hi + 1e-9 for v, (lo, hi) in zip(t, p.T)):
+                failures.append("equality atom outside the index box")
+            if abs(p.psi_at(x, t)) > 1e-6:
+                failures.append("equality atom violated at the point")
+        return failures, [_grad_x(p.theta, x, s) for s, _ in atoms], \
+            [(1.0, _grad_x(p.psi, x, t)) for t, _ in eq_atoms]
+
+    def describe(atoms, eq_atoms):
+        comp = max([0.0] + [abs(w * p.theta_at(x, s)) for s, w in atoms])
+        return "SIP-EQ" if eq_atoms else "SIP", {"tol_active": TOL_ACTIVE, "tol_feas": TOL_FEAS}, \
+            [f"complementarity max |lambda*theta| = {comp:.2e}"]
+
+    return Family(sup, lambda: active_indexes(p, x, density), terms, describe,
+                  bound_factor=1.0 if p.psi is None else 2.0, no_multiplier="no atomic multiplier")
 
 
 def active_indexes(p: SIProblem, xbar, density=None):
     """The active index set as the exchange method sees it: (seed, price).
 
     Every index family (e, sign, box) of ``p.families`` needs sup sign*e(xbar, .)
-    <= TOL_FEAS.  ``seed`` holds ((family, s*), sign * grad_x e(xbar, s*)) for
-    each family whose polished argmax s* is active (an active peak between
-    grid nodes has no cell near 0).  ``price(y, floor)`` tries the grid cells
-    of every family with sign*e >= -TOL_ACTIVE - 1e-3, best central-difference
-    <sign * grad_x e, y> first; a cell below -TOL_ACTIVE is polished once, when
-    first tried, and the exact gradient decides.  It returns ((family, s),
+    <= TOL_FEAS, and its atoms are (None, s) for theta and (sign, t) for
+    +/-psi.  ``seed`` holds (atom at s*, sign * grad_x e(xbar, s*)) for each
+    family whose polished argmax s* is active (an active peak between grid
+    nodes has no cell near 0).  ``price(y, floor)`` tries the grid cells of
+    every family with sign*e >= -TOL_ACTIVE - 1e-3, best central-difference
+    <sign * grad_x e, y> first; a cell below -TOL_ACTIVE is polished once,
+    when first tried, and the exact gradient decides.  It returns (atom,
     gradient) with <gradient, y> > floor, each index once, or None; a cell
     turned down stays a candidate."""
     xbar = np.asarray(xbar, dtype=float)
     families = p.families
     seed, cells, vals, grads = [], [], [], []
-    for fam in families:
-        e, sign, box = fam
+    for e, sign, box in families:
         sup, s_max, grid, v = _sup(e, xbar, sign, box, density or default_density(len(box)))
         if sup > TOL_FEAS:
             raise InfeasiblePointError(f"sup violation {sup:.3e} exceeds tol_feas")
         if sup >= -TOL_ACTIVE:
-            seed.append(((fam, s_max), sign * _grad_x(e, xbar, s_max)))
+            seed.append(((None if e is p.theta else sign, s_max), sign * _grad_x(e, xbar, s_max)))
         near = v >= -TOL_ACTIVE - 1e-3
         cells.append(grid[near].astype(float, copy=False))
         vals.append(v[near])
@@ -364,7 +415,7 @@ def active_indexes(p: SIProblem, xbar, density=None):
                 grads[i], exact[i] = sign * _grad_x(e, xbar, fc[j]), True
             if live[i] and grads[i] @ y > floor:
                 live[i] = False
-                return (families[f], fc[j].copy()), grads[i].copy()
+                return (None if e is p.theta else sign, fc[j].copy()), grads[i].copy()
         return None
 
     return seed, price
@@ -662,58 +713,45 @@ def stationarity_atoms(atoms, cols, target, price):
         [(a, float(w)) for a, w in zip(atoms, fit.w) if w > 1e-12 * fit.w.sum()]
 
 
-def conditions(p: SIProblem, x, g0, atoms, eq_atoms):
-    """(failures, residual, lhs) of a SIP certificate at x, from the objective
-    gradient g0 there.
-
-    The conditions: each atom (s, lambda) has lambda >= 0, s in the box S and
-    theta(x, s) ~ 0; each equality atom (t, mu) has t in the box T and
-    psi(x, t) ~ 0.  residual is ||g0 + sum lambda grad_x theta(x,s) + sum mu
-    grad_x psi(x,t)|| and lhs is sum lambda + sum |mu|."""
-    failures = []
-    resid = g0.copy()
-    total = 0.0
-    for s, w in atoms:
-        if w < -1e-12:
-            failures.append("negative atom weight")
-        if not all(lo - 1e-9 <= v <= hi + 1e-9 for v, (lo, hi) in zip(s, p.S)):  # NaN fails
-            failures.append("atom outside the index box")
-        val = p.theta_at(x, s)
-        if val < -1e-5 or val > 1e-6:
-            failures.append(f"atom not active: theta = {val:.3e}")
-        resid = resid + w * p.grad_x_theta(x, s)
+def conditions(fam: Family, g0, atoms, eq_atoms):
+    """(failures, residual, lhs) of a SIP or sdp certificate at the point of
+    ``fam``, from the objective gradient g0 there: the family's ``terms`` on
+    atoms [(s, lambda)] and eq_atoms [(t, mu)], residual ||g0 + sum lambda
+    grad_x c(x, s) + sum c_t mu grad_x psi(x, t)|| and lhs sum lambda + sum
+    c_t |mu|, both inf where some s has no column."""
+    failures, cols, eq_cols = fam.terms(atoms, eq_atoms)
+    if cols is None:
+        return failures, math.inf, math.inf
+    resid, total = g0.copy(), 0.0
+    for (_, w), col in zip(atoms, cols):
+        resid = resid + w * col
         total += w
-    for t, m in eq_atoms:
-        if not all(lo - 1e-9 <= v <= hi + 1e-9 for v, (lo, hi) in zip(t, p.T)):
-            failures.append("equality atom outside the index box")
-        if abs(p.psi_at(x, t)) > 1e-6:
-            failures.append("equality atom violated at the point")
-        resid = resid + m * p.grad_x_psi(x, t)
-        total += abs(m)
+    for (_, m), (c, col) in zip(eq_atoms, eq_cols):
+        resid = resid + c * m * col
+        total += c * abs(m)
     return failures, float(np.linalg.norm(resid)), total
 
 
-def certify(p: SIProblem, xbar, kappa, seed=42, density=None) -> Certificate:
-    """Atomic-multiplier KKT certificate with the bound sum(lambda) <= kappa*||grad||.
-
-    An equality family psi(x,t) = 0 enters by the two-inequality split:
-    psi <= 0 and -psi <= 0 are two more index families over T, an atom
-    (t, w) of the family with sign +/-1 is the equality atom (t, +/-w), and
-    the bound becomes sum(lambda) + sum|mu| <= 2*kappa*||grad||.  Every
-    family's feasibility sup and atoms come from ``active_indexes`` and the
-    exchange method on the ``density`` grid.
+def certify(p, xbar, kappa, seed=42, density=None) -> Certificate:
+    """Atomic-multiplier KKT certificate of a SIP or an sdp at xbar, bounded
+    by sum(lambda) + sum c_t |mu| <= bound_factor * kappa * ||grad||: the
+    exchange loop of ``stationarity_atoms`` from the active indexes of the
+    family at xbar (``box_family`` on the ``density`` grid for a SIP), checked by
+    ``conditions``.  kappa is resolved after the fit, so no multiplier, no
+    estimate; an sdp's is asserted.  ``sdp.SDProblem.family`` builds an
+    sdp's family here, where sdp cannot be imported.
 
     Unless kappa is asserted or psi is present, ``danskin_constant`` reads c
     from the same active set, the fit's columns among its rows; c > 0 gives
-    the computed kappa = (1 + KAPPA_MARGIN) / c (1 for c = inf) with no
-    sampling.  The atoms' gradients are in the hull, so sum(lambda) <=
-    ||grad|| / c and the bound holds.  Where c = 0 and theta is affine in x
-    (``expr.affine_in``), ``affine_kappa`` gives the exact modulus of the
-    active linear system, over c's rows and the active grid cells, and
-    kappa is (1 + KAPPA_MARGIN) times it, again with no sampling.
-    Otherwise ``sip_kappa_estimate`` samples kappa."""
+    kappa = (1 + KAPPA_MARGIN) / c (1 for c = inf): the atoms' gradients are
+    in the hull, so sum(lambda) <= ||grad|| / c.  Where c = 0 and theta is
+    affine in x (``expr.affine_in``), kappa is (1 + KAPPA_MARGIN) times the
+    exact modulus of the active linear system (``affine_kappa``), over c's
+    rows and the active grid cells.  Otherwise ``sip_kappa_estimate``
+    samples kappa, from ``seed``."""
     xbar = np.asarray(xbar, dtype=float)
-    start, price = active_indexes(p, xbar, density)
+    fam = box_family(p, xbar, density) if isinstance(p, SIProblem) else p.family(xbar)
+    start, price = fam.active()
     g0 = p.grad_objective(xbar)
     taken = [a for a, _ in start]
 
@@ -725,8 +763,7 @@ def certify(p: SIProblem, xbar, kappa, seed=42, density=None) -> Certificate:
 
     found = stationarity_atoms(taken, [c for _, c in start], -g0, fit_price)
     if found is None:
-        raise NoMultiplierError("no atomic multiplier")
-    # kappa after the fit, so no multiplier, no estimate; no estimator notes
+        raise NoMultiplierError(fam.no_multiplier)
     c, rows = (None, []) if isinstance(kappa, (int, float)) or p.psi is not None else \
         danskin_constant(p, xbar, [s for _, s in taken], price)
     affine = affine_kappa(p, xbar, rows, density) \
@@ -743,23 +780,18 @@ def certify(p: SIProblem, xbar, kappa, seed=42, density=None) -> Certificate:
         kappa_val, kappa_source, _ = resolve_kappa(
             kappa, lambda: sip_kappa_estimate(p, xbar, seed=seed))
         notes = []
-    atoms = [(s, w) for ((e, _, _), s), w in found if e is p.theta]
-    eq_atoms = [(t, sign * w) for ((e, sign, _), t), w in found if e is not p.theta]
-    bound_factor = 1.0 if p.psi is None else 2.0
-    residual, total = checked(conditions(p, xbar, g0, atoms, eq_atoms))
-    comp_worst = max([0.0] + [abs(w * p.theta_at(xbar, s)) for s, w in atoms])
-    bound_rhs = bound_factor * kappa_val * float(np.linalg.norm(g0)) \
+    atoms = [(s, w) for (f, s), w in found if f is None]
+    eq_atoms = [(t, f * w) for (f, t), w in found if f is not None]
+    residual, total = checked(conditions(fam, g0, atoms, eq_atoms))
+    bound_rhs = fam.bound_factor * kappa_val * float(np.linalg.norm(g0)) \
         if kappa_val is not None else None
     status, detail = verdict(residual, total, bound_rhs, TOL_STAT, TOL_BOUND)
-    return Certificate(kind="SIP-EQ" if eq_atoms else "SIP", status=status, detail=detail,
-                       point=xbar,
-                       atoms=[(np.asarray(s, dtype=float).tolist() if np.ndim(s) else [float(s)], w)
-                              for s, w in atoms],
+    kind, tolerances, described = fam.describe(atoms, eq_atoms)
+    return Certificate(kind=kind, status=status, detail=detail, point=xbar,
+                       atoms=[(np.asarray(s, dtype=float).tolist(), w) for s, w in atoms],
                        eq_atoms=[(np.asarray(t, dtype=float).tolist(), m) for t, m in eq_atoms],
                        residual=residual, bound_lhs=total, bound_rhs=bound_rhs,
                        kappa=kappa_val, kappa_source=kappa_source,
-                       bound_rule=f"{'2*' if p.psi is not None else ''}kappa*||grad objective||",
-                       tolerances={"tol_stat": TOL_STAT, "tol_bound": TOL_BOUND,
-                                   "tol_active": TOL_ACTIVE, "tol_feas": TOL_FEAS},
-                       seed=seed,
-                       notes=[f"complementarity max |lambda*theta| = {comp_worst:.2e}"] + notes)
+                       bound_rule=f"{'2*' if fam.bound_factor == 2.0 else ''}kappa*||grad objective||",
+                       tolerances={"tol_stat": TOL_STAT, "tol_bound": TOL_BOUND, **tolerances},
+                       seed=seed, notes=described + notes)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varcert import cli, expr, solvers
+from varcert import cli, expr, sdp, solvers
 from varcert.certify import ConstrainedProblem, dual_certificate
 from varcert.expr import SmoothMap
 from varcert.funcspace import PLQFunction
@@ -166,15 +166,77 @@ def test_recheck_refutes_a_nan_sdp_atom(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_recheck_refutes_a_nan_point(tmp_path, capsys):
-    """sdp_readme at x = NaN: sigma^+ is NaN, not 0, so the point is not
-    feasible: exit 1."""
+RECHECKED = [c for c in CASES if c["recheck"] is not None]
+
+
+@pytest.mark.parametrize("case", RECHECKED, ids=[c["name"] for c in RECHECKED])
+def test_recheck_refutes_a_nan_point(case, tmp_path, capsys):
+    """Every rechecked golden certificate at x = NaN: the point fails first,
+    with an infeasible-point line and no RuntimeWarning.  The exit is 1, or 2
+    where a descent witness is stored: a witness that fails shows nothing.
+    sdp's sigma^+ is NaN, not 0; nlp's image is not finite; a sip point
+    with a non-finite coordinate is outside every index family's domain."""
     def edit(cert):
-        cert["point"] = [math.nan]
-    assert recheck_edited(by_name("sdp_readme"), edit, tmp_path) == 1
+        cert["point"] = [math.nan] * len(cert["point"])
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        code = recheck_edited(case, edit, tmp_path)
+    assert code == (2 if "descent_witness" in json.loads(expected_text(case)) else 1)
+    assert [str(w.message) for w in rec if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
-    assert "recheck failure: infeasible point: sigma+ nan, |Psi|max 0.000e+00" in err.splitlines()
+    assert any(line.startswith("recheck failure: infeasible point") for line in err.splitlines())
     assert "Traceback" not in err
+    if case["name"] == "sdp_readme":
+        assert "recheck failure: infeasible point: sigma+ nan, |Psi|max 0.000e+00" in err.splitlines()
+
+
+@pytest.mark.parametrize("name, line", [
+    ("sip_eq", "RESIDUAL: residual 2.000e+00, bound 1.000000e+00 <= 2.0"),
+    ("sdp_psi_offdiag", "RESIDUAL: residual 2.828e+00, bound 1.000000e+00 <= 2.8284271247461903"),
+    ("sdp_psi_kernel2", "RESIDUAL: residual 2.828e+00, bound 2.000000e+00 <= 4.47213595499958"),
+])
+def test_recheck_refutes_flipped_equality_multipliers(name, line, tmp_path, capsys):
+    """An equality atom's mu enters the residual with its sign and the bound
+    with |mu| (times 2 off the diagonal of Psi): flipping every mu keeps the
+    bound's left side and moves the residual from 0 to 2 ||grad objective||."""
+    def flip(cert):
+        for atom in cert["eq_atoms"]:
+            atom["mu"] = -atom["mu"]
+    assert recheck_edited(by_name(name), flip, tmp_path) == 1
+    assert capsys.readouterr().err.splitlines() == [f"recheck failure: {line}"]
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("sip_readme_estimate", {"Jet": 2, "evaluate_flagged": 1}),
+    ("sip_eq", {"Jet": 2, "evaluate_flagged": 1}),
+    ("sip_eq_theta_psi", {"Jet": 2, "evaluate_flagged": 1}),
+    ("sdp_psi_kernel2", {"Jet": 3, "EntryTable": 2, "quadforms": 1}),
+])
+def test_the_work_of_one_recheck(name, counts, tmp_path, monkeypatch):
+    """A sip recheck differentiates the objective once and each atom once,
+    and evaluates each atom once (sip_readme_estimate and sip_eq_theta_psi
+    carry one atom, sip_eq one equality atom); an sdp recheck builds one
+    table of Phi and one of Psi and reads all atoms' gradients from one
+    quadforms call.  An EntryTable is a Jet too.  Counted with a warm parse
+    memo."""
+    case = by_name(name)
+    assert recheck_edited(case, lambda cert: None, tmp_path) == 0
+    seen = dict.fromkeys(["Jet", "evaluate_flagged", "EntryTable", "quadforms"], 0)
+
+    def counted(owner, attr, key):
+        real = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            seen[key] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(expr.Jet, "__init__", "Jet")
+    counted(expr, "evaluate_flagged", "evaluate_flagged")
+    counted(sdp.EntryTable, "__init__", "EntryTable")
+    counted(sdp, "quadforms", "quadforms")
+    assert recheck_edited(case, lambda cert: None, tmp_path) == 0
+    assert seen == {**dict.fromkeys(seen, 0), **counts}
 
 
 @pytest.mark.parametrize("name", ["sdp_rotated_kernel1", "sdp_rotated_kernel2"])

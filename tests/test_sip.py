@@ -39,12 +39,12 @@ def test_sup_violation_examples():
 
 
 def drain(price, y, floor):
-    """Every (family, index, gradient) that ``price`` offers at one y, in
-    the order offered."""
+    """Every (tag, index, gradient) that ``price`` offers at one y, in the
+    order offered."""
     out = []
     while (new := price(np.asarray(y, dtype=float), floor)) is not None:
-        (fam, s), g = new
-        out.append((fam, s, g))
+        (tag, s), g = new
+        out.append((tag, s, g))
     return out
 
 
@@ -52,15 +52,14 @@ def test_active_indexes_examples():
     """The seed is the polished argmax of each family when it is active;
     price offers each active index of every family with
     <sign * grad_x e, y> > floor once, with its exact gradient, tagged with
-    its family."""
+    None for theta and with the sign of a +/-psi family."""
     p = linear_sip()
-    theta, = p.families
     seed, price = active_indexes(p, [0.0])
-    ((fam, s), g), = seed
-    assert fam == theta and g == pytest.approx([s[0]])
+    ((tag, s), g), = seed
+    assert tag is None and g == pytest.approx([s[0]])
     assert price(np.array([-1.0]), 0.0) is None  # every column s has <s, -1> <= 0
     offered = drain(price, [1.0], 0.5)  # the whole box is active: the cells with s > 0.5
-    assert all(fam == theta for fam, _, _ in offered)
+    assert all(tag is None for tag, _, _ in offered)
     assert [s[0] for _, s, _ in offered] == pytest.approx(np.linspace(0.0, 1.0, 64)[32:][::-1])
     assert all(g == pytest.approx(s) for _, s, g in offered)
     assert [s[0] for _, s, _ in drain(price, [1.0], 0.0)] == \
@@ -76,12 +75,11 @@ def test_active_indexes_examples():
     # psi = t1*x1 on T = [0, 1] at x = 0: the families +psi and -psi are
     # active on every cell, with columns +t1 and -t1
     eq = SIProblem.from_strings(1, "x1", psi="t1*x1", T=[(0.0, 1.0)])
-    plus, minus = eq.families
     seed, price = active_indexes(eq, [0.0])
-    assert [fam for (fam, _), _ in seed] == [plus, minus]
-    assert all(g == pytest.approx([fam[1] * s[0]]) for (fam, s), g in seed)
+    assert [tag for (tag, _), _ in seed] == [sign for _, sign, _ in eq.families] == [1.0, -1.0]
+    assert all(g == pytest.approx([tag * s[0]]) for (tag, s), g in seed)
     offered = drain(price, [-1.0], 0.5)
-    assert all(fam == minus for fam, _, _ in offered)
+    assert all(tag == -1.0 for tag, _, _ in offered)
     assert [s[0] for _, s, _ in offered] == pytest.approx(np.linspace(0.0, 1.0, 64)[32:][::-1])
     assert all(g == pytest.approx(-s) for _, s, g in offered)
     with pytest.raises(InfeasiblePointError):
