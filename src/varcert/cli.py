@@ -343,7 +343,7 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
         scale = float(np.linalg.norm(g))
     elif kind in ("sip", "sdp"):  # one index family: a SIP's box, or an sdp's sphere
         p = build_sip(prob_doc) if kind == "sip" else build_sdp(prob_doc)
-        fam = sip_mod.box_family(p, x) if kind == "sip" else sdp_mod.sphere_family(p, x)
+        fam = p.family(x)
         atoms = [(np.array(a["s"], dtype=float), float(a["lambda"]))
                  for a in cert_doc.get("atoms", [])]
         eq_atoms = [(a["t"], float(a["mu"])) for a in cert_doc.get("eq_atoms", [])]

@@ -74,8 +74,8 @@ class SDProblem:
     def phi_value(self, x) -> np.ndarray:
         return EntryTable(self.Phi, x).matrix
 
-    def family(self, x):
-        """The index family at x (``sphere_family``), for ``sip.certify``."""
+    def family(self, x, density=None):
+        """``sphere_family`` at x; ``density`` is a SIP's index grid."""
         return sphere_family(self, x)
 
 
@@ -206,11 +206,11 @@ def sphere_family(p: SDProblem, x) -> sip.Family:
     """An sdp's family at x (``sip.Family``) from one ``EntryTable`` of Phi:
     atoms (None, v) of <v, Phi(x) v> <= 0, seeded by the unit kernel basis
     and priced by ``_kernel_price``, and each Psi entry (i, j) as the pair
-    (+/-1/c_ij, (i, j)) of columns +/-grad Psi_ij.  Its sup, reported as a
-    ``FeasibilityReport``, is lambda_max(Phi(x)) (NaN at a non-finite
-    Phi(x)) or |Psi(x)|max.  An atom needs ||s|| = 1 to ``TOL_UNIT`` (else
-    it ends the checks, with no column), lambda >= 0 and |<s, Phi(x) s>|
-    <= 10 tol_ker."""
+    (+/-1/c_ij, (i, j)) of columns +/-grad Psi_ij.  Its sup is lambda_max(Phi(x))
+    with a top eigenvector (NaN at a non-finite Phi(x)), reported with
+    |Psi(x)|max as a ``FeasibilityReport``; its kappa is asserted.  An atom
+    needs ||s|| = 1 to ``TOL_UNIT`` (else it ends the checks, with no
+    column), lambda >= 0 and |<s, Phi(x) s>| <= 10 tol_ker."""
     phi, psi = EntryTable(p.Phi, x), None if p.Psi is None else EntryTable(p.Psi, x)
     tol_ker = _tol_ker(phi.spectrum[0])
     # Psi's upper triangle by rows, with c_ij = 2 where mu_ij stands for (i, j) and (j, i)
@@ -222,10 +222,7 @@ def sphere_family(p: SDProblem, x) -> sip.Family:
         psi_max = 0.0 if psi is None else float(np.max(np.abs(psi.values)))
         sigma_plus = float(np.maximum(0.0, w[0]))  # NaN, not 0, for a NaN eigenvalue
         rep = FeasibilityReport(sigma_plus, psi_max, sigma_plus <= TOL_FEAS and psi_max <= TOL_FEAS)
-        if psi is None or not psi_max > w[0]:
-            return float(w[0]), (None, None if V is None else V[:, 0]), rep
-        k = int(np.argmax(np.abs(psi.values)))
-        return psi_max, (float(np.sign(psi.values[k])) / entries[k][1], entries[k][0]), rep
+        return float(w[0]), (None, None if V is None else V[:, 0]), rep
 
     def active():
         rep = sup()[2]
@@ -260,8 +257,10 @@ def sphere_family(p: SDProblem, x) -> sip.Family:
         return "SDP", {"tol_ker": tol_ker}, [
             f"kernel tolerance {tol_ker:.2e}", f"complementarity max lambda*<s,Phi s> = {comp:.2e}"]
 
-    return sip.Family(sup, active, terms, describe, bound_factor=2.0,
-                      no_multiplier="stationarity system infeasible over kernel atoms")
+    return sip.Family(sup, active, terms, lambda kappa, *_: (float(kappa), "user-asserted", []),
+                      describe, bound_factor=2.0, no_multiplier=lambda seed:
+                      "stationarity system infeasible over kernel atoms" if seed else
+                      "no kernel atoms and nonzero objective gradient")
 
 
 def certify(p: SDProblem, xbar, kappa, seed=42) -> Certificate:

@@ -103,6 +103,10 @@ class SIProblem:
     def grad_objective(self, x):
         return expr_mod.grad(self.objective, x)
 
+    def family(self, x, density=None):
+        """The index family at x on the ``density`` grid (``box_family``)."""
+        return box_family(self, x, density)
+
     def theta_at(self, x, s):
         return expr_mod.evaluate(self.theta, list(x) + list(s))
 
@@ -303,9 +307,10 @@ def _sup(e, x, sign, box, density):
 
 def sup_violation(p: SIProblem, x):
     """(sup_s theta(x,s)^+, argmax) on the default grid (see ``_sup``)."""
+    x = np.asarray(x, dtype=float)
     if p.theta is None:
         return 0.0, None
-    sup, (_, s), _ = box_family(replace(p, psi=None, T=None), x).sup()
+    sup, s, _, _ = _sup(p.theta, x, 1.0, p.S, default_density(p.k))
     return max(0.0, sup), s
 
 
@@ -319,16 +324,22 @@ class Family:
     active: object  # () -> (seed [(atom, column)], price(y, floor)); infeasible x: raises
     terms: object  # (atoms [(s, lambda)], eq_atoms [(t, mu)]) -> (failure lines of the point and
     # the atoms, with no sup; [grad_x c(x, s)], None off the index set; [(c_t, grad_x psi(x, t))])
+    kappa: object  # (kappa, the loop's indexes, price, seed) -> (kappa or None, its source, notes)
     describe: object  # (atoms, eq_atoms) -> (kind, tolerances it adds, notes)
     bound_factor: float  # sum(lambda) + sum c_t |mu| <= bound_factor * kappa * ||grad objective||
-    no_multiplier: str  # the NoMultiplierError text
+    no_multiplier: object  # (seed) -> the NoMultiplierError text
 
 
 def box_family(p: SIProblem, x, density=None) -> Family:
     """A SIP's family at x: each (e, sign, box) of ``p.families``, atoms
     (None, s) of theta and (sign, t) of +/-psi.  Its sup is the best of
     ``_sup``'s on the density grid, ``active_indexes`` gives its active set
-    and price, and ``terms`` checks a finite x, boxes and activity."""
+    and price, and ``terms`` checks a finite x, boxes and activity.  Unless
+    kappa is asserted or psi is present, ``kappa`` takes (1 + KAPPA_MARGIN) / c
+    (1 for c = inf) from ``danskin_constant``'s c over the loop's indexes,
+    where c > 0 (the atoms' gradients are in the hull, so sum(lambda) <=
+    ||grad|| / c); where c = 0 and theta is affine in x, (1 + KAPPA_MARGIN)
+    times ``affine_kappa``; else ``sip_kappa_estimate``'s, from ``seed``."""
     x = np.asarray(x, dtype=float)
 
     def sup():
@@ -358,13 +369,27 @@ def box_family(p: SIProblem, x, density=None) -> Family:
         return failures, [_grad_x(p.theta, x, s) for s, _ in atoms], \
             [(1.0, _grad_x(p.psi, x, t)) for t, _ in eq_atoms]
 
+    def kappa(asserted, indexes, price, seed):
+        c, rows = (None, []) if isinstance(asserted, (int, float)) or p.psi is not None else \
+            danskin_constant(p, x, indexes, price)
+        affine = affine_kappa(p, x, rows, density) \
+            if c == 0.0 and expr_mod.affine_in(p.theta, p.n) else None
+        if c is not None and c > 0.0:
+            return (1.0 + KAPPA_MARGIN) / c if math.isfinite(c) else 1.0, KAPPA_DANSKIN, \
+                [f"Danskin criterion: c = {c:.6g} <= dist(0, conv grad_x theta(xbar, active s))"]
+        if affine is not None:
+            return (1.0 + KAPPA_MARGIN) * affine[0], KAPPA_AFFINE, \
+                [f"affine criterion: max 1/dist(0, conv grad_x theta(xbar, D)) over "
+                 f"{affine[1]} minimal face(s) D = {affine[0]:.6g}"]
+        return (*resolve_kappa(asserted, lambda: sip_kappa_estimate(p, x, seed=seed))[:2], [])
+
     def describe(atoms, eq_atoms):
         comp = max([0.0] + [abs(w * p.theta_at(x, s)) for s, w in atoms])
         return "SIP-EQ" if eq_atoms else "SIP", {"tol_active": TOL_ACTIVE, "tol_feas": TOL_FEAS}, \
             [f"complementarity max |lambda*theta| = {comp:.2e}"]
 
-    return Family(sup, lambda: active_indexes(p, x, density), terms, describe,
-                  bound_factor=1.0 if p.psi is None else 2.0, no_multiplier="no atomic multiplier")
+    return Family(sup, lambda: active_indexes(p, x, density), terms, kappa, describe,
+                  1.0 if p.psi is None else 2.0, lambda seed: "no atomic multiplier")
 
 
 def active_indexes(p: SIProblem, xbar, density=None):
@@ -735,22 +760,12 @@ def conditions(fam: Family, g0, atoms, eq_atoms):
 def certify(p, xbar, kappa, seed=42, density=None) -> Certificate:
     """Atomic-multiplier KKT certificate of a SIP or an sdp at xbar, bounded
     by sum(lambda) + sum c_t |mu| <= bound_factor * kappa * ||grad||: the
-    exchange loop of ``stationarity_atoms`` from the active indexes of the
-    family at xbar (``box_family`` on the ``density`` grid for a SIP), checked by
-    ``conditions``.  kappa is resolved after the fit, so no multiplier, no
-    estimate; an sdp's is asserted.  ``sdp.SDProblem.family`` builds an
-    sdp's family here, where sdp cannot be imported.
-
-    Unless kappa is asserted or psi is present, ``danskin_constant`` reads c
-    from the same active set, the fit's columns among its rows; c > 0 gives
-    kappa = (1 + KAPPA_MARGIN) / c (1 for c = inf): the atoms' gradients are
-    in the hull, so sum(lambda) <= ||grad|| / c.  Where c = 0 and theta is
-    affine in x (``expr.affine_in``), kappa is (1 + KAPPA_MARGIN) times the
-    exact modulus of the active linear system (``affine_kappa``), over c's
-    rows and the active grid cells.  Otherwise ``sip_kappa_estimate``
-    samples kappa, from ``seed``."""
+    ``stationarity_atoms`` loop over ``p.family(xbar, density)``, checked by
+    ``conditions``, and kappa from the family after the fit.  With no active
+    index and ||grad|| <= TOL_STAT, the residual rung's tolerance, the
+    multiplier is the empty one: the loop's fit tolerance is stricter."""
     xbar = np.asarray(xbar, dtype=float)
-    fam = box_family(p, xbar, density) if isinstance(p, SIProblem) else p.family(xbar)
+    fam = p.family(xbar, density)
     start, price = fam.active()
     g0 = p.grad_objective(xbar)
     taken = [a for a, _ in start]
@@ -761,25 +776,11 @@ def certify(p, xbar, kappa, seed=42, density=None) -> Certificate:
             taken.append(new[0])
         return new
 
-    found = stationarity_atoms(taken, [c for _, c in start], -g0, fit_price)
+    found = [] if not start and float(np.linalg.norm(g0)) <= TOL_STAT else \
+        stationarity_atoms(taken, [c for _, c in start], -g0, fit_price)
     if found is None:
-        raise NoMultiplierError(fam.no_multiplier)
-    c, rows = (None, []) if isinstance(kappa, (int, float)) or p.psi is not None else \
-        danskin_constant(p, xbar, [s for _, s in taken], price)
-    affine = affine_kappa(p, xbar, rows, density) \
-        if c == 0.0 and expr_mod.affine_in(p.theta, p.n) else None
-    if c is not None and c > 0.0:
-        kappa_val = (1.0 + KAPPA_MARGIN) / c if math.isfinite(c) else 1.0
-        kappa_source = KAPPA_DANSKIN
-        notes = [f"Danskin criterion: c = {c:.6g} <= dist(0, conv grad_x theta(xbar, active s))"]
-    elif affine is not None:
-        kappa_val, kappa_source = (1.0 + KAPPA_MARGIN) * affine[0], KAPPA_AFFINE
-        notes = [f"affine criterion: max 1/dist(0, conv grad_x theta(xbar, D)) over "
-                 f"{affine[1]} minimal face(s) D = {affine[0]:.6g}"]
-    else:
-        kappa_val, kappa_source, _ = resolve_kappa(
-            kappa, lambda: sip_kappa_estimate(p, xbar, seed=seed))
-        notes = []
+        raise NoMultiplierError(fam.no_multiplier(start))
+    kappa_val, kappa_source, notes = fam.kappa(kappa, [s for _, s in taken], price, seed)
     atoms = [(s, w) for (f, s), w in found if f is None]
     eq_atoms = [(t, f * w) for (f, t), w in found if f is not None]
     residual, total = checked(conditions(fam, g0, atoms, eq_atoms))

@@ -65,6 +65,35 @@ def test_certify_equality_only():
     assert cert.residual <= 1e-9
 
 
+def test_no_kernel_and_a_gradient_within_tol_stat_take_the_empty_multiplier(tmp_path):
+    """Phi = -I has no kernel.  A gradient of norm 1e-8 lies between the
+    exchange loop's fit tolerance and TOL_STAT: the empty multiplier is
+    issued VERIFIED, and recheck passes it.  A larger gradient has no
+    multiplier, with the note that names the missing kernel."""
+    doc = {"kind": "sdp", "n": 1, "objective": "-1e-8*x1",
+           "constraints": {"Phi": [["-1", "0"], [None, "-1"]]}}
+    code, cert = _issue(tmp_path, doc, "0", "--kappa", "1")
+    assert code == 0 and cert["status"] == "VERIFIED" and cert["atoms"] == []
+    assert cli.run(["recheck", "-p", str(tmp_path / "problem.json"),
+                    "-c", str(tmp_path / "cert.json")]) == 0
+    p = SDProblem.from_strings(1, "-x1", [["-1", "0"], [None, "-1"]])
+    with pytest.raises(NoMultiplierError, match="^no kernel atoms and nonzero objective gradient$"):
+        certify(p, [0.0], kappa=1.0)
+    with pytest.raises(NoMultiplierError, match="^stationarity system infeasible over kernel atoms$"):
+        certify(diag_problem("x1"), [0.0], kappa=1.0)
+
+
+def test_any_real_kappa_is_asserted():
+    """sdp has no kappa ladder: a numpy integer or float32 kappa is asserted
+    like a float, and what is not a number raises as 2.0 * kappa did."""
+    for kappa in (np.int64(2), np.float32(2.0), 2):
+        cert = certify(diag_problem(), [0.0], kappa=kappa)
+        assert (cert.kappa, cert.kappa_source) == (2.0, "user-asserted")
+        assert cert.bound_rhs == pytest.approx(4.0)
+    with pytest.raises(TypeError):
+        certify(diag_problem(), [0.0], kappa=None)
+
+
 def test_certify_infeasible_point():
     with pytest.raises(InfeasiblePointError):
         certify(diag_problem(), [0.5], kappa=1.0)

@@ -146,6 +146,30 @@ def test_certify_no_multiplier_by_sign():
             certify(p, [0.0], kappa=1.0)
 
 
+def test_no_active_index_and_a_gradient_within_tol_stat_take_the_empty_multiplier():
+    """theta = s1*x1 - 1 is -1 at x = 0 for every s: no index is active.  A
+    gradient of norm 1e-8, above the exchange loop's fit tolerance, is
+    within TOL_STAT, and the empty multiplier is VERIFIED."""
+    p = SIProblem.from_strings(1, "1e-8*x1", theta="s1*x1 - 1", S=[(0.0, 1.0)])
+    cert = certify(p, [0.0], kappa=1.0)
+    assert cert.status == VERIFIED and cert.atoms == [] and cert.residual == 1e-8
+    with pytest.raises(NoMultiplierError, match="^no atomic multiplier$"):
+        certify(SIProblem.from_strings(1, "x1", theta="s1*x1 - 1", S=[(0.0, 1.0)]), [0.0],
+                kappa=1.0)
+
+
+def test_the_family_sup_is_the_best_of_theta_and_both_psi_signs():
+    """The box family's sup ranges over theta on S and +/-psi on T, and its
+    argmax atom is tagged None for theta and with the sign for psi."""
+    p = SIProblem.from_strings(1, "x1", theta="s1*x1 - 1", S=[(0.0, 1.0)],
+                               psi="t1 - x1", T=[(0.0, 1.0)])
+    v, (tag, t), _ = p.family([2.0]).sup()
+    assert (v, tag, list(t)) == (2.0, -1.0, [0.0])  # -psi(2, 0) = 2 beats theta(2, 1) = 1
+    v, (tag, s), text = SIProblem.from_strings(1, "x1", theta="s1*x1 - 1", S=[(0.0, 1.0)]).family(
+        [3.0]).sup()
+    assert (v, tag, list(s), text) == (2.0, None, [1.0], "sup violation 2.000e+00 exceeds tol_feas")
+
+
 def test_flat_face_takes_one_atom_at_the_far_corner(monkeypatch):
     """theta = s1*x1 + s2*x2 on [0,1]^2, objective -x1-x2 at 0: every index is
     active and lambda = 1 at s = (1, 1) is the least multiplier.  The
