@@ -99,7 +99,8 @@ class Composite:
         self.theta = theta
         self.f = f
         self.xbar = np.asarray(xbar, dtype=float)
-        self.ybar = f.eval(self.xbar)
+        self.jet = f.jet(self.xbar)  # f(xbar) and its Jacobian, from one Dual pass
+        self.ybar = self.jet.values
         self.domain_oracle = domain_oracle
         self._last_image = (None, None)
         self._last_point = (None, None)
@@ -130,7 +131,7 @@ class Composite:
             pieces = self.dom_theta_pieces()
             self._coderivative = None
             if pieces is not None and len(pieces) == 1:
-                self._coderivative = coderivative_of(self.f.jet(self.xbar), pieces[0], self.ybar)
+                self._coderivative = coderivative_of(self.jet, pieces[0], self.ybar)
         return self._coderivative
 
     def dist_dom(self, y):
@@ -322,7 +323,7 @@ def composite_fn(c: Composite) -> OracleFn:
 
 def chain_subderivative(c: Composite, u) -> SubderivativeValue:
     """d(theta o f)(xbar)(u) = d theta(ybar)(Jacobian u), under AQC+epi or MSQC."""
-    J = c.f.jacobian(c.xbar)
+    J = c.jet.jacobian()
     inner = subderivative(c.theta, c.ybar, J @ np.asarray(u, dtype=float))
     inner.flags = list(inner.flags) + ["hypothesis:asserted"]
     return inner
@@ -337,7 +338,7 @@ def chain_subdifferential(c: Composite) -> SubdifferentialSet:
 
     Kept: the paper's subdifferential chain rule, library API without a command.
     """
-    JT = c.f.jacobian(c.xbar).T
+    JT = c.jet.jacobian().T
     theta = c.theta
     if isinstance(theta, SmoothFn):
         S = SubdifferentialSet.singleton(JT @ theta.gradient(c.ybar))
@@ -504,7 +505,7 @@ def abadie_check(c: Composite, seed=0) -> CQReport:
     test on Omega, and sampled feasible directions must linearize (the
     always-true inclusion, asserted numerically).
     """
-    J = c.f.jacobian(c.xbar)
+    J = c.jet.jacobian()
     oracle = feasible_set_oracle(c)
     rng = np.random.default_rng(seed)
     notes = []
@@ -755,7 +756,7 @@ def robinson_check(c: Composite) -> CQReport:
             return CQReport("Robinson", VERIFIED, confidence="exact", notes=[criterion_note(cval)])
         return CQReport("Robinson", REFUTED, witness=y, confidence="exact",
                         notes=[f"unit normal y with ||J^T y|| = "
-                               f"{float(np.linalg.norm(c.f.jacobian(c.xbar).T @ y)):.1e}: c = 0"])
+                               f"{float(np.linalg.norm(c.jet.jacobian().T @ y)):.1e}: c = 0"])
     if c.domain_oracle is not None:
         return CQReport("Robinson", INCONCLUSIVE, confidence="none",
                         notes=["dom theta is a DomainOracle: its domain was not checked"])
@@ -763,7 +764,7 @@ def robinson_check(c: Composite) -> CQReport:
     if pieces is None:
         return CQReport("Robinson", VERIFIED, confidence="exact",
                         notes=["dom theta is the whole space"])
-    J = c.f.jacobian(c.xbar)
+    J = c.jet.jacobian()
     m, n = c.m, c.n
     eps = 1e-3 * (1.0 + float(np.linalg.norm(c.ybar)))
     notes = []
@@ -838,7 +839,7 @@ def robustness_check(c: Composite, kappa=None, seed=0) -> RobustnessReport:
     Theta = pieces[0]
     oracle = feasible_set_oracle(c)
     rng = np.random.default_rng(seed)
-    Jbar = c.f.jacobian(c.xbar)
+    Jbar = c.jet.jacobian()
     gens_bar = Theta.A_ineq[Theta.active_rows(c.ybar, tol_active=1e-5)]
     lines_bar = Theta.A_eq
     max_violation = 0.0

@@ -18,7 +18,8 @@ nonnegative columns), and an active-set descent that holds the equality
 rows exactly moves it to the least norm; on a miss, the nnls residual gives
 the Farkas direction instead.  The one LP, ``conic_fit``, fits the SIP and
 sdp atoms at least cost, where a simplex vertex is the answer, or gives
-phase 1's Farkas direction (``sip.stationarity_atoms``).
+phase 1's Farkas direction (``sip.stationarity_atoms``); ``lp_solve`` reads
+both phases' duals off the final tableau by one rule, with no linear solve.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class LPProblem:
 class LPSolution:
     status: str
     x: np.ndarray = None
-    y: np.ndarray = None  # dual values for the given rows (INFEASIBLE: phase 1's)
+    y: np.ndarray = None  # row duals read off the final tableau (INFEASIBLE: phase 1's)
     objective: float = None
     iterations: int = 0
 
@@ -181,35 +182,39 @@ def _simplex_loop(T, basis, allowed, obj_row):
 
 
 def lp_solve(p: LPProblem) -> LPSolution:
-    """Two-phase primal simplex with Bland's anti-cycling rule.  INFEASIBLE carries
-    phase 1's duals y: for A x = b, x >= 0, the Farkas direction A^T y <= 0 < <b, y>."""
+    """Two-phase primal simplex with Bland's anti-cycling rule.
+
+    Every pivot updates both objective rows, so each is c - pi^T [M | I]
+    over all standardized rows, dropped ones included, and row i's dual is
+    c_art - T[objective, artificial i] (c_art = 1 in phase 1, 0 in phase 2)
+    through the row's flip: y prices each column as the optimality test saw
+    it.  OPTIMAL carries phase 2's duals; INFEASIBLE phase 1's, for A x = b,
+    x >= 0 the Farkas direction A^T y <= 0 < <b, y>."""
     if not (np.all(np.isfinite(p.A)) and np.all(np.isfinite(p.b)) and np.all(np.isfinite(p.c))):
         raise ValueError("LP data must be finite")
     M, r, cost, const, to_x, flip, n_user_rows = _standardize(p)
     mrows, ncols = M.shape
 
     # artificial variables, one per row, form the initial basis
-    M_full = np.hstack([M, np.eye(mrows)])
-    art = list(range(ncols, ncols + mrows))
-    basis = list(art)
-    cost_art = np.concatenate([np.zeros(ncols), np.ones(mrows)])
-    cost_full = np.concatenate([cost, np.zeros(mrows)])
-
+    basis = list(range(ncols, ncols + mrows))
     T = np.zeros((mrows + 2, ncols + mrows + 1))
-    T[:mrows, :-1] = M_full
+    T[:mrows, :ncols] = M
+    T[:mrows, ncols:-1] = np.eye(mrows)
     T[:mrows, -1] = r
     # phase-1 cost row (index mrows) and real cost row (index mrows+1)
-    T[mrows, :-1] = cost_art
-    T[mrows + 1, :-1] = cost_full
+    T[mrows, ncols:-1] = 1.0
+    T[mrows + 1, :ncols] = cost
     for i in range(mrows):
         T[mrows] -= T[i]  # price out the artificial basis
+
+    def duals(obj, c_art):  # obj: an objective row of T
+        return (flip * (c_art - obj[ncols:ncols + mrows]))[:n_user_rows]
 
     allowed = list(range(ncols + mrows))
     status, it1 = _simplex_loop(T, basis, allowed, mrows)
     phase1 = -T[mrows, -1]
     if phase1 > 1e-9 * (1.0 + float(np.linalg.norm(r))):
-        y = (flip * (1.0 - T[mrows, ncols:ncols + mrows]))[:n_user_rows]  # artificials: 1 - y
-        return LPSolution(status=INFEASIBLE, y=y, iterations=it1)
+        return LPSolution(status=INFEASIBLE, y=duals(T[mrows], 1.0), iterations=it1)
 
     # drive artificials out of the basis; drop redundant rows
     keep = list(range(mrows))
@@ -226,13 +231,8 @@ def lp_solve(p: LPProblem) -> LPSolution:
                 keep.remove(i)
 
     if len(keep) < mrows:
-        rows = keep + [mrows, mrows + 1]
-        T = T[rows]
+        T = T[keep + [mrows, mrows + 1]]
         basis = [basis[i] for i in keep]
-        M_full = M_full[keep]
-        row_map = keep
-    else:
-        row_map = list(range(mrows))
     nbrows = len(basis)
 
     # phase 2 over structural + slack columns only
@@ -248,20 +248,8 @@ def lp_solve(p: LPProblem) -> LPSolution:
             z[bj] = T[i, -1]
     x = to_x(z)
     objective = float(cost @ z) + const
-
-    # duals: y = c_B B^{-1} on the standardized rows, mapped back through flips
-    B = M_full[:, basis]
-    cB = cost_full[basis]
-    try:
-        y_std = np.linalg.solve(B.T, cB)
-    except np.linalg.LinAlgError:
-        y_std = np.linalg.lstsq(B.T, cB, rcond=None)[0]
-    y_all = np.zeros(len(flip))
-    for i_local, i_orig in enumerate(row_map):
-        y_all[i_orig] = flip[i_orig] * y_std[i_local]
-    y = y_all[:n_user_rows]
-
-    return LPSolution(status=OPTIMAL, x=x, y=y, objective=objective, iterations=it1 + it2)
+    return LPSolution(status=OPTIMAL, x=x, y=duals(T[nbrows + 1], 0.0), objective=objective,
+                      iterations=it1 + it2)
 
 
 def eigh(A):
@@ -286,7 +274,7 @@ def eigh(A):
 @dataclass
 class ConicFit:
     w: np.ndarray  # ray weights, None when no fit exists
-    y: np.ndarray  # target-row duals: a ray c prices at 1 - <c, y>; Farkas when w is None
+    y: np.ndarray  # lp_solve's row duals: a ray c prices at 1 - <c, y>; Farkas when w is None
 
 
 def conic_fit(target, rays):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from varcert.calculus import (
     sum_subderivative,
     sum_subdifferential,
 )
+from varcert.errors import KinkWarning
 from varcert.expr import SmoothMap
 from varcert.funcspace import (
     INF,
@@ -284,6 +286,35 @@ def test_feasible_set_oracle_evaluates_f_once_per_point(monkeypatch):
     assert 0.0 < d < INF
     assert len(points) >= 3  # z and the Gauss-Newton iterates
     assert len(points) == len(set(points))
+
+
+@pytest.mark.parametrize("components, xbar", [
+    (["log(x1)", "x2"], [0.1, 0.0]),  # the coderivative criterion decides
+    (["x1 - abs(x2)", "x2"], [0.0, 0.0]),  # a kink: every check samples
+])
+def test_cq_walks_f_at_xbar_once(components, xbar, monkeypatch):
+    """A Composite reads f(xbar) and the Jacobian there off one Jet, so the
+    three checks together make one Dual pass at xbar and no float walk."""
+    seen = {"eval": 0, "jet": 0}
+    at = np.array(xbar).tobytes()
+
+    def counted(name):
+        real = getattr(SmoothMap, name)
+
+        def wrapper(self, x):
+            seen[name] += np.asarray(x, dtype=float).tobytes() == at
+            return real(self, x)
+        monkeypatch.setattr(SmoothMap, name, wrapper)
+
+    counted("eval")
+    counted("jet")
+    f = SmoothMap.from_strings(components, ["x1", "x2"])
+    c = Composite(IndicatorFn(Polyhedron([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])), f, xbar)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KinkWarning)
+        reports = calc.cq_reports(c, seed=0)
+    assert len(reports) == 3
+    assert seen == {"eval": 0, "jet": 1}
 
 
 def test_restore_reaches_omega_through_the_penalty_fallback():

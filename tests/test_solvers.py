@@ -264,6 +264,26 @@ def test_an_infeasible_lp_carries_a_farkas_direction():
     assert 50 < infeasible < 200
 
 
+def test_optimal_duals_price_every_column_as_the_optimality_test_did():
+    """The atom fit of a perfbench sdp issue (certify_asserted seed 4317,
+    cycle 12, sdp1), whose optimal basis is numerically singular: the duals
+    read off the final tableau keep C^T y <= 1 on every column and <b, y> =
+    sum(w), which a re-solve of B^T y = c_B did not."""
+    b = np.array([0.05650726009453346, -0.41508608085320065, -0.4360205953688744,
+                  0.6938334492489228, 0.2102129007228093, 0.3836505186180513])
+    C = np.array([[0.07204212135620003, -0.006393193276935062, 0.013380298256536902],
+                  [-0.5292007037691895, 0.04696255909453888, -0.09828782274456996],
+                  [-0.22216708116886263, -0.28439233541871767, -0.8361607279268822],
+                  [0.5151387510928069, 0.29094213360288124, 0.7735799893253024],
+                  [-0.06830741254575567, 0.31252827156101015, 0.48133868830830384],
+                  [0.015424497535636449, 0.4302924822328744, 0.10309389484415506]])
+    fit = conic_fit(b, C)
+    assert fit.w is not None and np.allclose(C @ fit.w, b, atol=1e-9)
+    assert (C.T @ fit.y <= 1.0 + 1e-9).all()
+    total = float(fit.w.sum())
+    assert abs(float(b @ fit.y) - total) <= 1e-9 * (1.0 + total)
+
+
 def _pivot_loop(T, basis, row, col):
     """The row-by-row pivot that solvers._pivot vectorizes (reference)."""
     T[row] /= T[row, col]
