@@ -45,6 +45,7 @@ import contextlib
 import functools
 import math
 import re
+import struct
 import warnings
 from dataclasses import dataclass
 
@@ -61,41 +62,59 @@ from .errors import (
 FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "log": 1, "sqrt": 1, "abs": 1, "max": 2, "min": 2}
 
 
+def _fact(k, doc):
+    """A read-only view of entry k of the root's facts."""
+    return property(lambda e: e._facts[k], doc=doc)
+
+
 class Expr:
     """Base class for expression nodes.
 
     Nodes are immutable after parsing, and that is a contract: ``parse``
     keeps the last 512 trees and returns the same tree to every caller of the
     same text and names, so a change to one node would reach them all.  Only
-    the parser builds nodes.  The classes are plain dataclasses, since a
-    frozen one costs about three times as much to build; with ``eq`` and no
-    ``frozen`` a node is unhashable, so nothing can key a cache on one."""
+    the parser builds nodes.  The classes are slotted, unfrozen dataclasses:
+    the memo keeps tens of thousands of nodes, a slotted node holds no
+    instance dict, and a frozen one costs about three times as much to build.
+    With ``eq`` and no ``frozen`` a node is unhashable, so nothing can key a
+    cache on one.
+
+    ``parse`` sets the slot ``_facts`` on a tree's root only, and an inner
+    node leaves it unset; the four properties below read it on a root.
+    """
+
+    __slots__ = ("_facts",)
+
+    _text = _fact(0, "the source text")
+    _nvars = _fact(1, "the number of declared names")
+    _top = _fact(2, "the largest variable index, -1 without one")
+    _var_power = _fact(3, "whether an exponent holds a variable")
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Num(Expr):
     value: float
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Var(Expr):
     name: str
     index: int
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class BinOp(Expr):
     op: str
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Call(Expr):
     func: str
     args: tuple
@@ -109,6 +128,7 @@ _TOKEN_RE = re.compile(_TOKEN)
 _BAD_RE = re.compile(_TOKEN + r"|(\S)")  # group 1: a character that starts no token
 _OPS = frozenset("-+*/^(),")
 _END = ""  # the token after the last one
+_BITS = struct.Struct("d").pack  # a float's exact bits, which tell -0.0 from 0.0
 
 
 def _tokenize(text):
@@ -134,7 +154,10 @@ class _Parser:
     meets and whether an exponent holds a variable.  A variable or number
     token that recurs in the text reuses the leaf of its first use
     (``leaves``), so a kept tree holds each leaf once; nodes are immutable,
-    and no other parse sees that leaf.
+    and no other parse sees that leaf.  A leaf is built only on its first
+    use.  ``-`` applied to a number folds into one number, the negated
+    value, which is exact; its leaf is keyed by the value's bits, since
+    0.0 and -0.0 are one dict key.
     """
 
     def __init__(self, text, declared_vars):
@@ -207,20 +230,33 @@ class _Parser:
                 self.top = k
             self.variables += 1
             self.depth = 1
-            return self.leaves.setdefault(tok, Var(tok, k))
+            leaf = self.leaves.get(tok)
+            if leaf is None:
+                leaf = self.leaves[tok] = Var(tok, k)
+            return leaf
         if tok in _OPS or tok == _END:
             if tok == "(":
                 e = self.expr()
                 self.expect(")")
                 return e
             if tok == "-":
-                e = Neg(self.atom())
+                e = self.atom()
+                if type(e) is Num:  # depth stays 0
+                    value = -e.value
+                    key = _BITS(value)
+                    leaf = self.leaves.get(key)
+                    if leaf is None:
+                        leaf = self.leaves[key] = Num(value)
+                    return leaf
                 self.depth += 1
-                return e
+                return Neg(e)
             raise self.error(i, "expected number, variable, function, or '('")
         if not tok.isidentifier():
             self.depth = 0
-            return self.leaves.setdefault(tok, Num(float(tok)))  # a literal such as 1e999 parses to inf
+            leaf = self.leaves.get(tok)
+            if leaf is None:  # a literal such as 1e999 parses to inf
+                leaf = self.leaves[tok] = Num(float(tok))
+            return leaf
         if tokens[i + 1] != "(":
             raise UnknownVariableError(tok)
         if tok not in FUNCTIONS:
@@ -243,10 +279,12 @@ class _Parser:
 def parse(text: str, declared_vars) -> Expr:
     """Parse ``text`` over the declared variable names (order fixes indices).
 
-    The root keeps the source text (``_text``), the number of declared names
-    (``_nvars``), the largest variable index (``_top``) and whether an
-    exponent contains a variable (``_var_power``).  A root-to-leaf path of
-    more than 200 nodes that are not numbers is an ``ExprSyntaxError``.
+    The root's one ``_facts`` slot keeps the source text (``_text``), the
+    number of declared names (``_nvars``), the largest variable index
+    (``_top``) and whether an exponent contains a variable (``_var_power``),
+    which read-only properties of the same names give.  A root-to-leaf path
+    of more than 200 nodes that are not numbers is an ``ExprSyntaxError``;
+    a negated number is one number.
 
     A ``str`` text over ``str`` names is parsed once per process: the last
     512 trees are kept by (text, names), and a repeat returns the same tree,
@@ -269,8 +307,7 @@ def _parse(text, names):
         raise parser.error(parser.i, "expression nested too deeply") from None
     if parser.depth > 200:
         raise ExprSyntaxError(0, "expression nested too deeply")
-    root._text, root._nvars, root._top = text, len(names), parser.top
-    root._var_power = parser.var_power
+    root._facts = (text, len(names), parser.top, parser.var_power)
     return root
 
 

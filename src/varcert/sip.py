@@ -716,10 +716,14 @@ def stationarity_atoms(atoms, cols, target, price):
     it prices nothing there is no fit (Lawson & Hanson, 1974, ch. 23).  Then
     ``conic_fit``'s duals price: its fit's at floor 1, its Farkas direction's
     at floor 0, whose gain is first order where r's is second (r stalls near
-    an sdp target on the kernel cone's boundary).  A simplex vertex has at
-    most len(target) positive weights; w <= 1e-12 sum(w) is roundoff, dropped."""
+    an sdp target on the kernel cone's boundary).  A fresh r that prices
+    nothing separates only when its miss is decisive, above 1e-7 (1 +
+    ||target||) in the 1-norm; below that, the LP's Farkas direction is
+    priced too.  A simplex vertex has at most len(target) positive weights;
+    w <= 1e-12 sum(w) is roundoff, dropped."""
     atoms, cols = list(atoms), list(cols)
-    tol = 1e-9 * (1.0 + float(np.linalg.norm(target)))  # lp_solve's feasibility rule
+    scale = 1.0 + float(np.linalg.norm(target))
+    tol = 1e-9 * scale  # lp_solve's feasibility rule
     last = np.inf
     while True:
         C = np.array(cols, dtype=float).reshape(len(cols), len(target)).T
@@ -728,8 +732,9 @@ def stationarity_atoms(atoms, cols, target, price):
         fresh, last = tol < miss < last, miss  # nnls used what r priced last
         new = price(r / np.abs(r).max(), 0.0) if fresh else None
         if new is None:
-            fit = conic_fit(target, C)  # no fit after a fresh r: r separates
-            new = None if fit.w is None and fresh else price(fit.y, 0.0 if fit.w is None else 1.0)
+            fit = conic_fit(target, C)  # no fit after a decisive fresh r: r separates
+            new = None if fit.w is None and fresh and miss > 1e-7 * scale else \
+                price(fit.y, 0.0 if fit.w is None else 1.0)
             if new is None:
                 break
         atoms.append(new[0])

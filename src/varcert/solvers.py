@@ -216,7 +216,9 @@ def lp_solve(p: LPProblem) -> LPSolution:
     if phase1 > 1e-9 * (1.0 + float(np.linalg.norm(r))):
         return LPSolution(status=INFEASIBLE, y=duals(T[mrows], 1.0), iterations=it1)
 
-    # drive artificials out of the basis; drop redundant rows
+    # drive artificials out of the basis; drop redundant rows.  A basic
+    # artificial may sit at a level within phase 1's tolerance: zeroed first,
+    # its pivot is degenerate and leaves no other basic value negative
     keep = list(range(mrows))
     for i in range(mrows):
         if basis[i] >= ncols:
@@ -226,6 +228,7 @@ def lp_solve(p: LPProblem) -> LPSolution:
                     piv_col = j
                     break
             if piv_col >= 0:
+                T[i, -1] = 0.0
                 _pivot(T, basis, i, piv_col)
             else:
                 keep.remove(i)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import struct
 import warnings
 from pathlib import Path
 
@@ -129,6 +130,10 @@ NESTING = [("+".join(["x1"] * 200), True), ("+".join(["x1"] * 201), False),
 NESTING += [(nested(n, step), n < 200) for step in [
     lambda t: f"sin({t})", lambda t: f"max({t}, x1)", lambda t: f"-{t}", lambda t: f"({t})^2",
     lambda t: f"2/({t})"] for n in (199, 200)]
+# a negated number is one number, which counts 0: a literal under 200 calls
+# is accepted, a negated variable under 199 is not
+NESTING += [("sin(" * 200 + "-1" + ")" * 200, True), ("sin(" * 199 + "-x1" + ")" * 199, False),
+            ("-" * 300 + "1", True)]
 
 
 @pytest.mark.parametrize("text, accepted", NESTING, ids=range(len(NESTING)))
@@ -281,19 +286,24 @@ def test_compiled_closures_live_on_the_expression():
     """No closure is compiled any more, and the one thing kept is bounded:
     evaluating many parsed expressions grows no module-level container, the
     parse memo holds at most 512 trees, and a tree it has let go is freed
-    once its caller drops it too."""
+    once its caller drops it too.  A slotted node takes no weak reference,
+    so the freeing shows in the count of live nodes: dropping the first
+    tree, once the memo has let it go, takes its 5 nodes off the heap."""
     import gc
-    import weakref
 
     def container_sizes():
         return {name: len(v) for name, v in vars(expr).items()
                 if isinstance(v, (dict, list, set))}
 
+    def live_nodes():
+        gc.collect()
+        return sum(isinstance(o, expr.Expr) for o in gc.get_objects())
+
     before = container_sizes()
     for i in range(200):
         e = expr.parse(f"x1 * {i} + x2", ["x1", "x2"])
         if i == 0:
-            first = weakref.ref(e)
+            first = e
         assert expr.evaluate(e, [1.0, 2.0]) == i + 2.0
         assert list(expr.grad(e, [1.0, 2.0])) == [i, 1.0]
     assert container_sizes() == before
@@ -301,8 +311,9 @@ def test_compiled_closures_live_on_the_expression():
     for i in range(512):
         expr.parse(f"x2 - x1 / {i + 1000}", ["x1", "x2"])
     assert expr._parse_kept.cache_info().currsize <= 512
-    gc.collect()
-    assert first() is None
+    held = live_nodes()
+    del first
+    assert held - live_nodes() == 5
 
 
 def test_a_literal_past_the_float_range_is_inf():
@@ -351,7 +362,8 @@ def golden_expressions():
     return seen
 
 
-EDGE_CASES = ["1e999*x1", "-x1^2", "x1^-1", "--x1", "x1", "3", "(x2)",
+EDGE_CASES = ["1e999*x1", "-x1^2", "x1^-1", "--x1", "x1", "3", "(x2)", "-0", "x2 - -0.403*x1",
+              "x1*-0 + x2*--0", "-(2)^x1 - -1e999*x2", "-2^x2 + x1^--2",
               "max(abs(min(x1, -x2)), max(x1^2, abs(-3)))", "min(max(x1, 2), abs(x2 - 1e999))"]
 
 
@@ -491,6 +503,51 @@ def test_a_recurring_leaf_is_one_node_of_its_own_tree():
     assert expr.parse("x1*2", ["x1"]).lhs is not e.lhs.lhs
     one, two = expr.parse("x1", ["x1"]), expr.parse("x1", ["x1", "x2"])
     assert one is not two and (one._nvars, two._nvars) == (1, 2)
+
+
+def _nodes(e):
+    yield e
+    for child in _children(e):
+        yield from _nodes(child)
+
+
+def test_nodes_are_slotted_and_only_the_root_holds_the_facts():
+    """No node has an instance dict.  A repeated text returns the memo's
+    tree, whose root holds the four facts in its one slot; the properties
+    that read them are read-only, and an inner node leaves the slot unset."""
+    text, names = "max(x1, -x2)*3 - sin(x2^x1) / -(x1 + 1)", ["x1", "x2", "x3"]
+    e = expr.parse(text, names)
+    assert expr.parse(text, list(names)) is e
+    assert (e._text, e._nvars, e._top, e._var_power) == (text, 3, 1, True)
+    nodes = list(_nodes(e))
+    assert {type(node) for node in nodes} == {expr.BinOp, expr.Call, expr.Var, expr.Num, expr.Neg}
+    for node in nodes:
+        assert not hasattr(node, "__dict__"), node
+    for node in nodes[1:]:
+        with pytest.raises(AttributeError):
+            node._facts
+    with pytest.raises(AttributeError):
+        e._top = 0
+
+
+@pytest.mark.parametrize("text, value", [("-3", -3.0), ("--3", 3.0), ("-0", -0.0), ("--0", 0.0),
+                                         ("-(3)", -3.0), ("---1e999", -math.inf)])
+def test_a_negated_literal_folds_into_one_number(text, value):
+    """``-`` applied to a literal is one ``Num`` of the negated value, bit
+    for bit, and the walk gives that value with its sign."""
+    e = expr.parse(text, ["x1"])
+    assert type(e) is expr.Num and struct.pack("d", e.value) == struct.pack("d", value)
+    assert struct.pack("d", expr.evaluate(e, [1.0])) == struct.pack("d", value)
+
+
+def test_folded_literals_are_leaves_keyed_by_their_bits():
+    """A folded literal that recurs is one node; -0 and --0, equal as dict
+    keys, are two, each with its sign."""
+    e = expr.parse("x1*-2 + x1*-2 + x1*-0 + x1*--0", ["x1"])
+    t1, t2, t3, t4 = e.lhs.lhs.lhs, e.lhs.lhs.rhs, e.lhs.rhs, e.rhs
+    assert t1.rhs is t2.rhs and t1.rhs.value == -2.0
+    assert t3.rhs is not t4.rhs
+    assert (math.copysign(1.0, t3.rhs.value), math.copysign(1.0, t4.rhs.value)) == (-1.0, 1.0)
 
 
 @pytest.mark.parametrize("text, names, error, message", [
