@@ -19,7 +19,6 @@ from .calculus import INCONCLUSIVE, REFUTED, VERIFIED
 from .errors import (
     DimensionMismatchError,
     InfeasiblePointError,
-    NoMultiplierError,
     NonconvexUnsupportedError,
     NumericalBreakdownError,
 )
@@ -121,7 +120,7 @@ def primal_check(p: ConstrainedProblem, xbar, seed=42) -> Certificate:
     cert, *_ = _fit(p, xbar, "Primal", seed)
     if cert.descent_witness is not None:
         return cert
-    status, detail = verdict(cert.residual, cert.bound_lhs, np.inf, TOL_STAT, TOL_BOUND)
+    status, detail = verdict(cert.residual, cert.bound_lhs, np.inf)
     return replace(cert, status=status, detail=detail, bound_lhs=None,
                    notes=[f"least-norm multiplier residual {cert.residual:.3e}"])
 
@@ -146,18 +145,25 @@ def resolve_kappa(kappa, estimate):
     return None, "unavailable", rep
 
 
-def verdict(residual, lhs, rhs, tol_stat, tol_bound):
+def verdict(residual, lhs, rhs):
     """(status, detail) of a dual certificate, by the ladder RESIDUAL ->
     KAPPA_UNAVAILABLE -> BOUND_EXCEEDED -> VERIFIED shared by nlp, sip and
-    sdp.  ``rhs`` is None when no kappa is available; the bound lhs <= rhs
-    has a tolerance relative to rhs.  A NaN residual, lhs or rhs fails its rung."""
-    if not residual <= tol_stat:
+    sdp, on TOL_STAT and TOL_BOUND.  ``rhs`` is None when no kappa is available;
+    the bound's tolerance is relative to rhs.  A NaN residual, lhs or rhs fails its rung."""
+    if not residual <= TOL_STAT:
         return INCONCLUSIVE, "RESIDUAL"
     if rhs is None:
         return INCONCLUSIVE, "KAPPA_UNAVAILABLE"
-    if not lhs <= rhs + tol_bound * (1.0 + rhs):
+    if not lhs <= rhs + TOL_BOUND * (1.0 + rhs):
         return REFUTED, "BOUND_EXCEEDED"
     return VERIFIED, None
+
+
+def no_multiplier_certificate(kind, point, seed, note, witness=None) -> Certificate:
+    """REFUTED NO_MULTIPLIER as every issuer returns it: it claims no residual,
+    bound or tolerance; ``witness``, if any, is a descent direction."""
+    return Certificate(kind=kind, status=REFUTED, detail="NO_MULTIPLIER", point=point,
+                       descent_witness=witness, seed=seed, notes=[note])
 
 
 def checked(found):
@@ -260,14 +266,15 @@ def _fit(p: ConstrainedProblem, xbar, kind, seed):
 def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42) -> Certificate:
     """Recover the lambda of least Euclidean norm in N_Theta(ybar) with
     J^T lambda = -g, and check the bounded-multiplier estimate on it; kappa
-    is resolved after the fit, so no multiplier, no estimate.  Unless kappa
-    is asserted, the coderivative criterion's c > 0 gives the computed
-    kappa = (1 + KAPPA_MARGIN) / c, just above reg F = 1/c (1 for c = inf),
-    with no sampling; otherwise ``msqc_estimate`` samples it."""
+    is resolved after the fit, so no multiplier (REFUTED NO_MULTIPLIER, with
+    the fit's descent witness), no estimate.  Unless kappa is asserted, the
+    coderivative criterion's c > 0 gives the computed kappa = (1 +
+    KAPPA_MARGIN) / c, just above reg F = 1/c (1 for c = inf), with no
+    sampling; otherwise ``msqc_estimate`` samples it."""
     cert, grads, jet = _fit(p, xbar, "DualKKT", seed)
     if cert.descent_witness is not None:
-        raise NoMultiplierError("stationarity system infeasible: not dual-stationary",
-                                witness=cert.descent_witness)
+        return no_multiplier_certificate("DualKKT", cert.point, seed, "stationarity system "
+                                         "infeasible: not dual-stationary", cert.descent_witness)
     found = None if isinstance(kappa, (int, float)) else \
         calc.coderivative_of(jet, p.Theta, jet.values, p.Theta.active_rows(jet.values))
     if found is not None and found[0] > 0.0:
@@ -287,7 +294,7 @@ def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42) -> 
         scale = rel_lipschitz_estimate(p.objective, cert.point, radius=0.5, seed=seed)
         bound_rule = "ell*kappa with sampled relative Lipschitz ell"
     bound_rhs = kappa_val * scale if kappa_val is not None else None
-    status, detail = verdict(cert.residual, cert.bound_lhs, bound_rhs, TOL_STAT, TOL_BOUND)
+    status, detail = verdict(cert.residual, cert.bound_lhs, bound_rhs)
     return replace(cert, status=status, detail=detail, bound_rhs=bound_rhs, kappa=kappa_val,
                    kappa_source=kappa_source, bound_rule=bound_rule,
                    tolerances={"tol_stat": TOL_STAT, "tol_cone": TOL_CONE,

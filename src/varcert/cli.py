@@ -36,7 +36,6 @@ from .calculus import REFUTED, VERIFIED
 from .certify import Certificate, ConstrainedProblem
 from .errors import (
     InfeasiblePointError,
-    NoMultiplierError,
     NonConvergenceError,
     NumericalBreakdownError,
     VarcertError,
@@ -88,6 +87,16 @@ def canonical_json(obj) -> str:
 # ---------------------------------------------------------------------------
 # problem files
 
+def _no_bool(value, where):
+    """Refuse a JSON true or false anywhere in ``value``: Python reads it as 1 or 0."""
+    stack = [value]  # not recursion: any nesting json reads is walked
+    while stack:
+        v = stack.pop()
+        if isinstance(v, bool):
+            raise CliError(f"{where} holds true or false where a number belongs")
+        stack.extend(v.values() if isinstance(v, dict) else v if isinstance(v, list) else ())
+
+
 def load_problem(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -99,6 +108,7 @@ def load_problem(path):
     kind = doc.get("kind")
     if kind not in ("nlp", "sip", "sdp"):
         raise CliError(f"unknown problem kind {kind!r}")
+    _no_bool(doc, "the problem file")
     if not isinstance(doc.get("n"), int) or doc["n"] < 1:
         raise CliError("field 'n' must be a positive integer")
     if not isinstance(doc.get("objective"), str):
@@ -307,6 +317,8 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
     kind = prob_doc["kind"]
     if cert_doc.get("problem_kind") != kind:
         raise CliError("certificate was issued for a different problem kind")
+    _no_bool([cert_doc.get(key) for key in ("point", "descent_witness", "multipliers",
+              "generator_weights", "eq_weights", "atoms", "eq_atoms")], "the certificate")
     point = cert_doc.get("point")
     if point is None or len(point) != prob_doc["n"]:
         raise CliError("certificate point does not match the problem dimension")
@@ -363,7 +375,7 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
     rhs = math.inf if (kind, cert_doc.get("kind")) == ("nlp", "Primal") else \
         None if kappa is None else kappa * scale
     stored = cert_doc.get("status")
-    status, detail = certify.verdict(residual, lhs, rhs, certify.TOL_STAT, certify.TOL_BOUND)
+    status, detail = certify.verdict(residual, lhs, rhs)
     # a missing kappa refutes only a VERIFIED claim; the other rungs refute any
     if status != VERIFIED and (detail != "KAPPA_UNAVAILABLE" or stored == VERIFIED):
         failures.append(f"{detail}: residual {residual:.3e}, bound {lhs:.6e} <= {rhs}")
@@ -394,23 +406,10 @@ def _emit(cert: Certificate, kind, args):
     return _status_exit(cert.status)
 
 
-def _issue(args, kind, build, cert_kind, certify_fn):
-    """Issue the dual certificate ``certify_fn(p, x, kappa)``; a missing
-    multiplier becomes a REFUTED certificate with detail NO_MULTIPLIER."""
-    doc, p, x = _load(args, kind, build)
-    kappa = _resolve_kappa(doc, args)
-    try:
-        cert = certify_fn(p, x, kappa)
-    except NoMultiplierError as exc:
-        cert = Certificate(kind=cert_kind, status=REFUTED, detail="NO_MULTIPLIER",
-                           point=x, descent_witness=exc.witness, seed=args.seed,
-                           notes=[str(exc)])
-    return _emit(cert, kind, args)
-
-
 def _cmd_kkt(args):
-    return _issue(args, "nlp", build_nlp, "DualKKT", lambda p, x, kappa:
-                  certify.dual_certificate(p, x, kappa=kappa, seed=args.seed))
+    doc, p, x = _load(args, "nlp", build_nlp)
+    cert = certify.dual_certificate(p, x, kappa=_resolve_kappa(doc, args), seed=args.seed)
+    return _emit(cert, "nlp", args)
 
 
 def _cmd_primal(args):
@@ -421,17 +420,18 @@ def _cmd_primal(args):
 def _cmd_sip(args):
     if args.grid is not None and args.grid < 1:
         raise CliError(f"--grid must be a positive integer, got {args.grid}")
-    return _issue(args, "sip", build_sip, "SIP", lambda p, x, kappa:
-                  sip_mod.certify(p, x, kappa=kappa, seed=args.seed, density=args.grid))
+    doc, p, x = _load(args, "sip", build_sip)
+    cert = sip_mod.certify(p, x, kappa=_resolve_kappa(doc, args), seed=args.seed,
+                           density=args.grid)
+    return _emit(cert, "sip", args)
 
 
 def _cmd_sdp(args):
-    def certify_sdp(p, x, kappa):
-        if kappa == "estimate":
-            raise CliError("sdp certification needs an explicit --kappa")
-        return sdp_mod.certify(p, x, kappa=kappa, seed=args.seed)
-
-    return _issue(args, "sdp", build_sdp, "SDP", certify_sdp)
+    doc, p, x = _load(args, "sdp", build_sdp)
+    kappa = _resolve_kappa(doc, args)
+    if kappa == "estimate":
+        raise CliError("sdp certification needs an explicit --kappa")
+    return _emit(sdp_mod.certify(p, x, kappa=kappa, seed=args.seed), "sdp", args)
 
 
 def _cmd_subderiv(args):

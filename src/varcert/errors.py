@@ -64,14 +64,6 @@ class NumericalBreakdownError(VarcertError):
     """A tiny pivot, or a non-finite input, leaves no meaningful result."""
 
 
-class NoMultiplierError(VarcertError):
-    """The point is not dual-stationary; ``witness``, if not None, is a descent direction."""
-
-    def __init__(self, message, witness=None):
-        self.witness = witness
-        super().__init__(message)
-
-
 class InfeasiblePointError(VarcertError):
     pass
 

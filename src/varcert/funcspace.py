@@ -696,9 +696,7 @@ def _union_domain_normal_cone(omegas, x) -> PolyhedralCone:
         T = tangent_cone(om, x)
         if T.G.shape[0] == 0 and T.H.shape[0] == 0:
             return PolyhedralCone.zero(n)  # interior point: normal cone {0}
-        rays, lines = T.polar().ensure_generators()
-        G, H = geo.cone_halfspaces_from_generators(rays, lines)
-        halfspace_stacks.append((G, H))
+        halfspace_stacks.append(T.ensure_generators())  # T's generators: its polar's halfspaces
     G = np.vstack([g for g, _ in halfspace_stacks])
     H = np.vstack([h for _, h in halfspace_stacks]) if any(h.shape[0] for _, h in halfspace_stacks) \
         else np.zeros((0, n))

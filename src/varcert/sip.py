@@ -31,13 +31,13 @@ import numpy as np
 from . import expr as expr_mod
 from .calculus import (CODERIVATIVE_MAX_FACES, FEASIBLE_SAMPLE, KAPPA_MARGIN, REFUTED,
                        VERIFIED, CQReport, ratio_stability_estimate)
-from .certify import Certificate, TOL_BOUND, TOL_STAT, checked, resolve_kappa, verdict
+from .certify import (Certificate, TOL_BOUND, TOL_STAT, checked, no_multiplier_certificate,
+                      resolve_kappa, verdict)
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
     InfeasiblePointError,
     KinkWarning,
-    NoMultiplierError,
     NotInDomainError,
 )
 from .geometry import TOL_ACTIVE, TOL_FEAS, hull_vertices, minimal_faces
@@ -327,7 +327,7 @@ class Family:
     kappa: object  # (kappa, the loop's indexes, price, seed) -> (kappa or None, its source, notes)
     describe: object  # (atoms, eq_atoms) -> (kind, tolerances it adds, notes)
     bound_factor: float  # sum(lambda) + sum c_t |mu| <= bound_factor * kappa * ||grad objective||
-    no_multiplier: object  # (seed) -> the NoMultiplierError text
+    no_multiplier: object  # (seed) -> the note of the NO_MULTIPLIER certificate
 
 
 def box_family(p: SIProblem, x, density=None) -> Family:
@@ -706,8 +706,9 @@ def caratheodory_reduce(atoms, weights, G) -> AtomicMultiplier:
 
 
 def stationarity_atoms(atoms, cols, target, price):
-    """Least-cost multiplier sum_i w_i cols_i = target with w >= 0, each atom
-    costing 1 per unit weight; None when there is none.
+    """(multiplier, working set): the least-cost multiplier sum_i w_i cols_i =
+    target with w >= 0, each atom costing 1 per unit weight, or None when
+    there is none; and ``atoms``, then each atom ``price`` offered, in order.
 
     The working set C grows by ``price(y, floor)``, which returns an (atom,
     column) with <column, y> > floor or None.  While the nnls residual r =
@@ -719,8 +720,9 @@ def stationarity_atoms(atoms, cols, target, price):
     an sdp target on the kernel cone's boundary).  A fresh r that prices
     nothing separates only when its miss is decisive, above 1e-7 (1 +
     ||target||) in the 1-norm; below that, the LP's Farkas direction is
-    priced too.  A simplex vertex has at most len(target) positive weights;
-    w <= 1e-12 sum(w) is roundoff, dropped."""
+    priced too.  A simplex vertex has at most len(target) positive weights.
+    ``lp_solve`` raises rather than return a weight below -tol or a fit
+    that misses by more than tol, so a w <= 1e-12 sum(w) is roundoff, dropped."""
     atoms, cols = list(atoms), list(cols)
     scale = 1.0 + float(np.linalg.norm(target))
     tol = 1e-9 * scale  # lp_solve's feasibility rule
@@ -740,7 +742,7 @@ def stationarity_atoms(atoms, cols, target, price):
         atoms.append(new[0])
         cols.append(new[1])
     return None if fit.w is None else \
-        [(a, float(w)) for a, w in zip(atoms, fit.w) if w > 1e-12 * fit.w.sum()]
+        [(a, float(w)) for a, w in zip(atoms, fit.w) if w > 1e-12 * fit.w.sum()], atoms
 
 
 def conditions(fam: Family, g0, atoms, eq_atoms):
@@ -766,32 +768,25 @@ def certify(p, xbar, kappa, seed=42, density=None) -> Certificate:
     """Atomic-multiplier KKT certificate of a SIP or an sdp at xbar, bounded
     by sum(lambda) + sum c_t |mu| <= bound_factor * kappa * ||grad||: the
     ``stationarity_atoms`` loop over ``p.family(xbar, density)``, checked by
-    ``conditions``, and kappa from the family after the fit.  With no active
-    index and ||grad|| <= TOL_STAT, the residual rung's tolerance, the
-    multiplier is the empty one: the loop's fit tolerance is stricter."""
+    ``conditions``, with kappa from the family over the loop's working set;
+    else REFUTED NO_MULTIPLIER.  With no active index and ||grad|| <=
+    TOL_STAT (the loop's fit tolerance is stricter) the multiplier is empty."""
     xbar = np.asarray(xbar, dtype=float)
     fam = p.family(xbar, density)
     start, price = fam.active()
     g0 = p.grad_objective(xbar)
-    taken = [a for a, _ in start]
-
-    def fit_price(y, floor):  # price offers an index once: keep the fit's for c
-        new = price(y, floor)
-        if new is not None:
-            taken.append(new[0])
-        return new
-
-    found = [] if not start and float(np.linalg.norm(g0)) <= TOL_STAT else \
-        stationarity_atoms(taken, [c for _, c in start], -g0, fit_price)
+    found, taken = ([], []) if not start and float(np.linalg.norm(g0)) <= TOL_STAT else \
+        stationarity_atoms([a for a, _ in start], [c for _, c in start], -g0, price)
     if found is None:
-        raise NoMultiplierError(fam.no_multiplier(start))
+        return no_multiplier_certificate(fam.describe([], [])[0], xbar, seed,
+                                         fam.no_multiplier(start))
     kappa_val, kappa_source, notes = fam.kappa(kappa, [s for _, s in taken], price, seed)
     atoms = [(s, w) for (f, s), w in found if f is None]
     eq_atoms = [(t, f * w) for (f, t), w in found if f is not None]
     residual, total = checked(conditions(fam, g0, atoms, eq_atoms))
     bound_rhs = fam.bound_factor * kappa_val * float(np.linalg.norm(g0)) \
         if kappa_val is not None else None
-    status, detail = verdict(residual, total, bound_rhs, TOL_STAT, TOL_BOUND)
+    status, detail = verdict(residual, total, bound_rhs)
     kind, tolerances, described = fam.describe(atoms, eq_atoms)
     return Certificate(kind=kind, status=status, detail=detail, point=xbar,
                        atoms=[(np.asarray(s, dtype=float).tolist(), w) for s, w in atoms],

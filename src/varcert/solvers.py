@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonConvergenceError
+from .errors import DimensionMismatchError, NonConvergenceError, NumericalBreakdownError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -189,7 +189,10 @@ def lp_solve(p: LPProblem) -> LPSolution:
     c_art - T[objective, artificial i] (c_art = 1 in phase 1, 0 in phase 2)
     through the row's flip: y prices each column as the optimality test saw
     it.  OPTIMAL carries phase 2's duals; INFEASIBLE phase 1's, for A x = b,
-    x >= 0 the Farkas direction A^T y <= 0 < <b, y>."""
+    x >= 0 the Farkas direction A^T y <= 0 < <b, y>.  Before OPTIMAL is
+    returned, the basic z of the standardized M z = r is checked against
+    phase 1's tol: z >= -tol and ||M z - r|| <= tol, else it raises
+    ``NumericalBreakdownError``."""
     if not (np.all(np.isfinite(p.A)) and np.all(np.isfinite(p.b)) and np.all(np.isfinite(p.c))):
         raise ValueError("LP data must be finite")
     M, r, cost, const, to_x, flip, n_user_rows = _standardize(p)
@@ -212,8 +215,8 @@ def lp_solve(p: LPProblem) -> LPSolution:
 
     allowed = list(range(ncols + mrows))
     status, it1 = _simplex_loop(T, basis, allowed, mrows)
-    phase1 = -T[mrows, -1]
-    if phase1 > 1e-9 * (1.0 + float(np.linalg.norm(r))):
+    tol = 1e-9 * (1.0 + float(np.linalg.norm(r)))  # phase 1's rule
+    if -T[mrows, -1] > tol:
         return LPSolution(status=INFEASIBLE, y=duals(T[mrows], 1.0), iterations=it1)
 
     # drive artificials out of the basis; drop redundant rows.  A basic
@@ -249,6 +252,9 @@ def lp_solve(p: LPProblem) -> LPSolution:
     for i, bj in enumerate(basis):
         if bj < ncols:
             z[bj] = T[i, -1]
+    low, miss = float(z.min(initial=0.0)), float(np.linalg.norm(M @ z - r))
+    if not (low >= -tol and miss <= tol):  # a NaN fails
+        raise NumericalBreakdownError(f"simplex optimum: min z {low:.3e}, ||M z - r|| {miss:.3e}")
     x = to_x(z)
     objective = float(cost @ z) + const
     return LPSolution(status=OPTIMAL, x=x, y=duals(T[nbrows + 1], 0.0), objective=objective,

@@ -6,12 +6,11 @@ import pytest
 
 from varcert import certify, cli
 from varcert.certify import (
-    Certificate,
     ConstrainedProblem,
     dual_certificate,
     primal_check,
 )
-from varcert.errors import InfeasiblePointError, NoMultiplierError
+from varcert.errors import InfeasiblePointError
 from varcert.expr import SmoothMap
 from varcert.funcspace import PLQFunction, SmoothFn, plq_abs
 from varcert.geometry import Polyhedron
@@ -48,8 +47,11 @@ def test_dual_certificate_orthant_fixture():
 
 
 def test_dual_certificate_no_multiplier():
-    with pytest.raises(NoMultiplierError):
-        dual_certificate(orthant_problem("x1 + x2"), [0.0, 0.0], kappa=1.0)
+    cert = dual_certificate(orthant_problem("x1 + x2"), [0.0, 0.0], kappa=1.0)
+    assert (cert.kind, cert.status, cert.detail) == ("DualKKT", certify.REFUTED, "NO_MULTIPLIER")
+    assert np.allclose(cert.descent_witness, [-1.0, -1.0], atol=1e-9)
+    assert cert.notes == ["stationarity system infeasible: not dual-stationary"]
+    assert (cert.residual, cert.bound_lhs, cert.tolerances, cert.seed) == (None, None, {}, 42)
 
 
 def test_dual_certificate_duplicated_row_map():
@@ -309,16 +311,6 @@ def _recheck(cert, doc):
     return cli.recheck(cert_doc, doc, lines.append), lines
 
 
-def _kkt(p, x):
-    """kkt's outcome as the CLI issues it: the certificate, or the
-    NO_MULTIPLIER certificate built from the error's witness."""
-    try:
-        return dual_certificate(p, x, kappa=1e6)
-    except NoMultiplierError as exc:
-        return Certificate(kind="DualKKT", status=certify.REFUTED, detail="NO_MULTIPLIER",
-                           point=np.asarray(x, dtype=float), descent_witness=exc.witness)
-
-
 def test_primal_and_kkt_read_one_farkas_alternative():
     """Seeded nlps at x = 0, with an equality row every third trial, a
     rank-deficient J in half, and stationary objectives in half.
@@ -340,7 +332,7 @@ def test_primal_and_kkt_read_one_farkas_alternative():
                    "Theta": {"A_ineq": Theta.A_ineq.tolist(), "b_ineq": Theta.b_ineq.tolist(),
                              "A_eq": Theta.A_eq.tolist(), "b_eq": Theta.b_eq.tolist()}}}
         p, x = cli.build_nlp(doc), np.zeros(n)
-        primal, kkt = primal_check(p, x), _kkt(p, x)
+        primal, kkt = primal_check(p, x), dual_certificate(p, x, kappa=1e6)
         assert primal.status == kkt.status, trial
         descent = _linearized_descent_lp(J, A_act, E, [g], [np.zeros((0, n))])
         verdicts.add(primal.status)
@@ -385,7 +377,7 @@ def test_primal_and_kkt_agree_on_a_plq_objective():
             [" + ".join(f"{float(J[i, j])!r}*x{j + 1}" for j in range(n)) for i in range(m)],
             [f"x{j + 1}" for j in range(n)])
         p, x = ConstrainedProblem(PLQFunction(pieces), f, Theta), np.zeros(n)
-        primal, kkt = primal_check(p, x), _kkt(p, x)
+        primal, kkt = primal_check(p, x), dual_certificate(p, x, kappa=1e6)
         assert primal.status == kkt.status, trial
         grads = [g + e1, g - e1]
         descent = _linearized_descent_lp(J, A_act, E, grads,

@@ -808,3 +808,90 @@ def test_a_non_finite_direction_exits_3_before_any_work(direction, tmp_path, cap
     prob = write_problem(tmp_path, orthant_doc())
     assert cli.run(["subderiv", "-p", prob, "--point", "1,1", "--direction", direction]) == 3
     assert capsys.readouterr().err == "error: 'direction' must hold finite numbers\n"
+
+
+def unit_nlp_doc(a=1.0):
+    """min -x1 s.t. a x1 <= 0 at 0 with kappa 1: VERIFIED with lambda = 1
+    for a = 1, REFUTED with the descent witness 1 for a = -1."""
+    return {"kind": "nlp", "n": 1, "objective": "-x1", "point": [0.0], "kappa": 1.0,
+            "constraints": {"f": ["x1"], "Theta": {"A_ineq": [[a]], "b_ineq": [0.0]}}}
+
+
+def unit_sip_doc():
+    """min -x1 s.t. x1 - s1 <= 0 on S = [0, 1] at 0 with kappa 1: VERIFIED
+    with the atom s = 0, lambda = 1."""
+    return {"kind": "sip", "n": 1, "objective": "-x1", "point": [0.0], "kappa": 1.0,
+            "constraints": {"theta": "x1 - s1", "S": [[0.0, 1.0]]}}
+
+
+BOOL_IN_PROBLEM = [
+    ("n", unit_nlp_doc, lambda d: d.update(n=True)),
+    ("A_ineq", unit_nlp_doc, lambda d: d["constraints"]["Theta"].update(A_ineq=[[True]])),
+    ("b_ineq", unit_nlp_doc, lambda d: d["constraints"]["Theta"].update(b_ineq=[False])),
+    ("point", unit_nlp_doc, lambda d: d.update(point=[False])),
+    ("kappa", unit_nlp_doc, lambda d: d.update(kappa=True)),
+    ("S", unit_sip_doc, lambda d: d["constraints"].update(S=[[False, True]])),
+]
+BOOL_IN_CERTIFICATE = [
+    ("point", unit_nlp_doc, lambda c: c.update(point=[False])),
+    ("multipliers", unit_nlp_doc, lambda c: c.update(multipliers=[True])),
+    ("generator_weights", unit_nlp_doc, lambda c: c.update(generator_weights=[True])),
+    ("descent_witness", lambda: unit_nlp_doc(-1.0), lambda c: c.update(descent_witness=[True])),
+    ("atom_s", unit_sip_doc, lambda c: c["atoms"][0].update(s=[False])),
+    ("atom_lambda", unit_sip_doc, lambda c: c["atoms"][0].update({"lambda": True})),
+]
+
+
+@pytest.mark.parametrize("make, edit", [case[1:] for case in BOOL_IN_PROBLEM],
+                         ids=[case[0] for case in BOOL_IN_PROBLEM])
+def test_a_json_bool_in_a_problem_exits_3(make, edit, tmp_path, capsys):
+    """JSON's true and false are not the numbers 1 and 0, though Python
+    compares them equal: a problem that holds one where a number belongs
+    exits 3 with an error line, where its numeric twin is issued."""
+    doc = make()
+    command = "kkt" if doc["kind"] == "nlp" else doc["kind"]
+    assert cli.run([command, "-p", write_problem(tmp_path, doc)]) == 0
+    edit(doc)
+    assert doc == make()  # the same numbers, as Python reads them
+    capsys.readouterr()
+    assert cli.run([command, "-p", write_problem(tmp_path, doc)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("make, edit", [case[1:] for case in BOOL_IN_CERTIFICATE],
+                         ids=[case[0] for case in BOOL_IN_CERTIFICATE])
+def test_a_json_bool_in_a_certificate_exits_3(make, edit, tmp_path, capsys):
+    """A certificate that holds true or false where recheck reads a number
+    exits 3 with an error line, where its numeric twin reproduces its status."""
+    doc = make()
+    prob, out = write_problem(tmp_path, doc), tmp_path / "cert.json"
+    command = "kkt" if doc["kind"] == "nlp" else doc["kind"]
+    issued = cli.run([command, "-p", prob, "--out", str(out)])
+    assert cli.run(["recheck", "-p", prob, "-c", str(out)]) == issued
+    cert = json.loads(out.read_text(encoding="utf-8"))
+    edited = json.loads(json.dumps(cert))
+    edit(edited)
+    assert edited == cert  # the same numbers, as Python reads them
+    out.write_text(json.dumps(edited), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.run(["recheck", "-p", prob, "-c", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_a_deeply_nested_number_field_exits_3(tmp_path, capsys):
+    """The true-or-false screen walks any nesting json reads without
+    recursion: a number field nested 900 lists deep (a certificate's
+    multipliers, a problem's point) is refused with an error line, not a
+    RecursionError."""
+    deep = json.loads("[" * 900 + "0" + "]" * 900)
+    doc = unit_nlp_doc()
+    prob, out = write_problem(tmp_path, doc), tmp_path / "cert.json"
+    assert cli.run(["kkt", "-p", prob, "--out", str(out)]) == 0
+    cert = json.loads(out.read_text(encoding="utf-8"))
+    out.write_text(json.dumps(dict(cert, multipliers=deep)), encoding="utf-8")
+    assert cli.run(["recheck", "-p", prob, "-c", str(out)]) == 3
+    assert cli.run(["kkt", "-p", write_problem(tmp_path, dict(doc, point=deep))]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2 and "Traceback" not in err

@@ -146,6 +146,17 @@ def test_the_lp_answers_only_the_sip_and_sdp_atom_fit():
     assert callers("conic_fit") == ["sip.stationarity_atoms"]
 
 
+def test_every_certificate_is_built_by_the_issuer_that_returns_it():
+    """An issuer returns every certificate it issues, NO_MULTIPLIER included,
+    so none rides on an exception for a caller to rebuild: Certificate(...)
+    is called only in certify and sip, and no module of src/ or perfbench/
+    names NoMultiplierError."""
+    assert {caller.split(".")[0] for caller in callers("Certificate")} == {"certify", "sip"}
+    naming = [path.name for path in SRC + sorted((ROOT / "perfbench").glob("*.py"))
+              if "NoMultiplierError" in _referenced(ast.parse(path.read_text(encoding="utf-8")))]
+    assert naming == []
+
+
 def test_no_code_is_generated():
     """Expressions are only walked: the builtins compile, exec and eval are
     called nowhere in src/ by bare name (so re.compile and SmoothMap.eval do

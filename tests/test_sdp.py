@@ -7,8 +7,8 @@ import pytest
 
 from varcert import cli, expr, sdp, sip
 from varcert.errors import (DimensionTooLargeError, InfeasiblePointError, KinkWarning,
-                            NoMultiplierError, NonConvergenceError, NotInDomainError,
-                            NotUnitError, NumericalBreakdownError)
+                            NonConvergenceError, NotInDomainError, NotUnitError,
+                            NumericalBreakdownError)
 from varcert.sdp import SDProblem, certify, feasibility, grad_quadform, reduce_to_sip
 from varcert.solvers import eigh
 
@@ -53,8 +53,9 @@ def test_certify_fixture():
 
 
 def test_certify_sign_infeasible():
-    with pytest.raises(NoMultiplierError):
-        certify(diag_problem("x1"), [0.0], kappa=1.0)
+    cert = certify(diag_problem("x1"), [0.0], kappa=1.0)
+    assert (cert.kind, cert.status, cert.detail) == ("SDP", "REFUTED", "NO_MULTIPLIER")
+    assert cert.atoms is None and cert.residual is None and cert.tolerances == {}
 
 
 def test_certify_equality_only():
@@ -78,10 +79,10 @@ def test_no_kernel_and_a_gradient_within_tol_stat_take_the_empty_multiplier(tmp_
     assert cli.run(["recheck", "-p", str(tmp_path / "problem.json"),
                     "-c", str(tmp_path / "cert.json")]) == 0
     p = SDProblem.from_strings(1, "-x1", [["-1", "0"], [None, "-1"]])
-    with pytest.raises(NoMultiplierError, match="^no kernel atoms and nonzero objective gradient$"):
-        certify(p, [0.0], kappa=1.0)
-    with pytest.raises(NoMultiplierError, match="^stationarity system infeasible over kernel atoms$"):
-        certify(diag_problem("x1"), [0.0], kappa=1.0)
+    for q, note in ((p, "no kernel atoms and nonzero objective gradient"),
+                    (diag_problem("x1"), "stationarity system infeasible over kernel atoms")):
+        cert = certify(q, [0.0], kappa=1.0)
+        assert (cert.status, cert.detail, cert.notes) == ("REFUTED", "NO_MULTIPLIER", [note])
 
 
 def test_any_real_kappa_is_asserted():
@@ -482,12 +483,10 @@ def known_multiplier_sdp(seed):
 
 def known_multiplier_answer(seed):
     """The verdict of ``certify`` at 0 with kappa = 1e6 on
-    ``known_multiplier_sdp(seed)``, or the error an issue reports for it."""
+    ``known_multiplier_sdp(seed)``, or the exit 4 an issue reports for it."""
     p = known_multiplier_sdp(seed)
     try:
         cert = certify(p, np.zeros(p.n), kappa=1e6)
-    except NoMultiplierError:
-        return "REFUTED NO_MULTIPLIER"
     except (NonConvergenceError, NumericalBreakdownError):
         return "exit 4"
     return cert.status if cert.detail is None else f"{cert.status} {cert.detail}"

@@ -9,7 +9,7 @@ import pytest
 
 from varcert import cli, sip, solvers
 from varcert.calculus import REFUTED, VERIFIED
-from varcert.errors import InfeasiblePointError, KinkWarning, NoMultiplierError
+from varcert.errors import InfeasiblePointError, KinkWarning
 from varcert.sip import (
     SIProblem,
     active_indexes,
@@ -142,8 +142,9 @@ def test_certify_no_multiplier_by_sign():
     """theta priced by the exchange loop, and psi alone (one LP): one note."""
     for p in (SIProblem.from_strings(1, "x1", theta="s1*x1", S=[(0.0, 1.0)]),
               SIProblem.from_strings(1, "x1", psi="t1*x1^2", T=[(0.0, 1.0)])):
-        with pytest.raises(NoMultiplierError, match="^no atomic multiplier$"):
-            certify(p, [0.0], kappa=1.0)
+        cert = certify(p, [0.0], kappa=1.0)
+        assert (cert.kind, cert.status, cert.detail) == ("SIP", REFUTED, "NO_MULTIPLIER")
+        assert cert.notes == ["no atomic multiplier"] and cert.atoms is None
 
 
 def test_no_active_index_and_a_gradient_within_tol_stat_take_the_empty_multiplier():
@@ -153,9 +154,10 @@ def test_no_active_index_and_a_gradient_within_tol_stat_take_the_empty_multiplie
     p = SIProblem.from_strings(1, "1e-8*x1", theta="s1*x1 - 1", S=[(0.0, 1.0)])
     cert = certify(p, [0.0], kappa=1.0)
     assert cert.status == VERIFIED and cert.atoms == [] and cert.residual == 1e-8
-    with pytest.raises(NoMultiplierError, match="^no atomic multiplier$"):
-        certify(SIProblem.from_strings(1, "x1", theta="s1*x1 - 1", S=[(0.0, 1.0)]), [0.0],
-                kappa=1.0)
+    cert = certify(SIProblem.from_strings(1, "x1", theta="s1*x1 - 1", S=[(0.0, 1.0)]), [0.0],
+                   kappa=1.0)
+    assert (cert.status, cert.detail, cert.notes) == (REFUTED, "NO_MULTIPLIER",
+                                                      ["no atomic multiplier"])
 
 
 def test_the_family_sup_is_the_best_of_theta_and_both_psi_signs():
@@ -271,17 +273,22 @@ def _exchange_instances():
 
 def test_one_loop_agrees_with_the_two_phase_loop():
     """Over seeded targets and pools, stationarity_atoms and the two-phase
-    loop agree on fit versus None and on the least sum(w)."""
+    loop agree on fit versus None and on the least sum(w).  The working set
+    stationarity_atoms returns is the start, then each offer once, and
+    holds the fit's atoms."""
     fits = 0
     for trial, target, pool, start in _exchange_instances():
-        ours, ref = (loop(start, [pool[:, j] for j in start], target, _pool_price(pool, start))
-                     for loop in (sip.stationarity_atoms, _two_phase_atoms))
+        cols = [pool[:, j] for j in start]
+        ours, taken = sip.stationarity_atoms(start, cols, target, _pool_price(pool, start))
+        ref = _two_phase_atoms(start, cols, target, _pool_price(pool, start))
         assert (ours is None) == (ref is None), trial
+        assert taken[:len(start)] == start and len(set(taken)) == len(taken), trial
         if ours is not None:
             fits += 1
             total = sum(w for _, w in ours)
             assert total == pytest.approx(sum(w for _, w in ref), rel=1e-9, abs=1e-12), trial
             assert np.allclose(sum(w * pool[:, j] for j, w in ours), target, atol=1e-8), trial
+            assert {j for j, _ in ours} <= set(taken), trial
     assert 60 < fits < 120
 
 
@@ -292,7 +299,8 @@ def test_no_fit_leaves_the_farkas_direction_it_priced_from():
     misses = 0
     for trial, target, pool, _ in _exchange_instances():
         offers = []
-        if sip.stationarity_atoms([], [], target, _pool_price(pool, offers=offers)) is not None:
+        found, _ = sip.stationarity_atoms([], [], target, _pool_price(pool, offers=offers))
+        if found is not None:
             continue
         misses += 1
         d = [y for y, floor in offers if floor == 0.0][-1]

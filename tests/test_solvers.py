@@ -5,6 +5,7 @@ import pytest
 
 from varcert import solvers
 from varcert.certify import ConstrainedProblem, dual_certificate
+from varcert.errors import NumericalBreakdownError
 from varcert.expr import SmoothMap
 from varcert.funcspace import SmoothFn
 from varcert.geometry import Polyhedron
@@ -389,6 +390,40 @@ def test_lp_solve_matches_the_dense_substitution_bit_for_bit(monkeypatch):
             assert np.float64(got.objective).tobytes() == np.float64(ref.objective).tobytes()
             assert np.array_equal(got.y, ref.y)
     assert optimal >= 50
+
+
+def _shift_rhs(pivot, T, basis, row, col):
+    pivot(T, basis, row, col)
+    T[row, -1] += 0.5
+
+
+def _wrong_leaving_row(pivot, T, basis, row, col):
+    pivot(T, basis, next(i for i in range(len(basis)) if i != row and T[i, col] != 0.0), col)
+
+
+@pytest.mark.parametrize("corrupt, check", [(_shift_rhs, r"\|\|M z - r\|\| 7\.071e-01"),
+                                            (_wrong_leaving_row, r"min z -1\.000e\+00")],
+                         ids=["shifted_rhs", "wrong_leaving_row"])
+def test_lp_solve_raises_rather_than_return_a_corrupted_optimum(monkeypatch, corrupt, check):
+    """min sum(w) s.t. w1 + w3 = 1, w2 + w3 = 2, w >= 0 takes three pivots.
+    With the third corrupted, the basic solution leaves M z = r (a shifted
+    right-hand side) or z >= 0 (a leaving row the ratio test did not pick,
+    z = (-1, 0, 2)): lp_solve raises instead of returning it as OPTIMAL."""
+    p = LPProblem(c=np.ones(3), A=[[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], b=[1.0, 2.0],
+                  senses=["=", "="], bounds=[(0.0, None)] * 3)
+    assert lp_solve(p).status == solvers.OPTIMAL
+    real, pivots = solvers._pivot, []
+
+    def pivot(T, basis, row, col):
+        pivots.append(col)
+        if len(pivots) == 3:
+            return corrupt(real, T, basis, row, col)
+        real(T, basis, row, col)
+
+    monkeypatch.setattr(solvers, "_pivot", pivot)
+    with pytest.raises(NumericalBreakdownError, match=check):
+        lp_solve(p)
+    assert len(pivots) == 3
 
 
 def test_nnls_matches_the_best_nonnegative_support():
