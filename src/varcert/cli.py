@@ -89,12 +89,13 @@ def canonical_json(obj) -> str:
 
 def _no_bool(value, where):
     """Refuse a JSON true or false anywhere in ``value``: Python reads it as 1 or 0."""
-    stack = [value]  # not recursion: any nesting json reads is walked
+    stack = [[value]]  # lists of siblings, so any nesting json reads is walked
     while stack:
-        v = stack.pop()
-        if isinstance(v, bool):
+        kinds = set(map(type, items := stack.pop()))
+        if bool in kinds:
             raise CliError(f"{where} holds true or false where a number belongs")
-        stack.extend(v.values() if isinstance(v, dict) else v if isinstance(v, list) else ())
+        stack += [v if type(v) is list else list(v.values()) for v in items
+                  if type(v) in (list, dict)] if list in kinds or dict in kinds else []
 
 
 def load_problem(path):
@@ -421,9 +422,8 @@ def _cmd_sip(args):
     if args.grid is not None and args.grid < 1:
         raise CliError(f"--grid must be a positive integer, got {args.grid}")
     doc, p, x = _load(args, "sip", build_sip)
-    cert = sip_mod.certify(p, x, kappa=_resolve_kappa(doc, args), seed=args.seed,
-                           density=args.grid)
-    return _emit(cert, "sip", args)
+    return _emit(sip_mod.certify(p, x, kappa=_resolve_kappa(doc, args), seed=args.seed,
+                                 density=args.grid), "sip", args)
 
 
 def _cmd_sdp(args):
