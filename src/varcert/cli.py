@@ -98,14 +98,34 @@ def _no_bool(value, where):
                   if type(v) in (list, dict)] if list in kinds or dict in kinds else []
 
 
-def load_problem(path):
+def _read_object(path, what):
+    """The JSON object in the file at ``path``; ``what`` names the file in errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read problem file {path}: {exc}")
+        raise CliError(f"cannot read {what} {path}: {exc}")
+    except RecursionError:  # json's decoder recurses once per nested list or object
+        raise CliError(f"cannot read {what} {path}: nested too deeply")
     if not isinstance(doc, dict):
-        raise CliError("problem file must hold a JSON object")
+        raise CliError(f"{what} must hold a JSON object")
+    return doc
+
+
+def _texts(values):
+    """Whether ``values`` is a list of expression strings: ``expr.parse`` reads text only."""
+    return isinstance(values, list) and all(isinstance(v, str) for v in values)
+
+
+def _upper_texts(M):
+    """Whether ``M`` is a list of rows whose entries on and above the
+    diagonal are expression strings: an sdp matrix reads no others."""
+    return isinstance(M, list) and all(isinstance(row, list) and _texts(row[i:])
+                                       for i, row in enumerate(M))
+
+
+def load_problem(path):
+    doc = _read_object(path, "problem file")
     kind = doc.get("kind")
     if kind not in ("nlp", "sip", "sdp"):
         raise CliError(f"unknown problem kind {kind!r}")
@@ -151,7 +171,7 @@ def build_nlp(doc) -> ConstrainedProblem:
     n = doc["n"]
     cons = doc["constraints"]
     fexprs = cons.get("f")
-    if not isinstance(fexprs, list) or not fexprs:
+    if not fexprs or not _texts(fexprs):
         raise CliError("nlp constraints need a nonempty expression list 'f'")
     try:
         f = SmoothMap.from_strings(fexprs, [f"x{i+1}" for i in range(n)])
@@ -195,6 +215,9 @@ def build_sip(doc) -> sip_mod.SIProblem:
         raise CliError("sip constraints with 'psi' need an index box 'T'")
     if cons.get("theta") is None and cons.get("psi") is None:
         raise CliError("sip constraints need 'theta' or 'psi'")
+    for key in ("theta", "psi"):
+        if cons.get(key) is not None and not isinstance(cons[key], str):
+            raise CliError(f"sip constraint {key!r} must be an expression string")
     try:
         return sip_mod.SIProblem.from_strings(
             doc["n"], doc["objective"], theta=cons.get("theta"), S=_index_box(S, "S"),
@@ -206,8 +229,10 @@ def build_sip(doc) -> sip_mod.SIProblem:
 def build_sdp(doc) -> sdp_mod.SDProblem:
     cons = doc["constraints"]
     Phi = cons.get("Phi")
-    if not isinstance(Phi, list) or not Phi:
+    if not Phi or not _upper_texts(Phi):
         raise CliError("sdp constraints need a matrix of expressions 'Phi'")
+    if cons.get("Psi") is not None and not _upper_texts(cons["Psi"]):
+        raise CliError("sdp constraint 'Psi' must be a matrix of expressions")
     try:
         return sdp_mod.SDProblem.from_strings(doc["n"], doc["objective"], Phi,
                                               Psi=cons.get("Psi"))
@@ -318,8 +343,7 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
     kind = prob_doc["kind"]
     if cert_doc.get("problem_kind") != kind:
         raise CliError("certificate was issued for a different problem kind")
-    _no_bool([cert_doc.get(key) for key in ("point", "descent_witness", "multipliers",
-              "generator_weights", "eq_weights", "atoms", "eq_atoms")], "the certificate")
+    _no_bool(cert_doc, "the certificate")
     point = cert_doc.get("point")
     if point is None or len(point) != prob_doc["n"]:
         raise CliError("certificate point does not match the problem dimension")
@@ -368,7 +392,7 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
 
     bound = cert_doc.get("bound")
     kappa = bound.get("kappa") if isinstance(bound, dict) else None
-    if kappa is not None and (isinstance(kappa, bool) or not isinstance(kappa, (int, float))):
+    if kappa is not None and not isinstance(kappa, (int, float)):
         raise CliError(f"bound.kappa must be a number or null, not {kappa!r}")
     if kappa is not None and not 0.0 <= kappa < math.inf:
         failures.append(f"kappa {kappa} is not a finite nonnegative number")
@@ -487,13 +511,7 @@ def _cmd_cq(args):
 
 
 def _cmd_recheck(args):
-    try:
-        with open(args.certificate, "r", encoding="utf-8") as fh:
-            cert_doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read certificate {args.certificate}: {exc}")
-    if not isinstance(cert_doc, dict):
-        raise CliError("certificate file must hold a JSON object")
+    cert_doc = _read_object(args.certificate, "certificate file")
     prob_doc = load_problem(args.problem)
     try:
         return recheck(cert_doc, prob_doc, log=lambda m: print(m, file=sys.stderr))

@@ -258,22 +258,6 @@ class PLQFunction(FnObject):
         return pts
 
 
-class ScaledFn(FnObject):
-    def __init__(self, inner: FnObject, alpha: float):
-        if alpha <= 0:
-            raise ValueError("scaling factor must be positive")
-        self.inner = inner
-        self.alpha = float(alpha)
-        self.n = inner.n
-        self.t_floor = inner.t_floor
-
-    def value(self, x):
-        return self.alpha * self.inner.value(x)
-
-    def dom_pieces(self):
-        return self.inner.dom_pieces()
-
-
 class SeparableSumFn(FnObject):
     """theta(y1, y2) = phi(y1) + psi(y2) on the product space."""
 
@@ -327,8 +311,7 @@ class SubdifferentialSet:
 
     kinds: "polyhedral" (V-rep: vertices + rays + lines), "cone_cap_ball"
     (polyhedral cone intersected with a norm ball, as for distance
-    functions), "mapped_ball" (adjoint image of a cone_cap_ball) and
-    "empty".
+    functions) and "mapped_ball" (adjoint image of a cone_cap_ball).
     """
 
     def __init__(self, kind, n, vertices=None, rays=None, lines=None,
@@ -371,20 +354,11 @@ class SubdifferentialSet:
     def cone_cap_ball(cls, K: PolyhedralCone, radius):
         return cls("cone_cap_ball", K.n, cone=K, radius=float(radius))
 
-    @classmethod
-    def empty(cls, n):
-        return cls("empty", n)
-
     # ---- queries --------------------------------------------------------
-    def is_empty(self):
-        return self.kind == "empty"
-
     def support(self, u) -> float:
-        """sup { <v, u> : v in set }; -inf if the set is empty."""
+        """sup { <v, u> : v in set }."""
         u = np.asarray(u, dtype=float)
         scale = 1.0 + float(np.linalg.norm(u))
-        if self.kind == "empty":
-            return -INF
         if self.kind == "polyhedral":
             if self.rays.shape[0] and float(np.max(self.rays @ u)) > 1e-9 * scale:
                 return INF
@@ -402,8 +376,6 @@ class SubdifferentialSet:
 
     def contains(self, v, tol=1e-8) -> bool:
         v = np.asarray(v, dtype=float)
-        if self.kind == "empty":
-            return False
         if self.kind == "cone_cap_ball":
             return self.cone.contains(v, tol) and float(np.linalg.norm(v)) <= self.radius + tol
         if self.kind == "mapped_ball":  # the least-norm lam in the cone with JT lam = v
@@ -472,28 +444,7 @@ class SubdifferentialSet:
             R = np.vstack([self.rays, other.rays])
             L = np.vstack([self.lines, other.lines])
             return SubdifferentialSet.polytope(V, R, L)
-        if other.kind == "polyhedral" and other.vertices.shape[0] == 1 \
-                and other.rays.shape[0] == 0 and other.lines.shape[0] == 0:
-            return self.translate(other.vertices[0])
-        if self.kind == "polyhedral" and self.vertices.shape[0] == 1 \
-                and self.rays.shape[0] == 0 and self.lines.shape[0] == 0:
-            return other.translate(self.vertices[0])
         raise NonconvexUnsupportedError("Minkowski sum unsupported for these set kinds")
-
-    def translate(self, g):
-        g = np.asarray(g, dtype=float)
-        if self.kind == "polyhedral":
-            return SubdifferentialSet.polytope(self.vertices + g, self.rays, self.lines)
-        raise NonconvexUnsupportedError(f"cannot translate a {self.kind} set")
-
-    def scale(self, alpha):
-        if alpha <= 0:
-            raise ValueError("scale factor must be positive")
-        if self.kind == "polyhedral":
-            return SubdifferentialSet.polytope(self.vertices * alpha, self.rays, self.lines)
-        if self.kind == "cone_cap_ball":
-            return SubdifferentialSet.cone_cap_ball(self.cone, self.radius * alpha)
-        raise NonconvexUnsupportedError(f"cannot scale a {self.kind} set")
 
     def interval(self):
         """(lo, hi) in one dimension, via support values."""
@@ -543,9 +494,6 @@ def _analytic_subderivative(fn, x, u):
             if tangent_cone(piece.omega, x).contains(u, 1e-9):
                 best = min(best, float(piece.grad(x) @ u))
         return best
-    if isinstance(fn, ScaledFn):
-        inner = _analytic_subderivative(fn.inner, x, u)
-        return None if inner is None else fn.alpha * inner
     if isinstance(fn, SeparableSumFn):
         u1, u2 = fn.split(u)
         x1, x2 = fn.split(x)
@@ -680,8 +628,6 @@ def subdifferential(fn: FnObject, x) -> SubdifferentialSet:
         N = _union_domain_normal_cone([p.omega for p in active], x)
         rays, lines = N.ensure_generators()
         return SubdifferentialSet.polytope(vertices, rays, lines)
-    if isinstance(fn, ScaledFn):
-        return subdifferential(fn.inner, x).scale(fn.alpha)
     raise NonconvexUnsupportedError(
         f"no exact subdifferential for {type(fn).__name__}; "
         "test membership via the subderivative inequality"

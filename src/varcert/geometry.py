@@ -619,7 +619,7 @@ def derivability_check(target, x, u, t_grid=None, tol_deriv=1e-6) -> Derivabilit
     ratio over the last 5 usable levels is at most ``tol_deriv``.
 
     ``target`` is a Polyhedron (the direction must then lie in the tangent
-    cone), a PolyhedralCone, or a SampledSetOracle.
+    cone), a SampledSetOracle, or a plain distance callable.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -629,8 +629,6 @@ def derivability_check(target, x, u, t_grid=None, tol_deriv=1e-6) -> Derivabilit
         if not tangent_cone(target, x).contains(u, 1e-7):
             raise NotMemberError("direction is outside the tangent cone")
         dist_fn = lambda z: dist(target, z)
-    elif isinstance(target, PolyhedralCone):
-        dist_fn = lambda z: dist_to_cone(target, z)
     elif isinstance(target, SampledSetOracle):
         dist_fn = target.dist
     else:

@@ -839,6 +839,8 @@ BOOL_IN_CERTIFICATE = [
     ("descent_witness", lambda: unit_nlp_doc(-1.0), lambda c: c.update(descent_witness=[True])),
     ("atom_s", unit_sip_doc, lambda c: c["atoms"][0].update(s=[False])),
     ("atom_lambda", unit_sip_doc, lambda c: c["atoms"][0].update({"lambda": True})),
+    ("bound_lhs", unit_nlp_doc, lambda c: c["bound"].update(lhs=True)),
+    ("bound_kappa", unit_nlp_doc, lambda c: c["bound"].update(kappa=True)),
 ]
 
 
@@ -895,3 +897,57 @@ def test_a_deeply_nested_number_field_exits_3(tmp_path, capsys):
     assert cli.run(["kkt", "-p", write_problem(tmp_path, dict(doc, point=deep))]) == 3
     err = capsys.readouterr().err
     assert err.count("error: ") == 2 and "Traceback" not in err
+
+
+DEEP = "[" * 2000 + "0" + "]" * 2000  # deeper than json's decoder reads
+
+
+def test_nesting_too_deep_to_read_exits_3(tmp_path, capsys):
+    """A problem whose point, or a VERIFIED certificate whose multipliers,
+    are nested 2,000 lists deep is more than json reads: both exit 3 with
+    an error line, not a RecursionError."""
+    doc = unit_nlp_doc()
+    prob, out = write_problem(tmp_path, doc), tmp_path / "cert.json"
+    assert cli.run(["kkt", "-p", prob, "--out", str(out)]) == 0
+    cert = json.loads(out.read_text(encoding="utf-8"))
+    out.write_text(json.dumps(dict(cert, multipliers="deep")).replace('"deep"', DEEP),
+                   encoding="utf-8")
+    deep_prob = tmp_path / "deep.json"
+    deep_prob.write_text(json.dumps(dict(doc, point="deep")).replace('"deep"', DEEP),
+                         encoding="utf-8")
+    capsys.readouterr()
+    assert cli.run(["recheck", "-p", prob, "-c", str(out)]) == 3
+    assert cli.run(["kkt", "-p", str(deep_prob)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error: ") and line.endswith("nested too deeply") for line in err)
+
+
+def _with(make, **constraints):
+    doc = make()
+    doc["constraints"].update(constraints)
+    return doc
+
+
+@pytest.mark.parametrize("command, args, doc, field", [
+    ("kkt", ["--point", "0,0"], _with(orthant_doc, f=[1, "x2"]), "'f'"),
+    ("primal", ["--point", "0,0"], _with(orthant_doc, f=[1, "x2"]), "'f'"),
+    ("cq", ["--point", "0,0"], _with(orthant_doc, f=[1, "x2"]), "'f'"),
+    ("kkt", ["--point", "0,0"], _with(orthant_doc, f=[0, "x2"]), "'f'"),
+    ("kkt", ["--point", "0,0"], _with(orthant_doc, f=["x1", None]), "'f'"),
+    ("sip", ["--point", "0", "--kappa", "1"], _with(linear_sip_doc, theta=1), "'theta'"),
+    ("sip", ["--point", "0", "--kappa", "1"], _with(linear_sip_doc, psi=2, T=[[0.0, 1.0]]),
+     "'psi'"),
+    ("sdp", ["--point", "0", "--kappa", "1"], _with(sdp_doc, Phi=[[1, "0"], [None, "-1"]]),
+     "'Phi'"),
+    ("sdp", ["--point", "0", "--kappa", "1"], _with(sdp_doc, Psi=[[2]]), "'Psi'"),
+], ids=["kkt_f", "primal_f", "cq_f", "f_zero", "f_null", "sip_theta", "sip_psi", "sdp_Phi",
+        "sdp_Psi"])
+def test_an_expression_field_that_is_not_text_exits_3(command, args, doc, field,
+                                                      tmp_path, capsys):
+    """A number or null where an expression belongs exits 3 with an error
+    line that names the field: a number is not read as text, and a 0 or a
+    null is not an empty expression."""
+    assert cli.run([command, "-p", write_problem(tmp_path, doc), *args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "Traceback" not in err

@@ -11,7 +11,6 @@ from varcert.funcspace import (
     IndicatorFn,
     OracleFn,
     PLQFunction,
-    ScaledFn,
     SeparableSumFn,
     SmoothFn,
     SubdifferentialSet,
@@ -231,14 +230,6 @@ def test_rel_lipschitz_examples(monkeypatch):
     monkeypatch.setattr(fs, "REL_LIPSCHITZ_SAMPLES", 120)
     lhat = rel_lipschitz_estimate(sq, [0.0], 1.0, seed=7)
     assert 1.7 <= lhat <= 2.0 + 1e-9
-
-
-def test_scaled_and_sum_wrappers():
-    f = ScaledFn(plq_abs(), 3.0)
-    assert value(f, [-2.0]) == pytest.approx(6.0)
-    assert subderivative(f, [0.0], [1.0]).value == pytest.approx(3.0)
-    lo, hi = subdifferential(f, [0.0]).interval()
-    assert (lo, hi) == pytest.approx((-3.0, 3.0))
 
 
 def test_separable_sum_is_analytic_and_unconditional():

@@ -206,6 +206,34 @@ def test_recheck_refutes_flipped_equality_multipliers(name, line, tmp_path, caps
     assert capsys.readouterr().err.splitlines() == [f"recheck failure: {line}"]
 
 
+def _set_atom(**fields):
+    return lambda cert: cert["atoms"][0].update(fields)
+
+
+@pytest.mark.parametrize("name, edit, code, line", [
+    # kkt_conditions: lam = -1 * (1, 0) + 1 * (0, 1) is the recorded combination
+    ("nlp_kkt_kappa1", lambda c: c.update(generator_weights=[-1.0, 1.0], multipliers=[-1.0, 1.0]),
+     1, "recheck failure: negative generator weight"),
+    ("nlp_kkt_kappa1", lambda c: c.update(point=[-1.0, 0.0]),  # slack 1 on the first row
+     1, "recheck failure: complementary slackness violated"),
+    # the box family: theta = s1*x1 on S = [0, 1] is active everywhere at x = 0
+    ("sip_kappa1", _set_atom(**{"lambda": -1.0}), 1, "recheck failure: negative atom weight"),
+    ("sip_kappa1", _set_atom(s=[2.0]), 1, "recheck failure: atom outside the index box"),
+    ("sip_kappa1", lambda c: c.update(eq_atoms=[{"t": [0.5], "mu": 1.0}]),
+     3, "error: certificate carries equality atoms but the problem has no psi"),
+    # the sphere family: Phi(0) = diag(0, -1), so s = (0, 1) has <s, Phi s> = -1
+    ("sdp_readme", _set_atom(**{"lambda": -1.0}), 1, "recheck failure: negative atom weight"),
+    ("sdp_readme", _set_atom(s=[0.0, 1.0]), 1, "recheck failure: complementarity violated for an atom"),
+], ids=["negative_generator_weight", "complementary_slackness", "sip_negative_atom_weight",
+        "sip_atom_outside_box", "sip_eq_atoms_without_psi", "sdp_negative_atom_weight",
+        "sdp_complementarity"])
+def test_recheck_rejects_a_forged_field_by_its_rule(name, edit, code, line, tmp_path, capsys):
+    """One forged field of a VERIFIED golden certificate fails the rule that
+    reads it: recheck exits with ``code`` and prints ``line``."""
+    assert recheck_edited(by_name(name), edit, tmp_path) == code
+    assert line in capsys.readouterr().err.splitlines()
+
+
 @pytest.mark.parametrize("name, counts", [
     ("sip_readme_estimate", {"Jet": 2, "evaluate_flagged": 1}),
     ("sip_eq", {"Jet": 2, "evaluate_flagged": 1}),
