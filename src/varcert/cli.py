@@ -151,18 +151,15 @@ def _finite(values, key):
     return arr
 
 
-def _matrix(doc, key, rows=None, cols=None, default_empty_cols=None):
+def _matrix(doc, key, cols):
+    """``doc[key]`` as a matrix of ``cols`` columns; absent, null or [] has no rows."""
     M = doc.get(key)
-    if M is None:
-        if default_empty_cols is None:
-            raise CliError(f"missing matrix {key!r}")
-        return np.zeros((0, default_empty_cols))
-    arr = _finite(M, key)
+    arr = _finite([] if M is None else M, key)
     if arr.ndim == 1 and arr.size == 0:
-        return np.zeros((0, default_empty_cols or (cols or 0)))
+        return np.zeros((0, cols))
     if arr.ndim != 2:
         raise CliError(f"{key!r} must be a matrix")
-    if cols is not None and arr.shape[1] != cols:
+    if arr.shape[1] != cols:
         raise CliError(f"{key!r} has {arr.shape[1]} columns, expected {cols}")
     return arr
 
@@ -181,9 +178,9 @@ def build_nlp(doc) -> ConstrainedProblem:
     if not isinstance(theta_doc, dict):
         raise CliError("nlp constraints need a 'Theta' polyhedron object")
     m = f.m
-    A_ineq = _matrix(theta_doc, "A_ineq", cols=m, default_empty_cols=m)
+    A_ineq = _matrix(theta_doc, "A_ineq", m)
     b_ineq = _finite(theta_doc.get("b_ineq", []), "b_ineq")
-    A_eq = _matrix(theta_doc, "A_eq", cols=m, default_empty_cols=m)
+    A_eq = _matrix(theta_doc, "A_eq", m)
     b_eq = _finite(theta_doc.get("b_eq", []), "b_eq")
     if A_ineq.shape[0] != len(b_ineq) or A_eq.shape[0] != len(b_eq):
         raise CliError("Theta right-hand sides do not match the matrices")
@@ -378,7 +375,7 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
             raise CliError("equality weights malformed")
         failures, residual, lhs = certify.kkt_conditions(p, y, J, g, lam, w, ab)
         scale = float(np.linalg.norm(g))
-    elif kind in ("sip", "sdp"):  # one index family: a SIP's box, or an sdp's sphere
+    else:  # sip or sdp (load_problem refuses other kinds): a box or a sphere index family
         p = build_sip(prob_doc) if kind == "sip" else build_sdp(prob_doc)
         fam = p.family(x)
         atoms = [(np.array(a["s"], dtype=float), float(a["lambda"]))
@@ -387,8 +384,6 @@ def recheck(cert_doc, prob_doc, log=lambda msg: None) -> int:
         g = p.grad_objective(x)
         failures, residual, lhs = sip_mod.conditions(fam, g, atoms, eq_atoms)
         scale = fam.bound_factor * float(np.linalg.norm(g))
-    else:
-        raise CliError(f"recheck does not support problem kind {kind!r}")
 
     bound = cert_doc.get("bound")
     kappa = bound.get("kappa") if isinstance(bound, dict) else None

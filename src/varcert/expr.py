@@ -816,32 +816,16 @@ class SmoothMap:
 
 
 class _NpShim:
-    """Vectorized math shim for grid scans; domain violations become nan/inf."""
+    """Vectorized math shim for grid scans; domain violations become nan/inf
+    (``evaluate_grid`` walks under ``np.errstate(all="ignore")``)."""
 
-    @staticmethod
-    def div(a, b):
-        with np.errstate(all="ignore"):
-            return np.divide(a, b)
-
-    @staticmethod
-    def pw(a, b):
-        with np.errstate(all="ignore"):
-            return np.power(a, b)
-
+    div = staticmethod(np.divide)
+    pw = staticmethod(np.power)
     sin = staticmethod(np.sin)
     cos = staticmethod(np.cos)
     exp = staticmethod(np.exp)
-
-    @staticmethod
-    def log(a):
-        with np.errstate(all="ignore"):
-            return np.log(a)
-
-    @staticmethod
-    def sqrt(a):
-        with np.errstate(all="ignore"):
-            return np.sqrt(a)
-
+    log = staticmethod(np.log)
+    sqrt = staticmethod(np.sqrt)
     abs = staticmethod(np.abs)
     max = staticmethod(np.maximum)
     min = staticmethod(np.minimum)

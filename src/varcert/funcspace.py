@@ -459,10 +459,6 @@ class SubdifferentialSet:
 # ---------------------------------------------------------------------------
 # operations
 
-def value(fn: FnObject, x) -> float:
-    return fn.value(np.asarray(x, dtype=float))
-
-
 def _analytic_subderivative(fn, x, u):
     """Analytic directional subderivative, or None when only sampling applies."""
     x = np.asarray(x, dtype=float)

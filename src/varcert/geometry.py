@@ -125,11 +125,6 @@ class Polyhedron:
         return cls(np.eye(n), np.zeros(n), n=n)
 
     @classmethod
-    def halfspace(cls, a, b):
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        return cls(a.reshape(1, -1), [float(b)], n=len(a))
-
-    @classmethod
     def singleton(cls, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return cls(A_eq=np.eye(len(x)), b_eq=x, n=len(x))
@@ -254,7 +249,11 @@ class PolyhedralCone:
         return float(np.linalg.norm(E @ nnls(E, u) - u)) <= tol
 
     def polar(self):
-        """Standard cone duality: generators become halfspaces and vice versa."""
+        """Standard cone duality: generators become halfspaces and vice versa.
+
+        Kept: the reference that the tangent/normal cone duality checks of
+        the tests compare against (``N.same_set(T.polar())``).
+        """
         out = PolyhedralCone(self.n)
         if self.rays is not None:
             out.G = self.rays.copy()
@@ -547,10 +546,6 @@ def project(P: Polyhedron, z, residual=None):
     return x, float(np.linalg.norm(z - x))
 
 
-def dist(P: Polyhedron, z) -> float:
-    return project(P, z)[1]
-
-
 def project_cone(K: PolyhedralCone, z):
     """Euclidean projection onto a polyhedral cone via its halfspace form."""
     G, H = K.ensure_halfspace()
@@ -600,7 +595,7 @@ class SampledSetOracle:
 
 
 def default_t_grid():
-    """The 20 levels 1e-2 * 0.5^j of the difference-quotient and derivability grids."""
+    """The 20 levels 1e-2 * 0.5^j of the difference-quotient grid."""
     return [1e-2 * 0.5 ** j for j in range(20)]
 
 
@@ -614,26 +609,14 @@ class DerivabilityReport:
     skipped: int = 0
 
 
-def derivability_check(target, x, u, t_grid=None, tol_deriv=1e-6) -> DerivabilityReport:
-    """Verify dist(x + t u; set)/t -> 0 along a geometric grid: the largest
-    ratio over the last 5 usable levels is at most ``tol_deriv``.
-
-    ``target`` is a Polyhedron (the direction must then lie in the tangent
-    cone), a SampledSetOracle, or a plain distance callable.
-    """
+def derivability_check(oracle: SampledSetOracle, x, u, t_grid,
+                       tol_deriv=1e-6) -> DerivabilityReport:
+    """Verify dist(x + t u; set)/t -> 0 along the levels t of ``t_grid``:
+    the largest ratio over the last 5 usable levels is at most ``tol_deriv``.
+    The distance is the sampled set oracle's."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if t_grid is None:
-        t_grid = default_t_grid()
-    if isinstance(target, Polyhedron):
-        if not tangent_cone(target, x).contains(u, 1e-7):
-            raise NotMemberError("direction is outside the tangent cone")
-        dist_fn = lambda z: dist(target, z)
-    elif isinstance(target, SampledSetOracle):
-        dist_fn = target.dist
-    else:
-        dist_fn = target  # plain distance callable
-    ratios = [dist_fn(x + t * u) / t for t in t_grid]
+    ratios = [oracle.dist(x + t * u) / t for t in t_grid]
     # an infinite distance is a sample without an estimate: skip it
     usable = [r for r in ratios if r < np.inf]
     max_tail = float(max(usable[-5:], default=np.nan))

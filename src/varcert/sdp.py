@@ -71,9 +71,6 @@ class SDProblem:
     def grad_objective(self, x):
         return expr_mod.grad(self.objective, x)
 
-    def phi_value(self, x) -> np.ndarray:
-        return EntryTable(self.Phi, x).matrix
-
     def family(self, x, density=None):
         """``sphere_family`` at x; ``density`` is a SIP's index grid."""
         return sphere_family(self, x)

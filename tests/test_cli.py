@@ -151,7 +151,8 @@ def test_recheck_replays_the_nlp_checks_for_a_kind_no_command_issues(tmp_path, c
     forged.write_text(json.dumps(cert), encoding="utf-8")
     capsys.readouterr()
     assert cli.run(["recheck", "-p", prob, "-c", str(forged)]) == 1
-    assert "recheck failure: RESIDUAL" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "recheck failure: RESIDUAL" in err and "Traceback" not in err
 
 
 def test_recheck_refutes_a_forged_primal_verified(tmp_path, capsys):
@@ -258,7 +259,9 @@ def test_undefined_psi_cells_give_no_columns(tmp_path, capsys):
             "constraints": {"psi": f"x1 - 1 + 0*sqrt(t1 - {edge})", "T": [[0.0, 1.0]]}})
         assert cli.run(["sip", "-p", prob, "--point", "1", "--kappa", "1"]) == 0
         err = capsys.readouterr().err
-        assert err.startswith("SIP-EQ: VERIFIED") and "bound 2 <= 4" in err
+        first = err.splitlines()[0]
+        assert first.startswith("SIP-EQ: VERIFIED ") and first.endswith(" bound 2 <= 4")
+        assert "Traceback" not in err
 
 
 def test_the_sup_stops_at_an_edge_of_the_domain(tmp_path, capsys):
@@ -430,7 +433,7 @@ def test_recheck_certificate_not_an_object_exit_3(text, tmp_path, capsys):
     cert = tmp_path / "cert.json"
     cert.write_text(text, encoding="utf-8")
     assert cli.run(["recheck", "-p", prob, "-c", str(cert)]) == 3
-    assert "error: certificate file must hold a JSON object" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: certificate file must hold a JSON object\n"
 
 
 def test_kkt_with_estimated_kappa(tmp_path):
@@ -719,7 +722,22 @@ def test_cq_skips_samples_outside_a_component_domain(tmp_path):
     assert any(note.endswith("samples outside dom f skipped") for note in notes)
 
 
-def test_a_zero_slope_plateau_is_inconclusive_not_refuted(tmp_path):
+def test_cq_at_a_log_component_decides_by_the_criterion(tmp_path, capsys):
+    """f = (log(x1), x2) into the orthant at (0.1, 0): J is regular there, so
+    the coderivative criterion decides all three reports exactly, and no
+    sample reaches x1 <= 0, where f is undefined."""
+    doc = orthant_doc()
+    doc["constraints"]["f"] = ["log(x1)", "x2"]
+    out = tmp_path / "cq.json"
+    assert cli.run(["cq", "-p", write_problem(tmp_path, doc), "--point", "0.1,0",
+                    "--which", "all", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text(encoding="utf-8"))
+    assert {(rep[name]["verdict"], rep[name]["confidence"])
+            for name in ("abadie", "msqc", "robinson")} == {("VERIFIED", "exact")}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_zero_slope_plateau_is_inconclusive_not_refuted(tmp_path, capsys):
     """f = min(x1, 0.13) - min(0, x1) against y <= 0 at 0: kappa = 1 holds
     near 0, but beyond x1 = 0.13 the violation is flat.  The tie of min(0, x1)
     at 0 keeps the coderivative criterion aside, so kappa is sampled.  A zero
@@ -738,6 +756,7 @@ def test_a_zero_slope_plateau_is_inconclusive_not_refuted(tmp_path):
     cert = json.loads(open(out).read())
     assert (cert["status"], cert["detail"]) == ("INCONCLUSIVE", "KAPPA_UNAVAILABLE")
     assert cert["notes"] == ["msqc_estimate verdict INCONCLUSIVE"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_a_plateau_off_its_tie_reads_kappa_from_the_criterion(tmp_path):
@@ -951,3 +970,109 @@ def test_an_expression_field_that_is_not_text_exits_3(command, args, doc, field,
     assert cli.run([command, "-p", write_problem(tmp_path, doc), *args]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+
+def _theta(**fields):
+    doc = orthant_doc()
+    doc["constraints"]["Theta"].update(fields)
+    return doc
+
+
+def _recheck_of(cert):
+    """A certificate document, rechecked against the case's problem."""
+    return dict({"problem_kind": "nlp", "point": [0.0, 0.0], "status": "VERIFIED"}, **cert)
+
+
+BAD_INPUT = [
+    ("kind", ["kkt", "--point", "0,0"], dict(orthant_doc(), kind="lp"),
+     "error: unknown problem kind 'lp'"),
+    ("n", ["kkt", "--point", "0,0"], dict(orthant_doc(), n=0),
+     "error: field 'n' must be a positive integer"),
+    ("objective_not_text", ["kkt", "--point", "0,0"], dict(orthant_doc(), objective=1),
+     "error: field 'objective' must be an expression string"),
+    ("constraints_not_object", ["kkt", "--point", "0,0"], dict(orthant_doc(), constraints=[]),
+     "error: field 'constraints' must be an object"),
+    ("A_ineq_not_numbers", ["kkt", "--point", "0,0"], _theta(A_ineq=[["a", 0], [0, 1]]),
+     "error: 'A_ineq' must hold numbers"),
+    ("A_ineq_not_matrix", ["kkt", "--point", "0,0"], _theta(A_ineq=[1, 0]),
+     "error: 'A_ineq' must be a matrix"),
+    ("A_ineq_columns", ["kkt", "--point", "0,0"], _theta(A_ineq=[[1, 0, 0]], b_ineq=[0]),
+     "error: 'A_ineq' has 3 columns, expected 2"),
+    ("no_Theta", ["kkt", "--point", "0,0"],
+     dict(orthant_doc(), constraints={"f": ["x1", "x2"]}),
+     "error: nlp constraints need a 'Theta' polyhedron object"),
+    ("right_hand_sides", ["kkt", "--point", "0,0"], _theta(b_ineq=[0]),
+     "error: Theta right-hand sides do not match the matrices"),
+    ("objective_syntax", ["kkt", "--point", "0,0"], dict(orthant_doc(), objective="x1 $ 2"),
+     "error: objective expression error: syntax error at position 3: unexpected character '$'"),
+    ("f_syntax", ["kkt", "--point", "0,0"], _with(orthant_doc, f=["x1 $ 2", "x2"]),
+     "error: constraint expression error: syntax error at position 3: unexpected character '$'"),
+    ("theta_without_S", ["sip", "--point", "0"],
+     dict(linear_sip_doc(), constraints={"theta": "s1*x1"}),
+     "error: sip constraints with 'theta' need an index box 'S'"),
+    ("psi_without_T", ["sip", "--point", "0"],
+     dict(linear_sip_doc(), constraints={"psi": "t1*x1"}),
+     "error: sip constraints with 'psi' need an index box 'T'"),
+    ("neither_theta_nor_psi", ["sip", "--point", "0"], dict(linear_sip_doc(), constraints={}),
+     "error: sip constraints need 'theta' or 'psi'"),
+    ("sdp_syntax", ["sdp", "--point", "0", "--kappa", "1"],
+     _with(sdp_doc, Phi=[["x1 $", "0"], [None, "-1"]]),
+     "error: sdp expression error: syntax error at position 3: unexpected character '$'"),
+    ("point_unparsable", ["kkt", "--point", "a,b"], orthant_doc(),
+     "error: cannot parse --point 'a,b'"),
+    ("no_point", ["kkt"], orthant_doc(),
+     "error: no point: pass --point or put 'point' in the problem file"),
+    ("sip_on_nlp", ["sip", "--point", "0,0"], orthant_doc(),
+     "error: sip expects a problem of kind sip"),
+    ("direction_not_numbers", ["subderiv", "--point", "1,1", "--direction", "a,0"], orthant_doc(),
+     "error: subderiv needs --direction as comma-separated floats"),
+    ("direction_length", ["subderiv", "--point", "1,1", "--direction", "1"], orthant_doc(),
+     "error: direction length does not match n"),
+    ("seed_not_integer", ["kkt", "--point", "0,0", "--seed", "1.5"], orthant_doc(),
+     "varcert kkt: error: argument --seed: invalid int value: '1.5'"),
+    ("recheck_other_kind", _recheck_of({"problem_kind": "sip"}), orthant_doc(),
+     "error: certificate was issued for a different problem kind"),
+    ("recheck_multipliers", _recheck_of({"multipliers": [1.0]}), orthant_doc(),
+     "error: multiplier length does not match the image dimension"),
+    ("recheck_generator_weights",
+     _recheck_of({"multipliers": [1.0, 1.0], "generator_weights": [1.0]}), orthant_doc(),
+     "error: generator weights do not match Theta's rows"),
+    ("recheck_eq_weights", _recheck_of({"multipliers": [1.0, 1.0], "generator_weights": [1.0, 1.0],
+                                        "eq_weights": [1.0]}),
+     _theta(A_eq=[[1.0, 0.0]], b_eq=[0.0]), "error: equality weights malformed"),
+]
+
+
+@pytest.mark.parametrize("args, doc, line", [case[1:] for case in BAD_INPUT],
+                         ids=[case[0] for case in BAD_INPUT])
+def test_bad_input_exits_3_with_its_error_line(args, doc, line, tmp_path, capsys):
+    """A malformed problem file, option or certificate exits 3 with the line
+    that names what is wrong; a certificate case (a dict in place of the
+    arguments) is rechecked against the problem.  Only argparse's own errors
+    print its usage lines first."""
+    prob = write_problem(tmp_path, doc)
+    if isinstance(args, dict):
+        args = ["recheck", "-c", write_problem(tmp_path, args, "cert.json")]
+    assert cli.run([args[0], "-p", prob, *args[1:]]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1] == line and (len(lines) == 1 or lines[0].startswith("usage: varcert "))
+    assert not any("Traceback" in text for text in lines)
+
+
+@pytest.mark.parametrize("A_eq", ["absent", None, []])
+def test_an_absent_null_or_empty_matrix_has_no_rows(A_eq):
+    doc = orthant_doc() if A_eq == "absent" else _theta(A_eq=A_eq)
+    assert cli.build_nlp(doc).Theta.A_eq.shape == (0, 2)
+
+
+def test_cq_exits_1_on_a_refuted_report(tmp_path, capsys):
+    """f = x1^2 into {y = 0} at 0: J = 0, so the unit normal y = 1 has
+    J^T y = 0 and Robinson's condition fails, with that y as its witness."""
+    doc = {"kind": "nlp", "n": 1, "objective": "x1^2",
+           "constraints": {"f": ["x1^2"], "Theta": {"A_eq": [[1]], "b_eq": [0]}}}
+    out = tmp_path / "cq.json"
+    assert cli.run(["cq", "-p", write_problem(tmp_path, doc), "--point", "0",
+                    "--which", "robinson", "--out", str(out)]) == 1
+    rob = json.loads(out.read_text(encoding="utf-8"))["robinson"]
+    assert (rob["verdict"], rob["witness"]) == ("REFUTED", [1.0])
+    assert capsys.readouterr().err == ""

@@ -20,7 +20,6 @@ from varcert.funcspace import (
     subderivative,
     subderivative_sampled,
     subdifferential,
-    value,
 )
 from varcert.geometry import (
     Polyhedron,
@@ -35,10 +34,10 @@ def orthant_indicator(n=2):
 
 
 def test_value_examples():
-    assert value(orthant_indicator(), [1.0, 0.0]) == INF
-    assert value(orthant_indicator(), [-1.0, 0.0]) == 0.0
-    assert value(plq_abs(), [-2.0]) == pytest.approx(2.0)
-    assert value(SmoothFn("x1^2", 1), [3.0]) == pytest.approx(9.0)
+    assert orthant_indicator().value([1.0, 0.0]) == INF
+    assert orthant_indicator().value([-1.0, 0.0]) == 0.0
+    assert plq_abs().value([-2.0]) == pytest.approx(2.0)
+    assert SmoothFn("x1^2", 1).value([3.0]) == pytest.approx(9.0)
 
 
 def test_subderivative_examples():
@@ -102,7 +101,7 @@ def test_subdifferential_elements_satisfy_subderivative_inequality():
 def test_distance_function_objects():
     P = Polyhedron.nonpositive_orthant(2)
     f = DistanceFn(P)
-    assert value(f, [1.0, 1.0]) == pytest.approx(np.sqrt(2))
+    assert f.value([1.0, 1.0]) == pytest.approx(np.sqrt(2))
     # at a boundary point the subderivative is dist(u; tangent cone)
     d = subderivative(f, [0.0, 0.0], [1.0, 0.0]).value
     assert d == pytest.approx(1.0, abs=1e-9)
@@ -169,7 +168,7 @@ def test_analytic_matches_sampled_on_random_plq_and_smooth():
         x = rng.normal(size=n) * 0.5
         u = rng.normal(size=n)
         u /= np.linalg.norm(u)
-        if not math.isfinite(value(fn, x)):
+        if not math.isfinite(fn.value(x)):
             continue
         analytic = subderivative(fn, x, u)
         if analytic.mode != "analytic" or not math.isfinite(analytic.value):
@@ -234,7 +233,7 @@ def test_rel_lipschitz_examples(monkeypatch):
 
 def test_separable_sum_is_analytic_and_unconditional():
     theta = SeparableSumFn(plq_abs(), plq_abs())
-    assert value(theta, [1.0, -2.0]) == pytest.approx(3.0)
+    assert theta.value([1.0, -2.0]) == pytest.approx(3.0)
     d = subderivative(theta, [0.0, 0.0], [1.0, -2.0]).value
     assert d == pytest.approx(3.0)
     ind = SeparableSumFn(orthant_indicator(2), plq_abs())

@@ -38,7 +38,7 @@ def test_tangent_cone_examples():
     K = tangent_cone(P, [0.0, 0.0])
     assert K.contains([-1.0, -2.0]) and not K.contains([1.0, 0.0])
     # interior point of a halfspace: all of R
-    K = tangent_cone(Polyhedron.halfspace([1.0], 0.0), [-1.0])
+    K = tangent_cone(Polyhedron([[1.0]], [0.0]), [-1.0])
     assert K.G.shape[0] == 0
     assert K.contains([5.0]) and K.contains([-5.0])
     # two active halfspaces through the origin
@@ -53,7 +53,7 @@ def test_normal_cone_examples():
     N = normal_cone(Polyhedron.nonpositive_orthant(2), [0.0, 0.0])
     assert N.contains([1.0, 0.0]) and N.contains([2.0, 3.0])
     assert not N.contains([-0.1, 1.0])
-    N = normal_cone(Polyhedron.halfspace([1.0, 0.0], 0.0), [-1.0, 0.5])
+    N = normal_cone(Polyhedron([[1.0, 0.0]], [0.0]), [-1.0, 0.5])
     assert N.rays.shape[0] == 0 and N.lines.shape[0] == 0
     assert N.contains([0.0, 0.0]) and not N.contains([1e-3, 0.0])
 
@@ -388,29 +388,39 @@ def test_project_variational_inequality_and_lipschitz():
 
 
 def test_derivability_examples():
-    orthant = Polyhedron.nonpositive_orthant(2)
-    rep = derivability_check(orthant, [0.0, 0.0], [-1.0, -1.0])
+    grid = geo.default_t_grid()
+    orthant = geo.SampledSetOracle(lambda z: float(np.linalg.norm(np.maximum(z, 0.0))),
+                                   lambda z: np.minimum(z, 0.0))
+    rep = derivability_check(orthant, [0.0, 0.0], [-1.0, -1.0], grid)
     assert rep.passed and rep.max_tail_ratio == pytest.approx(0.0, abs=1e-12)
+    assert rep.skipped == 0
 
-    # parabola graph {(a, b): b = a^2} through a refining grid distance oracle
-    def graph_dist(z):
+    # parabola graph {(a, b): b = a^2} through a refining grid projection
+    def graph_point(z):
         lo, hi = -1.5, 1.5
         for _ in range(4):
             a = np.linspace(lo, hi, 801)
-            d = np.hypot(z[0] - a, z[1] - a ** 2)
-            k = int(np.argmin(d))
+            k = int(np.argmin(np.hypot(z[0] - a, z[1] - a ** 2)))
             step = a[1] - a[0]
             lo, hi = a[k] - 2 * step, a[k] + 2 * step
-        return float(np.min(d))
+        return np.array([a[k], a[k] ** 2])
 
-    rep = derivability_check(graph_dist, np.zeros(2), np.array([1.0, 0.0]),
-                             t_grid=[1e-2 * 0.5 ** j for j in range(10)], tol_deriv=1e-2)
+    graph = geo.SampledSetOracle(lambda z: float(np.linalg.norm(z - graph_point(z))), graph_point)
+    rep = derivability_check(graph, np.zeros(2), np.array([1.0, 0.0]),
+                             [1e-2 * 0.5 ** j for j in range(10)], tol_deriv=1e-2)
     assert rep.passed
     ratios = rep.ratios
     assert all(ratios[i + 1] <= ratios[i] + 1e-12 for i in range(len(ratios) - 1))
 
-    with pytest.raises(NotMemberError):
-        derivability_check(orthant, [0.0, 0.0], [1.0, 0.0])
+    # off the orthant along (1, 0) the ratio is 1 at every level; a violation
+    # of inf (a point without an estimate) is skipped, and the last 5 usable
+    # levels decide
+    undefined = geo.SampledSetOracle(lambda z: np.inf if z[0] > 1e-4 else max(z[0], 0.0),
+                                     lambda z: np.minimum(z, 0.0))
+    rep = derivability_check(undefined, [0.0, 0.0], [1.0, 0.0], grid)
+    assert rep.skipped == sum(t > 1e-4 for t in grid) == 7
+    assert rep.ratios[:7] == [np.inf] * 7
+    assert not rep.passed and rep.max_tail_ratio == pytest.approx(1.0)
 
 
 def test_sampled_set_oracle_penalty_projection():

@@ -64,11 +64,12 @@ def expected_text(case):
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
-def test_golden_certificate(case, tmp_path):
+def test_golden_certificate(case, tmp_path, capsys):
     code, text, recheck = issue(case, tmp_path)
     assert code == case["exit"]
     assert text == expected_text(case)
     assert recheck == case["recheck"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c["args"] is not None],

@@ -8,6 +8,12 @@ only its own unit tests reach is dead weight, unless its docstring has a
 argument of ``isinstance`` is not reached: that is dispatch on it, and a
 branch that tests for a class nothing builds is dead too.
 
+The rule holds for each public method of a top-level class as well: its
+name appears in ``src/`` outside the method's own body, or in the same
+files outside, or the method has a ``Kept:`` line.  The rule reads names
+only, so a method reads as reached wherever anything of the same name is
+used (``PolyhedralCone.whole_space`` by ``Polyhedron.whole_space``).
+
 The same rule holds for the defaulted parameters of a public top-level
 function: some call of that name in the same places (in ``src/`` outside
 the function's own body) sets the parameter by keyword or by position, or a
@@ -17,6 +23,7 @@ is a constant.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,26 +34,30 @@ OUTSIDE = sorted((ROOT / "perfbench").glob("*.py")) + [
 ]
 
 
-def _referenced(node, dispatch=False):
+def _occurrences(node, dispatch=False):
     """Names, attributes and dotted string parts (``perfbench`` wraps by string)
-    under ``node``; those in the second argument of an ``isinstance`` call
-    only with ``dispatch``."""
+    under ``node``, counted once per occurrence; those in the second argument
+    of an ``isinstance`` call only with ``dispatch``."""
     skip = set()
     if not dispatch:
         skip = {id(sub) for call in ast.walk(node) if isinstance(call, ast.Call)
                 and isinstance(call.func, ast.Name) and call.func.id == "isinstance"
                 and len(call.args) == 2 for sub in ast.walk(call.args[1])}
-    found = set()
+    found = Counter()
     for sub in ast.walk(node):
         if id(sub) in skip:
             continue
         if isinstance(sub, ast.Name):
-            found.add(sub.id)
+            found[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            found.add(sub.attr)
+            found[sub.attr] += 1
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             found.update(sub.value.split("."))
     return found
+
+
+def _referenced(node, dispatch=False):
+    return set(_occurrences(node, dispatch))
 
 
 def _kept_text(node):
@@ -64,11 +75,15 @@ def _kept(node):
     return bool(_kept_text(node))
 
 
+def _outside():
+    """The references in the files outside ``src/``."""
+    return set().union(*(_referenced(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in OUTSIDE))
+
+
 def unreached_names():
     """``module.name`` for each public top-level definition with no reach and no ``Kept:`` line."""
-    outside = set()
-    for path in OUTSIDE:
-        outside |= _referenced(ast.parse(path.read_text(encoding="utf-8")))
+    outside = _outside()
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC}
     # each top-level statement's references, with the name it defines (if any)
     statements = [(mod, stmt) for mod, tree in trees.items() for stmt in tree.body]
@@ -86,6 +101,25 @@ def unreached_names():
 
 def test_every_public_name_is_reached_or_kept_with_a_reason():
     assert unreached_names() == []
+
+
+def unreached_methods():
+    """``module.Class.method`` for each public method of a top-level class
+    with no reach and no ``Kept:`` line."""
+    outside = _outside()
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC}
+    methods = [(f"{mod}.{cls.name}.{fn.name}", fn) for mod, tree in trees.items()
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+    in_src = sum(map(_occurrences, trees.values()), Counter())
+    return [name for name, fn in methods
+            if in_src[fn.name] <= _occurrences(fn)[fn.name]  # none outside its own body
+            and fn.name not in outside and not _kept(fn)]
+
+
+def test_every_public_method_is_reached_or_kept_with_a_reason():
+    assert unreached_methods() == []
 
 
 def _defaulted(fn):
