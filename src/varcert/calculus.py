@@ -1,4 +1,5 @@
-"""Chain and sum rules for compositions theta(f(x)) plus qualification checkers.
+"""Compositions theta(f(x)): the chain rule for their subderivative,
+feasibility restoration onto f^{-1}(dom theta), and qualification checkers.
 
 Verdict semantics: REFUTED verdicts always carry a concrete witness and
 are conclusive (up to stated tolerances); VERIFIED verdicts obtained by
@@ -25,27 +26,9 @@ from itertools import combinations, islice
 import numpy as np
 
 from . import geometry as geo
-from .errors import (
-    DimensionMismatchError,
-    NonconvexUnsupportedError,
-    NotInDomainError,
-    NumericalBreakdownError,
-)
+from .errors import DimensionMismatchError, NotInDomainError, NumericalBreakdownError
 from .expr import Jet, SmoothMap
-from .funcspace import (
-    INF,
-    DistanceFn,
-    FnObject,
-    IndicatorFn,
-    OracleFn,
-    PLQFunction,
-    SeparableSumFn,
-    SmoothFn,
-    SubderivativeValue,
-    SubdifferentialSet,
-    subderivative,
-    subdifferential,
-)
+from .funcspace import INF, FnObject, OracleFn, SubderivativeValue, subderivative
 from .geometry import (
     Polyhedron,
     PolyhedralCone,
@@ -319,7 +302,7 @@ def composite_fn(c: Composite) -> OracleFn:
 
 
 # ---------------------------------------------------------------------------
-# chain rules
+# the chain rule
 
 def chain_subderivative(c: Composite, u) -> SubderivativeValue:
     """d(theta o f)(xbar)(u) = d theta(ybar)(Jacobian u), under AQC+epi or MSQC."""
@@ -327,121 +310,6 @@ def chain_subderivative(c: Composite, u) -> SubderivativeValue:
     inner = subderivative(c.theta, c.ybar, J @ np.asarray(u, dtype=float))
     inner.flags = list(inner.flags) + ["hypothesis:asserted"]
     return inner
-
-
-def chain_subdifferential(c: Composite) -> SubdifferentialSet:
-    """Adjoint image of the outer subdifferential.
-
-    Route A: theta locally Lipschitz and Dini-Hadamard regular at ybar.
-    Route B: theta convex relatively Lipschitz, under AQC with a closed
-    adjoint image (automatic for polyhedral data in finite dimensions).
-
-    Kept: the paper's subdifferential chain rule, library API without a command.
-    """
-    JT = c.jet.jacobian().T
-    theta = c.theta
-    if isinstance(theta, SmoothFn):
-        S = SubdifferentialSet.singleton(JT @ theta.gradient(c.ybar))
-        S.flags.append("route:A-smooth")
-        return S
-    S = subdifferential(theta, c.ybar)  # raises NonconvexUnsupportedError when unavailable
-    mapped = S.map_adjoint(JT)
-    if isinstance(theta, DistanceFn):
-        mapped.flags.append("route:A-lipschitz-regular")
-        return mapped
-    if isinstance(theta, PLQFunction) and theta.is_convex():
-        if _plq_locally_lipschitz_at(theta, c.ybar):
-            mapped.flags.append("route:A-lipschitz-regular")
-        else:
-            mapped.flags += ["route:B-convex-AQC", "heuristic:AQC-unverified"]
-        return mapped
-    if isinstance(theta, IndicatorFn):
-        mapped.flags += ["route:B-convex-AQC", "heuristic:AQC-unverified"]
-        return mapped
-    mapped.flags.append("route:unclassified")
-    return mapped
-
-
-def _plq_locally_lipschitz_at(theta: PLQFunction, y):
-    """Interior-of-domain test: finite values at 16 points of a small ball around y."""
-    rng = np.random.default_rng(0)
-    r = 1e-6
-    for _ in range(16):
-        d = rng.standard_normal(theta.n)
-        d /= np.linalg.norm(d)
-        if not math.isfinite(theta.value(np.asarray(y) + r * d)):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# sum rules
-
-def _diagonal_composite(phi: FnObject, psi: FnObject, x) -> Composite:
-    """phi + psi = theta o f with theta(y,z) = phi(y)+psi(z), f(x) = (x,x)."""
-    n = phi.n
-    names = [f"x{i+1}" for i in range(n)]
-    f = SmoothMap.from_strings(names + names, names)
-    return Composite(SeparableSumFn(phi, psi), f, x)
-
-
-def sum_subderivative(phi: FnObject, psi: FnObject, x, u) -> SubderivativeValue:
-    """d(phi+psi)(x)(u) = d phi(x)(u) + d psi(x)(u) under a tangential or metric QC.
-
-    Kept: the paper's subderivative sum rule, library API without a command.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    flags = []
-    dphi_p, dpsi_p = phi.dom_pieces(), psi.dom_pieces()
-    if dphi_p is None or dpsi_p is None:
-        flags.append("tangential-QC:trivial")  # one domain is the whole space
-    else:
-        ok = _tangential_qc_exact(dphi_p, dpsi_p, x)
-        flags.append("tangential-QC:exact" if ok else "QCUnverified")
-    d1 = subderivative(phi, x, u)
-    if d1.value == INF:
-        return SubderivativeValue(INF, d1.mode, flags=flags + d1.flags)
-    d2 = subderivative(psi, x, u)
-    if d2.value == INF:
-        return SubderivativeValue(INF, d2.mode, flags=flags + d2.flags)
-    mode = "analytic" if d1.mode == d2.mode == "analytic" else "sampled"
-    return SubderivativeValue(d1.value + d2.value, mode, flags=flags)
-
-
-def _tangential_qc_exact(pieces_a, pieces_b, x):
-    """T_{A cap B}(x) = T_A(x) cap T_B(x), piece by piece (exact for polyhedra)."""
-    for P in pieces_a:
-        if not P.contains(x):
-            continue
-        for Q in pieces_b:
-            if not Q.contains(x):
-                continue
-            inter = Polyhedron.intersection(P, Q)
-            T_inter = tangent_cone(inter, x)
-            TP = tangent_cone(P, x)
-            TQ = tangent_cone(Q, x)
-            both = PolyhedralCone.from_halfspaces(
-                np.vstack([TP.G, TQ.G]), np.vstack([TP.H, TQ.H]), n=P.n
-            )
-            if not T_inter.same_set(both):
-                return False
-    return True
-
-
-def sum_subdifferential(phi: FnObject, psi: FnObject, x) -> SubdifferentialSet:
-    """Minkowski sum of subdifferentials; both summands Lipschitz + regular.
-
-    Kept: the paper's subdifferential sum rule, library API without a command.
-    """
-    for fn in (phi, psi):
-        if isinstance(fn, IndicatorFn):
-            raise NonconvexUnsupportedError(
-                "indicator summand is not locally Lipschitz; use the chain route"
-            )
-        if isinstance(fn, PLQFunction) and not _plq_locally_lipschitz_at(fn, x):
-            raise NonconvexUnsupportedError("PLQ summand not Lipschitz at the point")
-    return subdifferential(phi, x).minkowski(subdifferential(psi, x))
 
 
 # ---------------------------------------------------------------------------

@@ -16,21 +16,10 @@ import numpy as np
 
 from . import calculus as calc
 from .calculus import INCONCLUSIVE, REFUTED, VERIFIED
-from .errors import (
-    DimensionMismatchError,
-    InfeasiblePointError,
-    NonconvexUnsupportedError,
-    NumericalBreakdownError,
-)
+from .errors import DimensionMismatchError, InfeasiblePointError, NumericalBreakdownError
 from .expr import SmoothMap
 from . import funcspace as fs
-from .funcspace import (
-    FnObject,
-    IndicatorFn,
-    PLQFunction,
-    SmoothFn,
-    rel_lipschitz_estimate,
-)
+from .funcspace import FnObject, IndicatorFn, SmoothFn, rel_lipschitz_estimate
 from .geometry import Polyhedron
 from .solvers import least_norm_multiplier
 
@@ -93,24 +82,6 @@ def _check_feasible(p: ConstrainedProblem, x):
             f"f(x) violates Theta by {p.Theta.residual(jet.values):.3e}"
         )
     return x, jet
-
-
-def _objective_gradients(p: ConstrainedProblem, x):
-    """Gradient candidates of the objective at x: one for smooth, the active
-    piece gradients (plus a domain-interior requirement) for convex PLQ."""
-    if isinstance(p.objective, SmoothFn):
-        return [p.objective.gradient(x)], "smooth"
-    if isinstance(p.objective, PLQFunction):
-        plq = p.objective
-        if not plq.is_convex():
-            raise NonconvexUnsupportedError("dual certification needs a convex PLQ objective")
-        active = plq.active_pieces(x)
-        if not active:
-            raise InfeasiblePointError("x outside dom(objective)")
-        return [piece.grad(x) for piece in active], "plq"
-    raise NonconvexUnsupportedError(
-        f"objective of type {type(p.objective).__name__} is not certifiable"
-    )
 
 
 def primal_check(p: ConstrainedProblem, xbar, seed=42) -> Certificate:
@@ -223,44 +194,41 @@ def descent_conditions(p: ConstrainedProblem, y, J, grads, d):
 
 
 def _fit(p: ConstrainedProblem, xbar, kind, seed):
-    """(certificate, objective gradients, jet of f at xbar): the lam of least
-    Euclidean norm in N_Theta(ybar) with J^T lam = -g and bound_lhs ||lam||,
-    no status yet; or REFUTED, when there is none, with
-    least_norm_multiplier's Farkas direction at max-norm 1 as descent_witness
-    and its descent as residual."""
+    """(certificate, the subdifferential S of the objective at xbar, jet of f
+    at xbar): the lam of least Euclidean norm in N_Theta(ybar) with
+    J^T lam = -g for some g in S and bound_lhs ||lam||, no status yet; or
+    REFUTED, when there is none, with least_norm_multiplier's Farkas direction
+    at max-norm 1 as descent_witness and its descent as residual."""
     xbar, jet = _check_feasible(p, xbar)
     ybar, J = jet.values, jet.jacobian()
     act, E = p.Theta.active_rows(ybar), p.Theta.A_eq
     r, l = len(act), len(E)
-    grads, obj_kind = _objective_gradients(p, xbar)
+    S = fs.subdifferential(p.objective, xbar)
 
-    Jx, target, cols = J, -grads[0], None
-    if obj_kind != "smooth":
-        # J^T lam + g = 0 for some g in conv{piece gradients} + N_dom: the
-        # hull and the N_dom rays and lines are equality columns outside the
-        # norm, and the hull's sum(nu) = 1 is one more target row
-        Gm = np.array(grads)  # (k, n)
-        Ndom = fs._union_domain_normal_cone(
-            [piece.omega for piece in p.objective.active_pieces(xbar)], xbar)
-        dr, dl = Ndom.ensure_generators()
-        cols = np.vstack([np.hstack([Gm.T, dr.T, dl.T, -dl.T]),
-                          np.concatenate([np.ones(len(Gm)), np.zeros(len(dr) + 2 * len(dl))])])
+    Jx, target, cols = J, -S.vertices[0], None
+    if not isinstance(p.objective, SmoothFn):
+        # J^T lam + g = 0 for some g in S = conv{vertices} + cone{rays} +
+        # span{lines}: they are equality columns outside the norm, and the
+        # hull's sum(nu) = 1 is one more target row
+        V, R, L = S.vertices, S.rays, S.lines
+        cols = np.vstack([np.hstack([V.T, R.T, L.T, -L.T]),
+                          np.concatenate([np.ones(len(V)), np.zeros(len(R) + 2 * len(L))])])
         Jx, target = np.hstack([J, np.zeros((p.m, 1))]), np.append(np.zeros(p.n), 1.0)
     fit = least_norm_multiplier(Jx, target, p.Theta.A_ineq[act].T, E.T, extra=cols, tol=TOL_STAT)
     cert = Certificate(kind=kind, status=None, point=xbar, tolerances={"tol_stat": TOL_STAT},
                        seed=seed)
     if not isinstance(fit, tuple):  # the witness is the x part of the direction
         d = fit[:p.n] / float(np.max(np.abs(fit[:p.n])))
-        (descent,) = checked(descent_conditions(p, ybar, J, grads, d))
+        (descent,) = checked(descent_conditions(p, ybar, J, S.vertices, d))
         return replace(cert, status=REFUTED, descent_witness=d, residual=descent,
-                       notes=[f"descent slope {-descent:.3e} along the witness"]), grads, jet
+                       notes=[f"descent slope {-descent:.3e} along the witness"]), S, jet
     z, lam = fit
-    grad_used = grads[0] if cols is None else cols[:-1] @ z[r + 2 * l:]
+    grad_used = S.vertices[0] if cols is None else cols[:-1] @ z[r + 2 * l:]
     ab, gen_weights = z[r:r + 2 * l], np.zeros(p.Theta.A_ineq.shape[0])
     gen_weights[act] = z[:r]
     residual, lhs = checked(kkt_conditions(p, ybar, J, grad_used, lam, gen_weights, ab))
     return replace(cert, multipliers=lam, generator_weights=gen_weights,
-                   eq_weights=ab if l else None, residual=residual, bound_lhs=lhs), grads, jet
+                   eq_weights=ab if l else None, residual=residual, bound_lhs=lhs), S, jet
 
 
 def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42) -> Certificate:
@@ -271,7 +239,7 @@ def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42) -> 
     coderivative criterion's c > 0 gives the computed kappa = (1 +
     KAPPA_MARGIN) / c, just above reg F = 1/c (1 for c = inf), with no
     sampling; otherwise ``msqc_estimate`` samples it."""
-    cert, grads, jet = _fit(p, xbar, "DualKKT", seed)
+    cert, S, jet = _fit(p, xbar, "DualKKT", seed)
     if cert.descent_witness is not None:
         return no_multiplier_certificate("DualKKT", cert.point, seed, "stationarity system "
                                          "infeasible: not dual-stationary", cert.descent_witness)
@@ -288,7 +256,7 @@ def dual_certificate(p: ConstrainedProblem, xbar, kappa="estimate", seed=42) -> 
             notes.append(f"msqc_estimate kappa_hat={rep.kappa_hat:.4g}" if kappa_val is not None
                          else f"msqc_estimate verdict {rep.verdict}")
     if isinstance(p.objective, SmoothFn):
-        scale = float(np.linalg.norm(grads[0]))
+        scale = float(np.linalg.norm(S.vertices[0]))
         bound_rule = "kappa*||grad objective|| (enhanced estimate)"
     else:
         scale = rel_lipschitz_estimate(p.objective, cert.point, radius=0.5, seed=seed)

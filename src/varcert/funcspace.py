@@ -29,8 +29,8 @@ from .errors import (
     NumericalBreakdownError,
 )
 from . import expr as expr_mod
-from .geometry import PolyhedralCone, Polyhedron, normal_cone, project, project_cone, tangent_cone
-from .solvers import eigh, least_norm_multiplier, nnls
+from .geometry import PolyhedralCone, Polyhedron, project, tangent_cone
+from .solvers import eigh
 
 INF = math.inf
 
@@ -258,64 +258,18 @@ class PLQFunction(FnObject):
         return pts
 
 
-class SeparableSumFn(FnObject):
-    """theta(y1, y2) = phi(y1) + psi(y2) on the product space."""
-
-    def __init__(self, phi: FnObject, psi: FnObject):
-        self.phi = phi
-        self.psi = psi
-        self.n = phi.n + psi.n
-        self.t_floor = max(phi.t_floor, psi.t_floor)
-
-    def split(self, y):
-        y = np.asarray(y, dtype=float)
-        return y[: self.phi.n], y[self.phi.n:]
-
-    def value(self, y):
-        self._check(y)
-        y1, y2 = self.split(y)
-        v1 = self.phi.value(y1)
-        if not math.isfinite(v1):
-            return INF
-        v2 = self.psi.value(y2)
-        return v1 + v2 if math.isfinite(v2) else INF
-
-    def dom_pieces(self):
-        d1, d2 = self.phi.dom_pieces(), self.psi.dom_pieces()
-        if d1 is None and d2 is None:
-            return None
-        d1 = d1 if d1 is not None else [Polyhedron.whole_space(self.phi.n)]
-        d2 = d2 if d2 is not None else [Polyhedron.whole_space(self.psi.n)]
-        out = []
-        for P in d1:
-            for Q in d2:
-                A_ineq = np.block([
-                    [P.A_ineq, np.zeros((P.A_ineq.shape[0], Q.n))],
-                    [np.zeros((Q.A_ineq.shape[0], P.n)), Q.A_ineq],
-                ])
-                b_ineq = np.concatenate([P.b_ineq, Q.b_ineq])
-                A_eq = np.block([
-                    [P.A_eq, np.zeros((P.A_eq.shape[0], Q.n))],
-                    [np.zeros((Q.A_eq.shape[0], P.n)), Q.A_eq],
-                ])
-                b_eq = np.concatenate([P.b_eq, Q.b_eq])
-                out.append(Polyhedron(A_ineq, b_ineq, A_eq, b_eq, n=self.n))
-        return out
-
-
 # ---------------------------------------------------------------------------
 # subdifferential sets
 
 class SubdifferentialSet:
     """Finitely represented convex subdifferential candidates.
 
-    kinds: "polyhedral" (V-rep: vertices + rays + lines), "cone_cap_ball"
-    (polyhedral cone intersected with a norm ball, as for distance
-    functions) and "mapped_ball" (adjoint image of a cone_cap_ball).
+    kinds: "polyhedral" (V-rep: vertices + rays + lines), as ``subdifferential``
+    returns it, and "cone_cap_ball" (a polyhedral cone intersected with a norm
+    ball, the subdifferential of a distance function at a point of its set).
     """
 
-    def __init__(self, kind, n, vertices=None, rays=None, lines=None,
-                 cone=None, radius=None, JT=None, flags=None):
+    def __init__(self, kind, n, vertices=None, rays=None, lines=None, cone=None, radius=None):
         self.kind = kind
         self.n = n
         self.vertices = vertices
@@ -323,10 +277,7 @@ class SubdifferentialSet:
         self.lines = lines
         self.cone = cone
         self.radius = radius
-        self.JT = JT
-        self.flags = list(flags or [])
 
-    # ---- constructors -------------------------------------------------
     @classmethod
     def singleton(cls, g):
         g = np.atleast_1d(np.asarray(g, dtype=float))
@@ -346,52 +297,8 @@ class SubdifferentialSet:
         return cls("polyhedral", n, vertices=V, rays=R, lines=L)
 
     @classmethod
-    def from_cone(cls, K: PolyhedralCone):
-        rays, lines = K.ensure_generators()
-        return cls.polytope(np.zeros((1, K.n)), rays, lines)
-
-    @classmethod
     def cone_cap_ball(cls, K: PolyhedralCone, radius):
         return cls("cone_cap_ball", K.n, cone=K, radius=float(radius))
-
-    # ---- queries --------------------------------------------------------
-    def support(self, u) -> float:
-        """sup { <v, u> : v in set }."""
-        u = np.asarray(u, dtype=float)
-        scale = 1.0 + float(np.linalg.norm(u))
-        if self.kind == "polyhedral":
-            if self.rays.shape[0] and float(np.max(self.rays @ u)) > 1e-9 * scale:
-                return INF
-            if self.lines.shape[0] and float(np.max(np.abs(self.lines @ u))) > 1e-9 * scale:
-                return INF
-            return float(np.max(self.vertices @ u))
-        if self.kind == "cone_cap_ball":
-            pk, _ = project_cone(self.cone, u)
-            return self.radius * float(np.linalg.norm(pk))
-        if self.kind == "mapped_ball":
-            J = self.JT.T
-            pk, _ = project_cone(self.cone, J @ u)
-            return self.radius * float(np.linalg.norm(pk))
-        raise ValueError(self.kind)
-
-    def contains(self, v, tol=1e-8) -> bool:
-        v = np.asarray(v, dtype=float)
-        if self.kind == "cone_cap_ball":
-            return self.cone.contains(v, tol) and float(np.linalg.norm(v)) <= self.radius + tol
-        if self.kind == "mapped_ball":  # the least-norm lam in the cone with JT lam = v
-            rays, lines = self.cone.ensure_generators()
-            fit = least_norm_multiplier(self.JT.T, v, rays.T, lines.T, tol=tol)
-            return isinstance(fit, tuple) and float(np.linalg.norm(fit[1])) <= self.radius + tol
-        # polyhedral V-rep: the NNLS fit of (v, w) by the vertices, each with a w
-        # in the last row (their weights sum to 1), and the rays and +/- lines.
-        # The row holds sum(nu) = 1 in least squares only; weighted by the
-        # vertex scale w = max(1, R), R the largest vertex norm, a residual r
-        # puts v within sqrt(1 + R^2 / w^2) r <= sqrt(2) r of the set
-        G = np.vstack([self.vertices, self.rays, self.lines, -self.lines]).T
-        w = max(1.0, float(np.linalg.norm(self.vertices, axis=1).max(initial=0.0)))
-        E = np.vstack([G, w * (np.arange(G.shape[1]) < len(self.vertices))])
-        f = np.append(v, w)
-        return float(np.linalg.norm(E @ nnls(E, f) - f)) <= tol * (1.0 + float(np.linalg.norm(v)))
 
     def sample(self, count, seed=0):
         """Random elements of the set (for membership-style property tests)."""
@@ -421,39 +328,6 @@ class SubdifferentialSet:
                     v = v * (self.radius * rng.random() / nv)
                 out.append(v)
         return out
-
-    # ---- algebra --------------------------------------------------------
-    def map_adjoint(self, JT):
-        """Image under v -> JT v (the adjoint of the inner Jacobian)."""
-        JT = np.atleast_2d(np.asarray(JT, dtype=float))
-        if self.kind == "polyhedral":
-            return SubdifferentialSet.polytope(
-                self.vertices @ JT.T,
-                self.rays @ JT.T if self.rays.shape[0] else np.zeros((0, JT.shape[0])),
-                self.lines @ JT.T if self.lines.shape[0] else np.zeros((0, JT.shape[0])),
-            )
-        if self.kind == "cone_cap_ball":
-            out = SubdifferentialSet("mapped_ball", JT.shape[0], cone=self.cone,
-                                     radius=self.radius, JT=JT)
-            return out
-        raise NonconvexUnsupportedError(f"cannot map a {self.kind} set through an adjoint")
-
-    def minkowski(self, other):
-        if self.kind == "polyhedral" and other.kind == "polyhedral":
-            V = np.array([a + b for a in self.vertices for b in other.vertices])
-            R = np.vstack([self.rays, other.rays])
-            L = np.vstack([self.lines, other.lines])
-            return SubdifferentialSet.polytope(V, R, L)
-        raise NonconvexUnsupportedError("Minkowski sum unsupported for these set kinds")
-
-    def interval(self):
-        """(lo, hi) in one dimension, via support values."""
-        if self.n != 1:
-            raise DimensionMismatchError("interval() needs a one-dimensional set")
-        return -self.support([-1.0]), self.support([1.0])
-
-    def __repr__(self):
-        return f"SubdifferentialSet(kind={self.kind}, n={self.n})"
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +364,6 @@ def _analytic_subderivative(fn, x, u):
             if tangent_cone(piece.omega, x).contains(u, 1e-9):
                 best = min(best, float(piece.grad(x) @ u))
         return best
-    if isinstance(fn, SeparableSumFn):
-        u1, u2 = fn.split(u)
-        x1, x2 = fn.split(x)
-        d1 = subderivative(fn.phi, x1, u1).value
-        if d1 == INF:
-            return INF
-        d2 = subderivative(fn.psi, x2, u2).value
-        return INF if d2 == INF else d1 + d2
     return None
 
 
@@ -584,7 +450,7 @@ def subderivative_sampled(fn: FnObject, x, u, seed=0, check_spread=True) -> Subd
     """Difference-quotient estimator of the subderivative along a t-grid.
 
     This is the independent oracle used to validate analytic paths and
-    chain rules; raises InconclusiveError when the quotient tail does
+    the chain rule; raises InconclusiveError when the quotient tail does
     not settle within QUOTIENT_TOL_SPREAD.
     """
     rng = np.random.default_rng(seed)
@@ -597,21 +463,18 @@ def subderivative_sampled(fn: FnObject, x, u, seed=0, check_spread=True) -> Subd
 
 
 def subdifferential(fn: FnObject, x) -> SubdifferentialSet:
-    """Exact Dini-Hadamard subdifferential for smooth/indicator/convex-PLQ/distance objects."""
+    """Exact Dini-Hadamard subdifferential of a smooth or convex PLQ function at x.
+
+    {grad fn(x)} for a smooth fn, and conv{gradients of the active pieces} +
+    N_dom(x) for a convex PLQ: the gradients as vertices, N_dom's generators
+    as rays and lines.  A point outside dom fn raises NotInDomainError; any
+    other function, a nonconvex PLQ included, NonconvexUnsupportedError.
+    """
     x = np.asarray(x, dtype=float)
     if isinstance(fn, SmoothFn):
         if not math.isfinite(fn.value(x)):
             raise NotInDomainError("point outside the smooth function domain")
         return SubdifferentialSet.singleton(fn.gradient(x))
-    if isinstance(fn, IndicatorFn):
-        if not fn.P.contains(x):
-            raise NotInDomainError("point outside the indicator domain")
-        return SubdifferentialSet.from_cone(normal_cone(fn.P, x))
-    if isinstance(fn, DistanceFn):
-        proj, d = project(fn.P, x)
-        if d <= geo.TOL_FEAS:
-            return SubdifferentialSet.cone_cap_ball(normal_cone(fn.P, proj), 1.0)
-        return SubdifferentialSet.singleton((x - proj) / d)
     if isinstance(fn, PLQFunction):
         if not fn.is_convex():
             raise NonconvexUnsupportedError(
@@ -688,19 +551,6 @@ def rel_lipschitz_estimate(fn: FnObject, x, radius, seed=0) -> float:
 
 
 # convenience PLQ builders -------------------------------------------------
-
-def plq_abs():
-    """|x| on the line as a two-piece PLQ.
-
-    Kept: the smallest nonsmooth PLQ, a fixture of the calculus unit tests.
-    """
-    pos = Polyhedron([[-1.0]], [0.0])
-    neg = Polyhedron([[1.0]], [0.0])
-    return PLQFunction([
-        (pos, [[0.0]], [1.0], 0.0),
-        (neg, [[0.0]], [-1.0], 0.0),
-    ])
-
 
 def plq_max_of_affine(coeffs, consts):
     """max_i (a_i . x + c_i) as a PLQ with pieces {a_i.x + c_i >= a_j.x + c_j}."""

@@ -130,10 +130,6 @@ class Polyhedron:
         return cls(A_eq=np.eye(len(x)), b_eq=x, n=len(x))
 
     @classmethod
-    def whole_space(cls, n):
-        return cls(n=n)
-
-    @classmethod
     def intersection(cls, P, Q):
         if P.n != Q.n:
             raise DimensionMismatchError("intersection of polyhedra in different spaces")
@@ -212,10 +208,6 @@ class PolyhedralCone:
         return K
 
     @classmethod
-    def whole_space(cls, n):
-        return cls.from_halfspaces(None, None, n=n)
-
-    @classmethod
     def zero(cls, n):
         return cls.from_generators(None, None, n=n)
 
@@ -264,7 +256,11 @@ class PolyhedralCone:
         return out
 
     def same_set(self, other):
-        """Mutual membership of generators (and +/- lines) in both cones, to 1e-7."""
+        """Mutual membership of generators (and +/- lines) in both cones, to 1e-7.
+
+        Kept: the comparison that the cone duality tests make against
+        ``polar`` (double polars, normal cones against polar tangent cones).
+        """
         for a, b in ((self, other), (other, self)):
             rays, lines = a.ensure_generators()
             for r in rays:

@@ -10,9 +10,9 @@ from varcert.certify import (
     dual_certificate,
     primal_check,
 )
-from varcert.errors import InfeasiblePointError
+from varcert.errors import InfeasiblePointError, NonconvexUnsupportedError, NotInDomainError
 from varcert.expr import SmoothMap
-from varcert.funcspace import PLQFunction, SmoothFn, plq_abs
+from varcert.funcspace import PLQFunction, SmoothFn
 from varcert.geometry import Polyhedron
 from varcert.solvers import LPProblem, OPTIMAL, lp_solve
 
@@ -101,10 +101,6 @@ def test_dual_with_estimated_kappa():
 
 def test_dual_certificate_plq_objective():
     # minimize |x1| + x2 over the box [-1,0]^2 at (0, -1): dual stationarity
-    plq = plq_abs()
-    obj_pieces = [(piece.omega, np.zeros((1, 1)), piece.b, piece.beta) for piece in plq.pieces]
-    from varcert.funcspace import PLQFunction
-
     # V-shaped objective in 2d: |x1| + x2 as a PLQ over two halfplanes
     pos = Polyhedron([[-1.0, 0.0]], [0.0])
     neg = Polyhedron([[1.0, 0.0]], [0.0])
@@ -118,6 +114,20 @@ def test_dual_certificate_plq_objective():
     assert cert.status == certify.VERIFIED
     assert cert.residual <= 1e-8
     assert cert.bound_rule.startswith("ell*kappa")
+
+
+def test_plq_objective_errors_are_the_subdifferentials():
+    """Both certificates read the objective's subdifferential: a feasible
+    point outside dom objective raises NotInDomainError, and a nonconvex PLQ
+    NonconvexUnsupportedError, each with subdifferential's wording."""
+    box = Polyhedron.box([(-1.0, 1.0)])
+    sq = PLQFunction([(Polyhedron.box([(0.0, 1.0)]), [[1.0]], [0.0], 0.0)])  # x^2 on [0, 1]
+    nonconvex = PLQFunction([(Polyhedron(n=1), [[-1.0]], [0.0], 0.0)])  # -x^2
+    for issue in (lambda p, x: dual_certificate(p, x, kappa=1.0), primal_check):
+        with pytest.raises(NotInDomainError, match="outside the PLQ domain"):
+            issue(ConstrainedProblem(sq, SmoothMap.identity(1), box), [-0.5])
+        with pytest.raises(NonconvexUnsupportedError, match="nonconvex PLQ"):
+            issue(ConstrainedProblem(nonconvex, SmoothMap.identity(1), box), [0.0])
 
 
 def random_lp_problem(rng, n):

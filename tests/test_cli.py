@@ -978,6 +978,11 @@ def _theta(**fields):
     return doc
 
 
+def _log_over_r_minus():
+    return {"kind": "nlp", "n": 1, "objective": "log(x1)",
+            "constraints": {"f": ["x1"], "Theta": {"A_ineq": [[1]], "b_ineq": [0]}}}
+
+
 def _recheck_of(cert):
     """A certificate document, rechecked against the case's problem."""
     return dict({"problem_kind": "nlp", "point": [0.0, 0.0], "status": "VERIFIED"}, **cert)
@@ -1030,6 +1035,15 @@ BAD_INPUT = [
      "error: direction length does not match n"),
     ("seed_not_integer", ["kkt", "--point", "0,0", "--seed", "1.5"], orthant_doc(),
      "varcert kkt: error: argument --seed: invalid int value: '1.5'"),
+    # log(x1) at x1 = -1 over Theta = R_-: a feasible point where the
+    # objective is not finite; kkt and primal read its subdifferential and
+    # subderiv its subderivative, and each refuses the point alike
+    ("objective_undefined_kkt", ["kkt", "--point", "-1", "--kappa", "1"], _log_over_r_minus(),
+     "error: point outside the smooth function domain"),
+    ("objective_undefined_primal", ["primal", "--point", "-1"], _log_over_r_minus(),
+     "error: point outside the smooth function domain"),
+    ("objective_undefined_subderiv", ["subderiv", "--point", "-1", "--direction", "1"],
+     _log_over_r_minus(), "error: point outside the smooth function domain"),
     ("recheck_other_kind", _recheck_of({"problem_kind": "sip"}), orthant_doc(),
      "error: certificate was issued for a different problem kind"),
     ("recheck_multipliers", _recheck_of({"multipliers": [1.0]}), orthant_doc(),

@@ -4,44 +4,41 @@ import numpy as np
 import pytest
 
 from varcert import funcspace as fs
-from varcert.errors import InconclusiveError, NonconvexUnsupportedError, NotInDomainError
+from varcert.errors import NonconvexUnsupportedError, NotInDomainError
 from varcert.funcspace import (
     INF,
     DistanceFn,
     IndicatorFn,
     OracleFn,
     PLQFunction,
-    SeparableSumFn,
     SmoothFn,
-    SubdifferentialSet,
-    plq_abs,
     plq_max_of_affine,
     rel_lipschitz_estimate,
     subderivative,
     subderivative_sampled,
     subdifferential,
 )
-from varcert.geometry import (
-    Polyhedron,
-    PolyhedralCone,
-    cone_halfspaces_from_generators,
-    tangent_cone,
-)
+from varcert.geometry import Polyhedron, tangent_cone
 
 
 def orthant_indicator(n=2):
     return IndicatorFn(Polyhedron.nonpositive_orthant(n))
 
 
+def abs_plq():
+    """|x| on the line, as the max of x and -x."""
+    return plq_max_of_affine([[1.0], [-1.0]], [0.0, 0.0])
+
+
 def test_value_examples():
     assert orthant_indicator().value([1.0, 0.0]) == INF
     assert orthant_indicator().value([-1.0, 0.0]) == 0.0
-    assert plq_abs().value([-2.0]) == pytest.approx(2.0)
+    assert abs_plq().value([-2.0]) == pytest.approx(2.0)
     assert SmoothFn("x1^2", 1).value([3.0]) == pytest.approx(9.0)
 
 
 def test_subderivative_examples():
-    f = plq_abs()
+    f = abs_plq()
     assert subderivative(f, [0.0], [1.0]).value == pytest.approx(1.0)
     assert subderivative(f, [0.0], [-1.0]).value == pytest.approx(1.0)
     assert subderivative(orthant_indicator(), [0.0, 0.0], [1.0, 0.0]).value == INF
@@ -56,7 +53,7 @@ def test_subderivative_examples():
 
 
 def test_subderivative_sampled_examples():
-    sv = subderivative_sampled(plq_abs(), [0.0], [1.0])
+    sv = subderivative_sampled(abs_plq(), [0.0], [1.0])
     assert sv.value == pytest.approx(1.0, abs=1e-6)
     ind = IndicatorFn(Polyhedron([[1.0]], [0.0]))  # R_-
     assert subderivative_sampled(ind, [0.0], [-1.0]).value == pytest.approx(0.0, abs=1e-9)
@@ -71,19 +68,30 @@ def test_subderivative_sampled_examples():
 
 
 def test_subdifferential_examples():
-    lo, hi = subdifferential(plq_abs(), [0.0]).interval()
-    assert (lo, hi) == pytest.approx((-1.0, 1.0))
-    S = subdifferential(orthant_indicator(), [0.0, 0.0])
-    assert S.contains([3.0, 1.0]) and not S.contains([-0.5, 1.0])
+    # |x| at its kink: conv{-1, 1}, both pieces active, no domain normals
+    S = subdifferential(abs_plq(), [0.0])
+    assert sorted(S.vertices[:, 0]) == pytest.approx([-1.0, 1.0])
+    assert S.rays.shape == (0, 1) and S.lines.shape == (0, 1)
+    # off the kink one piece is active: a singleton
+    assert subdifferential(abs_plq(), [-2.0]).vertices.tolist() == [[-1.0]]
     S = subdifferential(SmoothFn("x1^2 + x2", 2), [1.0, 0.0])
-    assert np.allclose(S.vertices[0], [2.0, 1.0])
+    assert np.allclose(S.vertices, [[2.0, 1.0]])
+    assert S.rays.shape == (0, 2) and S.lines.shape == (0, 2)
+    with pytest.raises(NonconvexUnsupportedError, match="no exact subdifferential"):
+        subdifferential(orthant_indicator(), [0.0, 0.0])
+    # a point outside dom fn has none
+    sq = PLQFunction([(Polyhedron.box([(-1.0, 1.0)]), [[1.0]], [0.0], 0.0)])
+    with pytest.raises(NotInDomainError, match="outside the PLQ domain"):
+        subdifferential(sq, [2.0])
+    with pytest.raises(NotInDomainError, match="outside the smooth function domain"):
+        subdifferential(SmoothFn("log(x1)", 1), [-1.0])
 
 
 def test_subdifferential_elements_satisfy_subderivative_inequality():
     rng = np.random.default_rng(0)
     for fn, x in [
-        (plq_abs(), [0.0]),
-        (orthant_indicator(), [0.0, 0.0]),
+        (abs_plq(), [0.0]),
+        (PLQFunction([(Polyhedron.box([(-1.0, 1.0)]), [[1.0]], [0.0], 0.0)]), [1.0]),
         (plq_max_of_affine([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [0.0, 0.0, 0.0]),
          [0.0, 0.0]),
     ]:
@@ -107,14 +115,6 @@ def test_distance_function_objects():
     assert d == pytest.approx(1.0, abs=1e-9)
     d = subderivative(f, [0.0, 0.0], [-1.0, -1.0]).value
     assert d == pytest.approx(0.0, abs=1e-9)
-    S = subdifferential(f, [0.0, 0.0])
-    assert S.kind == "cone_cap_ball"
-    assert S.contains([1.0 / np.sqrt(2), 1.0 / np.sqrt(2)])
-    assert not S.contains([1.0, 1.0])  # norm > 1
-    assert not S.contains([-0.5, 0.0])  # outside the normal cone
-    # support equals the subderivative (distance functions are regular)
-    for u in ([1.0, 0.0], [0.3, -0.9], [-1.0, -1.0]):
-        assert S.support(u) == pytest.approx(subderivative(f, [0.0, 0.0], u).value, abs=1e-8)
 
 
 def test_plq_consistency_validation():
@@ -141,10 +141,10 @@ def test_plq_pieces_that_overlap_only_within_tol_feas_build(gap):
 
 def test_plq_convexity_routing():
     nonconvex = PLQFunction([
-        (Polyhedron.whole_space(1), [[-1.0]], [0.0], 0.0),  # -x^2
+        (Polyhedron(n=1), [[-1.0]], [0.0], 0.0),  # -x^2
     ])
     assert not nonconvex.is_convex()
-    with pytest.raises(NonconvexUnsupportedError):
+    with pytest.raises(NonconvexUnsupportedError, match="nonconvex PLQ"):
         subdifferential(nonconvex, [0.0])
 
 
@@ -180,7 +180,7 @@ def test_analytic_matches_sampled_on_random_plq_and_smooth():
 
 def test_positive_homogeneity():
     rng = np.random.default_rng(3)
-    fns = [plq_abs(), SmoothFn("x1^2 - x1", 1)]
+    fns = [abs_plq(), SmoothFn("x1^2 - x1", 1)]
     for fn in fns:
         for lam in (0.5, 2.0, 7.0):
             for _ in range(5):
@@ -202,7 +202,7 @@ def test_domain_of_subderivative_is_tangent_cone(monkeypatch):
     rng = np.random.default_rng(4)
     P = Polyhedron([[1.0, 1.0], [1.0, -1.0]], [0.0, 0.0])
     monkeypatch.setattr(fs, "REL_LIPSCHITZ_SAMPLES", 80)
-    for fn in (IndicatorFn(P), plq_abs()):
+    for fn in (IndicatorFn(P), abs_plq()):
         x = np.zeros(fn.n)
         dom = fn.dom_pieces()
         lhat = rel_lipschitz_estimate(fn, x, 0.5, seed=5)
@@ -221,7 +221,7 @@ def test_domain_of_subderivative_is_tangent_cone(monkeypatch):
 
 def test_rel_lipschitz_examples(monkeypatch):
     monkeypatch.setattr(fs, "REL_LIPSCHITZ_SAMPLES", 80)
-    assert rel_lipschitz_estimate(plq_abs(), [0.0], 0.5) == pytest.approx(1.0, abs=0.05)
+    assert rel_lipschitz_estimate(abs_plq(), [0.0], 0.5) == pytest.approx(1.0, abs=0.05)
     ind = orthant_indicator()
     monkeypatch.setattr(fs, "REL_LIPSCHITZ_SAMPLES", 40)
     assert rel_lipschitz_estimate(ind, [-0.5, -0.5], 0.3) == 0.0
@@ -231,84 +231,11 @@ def test_rel_lipschitz_examples(monkeypatch):
     assert 1.7 <= lhat <= 2.0 + 1e-9
 
 
-def test_separable_sum_is_analytic_and_unconditional():
-    theta = SeparableSumFn(plq_abs(), plq_abs())
-    assert theta.value([1.0, -2.0]) == pytest.approx(3.0)
-    d = subderivative(theta, [0.0, 0.0], [1.0, -2.0]).value
-    assert d == pytest.approx(3.0)
-    ind = SeparableSumFn(orthant_indicator(2), plq_abs())
-    assert subderivative(ind, [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]).value == INF
-
-
-def test_subdifferential_set_algebra():
-    A = SubdifferentialSet.polytope([[1.0], [-1.0]])  # [-1, 1]
-    B = SubdifferentialSet.singleton([1.0])
-    M = A.minkowski(B)
-    assert M.interval() == pytest.approx((0.0, 2.0))
-    mapped = A.map_adjoint([[2.0]])
-    assert mapped.interval() == pytest.approx((-2.0, 2.0))
-    assert A.contains([0.3]) and not A.contains([1.2])
-
-
-def test_mapped_ball_membership_reads_the_least_norm_preimage():
-    # v = lam1 + 2 lam2 over lam in R^2_+ with ||lam|| <= 0.46: the least-norm
-    # preimage of v = 1 is (0.2, 0.4), of norm 0.447, while the 1-norm-minimal
-    # (0, 0.5) has norm 0.5.  support(1) = 0.46 sqrt(5) = 1.0286.
-    K = PolyhedralCone.from_generators(np.eye(2))
-    S = SubdifferentialSet.cone_cap_ball(K, 0.46).map_adjoint([[1.0, 2.0]])
-    assert S.support([1.0]) == pytest.approx(0.46 * np.sqrt(5.0))
-    assert S.contains([1.0])
-    assert not S.contains([1.03])
-    assert not S.contains([-0.1])
-
-
-def test_mapped_ball_membership_with_a_preimage_nearly_in_null_of_j_transpose():
-    # v = lam1 + lam2 over the ray lam = w (1, -0.999): the one preimage of 1
-    # is 1000 (1, -0.999), of norm 1413.5
-    K = PolyhedralCone.from_generators([[1.0, -0.999]])
-    S = SubdifferentialSet.cone_cap_ball(K, 1414.0).map_adjoint([[1.0, 1.0]])
-    assert S.contains([1.0])
-    assert not S.contains([1.001])
-
-
 def test_plq_boundary_subdifferential_has_domain_normal_rays():
     # x^2 on [-1, 1] at the right endpoint: subdifferential [2, inf)
     sq = PLQFunction([(Polyhedron.box([(-1.0, 1.0)]), [[1.0]], [0.0], 0.0)])
     S = subdifferential(sq, [1.0])
-    assert S.support([1.0]) == INF
-    assert -S.support([-1.0]) == pytest.approx(2.0)
-    assert S.contains([5.0]) and not S.contains([1.5])
+    assert S.vertices.tolist() == [[2.0]]
+    assert S.rays.shape == (1, 1) and S.rays[0, 0] > 0.0
+    assert S.lines.shape == (0, 1)
 
-
-def test_polyhedral_set_membership_random():
-    """V-rep membership conv{V} + cone{R} + span{L}: inside points, points
-    1e-3 outside a facet, and points within 1e-12 of a facet.  Facets come
-    from the homogenized cone over (v, 1), (r, 0), (l, 0)."""
-    rng = np.random.default_rng(11)
-    checked = {"in": 0, "out": 0, "near": 0}
-    for _ in range(20):
-        n = int(rng.integers(2, 4))
-        V = rng.normal(size=(int(rng.integers(1, 5)), n))
-        R = rng.normal(size=(int(rng.integers(0, 3)), n))
-        L = rng.normal(size=(int(rng.integers(0, n - 1)), n))
-        S = SubdifferentialSet.polytope(V, R if len(R) else None, L if len(L) else None)
-        for _ in range(3):
-            v = (V.T @ rng.dirichlet(np.ones(len(V))) + R.T @ rng.uniform(0.0, 2.0, size=len(R))
-                 + L.T @ rng.normal(size=len(L)))
-            assert S.contains(v)
-            checked["in"] += 1
-        hom = np.vstack([np.hstack([V, np.ones((len(V), 1))]), np.hstack([R, np.zeros((len(R), 1))])])
-        hom_lines = np.hstack([L, np.zeros((len(L), 1))])
-        G, _ = cone_halfspaces_from_generators(hom, hom_lines)
-        for a in G:
-            verts = [v for v in V if abs(float(a[:n] @ v + a[n])) <= 1e-9]
-            rays = [r for r in R if abs(float(a[:n] @ r)) <= 1e-9]
-            if not verts or np.linalg.norm(a[:n]) < 1e-9:
-                continue
-            p = np.mean(verts, axis=0) + np.sum(rays, axis=0) + np.sum(L, axis=0)
-            g = a[:n] / np.linalg.norm(a[:n])
-            assert not S.contains(p + 1e-3 * g)
-            assert S.contains(p + 1e-12 * g) and S.contains(p - 1e-12 * g)
-            checked["out"] += 1
-            checked["near"] += 2
-    assert min(checked.values()) >= 20

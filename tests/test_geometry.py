@@ -30,7 +30,7 @@ def test_membership_and_emptiness():
     assert not P.is_empty()
     Q = Polyhedron([[1.0], [-1.0]], [-1.0, -1.0])  # x <= -1 and x >= 1
     assert Q.is_empty()
-    assert not Polyhedron.whole_space(3).is_empty()
+    assert not Polyhedron(n=3).is_empty()
 
 
 def test_tangent_cone_examples():
@@ -241,7 +241,7 @@ def test_project_rejects_a_non_finite_point():
     with pytest.raises(NumericalBreakdownError):
         project(P, [np.inf, 1.0])
     with pytest.raises(NumericalBreakdownError):
-        project_cone(PolyhedralCone.whole_space(2), [np.nan, 1.0])
+        project_cone(PolyhedralCone.from_halfspaces(None, None, n=2), [np.nan, 1.0])
 
 
 def nearly_parallel_instances():

@@ -10,15 +10,20 @@ branch that tests for a class nothing builds is dead too.
 
 The rule holds for each public method of a top-level class as well: its
 name appears in ``src/`` outside the method's own body, or in the same
-files outside, or the method has a ``Kept:`` line.  The rule reads names
-only, so a method reads as reached wherever anything of the same name is
-used (``PolyhedralCone.whole_space`` by ``Polyhedron.whole_space``).
+files outside, or the method has a ``Kept:`` line.  The rule reads names,
+not owners, so a method reads as reached wherever anything of the same name
+is used: ``PolyhedralCone.contains`` would pass on the calls of
+``Polyhedron.contains`` alone.  A trace of the calls themselves tells the
+owners apart.
 
 The same rule holds for the defaulted parameters of a public top-level
 function: some call of that name in the same places (in ``src/`` outside
 the function's own body) sets the parameter by keyword or by position, or a
 ``Kept:`` paragraph of the docstring names it.  A default that nothing sets
 is a constant.
+
+Last, no module of ``src/`` imports a name it never uses, so that a deletion
+leaves no import behind.
 """
 
 import ast
@@ -212,3 +217,24 @@ def test_no_code_is_generated():
                   for sub in ast.walk(stmt) if isinstance(sub, ast.Call)
                   and isinstance(sub.func, ast.Name) and sub.func.id in ("compile", "exec", "eval")]
     assert generators == []
+
+
+def unused_imports():
+    """``module.name`` for each name that a module of src/ imports and never
+    uses: no ``Name`` node in the module reads it.  ``from __future__`` is
+    exempt, and ``import a.b`` binds ``a``."""
+    unused = []
+    for path in SRC:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.stem}.{bound}" for alias in stmt.names
+                           if (bound := alias.asname or alias.name.split(".")[0]) not in used]
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert unused_imports() == []
